@@ -3,8 +3,8 @@
 Question: what does a controller crash cost the network, and how does
 that cost change with cluster size?
 
-Workload: a 6-switch ring under full-mesh pings, driven by a ZenCluster
-at ``controllers`` in {1, 2, 3}.  In every run the master of the first
+Workload: a 6-switch ring under full-mesh pings, driven by a clustered
+ZenPlatform at ``controllers`` in {1, 2, 3}.  In every run the master of the first
 switch is crashed; with one controller the network must wait out a
 scripted restart (``RESTART_AFTER``) before the rebooted instance
 re-adopts and resyncs its switches, while with two or three the
@@ -30,7 +30,7 @@ import pytest
 
 from repro.analysis import Table
 from repro.check import check_cluster
-from repro.cluster import ZenCluster
+from repro.core import ZenPlatform
 from repro.netem import Topology
 
 from harness import publish, publish_json
@@ -42,9 +42,9 @@ RECOVERY_SLO = 0.5     # sim-seconds; mirrors obs.handover_slo(0.5)
 
 def drive(controllers: int) -> dict:
     start = time.perf_counter()
-    platform = ZenCluster(Topology.ring(6, hosts_per_switch=1),
-                          controllers=controllers,
-                          profile="proactive", seed=7)
+    platform = ZenPlatform(Topology.ring(6, hosts_per_switch=1),
+                           controllers=controllers,
+                           profile="proactive", seed=7)
     platform.start()
     before = platform.ping_all(count=2, settle=5.0)
 

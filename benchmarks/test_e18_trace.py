@@ -29,10 +29,7 @@ import time
 import pytest
 
 from repro.analysis import Table
-from repro.cluster import ZenCluster
-from repro.cluster.platform import dataplane_digest
-from repro.core import ZenPlatform
-from repro.faults import FaultSchedule
+from repro.core import ZenPlatform, dataplane_digest
 from repro.netem import Topology
 from repro.sim.shard import run_sharded
 from repro.telemetry import Telemetry
@@ -115,7 +112,7 @@ def sharded_identity():
 def cluster_identity():
     """Clustered crash runs: dataplane digest with tracing on == off."""
     def digest(tel):
-        platform = ZenCluster(
+        platform = ZenPlatform(
             Topology.ring(4, hosts_per_switch=1, bandwidth_bps=1e9),
             controllers=3, profile="reactive", seed=18,
             telemetry=tel,
@@ -126,8 +123,7 @@ def cluster_identity():
         for i, host in enumerate(hosts):
             host.send_udp(hosts[(i + 1) % len(hosts)].ip, 7, 7, b"e18")
         platform.run(1.0)
-        sched = FaultSchedule(net)
-        sched.attach_cluster(platform.cluster)
+        sched = platform.fault_schedule()
         victim = platform.cluster.master_of(net.switches["s1"].dpid)
         sched.controller_crash(net.sim.now + 0.5, victim,
                                restart_after=0.4)
@@ -211,7 +207,10 @@ def test_e18_trace(results, benchmark):
      recorder, shard_identical, shard_art, crossing, cluster_identical,
      handover_total) = results
     publish("e18_trace", table)
-    shard_art.save(os.path.join(RESULTS_DIR, "e18_trace_artifact.json"))
+    # ~900 KB: git-ignored, uploaded by CI instead of committed.
+    out_dir = os.path.join(RESULTS_DIR, "e18_artifacts")
+    os.makedirs(out_dir, exist_ok=True)
+    shard_art.save(os.path.join(out_dir, "trace_artifact.json"))
     publish_json("E18", {
         "wall_s": {"trace_off": off, "trace_on": on},
         "overhead_pct": overhead_pct,

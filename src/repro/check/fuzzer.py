@@ -18,16 +18,16 @@ fuzzer writes a minimal repro file for it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from typing import Callable, List, Optional
 
 from repro.core import ZenPlatform
-from repro.faults import FaultSchedule
+from repro.digest import canonical_digest
+from repro.faults import arm_faults
+from repro.netem import Topology
 
 from repro.check.invariants import NetworkChecker
-from repro.check.monitor import InvariantMonitor
 
 __all__ = [
     "Scenario",
@@ -49,7 +49,7 @@ __all__ = [
 SCENARIO_VERSION = 1
 
 _TOPOLOGY_KINDS = ("linear", "ring", "star", "tree", "mesh")
-_PROFILES = ("reactive", "proactive")
+_PROFILE_CHOICES = ("reactive", "proactive")
 
 
 class Scenario:
@@ -75,8 +75,9 @@ class Scenario:
         self.workload = workload if workload is not None else []
         self.faults = faults if faults is not None else []
         self.settle = settle
-        #: Controller instances; > 1 runs the scenario on a ZenCluster
-        #: ("plain" stack only) and unlocks the controller fault kinds.
+        #: Controller instances; > 1 runs the scenario on a clustered
+        #: platform ("plain" stack only) and unlocks the controller
+        #: fault kinds.
         self.controllers = controllers
 
     def to_dict(self) -> dict:
@@ -173,14 +174,17 @@ class ScenarioResult:
 # Generation
 # ----------------------------------------------------------------------
 
-def generate_scenario(seed: int) -> Scenario:
-    """A deterministic function of ``seed`` — same seed, same scenario."""
-    rng = random.Random(seed)
+def _draw_skeleton(rng: random.Random, seed: int, name: str,
+                   cluster: bool):
+    """Topology, profile, cluster size and probe workload — the draws
+    both generators share, in one order.  Returns ``(scenario, switch
+    names, switch-to-switch links)`` for the fault draws that follow."""
     kind = rng.choice(_TOPOLOGY_KINDS)
     size = rng.randint(3, 5)
-    profile = rng.choice(_PROFILES)
-    scenario = Scenario(seed, f"fuzz-{seed}", kind, size, profile)
-
+    profile = rng.choice(_PROFILE_CHOICES)
+    controllers = rng.randint(2, 3) if cluster else 1
+    scenario = Scenario(seed, name, kind, size, profile,
+                        controllers=controllers)
     topo = _build_topology(kind, size)
     switch_names = sorted(
         n.name for n in topo.nodes.values() if n.is_switch
@@ -192,35 +196,46 @@ def generate_scenario(seed: int) -> Scenario:
         (link.a, link.b) for link in topo.links
         if topo.nodes[link.a].is_switch and topo.nodes[link.b].is_switch
     )
-
     for _ in range(rng.randint(2, 4)):
         src, dst = rng.sample(host_names, 2)
         scenario.workload.append({
             "src": src, "dst": dst,
             "at": round(rng.uniform(0.2, 2.0), 3),
         })
+    return scenario, switch_names, switch_links
 
+
+def _draw_flap(rng: random.Random, at: float, down_for: float,
+               **target) -> dict:
+    """A recovering flap of ``target`` (kind + what), ``down_for``
+    already drawn; draws the period and the cycle count.  Callers rely
+    on left-to-right argument evaluation: the corpus needs ``down_for``
+    drawn *before* a ``switch=rng.choice(...)`` target."""
+    return dict(target, at=at, down_for=down_for,
+                period=round(down_for + rng.uniform(0.7, 1.5), 3),
+                count=rng.randint(1, 2))
+
+
+def _draw_down_for(rng: random.Random) -> float:
+    return round(rng.uniform(0.3, 0.8), 3)
+
+
+def generate_scenario(seed: int) -> Scenario:
+    """A deterministic function of ``seed`` — same seed, same scenario."""
+    rng = random.Random(seed)
+    scenario, switch_names, switch_links = _draw_skeleton(
+        rng, seed, f"fuzz-{seed}", cluster=False)
     for _ in range(rng.randint(0, 3)):
         roll = rng.random()
         at = round(rng.uniform(0.5, 3.0), 3)
         if roll < 0.45 and switch_links:
             a, b = rng.choice(switch_links)
-            down_for = round(rng.uniform(0.3, 0.8), 3)
-            scenario.faults.append({
-                "kind": "link_flap", "a": a, "b": b, "at": at,
-                "down_for": down_for,
-                "period": round(down_for + rng.uniform(0.7, 1.5), 3),
-                "count": rng.randint(1, 2),
-            })
+            scenario.faults.append(_draw_flap(
+                rng, at, _draw_down_for(rng), kind="link_flap", a=a, b=b))
         elif roll < 0.8:
-            down_for = round(rng.uniform(0.3, 0.8), 3)
-            scenario.faults.append({
-                "kind": "channel_flap",
-                "switch": rng.choice(switch_names), "at": at,
-                "down_for": down_for,
-                "period": round(down_for + rng.uniform(0.7, 1.5), 3),
-                "count": rng.randint(1, 2),
-            })
+            scenario.faults.append(_draw_flap(
+                rng, at, _draw_down_for(rng), kind="channel_flap",
+                switch=rng.choice(switch_names)))
         else:
             scenario.faults.append({
                 "kind": "switch_crash",
@@ -241,53 +256,20 @@ def generate_cluster_scenario(seed: int) -> Scenario:
     is exercised by the dedicated cluster tests instead.
     """
     rng = random.Random(f"cluster-{seed}")
-    kind = rng.choice(_TOPOLOGY_KINDS)
-    size = rng.randint(3, 5)
-    profile = rng.choice(_PROFILES)
-    controllers = rng.randint(2, 3)
-    scenario = Scenario(seed, f"cluster-fuzz-{seed}", kind, size, profile,
-                        controllers=controllers)
-
-    topo = _build_topology(kind, size)
-    switch_names = sorted(
-        n.name for n in topo.nodes.values() if n.is_switch
-    )
-    host_names = sorted(
-        n.name for n in topo.nodes.values() if not n.is_switch
-    )
-    switch_links = sorted(
-        (link.a, link.b) for link in topo.links
-        if topo.nodes[link.a].is_switch and topo.nodes[link.b].is_switch
-    )
-
-    for _ in range(rng.randint(2, 4)):
-        src, dst = rng.sample(host_names, 2)
-        scenario.workload.append({
-            "src": src, "dst": dst,
-            "at": round(rng.uniform(0.2, 2.0), 3),
-        })
-
+    scenario, switch_names, switch_links = _draw_skeleton(
+        rng, seed, f"cluster-fuzz-{seed}", cluster=True)
+    controllers = scenario.controllers
     for _ in range(rng.randint(1, 3)):
         roll = rng.random()
         at = round(rng.uniform(0.5, 3.0), 3)
         if roll < 0.25 and switch_links:
             a, b = rng.choice(switch_links)
-            down_for = round(rng.uniform(0.3, 0.8), 3)
-            scenario.faults.append({
-                "kind": "link_flap", "a": a, "b": b, "at": at,
-                "down_for": down_for,
-                "period": round(down_for + rng.uniform(0.7, 1.5), 3),
-                "count": rng.randint(1, 2),
-            })
+            scenario.faults.append(_draw_flap(
+                rng, at, _draw_down_for(rng), kind="link_flap", a=a, b=b))
         elif roll < 0.45:
-            down_for = round(rng.uniform(0.3, 0.8), 3)
-            scenario.faults.append({
-                "kind": "channel_flap",
-                "switch": rng.choice(switch_names), "at": at,
-                "down_for": down_for,
-                "period": round(down_for + rng.uniform(0.7, 1.5), 3),
-                "count": rng.randint(1, 2),
-            })
+            scenario.faults.append(_draw_flap(
+                rng, at, _draw_down_for(rng), kind="channel_flap",
+                switch=rng.choice(switch_names)))
         elif roll < 0.8:
             scenario.faults.append({
                 "kind": "controller_crash",
@@ -303,10 +285,8 @@ def generate_cluster_scenario(seed: int) -> Scenario:
     return scenario
 
 
-def _build_topology(kind: str, size: int):
-    from repro.cli import build_topology
-
-    return build_topology(kind, size, 1e9)
+def _build_topology(kind: str, size: int) -> Topology:
+    return Topology.build(kind, size, 1e9)
 
 
 # ----------------------------------------------------------------------
@@ -315,30 +295,25 @@ def _build_topology(kind: str, size: int):
 
 def _build_stack(scenario: Scenario, fast_path: bool,
                  telemetry=None) -> ZenPlatform:
-    topo = _build_topology(scenario.topology, scenario.size)
-    if scenario.controllers > 1:
-        if scenario.stack != "plain":
-            raise ValueError(
-                f"cluster scenarios need the plain stack, "
-                f"not {scenario.stack!r}"
-            )
-        from repro.cluster import ZenCluster
-
-        return ZenCluster(topo, controllers=scenario.controllers,
-                          profile=scenario.profile, seed=scenario.seed,
-                          fast_path=fast_path, telemetry=telemetry)
-    if scenario.stack == "plain":
-        return ZenPlatform(topo, profile=scenario.profile,
-                           seed=scenario.seed, fast_path=fast_path,
-                           telemetry=telemetry)
-    if scenario.stack == "policy":
+    stack = scenario.stack
+    if stack not in ("plain", "policy", "multipath"):
+        raise ValueError(f"unknown stack {stack!r}")
+    clustered = scenario.controllers > 1
+    if clustered and stack != "plain":
+        raise ValueError(
+            f"cluster scenarios need the plain stack, not {stack!r}"
+        )
+    platform = ZenPlatform(
+        _build_topology(scenario.topology, scenario.size),
+        profile=scenario.profile if stack == "plain" else "bare",
+        seed=scenario.seed, fast_path=fast_path, telemetry=telemetry,
+        controllers=scenario.controllers if clustered else None,
+    )
+    if stack == "policy":
         from repro.apps.firewall import Firewall
         from repro.apps.proactive_router import ProactiveRouter
         from repro.apps.slicing import NetworkSlicing
 
-        platform = ZenPlatform(topo, profile="bare",
-                               seed=scenario.seed, fast_path=fast_path,
-                               telemetry=telemetry)
         slicing = platform.add_app(
             NetworkSlicing(table_id=0, next_table=1)
         )
@@ -353,49 +328,11 @@ def _build_stack(scenario: Scenario, fast_path: bool,
             rate_bps=50e6,
         )
         firewall.deny(l4_dst=23)  # no telnet across the fabric
-        return platform
-    if scenario.stack == "multipath":
+    elif stack == "multipath":
         from repro.apps import MultipathRouter
 
-        platform = ZenPlatform(topo, profile="bare",
-                               seed=scenario.seed, fast_path=fast_path,
-                               telemetry=telemetry)
         platform.router = platform.add_app(MultipathRouter(max_paths=2))
-        return platform
-    raise ValueError(f"unknown stack {scenario.stack!r}")
-
-
-def _arm_faults(scenario: Scenario, schedule: FaultSchedule,
-                base: float) -> None:
-    for fault in scenario.faults:
-        kind = fault["kind"]
-        at = base + fault["at"]
-        if kind == "link_flap":
-            schedule.link_flap(at, fault["a"], fault["b"],
-                               down_for=fault["down_for"],
-                               period=fault["period"],
-                               count=fault["count"])
-        elif kind == "channel_flap":
-            schedule.channel_flap(at, fault["switch"],
-                                  down_for=fault["down_for"],
-                                  period=fault["period"],
-                                  count=fault["count"])
-        elif kind == "switch_crash":
-            schedule.switch_crash(at, fault["switch"],
-                                  restart_after=fault["restart_after"])
-        elif kind == "controller_crash":
-            schedule.controller_crash(
-                at, fault["node"], restart_after=fault["restart_after"]
-            )
-        elif kind == "controller_partition":
-            minority = list(fault["minority"])
-            rest = [n for n in range(scenario.controllers)
-                    if n not in minority]
-            schedule.controller_partition(
-                at, [minority, rest], heal_after=fault["heal_after"]
-            )
-        else:
-            raise ValueError(f"unknown fault kind {kind!r}")
+    return platform
 
 
 def platform_observables(platform: ZenPlatform) -> dict:
@@ -452,35 +389,17 @@ def run_scenario(scenario: Scenario, fast_path: bool = True,
     platform = _build_stack(scenario, fast_path, telemetry=tel)
     platform.start()
     net = platform.net
-
-    hosts = [net.hosts[n] for n in sorted(net.hosts)]
-    for a in hosts:
-        for b in hosts:
-            if a is not b:
-                a.add_static_arp(b.ip, b.mac)
+    hosts = platform.seed_static_arp()
 
     if checker is None:
         checker = NetworkChecker()
-    schedule = FaultSchedule(net)
-    if scenario.controllers > 1:
-        schedule.attach_cluster(platform.cluster)
-    mon: Optional[InvariantMonitor] = None
-    if monitor:
-        mon = InvariantMonitor(net, checker)
-        mon.attach(platform.controller)
-        mon.watch(schedule)
-
-    plane = None
-    if obs:
-        from repro.obs import ObsPlane
-
-        plane = ObsPlane(platform, interval=obs_interval)
-        plane.watch_faults(schedule)
-        if mon is not None:
-            plane.watch_monitor(mon)
-
+    schedule = platform.fault_schedule()
+    plane, mon = platform.observe(
+        schedule, interval=obs_interval if obs else None,
+        monitor=checker if monitor else False,
+    )
     base = net.sim.now
-    _arm_faults(scenario, schedule, base)
+    arm_faults(schedule, scenario.faults, base=base)
     traffic_sinks: dict = {}
     for entry in scenario.workload:
         if "kind" in entry:
@@ -507,7 +426,7 @@ def run_scenario(scenario: Scenario, fast_path: bool = True,
     final = checker.check(net)
     ok = final.ok
     verdicts = final.to_dict()
-    if scenario.controllers > 1:
+    if platform.cluster is not None:
         # Cluster invariants join the pass criterion; the key is only
         # present for cluster scenarios, so committed single-controller
         # digests are untouched.
@@ -532,8 +451,7 @@ def run_scenario(scenario: Scenario, fast_path: bool = True,
 
 def result_digest(result: ScenarioResult) -> str:
     """Stable digest of a run's full outcome (bit-identity checks)."""
-    blob = json.dumps(result.to_dict(), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_digest(result.to_dict())
 
 
 # ----------------------------------------------------------------------

@@ -67,10 +67,11 @@ class InvariantMonitor:
         self.records: List[CheckRecord] = []
         self.checks_run = 0
         self.violations_seen = 0
-        #: Called with each new :class:`CheckRecord` (after it is
-        #: appended).  ``repro.obs`` uses this to annotate violations
-        #: on the run timeline; hooks must be pure reads.
-        self.on_record: Optional[Callable[[CheckRecord], None]] = None
+        #: Each is called, in registration order, with every new
+        #: :class:`CheckRecord` (after it is appended).  ``repro.obs``
+        #: uses this to annotate violations on the run timeline; hooks
+        #: must be pure reads.
+        self.on_record: List[Callable[[CheckRecord], None]] = []
         tel = net.telemetry
         if tel is not None and tel.enabled:
             self._m_checks = tel.metrics.counter(
@@ -105,19 +106,14 @@ class InvariantMonitor:
     def watch(self, schedule) -> "InvariantMonitor":
         """Re-check after every fault injection of ``schedule``.
 
-        Chains any previously installed ``on_fire`` hook; the check runs
-        *after* the fault's action, at the exact injection instant —
-        before the control plane has had a chance to react, which is
-        precisely when transient blackholes are visible.
+        The check runs *after* the fault's action, at the exact
+        injection instant — before the control plane has had a chance
+        to react, which is precisely when transient blackholes are
+        visible.
         """
-        previous = schedule.on_fire
-
-        def hook(event) -> None:
-            if previous is not None:
-                previous(event)
-            self.recheck(f"fault:{event.kind}:{event.target}")
-
-        schedule.on_fire = hook
+        schedule.on_fire.append(
+            lambda event: self.recheck(f"fault:{event.kind}:{event.target}")
+        )
         return self
 
     # ------------------------------------------------------------------
@@ -136,8 +132,8 @@ class InvariantMonitor:
         self.records.append(record)
         if len(self.records) > self.max_records:
             del self.records[: len(self.records) - self.max_records]
-        if self.on_record is not None:
-            self.on_record(record)
+        for hook in self.on_record:
+            hook(record)
         return result
 
     # ------------------------------------------------------------------

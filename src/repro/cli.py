@@ -30,14 +30,15 @@ from typing import List, Optional
 
 from repro.analysis import Table
 from repro.core import ZenPlatform
-from repro.netem import Topology
+from repro.faults import arm_faults
+from repro.netem.topology import FAMILIES, Topology
 from repro.telemetry import Telemetry
 from repro.telemetry.export import render_report, to_json
 
 __all__ = ["main", "build_topology"]
 
-_BUILDERS = ("linear", "single", "ring", "star", "tree", "fat_tree",
-             "mesh", "waxman", "carrier_wan")
+#: Instantiate a named builder family at a given size.
+build_topology = Topology.build
 
 _EXPERIMENTS = [
     ("E1", "Table 1", "flow-setup latency across control designs"),
@@ -65,42 +66,81 @@ _EXPERIMENTS = [
 ]
 
 
-def build_topology(name: str, size: int, bandwidth: float) -> Topology:
-    """Instantiate a named builder at a given size."""
-    if name == "linear":
-        return Topology.linear(size, hosts_per_switch=1,
-                               bandwidth_bps=bandwidth)
-    if name == "single":
-        return Topology.single(size, bandwidth_bps=bandwidth)
-    if name == "ring":
-        return Topology.ring(max(size, 3), hosts_per_switch=1,
-                             bandwidth_bps=bandwidth)
-    if name == "star":
-        return Topology.star(size, hosts_per_leaf=1,
-                             bandwidth_bps=bandwidth)
-    if name == "tree":
-        return Topology.tree(depth=max(size, 1), fanout=2,
-                             bandwidth_bps=bandwidth)
-    if name == "fat_tree":
-        k = size if size % 2 == 0 else size + 1
-        return Topology.fat_tree(max(k, 2), bandwidth_bps=bandwidth)
-    if name == "mesh":
-        return Topology.mesh(size, hosts_per_switch=1,
-                             bandwidth_bps=bandwidth)
-    if name == "waxman":
-        return Topology.waxman(size, hosts_per_switch=1,
-                               bandwidth_bps=bandwidth)
-    if name == "carrier_wan":
-        return Topology.carrier_wan(cores=max(size, 3),
-                                    bandwidth_bps=bandwidth)
-    raise SystemExit(f"unknown topology {name!r}; pick from {_BUILDERS}")
+def _build_platform(args, telemetry=None) -> ZenPlatform:
+    """The stack the shared arguments (plus ``--controllers``, where a
+    command has it) describe; ``--controllers 1`` is the plain
+    single-controller platform."""
+    controllers = getattr(args, "controllers", 1)
+    kind = getattr(args, "kind", None)
+    if kind in ("controller", "partition") and controllers < 2:
+        raise SystemExit(
+            f"a {kind} fault needs a cluster; pass --controllers >= 2"
+        )
+    topo = build_topology(args.topology, args.size, args.bandwidth)
+    return ZenPlatform(topo, profile=args.profile, seed=args.seed,
+                       control_latency=args.control_latency,
+                       telemetry=telemetry,
+                       controllers=controllers if controllers > 1 else None)
+
+
+def _warm_traffic(platform: ZenPlatform) -> None:
+    """Static ARP plus one datagram to each host's neighbour, so the
+    proactive profile has routes for a fault to break."""
+    platform.seed_static_arp()
+    hosts = list(platform.net.hosts.values())
+    for i, host in enumerate(hosts):
+        host.send_udp(hosts[(i + 1) % len(hosts)].ip, 7, 7, b"warm")
+
+
+def _fault_dicts(args, platform: ZenPlatform):
+    """Lower ``--kind/--target/--cycles/--period/--down-for`` to
+    :func:`repro.faults.arm_faults` dicts, ``at`` relative to the first
+    injection.  Returns ``(target switch, description, dicts)``."""
+    if args.kind == "none":
+        return "", "none", []
+    net = platform.net
+    switches = sorted(net.switches)
+    target = args.target or switches[0]
+    if target not in net.switches:
+        raise SystemExit(f"unknown switch {target!r}; pick from {switches}")
+    # `trace` injects a single cycle and has no --period.
+    period = args.period if args.period is not None else 2 * args.down_for
+    flap = {"at": 0.0, "down_for": args.down_for, "period": period,
+            "count": args.cycles}
+    if args.kind == "channel":
+        what = f"control channel of {target}"
+        return target, what, [dict(flap, kind="channel_flap", switch=target)]
+    if args.kind == "link":
+        neighbours = sorted(n for n in net.topology.neighbours(target)
+                            if n in net.switches)
+        if not neighbours:
+            raise SystemExit(f"{target} has no switch neighbour to cut")
+        what = f"link {target}-{neighbours[0]}"
+        return target, what, [
+            dict(flap, kind="link_flap", a=target, b=neighbours[0])]
+    if args.kind == "crash":
+        what = f"agent of {target} (state wiped)"
+        cycle = {"kind": "switch_crash", "switch": target,
+                 "restart_after": args.down_for}
+    elif args.kind == "controller":
+        victim = platform.cluster.master_of(net.switches[target].dpid)
+        what = f"controller-{victim} (master of {target})"
+        cycle = {"kind": "controller_crash", "node": victim,
+                 "restart_after": args.down_for}
+    else:  # partition: the leader alone against everyone else
+        cluster = platform.cluster
+        minority = [cluster.leader]
+        majority = [n for n in range(cluster.size) if n not in minority]
+        what = f"east-west bus into {minority} | {majority}"
+        cycle = {"kind": "controller_partition", "minority": minority,
+                 "heal_after": args.down_for}
+    return target, what, [dict(cycle, at=k * period)
+                          for k in range(args.cycles)]
 
 
 def _cmd_demo(args) -> int:
-    topo = build_topology(args.topology, args.size, args.bandwidth)
-    print(f"Built {topo}")
-    platform = ZenPlatform(topo, profile=args.profile, seed=args.seed,
-                           control_latency=args.control_latency)
+    platform = _build_platform(args)
+    print(f"Built {platform.net.topology}")
     platform.start()
     print(f"Controller: {platform.controller.switch_count} switches, "
           f"{platform.discovery.link_count} directed links discovered")
@@ -143,16 +183,11 @@ def _cmd_topology(args) -> int:
 def _cmd_telemetry(args) -> int:
     if args.sample_every < 1:
         raise SystemExit("--sample-every must be >= 1")
-    topo = build_topology(args.topology, args.size, args.bandwidth)
     telemetry = Telemetry(
         trace_sample_every=args.sample_every,
         max_traces=args.max_traces,
     )
-    platform = ZenPlatform(
-        topo, profile=args.profile, seed=args.seed,
-        control_latency=args.control_latency, telemetry=telemetry,
-    )
-    platform.start()
+    platform = _build_platform(args, telemetry=telemetry).start()
     platform.ping_all(count=args.pings, settle=8.0)
     # Flush flows still resident so short runs export a full picture.
     for dp in platform.net.switches.values():
@@ -167,82 +202,18 @@ def _cmd_telemetry(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    from repro.faults import FaultSchedule
-
-    controllers = getattr(args, "controllers", 1)
-    if args.kind in ("controller", "partition") and controllers < 2:
-        raise SystemExit(
-            f"--kind {args.kind} needs a cluster; pass --controllers >= 2"
-        )
-    topo = build_topology(args.topology, args.size, args.bandwidth)
-    if controllers > 1:
-        from repro.cluster import ZenCluster
-
-        platform = ZenCluster(topo, controllers=controllers,
-                              profile=args.profile, seed=args.seed,
-                              control_latency=args.control_latency)
-    else:
-        platform = ZenPlatform(topo, profile=args.profile, seed=args.seed,
-                               control_latency=args.control_latency)
-    platform.start()
-    # Warm traffic so the proactive profile has routes to break.
-    hosts = list(platform.net.hosts.values())
-    for a in hosts:
-        for b in hosts:
-            if a is not b:
-                a.add_static_arp(b.ip, b.mac)
-    for i, host in enumerate(hosts):
-        host.send_udp(hosts[(i + 1) % len(hosts)].ip, 7, 7, b"warm")
+    platform = _build_platform(args).start()
+    _warm_traffic(platform)
     platform.run(1.0)
     before = platform.ping_all(count=1, settle=8.0)
     print(f"Pre-fault all-pairs delivery: {before:.0%}")
 
     net = platform.net
-    switches = sorted(net.switches)
-    target = args.target or switches[0]
-    if target not in net.switches:
-        raise SystemExit(f"unknown switch {target!r}; pick from {switches}")
-    start = net.sim.now + 0.5
-    sched = FaultSchedule(net)
-    if controllers > 1:
-        sched.attach_cluster(platform.cluster)
+    target, what, faults = _fault_dicts(args, platform)
     if args.kind == "controller":
-        cluster = platform.cluster
-        victim = cluster.master_of(net.switches[target].dpid)
-        for k in range(args.cycles):
-            sched.controller_crash(start + k * args.period, victim,
-                                   restart_after=args.down_for)
-        what = (f"controller-{victim} (master of {target}), "
-                f"state wiped on crash")
-    elif args.kind == "partition":
-        cluster = platform.cluster
-        minority = [cluster.leader]
-        majority = [n for n in sorted(cluster.bus.alive)
-                    if n not in minority]
-        for k in range(args.cycles):
-            sched.controller_partition(
-                start + k * args.period, [minority, majority],
-                heal_after=args.down_for,
-            )
-        what = f"east-west bus into {minority} | {majority}"
-    elif args.kind == "channel":
-        sched.channel_flap(start, target, down_for=args.down_for,
-                           period=args.period, count=args.cycles)
-        what = f"control channel of {target}"
-    elif args.kind == "crash":
-        for k in range(args.cycles):
-            sched.switch_crash(start + k * args.period, target,
-                               restart_after=args.down_for)
-        what = f"agent of {target} (state wiped)"
-    else:  # link
-        neighbours = [n for n in net.topology.neighbours(target)
-                      if n in net.switches]
-        if not neighbours:
-            raise SystemExit(f"{target} has no switch neighbour to cut")
-        peer = sorted(neighbours)[0]
-        sched.link_flap(start, target, peer, down_for=args.down_for,
-                        period=args.period, count=args.cycles)
-        what = f"link {target}-{peer}"
+        what += ", state wiped on crash"
+    sched = platform.fault_schedule()
+    arm_faults(sched, faults, base=net.sim.now + 0.5)
     print(f"Flapping {what}: {args.cycles} cycle(s), "
           f"{args.down_for:.2f}s down every {args.period:.2f}s")
     platform.run(args.cycles * args.period + 2.0)
@@ -262,10 +233,10 @@ def _cmd_faults(args) -> int:
           f"{controller.resync_pruned} pruned), "
           f"{controller.resync_failures} resync failures")
     clean = True
-    if controllers > 1:
+    cluster = platform.cluster
+    if cluster is not None:
         from repro.check import check_cluster
 
-        cluster = platform.cluster
         if cluster.handover_log:
             hand = Table("Mastership handovers",
                          ["t", "dpid", "from", "to", "term"])
@@ -281,10 +252,9 @@ def _cmd_faults(args) -> int:
               f"leader controller-{cluster.leader}, masters {masters}")
         violations = check_cluster(cluster, net)
         clean = not violations
-        if violations:
-            for v in violations:
-                print(f"  VIOLATION {v.invariant}/{v.kind}: {v.message}")
-        else:
+        for v in violations:
+            print(f"  VIOLATION {v.invariant}/{v.kind}: {v.message}")
+        if clean:
             print("Cluster invariants: clean "
                   "(single-master, no orphans, ledgers converged)")
     after = platform.ping_all(count=1, settle=8.0)
@@ -322,27 +292,24 @@ def _cmd_check(args) -> int:
     if args.mode == "replay":
         if not args.path:
             raise SystemExit("replay needs --path <repro or corpus file>")
-        import json as _json
-
         with open(args.path) as fh:
-            payload = _json.load(fh)
+            payload = json.load(fh)
         if "seeds" in payload:  # a corpus file
             from repro.check import generate_cluster_scenario
 
             failures = 0
-            for seed in payload["seeds"]:
-                result = run_scenario(generate_scenario(seed),
-                                      monitor=args.monitor)
-                verdict = "clean" if result.ok else "VIOLATIONS"
-                print(f"seed {seed:6d} {verdict}")
-                failures += 0 if result.ok else 1
-            for seed in payload.get("cluster_seeds", []):
-                result = run_scenario(generate_cluster_scenario(seed),
-                                      monitor=args.monitor)
-                verdict = "clean" if result.ok else "VIOLATIONS"
-                print(f"cluster seed {seed:6d} {verdict} "
-                      f"({result.scenario.controllers} instances)")
-                failures += 0 if result.ok else 1
+            for key, generate, label in (
+                    ("seeds", generate_scenario, "seed"),
+                    ("cluster_seeds", generate_cluster_scenario,
+                     "cluster seed")):
+                for seed in payload.get(key, []):
+                    result = run_scenario(generate(seed),
+                                          monitor=args.monitor)
+                    size = (f" ({result.scenario.controllers} instances)"
+                            if key == "cluster_seeds" else "")
+                    print(f"{label} {seed:6d} "
+                          f"{'clean' if result.ok else 'VIOLATIONS'}{size}")
+                    failures += 0 if result.ok else 1
             return 1 if failures else 0
         result = replay(args.path, monitor=args.monitor)
         print(f"replayed {result.scenario.name}: "
@@ -381,70 +348,17 @@ def _cmd_check(args) -> int:
 def _run_obs_scenario(args):
     """Build a platform with the obs plane attached, run the scripted
     scenario, and return the finished ``(platform, plane, schedule)``."""
-    from repro.faults import FaultSchedule
-    from repro.obs import ObsPlane
-
-    topo = build_topology(args.topology, args.size, args.bandwidth)
-    telemetry = Telemetry(profile=False)
-    platform = ZenPlatform(topo, profile=args.profile, seed=args.seed,
-                           control_latency=args.control_latency,
-                           telemetry=telemetry)
-    platform.start()
-    plane = ObsPlane(platform, interval=args.interval)
-    sched = FaultSchedule(platform.net)
-    plane.watch_faults(sched)
-    if args.monitor:
-        from repro.check import InvariantMonitor
-
-        monitor = InvariantMonitor(platform.net)
-        monitor.attach(platform.controller)
-        monitor.watch(sched)
-        plane.watch_monitor(monitor)
-
-    hosts = list(platform.net.hosts.values())
-    for a in hosts:
-        for b in hosts:
-            if a is not b:
-                a.add_static_arp(b.ip, b.mac)
-    for i, host in enumerate(hosts):
-        host.send_udp(hosts[(i + 1) % len(hosts)].ip, 7, 7, b"warm")
-
-    if args.faults != "none":
-        net = platform.net
-        switches = sorted(net.switches)
-        target = args.target or switches[0]
-        if target not in net.switches:
-            raise SystemExit(
-                f"unknown switch {target!r}; pick from {switches}")
-        start = net.sim.now + 0.5
-        if args.faults == "channel":
-            sched.channel_flap(start, target, down_for=args.down_for,
-                               period=args.period, count=args.cycles)
-        elif args.faults == "crash":
-            for k in range(args.cycles):
-                sched.switch_crash(start + k * args.period, target,
-                                   restart_after=args.down_for)
-        else:  # link
-            neighbours = [n for n in net.topology.neighbours(target)
-                          if n in net.switches]
-            if not neighbours:
-                raise SystemExit(f"{target} has no switch neighbour")
-            peer = sorted(neighbours)[0]
-            sched.link_flap(start, target, peer, down_for=args.down_for,
-                            period=args.period, count=args.cycles)
+    platform = _build_platform(
+        args, telemetry=Telemetry(profile=False)).start()
+    sched = platform.fault_schedule()
+    plane, _ = platform.observe(sched, interval=args.interval,
+                                monitor=args.monitor)
+    _warm_traffic(platform)
+    _, _, faults = _fault_dicts(args, platform)
+    arm_faults(sched, faults, base=platform.sim.now + 0.5)
     platform.run(args.duration)
     plane.finish()
     return platform, plane, sched
-
-
-def _obs_meta(args) -> dict:
-    return {
-        "topology": f"{args.topology}({args.size})",
-        "profile": args.profile,
-        "seed": args.seed,
-        "faults": args.faults,
-        "duration": args.duration,
-    }
 
 
 def _cmd_obs(args) -> int:
@@ -464,17 +378,13 @@ def _cmd_obs(args) -> int:
         current = load_artifact(args.current)
         report = diff_runs(base, current, tolerance=args.tolerance)
         if args.format == "json":
-            import json as _json
-
-            print(_json.dumps(report.to_dict(), indent=2,
-                              sort_keys=True))
+            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         else:
             print(render_diff(report, base_name=args.base,
                               cur_name=args.current))
         return 0 if report.ok else 1
 
-    if args.mode == "dashboard" and args.path:
-        artifact = load_artifact(args.path)
+    def dashboard(artifact) -> None:
         select = args.series.split(",") if args.series else None
         print(render_dashboard(artifact, width=args.width,
                                select=select,
@@ -482,23 +392,21 @@ def _cmd_obs(args) -> int:
         if artifact.health is not None:
             print()
             print(render_health(artifact.health))
+
+    if args.mode == "dashboard" and args.path:
+        dashboard(load_artifact(args.path))
         return 0
 
     platform, plane, sched = _run_obs_scenario(args)
-    artifact = plane.artifact(**_obs_meta(args))
+    artifact = plane.artifact(
+        topology=f"{args.topology}({args.size})", profile=args.profile,
+        seed=args.seed, faults=args.kind, duration=args.duration)
     if args.mode == "dashboard":
-        select = args.series.split(",") if args.series else None
-        print(render_dashboard(artifact, width=args.width,
-                               select=select,
-                               max_series=args.max_series))
-        print()
-        print(render_health(plane.report))
+        dashboard(artifact)
     elif args.format == "openmetrics":
         print(render_openmetrics(platform.telemetry.metrics), end="")
     elif args.format == "json":
-        import json as _json
-
-        print(_json.dumps(artifact.to_dict(), indent=1, sort_keys=True))
+        print(json.dumps(artifact.to_dict(), indent=1, sort_keys=True))
     else:
         print(f"Scraped {plane.scraper.scrapes} samples of "
               f"{len(plane.scraper.series)} series over "
@@ -694,91 +602,39 @@ def _run_trace_sharded(args):
 def _run_trace_platform(args):
     """Traced platform/cluster run under a scripted fault, with the
     flight recorder armed on invariant violations and SLO alerts."""
-    from repro.check import InvariantMonitor
-    from repro.faults import FaultSchedule
-    from repro.obs import ObsPlane
     from repro.obs.slo import ConvergenceSLO
     from repro.trace import FlightRecorder, TraceArtifact
 
-    controllers = args.controllers
-    if args.fault == "controller" and controllers < 2:
-        raise SystemExit("--fault controller needs a cluster; "
-                         "pass --controllers >= 2")
-    seed = args.seed if args.seed is not None else 0
+    if args.seed is None:
+        args.seed = 0
     telemetry = Telemetry(profile=False, max_traces=args.max_traces)
-    topo = build_topology(args.topology, args.size, args.bandwidth)
-    if controllers > 1:
-        from repro.cluster import ZenCluster
-
-        platform = ZenCluster(topo, controllers=controllers,
-                              profile=args.profile, seed=seed,
-                              control_latency=args.control_latency,
-                              telemetry=telemetry)
-    else:
-        platform = ZenPlatform(topo, profile=args.profile, seed=seed,
-                               control_latency=args.control_latency,
-                               telemetry=telemetry)
+    platform = _build_platform(args, telemetry=telemetry)
+    # Built before start() so the rings hold the bring-up spans too.
     recorder = FlightRecorder(telemetry, capacity=args.ring,
                               max_events=args.ring)
     platform.start()
     net = platform.net
 
-    sched = FaultSchedule(net)
-    if controllers > 1:
-        sched.attach_cluster(platform.cluster)
-    recorder.watch_faults(sched)
-    monitor = InvariantMonitor(net)
-    monitor.attach(platform.controller)
-    monitor.watch(sched)
-    recorder.watch_monitor(monitor)
-    plane = ObsPlane(platform, interval=0.05, slos=[
+    sched = platform.fault_schedule()
+    plane, _ = platform.observe(sched, interval=0.05, slos=[
         ConvergenceSLO(
             "convergence", args.slo,
             open_kinds=("controller_crash", "channel_down",
                         "switch_crash", "link_down"),
             close_kinds=("resync_done",)),
-    ])
-    plane.watch_faults(sched)
-    recorder.watch_alerts(plane.health)
+    ], monitor=True, recorder=recorder)
 
-    hosts = list(net.hosts.values())
-    for a in hosts:
-        for b in hosts:
-            if a is not b:
-                a.add_static_arp(b.ip, b.mac)
-    for i, host in enumerate(hosts):
-        host.send_udp(hosts[(i + 1) % len(hosts)].ip, 7, 7, b"warm")
+    _warm_traffic(platform)
     platform.run(1.0)
 
-    switches = sorted(net.switches)
-    target = switches[0]
-    start = net.sim.now + 0.5
-    if args.fault == "controller":
-        victim = platform.cluster.master_of(net.switches[target].dpid)
-        sched.controller_crash(start, victim,
-                               restart_after=args.down_for)
-        what = f"controller-{victim} (master of {target})"
-    elif args.fault == "channel":
-        sched.channel_flap(start, target, down_for=args.down_for,
-                           period=args.down_for * 2, count=1)
-        what = f"control channel of {target}"
-    elif args.fault == "link":
-        neighbours = [n for n in net.topology.neighbours(target)
-                      if n in net.switches]
-        if not neighbours:
-            raise SystemExit(f"{target} has no switch neighbour to cut")
-        peer = sorted(neighbours)[0]
-        sched.link_flap(start, target, peer, down_for=args.down_for,
-                        period=args.down_for * 2, count=1)
-        what = f"link {target}-{peer}"
-    else:
-        what = "none"
-    duration = args.duration if args.duration is not None else 3.0
-    platform.run(duration)
+    _, what, faults = _fault_dicts(args, platform)
+    arm_faults(sched, faults, base=net.sim.now + 0.5)
+    platform.run(args.duration if args.duration is not None else 3.0)
     plane.finish()
 
+    clustered = platform.cluster is not None
     lines = [
-        f"{'Cluster' if controllers > 1 else 'Platform'} run: "
+        f"{'Cluster' if clustered else 'Platform'} run: "
         f"{args.topology} size={args.size} profile={args.profile} "
         f"fault={what}",
         f"{len(sched.log)} injection(s), "
@@ -786,9 +642,10 @@ def _run_trace_platform(args):
         f"{recorder!r}",
     ]
     meta = {
-        "kind": "platform-run" if controllers == 1 else "cluster-run",
+        "kind": "cluster-run" if clustered else "platform-run",
         "topology": args.topology, "size": args.size,
-        "controllers": controllers, "seed": seed, "fault": args.fault,
+        "controllers": args.controllers, "seed": args.seed,
+        "fault": args.kind,
     }
     if args.flight:
         if recorder.dumps:
@@ -860,10 +717,8 @@ def _cmd_trace(args) -> int:
         artifact = TraceArtifact.load(args.artifact)
         return _report_artifact(artifact, args, tree=args.tree)
 
-    if args.shards:
-        artifact, lines = _run_trace_sharded(args)
-    else:
-        artifact, lines = _run_trace_platform(args)
+    run = _run_trace_sharded if args.shards else _run_trace_platform
+    artifact, lines = run(args)
     for line in lines:
         print(line)
     if args.out:
@@ -887,6 +742,42 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _stack_args(topology: str = "ring", size: int = 4,
+                profile: str = "proactive",
+                seed: Optional[int] = 0) -> argparse.ArgumentParser:
+    """The six arguments that describe a stack, as an argparse parent
+    (a fresh one per command: argparse shares a parent's actions with
+    every child, so ``set_defaults`` on one would leak into the rest)."""
+    stack = argparse.ArgumentParser(add_help=False)
+    stack.add_argument("--topology", default=topology, choices=FAMILIES)
+    stack.add_argument("--size", type=int, default=size,
+                       help="builder size parameter")
+    stack.add_argument("--profile", default=profile,
+                       choices=("reactive", "proactive"))
+    stack.add_argument("--seed", type=int, default=seed)
+    stack.add_argument("--bandwidth", type=float, default=1e9)
+    stack.add_argument("--control-latency", type=float, default=0.001)
+    return stack
+
+
+def _fault_args(down_for: float,
+                flaps: bool = True) -> argparse.ArgumentParser:
+    """The scripted-fault shape arguments, as an argparse parent
+    (``flaps=False``: a single injection, ``--down-for`` only)."""
+    fault = argparse.ArgumentParser(add_help=False)
+    if flaps:
+        fault.add_argument("--target", default="",
+                           help="switch to torment (default: first "
+                                "switch)")
+        fault.add_argument("--cycles", type=int, default=2,
+                           help="down/up cycles to inject")
+        fault.add_argument("--period", type=float, default=2.0,
+                           help="seconds between cycle starts")
+    fault.add_argument("--down-for", type=float, default=down_for,
+                       help="seconds down per cycle")
+    return fault
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -895,20 +786,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    demo = sub.add_parser("demo", help="run a platform demo")
-    demo.add_argument("--topology", default="ring", choices=_BUILDERS)
-    demo.add_argument("--size", type=int, default=4,
-                      help="builder size parameter")
-    demo.add_argument("--profile", default="proactive",
-                      choices=("reactive", "proactive"))
-    demo.add_argument("--seed", type=int, default=0)
+    demo = sub.add_parser("demo", help="run a platform demo",
+                          parents=[_stack_args()])
     demo.add_argument("--pings", type=int, default=1)
-    demo.add_argument("--bandwidth", type=float, default=1e9)
-    demo.add_argument("--control-latency", type=float, default=0.001)
     demo.set_defaults(fn=_cmd_demo)
 
     topo = sub.add_parser("topology", help="describe a topology builder")
-    topo.add_argument("topology", choices=_BUILDERS)
+    topo.add_argument("topology", choices=FAMILIES)
     topo.add_argument("--size", type=int, default=4)
     topo.add_argument("--bandwidth", type=float, default=1e9)
     topo.set_defaults(fn=_cmd_topology)
@@ -919,17 +803,11 @@ def _parser() -> argparse.ArgumentParser:
     faults = sub.add_parser(
         "faults",
         help="run a demo under scripted fault injection",
+        parents=[_stack_args(), _fault_args(down_for=0.5)],
     )
-    faults.add_argument("--topology", default="ring", choices=_BUILDERS)
-    faults.add_argument("--size", type=int, default=4)
-    faults.add_argument("--profile", default="proactive",
-                        choices=("reactive", "proactive"))
-    faults.add_argument("--seed", type=int, default=0)
     faults.add_argument("--controllers", type=int, default=1,
                         help="controller instances (cluster mode when "
                              ">1; enables controller/partition kinds)")
-    faults.add_argument("--bandwidth", type=float, default=1e9)
-    faults.add_argument("--control-latency", type=float, default=0.001)
     faults.add_argument("--kind", default="channel",
                         choices=("channel", "link", "crash",
                                  "controller", "partition"),
@@ -937,28 +815,15 @@ def _parser() -> argparse.ArgumentParser:
                              "dataplane link, the whole agent, a "
                              "controller instance, or the east-west "
                              "bus (last two need --controllers >= 2)")
-    faults.add_argument("--target", default="",
-                        help="switch to torment (default: first switch)")
-    faults.add_argument("--cycles", type=int, default=2,
-                        help="down/up cycles to inject")
-    faults.add_argument("--period", type=float, default=2.0,
-                        help="seconds between cycle starts")
-    faults.add_argument("--down-for", type=float, default=0.5,
-                        help="seconds down per cycle")
     faults.set_defaults(fn=_cmd_faults)
 
     tel = sub.add_parser(
         "telemetry",
         help="run a demo with the observability plane on and dump it",
+        parents=[_stack_args(topology="linear", size=3,
+                             profile="reactive")],
     )
-    tel.add_argument("--topology", default="linear", choices=_BUILDERS)
-    tel.add_argument("--size", type=int, default=3)
-    tel.add_argument("--profile", default="reactive",
-                     choices=("reactive", "proactive"))
-    tel.add_argument("--seed", type=int, default=0)
     tel.add_argument("--pings", type=int, default=1)
-    tel.add_argument("--bandwidth", type=float, default=1e9)
-    tel.add_argument("--control-latency", type=float, default=0.001)
     tel.add_argument("--format", default="report",
                      choices=("report", "json"))
     tel.add_argument("--sample-every", type=int, default=1,
@@ -992,6 +857,7 @@ def _parser() -> argparse.ArgumentParser:
     obs = sub.add_parser(
         "obs",
         help="sim-time metrics history, health/SLO report, run diffing",
+        parents=[_stack_args(), _fault_args(down_for=0.5)],
     )
     obs.add_argument("mode", choices=("report", "dashboard", "diff"),
                      help="report: run a scenario and print its health "
@@ -1003,25 +869,13 @@ def _parser() -> argparse.ArgumentParser:
                      help="baseline artifact (diff mode)")
     obs.add_argument("current", nargs="?", default="",
                      help="current artifact (diff mode)")
-    obs.add_argument("--topology", default="ring", choices=_BUILDERS)
-    obs.add_argument("--size", type=int, default=4)
-    obs.add_argument("--profile", default="proactive",
-                     choices=("reactive", "proactive"))
-    obs.add_argument("--seed", type=int, default=0)
-    obs.add_argument("--bandwidth", type=float, default=1e9)
-    obs.add_argument("--control-latency", type=float, default=0.001)
     obs.add_argument("--interval", type=float, default=0.1,
                      help="scrape interval in simulated seconds")
     obs.add_argument("--duration", type=float, default=6.0,
                      help="simulated seconds to run after warmup")
-    obs.add_argument("--faults", default="none",
+    obs.add_argument("--faults", dest="kind", default="none",
                      choices=("none", "link", "channel", "crash"),
                      help="inject a scripted fault pattern")
-    obs.add_argument("--target", default="",
-                     help="switch to torment (default: first switch)")
-    obs.add_argument("--cycles", type=int, default=2)
-    obs.add_argument("--period", type=float, default=2.0)
-    obs.add_argument("--down-for", type=float, default=0.5)
     obs.add_argument("--monitor", action="store_true",
                      help="run the invariant monitor and annotate "
                           "violations on the timeline")
@@ -1088,6 +942,8 @@ def _parser() -> argparse.ArgumentParser:
         "trace",
         help="causal trace plane: run a traced scenario and render "
              "span trees, critical paths, and flight-recorder dumps",
+        parents=[_stack_args(profile="reactive", seed=None),
+                 _fault_args(down_for=0.3, flaps=False)],
     )
     tr.add_argument("mode", choices=("report", "dump", "critical-path"),
                     help="report: run + render the selected trace; "
@@ -1095,19 +951,11 @@ def _parser() -> argparse.ArgumentParser:
                          "critical-path: analyse a saved artifact")
     tr.add_argument("artifact", nargs="?", default="",
                     help="saved TraceArtifact (critical-path mode)")
-    tr.add_argument("--topology", default="ring", choices=_BUILDERS)
-    tr.add_argument("--size", type=int, default=4)
-    tr.add_argument("--profile", default="reactive",
-                    choices=("reactive", "proactive"))
-    tr.add_argument("--seed", type=int, default=None)
-    tr.add_argument("--bandwidth", type=float, default=1e9)
-    tr.add_argument("--control-latency", type=float, default=0.001)
     tr.add_argument("--controllers", type=int, default=1,
                     help="cluster size (>= 2 enables --fault controller)")
-    tr.add_argument("--fault", default="none",
+    tr.add_argument("--fault", dest="kind", default="none",
                     choices=("none", "controller", "channel", "link"),
                     help="scripted fault injected mid-run")
-    tr.add_argument("--down-for", type=float, default=0.3)
     tr.add_argument("--duration", type=float, default=None,
                     help="post-warmup run time (platform mode) or "
                          "spec-duration override (sharded mode)")
@@ -1143,7 +991,8 @@ def _parser() -> argparse.ArgumentParser:
                     help="include span attributes in the tree")
     tr.add_argument("--out", default="",
                     help="write the TraceArtifact here")
-    tr.set_defaults(fn=_cmd_trace)
+    # One injection at the first switch; `_fault_dicts` derives the period.
+    tr.set_defaults(fn=_cmd_trace, target="", cycles=1, period=None)
     return parser
 
 

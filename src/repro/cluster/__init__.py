@@ -3,9 +3,9 @@
 N controller instances share one fabric: rendezvous-hashed mastership
 (:mod:`~repro.cluster.election`), an in-kernel east-west replication
 bus with quorum-based failure handling (:mod:`~repro.cluster.bus`),
-cluster-aware controller instances with term-fenced MASTER/SLAVE roles
-and handover (:mod:`~repro.cluster.node`), and the one-call platform
-assembly (:mod:`~repro.cluster.platform`).
+and cluster-aware controller instances with term-fenced MASTER/SLAVE
+roles and handover (:mod:`~repro.cluster.node`).  Assembly is
+``ZenPlatform(topology, controllers=N)`` in :mod:`repro.core.platform`.
 """
 
 from repro.cluster.bus import EastWestBus
@@ -19,7 +19,6 @@ from repro.cluster.node import (
     ControllerCluster,
     HandoverRecord,
 )
-from repro.cluster.platform import ZenCluster, dataplane_digest
 
 __all__ = [
     "EastWestBus",
@@ -29,6 +28,4 @@ __all__ = [
     "ClusterController",
     "ControllerCluster",
     "HandoverRecord",
-    "ZenCluster",
-    "dataplane_digest",
 ]

@@ -1,6 +1,6 @@
 """The platform layer: assembled stack and the northbound policy algebra."""
 
-from repro.core.platform import ZenPlatform
+from repro.core.platform import ZenPlatform, dataplane_digest
 from repro.core.policy import (
     Policy,
     Rule,
@@ -20,6 +20,7 @@ __all__ = [
     "Rule",
     "ZenPlatform",
     "compile_policy",
+    "dataplane_digest",
     "drop",
     "filter_",
     "flood",

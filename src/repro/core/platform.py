@@ -1,7 +1,8 @@
 """ZenPlatform: the whole stack assembled with one call.
 
 The platform is the top of the layering: it instantiates the emulated
-network, a controller, the standard service apps (discovery, host
+network, the control plane (one controller, or a cluster of N instances
+sharing the fabric), the standard service apps (discovery, host
 tracking, ARP proxying), and a forwarding profile — then connects every
 switch's control channel.  Examples and benchmarks build on this instead
 of re-wiring the stack by hand.
@@ -11,11 +12,21 @@ Profiles
 * ``reactive``  — L2 learning switch (flows installed on demand).
 * ``proactive`` — all-pairs shortest-path routing, pre-installed.
 * ``bare``      — services only; the caller adds its own apps.
+
+A scripted, observed run is the same sequence whoever assembles it
+(CLI, ``run_workload``, the fuzzer): ``start`` → ``seed_static_arp`` →
+``fault_schedule`` → ``observe`` → ``repro.faults.arm_faults`` → ``run``
+(ARCHITECTURE.md, "Assembling a run").
+
+Cluster determinism contract: with zero faults the dataplane is
+bit-identical for any cluster size — per-node discovery runs with
+``jitter=0.0`` (no main-RNG draws), each switch is programmed by
+exactly one master, and the bus delivers synchronously.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.apps.arp_proxy import ArpProxy
 from repro.apps.learning_switch import LearningSwitch
@@ -24,18 +35,49 @@ from repro.controller.core import App, Controller
 from repro.controller.discovery import TopologyDiscovery
 from repro.controller.hosttracker import HostTracker
 from repro.controller.intents import IntentService
+from repro.digest import canonical_digest
 from repro.errors import ControllerError
+from repro.netem.host import Host
 from repro.netem.network import Network
 from repro.netem.topology import Topology
 from repro.sim import Simulator
 
-__all__ = ["ZenPlatform"]
+__all__ = ["ZenPlatform", "dataplane_digest"]
 
 _PROFILES = ("reactive", "proactive", "bare")
 
 
+def dataplane_digest(net: Network) -> str:
+    """A canonical hash of everything the *dataplane* shows.
+
+    Flow tables, datapath counters, and host tx/rx — deliberately
+    excluding control-channel and controller-side counters, which
+    legitimately differ with cluster size (N instances exchange more
+    control messages while programming the very same dataplane).
+    """
+    return canonical_digest({
+        "switches": {
+            name: {
+                "stats": dp.stats(),
+                "flows": sorted(
+                    (table.table_id, entry.priority, repr(entry.match),
+                     repr(sorted(map(repr, entry.actions))))
+                    for table in dp.tables
+                    for entry in table
+                ),
+            }
+            for name, dp in net.switches.items()
+        },
+        "hosts": {
+            name: {"tx": host.tx_packets, "rx": host.rx_packets,
+                   "tx_bytes": host.tx_bytes, "rx_bytes": host.rx_bytes}
+            for name, host in net.hosts.items()
+        },
+    })
+
+
 class ZenPlatform:
-    """One-call assembly of network + controller + app stack.
+    """One-call assembly of network + control plane + app stack.
 
     Parameters
     ----------
@@ -50,7 +92,17 @@ class ZenPlatform:
     packet_in_service_time:
         Controller CPU per punted packet.
     intents:
-        Also start the intent service (proactive/bare profiles).
+        Also start the intent service (proactive/bare profiles;
+        single-controller only).
+    controllers:
+        ``None``: one plain :class:`Controller`.  N >= 1: a
+        :class:`~repro.cluster.node.ControllerCluster` of N instances,
+        one channel per (switch, instance), initial mastership agreed
+        by the rendezvous election (``1`` is the differential oracle).
+        ``controller``/``discovery``/… then name node 0's.
+    detect_delay, election_seed:
+        Cluster only: east-west death-detection delay; rendezvous-hash
+        seed (defaults to ``seed``).
     """
 
     def __init__(
@@ -70,10 +122,18 @@ class ZenPlatform:
         exact_match: bool = False,
         telemetry=None,
         fast_path: bool = True,
+        controllers: Optional[int] = None,
+        detect_delay: float = 0.05,
+        election_seed: Optional[int] = None,
     ) -> None:
         if profile not in _PROFILES:
             raise ControllerError(
                 f"unknown profile {profile!r}; pick one of {_PROFILES}"
+            )
+        if intents and controllers is not None:
+            raise ControllerError(
+                "the intent service is single-controller only; "
+                "drop intents=True or controllers"
             )
         self.profile = profile
         self.net = Network(
@@ -87,37 +147,92 @@ class ZenPlatform:
         )
         #: The observability plane shared by every layer of this stack.
         self.telemetry = self.net.telemetry
-        self.controller = Controller(
-            self.net.sim,
-            packet_in_service_time=packet_in_service_time,
-        )
-        # Service apps every profile needs.
-        self.discovery = self.controller.add_app(
-            TopologyDiscovery(probe_interval=probe_interval)
-        )
-        self.hosts = self.controller.add_app(HostTracker())
-        self.arp_proxy = self.controller.add_app(ArpProxy())
-        self.learning: Optional[LearningSwitch] = None
-        self.router: Optional[ProactiveRouter] = None
-        self.intents: Optional[IntentService] = None
-        if profile == "reactive":
-            self.learning = self.controller.add_app(
-                LearningSwitch(exact_match=exact_match)
+        #: The :class:`~repro.cluster.node.ControllerCluster`, or
+        #: ``None`` on a single-controller platform.
+        self.cluster = None
+        if controllers is None:
+            nodes = [Controller(
+                self.net.sim,
+                packet_in_service_time=packet_in_service_time,
+            )]
+            discovery_opts = {}
+        else:
+            # Imported here so single-controller runs never load it.
+            from repro.cluster.node import ControllerCluster
+
+            self.cluster = ControllerCluster(
+                self.net.sim, controllers,
+                seed=election_seed if election_seed is not None else seed,
+                detect_delay=detect_delay,
+                packet_in_service_time=packet_in_service_time,
+                telemetry=self.telemetry,
             )
-        elif profile == "proactive":
-            self.router = self.controller.add_app(ProactiveRouter())
+            nodes = self.cluster.controllers
+            # Probe timing must not consume main-RNG draws, or the draw
+            # count (and every downstream stream) would depend on the
+            # cluster size.
+            discovery_opts = {"jitter": 0.0}
+        self.controller = nodes[0]
+        for node in nodes:
+            # Service apps every profile needs, then the profile's own.
+            discovery = node.add_app(TopologyDiscovery(
+                probe_interval=probe_interval, **discovery_opts
+            ))
+            tracker = node.add_app(HostTracker())
+            arp_proxy = node.add_app(ArpProxy())
+            learning = router = None
+            if profile == "reactive":
+                learning = node.add_app(
+                    LearningSwitch(exact_match=exact_match)
+                )
+            elif profile == "proactive":
+                router = node.add_app(ProactiveRouter())
+            if self.cluster is not None:
+                node.attach_discovery(discovery)
+                node.start_replication()
+                node.wipe_hooks.append(self._make_wipe_hook(
+                    discovery, tracker, router, learning
+                ))
+            if node is self.controller:
+                self.discovery: TopologyDiscovery = discovery
+                self.hosts: HostTracker = tracker
+                self.arp_proxy: ArpProxy = arp_proxy
+                self.learning: Optional[LearningSwitch] = learning
+                self.router: Optional[ProactiveRouter] = router
+        self.intents: Optional[IntentService] = None
         if intents:
             self.intents = self.controller.add_app(IntentService())
-        # Wire every switch to the controller.
-        for name in self.net.switches:
-            channel = self.net.make_channel(
-                name,
-                latency=control_latency,
-                bandwidth_bps=control_bandwidth_bps,
-                flowmod_delay=flowmod_delay,
+        if self.cluster is not None:
+            self.cluster.seed_assignment(
+                dp.dpid for dp in self.net.switches.values()
             )
-            self.controller.accept_channel(channel)
-            channel.connect()
+        # One channel per (switch, instance), switch-major so per-switch
+        # handshakes complete in node order deterministically.
+        for name in self.net.switches:
+            for node in nodes:
+                channel = self.net.make_channel(
+                    name,
+                    latency=control_latency,
+                    bandwidth_bps=control_bandwidth_bps,
+                    flowmod_delay=flowmod_delay,
+                    instance=(None if self.cluster is None
+                              else node.node_id),
+                )
+                node.accept_channel(channel)
+                channel.connect()
+
+    @staticmethod
+    def _make_wipe_hook(discovery, tracker, router, learning):
+        """What a crashed cluster node forgets (its apps' soft state)."""
+        def wipe() -> None:
+            discovery.links.clear()
+            tracker.hosts_by_mac.clear()
+            tracker.hosts_by_ip.clear()
+            if router is not None:
+                router._installed.clear()
+            if learning is not None:
+                learning.mac_tables.clear()
+        return wipe
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -138,6 +253,69 @@ class ZenPlatform:
 
     def add_app(self, app: App) -> App:
         return self.controller.add_app(app)
+
+    # ------------------------------------------------------------------
+    # Run assembly (planes are imported on use: a bare platform never
+    # pays for them)
+    # ------------------------------------------------------------------
+    def seed_static_arp(self) -> List[Host]:
+        """Teach every host every other's MAC (runs measure forwarding,
+        not address resolution); returns the hosts in name order."""
+        hosts = [self.net.hosts[name] for name in sorted(self.net.hosts)]
+        for a in hosts:
+            for b in hosts:
+                if a is not b:
+                    a.add_static_arp(b.ip, b.mac)
+        return hosts
+
+    def fault_schedule(self):
+        """A :class:`~repro.faults.FaultSchedule` over this platform's
+        network, already bound to the cluster when there is one."""
+        from repro.faults import FaultSchedule
+
+        return FaultSchedule(self.net).attach_cluster(self.cluster)
+
+    def observe(self, schedule, *, interval: Optional[float],
+                slos=None, monitor=False, recorder=None):
+        """Attach observers to this platform and ``schedule``; returns
+        ``(plane, monitor)``, each ``None`` unless asked for.
+
+        ``interval`` is the scrape period of the
+        :class:`~repro.obs.ObsPlane` judging ``slos`` (``None``: no
+        plane).  ``monitor=True`` runs an
+        :class:`~repro.check.monitor.InvariantMonitor` on the default
+        invariants, a ``NetworkChecker`` runs that one.  ``recorder``
+        is a :class:`~repro.trace.FlightRecorder` the caller built.
+
+        Hooks register (and so run) in one fixed order — whatever
+        records a fault or a convergence event before the monitor that
+        audits it — so a timeline reads fault, then its violations, and
+        a dump triggered by a violation already holds that fault.
+        """
+        plane = mon = None
+        if recorder is not None:
+            recorder.watch_faults(schedule)
+        if interval is not None:
+            from repro.obs import ObsPlane
+
+            plane = ObsPlane(self, interval=interval, slos=slos)
+            plane.watch_faults(schedule)
+            if self.cluster is not None:
+                plane.watch_cluster(self.cluster)
+            if recorder is not None:
+                recorder.watch_alerts(plane.health)
+        if monitor:
+            from repro.check.monitor import InvariantMonitor
+
+            mon = InvariantMonitor(
+                self.net, None if monitor is True else monitor)
+            mon.attach(self.controller)
+            mon.watch(schedule)
+            if plane is not None:
+                plane.watch_monitor(mon)
+            if recorder is not None:
+                recorder.watch_monitor(mon)
+        return plane, mon
 
     # ------------------------------------------------------------------
     # Convenience passthroughs
@@ -164,19 +342,16 @@ class ZenPlatform:
             for name, channel in self.net.channels.items()
         }
 
+    def _control_total(self, field: str) -> int:
+        return sum(stats[way][field]
+                   for stats in self.control_overhead().values()
+                   for way in ("to_controller", "to_switch"))
+
     def total_control_messages(self) -> int:
-        total = 0
-        for stats in self.control_overhead().values():
-            total += stats["to_controller"]["messages"]
-            total += stats["to_switch"]["messages"]
-        return total
+        return self._control_total("messages")
 
     def total_control_bytes(self) -> int:
-        total = 0
-        for stats in self.control_overhead().values():
-            total += stats["to_controller"]["bytes"]
-            total += stats["to_switch"]["bytes"]
-        return total
+        return self._control_total("bytes")
 
     def __repr__(self) -> str:
         return (

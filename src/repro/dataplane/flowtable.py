@@ -95,9 +95,11 @@ class FlowEntry:
 
     def is_expired(self, now: float) -> Optional[str]:
         """The removal reason if this entry has timed out, else ``None``."""
-        if self.hard_timeout and now - self.install_time >= self.hard_timeout:
+        # Same arithmetic as next_deadline(): a deadline expire() popped
+        # as due must test as expired, or it would be re-armed forever.
+        if self.hard_timeout and now >= self.install_time + self.hard_timeout:
             return RemovalReason.HARD_TIMEOUT
-        if self.idle_timeout and now - self.last_used >= self.idle_timeout:
+        if self.idle_timeout and now >= self.last_used + self.idle_timeout:
             return RemovalReason.IDLE_TIMEOUT
         return None
 

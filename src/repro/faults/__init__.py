@@ -10,6 +10,8 @@ failures against the simulation kernel so every run is reproducible:
   crash/restart at exact simulated times.
 * :class:`FaultEvent` — the per-injection log record (kind, time,
   target), so tests and benchmarks can assert exactly what happened.
+* :func:`arm_faults` — the one table lowering the fault dicts that
+  workload specs, fuzz scenarios and the CLI carry onto schedule calls.
 
 Recovery machinery lives where the state lives — the reconnect
 handshake and flow-table resync in ``controller.core``, request
@@ -19,6 +21,6 @@ the headline measurement (blackholed packets and reconvergence time
 versus flap frequency).
 """
 
-from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.faults.schedule import FaultEvent, FaultSchedule, arm_faults
 
-__all__ = ["FaultEvent", "FaultSchedule"]
+__all__ = ["FaultEvent", "FaultSchedule", "arm_faults"]

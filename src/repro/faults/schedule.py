@@ -20,7 +20,7 @@ from typing import Callable, List, Optional
 from repro.errors import TopologyError
 from repro.netem.network import Network
 
-__all__ = ["FaultEvent", "FaultSchedule"]
+__all__ = ["FaultEvent", "FaultSchedule", "arm_faults"]
 
 
 class FaultEvent:
@@ -70,11 +70,12 @@ class FaultSchedule:
         #: Controller cluster targeted by controller_* faults; set via
         #: :meth:`attach_cluster`.
         self.cluster = None
-        #: Post-fire hook: called with the :class:`FaultEvent` after the
-        #: injection's action ran.  The invariant monitor uses this to
-        #: audit the dataplane at the exact injection instant — before
-        #: any control-plane reaction has been processed.
-        self.on_fire: Optional[Callable[[FaultEvent], None]] = None
+        #: Post-fire hooks: each is called, in registration order, with
+        #: the :class:`FaultEvent` after the injection's action ran.
+        #: The invariant monitor uses this to audit the dataplane at the
+        #: exact injection instant — before any control-plane reaction
+        #: has been processed.
+        self.on_fire: List[Callable[[FaultEvent], None]] = []
         tel = telemetry if telemetry is not None else net.telemetry
         self._tracer = None
         self._m_faults = None
@@ -277,8 +278,8 @@ class FaultSchedule:
                 # bump -> role grant -> resync) records under it.
                 self.cluster.note_fault_trace(tid, sid, self.sim.now)
         action()
-        if self.on_fire is not None:
-            self.on_fire(event)
+        for hook in self.on_fire:
+            hook(event)
 
     def events(self, kind: Optional[str] = None) -> List[FaultEvent]:
         """Executed injections so far, optionally filtered by kind."""
@@ -288,3 +289,55 @@ class FaultSchedule:
 
     def __repr__(self) -> str:
         return f"<FaultSchedule {self.injected} injected>"
+
+
+def _arm_partition(schedule: FaultSchedule, at: float, fault: dict) -> None:
+    minority = list(fault["minority"])
+    rest = [n for n in range(schedule._require_cluster().size)
+            if n not in minority]
+    schedule.controller_partition(at, [minority, rest],
+                                  heal_after=fault["heal_after"])
+
+
+#: Fault-dict ``kind`` -> the schedule call it lowers to.  The dict form
+#: is what workload specs, fuzz scenarios and the CLI all carry.
+_ARMERS = {
+    "link_flap": lambda s, at, f: s.link_flap(
+        at, f["a"], f["b"], down_for=f["down_for"], period=f["period"],
+        count=f["count"]),
+    "channel_flap": lambda s, at, f: s.channel_flap(
+        at, f["switch"], down_for=f["down_for"], period=f["period"],
+        count=f["count"]),
+    "switch_crash": lambda s, at, f: s.switch_crash(
+        at, f["switch"], restart_after=f["restart_after"]),
+    "controller_crash": lambda s, at, f: s.controller_crash(
+        at, f["node"], restart_after=f["restart_after"]),
+    "controller_partition": _arm_partition,
+}
+
+
+def arm_faults(schedule: FaultSchedule, faults: List[dict],
+               base: float = 0.0) -> None:
+    """Arm every fault dict on ``schedule``, ``at`` relative to ``base``.
+
+    Raises :class:`~repro.errors.TopologyError` naming the offending
+    list index and kind for an unknown kind, a missing field, or a
+    fault the schedule rejects (bad target, controller kind without a
+    cluster).
+    """
+    for index, fault in enumerate(faults):
+        kind = fault.get("kind")
+        arm = _ARMERS.get(kind)
+        if arm is None:
+            raise TopologyError(
+                f"fault #{index}: unknown kind {kind!r}; "
+                f"pick from {sorted(_ARMERS)}"
+            )
+        try:
+            arm(schedule, base + fault["at"], fault)
+        except KeyError as exc:
+            raise TopologyError(
+                f"fault #{index} ({kind}): missing field {exc}"
+            ) from exc
+        except TopologyError as exc:
+            raise TopologyError(f"fault #{index} ({kind}): {exc}") from exc

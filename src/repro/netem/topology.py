@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import TopologyError
 from repro.packet import IPv4Address, MACAddress
 
-__all__ = ["Topology", "NodeSpec", "LinkSpec"]
+__all__ = ["Topology", "NodeSpec", "LinkSpec", "FAMILIES"]
 
 
 class NodeSpec:
@@ -238,6 +238,18 @@ class Topology:
     # Builders
     # ------------------------------------------------------------------
     @classmethod
+    def build(cls, family: str, size: int,
+              bandwidth_bps: float) -> "Topology":
+        """Instantiate the named builder family at one ``size`` knob
+        (what the CLI, workload specs and fuzz scenarios all carry)."""
+        builder = _FAMILIES.get(family)
+        if builder is None:
+            raise TopologyError(
+                f"unknown topology family {family!r}; pick from {FAMILIES}"
+            )
+        return builder(cls, size, bandwidth_bps)
+
+    @classmethod
     def linear(cls, num_switches: int, hosts_per_switch: int = 1,
                **link_opts) -> "Topology":
         """A chain of switches, each with its own hosts."""
@@ -432,3 +444,29 @@ class Topology:
             for _ in range(hosts_per_switch):
                 topo.add_link(topo.add_host(), switch, **link_opts)
         return topo
+
+
+#: family -> how the single ``size`` knob maps onto that builder.
+_FAMILIES = {
+    "linear": lambda cls, n, bw: cls.linear(
+        n, hosts_per_switch=1, bandwidth_bps=bw),
+    "single": lambda cls, n, bw: cls.single(n, bandwidth_bps=bw),
+    "ring": lambda cls, n, bw: cls.ring(
+        max(n, 3), hosts_per_switch=1, bandwidth_bps=bw),
+    "star": lambda cls, n, bw: cls.star(
+        n, hosts_per_leaf=1, bandwidth_bps=bw),
+    "tree": lambda cls, n, bw: cls.tree(
+        depth=max(n, 1), fanout=2, bandwidth_bps=bw),
+    # k must be even: odd sizes round up.
+    "fat_tree": lambda cls, n, bw: cls.fat_tree(
+        max(n + n % 2, 2), bandwidth_bps=bw),
+    "mesh": lambda cls, n, bw: cls.mesh(
+        n, hosts_per_switch=1, bandwidth_bps=bw),
+    "waxman": lambda cls, n, bw: cls.waxman(
+        n, hosts_per_switch=1, bandwidth_bps=bw),
+    "carrier_wan": lambda cls, n, bw: cls.carrier_wan(
+        cores=max(n, 3), bandwidth_bps=bw),
+}
+
+#: The families :meth:`Topology.build` accepts, in CLI display order.
+FAMILIES = tuple(_FAMILIES)

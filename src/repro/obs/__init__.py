@@ -215,40 +215,29 @@ class ObsPlane:
 
     def watch_faults(self, schedule) -> "ObsPlane":
         """Annotate every injection of a
-        :class:`~repro.faults.FaultSchedule` (chains ``on_fire``)."""
-        previous = schedule.on_fire
-
-        def hook(event) -> None:
-            if previous is not None:
-                previous(event)
-            # The fault's root trace rides along as an exemplar, so
-            # convergence measurements opened by this annotation can
-            # point back at the causal span tree.
-            self.scraper.annotate(event.kind, event.target,
-                                  time=event.time,
-                                  trace_id=getattr(event, "trace_id",
-                                                   None))
-
-        schedule.on_fire = hook
+        :class:`~repro.faults.FaultSchedule`."""
+        # The fault's root trace rides along as an exemplar, so
+        # convergence measurements opened by this annotation can point
+        # back at the causal span tree.
+        schedule.on_fire.append(
+            lambda event: self.scraper.annotate(
+                event.kind, event.target, time=event.time,
+                trace_id=getattr(event, "trace_id", None))
+        )
         return self
 
     def watch_monitor(self, monitor) -> "ObsPlane":
         """Annotate invariant violations found by an
         :class:`~repro.check.monitor.InvariantMonitor`."""
-        previous = monitor.on_record
-
         def hook(record) -> None:
-            if previous is not None:
-                previous(record)
-            if not record.result.ok:
-                for violation in record.result.violations:
-                    self.scraper.annotate(
-                        "violation",
-                        f"{violation.invariant}:{record.trigger}",
-                        time=record.time,
-                    )
+            for violation in record.result.violations:
+                self.scraper.annotate(
+                    "violation",
+                    f"{violation.invariant}:{record.trigger}",
+                    time=record.time,
+                )
 
-        monitor.on_record = hook
+        monitor.on_record.append(hook)
         return self
 
     # ------------------------------------------------------------------

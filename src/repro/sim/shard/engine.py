@@ -26,12 +26,12 @@ CI digest gate compares against.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from typing import Dict, List, Optional
 
 from repro.analysis import percentile
+from repro.digest import canonical_digest
 from repro.errors import SimulationError
 from repro.sim.shard.partition import Partition, partition_topology
 from repro.sim.shard.worker import ShardWorker
@@ -71,8 +71,7 @@ class ShardedResult:
 
     @property
     def digest(self) -> str:
-        blob = json.dumps(self.observables, sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return canonical_digest(self.observables)
 
     @property
     def ok(self) -> bool:

@@ -12,9 +12,10 @@ per-shard tracers into one artifact without renumbering anything
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Dict, Iterable, List, Optional
+
+from repro.digest import canonical_digest
 
 __all__ = ["TraceArtifact", "SHARD_ID_STRIDE", "shard_of_id", "FORMAT"]
 
@@ -141,8 +142,7 @@ class TraceArtifact:
     @property
     def digest(self) -> str:
         """Canonical content hash (determinism gate surface)."""
-        blob = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return canonical_digest(self.to_dict())
 
     # ------------------------------------------------------------------
     # Serialisation

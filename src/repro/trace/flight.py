@@ -79,29 +79,20 @@ class FlightRecorder:
                             "detail": detail})
 
     # ------------------------------------------------------------------
-    # Trigger wiring (chains existing hooks; never replaces behaviour)
+    # Trigger wiring (appends to hook lists; never replaces behaviour)
     # ------------------------------------------------------------------
     def watch_faults(self, schedule) -> "FlightRecorder":
         """Record every injection in the event ring (context, not a
         dump trigger — faults are scripted, not failures)."""
-        previous = schedule.on_fire
-
-        def hook(event) -> None:
-            if previous is not None:
-                previous(event)
-            self.note_event(f"fault:{event.kind}", event.target,
-                            event.time)
-
-        schedule.on_fire = hook
+        schedule.on_fire.append(
+            lambda event: self.note_event(f"fault:{event.kind}",
+                                          event.target, event.time)
+        )
         return self
 
     def watch_monitor(self, monitor) -> "FlightRecorder":
         """Dump when an invariant check comes back red."""
-        previous = monitor.on_record
-
         def hook(record) -> None:
-            if previous is not None:
-                previous(record)
             if not record.result.ok:
                 names = ",".join(sorted(
                     v.invariant for v in record.result.violations))
@@ -109,7 +100,7 @@ class FlightRecorder:
                              f"{names} at {record.trigger}",
                              record.time)
 
-        monitor.on_record = hook
+        monitor.on_record.append(hook)
         return self
 
     def watch_alerts(self, evaluator) -> "FlightRecorder":

@@ -17,15 +17,14 @@ wall-clock only — per-run digests are identical at any ``jobs``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Dict, List, Optional
 
 from repro.analysis import percentile
 from repro.core import ZenPlatform
-from repro.errors import TopologyError
-from repro.faults import FaultSchedule
-from repro.obs import ObsPlane, RunArtifact, default_slos, slo_from_spec
+from repro.digest import canonical_digest
+from repro.faults import arm_faults
+from repro.obs import RunArtifact, default_slos, slo_from_spec
 from repro.telemetry import Telemetry
 from repro.workload.generators import TenantMatrix, arm_traffic
 from repro.workload.spec import WorkloadSpec, build_spec_topology
@@ -57,11 +56,9 @@ class WorkloadResult:
     def digest(self) -> str:
         """Stable digest of everything the run produced (bit-identity
         checks across re-runs and across suite worker counts)."""
-        blob = json.dumps(
-            {"summary": self.summary, "artifact": self.artifact.to_dict()},
-            sort_keys=True,
+        return canonical_digest(
+            {"summary": self.summary, "artifact": self.artifact.to_dict()}
         )
-        return hashlib.sha256(blob.encode()).hexdigest()
 
     def to_dict(self) -> dict:
         return {
@@ -76,28 +73,6 @@ class WorkloadResult:
         return (f"<WorkloadResult {self.spec.name!r} "
                 f"{self.summary.get('flows_completed', 0)} flows "
                 f"{verdict}>")
-
-
-def _arm_faults(spec: WorkloadSpec, schedule: FaultSchedule,
-                base: float) -> None:
-    for fault in spec.faults:
-        kind = fault["kind"]
-        at = base + fault["at"]
-        if kind == "link_flap":
-            schedule.link_flap(at, fault["a"], fault["b"],
-                               down_for=fault["down_for"],
-                               period=fault["period"],
-                               count=fault["count"])
-        elif kind == "channel_flap":
-            schedule.channel_flap(at, fault["switch"],
-                                  down_for=fault["down_for"],
-                                  period=fault["period"],
-                                  count=fault["count"])
-        elif kind == "switch_crash":
-            schedule.switch_crash(at, fault["switch"],
-                                  restart_after=fault["restart_after"])
-        else:
-            raise TopologyError(f"unknown fault kind {kind!r}")
 
 
 def run_workload(spec: WorkloadSpec,
@@ -125,13 +100,7 @@ def run_workload(spec: WorkloadSpec,
     net = platform.net
     sim = platform.sim
 
-    # Static ARP everywhere: workloads measure the dataplane and the
-    # control plane's flow handling, not address resolution.
-    hosts = [net.hosts[n] for n in sorted(net.hosts)]
-    for a in hosts:
-        for b in hosts:
-            if a is not b:
-                a.add_static_arp(b.ip, b.mac)
+    hosts = platform.seed_static_arp()
 
     fcts: List[float] = []
     # Zero-label families come back as the bare metric.
@@ -146,7 +115,9 @@ def run_workload(spec: WorkloadSpec,
 
     slos = default_slos(spec.interval) + [slo_from_spec(doc)
                                           for doc in spec.slos]
-    plane = ObsPlane(platform, interval=spec.interval, slos=slos)
+    schedule = platform.fault_schedule()
+    plane, _ = platform.observe(schedule, interval=spec.interval,
+                                slos=slos)
 
     # Flow-table occupancy: scraped every tick, peak kept in-closure so
     # the summary does not depend on the ring-buffer capacity.
@@ -159,10 +130,7 @@ def run_workload(spec: WorkloadSpec,
 
     plane.scraper.probe("workload_flow_entries", flow_entries)
 
-    schedule = FaultSchedule(net)
-    plane.watch_faults(schedule)
-    base = sim.now
-    _arm_faults(spec, schedule, base)
+    arm_faults(schedule, spec.faults, base=sim.now)
 
     tenant_matrix = None
     if spec.tenants:
@@ -215,11 +183,8 @@ def _suite_worker(job: tuple) -> dict:
     """
     spec_doc, shards = job
     spec = WorkloadSpec.from_dict(spec_doc)
-    if shards is not None:
-        result = run_workload(spec, shards=shards, shard_processes=False)
-    else:
-        result = run_workload(spec)
-    return result.to_dict()
+    return run_workload(spec, shards=shards,
+                        shard_processes=False).to_dict()
 
 
 def run_suite(specs: List[WorkloadSpec], jobs: int = 1,
@@ -258,6 +223,5 @@ def run_suite(specs: List[WorkloadSpec], jobs: int = 1,
 
 def suite_digest(results: List[dict]) -> str:
     """One digest over a suite's per-run digests (in suite order)."""
-    blob = json.dumps([{"name": r["name"], "digest": r["digest"]}
-                       for r in results])
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return canonical_digest([{"name": r["name"], "digest": r["digest"]}
+                             for r in results])

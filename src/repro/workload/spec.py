@@ -40,7 +40,7 @@ class WorkloadSpec:
     ------
     topology:
         ``{"family": name, "size": n, "bandwidth": bps, "params": {...}}``
-        — ``family`` is any :func:`repro.cli.build_topology` builder;
+        — ``family`` is any :meth:`Topology.build` family;
         ``params``, when present, are passed to the builder classmethod
         directly (carrier-WAN tier widths, for example).
     traffic:
@@ -174,8 +174,8 @@ def build_spec_topology(spec: WorkloadSpec) -> Topology:
     """Instantiate the spec's topology.
 
     ``params`` (when given) call the builder classmethod directly;
-    otherwise ``family``/``size``/``bandwidth`` go through the CLI's
-    :func:`~repro.cli.build_topology` registry.
+    otherwise ``family``/``size``/``bandwidth`` go through
+    :meth:`Topology.build`.
     """
     family = spec.topology.get("family", "fat_tree")
     params = spec.topology.get("params")
@@ -184,9 +184,7 @@ def build_spec_topology(spec: WorkloadSpec) -> Topology:
         if builder is None:
             raise TopologyError(f"unknown topology family {family!r}")
         return builder(**params)
-    from repro.cli import build_topology
-
-    return build_topology(family, int(spec.topology.get("size", 4)),
+    return Topology.build(family, int(spec.topology.get("size", 4)),
                           float(spec.topology.get("bandwidth", 1e9)))
 
 

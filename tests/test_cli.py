@@ -1,8 +1,13 @@
 """CLI smoke tests (argument handling and end-to-end demo runs)."""
 
+import pathlib
+import re
+
 import pytest
 
+import repro
 from repro.cli import build_topology, main
+from repro.errors import TopologyError
 
 
 class TestBuildTopology:
@@ -26,9 +31,15 @@ class TestBuildTopology:
         topo = build_topology("fat_tree", 3, 1e9)
         assert len(topo.switches) == 20  # k=4
 
-    def test_unknown_name_exits(self):
-        with pytest.raises(SystemExit):
+    def test_unknown_name_is_a_named_error(self):
+        with pytest.raises(TopologyError, match="donut"):
             build_topology("donut", 4, 1e9)
+
+    def test_library_code_never_imports_the_cli(self):
+        src = pathlib.Path(repro.__file__).parent
+        assert [str(p) for p in src.rglob("*.py") if p.name != "__main__.py"
+                and re.search(r"^\s*(from|import) repro\.cli\b",
+                              p.read_text(), re.M)] == []
 
 
 class TestCommands:

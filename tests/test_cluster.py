@@ -15,12 +15,11 @@ from repro.check import check_cluster
 from repro.cluster import (
     ControllerCluster,
     EastWestBus,
-    ZenCluster,
     assign_masters,
-    dataplane_digest,
     elect_leader,
     rendezvous_score,
 )
+from repro.core import ZenPlatform, dataplane_digest
 from repro.errors import TopologyError
 from repro.faults import FaultSchedule
 from repro.netem import Topology
@@ -30,9 +29,9 @@ from repro.southbound import ControllerRole
 
 def ring_cluster(controllers=3, size=4, profile="proactive", seed=7,
                  **kwargs):
-    platform = ZenCluster(Topology.ring(size, hosts_per_switch=1),
-                          controllers=controllers, profile=profile,
-                          seed=seed, **kwargs)
+    platform = ZenPlatform(Topology.ring(size, hosts_per_switch=1),
+                           controllers=controllers, profile=profile,
+                           seed=seed, **kwargs)
     platform.start()
     return platform
 
@@ -211,7 +210,7 @@ class TestRoles:
         dp = platform.net.switch("s1")
         master = platform.cluster.master_of(dp.dpid)
         slave = next(n for n in range(3) if n != master)
-        node = platform.node(slave)
+        node = platform.cluster.node(slave)
         handle = node.handles[dp.dpid]
         errors = []
         node.subscribe_errors = None  # not an API; capture via channel
@@ -236,8 +235,10 @@ class TestRoles:
     def test_slave_gets_no_packet_in(self):
         platform = ring_cluster(profile="reactive")
         platform.ping_all(count=1, settle=5.0)
+        from repro.apps.learning_switch import LearningSwitch
+
         for node in platform.cluster.controllers:
-            learning = platform.learnings[node.node_id]
+            learning = node.get_app(LearningSwitch)
             # A node's MAC tables only ever cover switches it mastered.
             for dpid in learning.mac_tables:
                 assert platform.cluster.master_of(dpid) == node.node_id
@@ -486,15 +487,15 @@ class TestClusterObs:
         from repro.obs import ObsPlane, handover_slo
         from repro.telemetry import Telemetry
 
-        platform = ZenCluster(Topology.ring(4, hosts_per_switch=1),
-                              controllers=3, seed=7,
-                              telemetry=Telemetry())
+        platform = ZenPlatform(Topology.ring(4, hosts_per_switch=1),
+                               controllers=3, seed=7,
+                               telemetry=Telemetry())
         platform.start()
         cluster = platform.cluster
         slo = handover_slo(threshold=0.5)
         plane = ObsPlane(platform, interval=0.05, slos=[slo])
         plane.watch_cluster(cluster)
-        schedule = FaultSchedule(platform.net).attach_cluster(cluster)
+        schedule = platform.fault_schedule()
         plane.watch_faults(schedule)
         victim = cluster.master_of(1)
         schedule.controller_crash(platform.sim.now + 0.5, victim)
@@ -509,9 +510,9 @@ class TestClusterObs:
         from repro.obs import ObsPlane
         from repro.telemetry import Telemetry
 
-        platform = ZenCluster(Topology.ring(4, hosts_per_switch=1),
-                              controllers=3, seed=7,
-                              telemetry=Telemetry())
+        platform = ZenPlatform(Topology.ring(4, hosts_per_switch=1),
+                               controllers=3, seed=7,
+                               telemetry=Telemetry())
         platform.start()
         cluster = platform.cluster
         plane = ObsPlane(platform, interval=0.05)
@@ -528,7 +529,7 @@ class TestClusterObs:
 # ----------------------------------------------------------------------
 # Platform surface
 # ----------------------------------------------------------------------
-class TestZenCluster:
+class TestClusteredPlatform:
     def test_size_one_matches_single_controller_semantics(self):
         platform = ring_cluster(controllers=1)
         assert platform.cluster.size == 1
@@ -539,9 +540,9 @@ class TestZenCluster:
         from repro.errors import ControllerError
 
         with pytest.raises(ControllerError):
-            ZenCluster(Topology.ring(3), profile="nope")
+            ZenPlatform(Topology.ring(3), controllers=3, profile="nope")
         with pytest.raises(ValueError):
-            ZenCluster(Topology.ring(3), controllers=0)
+            ZenPlatform(Topology.ring(3), controllers=0)
 
     def test_digest_excludes_control_plane(self):
         """Same workload, different cluster size: the dataplane digest
@@ -551,7 +552,7 @@ class TestZenCluster:
         for n in (1, 3):
             platform = ring_cluster(controllers=n, seed=3)
             platform.ping_all(count=1, settle=8.0)
-            digests.append(platform.dataplane_digest())
+            digests.append(dataplane_digest(platform.net))
             overhead.append(platform.total_control_messages())
         assert digests[0] == digests[1]
         assert overhead[1] > overhead[0]

@@ -16,7 +16,7 @@ replication echo installing a duplicate flow) breaks it loudly.
 
 import pytest
 
-from repro.cluster import ZenCluster
+from repro.core import ZenPlatform, dataplane_digest
 from repro.netem import Topology
 
 
@@ -24,8 +24,8 @@ def drive(topology, controllers, profile, seed, workload_seed=99):
     """One seeded run; returns (dataplane digest, delivery ratio)."""
     import random
 
-    platform = ZenCluster(topology, controllers=controllers,
-                          profile=profile, seed=seed)
+    platform = ZenPlatform(topology, controllers=controllers,
+                           profile=profile, seed=seed)
     platform.start()
     delivery = platform.ping_all(count=2, settle=5.0)
     # A seeded unicast mix on top of the full mesh: same streams for
@@ -40,7 +40,7 @@ def drive(topology, controllers, profile, seed, workload_seed=99):
             lambda s=src, d=dst: s.send_udp(d.ip, 7001, 7001, b"diff"),
         )
     platform.run(3.0)
-    return platform.dataplane_digest(), delivery
+    return dataplane_digest(platform.net), delivery
 
 
 CASES = [

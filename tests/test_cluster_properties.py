@@ -18,7 +18,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.check import check_cluster
-from repro.cluster import ZenCluster, assign_masters, elect_leader
+from repro.cluster import assign_masters, elect_leader
+from repro.core import ZenPlatform
 from repro.netem import Topology
 
 MEMBERS = st.sets(st.integers(min_value=0, max_value=9),
@@ -72,8 +73,8 @@ class TestElectionProperties:
 # Live-cluster path independence
 # ----------------------------------------------------------------------
 def _cluster(seed=7):
-    platform = ZenCluster(Topology.ring(4, hosts_per_switch=1),
-                          controllers=3, seed=seed)
+    platform = ZenPlatform(Topology.ring(4, hosts_per_switch=1),
+                           controllers=3, seed=seed)
     platform.start()
     return platform
 

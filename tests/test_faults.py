@@ -12,7 +12,7 @@ import pytest
 from repro.core import ZenPlatform
 from repro.dataplane import Datapath, Match, Output
 from repro.errors import TopologyError
-from repro.faults import FaultSchedule
+from repro.faults import FaultSchedule, arm_faults
 from repro.netem import Network, Topology
 from repro.netem.reliable import ReliableReceiver, ReliableSender
 from repro.sim import Simulator
@@ -393,3 +393,61 @@ class TestFaultSchedule:
         assert run_once(7) == run_once(7)
         # A different seed still executes the same schedule.
         assert run_once(7)[3] == run_once(11)[3]
+
+
+class TestArmFaults:
+    """The one fault-dict -> schedule table (specs, fuzzer, CLI)."""
+
+    BASE = 10.0
+
+    @pytest.mark.parametrize("fault, expected", [
+        ({"kind": "link_flap", "a": "s1", "b": "s2", "at": 1.0,
+          "down_for": 0.25, "period": 1.0, "count": 2},
+         [("link_down", "s1-s2", 11.0), ("link_up", "s1-s2", 11.25),
+          ("link_down", "s1-s2", 12.0), ("link_up", "s1-s2", 12.25)]),
+        ({"kind": "channel_flap", "switch": "s3", "at": 0.5,
+          "down_for": 0.5, "period": 2.0, "count": 1},
+         [("channel_down", "s3", 10.5), ("channel_up", "s3", 11.0)]),
+        ({"kind": "switch_crash", "switch": "s2", "at": 0.0,
+          "restart_after": 0.75},
+         [("switch_crash", "s2", 10.0), ("switch_restart", "s2", 10.75)]),
+        ({"kind": "controller_crash", "node": 1, "at": 0.25,
+          "restart_after": 1.0},
+         [("controller_crash", "controller-1", 10.25),
+          ("controller_restart", "controller-1", 11.25)]),
+        ({"kind": "controller_partition", "minority": [2], "at": 0.5,
+          "heal_after": 0.5},
+         [("controller_partition", "2|0,1", 10.5),
+          ("controller_heal", "cluster", 11.0)]),
+    ])
+    def test_each_kind_lands_its_events(self, fault, expected):
+        platform = ZenPlatform(Topology.ring(4, hosts_per_switch=1),
+                               controllers=3, seed=7)
+        platform.run(self.BASE)
+        sched = platform.fault_schedule()
+        arm_faults(sched, [fault], base=self.BASE)
+        platform.run(4.0)
+        assert [(e.kind, e.target, e.time) for e in sched.log] == expected
+
+    def test_unknown_kind_names_index_and_kind(self):
+        platform = ZenPlatform(Topology.ring(3, hosts_per_switch=1))
+        good = {"kind": "switch_crash", "switch": "s1", "at": 1.0,
+                "restart_after": 0.5}
+        with pytest.raises(TopologyError, match=r"fault #1.*'meteor'"):
+            arm_faults(platform.fault_schedule(),
+                       [good, {"kind": "meteor", "at": 1.0}])
+
+    def test_controller_kind_needs_a_cluster(self):
+        platform = ZenPlatform(Topology.ring(3, hosts_per_switch=1))
+        fault = {"kind": "controller_crash", "node": 0, "at": 1.0,
+                 "restart_after": 0.5}
+        with pytest.raises(TopologyError,
+                           match=r"fault #0 \(controller_crash\).*cluster"):
+            arm_faults(platform.fault_schedule(), [fault])
+
+    def test_missing_field_is_a_named_error(self):
+        platform = ZenPlatform(Topology.ring(3, hosts_per_switch=1))
+        with pytest.raises(TopologyError, match=r"fault #0.*'period'"):
+            arm_faults(platform.fault_schedule(), [
+                {"kind": "channel_flap", "switch": "s1", "at": 0.0,
+                 "down_for": 0.1, "count": 1}])

@@ -141,6 +141,26 @@ class TestTimeouts:
         expired = table.expire(1.0)
         assert expired[0][1] == RemovalReason.HARD_TIMEOUT
 
+    def test_deadline_on_a_rounding_edge_expires(self):
+        """``last_used + idle`` rounds to <= now while ``now - last_used``
+        rounds to < idle: expire() used to pop and re-arm that deadline
+        forever.  Run on a thread so a regression fails, not hangs."""
+        import threading
+
+        table = FlowTable(0)
+        table.insert(FlowEntry(Match(eth_type=0x0800), [],
+                               idle_timeout=1.0),
+                     now=3.0465834287758686)
+        out = []
+        worker = threading.Thread(
+            target=lambda: out.append(table.expire(4.046583428775868)),
+            daemon=True)
+        worker.start()
+        worker.join(timeout=5.0)
+        assert not worker.is_alive(), "FlowTable.expire livelocked"
+        assert [reason for _, reason in out[0]] == \
+            [RemovalReason.IDLE_TIMEOUT]
+
     def test_zero_timeouts_never_expire(self):
         table = FlowTable()
         table.insert(entry(), now=0.0)

@@ -68,6 +68,60 @@ class TestPlatformAssembly:
         platform2 = ZenPlatform(Topology.single(1))
         assert platform2.intents is None
 
+    def test_controllers_none_is_the_plain_single_controller(self):
+        platform = ZenPlatform(Topology.ring(3, hosts_per_switch=1))
+        assert platform.cluster is None
+        assert not hasattr(platform.controller, "node_id")
+        assert platform.discovery.jitter > 0.0
+        assert platform.fault_schedule().cluster is None
+        # One channel per switch, keyed by the bare switch name.
+        assert sorted(platform.net.channels) == ["s1", "s2", "s3"]
+
+    def test_controllers_n_builds_the_cluster(self):
+        platform = ZenPlatform(Topology.ring(3, hosts_per_switch=1),
+                               controllers=2).start()
+        cluster = platform.cluster
+        assert cluster.size == 2
+        assert platform.controller is cluster.node(0)
+        assert platform.discovery.jitter == 0.0
+        assert platform.fault_schedule().cluster is cluster
+        assert len(platform.net.channels) == 6  # switch x instance
+        assert platform.ping_all(count=1, settle=8.0) == 1.0
+
+    def test_controllers_must_be_positive(self):
+        with pytest.raises(ValueError):
+            ZenPlatform(Topology.ring(3), controllers=0)
+
+    def test_intents_on_a_cluster_is_a_named_error(self):
+        with pytest.raises(ControllerError, match="single-controller"):
+            ZenPlatform(Topology.ring(3), controllers=2, intents=True)
+
+    def test_seed_static_arp_returns_hosts_in_name_order(self):
+        platform = ZenPlatform(Topology.fat_tree(4))
+        hosts = platform.seed_static_arp()
+        assert [h.name for h in hosts] == sorted(platform.net.hosts)
+        assert len(hosts) == 16
+        first, last = hosts[0], hosts[-1]
+        assert first.arp_table[last.ip] == last.mac
+
+    def test_observe_wires_only_what_is_asked_for(self):
+        from repro.telemetry import Telemetry
+
+        platform = ZenPlatform(Topology.ring(3, hosts_per_switch=1),
+                               telemetry=Telemetry(profile=False)).start()
+        schedule = platform.fault_schedule()
+        assert platform.observe(schedule, interval=None) == (None, None)
+        assert schedule.on_fire == []
+        plane, monitor = platform.observe(schedule, interval=0.1,
+                                          monitor=True)
+        schedule.link_flap(platform.sim.now + 0.2, "s1", "s2",
+                           down_for=0.3, period=1.0)
+        platform.run(1.5)
+        plane.finish()
+        kinds = [a.kind for a in plane.scraper.annotations]
+        assert "link_down" in kinds and "link_up" in kinds
+        assert monitor.checks_run >= 2
+
 
 class TestEndToEndScenarios:
     def test_fat_tree_any_to_any(self):

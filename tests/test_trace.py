@@ -353,8 +353,8 @@ class TestFlightRecorder:
         assert rec.dumps[0].triggers[0]["kind"] == "violation"
 
     def test_monitor_violation_triggers_a_dump(self):
-        """An invariant going red dumps the rings, chained after any
-        existing on_record hook."""
+        """An invariant going red dumps the rings, after any hook
+        already on ``on_record``."""
         from repro.check import InvariantMonitor
 
         tel = self._tel()
@@ -362,7 +362,7 @@ class TestFlightRecorder:
         rec = FlightRecorder(tel)
         monitor = InvariantMonitor(platform.net)
         seen = []
-        monitor.on_record = seen.append           # pre-existing hook
+        monitor.on_record.append(seen.append)     # pre-existing hook
         rec.watch_monitor(monitor)
         platform.ping_all(count=1, settle=8.0)
         # Poison the dataplane: plant a high-priority flow out a link,
@@ -379,7 +379,7 @@ class TestFlightRecorder:
         assert not result.ok
         assert rec.dumps, "red verdict did not dump the rings"
         assert rec.dumps[0].triggers[0]["kind"] == "violation"
-        assert seen, "chained hook was replaced, not chained"
+        assert seen, "earlier hook was replaced, not kept"
 
     def test_snapshot_is_deterministic(self):
         def build():
@@ -397,11 +397,9 @@ class TestFlightRecorder:
 # Cluster handover chain + SLO exemplars
 # ----------------------------------------------------------------------
 def _cluster(tel=None, seed=0):
-    from repro.cluster import ZenCluster
-
     topo = Topology.ring(4, hosts_per_switch=1, bandwidth_bps=1e9)
-    return ZenCluster(topo, controllers=3, profile="reactive",
-                      seed=seed, telemetry=tel)
+    return ZenPlatform(topo, controllers=3, profile="reactive",
+                       seed=seed, telemetry=tel)
 
 
 def _run_cluster_crash(tel, seed=0):
@@ -495,7 +493,7 @@ class TestClusterHandoverTrace:
     def test_cluster_dataplane_bit_identical_with_tracing(self):
         """Acceptance: seeded clustered fault runs are bit-identical
         with the trace plane on, off, or telemetry disabled."""
-        from repro.cluster.platform import dataplane_digest
+        from repro.core import dataplane_digest
 
         def digest(tel):
             platform, _ = _run_cluster_crash(tel, seed=11)
