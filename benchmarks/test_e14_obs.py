@@ -12,10 +12,15 @@ delta is the plane's overhead.  Reps are interleaved and each arm takes
 its minimum wall time, which strips scheduler noise the way
 min-of-reps microbenchmarks do.
 
-Contract: overhead below 5% of wall time, and every simulation
-observable (switch counters, table stats, flow entries) bit-identical
-between the arms — scrapes ride the kernel's read-only observer
-side-channel, so they must be invisible to the run.
+Contract: the plane's own cost — the wall-clock delta divided by the
+scrapes it paid for — stays inside ``SCRAPE_BUDGET_US``, and every
+simulation observable (switch counters, table stats, flow entries) is
+bit-identical between the arms — scrapes ride the kernel's read-only
+observer side-channel, so they must be invisible to the run.  The
+delta as a share of the run is reported but not gated: it divides by
+the cost of forwarding packets, which the plane does not control (PR 14
+made the same run 3x cheaper and the share tripled with no change to
+the plane).
 
 A second scenario exercises the health/diff story end to end: a clean
 ring run versus one with a 2 s control-channel outage.  The outage must
@@ -38,10 +43,14 @@ from repro.telemetry import Telemetry
 
 from harness import RESULTS_DIR, publish, publish_json, seed_arp
 
-PACKETS_PER_FLOW = 40
+PACKETS_PER_FLOW = 160     # keeps the obs-off arm above 0.3 s of wall
 SCRAPE_INTERVAL = 0.1      # the acceptance criterion's 100 ms
-MAX_OVERHEAD_PCT = 5.0
-REPS = 3
+#: Wall-clock budget per scrape of the ~620-series fat-tree registry:
+#: 3x the 220 us measured at PR 13 (median of seven min-of-reps runs
+#: that spread from -280 to 515 us: a 10 ms delta between two ~1 s
+#: runs), the headroom the old 5% gate had over its measured 1.7%.
+SCRAPE_BUDGET_US = 660.0
+REPS = 7                   # absolute deltas of ~10 ms need a tight minimum
 
 
 def drive(obs: bool):
@@ -121,6 +130,7 @@ def run_experiment():
     off = min(walls[False])
     on = min(walls[True])
     overhead_pct = (on - off) / off * 100.0
+    scrape_cost_us = (on - off) / plane.scraper.scrapes * 1e6
     identical = observables[False] == observables[True]
 
     clean = ring_artifact(churn=False)
@@ -135,15 +145,16 @@ def run_experiment():
     )
     table.add_row("wall_s obs off (min of reps)", f"{off:.3f}")
     table.add_row("wall_s obs on (min of reps)", f"{on:.3f}")
-    table.add_row("scrape overhead %", f"{overhead_pct:.2f}")
+    table.add_row("cost per scrape (us, gated)", f"{scrape_cost_us:.0f}")
+    table.add_row("scrape overhead % (reported)", f"{overhead_pct:.2f}")
     table.add_row("observables bit-identical", identical)
     table.add_row("series scraped", len(plane.scraper.series))
     table.add_row("scrapes", plane.scraper.scrapes)
     table.add_row("self-diff changed signals", len(self_diff.changed))
     table.add_row("churn-diff regressions", len(churn_diff.regressions))
     table.add_row("churn alerts fired", len(churn.health.alerts))
-    return (table, off, on, overhead_pct, identical, plane,
-            clean, churn, self_diff, churn_diff)
+    return (table, off, on, overhead_pct, scrape_cost_us, identical,
+            plane, clean, churn, self_diff, churn_diff)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +163,7 @@ def results():
 
 
 def test_e14_obs(results, benchmark):
-    (table, off, on, overhead_pct, identical, plane,
+    (table, off, on, overhead_pct, scrape_cost_us, identical, plane,
      clean, churn, self_diff, churn_diff) = results
     publish("e14_obs", table)
     dashboard = render_dashboard(churn, width=60,
@@ -165,6 +176,8 @@ def test_e14_obs(results, benchmark):
     publish_json("E14", {
         "wall_s": {"obs_off": off, "obs_on": on},
         "overhead_pct": overhead_pct,
+        "scrape_cost_us": scrape_cost_us,
+        "scrape_budget_us": SCRAPE_BUDGET_US,
         "identical": identical,
         "scrape_interval_s": SCRAPE_INTERVAL,
         "series": len(plane.scraper.series),
@@ -177,15 +190,15 @@ def test_e14_obs(results, benchmark):
     benchmark.pedantic(plane.scraper.scrape_now, rounds=1, iterations=1)
 
     assert identical, "obs plane perturbed the seeded run"
-    assert overhead_pct < MAX_OVERHEAD_PCT, (
-        f"scrape overhead {overhead_pct:.2f}% exceeds "
-        f"{MAX_OVERHEAD_PCT}%"
+    assert scrape_cost_us < SCRAPE_BUDGET_US, (
+        f"a scrape costs {scrape_cost_us:.0f} us of wall, over the "
+        f"{SCRAPE_BUDGET_US:.0f} us budget"
     )
     assert plane.scraper.scrapes >= 20  # 100 ms over >= 2 s measured
 
 
 def test_e14_health_and_diff(results):
-    (_, _, _, _, _, _, clean, churn, self_diff, churn_diff) = results
+    (_, _, _, _, _, _, _, clean, churn, self_diff, churn_diff) = results
     # Same artifact diffs empty: the CI baseline-gate property.
     assert self_diff.ok and not self_diff.changed
     # The outage fired the stale-switch objective and the diff saw it.

@@ -12,11 +12,15 @@ Reps are interleaved and each arm takes its minimum wall time.
 
 Contract (the telemetry doctrine, extended to traces): at the gated
 sampling config (1-in-8, the production default for always-on
-tracing) overhead stays below 5% of wall time, and every simulation
-observable is bit-identical between the arms.  Full per-packet
-sampling is measured too and reported ungated — it costs ~10-15%,
-which is why sampled tracing is the always-on config and per-packet
-tracing is reserved for targeted `repro trace` runs.  The identity
+tracing) the plane's own cost — the wall-clock delta divided by the
+spans it recorded — stays inside ``SPAN_BUDGET_US``, and every
+simulation observable is bit-identical between the arms.  The delta
+as a share of the run is reported but not gated (it divides by the
+cost of forwarding packets, which tracing does not control; see E14).
+Full per-packet sampling is measured too and reported ungated — it
+costs several times the sampled config, which is why sampled tracing
+is the always-on config and per-packet tracing is reserved for
+targeted `repro trace` runs.  The identity
 contract must also hold across the other two execution planes — a
 sharded run's merged observables digest (shards=2, in process) and a
 clustered fault run's dataplane digest — because spans ride the
@@ -38,10 +42,13 @@ from repro.workload import WorkloadSpec
 
 from harness import RESULTS_DIR, publish, publish_json, seed_arp
 
-PACKETS_PER_FLOW = 40
-MAX_OVERHEAD_PCT = 5.0
+PACKETS_PER_FLOW = 160     # keeps the trace-off arm above 0.3 s of wall
+#: Wall-clock budget per recorded span at 1-in-8 sampling (it carries
+#: the sampling check every untraced packet pays): 3x the 3.5 us
+#: measured at PR 13 (median of seven min-of-reps runs, 0.2-7.0 us).
+SPAN_BUDGET_US = 10.5
 SAMPLE_EVERY = 8           # the gated always-on sampling config
-REPS = 3
+REPS = 7                   # absolute deltas of ~10 ms need a tight minimum
 
 
 def drive(trace: bool, sample_every: int = SAMPLE_EVERY):
@@ -149,6 +156,7 @@ def run_experiment():
     off = min(walls[False])
     on = min(walls[True])
     overhead_pct = (on - off) / off * 100.0
+    span_cost_us = (on - off) / recorder.spans_seen * 1e6
     identical = observables[False] == observables[True]
 
     # Full per-packet sampling, ungated: the cost ceiling that makes
@@ -181,7 +189,9 @@ def run_experiment():
     table.add_row("wall_s trace off (min of reps)", f"{off:.3f}")
     table.add_row(f"wall_s trace on, 1-in-{SAMPLE_EVERY} (min of reps)",
                   f"{on:.3f}")
-    table.add_row(f"tracing overhead % (1-in-{SAMPLE_EVERY}, gated)",
+    table.add_row(f"cost per span (us, 1-in-{SAMPLE_EVERY}, gated)",
+                  f"{span_cost_us:.2f}")
+    table.add_row(f"tracing overhead % (1-in-{SAMPLE_EVERY}, reported)",
                   f"{overhead_pct:.2f}")
     table.add_row("tracing overhead % (per-packet, ungated)",
                   f"{full_overhead_pct:.2f}")
@@ -192,8 +202,8 @@ def run_experiment():
     table.add_row("cross-shard traces in merged artifact", crossing)
     table.add_row("cluster dataplane identical", cluster_identical)
     table.add_row("handover critical path (s)", f"{handover_total:.4f}")
-    return (table, off, on, overhead_pct, full_overhead_pct, identical,
-            tracer, recorder, shard_identical, shard_art, crossing,
+    return (table, off, on, overhead_pct, span_cost_us,
+            full_overhead_pct, identical, tracer, recorder, shard_identical, shard_art, crossing,
             cluster_identical, handover_total)
 
 
@@ -203,9 +213,9 @@ def results():
 
 
 def test_e18_trace(results, benchmark):
-    (table, off, on, overhead_pct, full_overhead_pct, identical, tracer,
-     recorder, shard_identical, shard_art, crossing, cluster_identical,
-     handover_total) = results
+    (table, off, on, overhead_pct, span_cost_us, full_overhead_pct,
+     identical, tracer, recorder, shard_identical, shard_art, crossing,
+     cluster_identical, handover_total) = results
     publish("e18_trace", table)
     # ~900 KB: git-ignored, uploaded by CI instead of committed.
     out_dir = os.path.join(RESULTS_DIR, "e18_artifacts")
@@ -214,6 +224,8 @@ def test_e18_trace(results, benchmark):
     publish_json("E18", {
         "wall_s": {"trace_off": off, "trace_on": on},
         "overhead_pct": overhead_pct,
+        "span_cost_us": span_cost_us,
+        "span_budget_us": SPAN_BUDGET_US,
         "full_sampling_overhead_pct": full_overhead_pct,
         "sample_every": SAMPLE_EVERY,
         "identical": identical,
@@ -230,15 +242,15 @@ def test_e18_trace(results, benchmark):
         rounds=1, iterations=1)
 
     assert identical, "trace plane perturbed the seeded run"
-    assert overhead_pct < MAX_OVERHEAD_PCT, (
-        f"tracing overhead {overhead_pct:.2f}% exceeds "
-        f"{MAX_OVERHEAD_PCT}%"
+    assert span_cost_us < SPAN_BUDGET_US, (
+        f"a recorded span costs {span_cost_us:.2f} us of wall, over "
+        f"the {SPAN_BUDGET_US} us budget"
     )
     assert tracer.trace_count > 0 and recorder.spans_seen > 0
 
 
 def test_e18_cross_plane_identity(results):
-    (_, _, _, _, _, _, _, _, shard_identical, shard_art, crossing,
+    (_, _, _, _, _, _, _, _, _, shard_identical, shard_art, crossing,
      cluster_identical, handover_total) = results
     assert shard_identical, "tracing changed the sharded digest"
     assert cluster_identical, "tracing changed the cluster dataplane"

@@ -152,11 +152,8 @@ class SwitchHandle:
         ))
 
     def packet_out(self, packet: Packet, actions: List[Action],
-                   in_port: int = 0,
-                   encoded: Optional[bytes] = None) -> None:
-        # Periodic senders (LLDP probes, keepalives) pass ``encoded`` so
-        # identical frames are serialised once, not once per interval.
-        data = packet.encode() if encoded is None else encoded
+                   in_port: int = 0) -> None:
+        data = packet.encode()
         ctx = self.controller._trace_ctx
         if ctx is None:
             ctx = packet.trace_id

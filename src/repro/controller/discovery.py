@@ -24,7 +24,7 @@ from repro.controller.events import (
 )
 from repro.dataplane.actions import Output, PORT_CONTROLLER
 from repro.dataplane.match import Match
-from repro.packet import Ethernet, EtherType, LLDP, LLDP_MULTICAST
+from repro.packet import Ethernet, EtherType, LLDP, LLDP_MULTICAST, Packet
 from repro.southbound.codec import FrameCache
 
 __all__ = ["TopologyDiscovery", "DiscoveredLink"]
@@ -79,7 +79,8 @@ class TopologyDiscovery(App):
         self.on_link_seen: Optional[Callable[[DiscoveredLink], None]] = None
         self._stop_probe: Optional[Callable[[], None]] = None
         # Probe frames are a pure function of (dpid, port, mac, ttl), so
-        # build and encode each one exactly once across all intervals.
+        # build each one exactly once across all intervals; the frame
+        # carries its own wire bytes after the first packet-out.
         self._frames = FrameCache()
 
     def start(self, controller) -> None:
@@ -122,20 +123,18 @@ class TopologyDiscovery(App):
         for port in switch.ports.values():
             if not port.up:
                 continue
-            frame, encoded = self._frames.get(
+            frame = self._frames.get(
                 (switch.dpid, port.number, port.mac_bytes, ttl),
                 lambda: self._build_probe(switch.dpid, port, ttl),
             )
-            switch.packet_out(frame, [Output(port.number)],
-                              encoded=encoded)
+            switch.packet_out(frame, [Output(port.number)])
 
     @staticmethod
-    def _build_probe(dpid: int, port, ttl: int):
-        frame = (
+    def _build_probe(dpid: int, port, ttl: int) -> Packet:
+        return (
             Ethernet(dst=LLDP_MULTICAST, src=port.mac_bytes)
             / LLDP(chassis_id=dpid, port_id=port.number, ttl=ttl)
         )
-        return frame, frame.encode()
 
     # ------------------------------------------------------------------
     # Learning

@@ -266,17 +266,20 @@ def apply_actions(
     packet: Packet,
     in_port: Optional[int] = None,
 ) -> Tuple[Packet, List[int], List[int], List[int]]:
-    """Execute an action list against a copy of ``packet``.
+    """Execute an action list against ``packet``, which is left as it is.
 
     Returns ``(rewritten_packet, out_ports, group_ids, meter_ids)``.
     Rewrites apply in list order and affect only the emissions that follow
     them in real OpenFlow; this executor applies the common controller
-    idiom (all rewrites, then outputs) by snapshotting the packet at each
-    Output action.
+    idiom (all rewrites, then outputs).
+
+    A received frame is shared with everyone else it was sent to, so the
+    first rewriting action works on a copy; a list that only forwards
+    hands back ``packet`` itself.
 
     The caller (the datapath) resolves reserved ports, groups, and meters.
     """
-    working = packet.copy()
+    working = packet
     out_ports: List[int] = []
     groups: List[int] = []
     meters: List[int] = []
@@ -288,5 +291,7 @@ def apply_actions(
         elif isinstance(action, Meter):
             meters.append(action.meter_id)
         else:
+            if working is packet:
+                working = packet.copy()
             action.apply(working)
     return working, out_ports, groups, meters

@@ -28,6 +28,8 @@ from repro.packet import (
     VLAN,
     Ethernet,
 )
+from repro.packet.ethernet import ETHERTYPES
+from repro.packet.ipv4 import IP_PROTOS
 
 __all__ = ["FlowKey", "Match", "VLAN_ABSENT", "MATCH_FIELDS"]
 
@@ -48,6 +50,12 @@ MATCH_FIELDS: Tuple[str, ...] = (
     "l4_src",
     "l4_dst",
 )
+
+
+#: The header classes a flow key reads, and which of them (if any) each
+#: header class seen so far is: ``issubclass`` asked once per class.
+_KINDS = (Ethernet, VLAN, IPv4, ARP, TCP, UDP, ICMP)
+_KIND_OF: Dict[type, Optional[type]] = {}
 
 
 class FlowKey:
@@ -88,66 +96,67 @@ class FlowKey:
 
     @classmethod
     def from_packet(cls, packet: Packet, in_port: Optional[int] = None) -> "FlowKey":
-        """Extract the flow key of ``packet`` as received on ``in_port``."""
-        from repro.packet.ethernet import _ethertype_of
+        """Extract the flow key of ``packet`` as received on ``in_port``.
 
-        key = cls(in_port=in_port)
+        One pass over the header stack: the first header of each kind
+        supplies its fields, wherever it sits.
+        """
         headers = packet.headers
-        eth = packet.get(Ethernet)
-        if eth is not None:
-            key.eth_src = eth.src
-            key.eth_dst = eth.dst
-            key.eth_type = eth.ethertype
-            # The declared ethertype is only trustworthy after encode();
-            # the actual next header is ground truth for in-memory
-            # packets built with the / operator.
-            idx = headers.index(eth)
-            if idx + 1 < len(headers):
-                derived = _ethertype_of(headers[idx + 1])
-                if derived is not None:
-                    key.eth_type = derived
-        vlan = packet.get(VLAN)
-        if vlan is not None:
-            key.vlan_vid = vlan.vid
-            key.eth_type = vlan.ethertype  # match on the inner protocol
-            idx = headers.index(vlan)
-            if idx + 1 < len(headers):
-                derived = _ethertype_of(headers[idx + 1])
-                if derived is not None:
-                    key.eth_type = derived
-        ip = packet.get(IPv4)
-        if ip is not None:
-            key.ip_src = ip.src
-            key.ip_dst = ip.dst
-            key.ip_proto = ip.proto
-            key.ip_dscp = ip.dscp
-            # As with eth_type: prefer the actual successor header over
-            # the not-yet-linked proto field of in-memory packets.
-            from repro.packet.ipv4 import _proto_of
+        first: Dict[type, int] = {}  # kind -> index of its first header
+        for i, header in enumerate(headers):
+            header_cls = type(header)
+            try:
+                kind = _KIND_OF[header_cls]
+            except KeyError:
+                kind = _KIND_OF[header_cls] = next(
+                    (k for k in _KINDS if issubclass(header_cls, k)), None)
+            if kind is not None:
+                first.setdefault(kind, i)
+        successors = headers[1:]
+        successors.append(None)
 
-            idx = headers.index(ip)
-            if idx + 1 < len(headers):
-                derived = _proto_of(headers[idx + 1])
-                if derived is not None:
-                    key.ip_proto = derived
-        else:
-            arp = packet.get(ARP)
-            if arp is not None:
-                # OpenFlow convention: ARP SPA/TPA ride the IP fields.
-                key.ip_src = arp.sender_ip
-                key.ip_dst = arp.target_ip
-                key.ip_proto = arp.opcode
-        tcp = packet.get(TCP)
-        udp = packet.get(UDP)
-        icmp = packet.get(ICMP)
-        if tcp is not None:
-            key.l4_src, key.l4_dst = tcp.src_port, tcp.dst_port
-        elif udp is not None:
-            key.l4_src, key.l4_dst = udp.src_port, udp.dst_port
-        elif icmp is not None:
+        eth_src = eth_dst = eth_type = None
+        vlan_vid = VLAN_ABSENT
+        i = first.get(Ethernet)
+        if i is not None:
+            eth = headers[i]
+            eth_src = eth.src
+            eth_dst = eth.dst
+            # What the wire will say, not the not-yet-linked field.
+            eth_type = ETHERTYPES.code_for(successors[i], eth.ethertype)
+        i = first.get(VLAN)
+        if i is not None:
+            vlan = headers[i]
+            vlan_vid = vlan.vid
+            # Match on the inner protocol.
+            eth_type = ETHERTYPES.code_for(successors[i], vlan.ethertype)
+        ip_src = ip_dst = ip_proto = ip_dscp = None
+        i = first.get(IPv4)
+        if i is not None:
+            ip = headers[i]
+            ip_src = ip.src
+            ip_dst = ip.dst
+            ip_proto = IP_PROTOS.code_for(successors[i], ip.proto)
+            ip_dscp = ip.dscp
+        elif ARP in first:
+            # OpenFlow convention: ARP SPA/TPA ride the IP fields.
+            arp = headers[first[ARP]]
+            ip_src = arp.sender_ip
+            ip_dst = arp.target_ip
+            ip_proto = arp.opcode
+        l4_src = l4_dst = None
+        if TCP in first:
+            tcp = headers[first[TCP]]
+            l4_src, l4_dst = tcp.src_port, tcp.dst_port
+        elif UDP in first:
+            udp = headers[first[UDP]]
+            l4_src, l4_dst = udp.src_port, udp.dst_port
+        elif ICMP in first:
             # OpenFlow convention: ICMP type/code ride the L4 port fields.
-            key.l4_src, key.l4_dst = icmp.icmp_type, icmp.code
-        return key
+            icmp = headers[first[ICMP]]
+            l4_src, l4_dst = icmp.icmp_type, icmp.code
+        return cls(in_port, eth_src, eth_dst, eth_type, vlan_vid,
+                   ip_src, ip_dst, ip_proto, ip_dscp, l4_src, l4_dst)
 
     def as_dict(self) -> Dict[str, Any]:
         return {f: getattr(self, f) for f in MATCH_FIELDS}

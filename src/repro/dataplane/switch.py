@@ -475,9 +475,9 @@ class Datapath:
         except TTLExpired:
             self._punt(packet, in_port, PacketInReason.TTL)
             return None
-        size = len(rewritten)
         for meter_id in meter_ids:
-            if not self.meters.get(meter_id).allow(size, self.sim.now):
+            if not self.meters.get(meter_id).allow(len(rewritten),
+                                                   self.sim.now):
                 self._count_drop()
                 return None
         for port_no in out_ports:
@@ -548,7 +548,7 @@ class Datapath:
                 packet.trace_id, "switch.forward", "dataplane",
                 dpid=self.dpid, port=port_no,
             )
-        self.transmit(port_no, packet.copy())
+        self.transmit(port_no, packet)
 
     def send_packet_out(self, packet: Packet, actions: Iterable[Action],
                         in_port: int = 0) -> None:
@@ -566,7 +566,7 @@ class Datapath:
                 dpid=self.dpid, reason=reason,
             )
         if self.on_packet_in is not None:
-            self.on_packet_in(packet.copy(), in_port, reason)
+            self.on_packet_in(packet, in_port, reason)
 
     def _count_drop(self) -> None:
         self.packets_dropped += 1

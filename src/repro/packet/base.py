@@ -13,15 +13,30 @@ On :meth:`Packet.encode` each header gets the chance to fix up linkage
 fields (ethertype, IP protocol number, lengths, checksums) from its
 successor, so callers rarely need to set them by hand.  :meth:`Packet.decode`
 reverses the process byte-exactly.
+
+A packet keeps its last serialisation (the *wire image*) and hands it
+back from ``encode()``, ``len()``, ``==`` and ``summary()`` for as long
+as no header changed; see :meth:`Packet.encode` for how that is checked.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple, Type, TypeVar, Union
+from operator import attrgetter
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
 from repro.errors import DecodeError, PacketError
 
-__all__ = ["Header", "Packet", "Raw"]
+__all__ = ["DemuxRegistry", "Header", "Packet", "Raw"]
 
 H = TypeVar("H", bound="Header")
 
@@ -40,6 +55,11 @@ class Header:
       the rest of the buffer is raw payload.
     * :meth:`link_to` — fix up this header's demux field to point at a
       successor header before encoding.
+
+    Field values are *values*: ints, bytes, addresses.  Assign a new one
+    to change a field; a container mutated in place is invisible to the
+    packet's wire-image check (:meth:`Packet.encode`).  ``__init__`` must
+    set every declared slot.
     """
 
     name = "header"
@@ -48,8 +68,31 @@ class Header:
     # on the hot path (every frame decode allocates a stack of them),
     # and slots cut both allocation time and per-instance memory.
     # Subclasses outside repro.packet may omit __slots__ and regain a
-    # __dict__; fields() handles both layouts.
+    # __dict__; fields(), copy() and _state handle both layouts.
     __slots__ = ()
+
+    #: Every slot of the class, base classes first.
+    _slot_names: Tuple[str, ...] = ()
+    #: ``h._state(h)`` is a snapshot of everything ``h`` can put on the
+    #: wire: its class and slot values through one C-level
+    #: ``attrgetter``, plus a copy of the ``__dict__`` for a subclass
+    #: that has one.  Equal snapshots serialise to the same bytes.
+    _state = staticmethod(attrgetter("__class__"))
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._slot_names = names = tuple(
+            name
+            for klass in reversed(cls.__mro__)
+            for name in vars(klass).get("__slots__", ())
+        )
+        state = attrgetter("__class__", *names)
+        if cls.__dictoffset__:
+            slots = state
+
+            def state(header):
+                return slots(header), dict(vars(header))
+        cls._state = staticmethod(state)
 
     def encode(self, following: bytes) -> bytes:
         raise NotImplementedError
@@ -66,6 +109,16 @@ class Header:
 
     def __truediv__(self, other: Union["Header", bytes, "Packet"]) -> "Packet":
         return Packet([self]) / other
+
+    def copy(self: H) -> H:
+        """A header of the same type with the same field values."""
+        cls = type(self)
+        clone = cls.__new__(cls)
+        for name in cls._slot_names:
+            setattr(clone, name, getattr(self, name))
+        if cls.__dictoffset__:
+            vars(clone).update(vars(self))
+        return clone
 
     def fields(self) -> dict:
         """A name→value mapping of the public fields, for repr/tests."""
@@ -88,6 +141,47 @@ class Header:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.fields().items())
         return f"{type(self).__name__}({inner})"
+
+
+class DemuxRegistry:
+    """The codes of one demux field (EtherType, IP protocol number) and
+    the header classes they select, looked up in either direction."""
+
+    def __init__(self) -> None:
+        self._classes: Dict[int, Type[Header]] = {}
+        #: code_of() per class asked; forgotten when a class registers.
+        self._codes: Dict[type, Optional[int]] = {}
+
+    def register(self, code: int, header_cls: Type[Header]) -> None:
+        self._classes[code] = header_cls
+        self._codes.clear()
+
+    def lookup(self, code: int) -> Optional[Type[Header]]:
+        return self._classes.get(code)
+
+    def code_of(self, header_cls: type) -> Optional[int]:
+        """The first code registered for ``header_cls`` or a base of it."""
+        try:
+            return self._codes[header_cls]
+        except KeyError:
+            pass
+        found = None
+        for code, cls in self._classes.items():
+            if issubclass(header_cls, cls):
+                found = code
+                break
+        self._codes[header_cls] = found
+        return found
+
+    def code_for(self, successor: Optional[Header], declared: int) -> int:
+        """The value the demux field takes on the wire when ``successor``
+        follows: its registered code, else what the field already says
+        (a header built with ``/`` is only linked at encode time)."""
+        if successor is not None:
+            code = self.code_of(type(successor))
+            if code is not None:
+                return code
+        return declared
 
 
 class Raw(Header):
@@ -113,7 +207,7 @@ class Raw(Header):
 class Packet:
     """An ordered stack of headers plus trailing payload bytes."""
 
-    __slots__ = ("headers", "trace_id")
+    __slots__ = ("headers", "trace_id", "_wire", "_stamp")
 
     def __init__(self, headers: Optional[Sequence[Header]] = None) -> None:
         self.headers: List[Header] = list(headers or [])
@@ -122,6 +216,11 @@ class Packet:
         #: never part of equality, but preserved across :meth:`copy` so
         #: flooded duplicates stay in their originator's trace.
         self.trace_id: Optional[int] = None
+        #: The wire image: the bytes of the last :meth:`encode` and the
+        #: state of every header as it was serialised.  The stamp list
+        #: is replaced, never edited, so copies may share it.
+        self._wire: Optional[bytes] = None
+        self._stamp: Optional[list] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -136,14 +235,16 @@ class Packet:
         raise PacketError(f"cannot stack {type(other).__name__} onto a packet")
 
     def copy(self) -> "Packet":
-        """A deep-enough copy: headers are re-decoded from the wire bytes.
+        """A packet with its own header objects and the same field values.
 
-        Re-encoding guarantees the copy shares no mutable state with the
-        original, which matters when a switch floods one packet out many
-        ports and an app rewrites one of the copies.
+        Whoever wants to rewrite a frame that has been sent or received
+        copies it first; the clone keeps the ``trace_id`` and shares the
+        (immutable) wire image until one of its headers changes.
         """
-        clone = Packet.decode(self.encode())
+        clone = Packet([header.copy() for header in self.headers])
         clone.trace_id = self.trace_id
+        clone._wire = self._wire
+        clone._stamp = self._stamp
         return clone
 
     # ------------------------------------------------------------------
@@ -177,20 +278,48 @@ class Packet:
     # ------------------------------------------------------------------
     # Wire format
     # ------------------------------------------------------------------
+    def _cached_wire(self) -> Optional[bytes]:
+        """The last serialisation, or ``None`` if a header changed since.
+
+        Validity is checked on read: the stamp taken at serialisation is
+        compared with the headers as they are now.  That sees a field
+        write, a header inserted into or removed from ``headers``, and a
+        write through another packet that shares a header object — none
+        of which a packet could be told about by the writer.
+        """
+        wire = self._wire
+        if wire is not None and self._stamp == [
+            h._state(h) for h in self.headers
+        ]:
+            return wire
+        return None
+
     def encode(self) -> bytes:
-        """Serialise the packet, fixing up linkage fields along the way."""
+        """Serialise the packet, fixing up linkage fields along the way.
+
+        The bytes are kept, and returned again without re-packing while
+        every header is in the state it was serialised in.
+        """
+        wire = self._cached_wire()
+        if wire is not None:
+            return wire
+        headers = self.headers
         # Let each header learn about its successor (ethertype, proto...).
-        for i, header in enumerate(self.headers):
-            successor = self.headers[i + 1] if i + 1 < len(self.headers) else None
-            header.link_to(successor)
+        for i, header in enumerate(headers):
+            header.link_to(headers[i + 1] if i + 1 < len(headers) else None)
         # Encode back-to-front so lengths and checksums see their payload.
-        encoded = b""
-        for header in reversed(self.headers):
-            encoded = header.encode(encoded)
-        return encoded
+        wire = b""
+        for header in reversed(headers):
+            wire = header.encode(wire)
+        # Stamped after the fix-ups: relinking an unchanged stack is a
+        # no-op, so skipping it on a hit changes nothing.
+        self._stamp = [h._state(h) for h in headers]
+        self._wire = wire
+        return wire
 
     def __len__(self) -> int:
-        return len(self.encode())
+        wire = self._cached_wire()
+        return len(wire if wire is not None else self.encode())
 
     @classmethod
     def decode(cls, data: bytes, first: Optional[Type[Header]] = None) -> "Packet":
@@ -222,6 +351,8 @@ class Packet:
             cursor = header.payload_class()
         if remaining:
             headers.append(Raw(remaining))
+        # The wire image is not seeded from ``data``: re-encoding is not
+        # byte-identical for IPv4 options or a non-zero UDP checksum.
         return cls(headers)
 
     def summary(self) -> str:

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional, Tuple, Type, Union
+from typing import Optional, Tuple, Type, Union
 
 from repro.errors import DecodeError
 from repro.packet.addresses import BROADCAST_MAC, MACAddress
-from repro.packet.base import Header
+from repro.packet.base import DemuxRegistry, Header
 
 __all__ = ["Ethernet", "VLAN", "EtherType", "register_ethertype"]
 
@@ -21,23 +21,16 @@ class EtherType:
     LLDP = 0x88CC
 
 
-_ETHERTYPE_REGISTRY: Dict[int, Type[Header]] = {}
+ETHERTYPES = DemuxRegistry()
 
 
 def register_ethertype(ethertype: int, header_cls: Type[Header]) -> None:
     """Associate an EtherType with the header class that decodes it."""
-    _ETHERTYPE_REGISTRY[ethertype] = header_cls
+    ETHERTYPES.register(ethertype, header_cls)
 
 
 def lookup_ethertype(ethertype: int) -> Optional[Type[Header]]:
-    return _ETHERTYPE_REGISTRY.get(ethertype)
-
-
-def _ethertype_of(header: Header) -> Optional[int]:
-    for etype, cls in _ETHERTYPE_REGISTRY.items():
-        if isinstance(header, cls):
-            return etype
-    return None
+    return ETHERTYPES.lookup(ethertype)
 
 
 class Ethernet(Header):
@@ -58,11 +51,7 @@ class Ethernet(Header):
         self.ethertype = ethertype
 
     def link_to(self, successor: Optional[Header]) -> None:
-        if successor is None:
-            return
-        etype = _ethertype_of(successor)
-        if etype is not None:
-            self.ethertype = etype
+        self.ethertype = ETHERTYPES.code_for(successor, self.ethertype)
 
     def encode(self, following: bytes) -> bytes:
         return (
@@ -102,11 +91,7 @@ class VLAN(Header):
         self.ethertype = ethertype
 
     def link_to(self, successor: Optional[Header]) -> None:
-        if successor is None:
-            return
-        etype = _ethertype_of(successor)
-        if etype is not None:
-            self.ethertype = etype
+        self.ethertype = ETHERTYPES.code_for(successor, self.ethertype)
 
     def encode(self, following: bytes) -> bytes:
         tci = (self.pcp << 13) | (self.dei << 12) | self.vid

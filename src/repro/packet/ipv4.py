@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional, Tuple, Type, Union
+from typing import Optional, Tuple, Type, Union
 
 from repro.errors import DecodeError
 from repro.packet.addresses import IPv4Address
-from repro.packet.base import Header
+from repro.packet.base import DemuxRegistry, Header
 from repro.packet.checksum import internet_checksum
 from repro.packet.ethernet import EtherType, register_ethertype
 
@@ -22,19 +22,12 @@ class IPProto:
     UDP = 17
 
 
-_PROTO_REGISTRY: Dict[int, Type[Header]] = {}
+IP_PROTOS = DemuxRegistry()
 
 
 def register_ip_proto(proto: int, header_cls: Type[Header]) -> None:
     """Associate an IP protocol number with its header class."""
-    _PROTO_REGISTRY[proto] = header_cls
-
-
-def _proto_of(header: Header) -> Optional[int]:
-    for proto, cls in _PROTO_REGISTRY.items():
-        if isinstance(header, cls):
-            return proto
-    return None
+    IP_PROTOS.register(proto, header_cls)
 
 
 class IPv4(Header):
@@ -73,11 +66,7 @@ class IPv4(Header):
         self.frag_offset = frag_offset
 
     def link_to(self, successor: Optional[Header]) -> None:
-        if successor is None:
-            return
-        proto = _proto_of(successor)
-        if proto is not None:
-            self.proto = proto
+        self.proto = IP_PROTOS.code_for(successor, self.proto)
 
     def encode(self, following: bytes) -> bytes:
         total_length = self._FMT.size + len(following)
@@ -131,7 +120,7 @@ class IPv4(Header):
         return header, header_len
 
     def payload_class(self) -> Optional[Type[Header]]:
-        return _PROTO_REGISTRY.get(self.proto)
+        return IP_PROTOS.lookup(self.proto)
 
     def decrement_ttl(self) -> bool:
         """Decrement TTL in place; returns False when it has expired."""

@@ -44,15 +44,15 @@ __all__ = [
 
 
 class FrameCache:
-    """Memoises the wire bytes of frames rebuilt identically every
-    interval — LLDP probes, echo keepalives, and anything else periodic.
+    """Memoises frames rebuilt identically every interval — LLDP
+    probes, echo keepalives, and anything else periodic.
 
     Callers supply a hashable identity key and a builder; the builder
-    runs once and the bytes (plus an optional companion object, e.g. the
-    un-encoded packet) are replayed on every later tick.  Encoding a
-    probe frame costs header serialisation and checksums per port per
-    interval, which at discovery rates on large fabrics is pure waste —
-    the frames never change.
+    runs once and the frame it returned is replayed on every later tick.
+    Building and encoding a probe frame costs header construction,
+    serialisation and checksums per port per interval, which at
+    discovery rates on large fabrics is pure waste — the frames never
+    change, and a :class:`~repro.packet.Packet` keeps its wire bytes.
 
     The cache is transparent: it stores what the builder returned, so a
     hit is byte-identical to a rebuild by construction.

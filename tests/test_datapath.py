@@ -157,11 +157,17 @@ class TestPipeline:
         assert dp.tables[0].entries()[0].packet_count == 1
         assert dp.tables[1].entries()[0].packet_count == 1
 
-    def test_ttl_expiry_punts(self, dp):
-        dp.install_flow(FlowEntry(Match(), [DecTTL(), Output(2)]))
-        dp.inject(udp_packet(ttl=1), 1)
+    def test_ttl_expiry_punts_the_frame_as_received(self, dp):
+        dp.install_flow(FlowEntry(
+            Match(), [SetIPDst("10.9.9.9"), DecTTL(), Output(2)]))
+        frame = udp_packet(ttl=1)
+        wire = frame.encode()
+        dp.inject(frame, 1)
         assert dp.sent == []
-        assert dp.punted[0][1] == PacketInReason.TTL
+        in_port, reason, punted = dp.punted[0]
+        assert reason == PacketInReason.TTL
+        # The rewrites before the expiry happened to a private copy.
+        assert punted.encode() == wire and punted[IPv4].ttl == 1
 
 
 class TestReservedPorts:

@@ -2,9 +2,17 @@
 
 import pytest
 
-from repro.dataplane import FlowEntry, Match, Output, PORT_FLOOD
+from repro.dataplane import (
+    DecTTL,
+    FlowEntry,
+    Match,
+    Output,
+    PORT_FLOOD,
+    SetEthDst,
+)
 from repro.errors import TopologyError
-from repro.netem import Network, Topology
+from repro.netem import Network, Tap, Topology
+from repro.packet import Ethernet, IPv4, UDP
 
 
 def flooded(net):
@@ -75,6 +83,52 @@ class TestDataflow:
         net.ping_all(count=1, settle=2.0)
         assert net.switch("s1").packets_received > 0
         assert net.switch("s1").packets_forwarded > 0
+
+
+class TestFrameSharing:
+    """A flooded frame is one object on every port; a rewrite downstream
+    must stay private to the switch that made it."""
+
+    def test_rewrite_on_one_branch_is_invisible_on_the_others(self):
+        topo = Topology()
+        for switch in ("s1", "s2"):
+            topo.add_switch(switch)
+        for host, switch in (("h1", "s1"), ("h2", "s2"), ("h3", "s1"),
+                             ("h4", "s1")):
+            topo.add_host(host)
+            topo.add_link(host, switch)
+        topo.add_link("s1", "s2")
+        net = Network(topo, miss_behaviour="drop")
+        net.switch("s1").install_flow(
+            FlowEntry(Match(), [Output(PORT_FLOOD)]))
+        h2 = net.host("h2")
+        net.switch("s2").install_flow(FlowEntry(Match(), [
+            SetEthDst(h2.mac), DecTTL(), Output(net.port_of("s2", "h2")),
+        ]))
+        tap = Tap(net.link("s1", "s2"))
+        seen = {}
+        for name in ("h2", "h3", "h4"):
+            net.host(name).on_receive = \
+                lambda packet, name=name: seen.setdefault(name, packet)
+
+        h1 = net.host("h1")
+        frame = (Ethernet(dst="02:00:00:00:00:99", src=h1.mac)
+                 / IPv4(src=h1.ip, dst=h2.ip, ttl=9)
+                 / UDP(src_port=1, dst_port=2) / b"payload")
+        wire = frame.encode()
+        h1.send_frame(frame)
+        net.run_until_idle()
+
+        # The scenario really aliases: both flood receivers hold the
+        # object the host sent, not copies of it.
+        assert seen["h3"] is frame and seen["h4"] is frame
+        assert [record.packet.encode() for record in tap] == [wire]
+        assert seen["h3"].encode() == wire
+        assert seen["h2"] is not frame
+        assert seen["h2"][Ethernet].dst == h2.mac
+        assert seen["h2"][IPv4].ttl == 8
+        assert seen["h2"].encode() != wire
+        assert frame[IPv4].ttl == 9 and frame.encode() == wire
 
 
 class TestFailureInjection:

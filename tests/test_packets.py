@@ -2,8 +2,9 @@
 byte-exactly, and malformed buffers must fail loudly."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.dataplane import PopVLAN, PushVLAN, SetVLAN
 from repro.errors import DecodeError
 from repro.packet import (
     ARP,
@@ -13,6 +14,7 @@ from repro.packet import (
     ICMPType,
     IPProto,
     IPv4,
+    IPv4Address,
     LLDP,
     LLDP_MULTICAST,
     MACAddress,
@@ -278,6 +280,171 @@ class TestPacketContainer:
         pkt = (Ethernet(dst=MAC_B, src=MAC_A) / VLAN(vid=vid)
                / IPv4(src="1.1.1.1", dst="2.2.2.2") / payload)
         assert roundtrip(pkt) == pkt
+
+
+def fresh_encode(packet: Packet) -> bytes:
+    """What a packet that has never been serialised puts on the wire."""
+    return Packet(list(packet.headers)).encode()
+
+
+class TestCopy:
+    @pytest.mark.parametrize("build,header,field,value", [
+        (lambda: (IPv4(src="1.1.1.1", dst="2.2.2.2", ttl=9)
+                  / UDP(src_port=5, dst_port=6) / b"x"),
+         IPv4, "ttl", 1),
+        (lambda: (Ethernet(dst=MAC_B, src=MAC_A)
+                  / ARP(opcode=ARP.REPLY, sender_mac=MAC_A,
+                        sender_ip="1.1.1.1", target_mac=MAC_B,
+                        target_ip="2.2.2.2")),
+         ARP, "opcode", ARP.REQUEST),
+    ], ids=["ipv4-transport-stack", "arp-frame"])
+    @pytest.mark.parametrize("encode_first", [False, True])
+    def test_copy_keeps_the_stack_and_shares_nothing_mutable(
+            self, build, header, field, value, encode_first):
+        pkt = build()
+        wire = build().encode()
+        if encode_first:
+            pkt.encode()
+        dup = pkt.copy()
+        assert dup == pkt
+        assert [type(h) for h in dup.headers] == \
+            [type(h) for h in pkt.headers]
+        assert all(a is not b for a, b in zip(dup.headers, pkt.headers))
+        before = getattr(pkt[header], field)
+        setattr(dup[header], field, value)
+        assert dup.encode() == fresh_encode(dup) != wire
+        assert getattr(pkt[header], field) == before
+        assert pkt.encode() == wire
+
+    def test_copy_keeps_trace_id(self):
+        pkt = Ethernet() / b"x"
+        pkt.trace_id = 7
+        assert pkt.copy().trace_id == 7
+
+    def test_copy_of_a_header_with_a_dict(self):
+        class Tagged(Raw):  # no __slots__: regains a __dict__
+            pass
+
+        tagged = Tagged(b"ab")
+        tagged.note = 1
+        pkt = Ethernet() / tagged
+        wire = pkt.encode()
+        dup = pkt.copy()
+        assert type(dup.headers[1]) is Tagged and dup.headers[1].note == 1
+        dup.headers[1].data = b"cd"
+        assert pkt.encode() == wire != dup.encode()
+
+
+#: One step of the staleness property: (operation, which packet, value).
+_STEPS = st.tuples(
+    st.sampled_from([
+        "encode", "len", "eq", "summary", "copy", "fork",
+        "ttl", "dscp", "eth_src", "eth_dst", "ip_src", "ip_dst",
+        "sport", "dport", "payload", "decrement_ttl",
+        "push_vlan", "pop_vlan", "set_vlan",
+    ]),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=0, max_value=(1 << 32) - 1),
+)
+
+
+class TestWireImage:
+    def test_field_write_after_encode_is_seen(self):
+        p = Ethernet() / IPv4() / UDP() / b"x"
+        w = p.encode()
+        p[IPv4].ttl = 3
+        assert p.encode() != w and len(p) == len(w)
+        assert Packet.decode(p.encode())[IPv4].ttl == 3
+
+    def test_unchanged_packet_is_serialised_once(self, monkeypatch):
+        calls = []
+        real = IPv4.encode
+        monkeypatch.setattr(
+            IPv4, "encode",
+            lambda self, following: calls.append(1) or real(self, following))
+        p = Ethernet() / IPv4() / UDP() / b"x"
+        wire = p.encode()
+        assert (p.encode(), len(p), p == p.copy(), len(p.copy())) == \
+            (wire, len(wire), True, len(wire))
+        assert p.summary() == f"Ethernet/IPv4/UDP/Raw({len(wire)}B)"
+        assert len(calls) == 1
+
+    def test_decode_does_not_seed_the_image(self):
+        # An IHL-6 header: decode accepts it, encode writes IHL 5.
+        header = bytearray(IPv4(src="1.1.1.1", dst="2.2.2.2").encode(b""))
+        header[0] = 0x46
+        header += b"\x00" * 4
+        header[10:12] = b"\x00\x00"
+        header[10:12] = internet_checksum(bytes(header)).to_bytes(2, "big")
+        pkt = Packet.decode(bytes(header), first=IPv4)
+        assert pkt.encode() == fresh_encode(pkt) != bytes(header)
+
+    @settings(max_examples=500, deadline=None)
+    @given(steps=st.lists(_STEPS, max_size=24))
+    def test_never_stale_under_interleaved_reads_and_writes(self, steps):
+        shared_ip = IPv4(src="1.1.1.1", dst="2.2.2.2")
+        packets = [
+            (Ethernet(dst=MAC_B, src=MAC_A) / shared_ip
+             / UDP(src_port=1, dst_port=2) / b"payload"),
+            # Re-framed around the same IPv4 object, as Host._learn_arp
+            # does with a queued transport stack.
+            Ethernet(dst=MAC_A, src=MAC_B) / shared_ip / b"other",
+        ]
+
+        def write(pkt, header_type, name, value):
+            header = pkt.get(header_type)
+            if header is not None:
+                setattr(header, name, value)
+
+        for op, which, value in steps:
+            pkt = packets[which]
+            if op == "encode":
+                pkt.encode()
+            elif op == "len":
+                len(pkt)
+            elif op == "eq":
+                assert (pkt == packets[1 - which]) == \
+                    (fresh_encode(pkt) == fresh_encode(packets[1 - which]))
+            elif op == "summary":
+                assert pkt.summary().endswith(f"({len(fresh_encode(pkt))}B)")
+            elif op == "copy":
+                dup = pkt.copy()
+                assert dup.encode() == fresh_encode(pkt)
+                write(dup, Ethernet, "src", MACAddress(value))
+                write(dup, IPv4, "ttl", (dup[IPv4].ttl + 1) % 256)
+                assert dup.encode() == fresh_encode(dup)
+            elif op == "fork":
+                packets[which] = pkt.copy()
+            elif op == "ttl":
+                write(pkt, IPv4, "ttl", value % 256)
+            elif op == "dscp":
+                write(pkt, IPv4, "dscp", value % 64)
+            elif op == "eth_src":
+                write(pkt, Ethernet, "src", MACAddress(value))
+            elif op == "eth_dst":
+                write(pkt, Ethernet, "dst", MACAddress(value))
+            elif op == "ip_src":
+                write(pkt, IPv4, "src", IPv4Address(value))
+            elif op == "ip_dst":
+                write(pkt, IPv4, "dst", IPv4Address(value))
+            elif op == "sport":
+                write(pkt, UDP, "src_port", value % 65536)
+            elif op == "dport":
+                write(pkt, UDP, "dst_port", value % 65536)
+            elif op == "payload":
+                write(pkt, Raw, "data", value.to_bytes(value % 5 + 4, "big"))
+            elif op == "decrement_ttl":
+                pkt[IPv4].decrement_ttl()
+            elif op == "push_vlan":
+                PushVLAN(value % 4096).apply(pkt)
+            elif op == "pop_vlan" and VLAN in pkt:
+                PopVLAN().apply(pkt)
+            elif op == "set_vlan" and VLAN in pkt:
+                SetVLAN(value % 4096).apply(pkt)
+            for each in packets:
+                want = fresh_encode(each)
+                assert each.encode() == want
+                assert len(each) == len(want)
 
 
 class TestChecksum:

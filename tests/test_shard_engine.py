@@ -55,6 +55,51 @@ def test_library_is_shard_count_invariant(name, duration):
         assert flows == flows1
 
 
+def test_static_forwarding_serialises_a_frame_once(monkeypatch):
+    """Call-count sentinel: machine-independent, so it can gate tier 1.
+
+    On the static-forwarding oracle no switch rewrites anything, so a
+    frame is packed when its host first sizes it and never again, and
+    nothing on the path parses bytes back into headers.
+    """
+    from repro.packet import IPv4, Packet
+
+    counts = {"serialise": 0, "decode": 0}
+    ipv4_encode, decode = IPv4.encode, Packet.decode.__func__
+
+    def counting_encode(self, following):
+        counts["serialise"] += 1
+        return ipv4_encode(self, following)
+
+    def counting_decode(cls, data, first=None):
+        counts["decode"] += 1
+        return decode(cls, data, first)
+
+    monkeypatch.setattr(IPv4, "encode", counting_encode)
+    monkeypatch.setattr(Packet, "decode", classmethod(counting_decode))
+    spec = WorkloadSpec(
+        "sentinel",
+        topology={"family": "fat_tree", "size": 4},
+        seed=3,
+        duration=1.0,
+        traffic=[{"kind": "flows", "rate": 60.0,
+                  "sizes": {"dist": "fixed", "size": 6_000},
+                  "start": 0.1, "duration": 0.6}],
+    )
+    result = run_sharded(spec, shards=1)
+    link_tx = sum(half["tx_packets"]
+                  for halves in result.observables["links"].values()
+                  for half in halves.values())
+    assert link_tx > 500 and result.summary["flows_completed"] > 0
+    per_tx = counts["serialise"] / link_tx
+    # CI runs this test with -s and greps the line into the job summary.
+    print(f"\npacket sentinel: {link_tx} link transmissions, "
+          f"{per_tx:.3f} serialisations and "
+          f"{counts['decode'] / link_tx:.3f} decodes per transmission")
+    assert per_tx <= 1.0
+    assert counts["decode"] == 0
+
+
 def test_wan_flap_actually_cuts_a_boundary_link():
     # The wan-diurnal flap targets core0--core1; with 2+ shards the
     # partitioner separates WAN regions, so that link is a boundary on
