@@ -49,7 +49,8 @@ class MultipathRouter(ProactiveRouter):
     def _rebuild(self) -> None:
         self._rebuild_pending = False
         self.rebuild_count += 1
-        graph = self._discovery.graph()
+        view = self._discovery.view()
+        graph = view.graph
         wanted: Dict[Tuple[int, MACAddress], FrozenSet[int]] = {}
         for entry in self._tracker.hosts_by_mac.values():
             if entry.dpid not in graph:
@@ -69,7 +70,7 @@ class MultipathRouter(ProactiveRouter):
                 )[: self.max_paths]
                 ports = set()
                 for hop in next_hops:
-                    port = self._discovery.port_toward(dpid, hop)
+                    port = view.port_toward(dpid, hop)
                     if port is not None:
                         ports.add(port)
                 if ports:

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.controller.core import App
 from repro.controller.discovery import TopologyDiscovery
 from repro.controller.events import (
@@ -31,7 +29,6 @@ from repro.controller.hosttracker import HostTracker
 from repro.dataplane.actions import Output
 from repro.dataplane.match import Match
 from repro.errors import ControllerError
-from repro.graphutil import canonical_tree_edges
 from repro.packet import ARP, Ethernet, LLDP, MACAddress
 
 __all__ = ["ProactiveRouter"]
@@ -91,26 +88,17 @@ class ProactiveRouter(App):
     def _rebuild(self) -> None:
         self._rebuild_pending = False
         self.rebuild_count += 1
-        graph = self._discovery.graph()
+        view = self._discovery.view()
+        # Insertion order is the flow-mod order: hosts as learned, the
+        # attachment switch first, then the view's shortest-path tree
+        # toward it (one BFS per attachment switch, shared by its hosts).
         wanted: Dict[Tuple[int, MACAddress], int] = {}
         for entry in self._tracker.hosts_by_mac.values():
-            if entry.dpid not in graph:
+            if entry.dpid not in view.graph:
                 continue
-            # Shortest-path tree toward the host's attachment switch.
-            try:
-                paths = nx.single_source_shortest_path(graph, entry.dpid)
-            except nx.NodeNotFound:  # pragma: no cover - defensive
-                continue
-            for dpid, path in paths.items():
-                if dpid == entry.dpid:
-                    wanted[(dpid, entry.mac)] = entry.port
-                    continue
-                # path is [entry.dpid, ..., dpid]; next hop back toward
-                # the host is the second-to-last element.
-                next_hop = path[-2]
-                port = self._discovery.port_toward(dpid, next_hop)
-                if port is not None:
-                    wanted[(dpid, entry.mac)] = port
+            wanted[(entry.dpid, entry.mac)] = entry.port
+            for dpid, port in view.next_hops(entry.dpid).items():
+                wanted[(dpid, entry.mac)] = port
         self._apply_diff(wanted)
 
     def _apply_diff(self, wanted: Dict[Tuple[int, MACAddress], int]) -> None:
@@ -184,19 +172,10 @@ class ProactiveRouter(App):
 
     def flood_ports(self, dpid: int) -> Set[int]:
         """Edge ports plus this switch's spanning-tree ports."""
-        graph = self._discovery.graph()
         switch = self.controller.switches.get(dpid)
         if switch is None:
             return set()
-        all_ports = {p.number for p in switch.ports.values() if p.up}
-        inter_switch = self._discovery.switch_ports_in_use(dpid)
-        edge_ports = all_ports - inter_switch
-        tree_ports: Set[int] = set()
-        if dpid in graph and graph.number_of_edges() > 0:
-            for edge in canonical_tree_edges(graph):
-                if dpid in edge:
-                    (other,) = edge - {dpid}
-                    port = self._discovery.port_toward(dpid, other)
-                    if port is not None:
-                        tree_ports.add(port)
-        return edge_ports | tree_ports
+        view = self._discovery.view()
+        up_ports = {p.number for p in switch.ports.values() if p.up}
+        return ((up_ports - view.inter_switch_ports(dpid))
+                | view.tree_ports(dpid))

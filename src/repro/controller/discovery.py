@@ -6,13 +6,18 @@ unidirectional link.  Links age out when probes stop arriving, and port-
 down events remove them immediately (the fast path that failure-recovery
 experiments measure).
 
-The discovered graph is exposed as a :mod:`networkx` graph for the path
-service, and edge-port classification feeds the host tracker.
+Everything apps ask about the discovered topology — the
+:mod:`networkx` graph, which port faces which neighbour, which ports
+face a switch at all, the flood tree, next hops toward a switch — is
+answered from one :class:`TopologyView`, derived once per topology
+*version* and shared until a link or the switch set changes.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, Optional, Tuple,
+)
 
 import networkx as nx
 
@@ -24,13 +29,16 @@ from repro.controller.events import (
 )
 from repro.dataplane.actions import Output, PORT_CONTROLLER
 from repro.dataplane.match import Match
+from repro.graphutil import canonical_tree_edges
 from repro.packet import Ethernet, EtherType, LLDP, LLDP_MULTICAST, Packet
 from repro.southbound.codec import FrameCache
 
-__all__ = ["TopologyDiscovery", "DiscoveredLink"]
+__all__ = ["TopologyDiscovery", "TopologyView", "DiscoveredLink"]
 
 #: Priority for the punt-LLDP-to-controller rule; above everything else.
 LLDP_RULE_PRIORITY = 65000
+
+_NO_PORTS: FrozenSet[int] = frozenset()
 
 
 class DiscoveredLink:
@@ -55,6 +63,88 @@ class DiscoveredLink:
             f"<Link {self.src_dpid}:{self.src_port} -> "
             f"{self.dst_dpid}:{self.dst_port}>"
         )
+
+
+class TopologyView:
+    """What apps ask of one topology version, derived once and shared.
+
+    Immutable: ``graph`` is frozen (``graph.copy()`` before pruning)
+    and the port sets are frozensets.  Nodes and edges are inserted in
+    ``controller.switches`` then ``links`` order, because networkx
+    breaks shortest-path ties by adjacency insertion order and the
+    resulting flow-mod sequence is part of every run digest.
+    """
+
+    __slots__ = ("version", "graph", "_toward", "_inter_switch",
+                 "_tree_ports", "_next_hops")
+
+    def __init__(self, version: int, switches: Iterable[int],
+                 links: Iterable[DiscoveredLink]) -> None:
+        self.version = version
+        graph = nx.Graph()
+        graph.add_nodes_from(switches)
+        toward: Dict[Tuple[int, int], int] = {}
+        inter_switch: Dict[int, set] = {}
+        for link in links:
+            # A parallel link re-adds the edge: ``ports`` keeps the last
+            # one seen, ``toward`` the first.
+            graph.add_edge(
+                link.src_dpid, link.dst_dpid,
+                ports={link.src_dpid: link.src_port,
+                       link.dst_dpid: link.dst_port},
+            )
+            toward.setdefault((link.src_dpid, link.dst_dpid),
+                              link.src_port)
+            inter_switch.setdefault(link.src_dpid, set()).add(link.src_port)
+            inter_switch.setdefault(link.dst_dpid, set()).add(link.dst_port)
+        tree_ports: Dict[int, set] = {}
+        for a, b in canonical_tree_edges(graph):
+            for ends in ((a, b), (b, a)):
+                if ends in toward:  # seen from that side, not just the far one
+                    tree_ports.setdefault(ends[0], set()).add(toward[ends])
+        #: Undirected switch graph; an edge exists once either direction
+        #: has been observed, and its ``ports`` attribute maps each
+        #: endpoint dpid to its local port.
+        self.graph: nx.Graph = nx.freeze(graph)
+        self._toward = toward
+        self._inter_switch = {
+            dpid: frozenset(ports) for dpid, ports in inter_switch.items()}
+        self._tree_ports = {
+            dpid: frozenset(ports) for dpid, ports in tree_ports.items()}
+        self._next_hops: Dict[int, Dict[int, int]] = {}
+
+    def port_toward(self, src_dpid: int, dst_dpid: int) -> Optional[int]:
+        """The port on ``src_dpid`` that reaches neighbour ``dst_dpid``."""
+        return self._toward.get((src_dpid, dst_dpid))
+
+    def inter_switch_ports(self, dpid: int) -> FrozenSet[int]:
+        """Ports of ``dpid`` known to face another switch."""
+        return self._inter_switch.get(dpid, _NO_PORTS)
+
+    def tree_ports(self, dpid: int) -> FrozenSet[int]:
+        """Ports of ``dpid`` on the canonical flood spanning tree."""
+        return self._tree_ports.get(dpid, _NO_PORTS)
+
+    def next_hops(self, dst_dpid: int) -> Dict[int, int]:
+        """``{dpid: out_port}`` one hop closer to ``dst_dpid``.
+
+        Covers every other switch that can reach ``dst_dpid`` (which
+        must be in :attr:`graph`) over a known port, in breadth-first
+        order from ``dst_dpid``; one BFS per destination per view.
+        """
+        hops = self._next_hops.get(dst_dpid)
+        if hops is None:
+            paths = nx.single_source_shortest_path(self.graph, dst_dpid)
+            hops = self._next_hops[dst_dpid] = {}
+            for dpid, path in paths.items():
+                if dpid == dst_dpid:
+                    continue
+                # path is [dst_dpid, ..., dpid]: the hop back toward the
+                # destination is the second-to-last element.
+                port = self._toward.get((dpid, path[-2]))
+                if port is not None:
+                    hops[dpid] = port
+        return hops
 
 
 class TopologyDiscovery(App):
@@ -82,6 +172,12 @@ class TopologyDiscovery(App):
         # build each one exactly once across all intervals; the frame
         # carries its own wire bytes after the first packet-out.
         self._frames = FrameCache()
+        # What the current view was built from; see ``version``.
+        self._version = 0
+        self._switches: Tuple[int, ...] = ()
+        self._view: Optional[TopologyView] = None
+        #: Views derived so far: one per version somebody asked about.
+        self.views_built = 0
 
     def start(self, controller) -> None:
         super().start(controller)
@@ -168,6 +264,7 @@ class TopologyDiscovery(App):
             self._remove_links([key])
         link = DiscoveredLink(src_dpid, src_port, dst_dpid, dst_port, now)
         self.links[key] = link
+        self._version += 1
         self.controller.publish(LinkDiscovered(
             link.src_dpid, link.src_port, link.dst_dpid, link.dst_port
         ))
@@ -206,51 +303,66 @@ class TopologyDiscovery(App):
             link = self.links.pop(key, None)
             if link is not None:
                 removed.append(link)
+        if removed:
+            self._version += 1
         for link in removed:
             self.controller.publish(LinkVanished(
                 link.src_dpid, link.src_port, link.dst_dpid, link.dst_port
             ))
 
+    def forget(self) -> None:
+        """Drop every link silently, as a crashed process would.
+
+        Nothing is published: the apps that would listen were wiped
+        with us, and LLDP re-learns the fabric within one probe round.
+        """
+        self.links.clear()
+        self._version += 1
+
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def graph(self) -> nx.Graph:
-        """An undirected switch graph with per-edge port annotations.
+    @property
+    def version(self) -> int:
+        """Counts changes to what a :class:`TopologyView` reads.
 
-        An edge exists once either direction has been observed; edge
-        attribute ``ports`` maps each endpoint dpid to its local port.
+        Bumped when a link is added, rewired or removed and when the
+        key sequence of ``controller.switches`` differs from the last
+        one seen here — compared on read, so it holds whoever wrote
+        the dict and in whatever app order.  A probe that only
+        refreshes ``last_seen`` does not bump it.
         """
-        g = nx.Graph()
-        for dpid in self.controller.switches:
-            g.add_node(dpid)
-        for link in self.links.values():
-            g.add_edge(
-                link.src_dpid, link.dst_dpid,
-                ports={link.src_dpid: link.src_port,
-                       link.dst_dpid: link.dst_port},
-            )
-        return g
+        switches = tuple(self.controller.switches)
+        if switches != self._switches:
+            self._switches = switches
+            self._version += 1
+        return self._version
+
+    def view(self) -> TopologyView:
+        """The view of the current version, built on first use."""
+        version = self.version
+        view = self._view
+        if view is None or view.version != version:
+            view = self._view = TopologyView(
+                version, self._switches, self.links.values())
+            self.views_built += 1
+        return view
+
+    def graph(self) -> nx.Graph:
+        """The current view's switch graph: shared and frozen."""
+        return self.view().graph
 
     def port_toward(self, src_dpid: int, dst_dpid: int) -> Optional[int]:
         """The port on ``src_dpid`` that reaches neighbour ``dst_dpid``."""
-        for link in self.links.values():
-            if link.src_dpid == src_dpid and link.dst_dpid == dst_dpid:
-                return link.src_port
-        return None
+        return self.view().port_toward(src_dpid, dst_dpid)
 
-    def switch_ports_in_use(self, dpid: int) -> Set[int]:
+    def switch_ports_in_use(self, dpid: int) -> FrozenSet[int]:
         """Ports of ``dpid`` known to face another switch."""
-        used: Set[int] = set()
-        for link in self.links.values():
-            if link.src_dpid == dpid:
-                used.add(link.src_port)
-            if link.dst_dpid == dpid:
-                used.add(link.dst_port)
-        return used
+        return self.view().inter_switch_ports(dpid)
 
     def is_edge_port(self, dpid: int, port_no: int) -> bool:
         """True when no discovered link uses this port (host-facing)."""
-        return port_no not in self.switch_ports_in_use(dpid)
+        return port_no not in self.view().inter_switch_ports(dpid)
 
     @property
     def link_count(self) -> int:

@@ -20,7 +20,7 @@ __all__ = ["PathService"]
 
 
 class PathService:
-    """Stateless path queries against the live discovery graph."""
+    """Path queries against discovery's current topology view."""
 
     def __init__(self, discovery: TopologyDiscovery) -> None:
         self.discovery = discovery
@@ -51,7 +51,7 @@ class PathService:
                 paths.append(path)
                 if len(paths) >= k:
                     break
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        except nx.NetworkXNoPath:
             return []
         return paths
 
@@ -68,7 +68,7 @@ class PathService:
                 if len(paths) >= limit:
                     break
             return paths
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        except nx.NetworkXNoPath:
             return []
 
     def distance(self, src_dpid: int, dst_dpid: int) -> Optional[int]:

@@ -225,7 +225,7 @@ class ZenPlatform:
     def _make_wipe_hook(discovery, tracker, router, learning):
         """What a crashed cluster node forgets (its apps' soft state)."""
         def wipe() -> None:
-            discovery.links.clear()
+            discovery.forget()
             tracker.hosts_by_mac.clear()
             tracker.hosts_by_ip.clear()
             if router is not None:

@@ -122,16 +122,12 @@ class Header:
 
     def fields(self) -> dict:
         """A name→value mapping of the public fields, for repr/tests."""
-        try:
-            source = vars(self).items()
-        except TypeError:  # slotted subclass: walk declared slots
-            source = (
-                (name, getattr(self, name))
-                for klass in reversed(type(self).__mro__)
-                for name in getattr(klass, "__slots__", ())
-                if hasattr(self, name)
-            )
-        return {k: v for k, v in source if not k.startswith("_")}
+        cls = type(self)
+        found = {name: getattr(self, name) for name in cls._slot_names
+                 if hasattr(self, name)}
+        if cls.__dictoffset__:
+            found.update(vars(self))
+        return {k: v for k, v in found.items() if not k.startswith("_")}
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -192,3 +192,64 @@ class TestProactiveRouter:
         # 3 ARP retries over a 4-switch tree: bounded, not exponential
         # (LLDP probes continue in the background; allow generous slack).
         assert after - before < 120
+
+    def test_floods_read_the_topology_view_and_build_nothing(
+            self, monkeypatch):
+        """Call-count sentinel: machine-independent, so it can gate tier 1.
+
+        A flood is "live up-ports minus the view's inter-switch ports,
+        plus the view's tree ports": while the topology stands still
+        (LLDP refreshes do not count) thousands of floods derive no
+        view and construct no graph.
+        """
+        import networkx as nx
+
+        from repro.controller.discovery import TopologyView
+
+        versions = []
+        view_init = TopologyView.__init__
+
+        def recording_init(self, version, switches, links):
+            versions.append(version)
+            view_init(self, version, switches, links)
+
+        monkeypatch.setattr(TopologyView, "__init__", recording_init)
+        platform = ZenPlatform(
+            Topology.fat_tree(4, bandwidth_bps=1e9)).start()
+        hosts = platform.seed_static_arp()
+        src, silent = hosts[0], hosts[-1]  # ``silent`` is never learned
+        discovery, router = platform.discovery, platform.router
+        src.send_udp(silent.ip, 1, 2, b"x")
+        platform.run(0.5)  # src learned, rebuild done, view derived
+
+        graphs = []
+        graph_init = nx.Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            graphs.append(1)
+            graph_init(self, *args, **kwargs)
+
+        views, floods = discovery.views_built, router.packets_flooded
+        version = discovery.version
+        with monkeypatch.context() as patch:
+            patch.setattr(nx.Graph, "__init__", counting_init)
+            for i in range(300):
+                platform.sim.schedule(i * 0.01, src.send_udp, silent.ip,
+                                      1, 2, b"x")
+            platform.run(4.0)  # spans several LLDP probe rounds
+        floods = router.packets_flooded - floods
+        assert floods >= 300 and silent.rx_packets >= 300
+        assert discovery.version == version
+        assert discovery.views_built == views and not graphs
+        # A topology change is what does cost a view: one per version
+        # somebody asks about, however many floods each one serves.
+        platform.fail_link("p0e0", "p0a0")
+        platform.run(0.5)
+        src.send_udp(silent.ip, 1, 2, b"x")
+        platform.run(0.5)
+        # CI runs this test with -s and greps the line into the summary.
+        print(f"\ntopology sentinel: {discovery.views_built} views / "
+              f"{router.packets_flooded} floods")
+        assert discovery.views_built > views
+        assert len(versions) == len(set(versions)) == discovery.views_built
+        assert discovery.views_built <= discovery.version < 200

@@ -1,6 +1,7 @@
 """Tests for the extension features: multipath routing, protected
 pairs (fast failover), and link taps."""
 
+import networkx as nx
 
 from repro.apps import MultipathRouter, ProtectedPairs
 from repro.core import ZenPlatform
@@ -124,6 +125,12 @@ class TestProtectedPairs:
         backup_edges = set(map(frozenset,
                                zip(pair.backup, pair.backup[1:])))
         assert not primary_edges & backup_edges
+        # The backup search pruned a copy: the view's graph is shared
+        # and frozen, and still holds the primary's links.
+        graph = platform.discovery.graph()
+        assert nx.is_frozen(graph)
+        assert all(graph.has_edge(*hop)
+                   for hop in zip(pair.primary, pair.primary[1:]))
         session = h1.ping(h2.ip, count=2, interval=0.1)
         platform.run(3.0)
         assert session.received == 2

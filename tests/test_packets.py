@@ -334,6 +334,19 @@ class TestCopy:
         dup.headers[1].data = b"cd"
         assert pkt.encode() == wire != dup.encode()
 
+    def test_fields_of_a_dict_backed_subclass_keep_the_parent_slots(self):
+        class Tagged(IPv4):  # no __slots__: a __dict__ beside IPv4's slots
+            pass
+
+        a = Tagged(src="1.1.1.1", dst="2.2.2.2", ttl=9)
+        b = Tagged(src="1.1.1.1", dst="2.2.2.2", ttl=8)
+        a.note = b.note = 1
+        assert a.fields()["ttl"] == 9 and a.fields()["note"] == 1
+        assert set(IPv4().fields()) < set(a.fields())
+        assert a != b and "ttl=9" in repr(a)
+        b.ttl = 9
+        assert a == b
+
 
 #: One step of the staleness property: (operation, which packet, value).
 _STEPS = st.tuples(
