@@ -22,9 +22,11 @@ moves whenever the thing being observed gets cheaper:
   degraded as the cluster grew.  Gated only when ``BENCH_E15.json`` is
   present.
 * **E16 (workload suite)** — the reproducibility verdicts: per-scenario
-  digests identical across worker counts, paired run artifacts diff
-  clean, and every scenario completed flows.  Gated only when
-  ``BENCH_E16.json`` is present.
+  digests identical across worker counts and equal to the committed
+  references in ``benchmarks/baseline_e16.json`` (the only gate on the
+  library digests across commits), paired run artifacts diff clean, and
+  every scenario completed flows.  Gated only when ``BENCH_E16.json``
+  is present.
 * **E17 (sharded kernel)** — bit-identity of the merged observables
   across shard counts and coordinators (gated on every machine, and
   against the committed reference digest in
@@ -66,6 +68,7 @@ E14_CURRENT = os.path.join(os.path.dirname(HERE), "BENCH_E14.json")
 E15_CURRENT = os.path.join(os.path.dirname(HERE), "BENCH_E15.json")
 
 E16_CURRENT = os.path.join(os.path.dirname(HERE), "BENCH_E16.json")
+E16_BASELINE = os.path.join(HERE, "baseline_e16.json")
 
 E17_CURRENT = os.path.join(os.path.dirname(HERE), "BENCH_E17.json")
 E17_BASELINE = os.path.join(HERE, "baseline_e17.json")
@@ -141,6 +144,8 @@ def check_e16() -> int:
         return 0
     with open(E16_CURRENT) as fh:
         current = json.load(fh)
+    with open(E16_BASELINE) as fh:
+        baseline = json.load(fh)
     identical = current["identical"]
     diff_clean = current["diff_clean"]
     scenarios = current["scenarios"]
@@ -153,6 +158,14 @@ def check_e16() -> int:
     if not diff_clean:
         print("FAIL: paired workload run artifacts diverged")
         return 1
+    for name, digest in sorted(baseline["digests"].items()):
+        got = scenarios.get(name, {}).get("digest", "absent")
+        if got != digest:
+            print(f"FAIL: workload {name!r} digest {got[:16]} drifted "
+                  f"from committed reference {digest[:16]} — the "
+                  f"simulation changed behaviour (or refresh "
+                  f"baseline_e16.json deliberately)")
+            return 1
     starved = [name for name, s in sorted(scenarios.items())
                if s["flows_completed"] <= 0]
     if starved:

@@ -36,6 +36,7 @@ from repro.check import (
     generate_scenario,
     run_scenario,
 )
+from repro.workload import assemble
 
 from harness import publish, publish_json
 
@@ -123,10 +124,7 @@ def test_e13_checker_recall_precision_cost():
 
     # -- cost on the largest clean stack ------------------------------
     scenario = example_scenarios()[-1]  # multipath mesh fabric
-    from repro.check.fuzzer import _build_stack
-
-    platform = _build_stack(scenario, fast_path=True)
-    platform.start()
+    platform = assemble(scenario).platform  # started, nothing run yet
     checker = NetworkChecker()
     checker.check(platform.net)  # warm any import-time costs
     start = time.perf_counter()

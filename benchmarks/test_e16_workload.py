@@ -5,17 +5,20 @@ Question: what do the platform's flows actually experience under
 carrier WAN breathing through a diurnal cycle — and is the whole
 scenario plane reproducible enough to gate on?
 
-Workload: the ``repro.workload`` library scenarios ``dc-heavy-tail``
+Workload: the whole ``repro.workload`` library — ``dc-heavy-tail``
 (fat-tree k=4, elephant/mice Poisson mix), ``incast-storm`` (periodic
-8-way fan-in at one aggregator), and ``wan-diurnal`` (carrier WAN,
-sinusoidal day curve, one core link flap).  The suite runs twice — one
+8-way fan-in at one aggregator), ``wan-diurnal`` (carrier WAN,
+sinusoidal day curve, one core link flap) and ``tenant-millions``
+(tenant matrices, ~2.4 M modelled users).  The suite runs twice — one
 worker, then two worker processes — and every run freezes into an obs
 :class:`~repro.obs.artifact.RunArtifact`.
 
 Contract:
 
 * per-scenario digests are bit-identical across the two suite runs —
-  the process fan-out changes wall-clock only;
+  the process fan-out changes wall-clock only — and, in
+  ``check_regression.py``, equal to the ones committed in
+  ``benchmarks/baseline_e16.json`` (identity across commits);
 * ``diff_runs`` between the paired artifacts is clean (the property
   that lets CI diff workload runs against committed baselines);
 * every scenario completes flows and reports tail FCT and a non-zero
@@ -35,7 +38,8 @@ from repro.workload import library, run_suite, suite_digest
 
 from harness import RESULTS_DIR, publish, publish_json
 
-SCENARIOS = ("dc-heavy-tail", "incast-storm", "wan-diurnal")
+SCENARIOS = ("dc-heavy-tail", "incast-storm", "wan-diurnal",
+             "tenant-millions")
 
 
 def fmt_ms(value):

@@ -39,11 +39,11 @@ PROTECT_PRIORITY = 28000
 class ProtectedPair:
     """State for one protected (src, dst) host pair."""
 
-    _next_id = 1
-
     def __init__(self, src_mac: MACAddress, dst_mac: MACAddress) -> None:
-        self.pair_id = ProtectedPair._next_id
-        ProtectedPair._next_id += 1
+        #: Allocated by :meth:`ProtectedPairs.protect_ips` from the
+        #: run's simulator — it goes on the wire as the flow cookie, so
+        #: it must not depend on what else this process has run.
+        self.pair_id: Optional[int] = None
         self.src_mac = src_mac
         self.dst_mac = dst_mac
         self.primary: Optional[List[int]] = None
@@ -99,6 +99,7 @@ class ProtectedPairs(App):
         src = self._tracker.require_ip(IPv4Address(src_ip))
         dst = self._tracker.require_ip(IPv4Address(dst_ip))
         pair = ProtectedPair(src.mac, dst.mac)
+        pair.pair_id = self.controller.sim.next_id("protected-pair")
         self.pairs[pair.pair_id] = pair
         self._establish(pair)
         return pair

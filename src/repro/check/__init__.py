@@ -16,14 +16,15 @@ The verification plane, in three layers:
   firewall compliance) and the online monitor that re-checks after
   convergence events.
 * :mod:`repro.check.fuzzer` — seeded scenario generation, execution,
-  and minimal repro files.
+  and minimal repro files.  A scenario is a
+  :class:`repro.workload.WorkloadSpec`, run through the workload
+  plane's assembler, so any workload spec can be checked as it stands.
 
 ``python -m repro check`` exposes the verify/fuzz workflow on the CLI.
 """
 
 from repro.check.cluster import ClusterViolation, check_cluster
 from repro.check.fuzzer import (
-    Scenario,
     ScenarioResult,
     example_scenarios,
     fuzz,
@@ -88,7 +89,6 @@ __all__ = [
     "NoForwardingLoops",
     "PacketClass",
     "PortSnap",
-    "Scenario",
     "ScenarioResult",
     "SliceIsolation",
     "TableSnap",

@@ -1,12 +1,14 @@
 """Seeded scenario fuzzing: generate, run, check, reproduce.
 
-A :class:`Scenario` is a JSON-serialisable tuple of (topology, app
-stack, workload, fault schedule, settle time).  Generation is a pure
-function of the seed (``random.Random(seed)``), the run itself happens
-on the deterministic kernel, and the checker verdict is computed from a
-read-only snapshot — so *everything* about a scenario replays
-bit-identically, and a failing seed can be shipped as a small repro
-file and replayed anywhere.
+A scenario is a :class:`~repro.workload.spec.WorkloadSpec` — the same
+document the workload plane runs — so the checker's verdict is about
+the network that actually runs.  Generation is a pure function of the
+seed (``random.Random(seed)``), the run itself happens on the
+deterministic kernel through the one assembler
+(:func:`repro.workload.runner.assemble`), and the checker verdict is
+computed from a read-only snapshot — so *everything* about a scenario
+replays bit-identically, and a failing seed can be shipped as a small
+repro file and replayed anywhere.
 
 Every generated fault recovers (flaps restore links and channels,
 crashes get restarts), so the pass criterion is simple and strict: the
@@ -22,15 +24,13 @@ import json
 import random
 from typing import Callable, List, Optional
 
-from repro.core import ZenPlatform
 from repro.digest import canonical_digest
-from repro.faults import arm_faults
-from repro.netem import Topology
+from repro.workload.runner import assemble
+from repro.workload.spec import WorkloadSpec, build_spec_topology
 
 from repro.check.invariants import NetworkChecker
 
 __all__ = [
-    "Scenario",
     "ScenarioResult",
     "generate_scenario",
     "generate_cluster_scenario",
@@ -46,95 +46,12 @@ __all__ = [
     "run_corpus",
 ]
 
-SCENARIO_VERSION = 1
-
 _TOPOLOGY_KINDS = ("linear", "ring", "star", "tree", "mesh")
 _PROFILE_CHOICES = ("reactive", "proactive")
 
-
-class Scenario:
-    """One fuzz case: everything needed to reproduce a run."""
-
-    __slots__ = ("seed", "name", "topology", "size", "profile", "stack",
-                 "workload", "faults", "settle", "controllers")
-
-    def __init__(self, seed: int, name: str, topology: str, size: int,
-                 profile: str, stack: str = "plain",
-                 workload: Optional[List[dict]] = None,
-                 faults: Optional[List[dict]] = None,
-                 settle: float = 8.0, controllers: int = 1) -> None:
-        self.seed = seed
-        self.name = name
-        self.topology = topology
-        self.size = size
-        self.profile = profile
-        #: "plain" (profile apps only), "policy" (slicing + firewall +
-        #: proactive routing across tables), or "multipath" (SELECT-group
-        #: ECMP fabric) — mirroring the shipped examples/ stacks.
-        self.stack = stack
-        self.workload = workload if workload is not None else []
-        self.faults = faults if faults is not None else []
-        self.settle = settle
-        #: Controller instances; > 1 runs the scenario on a clustered
-        #: platform ("plain" stack only) and unlocks the controller
-        #: fault kinds.
-        self.controllers = controllers
-
-    def to_dict(self) -> dict:
-        doc = {
-            "version": SCENARIO_VERSION,
-            "seed": self.seed,
-            "name": self.name,
-            "topology": self.topology,
-            "size": self.size,
-            "profile": self.profile,
-            "stack": self.stack,
-            "workload": list(self.workload),
-            "faults": list(self.faults),
-            "settle": self.settle,
-        }
-        # Only cluster scenarios carry the key, so every committed
-        # single-controller digest stays byte-identical.
-        if self.controllers != 1:
-            doc["controllers"] = self.controllers
-        return doc
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Scenario":
-        return cls(
-            seed=data["seed"], name=data["name"],
-            topology=data["topology"], size=data["size"],
-            profile=data["profile"], stack=data.get("stack", "plain"),
-            workload=list(data.get("workload", [])),
-            faults=list(data.get("faults", [])),
-            settle=data.get("settle", 8.0),
-            controllers=data.get("controllers", 1),
-        )
-
-    def horizon(self) -> float:
-        """Simulated seconds the run needs after start-up."""
-        last = 1.0
-        for entry in self.workload:
-            # Rich entries (repro.workload kinds) run for a duration;
-            # classic single-packet entries have none and keep their
-            # original horizon exactly.
-            last = max(last, entry["at"]
-                       + float(entry.get("duration", 0.0)) + 1.0)
-        for fault in self.faults:
-            kind = fault["kind"]
-            if kind in ("link_flap", "channel_flap"):
-                last = max(last, fault["at"]
-                           + fault["count"] * fault["period"])
-            elif kind == "controller_partition":
-                last = max(last, fault["at"] + fault["heal_after"])
-            else:  # switch_crash / controller_crash
-                last = max(last, fault["at"] + fault["restart_after"])
-        return last + self.settle
-
-    def __repr__(self) -> str:
-        return (f"<Scenario {self.name!r} seed={self.seed} "
-                f"{self.topology}({self.size})/{self.profile} "
-                f"{len(self.faults)} faults>")
+#: Sim seconds a fuzz run keeps going after its last probe or fault
+#: recovery, so resync and re-routing finish before the final check.
+_SETTLE = 8.0
 
 
 class ScenarioResult:
@@ -143,7 +60,7 @@ class ScenarioResult:
     __slots__ = ("scenario", "ok", "verdicts", "observables",
                  "monitor_failures", "faults_fired", "obs")
 
-    def __init__(self, scenario: Scenario, ok: bool, verdicts: dict,
+    def __init__(self, scenario: WorkloadSpec, ok: bool, verdicts: dict,
                  observables: dict, monitor_failures: List[str],
                  faults_fired: int, obs=None) -> None:
         self.scenario = scenario
@@ -176,16 +93,18 @@ class ScenarioResult:
 
 def _draw_skeleton(rng: random.Random, seed: int, name: str,
                    cluster: bool):
-    """Topology, profile, cluster size and probe workload — the draws
-    both generators share, in one order.  Returns ``(scenario, switch
-    names, switch-to-switch links)`` for the fault draws that follow."""
+    """Topology, profile, cluster size and probe traffic — the draws
+    both generators share, in one order.  Returns ``(spec, switch
+    names, switch-to-switch links)`` for the fault draws that follow;
+    the caller fixes ``spec.duration`` once the faults are in."""
     kind = rng.choice(_TOPOLOGY_KINDS)
     size = rng.randint(3, 5)
     profile = rng.choice(_PROFILE_CHOICES)
     controllers = rng.randint(2, 3) if cluster else 1
-    scenario = Scenario(seed, name, kind, size, profile,
-                        controllers=controllers)
-    topo = _build_topology(kind, size)
+    spec = WorkloadSpec(name, topology={"family": kind, "size": size},
+                        traffic=[], seed=seed, profile=profile,
+                        settle=_SETTLE, controllers=controllers)
+    topo = build_spec_topology(spec)
     switch_names = sorted(
         n.name for n in topo.nodes.values() if n.is_switch
     )
@@ -198,11 +117,11 @@ def _draw_skeleton(rng: random.Random, seed: int, name: str,
     )
     for _ in range(rng.randint(2, 4)):
         src, dst = rng.sample(host_names, 2)
-        scenario.workload.append({
-            "src": src, "dst": dst,
-            "at": round(rng.uniform(0.2, 2.0), 3),
+        spec.traffic.append({
+            "kind": "probe", "src": src, "dst": dst,
+            "start": round(rng.uniform(0.2, 2.0), 3),
         })
-    return scenario, switch_names, switch_links
+    return spec, switch_names, switch_links
 
 
 def _draw_flap(rng: random.Random, at: float, down_for: float,
@@ -220,32 +139,33 @@ def _draw_down_for(rng: random.Random) -> float:
     return round(rng.uniform(0.3, 0.8), 3)
 
 
-def generate_scenario(seed: int) -> Scenario:
+def generate_scenario(seed: int) -> WorkloadSpec:
     """A deterministic function of ``seed`` — same seed, same scenario."""
     rng = random.Random(seed)
-    scenario, switch_names, switch_links = _draw_skeleton(
+    spec, switch_names, switch_links = _draw_skeleton(
         rng, seed, f"fuzz-{seed}", cluster=False)
     for _ in range(rng.randint(0, 3)):
         roll = rng.random()
         at = round(rng.uniform(0.5, 3.0), 3)
         if roll < 0.45 and switch_links:
             a, b = rng.choice(switch_links)
-            scenario.faults.append(_draw_flap(
+            spec.faults.append(_draw_flap(
                 rng, at, _draw_down_for(rng), kind="link_flap", a=a, b=b))
         elif roll < 0.8:
-            scenario.faults.append(_draw_flap(
+            spec.faults.append(_draw_flap(
                 rng, at, _draw_down_for(rng), kind="channel_flap",
                 switch=rng.choice(switch_names)))
         else:
-            scenario.faults.append({
+            spec.faults.append({
                 "kind": "switch_crash",
                 "switch": rng.choice(switch_names), "at": at,
                 "restart_after": round(rng.uniform(0.5, 1.0), 3),
             })
-    return scenario
+    spec.duration = spec.horizon()
+    return spec
 
 
-def generate_cluster_scenario(seed: int) -> Scenario:
+def generate_cluster_scenario(seed: int) -> WorkloadSpec:
     """A deterministic cluster fuzz case — same seed, same scenario.
 
     Seeded on a *distinct* stream from :func:`generate_scenario` so the
@@ -256,86 +176,41 @@ def generate_cluster_scenario(seed: int) -> Scenario:
     is exercised by the dedicated cluster tests instead.
     """
     rng = random.Random(f"cluster-{seed}")
-    scenario, switch_names, switch_links = _draw_skeleton(
+    spec, switch_names, switch_links = _draw_skeleton(
         rng, seed, f"cluster-fuzz-{seed}", cluster=True)
-    controllers = scenario.controllers
+    controllers = spec.controllers
     for _ in range(rng.randint(1, 3)):
         roll = rng.random()
         at = round(rng.uniform(0.5, 3.0), 3)
         if roll < 0.25 and switch_links:
             a, b = rng.choice(switch_links)
-            scenario.faults.append(_draw_flap(
+            spec.faults.append(_draw_flap(
                 rng, at, _draw_down_for(rng), kind="link_flap", a=a, b=b))
         elif roll < 0.45:
-            scenario.faults.append(_draw_flap(
+            spec.faults.append(_draw_flap(
                 rng, at, _draw_down_for(rng), kind="channel_flap",
                 switch=rng.choice(switch_names)))
         elif roll < 0.8:
-            scenario.faults.append({
+            spec.faults.append({
                 "kind": "controller_crash",
                 "node": rng.randrange(controllers), "at": at,
                 "restart_after": round(rng.uniform(0.5, 1.2), 3),
             })
         else:
-            scenario.faults.append({
+            spec.faults.append({
                 "kind": "controller_partition",
                 "minority": [rng.randrange(controllers)], "at": at,
                 "heal_after": round(rng.uniform(0.5, 1.2), 3),
             })
-    return scenario
-
-
-def _build_topology(kind: str, size: int) -> Topology:
-    return Topology.build(kind, size, 1e9)
+    spec.duration = spec.horizon()
+    return spec
 
 
 # ----------------------------------------------------------------------
 # Execution
 # ----------------------------------------------------------------------
 
-def _build_stack(scenario: Scenario, fast_path: bool,
-                 telemetry=None) -> ZenPlatform:
-    stack = scenario.stack
-    if stack not in ("plain", "policy", "multipath"):
-        raise ValueError(f"unknown stack {stack!r}")
-    clustered = scenario.controllers > 1
-    if clustered and stack != "plain":
-        raise ValueError(
-            f"cluster scenarios need the plain stack, not {stack!r}"
-        )
-    platform = ZenPlatform(
-        _build_topology(scenario.topology, scenario.size),
-        profile=scenario.profile if stack == "plain" else "bare",
-        seed=scenario.seed, fast_path=fast_path, telemetry=telemetry,
-        controllers=scenario.controllers if clustered else None,
-    )
-    if stack == "policy":
-        from repro.apps.firewall import Firewall
-        from repro.apps.proactive_router import ProactiveRouter
-        from repro.apps.slicing import NetworkSlicing
-
-        slicing = platform.add_app(
-            NetworkSlicing(table_id=0, next_table=1)
-        )
-        firewall = platform.add_app(
-            Firewall(table_id=1, next_table=2)
-        )
-        platform.router = platform.add_app(ProactiveRouter(table_id=2))
-        hosts = sorted(platform.net.hosts)
-        half = max(1, len(hosts) // 2)
-        slicing.define_slice(
-            "blue", [platform.net.hosts[h].ip for h in hosts[:half]],
-            rate_bps=50e6,
-        )
-        firewall.deny(l4_dst=23)  # no telnet across the fabric
-    elif stack == "multipath":
-        from repro.apps import MultipathRouter
-
-        platform.router = platform.add_app(MultipathRouter(max_paths=2))
-    return platform
-
-
-def platform_observables(platform: ZenPlatform) -> dict:
+def platform_observables(platform) -> dict:
     """Everything externally visible about a finished run, as plain
     data — the object two runs are compared on for bit-identity."""
     net = platform.net
@@ -368,60 +243,29 @@ def platform_observables(platform: ZenPlatform) -> dict:
     }
 
 
-def run_scenario(scenario: Scenario, fast_path: bool = True,
+def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
                  monitor: bool = False,
                  checker: Optional[NetworkChecker] = None,
-                 telemetry: bool = False, obs: bool = False,
-                 obs_interval: float = 0.05) -> ScenarioResult:
-    """Build, run, and check one scenario.  Deterministic end to end.
+                 telemetry: bool = False,
+                 obs: bool = False) -> ScenarioResult:
+    """Assemble, run, and check one spec.  Deterministic end to end.
 
-    ``telemetry=True`` runs with the metrics plane enabled;
-    ``obs=True`` additionally attaches a full
+    No plane is on unless asked for: ``telemetry=True`` runs with the
+    metrics plane enabled; ``obs=True`` additionally attaches a full
     :class:`~repro.obs.ObsPlane` (implies telemetry) whose scraper,
     SLOs, and annotations must leave the observables bit-identical —
     the invariant ``tests/test_obs.py`` checks over the fuzz corpus.
     """
-    tel = None
-    if telemetry or obs:
-        from repro.telemetry import Telemetry
-
-        tel = Telemetry(profile=False)
-    platform = _build_stack(scenario, fast_path, telemetry=tel)
-    platform.start()
-    net = platform.net
-    hosts = platform.seed_static_arp()
-
     if checker is None:
         checker = NetworkChecker()
-    schedule = platform.fault_schedule()
-    plane, mon = platform.observe(
-        schedule, interval=obs_interval if obs else None,
-        monitor=checker if monitor else False,
-    )
-    base = net.sim.now
-    arm_faults(schedule, scenario.faults, base=base)
-    traffic_sinks: dict = {}
-    for entry in scenario.workload:
-        if "kind" in entry:
-            # A repro.workload traffic entry (flows/incast/diurnal/cbr)
-            # — arm the real generator so invariants are checked under
-            # realistic load, not just single probe packets.
-            from repro.workload.generators import arm_traffic
-
-            doc = dict(entry)
-            doc["start"] = float(doc.pop("at", 0.0))
-            arm_traffic(net.sim, hosts, doc, traffic_sinks)
-            continue
-        src, dst = entry["src"], entry["dst"]
-        net.sim.schedule_at(
-            base + entry["at"],
-            lambda s=src, d=dst: net.hosts[s].send_udp(
-                net.hosts[d].ip, 5001, 5001, b"fuzz"
-            ),
-        )
-    platform.run(scenario.horizon())
-    if plane is not None:
-        plane.finish()
+    live = assemble(scenario, telemetry=telemetry, obs=obs,
+                    monitor=checker if monitor else False,
+                    fast_path=fast_path)
+    platform, mon = live.platform, live.monitor
+    net = platform.net
+    platform.run(scenario.duration)
+    if live.plane is not None:
+        live.plane.finish()
 
     final = checker.check(net)
     ok = final.ok
@@ -444,8 +288,8 @@ def run_scenario(scenario: Scenario, fast_path: bool = True,
         observables=platform_observables(platform),
         monitor_failures=[r.trigger for r in mon.failing_records()]
         if mon is not None else [],
-        faults_fired=len(schedule.log),
-        obs=plane,
+        faults_fired=len(live.schedule.log),
+        obs=live.plane,
     )
 
 
@@ -477,7 +321,7 @@ def fuzz(count: int, start_seed: int = 0, monitor: bool = False,
     return results
 
 
-def write_repro(path: str, scenario: Scenario,
+def write_repro(path: str, scenario: WorkloadSpec,
                 result: ScenarioResult) -> None:
     """A self-contained, replayable failure record."""
     payload = {
@@ -490,11 +334,15 @@ def write_repro(path: str, scenario: Scenario,
         fh.write("\n")
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: str) -> WorkloadSpec:
+    """The spec in a repro file — or the file itself, when it is a bare
+    spec document (``WorkloadSpec.to_dict()`` / ``workload run --spec``
+    form)."""
     with open(path) as fh:
         payload = json.load(fh)
-    data = payload.get("scenario", payload)
-    return Scenario.from_dict(data)
+    if isinstance(payload, dict):
+        payload = payload.get("scenario", payload)
+    return WorkloadSpec.from_dict(payload)
 
 
 def replay(path: str, monitor: bool = False) -> ScenarioResult:
@@ -502,25 +350,27 @@ def replay(path: str, monitor: bool = False) -> ScenarioResult:
     return run_scenario(load_scenario(path), monitor=monitor)
 
 
-def minimize(scenario: Scenario,
-             still_fails: Optional[Callable[[Scenario], bool]] = None
-             ) -> Scenario:
+def minimize(scenario: WorkloadSpec,
+             still_fails: Optional[Callable[[WorkloadSpec], bool]] = None
+             ) -> WorkloadSpec:
     """Greedily shrink a failing scenario while it keeps failing.
 
     Drops faults first (usually the interesting part is one injection),
-    then workload entries.  Deterministic; bounded by the scenario size.
+    then traffic entries; ``duration`` is kept, so every candidate is
+    checked at the instant the original failed.  Deterministic; bounded
+    by the scenario size.
     """
     if still_fails is None:
-        def still_fails(s: Scenario) -> bool:
+        def still_fails(s: WorkloadSpec) -> bool:
             return not run_scenario(s).ok
 
     if not still_fails(scenario):
         return scenario  # not failing: nothing to minimise
     current = scenario
-    for attr in ("faults", "workload"):
+    for attr in ("faults", "traffic"):
         index = 0
         while index < len(getattr(current, attr)):
-            trimmed = Scenario.from_dict(current.to_dict())
+            trimmed = WorkloadSpec.from_dict(current.to_dict())
             del getattr(trimmed, attr)[index]
             trimmed.name = f"{scenario.name}-min"
             if still_fails(trimmed):
@@ -549,25 +399,26 @@ def run_corpus(path: str) -> List[ScenarioResult]:
 # The examples/ suite, as checkable scenarios
 # ----------------------------------------------------------------------
 
-def example_scenarios() -> List[Scenario]:
+def example_scenarios() -> List[WorkloadSpec]:
     """Canned scenarios mirroring the shipped examples/ stacks.
 
     Each must check clean — this is the CLI's ``check verify`` suite and
     the CI smoke gate.
     """
+    def example(name, family, size, profile, dst, stack="plain"):
+        return WorkloadSpec(
+            name, topology={"family": family, "size": size},
+            traffic=[{"kind": "probe", "src": "h1", "dst": dst,
+                      "start": 0.5}],
+            profile=profile, settle=_SETTLE, stack=stack)
+
     return [
-        Scenario(0, "quickstart", "single", 4, "reactive",
-                 workload=[{"src": "h1", "dst": "h2", "at": 0.5}]),
-        Scenario(0, "linear-reactive", "linear", 3, "reactive",
-                 workload=[{"src": "h1", "dst": "h3", "at": 0.5}]),
-        Scenario(0, "failover-ring", "ring", 4, "proactive",
-                 workload=[{"src": "h1", "dst": "h3", "at": 0.5}]),
-        Scenario(0, "datacenter-tree", "tree", 2, "proactive",
-                 workload=[{"src": "h1", "dst": "h2", "at": 0.5}]),
-        Scenario(0, "enterprise-policy", "star", 3, "bare",
-                 stack="policy",
-                 workload=[{"src": "h1", "dst": "h2", "at": 0.5}]),
-        Scenario(0, "multipath-fabric", "mesh", 4, "bare",
-                 stack="multipath",
-                 workload=[{"src": "h1", "dst": "h3", "at": 0.5}]),
+        example("quickstart", "single", 4, "reactive", "h2"),
+        example("linear-reactive", "linear", 3, "reactive", "h3"),
+        example("failover-ring", "ring", 4, "proactive", "h3"),
+        example("datacenter-tree", "tree", 2, "proactive", "h2"),
+        example("enterprise-policy", "star", 3, "bare", "h2",
+                stack="policy"),
+        example("multipath-fabric", "mesh", 4, "bare", "h3",
+                stack="multipath"),
     ]

@@ -330,7 +330,8 @@ def _cmd_check(args) -> int:
         verdict = "clean" if result.ok else "VIOLATIONS"
         transients = (f", {len(result.monitor_failures)} transient"
                       if result.monitor_failures else "")
-        print(f"seed {s.seed:6d} {s.topology}({s.size})/{s.profile} "
+        print(f"seed {s.seed:6d} {s.topology['family']}"
+              f"({s.topology['size']})/{s.profile} "
               f"{len(s.faults)} fault(s): {verdict}{transients}")
         if not result.ok:
             failed.append(s.seed)
@@ -426,40 +427,6 @@ def _fmt_fct(value) -> str:
     return f"{value * 1e3:.1f}ms" if value is not None else "-"
 
 
-def _run_profiled(fn, top: int, json_path: str):
-    """Run ``fn`` under cProfile; print top-N cumulative hotspots to
-    stderr and optionally dump the full stats table as JSON."""
-    import cProfile
-    import pstats
-
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        result = fn()
-    finally:
-        profiler.disable()
-    stats = pstats.Stats(profiler, stream=sys.stderr)
-    print(f"--- cProfile: top {top} by cumulative time ---",
-          file=sys.stderr)
-    stats.sort_stats("cumulative").print_stats(top)
-    if json_path:
-        rows = []
-        for (filename, line, func), (cc, nc, tt, ct, _callers) \
-                in stats.stats.items():
-            rows.append({
-                "file": filename, "line": line, "function": func,
-                "ncalls": nc, "primitive_calls": cc,
-                "tottime": tt, "cumtime": ct,
-            })
-        rows.sort(key=lambda r: r["cumtime"], reverse=True)
-        with open(json_path, "w") as fh:
-            json.dump({"sort": "cumtime", "entries": rows}, fh,
-                      indent=1)
-            fh.write("\n")
-        print(f"profile JSON written to {json_path}", file=sys.stderr)
-    return result
-
-
 def _cmd_workload(args) -> int:
     from repro.workload import (
         library,
@@ -497,22 +464,9 @@ def _cmd_workload(args) -> int:
             raise SystemExit("workload run needs --name or --spec")
         if args.seed is not None:
             spec.seed = args.seed
-        profiling = bool(args.profile or args.profile_json)
-        # cProfile sees only this process, so profiled shard runs use
-        # the in-process coordinator (bit-identical by construction).
-        shard_processes = (False if (args.shard_sequential or profiling)
-                           else None)
-
-        def execute():
-            return run_workload(spec, out=args.out or None,
-                                shards=args.shards,
-                                shard_processes=shard_processes)
-
-        if profiling:
-            result = _run_profiled(execute, args.profile_top,
-                                   args.profile_json)
-        else:
-            result = execute()
+        result = run_workload(
+            spec, out=args.out or None, shards=args.shards,
+            shard_processes=False if args.shard_sequential else None)
         s = result.summary
         if args.shards is not None:
             mode = "mp" if s["processes"] else "seq"
@@ -573,13 +527,13 @@ def _run_trace_sharded(args):
     """Traced run on the sharded kernel: one workload scenario, per-
     shard tracers merged into a single global artifact."""
     from repro.sim.shard import run_sharded
-    from repro.workload import WorkloadSpec, library
+    from repro.workload import library
 
     lib = library()
     if args.scenario not in lib:
         raise SystemExit(f"unknown scenario {args.scenario!r}; "
                          f"pick from {sorted(lib)}")
-    spec = WorkloadSpec.from_dict(lib[args.scenario].to_dict())
+    spec = lib[args.scenario]
     if args.duration is not None:
         spec.duration = args.duration
     if args.seed is not None:
@@ -928,14 +882,6 @@ def _parser() -> argparse.ArgumentParser:
     wl.add_argument("--shard-sequential", action="store_true",
                     help="force the in-process shard coordinator "
                          "instead of one worker process per shard")
-    wl.add_argument("--profile", action="store_true",
-                    help="run under cProfile and print the top "
-                         "cumulative hotspots to stderr (run mode)")
-    wl.add_argument("--profile-top", type=int, default=25,
-                    help="how many hotspots --profile prints")
-    wl.add_argument("--profile-json", default="",
-                    help="also dump the full cProfile stats table as "
-                         "JSON to this path (implies --profile)")
     wl.set_defaults(fn=_cmd_workload)
 
     tr = sub.add_parser(

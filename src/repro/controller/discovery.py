@@ -55,9 +55,6 @@ class DiscoveredLink:
         self.dst_port = dst_port
         self.last_seen = last_seen
 
-    def key(self) -> Tuple[int, int]:
-        return (self.src_dpid, self.src_port)
-
     def __repr__(self) -> str:
         return (
             f"<Link {self.src_dpid}:{self.src_port} -> "

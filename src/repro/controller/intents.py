@@ -45,11 +45,11 @@ class IntentState:
 class Intent:
     """Base class for declarative connectivity requests."""
 
-    _next_id = 1
-
     def __init__(self) -> None:
-        self.intent_id = Intent._next_id
-        Intent._next_id += 1
+        #: Allocated by :meth:`IntentService.submit` from the run's
+        #: simulator — it goes on the wire as the flow cookie, so it
+        #: must not depend on what else this process has run.
+        self.intent_id: Optional[int] = None
         self.state = IntentState.SUBMITTED
         #: Rules currently installed: (dpid, match, priority, table_id).
         self.installed_rules: List[Tuple[int, Match, int, int]] = []
@@ -118,6 +118,7 @@ class IntentService(App):
     # ------------------------------------------------------------------
     def submit(self, intent: Intent) -> Intent:
         """Register ``intent`` and try to satisfy it immediately."""
+        intent.intent_id = self.controller.sim.next_id("intent")
         self.intents[intent.intent_id] = intent
         self._compile(intent)
         return intent

@@ -14,9 +14,10 @@ Profiles
 * ``bare``      — services only; the caller adds its own apps.
 
 A scripted, observed run is the same sequence whoever assembles it
-(CLI, ``run_workload``, the fuzzer): ``start`` → ``seed_static_arp`` →
-``fault_schedule`` → ``observe`` → ``repro.faults.arm_faults`` → ``run``
-(ARCHITECTURE.md, "Assembling a run").
+(``repro.workload.assemble`` for every spec, the CLI's phased demos by
+hand): ``start`` → ``seed_static_arp`` → ``fault_schedule`` →
+``observe`` → ``repro.faults.arm_faults`` → ``run`` (ARCHITECTURE.md,
+"Scenario document and assembly order").
 
 Cluster determinism contract: with zero faults the dataplane is
 bit-identical for any cluster size — per-node discovery runs with

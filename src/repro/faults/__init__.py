@@ -11,7 +11,8 @@ failures against the simulation kernel so every run is reproducible:
 * :class:`FaultEvent` — the per-injection log record (kind, time,
   target), so tests and benchmarks can assert exactly what happened.
 * :func:`arm_faults` — the one table lowering the fault dicts that
-  workload specs, fuzz scenarios and the CLI carry onto schedule calls.
+  workload specs, fuzz scenarios and the CLI carry onto schedule calls;
+  :func:`fault_end` reads the same table for when a fault has healed.
 
 Recovery machinery lives where the state lives — the reconnect
 handshake and flow-table resync in ``controller.core``, request
@@ -21,6 +22,11 @@ the headline measurement (blackholed packets and reconvergence time
 versus flap frequency).
 """
 
-from repro.faults.schedule import FaultEvent, FaultSchedule, arm_faults
+from repro.faults.schedule import (
+    FaultEvent,
+    FaultSchedule,
+    arm_faults,
+    fault_end,
+)
 
-__all__ = ["FaultEvent", "FaultSchedule", "arm_faults"]
+__all__ = ["FaultEvent", "FaultSchedule", "arm_faults", "fault_end"]

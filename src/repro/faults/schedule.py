@@ -20,7 +20,7 @@ from typing import Callable, List, Optional
 from repro.errors import TopologyError
 from repro.netem.network import Network
 
-__all__ = ["FaultEvent", "FaultSchedule", "arm_faults"]
+__all__ = ["FaultEvent", "FaultSchedule", "arm_faults", "fault_end"]
 
 
 class FaultEvent:
@@ -299,21 +299,50 @@ def _arm_partition(schedule: FaultSchedule, at: float, fault: dict) -> None:
                                   heal_after=fault["heal_after"])
 
 
-#: Fault-dict ``kind`` -> the schedule call it lowers to.  The dict form
-#: is what workload specs, fuzz scenarios and the CLI all carry.
-_ARMERS = {
-    "link_flap": lambda s, at, f: s.link_flap(
-        at, f["a"], f["b"], down_for=f["down_for"], period=f["period"],
-        count=f["count"]),
-    "channel_flap": lambda s, at, f: s.channel_flap(
-        at, f["switch"], down_for=f["down_for"], period=f["period"],
-        count=f["count"]),
-    "switch_crash": lambda s, at, f: s.switch_crash(
-        at, f["switch"], restart_after=f["restart_after"]),
-    "controller_crash": lambda s, at, f: s.controller_crash(
-        at, f["node"], restart_after=f["restart_after"]),
-    "controller_partition": _arm_partition,
+def _flap_end(fault: dict) -> float:
+    # The k-th cycle goes down at ``at + k*period`` and comes back
+    # ``down_for`` later, so the last recovery — not ``at + count*period``,
+    # which overshoots by ``period - down_for`` — ends the fault.
+    return (fault["at"] + (fault["count"] - 1) * fault["period"]
+            + fault["down_for"])
+
+
+#: Fault-dict ``kind`` -> (the schedule call it lowers to, when its last
+#: recovery fires).  The dict form is what workload specs, fuzz
+#: scenarios and the CLI all carry.
+_KINDS = {
+    "link_flap": (
+        lambda s, at, f: s.link_flap(
+            at, f["a"], f["b"], down_for=f["down_for"], period=f["period"],
+            count=f["count"]),
+        _flap_end),
+    "channel_flap": (
+        lambda s, at, f: s.channel_flap(
+            at, f["switch"], down_for=f["down_for"], period=f["period"],
+            count=f["count"]),
+        _flap_end),
+    "switch_crash": (
+        lambda s, at, f: s.switch_crash(
+            at, f["switch"], restart_after=f["restart_after"]),
+        lambda f: f["at"] + f["restart_after"]),
+    "controller_crash": (
+        lambda s, at, f: s.controller_crash(
+            at, f["node"], restart_after=f["restart_after"]),
+        lambda f: f["at"] + f["restart_after"]),
+    "controller_partition": (
+        _arm_partition,
+        lambda f: f["at"] + f["heal_after"]),
 }
+
+
+def _kind_entry(fault: dict, label: str):
+    kind = fault.get("kind")
+    entry = _KINDS.get(kind)
+    if entry is None:
+        raise TopologyError(
+            f"{label}: unknown kind {kind!r}; pick from {sorted(_KINDS)}"
+        )
+    return kind, entry
 
 
 def arm_faults(schedule: FaultSchedule, faults: List[dict],
@@ -326,13 +355,7 @@ def arm_faults(schedule: FaultSchedule, faults: List[dict],
     cluster).
     """
     for index, fault in enumerate(faults):
-        kind = fault.get("kind")
-        arm = _ARMERS.get(kind)
-        if arm is None:
-            raise TopologyError(
-                f"fault #{index}: unknown kind {kind!r}; "
-                f"pick from {sorted(_ARMERS)}"
-            )
+        kind, (arm, _) = _kind_entry(fault, f"fault #{index}")
         try:
             arm(schedule, base + fault["at"], fault)
         except KeyError as exc:
@@ -341,3 +364,19 @@ def arm_faults(schedule: FaultSchedule, faults: List[dict],
             ) from exc
         except TopologyError as exc:
             raise TopologyError(f"fault #{index} ({kind}): {exc}") from exc
+
+
+def fault_end(fault: dict) -> float:
+    """When ``fault``'s last recovery fires, on the clock its ``at`` is
+    on — what a run's length must cover for the fault to have healed.
+
+    Raises :class:`~repro.errors.TopologyError` for an unknown kind or
+    a missing field, as :func:`arm_faults` does.
+    """
+    kind, (_, end) = _kind_entry(fault, "fault")
+    try:
+        return end(fault)
+    except KeyError as exc:
+        raise TopologyError(
+            f"fault ({kind}): missing field {exc}"
+        ) from exc

@@ -118,8 +118,8 @@ class ObsPlane:
 
     def __init__(self, platform, interval: float = 0.1,
                  slos: Optional[List[SLO]] = None,
-                 capacity: int = 4096, rollup_factor: int = 8,
-                 watch: bool = True) -> None:
+                 capacity: int = 4096,
+                 rollup_factor: int = 8) -> None:
         telemetry = platform.telemetry
         if telemetry is None or not telemetry.enabled:
             raise ValueError(
@@ -136,9 +136,8 @@ class ObsPlane:
             self.scraper,
         ).attach()
         self._report: Optional[HealthReport] = None
-        if watch:
-            self.watch_controller(platform.controller)
-            self.watch_channels(platform.net)
+        self.watch_controller(platform.controller)
+        self.watch_channels(platform.net)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -268,9 +267,6 @@ class ObsPlane:
             scrapes=self.scraper.scrapes,
             meta=meta,
         )
-
-    def dashboard(self, width: int = 60, **kwargs) -> str:
-        return render_dashboard(self.scraper, width=width, **kwargs)
 
     def __repr__(self) -> str:
         return (f"<ObsPlane {len(self.scraper.series)} series, "

@@ -2,11 +2,14 @@
 
 The workload plane closes the loop between the paper's qualitative
 claims and measurable runs: a :class:`~repro.workload.spec.WorkloadSpec`
-(JSON/YAML) names a topology family, a traffic mix, faults, SLOs, and a
-seed; :func:`~repro.workload.runner.run_workload` turns it into a fully
-wired :class:`~repro.core.platform.ZenPlatform` run with the obs plane
+(JSON/YAML) names a topology family, an app stack, a traffic mix,
+faults, SLOs, and a seed; :func:`~repro.workload.runner.assemble` is the
+one place it becomes a wired :class:`~repro.core.platform.ZenPlatform`;
+:func:`~repro.workload.runner.run_workload` runs that with the obs plane
 attached, and :func:`~repro.workload.runner.run_suite` fans scenario
 suites across worker processes with bit-identical per-run digests.
+``repro.check`` builds on this package (its fuzzer generates and checks
+the same documents through the same assembler); nothing here imports it.
 
 Building blocks, usable directly too:
 
@@ -17,10 +20,7 @@ Building blocks, usable directly too:
   :func:`~repro.workload.generators.arm_traffic` bridge from spec
   entries to armed generators;
 * :func:`~repro.workload.spec.library` — the canned scenario set
-  behind benchmark E16 and the CI smoke suite;
-* :func:`~repro.workload.spec.to_check_scenario` — lowers a spec onto
-  the ``repro.check`` fuzzer plane so invariant checking runs under
-  realistic workloads.
+  behind benchmark E16 and the CI smoke suite.
 """
 
 from repro.workload.generators import (
@@ -31,7 +31,9 @@ from repro.workload.generators import (
     ensure_sinks,
 )
 from repro.workload.runner import (
+    AssembledRun,
     WorkloadResult,
+    assemble,
     run_suite,
     run_workload,
     suite_digest,
@@ -48,16 +50,17 @@ from repro.workload.spec import (
     build_spec_topology,
     library,
     load_spec,
-    to_check_scenario,
 )
 
 __all__ = [
+    "AssembledRun",
     "DiurnalFlowGenerator",
     "IncastGenerator",
     "TenantMatrix",
     "WorkloadResult",
     "WorkloadSpec",
     "arm_traffic",
+    "assemble",
     "build_spec_topology",
     "elephant_mice",
     "empirical_sizes",
@@ -70,5 +73,4 @@ __all__ = [
     "run_workload",
     "size_source_from_spec",
     "suite_digest",
-    "to_check_scenario",
 ]

@@ -279,11 +279,25 @@ def arm_traffic(sim: Simulator, hosts: List[Host], entry: dict,
       ``period``, ``trough``, ``phase``.  ``rate`` is the *peak* rate.
     * ``cbr``     — one :class:`CBRStream` between the first two hosts;
       keys ``rate_bps``, optional ``packet_size``.
+    * ``probe``   — one UDP datagram from host ``src`` to host ``dst``
+      (names) at ``start``; no generator, returns ``None``.
     """
     kind = entry.get("kind", "flows")
     start = float(entry.get("start", 0.0))
     duration = float(entry.get("duration", 10.0))
     dst_port = int(entry.get("dst_port", 9000))
+
+    if kind == "probe":
+        by_name = {host.name: host for host in hosts}
+        try:
+            src, dst = by_name[entry["src"]], by_name[entry["dst"]]
+        except KeyError as exc:
+            raise TopologyError(
+                f"probe entry: missing field or unknown host {exc}"
+            ) from exc
+        sim.schedule_at(sim.now + start, src.send_udp, dst.ip,
+                        5001, 5001, b"fuzz")
+        return None
 
     if kind == "cbr":
         if len(hosts) < 2:

@@ -1,13 +1,16 @@
-"""Run workload specs: one spec -> one wired, observed platform run.
+"""Assemble and run specs: one spec -> one wired platform run.
 
-:func:`run_workload` is the execution engine behind the ``workload``
-CLI and benchmark E16: it builds the spec's topology, starts a
-:class:`~repro.core.platform.ZenPlatform` with telemetry on, installs
-flow sinks that feed a ``workload_fct_seconds`` histogram, arms every
-traffic entry and fault, attaches the obs plane (stock SLOs plus the
-spec's own), and returns a :class:`WorkloadResult` whose
+:func:`assemble` is the only place a spec becomes a simulation: it
+builds the spec's topology, starts a
+:class:`~repro.core.platform.ZenPlatform` with the planes the caller
+asks for, installs flow sinks that feed a ``workload_fct_seconds``
+histogram, and arms every fault and traffic entry.
+:func:`run_workload` — the engine behind the ``workload`` CLI and
+benchmark E16 — runs that with the obs plane on (stock SLOs plus the
+spec's own) and returns a :class:`WorkloadResult` whose
 :class:`~repro.obs.artifact.RunArtifact` plugs straight into
-``repro obs diff`` and the dashboard.
+``repro obs diff`` and the dashboard; ``repro.check.run_scenario`` runs
+the same assembly and ends with an invariant verdict.
 
 :func:`run_suite` fans a list of specs across worker processes.
 Workers return plain dicts (summaries + serialised artifacts); the
@@ -18,19 +21,21 @@ wall-clock only — per-run digests are identical at any ``jobs``.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.analysis import percentile
 from repro.core import ZenPlatform
 from repro.digest import canonical_digest
-from repro.faults import arm_faults
-from repro.obs import RunArtifact, default_slos, slo_from_spec
+from repro.faults import FaultSchedule, arm_faults
+from repro.obs import ObsPlane, RunArtifact, default_slos, slo_from_spec
 from repro.telemetry import Telemetry
 from repro.workload.generators import TenantMatrix, arm_traffic
 from repro.workload.spec import WorkloadSpec, build_spec_topology
 
 __all__ = [
+    "AssembledRun",
     "WorkloadResult",
+    "assemble",
     "run_suite",
     "run_workload",
     "suite_digest",
@@ -75,60 +80,106 @@ class WorkloadResult:
                 f"{verdict}>")
 
 
-def run_workload(spec: WorkloadSpec,
-                 out: Optional[str] = None,
-                 shards: Optional[int] = None,
-                 shard_processes: Optional[bool] = None):
-    """Execute one spec end to end; deterministic in (spec, seed).
+class AssembledRun(NamedTuple):
+    """The live pieces of one assembled spec, armed and not yet run."""
 
-    With ``shards`` the run is delegated to the sharded kernel
-    (:func:`repro.sim.shard.run_sharded`) and the return value is a
-    :class:`~repro.sim.shard.ShardedResult` — a static-forwarding
-    execution model whose merged observables are bit-identical at any
-    shard count (``shards=1`` is the oracle).  Without ``shards`` the
-    classic single-loop controller platform below runs unchanged.
+    platform: ZenPlatform
+    schedule: FaultSchedule
+    #: ``None`` unless the caller asked for the plane / the monitor.
+    plane: Optional[ObsPlane]
+    monitor: Optional[object]
+    #: ``(host name, port)`` -> :class:`~repro.netem.FlowSink`.
+    sinks: Dict[tuple, object]
+    #: One per traffic entry (``None`` for a ``probe``).
+    generators: list
+    #: ``{"flow_entries": n}`` — most flow entries seen at one scrape.
+    peak: Dict[str, int]
+
+
+def _build_platform(spec: WorkloadSpec, telemetry,
+                    fast_path: bool) -> ZenPlatform:
+    platform = ZenPlatform(
+        build_spec_topology(spec), profile=spec.profile, seed=spec.seed,
+        telemetry=telemetry, fast_path=fast_path,
+        controllers=spec.controllers if spec.controllers > 1 else None,
+    )
+    if spec.stack == "policy":
+        from repro.apps.firewall import Firewall
+        from repro.apps.proactive_router import ProactiveRouter
+        from repro.apps.slicing import NetworkSlicing
+
+        slicing = platform.add_app(
+            NetworkSlicing(table_id=0, next_table=1)
+        )
+        firewall = platform.add_app(
+            Firewall(table_id=1, next_table=2)
+        )
+        platform.router = platform.add_app(ProactiveRouter(table_id=2))
+        hosts = sorted(platform.net.hosts)
+        half = max(1, len(hosts) // 2)
+        slicing.define_slice(
+            "blue", [platform.net.hosts[h].ip for h in hosts[:half]],
+            rate_bps=50e6,
+        )
+        firewall.deny(l4_dst=23)  # no telnet across the fabric
+    elif spec.stack == "multipath":
+        from repro.apps import MultipathRouter
+
+        platform.router = platform.add_app(MultipathRouter(max_paths=2))
+    return platform
+
+
+def assemble(spec: WorkloadSpec, *, telemetry: bool = False,
+             obs: bool = False, monitor=False,
+             fast_path: bool = True) -> AssembledRun:
+    """Turn ``spec`` into a started platform with everything armed.
+
+    ``obs`` attaches an :class:`~repro.obs.ObsPlane` scraping every
+    ``spec.interval`` (implies ``telemetry``); ``monitor`` is
+    :meth:`ZenPlatform.observe`'s (``True``, or the ``NetworkChecker``
+    to run).  No plane perturbs the simulation.
+
+    The order below is fixed: ``fork_rng`` calls and event scheduling
+    order feed committed digests.
     """
-    if shards is not None:
-        from repro.sim.shard import run_sharded
-
-        return run_sharded(spec, shards=shards,
-                           processes=shard_processes, out=out)
-    topo = build_spec_topology(spec)
-    platform = ZenPlatform(topo, profile=spec.profile, seed=spec.seed,
-                           telemetry=Telemetry(profile=False))
+    tel = Telemetry(profile=False) if telemetry or obs else None
+    platform = _build_platform(spec, tel, fast_path)
     platform.start()
-    net = platform.net
     sim = platform.sim
-
     hosts = platform.seed_static_arp()
 
-    fcts: List[float] = []
-    # Zero-label families come back as the bare metric.
-    fct_hist = platform.telemetry.metrics.histogram(
-        "workload_fct_seconds",
-        "flow completion time measured at workload sinks",
-    )
+    on_flow_complete = None
+    if tel is not None:
+        # Zero-label families come back as the bare metric.
+        fct_hist = tel.metrics.histogram(
+            "workload_fct_seconds",
+            "flow completion time measured at workload sinks",
+        )
 
-    def on_flow_complete(record) -> None:
-        fcts.append(record.fct)
-        fct_hist.observe(record.fct)
+        def on_flow_complete(record) -> None:
+            fct_hist.observe(record.fct)
 
-    slos = default_slos(spec.interval) + [slo_from_spec(doc)
-                                          for doc in spec.slos]
+    slos = None
+    if obs:
+        slos = default_slos(spec.interval) + [slo_from_spec(doc)
+                                              for doc in spec.slos]
     schedule = platform.fault_schedule()
-    plane, _ = platform.observe(schedule, interval=spec.interval,
-                                slos=slos)
+    plane, mon = platform.observe(
+        schedule, interval=spec.interval if obs else None, slos=slos,
+        monitor=monitor)
 
     # Flow-table occupancy: scraped every tick, peak kept in-closure so
     # the summary does not depend on the ring-buffer capacity.
     peak = {"flow_entries": 0}
 
     def flow_entries() -> float:
-        total = sum(dp.flow_count() for dp in net.switches.values())
+        total = sum(dp.flow_count()
+                    for dp in platform.net.switches.values())
         peak["flow_entries"] = max(peak["flow_entries"], total)
         return float(total)
 
-    plane.scraper.probe("workload_flow_entries", flow_entries)
+    if plane is not None:
+        plane.scraper.probe("workload_flow_entries", flow_entries)
 
     arm_faults(schedule, spec.faults, base=sim.now)
 
@@ -143,28 +194,51 @@ def run_workload(spec: WorkloadSpec,
                     tenant_matrix=tenant_matrix)
         for entry in spec.traffic
     ]
+    return AssembledRun(platform, schedule, plane, mon, sinks,
+                        generators, peak)
 
-    platform.run(spec.duration)
+
+def run_workload(spec: WorkloadSpec,
+                 out: Optional[str] = None,
+                 shards: Optional[int] = None,
+                 shard_processes: Optional[bool] = None):
+    """Execute one spec end to end; deterministic in (spec, seed).
+
+    With ``shards`` the run is delegated to the sharded kernel
+    (:func:`repro.sim.shard.run_sharded`) and the return value is a
+    :class:`~repro.sim.shard.ShardedResult` — a static-forwarding
+    execution model whose merged observables are bit-identical at any
+    shard count (``shards=1`` is the oracle).  Without ``shards`` the
+    spec is assembled with telemetry and the obs plane on, run for
+    ``spec.duration`` and summarised.
+    """
+    if shards is not None:
+        from repro.sim.shard import run_sharded
+
+        return run_sharded(spec, shards=shards,
+                           processes=shard_processes, out=out)
+    live = assemble(spec, obs=True)
+    plane = live.plane
+    live.platform.run(spec.duration)
     plane.finish()
 
-    flows_started = sum(len(getattr(g, "flows_started", ()))
-                        for g in generators)
-    flows_completed = sum(len(sink.completed_flows())
-                          for sink in sinks.values())
+    fcts = [flow.fct for sink in live.sinks.values()
+            for flow in sink.completed_flows()]
     summary = {
         "name": spec.name,
         "seed": spec.seed,
         "duration": spec.duration,
-        "flows_started": flows_started,
-        "flows_completed": flows_completed,
+        "flows_started": sum(len(getattr(g, "flows_started", ()))
+                             for g in live.generators),
+        "flows_completed": len(fcts),
         "fct_p50": percentile(fcts, 50) if fcts else None,
         "fct_p95": percentile(fcts, 95) if fcts else None,
         "fct_p99": percentile(fcts, 99) if fcts else None,
-        "flow_table_peak": peak["flow_entries"],
-        "faults_fired": len(schedule.log),
+        "flow_table_peak": live.peak["flow_entries"],
+        "faults_fired": len(live.schedule.log),
         "health_ok": plane.report.ok,
         "alerts": len(plane.report.alerts),
-        "events": sim.events_processed,
+        "events": live.platform.sim.events_processed,
     }
     artifact = plane.artifact(kind="workload", workload=spec.to_dict(),
                               summary=summary)

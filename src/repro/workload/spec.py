@@ -1,17 +1,18 @@
-"""Declarative workload scenarios: one document, one wired run.
+"""Declarative scenarios: one document, one wired run.
 
 A :class:`WorkloadSpec` is a JSON/YAML-serialisable description of a
-complete experiment — topology family and size, platform profile,
-traffic mix (heavy-tailed flows, incast storms, diurnal load, tenant
-matrices), fault schedule, extra SLOs, and the seed — that
-:func:`~repro.workload.runner.run_workload` turns into a running
-platform with the obs plane attached.  Specs are pure data: the same
+complete experiment — topology family and size, platform profile and
+app stack, controller count, traffic mix (heavy-tailed flows, incast
+storms, diurnal load, tenant matrices, single probes), fault schedule,
+extra SLOs, and the seed.  It is the only scenario document:
+:func:`~repro.workload.runner.run_workload` measures it,
+:func:`repro.check.run_scenario` checks invariants on it and the fuzzer
+generates, minimises and replays it, all through
+:func:`~repro.workload.runner.assemble`.  Specs are pure data: the same
 document and seed reproduce the same run bit-for-bit.
 
 :func:`library` ships the canned scenario set the E16 benchmark and the
-CI smoke suite run; :func:`to_check_scenario` lowers a spec onto the
-``repro.check`` fuzzer plane so the invariant checker and monitor work
-on realistic workloads too.
+CI smoke suite run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 from typing import Dict, List, Optional
 
 from repro.errors import TopologyError
+from repro.faults import fault_end
 from repro.netem import Topology
 
 __all__ = [
@@ -27,10 +29,21 @@ __all__ = [
     "build_spec_topology",
     "library",
     "load_spec",
-    "to_check_scenario",
 ]
 
 SPEC_VERSION = 1
+
+STACKS = ("plain", "policy", "multipath")
+
+#: Every document field but ``version`` -> the type its JSON value must
+#: have (``from_dict`` passes them to the constructor by these names).
+_NUMBER = (int, float)
+_FIELD_TYPES = {
+    "name": str, "seed": int, "duration": _NUMBER, "interval": _NUMBER,
+    "topology": dict, "profile": str, "tenants": list, "traffic": list,
+    "faults": list, "slos": list, "settle": _NUMBER, "controllers": int,
+    "stack": str,
+}
 
 
 class WorkloadSpec:
@@ -46,23 +59,33 @@ class WorkloadSpec:
     traffic:
         A list of entries for
         :func:`~repro.workload.generators.arm_traffic` (kinds ``flows``,
-        ``incast``, ``diurnal``, ``cbr``), each with ``start`` and
-        ``duration`` relative to spec time zero.
+        ``incast``, ``diurnal``, ``cbr``, ``probe``), each with
+        ``start`` and ``duration`` relative to spec time zero.  May be
+        empty: a fault-only scenario still has invariants to check.
     tenants:
         Optional ``[{"name", "users", "intra_weight"}, ...]`` — enables
         ``"tenant_matrix": true`` traffic entries, with aggregate rates
         derived from the modelled user counts.
     faults:
-        Fuzzer-style fault dicts (``link_flap``/``channel_flap``/
-        ``switch_crash`` with ``at`` relative to spec time zero).
+        :func:`repro.faults.arm_faults` dicts, ``at`` relative to spec
+        time zero.
     slos:
         Extra objectives in :func:`repro.obs.slo_from_spec` form,
         evaluated alongside the stock set.
+    controllers:
+        Controller instances; ``> 1`` runs on a clustered platform and
+        unlocks the ``controller_*`` fault kinds.
+    stack:
+        ``"plain"`` (the profile's apps only), ``"policy"`` (slicing +
+        firewall + proactive routing across tables) or ``"multipath"``
+        (SELECT-group ECMP fabric) — the shipped ``examples/`` stacks.
+        The last two bring their own forwarding apps, so they need
+        profile ``"bare"`` and a single controller.
     """
 
     __slots__ = ("name", "seed", "duration", "interval", "topology",
                  "profile", "tenants", "traffic", "faults", "slos",
-                 "settle")
+                 "settle", "controllers", "stack")
 
     def __init__(self, name: str, topology: dict,
                  traffic: List[dict], seed: int = 0,
@@ -71,9 +94,24 @@ class WorkloadSpec:
                  tenants: Optional[List[dict]] = None,
                  faults: Optional[List[dict]] = None,
                  slos: Optional[List[dict]] = None,
-                 settle: float = 2.0) -> None:
-        if not traffic:
-            raise TopologyError(f"workload {name!r} declares no traffic")
+                 settle: float = 2.0, controllers: int = 1,
+                 stack: str = "plain") -> None:
+        if stack not in STACKS:
+            raise TopologyError(
+                f"workload spec {name!r}: unknown stack {stack!r}; "
+                f"pick from {STACKS}"
+            )
+        if controllers < 1:
+            raise TopologyError(
+                f"workload spec {name!r}: controllers must be >= 1, "
+                f"not {controllers}"
+            )
+        if stack != "plain" and (profile != "bare" or controllers > 1):
+            raise TopologyError(
+                f"workload spec {name!r}: the {stack!r} stack installs its "
+                f"own forwarding apps; it needs profile 'bare' and one "
+                f"controller, not {profile!r} x {controllers}"
+            )
         self.name = name
         self.seed = seed
         self.topology = dict(topology)
@@ -84,6 +122,8 @@ class WorkloadSpec:
         self.faults = list(faults) if faults else []
         self.slos = list(slos) if slos else []
         self.settle = settle
+        self.controllers = controllers
+        self.stack = stack
         self.duration = (duration if duration is not None
                          else self.horizon())
 
@@ -91,23 +131,17 @@ class WorkloadSpec:
         """Simulated seconds implied by the armed traffic and faults."""
         last = 1.0
         for entry in self.traffic:
+            # A probe is one datagram at ``start``; every other kind
+            # runs for its ``duration``.
+            lasts = 0.0 if entry.get("kind") == "probe" else 10.0
             last = max(last, float(entry.get("start", 0.0))
-                       + float(entry.get("duration", 10.0)))
+                       + float(entry.get("duration", lasts)))
         for fault in self.faults:
-            if fault["kind"] in ("link_flap", "channel_flap"):
-                # The k-th cycle goes down at ``at + k*period`` and
-                # comes back ``down_for`` later, so the last recovery —
-                # not ``at + count*period``, which overshoots by
-                # ``period - down_for`` — bounds the schedule.
-                last = max(last, fault["at"]
-                           + (fault["count"] - 1) * fault["period"]
-                           + fault["down_for"])
-            else:  # switch_crash
-                last = max(last, fault["at"] + fault["restart_after"])
+            last = max(last, fault_end(fault))
         return last + self.settle
 
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "version": SPEC_VERSION,
             "name": self.name,
             "seed": self.seed,
@@ -121,27 +155,59 @@ class WorkloadSpec:
             "slos": [dict(s) for s in self.slos],
             "settle": self.settle,
         }
+        # Emitted only when non-default, so every document written
+        # before the fields existed — and each digest taken over one —
+        # stays byte-identical.
+        if self.controllers != 1:
+            doc["controllers"] = self.controllers
+        if self.stack != "plain":
+            doc["stack"] = self.stack
+        return doc
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkloadSpec":
+        """Build a spec from a document that may come from outside the
+        program: every rejection is a :class:`TopologyError` naming the
+        spec and the field."""
+        if not isinstance(data, dict):
+            raise TopologyError(
+                f"workload spec: expected an object, "
+                f"got {type(data).__name__}"
+            )
         version = data.get("version", SPEC_VERSION)
         if version != SPEC_VERSION:
             raise TopologyError(
                 f"unsupported workload spec version {version}"
             )
-        return cls(
-            name=data["name"],
-            topology=data["topology"],
-            traffic=data["traffic"],
-            seed=data.get("seed", 0),
-            duration=data.get("duration"),
-            interval=data.get("interval", 0.1),
-            profile=data.get("profile", "proactive"),
-            tenants=data.get("tenants"),
-            faults=data.get("faults"),
-            slos=data.get("slos"),
-            settle=data.get("settle", 2.0),
-        )
+        label = f"workload spec {data.get('name', '?')!r}"
+        if isinstance(data.get("topology"), str) or "workload" in data:
+            raise TopologyError(
+                f"{label}: this is a check scenario document from "
+                f"before the two formats merged (string 'topology', "
+                f"'workload' list), not a workload spec; regenerate it "
+                f"from its seed with `repro check fuzz`"
+            )
+        for field in ("name", "topology", "traffic"):
+            if data.get(field) is None:
+                raise TopologyError(f"{label}: missing field {field!r}")
+        for field, kind in _FIELD_TYPES.items():
+            value = data.get(field)
+            if value is not None and not isinstance(value, kind):
+                raise TopologyError(
+                    f"{label}: field {field!r} must be "
+                    f"{getattr(kind, '__name__', 'a number')}, "
+                    f"not {type(value).__name__}"
+                )
+        for field in ("traffic", "tenants", "faults", "slos"):
+            for index, entry in enumerate(data.get(field) or ()):
+                if not isinstance(entry, dict):
+                    raise TopologyError(
+                        f"{label}: {field}[{index}] must be an object, "
+                        f"not {type(entry).__name__}"
+                    )
+        # Absent and null fields take the constructor's defaults.
+        return cls(**{field: data[field] for field in _FIELD_TYPES
+                      if data.get(field) is not None})
 
     def __repr__(self) -> str:
         family = self.topology.get("family", "?")
@@ -186,34 +252,6 @@ def build_spec_topology(spec: WorkloadSpec) -> Topology:
         return builder(**params)
     return Topology.build(family, int(spec.topology.get("size", 4)),
                           float(spec.topology.get("bandwidth", 1e9)))
-
-
-def to_check_scenario(spec: WorkloadSpec):
-    """Lower a workload spec onto the ``repro.check`` scenario plane.
-
-    The returned :class:`~repro.check.fuzzer.Scenario` re-arms the
-    spec's traffic entries (each gains ``"at"`` from its ``start``) and
-    faults, so ``run_scenario`` checks invariants — and the monitor
-    watches transients — under the realistic workload.
-    """
-    from repro.check.fuzzer import Scenario
-
-    workload = []
-    for entry in spec.traffic:
-        doc = dict(entry)
-        doc.setdefault("kind", "flows")
-        doc["at"] = float(doc.pop("start", 0.0))
-        workload.append(doc)
-    return Scenario(
-        seed=spec.seed,
-        name=f"workload-{spec.name}",
-        topology=spec.topology.get("family", "fat_tree"),
-        size=int(spec.topology.get("size", 4)),
-        profile=spec.profile,
-        workload=workload,
-        faults=[dict(f) for f in spec.faults],
-        settle=max(spec.settle, 2.0),
-    )
 
 
 def library() -> Dict[str, WorkloadSpec]:

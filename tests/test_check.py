@@ -28,15 +28,21 @@ from repro.check import (
     FirewallCompliance,
     NetworkChecker,
     NetworkSnapshot,
-    Scenario,
     SliceIsolation,
     example_scenarios,
     generate_scenario,
     load_scenario,
     minimize,
+    replay,
     result_digest,
     run_scenario,
     write_repro,
+)
+from repro.workload import (
+    WorkloadSpec,
+    build_spec_topology,
+    library,
+    run_workload,
 )
 
 
@@ -149,7 +155,7 @@ class TestFuzzerDeterminism:
 
     def test_scenario_dict_roundtrip(self):
         scenario = generate_scenario(11)
-        assert (Scenario.from_dict(scenario.to_dict()).to_dict()
+        assert (WorkloadSpec.from_dict(scenario.to_dict()).to_dict()
                 == scenario.to_dict())
 
     def test_same_seed_is_bit_identical(self):
@@ -170,6 +176,14 @@ class TestFuzzerDeterminism:
         replayed = run_scenario(load_scenario(str(path)))
         assert result_digest(replayed) == payload["digest"]
 
+    def test_a_bare_spec_document_replays(self, tmp_path):
+        # `check replay --path` takes what `workload run --spec` takes.
+        spec = generate_scenario(2)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_dict()))
+        assert (result_digest(replay(str(path)))
+                == result_digest(run_scenario(spec)))
+
     def test_minimize_drops_irrelevant_parts(self):
         scenario = generate_scenario(1)
         assert len(scenario.faults) > 1
@@ -180,7 +194,7 @@ class TestFuzzerDeterminism:
 
         small = minimize(scenario, still_fails=still_fails)
         assert small.faults == [culprit]
-        assert small.workload == []
+        assert small.traffic == []
 
     def test_committed_corpus_replays_clean(self):
         from pathlib import Path
@@ -233,3 +247,47 @@ class TestPurity:
         assert on.verdicts == off.verdicts
         # The monitor did actually run and see the transient failures.
         assert on.monitor_failures
+
+
+# ----------------------------------------------------------------------
+# One document, one assembler: the check plane runs the simulation the
+# workload plane runs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("name, duration", [
+    ("dc-heavy-tail", 1.5),
+    ("incast-storm", 1.0),
+    ("wan-diurnal", 4.0),  # the core0-core1 flap has healed and re-routed
+    ("tenant-millions", 1.0),
+])
+def test_library_spec_is_checked_on_the_run_the_workload_plane_measures(
+        name, duration):
+    spec = library()[name]
+    spec.duration = duration  # shortened for tier 1; same program
+    checked = run_scenario(spec, monitor=True)
+    measured = run_workload(spec)
+    assert checked.ok, checked.verdicts["violations"]
+    topo = build_spec_topology(spec)
+    assert (set(checked.observables["dp_stats"])
+            | set(checked.observables["hosts"])) == set(topo.nodes)
+    assert (checked.observables["events"]
+            == measured.summary["events"])
+
+
+def test_cluster_spec_runs_on_both_planes():
+    spec = WorkloadSpec(
+        "cluster-crash", topology={"family": "ring", "size": 4},
+        traffic=[{"kind": "flows", "rate": 20.0,
+                  "sizes": {"dist": "fixed", "size": 2000},
+                  "start": 0.2, "duration": 2.0}],
+        seed=5, controllers=3, settle=1.5,
+        faults=[{"kind": "controller_crash", "node": 1, "at": 0.8,
+                 "restart_after": 0.6}])
+    assert WorkloadSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
+    checked = run_scenario(spec)
+    measured = run_workload(spec)
+    assert checked.ok, checked.verdicts
+    assert checked.verdicts["cluster_violations"] == []
+    assert checked.faults_fired == measured.summary["faults_fired"] == 2
+    assert measured.summary["flows_completed"] > 0
+    assert (checked.observables["events"]
+            == measured.summary["events"])

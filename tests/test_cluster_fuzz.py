@@ -13,7 +13,8 @@ import json
 from pathlib import Path
 
 from repro.check import generate_cluster_scenario, generate_scenario
-from repro.check.fuzzer import Scenario, result_digest, run_scenario
+from repro.check.fuzzer import result_digest, run_scenario
+from repro.workload import WorkloadSpec
 
 DATA = Path(__file__).parent / "data"
 
@@ -40,7 +41,7 @@ class TestGeneration:
 
     def test_roundtrips_through_dict(self):
         scenario = generate_cluster_scenario(4)
-        clone = Scenario.from_dict(scenario.to_dict())
+        clone = WorkloadSpec.from_dict(scenario.to_dict())
         assert clone.to_dict() == scenario.to_dict()
         assert clone.controllers == scenario.controllers
 

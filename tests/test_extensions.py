@@ -113,6 +113,25 @@ class TestProtectedPairs:
         h1, h2 = warm_protected(platform)
         return platform, protector, h1, h2
 
+    def test_pair_ids_are_per_run_not_per_process(self):
+        # The id goes on the wire as the flow cookie: a second seeded
+        # run in the same process must install what the first did.
+        def run():
+            platform, protector, h1, h2 = self.build()
+            pair = protector.protect_ips(h1.ip, h2.ip)
+            platform.run(0.5)
+            cookies = {
+                name: sorted(entry.cookie for table in dp.tables
+                             for entry in table.entries())
+                for name, dp in platform.net.switches.items()
+            }
+            return pair.pair_id, cookies
+
+        first, second = run(), run()
+        assert first == second
+        assert first[0] == 1
+        assert any(1 in cookies for cookies in first[1].values())
+
     def test_pair_is_protected_on_diamond(self):
         platform, protector, h1, h2 = self.build()
         pair = protector.protect_ips(h1.ip, h2.ip)

@@ -12,7 +12,7 @@ import pytest
 from repro.core import ZenPlatform
 from repro.dataplane import Datapath, Match, Output
 from repro.errors import TopologyError
-from repro.faults import FaultSchedule, arm_faults
+from repro.faults import FaultSchedule, arm_faults, fault_end
 from repro.netem import Network, Topology
 from repro.netem.reliable import ReliableReceiver, ReliableSender
 from repro.sim import Simulator
@@ -428,6 +428,9 @@ class TestArmFaults:
         arm_faults(sched, [fault], base=self.BASE)
         platform.run(4.0)
         assert [(e.kind, e.target, e.time) for e in sched.log] == expected
+        # The same table says when the fault has healed: at its last
+        # event (what WorkloadSpec.horizon() sizes a run by).
+        assert self.BASE + fault_end(fault) == expected[-1][2]
 
     def test_unknown_kind_names_index_and_kind(self):
         platform = ZenPlatform(Topology.ring(3, hosts_per_switch=1))
@@ -451,3 +454,14 @@ class TestArmFaults:
             arm_faults(platform.fault_schedule(), [
                 {"kind": "channel_flap", "switch": "s1", "at": 0.0,
                  "down_for": 0.1, "count": 1}])
+
+    def test_fault_end_errors_read_like_arm_faults(self):
+        with pytest.raises(TopologyError,
+                           match=r"unknown kind 'meteor'; pick from"):
+            fault_end({"kind": "meteor", "at": 1.0})
+        with pytest.raises(
+                TopologyError,
+                match=r"fault \(controller_partition\): missing field "
+                      r"'heal_after'"):
+            fault_end({"kind": "controller_partition", "minority": [0],
+                       "at": 1.0, "restart_after": 0.5})

@@ -104,8 +104,7 @@ class TestStatsPoller:
         assert top[0].tx_bps >= top[1].tx_bps
 
 
-@pytest.fixture
-def intent_platform():
+def build_intent_platform():
     platform = ZenPlatform(
         Topology.ring(4, hosts_per_switch=1, bandwidth_bps=1e9),
         profile="bare",
@@ -125,7 +124,32 @@ def intent_platform():
     return platform
 
 
+@pytest.fixture
+def intent_platform():
+    return build_intent_platform()
+
+
 class TestIntents:
+    def test_intent_ids_are_per_run_not_per_process(self):
+        # The id goes on the wire as the flow cookie: a second seeded
+        # run in the same process must install what the first did.
+        def run():
+            platform = build_intent_platform()
+            h1, h3 = platform.host("h1"), platform.host("h3")
+            intent = platform.intents.connect_ips(h1.ip, h3.ip)
+            platform.run(0.5)
+            cookies = {
+                name: sorted(entry.cookie for table in dp.tables
+                             for entry in table.entries())
+                for name, dp in platform.net.switches.items()
+            }
+            return intent.intent_id, cookies
+
+        first, second = run(), run()
+        assert first == second
+        assert first[0] == 1
+        assert any(1 in cookies for cookies in first[1].values())
+
     def test_intent_installs_connectivity(self, intent_platform):
         platform = intent_platform
         h1, h3 = platform.host("h1"), platform.host("h3")

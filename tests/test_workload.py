@@ -15,6 +15,7 @@ from repro.workload import (
     IncastGenerator,
     TenantMatrix,
     WorkloadSpec,
+    arm_traffic,
     elephant_mice,
     empirical_sizes,
     fixed_sizes,
@@ -25,7 +26,6 @@ from repro.workload import (
     run_workload,
     size_source_from_spec,
     suite_digest,
-    to_check_scenario,
 )
 
 
@@ -249,10 +249,65 @@ class TestSpec:
         with pytest.raises(TopologyError):
             WorkloadSpec.from_dict(doc)
 
-    def test_traffic_required(self):
-        with pytest.raises(TopologyError):
-            WorkloadSpec("empty", topology={"family": "single"},
-                         traffic=[])
+    def test_empty_traffic_is_legal(self):
+        # The minimiser produces it, and a fault-only scenario still
+        # has invariants to check.
+        spec = WorkloadSpec("empty", topology={"family": "single"},
+                            traffic=[])
+        assert spec.duration == 1.0 + spec.settle
+        assert WorkloadSpec.from_dict(spec.to_dict()).traffic == []
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.pop("topology"),
+         r"workload spec 'tiny': missing field 'topology'"),
+        (lambda d: d.pop("traffic"),
+         r"workload spec 'tiny': missing field 'traffic'"),
+        (lambda d: d.pop("name"),
+         r"workload spec '\?': missing field 'name'"),
+        (lambda d: d.update(traffic="flows"),
+         r"'tiny': field 'traffic' must be list, not str"),
+        (lambda d: d.update(settle="2"),
+         r"'tiny': field 'settle' must be a number, not str"),
+        (lambda d: d.update(faults=["link_flap"]),
+         r"'tiny': faults\[0\] must be an object, not str"),
+        (lambda d: d.update(stack="turbo"),
+         r"'tiny': unknown stack 'turbo'"),
+        (lambda d: d.update(stack="policy"),
+         r"'tiny': the 'policy' stack .* needs profile 'bare'"),
+        (lambda d: d.update(controllers=0),
+         r"'tiny': controllers must be >= 1"),
+    ])
+    def test_from_dict_fails_by_name(self, mutate, message):
+        doc = tiny_spec().to_dict()
+        mutate(doc)
+        with pytest.raises(TopologyError, match=message):
+            WorkloadSpec.from_dict(doc)
+
+    def test_from_dict_rejects_non_objects_and_old_check_scenarios(self):
+        with pytest.raises(TopologyError, match="expected an object"):
+            WorkloadSpec.from_dict(["not", "a", "spec"])
+        # What `check fuzz` wrote into repro files before the check
+        # plane took WorkloadSpec as its scenario document.
+        old = {"version": 1, "seed": 2, "name": "fuzz-2",
+               "topology": "linear", "size": 3, "profile": "reactive",
+               "stack": "plain", "settle": 8.0, "faults": [],
+               "workload": [{"src": "h1", "dst": "h3", "at": 0.5}]}
+        with pytest.raises(TopologyError,
+                           match="'fuzz-2': this is a check scenario "
+                                 "document from before"):
+            WorkloadSpec.from_dict(old)
+
+    def test_controllers_and_stack_emitted_only_when_set(self):
+        # Every document (and digest) written before the two fields
+        # existed stays byte-identical.
+        plain = tiny_spec(controllers=1, stack="plain").to_dict()
+        assert "controllers" not in plain and "stack" not in plain
+        doc = tiny_spec(controllers=3).to_dict()
+        assert doc["controllers"] == 3 and "stack" not in doc
+        assert WorkloadSpec.from_dict(doc).to_dict() == doc
+        doc = tiny_spec(profile="bare", stack="multipath").to_dict()
+        assert doc["stack"] == "multipath" and "controllers" not in doc
+        assert WorkloadSpec.from_dict(doc).stack == "multipath"
 
     def test_horizon_covers_traffic_and_faults(self):
         spec = tiny_spec(faults=[{
@@ -272,6 +327,18 @@ class TestSpec:
             "down_for": 5.0, "period": 2.0, "count": 1,
         }])
         assert spec.horizon() == pytest.approx(1.0 + 5.0 + 1.0)
+
+    def test_horizon_covers_a_partition_and_a_probe(self):
+        # Regression: horizon() had its own fault ladder, which read
+        # ``restart_after`` off every non-flap fault — a KeyError on a
+        # controller_partition.
+        spec = tiny_spec(controllers=3, traffic=[
+            {"kind": "probe", "src": "h1", "dst": "h2", "start": 0.5},
+        ], faults=[{"kind": "controller_partition", "minority": [1],
+                    "at": 2.0, "heal_after": 0.75}])
+        assert spec.horizon() == 2.0 + 0.75 + 1.0
+        spec.faults.clear()
+        assert spec.horizon() == 1.0 + 1.0  # a probe lasts 0 s
 
 
 # ----------------------------------------------------------------------
@@ -321,15 +388,20 @@ class TestRunner:
             b = load_artifact(str(tmp_path / "parallel" / f"{name}.json"))
             assert diff_runs(a, b).ok
 
-    def test_to_check_scenario_runs_clean(self):
-        from repro.check import run_scenario
-
-        scenario = to_check_scenario(tiny_spec())
-        assert scenario.workload[0]["kind"] == "flows"
-        assert scenario.horizon() >= 1.4 + 1.0
-        result = run_scenario(scenario)
-        assert result.ok
-        assert result.observables["hosts"]["h1"]["tx"] > 0
+    def test_probe_entry_sends_one_datagram(self):
+        network, hosts = flooded_network()
+        network.run(1.0)
+        assert arm_traffic(network.sim, hosts, {
+            "kind": "probe", "src": "h1", "dst": "h3", "start": 0.25,
+        }, {}) is None
+        network.run(0.2)
+        assert network.hosts["h1"].tx_packets == 0
+        network.run(0.1)
+        assert network.hosts["h1"].tx_packets == 1
+        assert network.hosts["h3"].rx_packets == 1
+        with pytest.raises(TopologyError, match="unknown host 'h9'"):
+            arm_traffic(network.sim, hosts, {
+                "kind": "probe", "src": "h1", "dst": "h9"}, {})
 
 
 # ----------------------------------------------------------------------
