@@ -10,8 +10,11 @@ Expected shape: the hub punts *every* packet (overhead proportional to
 traffic); the learning switch punts once per new flow direction and
 then goes quiet; the proactive router's steady-state overhead is just
 LLDP probing and is independent of traffic.  PacketIn dominates the hub
-and reactive byte counts; PacketOut dominates the hub's switch-bound
-direction.
+and reactive byte counts: a punted frame crosses the channel once, and
+the packet-out answering it names the switch's buffer instead of
+carrying the bytes back (ZOF ``buffer_id``), so the hub's switch-bound
+direction is 26 bytes a punt.  Only frames the switch never had (LLDP
+probes, ARP replies) ride a packet-out — the proactive row.
 """
 
 import pytest

@@ -27,7 +27,5 @@ class HubApp(App):
     def on_packet_in(self, event: PacketInEvent) -> None:
         if event.packet.get(LLDP) is not None:
             return  # discovery traffic is not ours to repeat
-        event.switch.packet_out(
-            event.packet, [Output(PORT_FLOOD)], in_port=event.in_port
-        )
+        event.forward([Output(PORT_FLOOD)])
         self.packets_flooded += 1

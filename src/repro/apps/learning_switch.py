@@ -80,9 +80,7 @@ class LearningSwitch(App):
             table[eth.src] = event.in_port
         out_port = table.get(eth.dst)
         if out_port is None or eth.dst.is_multicast:
-            event.switch.packet_out(
-                packet, [Output(PORT_FLOOD)], in_port=event.in_port
-            )
+            event.forward([Output(PORT_FLOOD)])
             self.packets_flooded += 1
             return
         match = self._build_match(packet, event.in_port, eth)
@@ -96,9 +94,7 @@ class LearningSwitch(App):
         )
         self.flows_installed += 1
         # Forward the triggering packet itself.
-        event.switch.packet_out(
-            packet, [Output(out_port)], in_port=event.in_port
-        )
+        event.forward([Output(out_port)])
 
     def _build_match(self, packet, in_port: int, eth: Ethernet) -> Match:
         if self.exact_match:

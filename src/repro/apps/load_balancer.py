@@ -211,11 +211,7 @@ class LoadBalancer(App):
         # Re-run the triggering packet through the (now programmed)
         # pipeline so it reaches the backend without waiting for a
         # retransmission.
-        event.switch.packet_out(
-            event.packet,
-            forward_actions + [Output(PORT_TABLE)],
-            in_port=event.in_port,
-        )
+        event.forward(forward_actions + [Output(PORT_TABLE)])
 
     # ------------------------------------------------------------------
     # Introspection

@@ -163,11 +163,7 @@ class ProactiveRouter(App):
         ports = self.flood_ports(dpid) - {event.in_port}
         if not ports:
             return
-        event.switch.packet_out(
-            event.packet,
-            [Output(p) for p in sorted(ports)],
-            in_port=event.in_port,
-        )
+        event.forward([Output(p) for p in sorted(ports)])
         self.packets_flooded += 1
 
     def flood_ports(self, dpid: int) -> Set[int]:

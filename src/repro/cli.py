@@ -30,6 +30,7 @@ from typing import List, Optional
 
 from repro.analysis import Table
 from repro.core import ZenPlatform
+from repro.errors import ZenError
 from repro.faults import arm_faults
 from repro.netem.topology import FAMILIES, Topology
 from repro.telemetry import Telemetry
@@ -948,6 +949,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.fn(args)
     except BrokenPipeError:  # e.g. `python -m repro bench | head`
         return 0
+    except ZenError as exc:  # a named failure (bad spec document, ...)
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

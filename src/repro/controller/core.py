@@ -35,6 +35,7 @@ from repro.packet import Packet
 from repro.sim import Simulator
 from repro.southbound.channel import ChannelEndpoint, ControlChannel
 from repro.southbound.messages import (
+    NO_BUFFER,
     BarrierReply,
     BarrierRequest,
     EchoReply,
@@ -152,8 +153,14 @@ class SwitchHandle:
         ))
 
     def packet_out(self, packet: Packet, actions: List[Action],
-                   in_port: int = 0) -> None:
-        data = packet.encode()
+                   in_port: int = 0, buffer_id: int = NO_BUFFER) -> None:
+        """Run ``actions`` on a frame at the switch: the frame it parked
+        under ``buffer_id`` (``packet`` is then only the controller's
+        view of it and is not sent), else ``packet``'s bytes."""
+        if buffer_id == NO_BUFFER:
+            data = stash_key = packet.encode()
+        else:
+            data, stash_key = b"", buffer_id
         ctx = self.controller._trace_ctx
         if ctx is None:
             ctx = packet.trace_id
@@ -163,9 +170,9 @@ class SwitchHandle:
                           parent=self.controller._trace_span)
             # Stash so the switch agent re-adopts after deserialisation;
             # scoped to the channel so an epoch bump prunes the entry.
-            tracer.stash(("packet_out", self.dpid, data), ctx,
+            tracer.stash(("packet_out", self.dpid, stash_key), ctx,
                          scope=self.endpoint._channel)
-        self.send(PacketOut(in_port, actions, data))
+        self.send(PacketOut(in_port, actions, data, buffer_id))
 
     def barrier(self, callback: Optional[Callable[[], None]] = None) -> None:
         """Request a barrier; ``callback`` fires when the reply lands.
@@ -687,7 +694,7 @@ class Controller:
         self._trace_span = dispatch_span
         try:
             self.publish(PacketInEvent(handle, msg.in_port, packet,
-                                       msg.reason))
+                                       msg.reason, msg.buffer_id))
         finally:
             self._trace_ctx = None
             self._trace_span = None

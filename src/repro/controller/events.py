@@ -2,8 +2,9 @@
 
 Apps subscribe to these; the controller core and the built-in services
 (discovery, host tracker, stats poller) publish them.  Events are plain
-value objects — no behaviour — so they can be logged, asserted on in
-tests, and replayed.
+value objects so they can be logged, asserted on in tests, and
+replayed; the one verb is :meth:`PacketInEvent.forward`, the answer to
+a punt.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.packet import IPv4Address, MACAddress, Packet
+from repro.southbound.messages import NO_BUFFER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.controller.core import SwitchHandle
@@ -74,14 +76,33 @@ class ResyncDone(Event):
 
 
 class PacketInEvent(Event):
-    """A punted packet, already decoded for the apps' convenience."""
+    """A punted packet, already decoded for the apps' convenience.
+
+    ``buffer_id`` names the switch-side slot still holding the frame
+    (``NO_BUFFER`` when the switch kept none).
+    """
 
     def __init__(self, switch: "SwitchHandle", in_port: int,
-                 packet: Packet, reason: str) -> None:
+                 packet: Packet, reason: str,
+                 buffer_id: int = NO_BUFFER) -> None:
         self.switch = switch
         self.in_port = in_port
         self.packet = packet
         self.reason = reason
+        self.buffer_id = buffer_id
+
+    def forward(self, actions: list) -> None:
+        """Send the frame that caused this event through ``actions``.
+
+        The switch runs them on the frame it parked, so the bytes do not
+        cross the channel again; for a rewritten or new frame call
+        ``switch.packet_out`` instead.  A buffer answers one packet-out:
+        when several apps forward the same event, the later ones send
+        the bytes.
+        """
+        buffer_id, self.buffer_id = self.buffer_id, NO_BUFFER
+        self.switch.packet_out(self.packet, actions, in_port=self.in_port,
+                               buffer_id=buffer_id)
 
 
 class FlowRemovedEvent(Event):

@@ -12,7 +12,7 @@ IN_PORT hairpins, and ALL is FLOOD including the ingress port.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 from repro.errors import DataplaneError
 from repro.packet import (
@@ -262,7 +262,7 @@ class DecTTL(Action):
 
 
 def apply_actions(
-    actions: List[Action],
+    actions: Iterable[Action],
     packet: Packet,
     in_port: Optional[int] = None,
 ) -> Tuple[Packet, List[int], List[int], List[int]]:

@@ -25,9 +25,8 @@ from bisect import insort
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dataplane.actions import Action
-from repro.dataplane.match import FlowKey, MATCH_FIELDS, Match
+from repro.dataplane.match import FlowKey, Match
 from repro.errors import TableFullError
-from repro.packet import IPv4Network
 
 __all__ = ["FlowEntry", "FlowTable", "RemovalReason"]
 
@@ -128,24 +127,6 @@ class FlowEntry:
         )
 
 
-def _exact_key(match: Match) -> Optional[Tuple]:
-    """The value tuple indexing ``match`` when it is fully specified.
-
-    A fully-specified match constrains every field with an exact value
-    (no IP prefixes), so it matches exactly the keys whose field tuple
-    equals this one — the property the exact-match hash relies on.
-    Returns ``None`` for anything wildcarded.
-    """
-    fields = match._fields
-    if len(fields) != len(MATCH_FIELDS):
-        return None
-    if isinstance(fields["ip_src"], IPv4Network):
-        return None
-    if isinstance(fields["ip_dst"], IPv4Network):
-        return None
-    return tuple(fields[name] for name in MATCH_FIELDS)
-
-
 def _probe_key(key: FlowKey) -> Tuple:
     """The value tuple of a packet's flow key, for exact-hash probing."""
     return (
@@ -238,7 +219,7 @@ class FlowTable:
 
     def _add(self, entry: FlowEntry) -> None:
         bucket = self._bucket(entry.priority)
-        ek = _exact_key(entry.match)
+        ek = entry.match.exact_key
         if ek is not None:
             bucket.exact[ek] = entry
         else:
@@ -271,7 +252,7 @@ class FlowTable:
 
     def _remove(self, entry: FlowEntry) -> None:
         bucket = self._buckets[entry.priority]
-        ek = _exact_key(entry.match)
+        ek = entry.match.exact_key
         if ek is not None and bucket.exact.get(ek) is entry:
             del bucket.exact[ek]
         else:
@@ -323,7 +304,7 @@ class FlowTable:
         bucket = self._buckets.get(priority)
         if bucket is None:
             return None
-        ek = _exact_key(match)
+        ek = match.exact_key
         if ek is not None:
             return bucket.exact.get(ek)
         for existing in bucket.wild:

@@ -12,6 +12,7 @@ Open vSwitch) expose by default.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.errors import DataplaneError
@@ -50,6 +51,9 @@ MATCH_FIELDS: Tuple[str, ...] = (
     "l4_src",
     "l4_dst",
 )
+
+_FIELD_SET = frozenset(MATCH_FIELDS)
+_ALL_VALUES = itemgetter(*MATCH_FIELDS)
 
 
 #: The header classes a flow key reads, and which of them (if any) each
@@ -192,6 +196,16 @@ def _normalise_ip(value: _IPField) -> Union[IPv4Address, IPv4Network]:
     return IPv4Address(value)
 
 
+#: Fields whose values are normalised to address objects, and how.
+_NORMALISERS = {
+    "eth_src": MACAddress,
+    "eth_dst": MACAddress,
+    "ip_src": _normalise_ip,
+    "ip_dst": _normalise_ip,
+}
+_TYPED = (MACAddress, IPv4Address)
+
+
 class Match:
     """An immutable pattern over :data:`MATCH_FIELDS`.
 
@@ -204,11 +218,11 @@ class Match:
     True
     """
 
-    __slots__ = ("_fields", "_hash")
+    __slots__ = ("_fields", "_hash", "_exact")
 
     def __init__(self, **fields: Any) -> None:
-        unknown = set(fields) - set(MATCH_FIELDS)
-        if unknown:
+        if not _FIELD_SET.issuperset(fields):
+            unknown = set(fields) - _FIELD_SET
             raise DataplaneError(
                 f"unknown match field(s): {', '.join(sorted(unknown))}"
             )
@@ -216,15 +230,34 @@ class Match:
         for name, value in fields.items():
             if value is None:
                 continue
-            if name in ("eth_src", "eth_dst"):
-                value = MACAddress(value)
-            elif name in ("ip_src", "ip_dst"):
-                value = _normalise_ip(value)
-            normalised[name] = value
-        self._fields = normalised
-        self._hash = hash(tuple(
-            sorted(normalised.items(), key=lambda kv: kv[0])
-        ))
+            normalise = _NORMALISERS.get(name)
+            normalised[name] = (value if normalise is None
+                                else normalise(value))
+        self._seal(normalised)
+
+    def _seal(self, fields: Dict[str, Any]) -> None:
+        """Adopt ``fields`` and compute, once, what a match is asked for
+        on every table operation: its hash and its exact key."""
+        self._fields = fields
+        # Field names are unique, so the sort never compares values.
+        self._hash = hash(tuple(sorted(fields.items())))
+        if (len(fields) == len(MATCH_FIELDS)
+                and not isinstance(fields["ip_src"], IPv4Network)
+                and not isinstance(fields["ip_dst"], IPv4Network)):
+            self._exact = _ALL_VALUES(fields)
+        else:
+            self._exact = None
+
+    @classmethod
+    def from_typed(cls, fields: Dict[str, Any]) -> "Match":
+        """Trusted constructor for callers that already hold canonical
+        values (``MACAddress``, ``IPv4Address``/``IPv4Network``, ints,
+        no ``None``) under known field names — the wire decoder and
+        :meth:`exact`.  The dict is adopted, not copied.
+        """
+        match = cls.__new__(cls)
+        match._seal(fields)
+        return match
 
     # ------------------------------------------------------------------
     # Introspection
@@ -236,6 +269,18 @@ class Match:
 
     def get(self, name: str) -> Any:
         return self._fields.get(name)
+
+    @property
+    def exact_key(self) -> Optional[Tuple]:
+        """The value tuple, in :data:`MATCH_FIELDS` order, when this
+        match is fully specified; ``None`` for anything wildcarded.
+
+        A fully-specified match constrains every field with an exact
+        value (no IP prefixes), so it matches exactly the keys whose
+        field tuple equals this one — the property the flow table's
+        exact-match hash relies on.
+        """
+        return self._exact
 
     def __contains__(self, name: str) -> bool:
         return name in self._fields
@@ -376,17 +421,25 @@ class Match:
         Fields the packet does not have stay wildcarded, matching how a
         reactive controller installs per-flow rules.
         """
-        fields = {
-            name: value
-            for name, value in key.as_dict().items()
-            if value is not None
-        }
-        return cls(**fields)
+        fields = {}
+        for name in MATCH_FIELDS:
+            value = getattr(key, name)
+            if value is not None:
+                fields[name] = value
+        # A key extracted from a packet is already typed; one built by
+        # hand (tests, the checker) may hold literals.
+        for name, normalise in _NORMALISERS.items():
+            value = fields.get(name)
+            if value is not None and type(value) not in _TYPED:
+                fields[name] = normalise(value)
+        return cls.from_typed(fields)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Match):
             return NotImplemented
-        return self._fields == other._fields
+        # The sealed hash settles most unequal pairs with an int compare
+        # (a same-priority wildcard scan is a run of such pairs).
+        return self._hash == other._hash and self._fields == other._fields
 
     def __hash__(self) -> int:
         return self._hash

@@ -314,7 +314,7 @@ class Datapath:
         """A packet arrived on ``in_port``; run it through the pipeline."""
         port = self.ports.get(in_port)
         if port is None or not port.up:
-            self._count_drop()
+            self.count_drop()
             return
         size = len(packet)
         port.rx_packets += 1
@@ -392,12 +392,12 @@ class Datapath:
                     if table_id + 1 < len(self.tables):
                         table_id += 1
                         continue
-                    self._count_drop()
+                    self.count_drop()
                     return "drop"
                 if behaviour == TableMissBehaviour.CONTROLLER:
                     self._punt(packet, in_port, PacketInReason.NO_MATCH)
                     return "punt"
-                self._count_drop()
+                self.count_drop()
                 return "drop"
             entry.touch(self.sim.now, size)
             packet = self._execute(entry.actions, packet, in_port, key,
@@ -452,7 +452,7 @@ class Datapath:
         if path.terminal == "punt":
             self._punt(packet, in_port, PacketInReason.NO_MATCH)
         elif path.terminal == "drop":
-            self._count_drop()
+            self.count_drop()
 
     def _execute(
         self,
@@ -470,7 +470,7 @@ class Datapath:
         """
         try:
             rewritten, out_ports, group_ids, meter_ids = apply_actions(
-                list(actions), packet, in_port
+                actions, packet, in_port
             )
         except TTLExpired:
             self._punt(packet, in_port, PacketInReason.TTL)
@@ -478,7 +478,7 @@ class Datapath:
         for meter_id in meter_ids:
             if not self.meters.get(meter_id).allow(len(rewritten),
                                                    self.sim.now):
-                self._count_drop()
+                self.count_drop()
                 return None
         for port_no in out_ports:
             self._emit(rewritten, in_port, port_no)
@@ -486,7 +486,7 @@ class Datapath:
             self._run_group(rewritten, in_port, key, group_id, depth)
         if not out_ports and not group_ids and not meter_ids and not has_goto:
             # Empty action list with no continuation = explicit drop.
-            self._count_drop()
+            self.count_drop()
         return rewritten
 
     def _run_group(self, packet: Packet, in_port: int, key: FlowKey,
@@ -498,7 +498,7 @@ class Datapath:
         group = self.groups.get(group_id)
         buckets = group.select_buckets(key, self.port_is_live)
         if not buckets:
-            self._count_drop()
+            self.count_drop()
             return
         for bucket in buckets:
             self._execute(bucket.actions, packet, in_port, key, depth + 1)
@@ -526,14 +526,14 @@ class Datapath:
             # ingress port unless IN_PORT is named explicitly.  Without
             # this guard a dst-rule whose learned port equals the
             # ingress hairpins the frame and poisons upstream learning.
-            self._count_drop()
+            self.count_drop()
             return
         self._transmit_one(packet, port_no)
 
     def _transmit_one(self, packet: Packet, port_no: int) -> None:
         port = self.ports.get(port_no)
         if port is None or not port.up:
-            self._count_drop()
+            self.count_drop()
             if port is not None:
                 port.tx_drops += 1
             return
@@ -550,10 +550,13 @@ class Datapath:
             )
         self.transmit(port_no, packet)
 
-    def send_packet_out(self, packet: Packet, actions: Iterable[Action],
+    def send_packet_out(self, packet: Packet, actions: List[Action],
                         in_port: int = 0) -> None:
         """Controller-originated transmission (ZOF packet-out)."""
-        key = FlowKey.from_packet(packet, in_port)
+        # Only group selection reads the flow key (as in _replay).
+        key = None
+        if any(isinstance(a, Group) for a in actions):
+            key = FlowKey.from_packet(packet, in_port)
         self._execute(actions, packet, in_port, key)
 
     def _punt(self, packet: Packet, in_port: int, reason: str) -> None:
@@ -568,7 +571,9 @@ class Datapath:
         if self.on_packet_in is not None:
             self.on_packet_in(packet, in_port, reason)
 
-    def _count_drop(self) -> None:
+    def count_drop(self) -> None:
+        """Account one dropped packet (the agent calls this for a
+        packet-out whose buffered frame is gone)."""
         self.packets_dropped += 1
         if self._m_drop is not None:
             self._m_drop.inc()

@@ -23,6 +23,7 @@ from repro.errors import DataplaneError, TableFullError
 from repro.packet import Packet
 from repro.southbound.channel import ChannelEndpoint, ControlChannel
 from repro.southbound.messages import (
+    NO_BUFFER,
     BarrierReply,
     BarrierRequest,
     ControllerRole,
@@ -51,7 +52,17 @@ from repro.southbound.messages import (
     StatsRequest,
 )
 
-__all__ = ["SwitchAgent"]
+__all__ = ["SwitchAgent", "BUFFER_SLOTS", "BUFFER_TTL"]
+
+#: Punted frames one datapath holds for its controllers at any instant;
+#: a punt that finds every slot live goes out unbuffered, carrying its
+#: bytes both ways as before.  Table-miss floods with nowhere left to
+#: go are never answered, so slots must also age out (``BUFFER_TTL``)
+#: or a busy switch fills up for good.
+BUFFER_SLOTS = 256
+#: Simulated seconds a parked frame stays answerable: 50x the largest
+#: control round trip any committed experiment uses (A1: 10 ms one-way).
+BUFFER_TTL = 1.0
 
 
 class _AgentGroup:
@@ -67,18 +78,83 @@ class _AgentGroup:
     who actually forwards them.
     """
 
-    __slots__ = ("agents", "generation_id")
+    __slots__ = ("agents", "generation_id", "_sim", "_parked", "_next_id",
+                 "buffered", "unbuffered", "consumed", "expired", "unknown")
 
     def __init__(self, datapath: Datapath) -> None:
         self.agents: list = []
         self.generation_id = 0
+        self._sim = datapath.sim
+        #: buffer_id -> (packet, parked_at), oldest first.  The packet
+        #: *object* is parked: a frame in flight is immutable (rewrites
+        #: copy), so the slot shares it with whoever else holds it.
+        self._parked: dict = {}
+        self._next_id = 0
+        self.buffered = 0    # punts parked
+        self.unbuffered = 0  # punts sent with NO_BUFFER (every slot live)
+        self.consumed = 0    # parked frames a packet-out released
+        self.expired = 0     # parked frames that outlived BUFFER_TTL
+        self.unknown = 0     # packet-outs refused with BUFFER_UNKNOWN
         datapath.on_packet_in = self._fan_packet_in
         datapath.on_flow_removed = self._fan_flow_removed
         datapath.on_port_status = self._fan_port_status
 
     def _fan_packet_in(self, packet, in_port, reason) -> None:
+        buffer_id = None
         for agent in self.agents:
-            agent._on_packet_in(packet, in_port, reason)
+            if agent._hears_packet_ins():
+                if buffer_id is None:  # park once, whoever listens
+                    buffer_id = self._park(packet)
+                agent._send_packet_in(packet, in_port, reason, buffer_id)
+
+    def _park(self, packet) -> int:
+        """Park ``packet``; its buffer id, or ``NO_BUFFER`` when full.
+
+        No timer reclaims a slot: the punt that needs room drops, from
+        the front, whatever has outlived the TTL.
+        """
+        now = self._sim.now
+        parked = self._parked
+        while parked:
+            oldest = next(iter(parked))
+            if now - parked[oldest][1] <= BUFFER_TTL:
+                break
+            del parked[oldest]
+            self.expired += 1
+        if len(parked) >= BUFFER_SLOTS:
+            self.unbuffered += 1
+            return NO_BUFFER
+        buffer_id = self._next_id
+        self._next_id = (buffer_id + 1) % NO_BUFFER
+        parked[buffer_id] = (packet, now)
+        self.buffered += 1
+        return buffer_id
+
+    def take(self, buffer_id: int):
+        """Release and return the frame parked under ``buffer_id``, or
+        ``None`` when there is none or it has outlived the TTL."""
+        slot = self._parked.pop(buffer_id, None)
+        if slot is not None:
+            packet, parked_at = slot
+            if self._sim.now - parked_at <= BUFFER_TTL:
+                self.consumed += 1
+                return packet
+            self.expired += 1
+        self.unknown += 1
+        return None
+
+    def wipe(self) -> None:
+        self._parked.clear()
+
+    def buffer_stats(self) -> dict:
+        return {
+            "buffered": self.buffered,
+            "unbuffered": self.unbuffered,
+            "consumed": self.consumed,
+            "expired": self.expired,
+            "unknown": self.unknown,
+            "live": len(self._parked),
+        }
 
     def _fan_flow_removed(self, table_id, entry, reason) -> None:
         for agent in self.agents:
@@ -150,6 +226,8 @@ class SwitchAgent:
             self.channel.disconnect()
         self.peer_version = None
         self._apply_cursor = 0.0
+        # Parked frames live in the agent process, not the ASIC.
+        self._group.wipe()
         if wipe_state:
             for table in self.datapath.tables:
                 table.clear()
@@ -163,12 +241,13 @@ class SwitchAgent:
     # ------------------------------------------------------------------
     # Datapath events -> ZOF messages
     # ------------------------------------------------------------------
-    def _on_packet_in(self, packet: Packet, in_port: int,
-                      reason: str) -> None:
-        if not self.channel.connected:
-            return
-        if self.controller_role == ControllerRole.SECONDARY:
-            return  # SLAVE connections get no asynchronous packet-ins
+    def _hears_packet_ins(self) -> bool:
+        """SLAVE connections get no asynchronous packet-ins."""
+        return (self.channel.connected
+                and self.controller_role != ControllerRole.SECONDARY)
+
+    def _send_packet_in(self, packet: Packet, in_port: int, reason: str,
+                        buffer_id: int) -> None:
         data = packet.encode()
         if packet.trace_id is not None and self._tel.tracing:
             # The trace id cannot ride the wire; stash it keyed by the
@@ -176,7 +255,15 @@ class SwitchAgent:
             # Valid because the channel is ordered and lossless.
             self._tel.tracer.stash(("packet_in", in_port, data),
                                    packet.trace_id, scope=self.channel)
-        self.endpoint.send(PacketIn(in_port, reason, data))
+        self.endpoint.send(PacketIn(in_port, reason, data, buffer_id))
+
+    def buffer_stats(self) -> dict:
+        """Packet-buffer counters of this agent's datapath (shared by
+        all its connections): punts ``buffered``/``unbuffered``, frames
+        ``consumed`` by a packet-out or ``expired``, packet-outs refused
+        as ``unknown``, and slots ``live`` now.  Diagnostics, like
+        ``Datapath.fast_path_stats()`` — not part of ``stats()``."""
+        return self._group.buffer_stats()
 
     def _on_flow_removed(self, table_id: int, entry: FlowEntry,
                          reason: str) -> None:
@@ -344,19 +431,40 @@ class SwitchAgent:
             self._send_error(msg, Error.BAD_METER, str(exc))
 
     def _apply_packet_out(self, msg: PacketOut) -> None:
-        try:
+        dp = self.datapath
+        # By value: a frame the switch never had (LLDP probe, ARP reply)
+        # or could not park, so the bytes came with the message.
+        by_value = msg.buffer_id == NO_BUFFER
+        if msg.data and not by_value:
+            self._send_error(msg, Error.BAD_REQUEST,
+                             "packet-out names a buffer and carries data")
+            return
+        tid = None
+        if self._tel.tracing:
+            # Claimed before the lookup: a refused packet-out must not
+            # leave its stash entry behind.
+            tid, sent_at = self._tel.tracer.adopt((
+                "packet_out", dp.dpid,
+                msg.data if by_value else msg.buffer_id,
+            ))
+        if by_value:
             packet = Packet.decode(msg.data)
-            if self._tel.tracing:
-                tid, sent_at = self._tel.tracer.adopt(
-                    ("packet_out", self.datapath.dpid, msg.data)
-                )
-                if tid is not None:
-                    packet.trace_id = tid
-                    self._tel.tracer.record(
-                        tid, "channel.packet_out", "channel",
-                        start=sent_at, dpid=self.datapath.dpid,
-                    )
-            self.datapath.send_packet_out(packet, msg.actions, msg.in_port)
+        else:
+            packet = self._group.take(msg.buffer_id)
+            if packet is None:
+                dp.count_drop()
+                self._send_error(msg, Error.BUFFER_UNKNOWN,
+                                 f"no live buffer {msg.buffer_id}")
+                return
+        if tid is not None:
+            # A parked frame kept this id; a decoded one needs it back.
+            packet.trace_id = tid
+            self._tel.tracer.record(
+                tid, "channel.packet_out", "channel",
+                start=sent_at, dpid=dp.dpid,
+            )
+        try:
+            dp.send_packet_out(packet, msg.actions, msg.in_port)
         except DataplaneError as exc:
             self._send_error(msg, Error.BAD_ACTION, str(exc))
 

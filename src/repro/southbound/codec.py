@@ -93,65 +93,109 @@ class FrameCache:
 # ----------------------------------------------------------------------
 # Match TLVs
 # ----------------------------------------------------------------------
-_F_IN_PORT = 1
-_F_ETH_SRC = 2
-_F_ETH_DST = 3
-_F_ETH_TYPE = 4
-_F_VLAN_VID = 5
-_F_IP_SRC = 6
-_F_IP_DST = 7
-_F_IP_PROTO = 8
-_F_IP_DSCP = 9
-_F_L4_SRC = 10
-_F_L4_DST = 11
+_COUNT = struct.Struct("!H")  # the u16 byte count ahead of the TLVs
+
+#: One precompiled layout per field kind: TLV header (field id, value
+#: length) and value in a single pack; the value alone for unpack_from.
+_TLV_U8, _VAL_U8 = struct.Struct("!BBB"), struct.Struct("!B")
+_TLV_U16, _VAL_U16 = struct.Struct("!BBH"), struct.Struct("!H")
+_TLV_U32, _VAL_U32 = struct.Struct("!BBI"), struct.Struct("!I")
+_TLV_MAC, _VAL_MAC = struct.Struct("!BB6s"), struct.Struct("!6s")
+_TLV_IP, _VAL_IP = struct.Struct("!BBIB"), struct.Struct("!IB")
+
+# A field kind is (encoder factory, value layout, value converter): the
+# factory binds a field id and returns ``value -> TLV bytes``; the
+# converter turns what the layout unpacks back into the match's value.
+
+
+def _int_kind(tlv: struct.Struct, val: struct.Struct):
+    def encoder(field_id: int):
+        pack, size = tlv.pack, val.size
+        return lambda value: pack(field_id, size, value)
+
+    return encoder, val, int
+
+
+def _encode_mac(field_id: int):
+    pack = _TLV_MAC.pack
+    return lambda mac: pack(field_id, 6, mac.packed())
+
+
+def _encode_vlan(field_id: int):
+    pack = _TLV_U16.pack
+    return lambda vid: pack(field_id, 2,
+                            0xFFFF if vid == VLAN_ABSENT else vid)
+
+
+def _decode_vlan(raw: int) -> int:
+    return VLAN_ABSENT if raw == 0xFFFF else raw
+
+
+def _encode_ip(field_id: int):
+    pack = _TLV_IP.pack
+
+    def encode(value) -> bytes:
+        if isinstance(value, IPv4Network):
+            return pack(field_id, 5, value.address.value, value.prefix_len)
+        return pack(field_id, 5, value.value, 32)
+
+    return encode
+
+
+def _decode_ip(address: int, prefix_len: int):
+    if prefix_len == 32:
+        return IPv4Address(address)
+    if prefix_len > 32:
+        raise ProtocolError(f"match prefix length {prefix_len} > 32")
+    return IPv4Network(address, prefix_len)  # zeroes the host bits
+
+
+_U8 = _int_kind(_TLV_U8, _VAL_U8)
+_U16 = _int_kind(_TLV_U16, _VAL_U16)
+_U32 = _int_kind(_TLV_U32, _VAL_U32)
+_MAC = (_encode_mac, _VAL_MAC, MACAddress)
+_VLAN = (_encode_vlan, _VAL_U16, _decode_vlan)
+_IP = (_encode_ip, _VAL_IP, _decode_ip)
+
+#: The wire order of a match: (field id, name, kind), PROTOCOL.md §4.1.
+_MATCH_WIRE = (
+    (1, "in_port", _U32),
+    (2, "eth_src", _MAC),
+    (3, "eth_dst", _MAC),
+    (4, "eth_type", _U16),
+    (5, "vlan_vid", _VLAN),
+    (6, "ip_src", _IP),
+    (7, "ip_dst", _IP),
+    (8, "ip_proto", _U8),
+    (9, "ip_dscp", _U8),
+    (10, "l4_src", _U16),
+    (11, "l4_dst", _U16),
+)
+_MATCH_ENCODERS = tuple(
+    (name, make_encoder(field_id))
+    for field_id, name, (make_encoder, _, _) in _MATCH_WIRE)
+#: field id -> (name, value size, unpack_from, converter)
+_MATCH_DECODERS = {
+    field_id: (name, layout.size, layout.unpack_from, convert)
+    for field_id, name, (_, layout, convert) in _MATCH_WIRE
+}
 
 
 def encode_match(match: Match) -> bytes:
     """Serialise a match to TLVs, prefixed with a u16 byte count."""
-    body = bytearray()
-
-    def tlv(field_id: int, value: bytes) -> None:
-        body.append(field_id)
-        body.append(len(value))
-        body.extend(value)
-
     fields = match.fields
-    if "in_port" in fields:
-        tlv(_F_IN_PORT, struct.pack("!I", fields["in_port"]))
-    if "eth_src" in fields:
-        tlv(_F_ETH_SRC, fields["eth_src"].packed())
-    if "eth_dst" in fields:
-        tlv(_F_ETH_DST, fields["eth_dst"].packed())
-    if "eth_type" in fields:
-        tlv(_F_ETH_TYPE, struct.pack("!H", fields["eth_type"]))
-    if "vlan_vid" in fields:
-        vid = fields["vlan_vid"]
-        raw = 0xFFFF if vid == VLAN_ABSENT else vid
-        tlv(_F_VLAN_VID, struct.pack("!H", raw))
-    for name, field_id in (("ip_src", _F_IP_SRC), ("ip_dst", _F_IP_DST)):
-        if name in fields:
-            value = fields[name]
-            if isinstance(value, IPv4Network):
-                tlv(field_id, value.address.packed()
-                    + bytes([value.prefix_len]))
-            else:
-                tlv(field_id, value.packed() + bytes([32]))
-    if "ip_proto" in fields:
-        tlv(_F_IP_PROTO, bytes([fields["ip_proto"]]))
-    if "ip_dscp" in fields:
-        tlv(_F_IP_DSCP, bytes([fields["ip_dscp"]]))
-    if "l4_src" in fields:
-        tlv(_F_L4_SRC, struct.pack("!H", fields["l4_src"]))
-    if "l4_dst" in fields:
-        tlv(_F_L4_DST, struct.pack("!H", fields["l4_dst"]))
-    return struct.pack("!H", len(body)) + bytes(body)
+    body = b"".join([
+        encode(fields[name])
+        for name, encode in _MATCH_ENCODERS if name in fields
+    ])
+    return _COUNT.pack(len(body)) + body
 
 
 def decode_match(data: bytes) -> Tuple[Match, int]:
     """Parse a match; returns ``(match, bytes_consumed)``."""
     if len(data) < 2:
         raise ProtocolError("match blob truncated (no length prefix)")
-    (body_len,) = struct.unpack_from("!H", data)
+    (body_len,) = _COUNT.unpack_from(data)
     end = 2 + body_len
     if len(data) < end:
         raise ProtocolError("match blob truncated (body short)")
@@ -162,39 +206,19 @@ def decode_match(data: bytes) -> Tuple[Match, int]:
             raise ProtocolError("match TLV header truncated")
         field_id, value_len = data[offset], data[offset + 1]
         offset += 2
-        value = data[offset:offset + value_len]
-        if len(value) != value_len:
+        if end - offset < value_len:
             raise ProtocolError("match TLV value truncated")
-        offset += value_len
-        if field_id == _F_IN_PORT:
-            fields["in_port"] = struct.unpack("!I", value)[0]
-        elif field_id == _F_ETH_SRC:
-            fields["eth_src"] = MACAddress(value)
-        elif field_id == _F_ETH_DST:
-            fields["eth_dst"] = MACAddress(value)
-        elif field_id == _F_ETH_TYPE:
-            fields["eth_type"] = struct.unpack("!H", value)[0]
-        elif field_id == _F_VLAN_VID:
-            raw = struct.unpack("!H", value)[0]
-            fields["vlan_vid"] = VLAN_ABSENT if raw == 0xFFFF else raw
-        elif field_id in (_F_IP_SRC, _F_IP_DST):
-            addr, prefix_len = IPv4Address(value[:4]), value[4]
-            name = "ip_src" if field_id == _F_IP_SRC else "ip_dst"
-            if prefix_len == 32:
-                fields[name] = addr
-            else:
-                fields[name] = IPv4Network(str(addr), prefix_len)
-        elif field_id == _F_IP_PROTO:
-            fields["ip_proto"] = value[0]
-        elif field_id == _F_IP_DSCP:
-            fields["ip_dscp"] = value[0]
-        elif field_id == _F_L4_SRC:
-            fields["l4_src"] = struct.unpack("!H", value)[0]
-        elif field_id == _F_L4_DST:
-            fields["l4_dst"] = struct.unpack("!H", value)[0]
-        else:
+        decoder = _MATCH_DECODERS.get(field_id)
+        if decoder is None:
             raise ProtocolError(f"unknown match field id {field_id}")
-    return Match(**fields), end
+        name, size, unpack_from, convert = decoder
+        if value_len != size:
+            raise ProtocolError(
+                f"match field {name} is {size}B, got {value_len}B"
+            )
+        fields[name] = convert(*unpack_from(data, offset))
+        offset += value_len
+    return Match.from_typed(fields), end
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,7 @@ from repro.southbound.codec import (
 
 __all__ = [
     "ZOF_VERSION",
+    "NO_BUFFER",
     "Message",
     "Hello",
     "Error",
@@ -59,7 +60,12 @@ __all__ = [
     "decode_message",
 ]
 
-ZOF_VERSION = 1
+#: 2: PACKET_IN and PACKET_OUT carry a ``buffer_id`` (PROTOCOL.md §4.4, §5).
+ZOF_VERSION = 2
+
+#: ``buffer_id`` of a frame the switch did not park: the message carries
+#: the frame's bytes instead.
+NO_BUFFER = 0xFFFFFFFF
 
 _HEADER = struct.Struct("!BBII")
 
@@ -181,6 +187,9 @@ class Error(Message):
     BAD_GROUP = 5
     BAD_METER = 6
     BAD_ROLE = 7
+    #: A packet-out named a buffer the switch does not hold (consumed,
+    #: expired, or wiped by a restart).
+    BUFFER_UNKNOWN = 10
     # Synthetic codes: never sent on the wire, only fabricated locally
     # by ChannelEndpoint to fail a pending request (see channel.py).
     CHANNEL_DOWN = 8
@@ -312,24 +321,33 @@ def _reason_str(code: int) -> str:
 
 @_register(10)
 class PacketIn(Message):
-    """A punted packet: the reactive control plane's bread and butter."""
+    """A punted packet: the reactive control plane's bread and butter.
+
+    ``buffer_id`` names the switch-side slot holding the frame (a
+    packet-out may answer with the id instead of the bytes), or
+    :data:`NO_BUFFER` when the switch kept no copy.
+    """
+
+    _HEAD = struct.Struct("!IBI")
 
     def __init__(self, in_port: int = 0, reason: str = "no_match",
-                 data: bytes = b"") -> None:
+                 data: bytes = b"", buffer_id: int = NO_BUFFER) -> None:
         self.in_port = in_port
         self.reason = reason
         self.data = bytes(data)
+        self.buffer_id = buffer_id
 
     def encode_body(self) -> bytes:
-        return struct.pack("!IB", self.in_port,
-                           _reason_code(self.reason)) + self.data
+        return self._HEAD.pack(self.in_port, _reason_code(self.reason),
+                               self.buffer_id) + self.data
 
     @classmethod
     def decode_body(cls, body: bytes) -> "PacketIn":
-        if len(body) < 5:
+        if len(body) < cls._HEAD.size:
             raise ProtocolError("PacketIn body truncated")
-        in_port, reason = struct.unpack_from("!IB", body)
-        return cls(in_port, _reason_str(reason), body[5:])
+        in_port, reason, buffer_id = cls._HEAD.unpack_from(body)
+        return cls(in_port, _reason_str(reason), body[cls._HEAD.size:],
+                   buffer_id)
 
 
 @_register(11)
@@ -390,26 +408,32 @@ class PortStatus(Message):
 # ----------------------------------------------------------------------
 @_register(13)
 class PacketOut(Message):
-    """Controller-originated packet, executed against an action list."""
+    """A frame executed against an action list: either the bytes in
+    ``data``, or the frame the switch parked under ``buffer_id`` (then
+    ``data`` is empty)."""
+
+    _HEAD = struct.Struct("!II")
 
     def __init__(self, in_port: int = 0,
                  actions: Optional[List[Action]] = None,
-                 data: bytes = b"") -> None:
+                 data: bytes = b"", buffer_id: int = NO_BUFFER) -> None:
         self.in_port = in_port
         self.actions = list(actions or [])
         self.data = bytes(data)
+        self.buffer_id = buffer_id
 
     def encode_body(self) -> bytes:
-        return (struct.pack("!I", self.in_port)
+        return (self._HEAD.pack(self.in_port, self.buffer_id)
                 + encode_actions(self.actions) + self.data)
 
     @classmethod
     def decode_body(cls, body: bytes) -> "PacketOut":
-        if len(body) < 4:
+        head = cls._HEAD.size
+        if len(body) < head:
             raise ProtocolError("PacketOut body truncated")
-        (in_port,) = struct.unpack_from("!I", body)
-        actions, used = decode_actions(body[4:])
-        return cls(in_port, actions, body[4 + used:])
+        in_port, buffer_id = cls._HEAD.unpack_from(body)
+        actions, used = decode_actions(body[head:])
+        return cls(in_port, actions, body[head + used:], buffer_id)
 
 
 class FlowModCommand:
@@ -450,10 +474,12 @@ class FlowMod(Message):
         self.goto_table = goto_table
         self.flags = flags
 
+    _HEAD = struct.Struct("!BBHddQBB")
+
     def encode_body(self) -> bytes:
         goto = 0xFF if self.goto_table is None else self.goto_table
-        head = struct.pack(
-            "!BBHddQBB", self.command, self.table_id, self.priority,
+        head = self._HEAD.pack(
+            self.command, self.table_id, self.priority,
             self.idle_timeout, self.hard_timeout, self.cookie, goto,
             self.flags,
         )
@@ -461,10 +487,9 @@ class FlowMod(Message):
 
     @classmethod
     def decode_body(cls, body: bytes) -> "FlowMod":
-        fmt = struct.Struct("!BBHddQBB")
         (command, table_id, priority, idle, hard,
-         cookie, goto, flags) = fmt.unpack_from(body)
-        offset = fmt.size
+         cookie, goto, flags) = cls._HEAD.unpack_from(body)
+        offset = cls._HEAD.size
         match, used = decode_match(body[offset:])
         offset += used
         actions, used = decode_actions(body[offset:])

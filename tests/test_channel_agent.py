@@ -35,6 +35,7 @@ from repro.southbound import (
     StatsKind,
     StatsRequest,
     SwitchAgent,
+    ZOF_VERSION,
 )
 
 
@@ -140,7 +141,7 @@ class TestAgentHandshake:
         channel.connect()
         sim.run_until_idle()
         assert any(isinstance(m, Hello) for m in inbox)
-        assert agent.peer_version == 1
+        assert agent.peer_version == ZOF_VERSION
         got = []
         channel.controller_end.request(FeaturesRequest(), got.append)
         sim.run_until_idle()

@@ -1,7 +1,11 @@
 """CLI smoke tests (argument handling and end-to-end demo runs)."""
 
+import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -81,3 +85,36 @@ class TestCommands:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestNamedErrors:
+    """A bad input ends in one ``repro: error:`` line, not a traceback."""
+
+    @pytest.mark.parametrize("document, names", [
+        ({"version": 1, "name": "x",
+          "topology": {"family": "ring"}}, "traffic"),
+        ({"version": 1, "name": "x", "topology": {"family": "donut"},
+          "traffic": []}, "donut"),
+        ({"version": 1, "name": "x", "topology": {"family": "ring"},
+          "traffic": [{"kind": "telepathy"}]}, "telepathy"),
+    ])
+    def test_malformed_spec_document(self, document, names, tmp_path,
+                                     capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code = main(["check", "replay", "--path", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("repro: error: ") and names in line
+
+    def test_unknown_workload_name(self):
+        src = pathlib.Path(repro.__file__).parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "workload", "run",
+             "--name", "nope"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1 and done.stdout == ""
+        (line,) = done.stderr.splitlines()
+        assert "unknown scenario 'nope'" in line

@@ -104,6 +104,20 @@ class TestMatchSemantics:
         key = udp_key()
         assert Match.exact(key).matches(key)
 
+    def test_exact_equals_the_keyword_construction(self):
+        for key in (udp_key(), FlowKey.from_packet(Ethernet() / ARP(), 3),
+                    FlowKey(eth_src=MAC_A, ip_dst="10.0.1.7")):
+            fields = {k: v for k, v in key.as_dict().items()
+                      if v is not None}
+            exact, built = Match.exact(key), Match(**fields)
+            assert exact == built and hash(exact) == hash(built)
+            assert list(exact) == list(built)
+            assert exact.exact_key == built.exact_key
+        # A full key seals an exact key; a literal is normalised first.
+        assert Match.exact(udp_key()).exact_key is not None
+        literal = Match.exact(FlowKey(eth_src=MAC_A, ip_dst="10.0.1.7"))
+        assert literal.get("eth_src").value and literal.get("ip_dst").value
+
     def test_matches_packet_convenience(self):
         pkt = Ethernet(dst=MAC_B, src=MAC_A) / IPv4() / UDP() / b""
         assert Match(eth_dst=MAC_B).matches_packet(pkt)

@@ -1,7 +1,9 @@
 """ZOF wire-format tests: every message type roundtrips byte-exactly."""
 
+import struct
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.dataplane import (
     Bucket,
@@ -23,8 +25,11 @@ from repro.dataplane import (
     SetVLAN,
     VLAN_ABSENT,
 )
+from repro.dataplane.match import MATCH_FIELDS
 from repro.errors import ProtocolError
+from repro.packet import IPv4Address, IPv4Network, MACAddress
 from repro.southbound import (
+    NO_BUFFER,
     BarrierReply,
     BarrierRequest,
     ControllerRole,
@@ -39,6 +44,7 @@ from repro.southbound import (
     FlowStatsEntry,
     GroupMod,
     Hello,
+    Message,
     MeterMod,
     ModCommand,
     PacketIn,
@@ -154,7 +160,10 @@ class TestMessageRoundtrips:
             PortDesc(2, b"\x02\x00\x00\x00\x00\x02", False),
         ]),
         PacketIn(in_port=3, reason="no_match", data=b"\x00" * 20),
+        PacketIn(in_port=3, reason="action", data=b"\x00" * 20,
+                 buffer_id=7),
         PacketOut(in_port=2, actions=[Output(1)], data=b"\xff" * 14),
+        PacketOut(in_port=2, actions=[Output(1)], buffer_id=0xFFFFFFFE),
         FlowMod(command=FlowModCommand.ADD, table_id=2, match=RICH_MATCH,
                 priority=77, actions=ALL_ACTIONS, idle_timeout=2.5,
                 hard_timeout=60.0, cookie=0xDEAD, goto_table=3,
@@ -244,3 +253,287 @@ class TestFraming:
         msg = PacketIn(port, reason, data)
         out = roundtrip(msg)
         assert (out.in_port, out.reason, out.data) == (port, reason, data)
+
+
+class TestBufferIdLayouts:
+    def test_packet_in_layout(self):
+        wire = encode_message(PacketIn(3, "action", b"frame", buffer_id=7))
+        assert wire[10:] == struct.pack("!IBI", 3, 1, 7) + b"frame"
+
+    def test_packet_out_layout(self):
+        wire = encode_message(PacketOut(2, [Output(1)], buffer_id=7))
+        assert wire[10:] == (struct.pack("!II", 2, 7)
+                             + encode_actions([Output(1)]))
+
+    def test_old_call_shapes_mean_no_buffer(self):
+        assert PacketIn(in_port=1, data=b"x").buffer_id == NO_BUFFER
+        out = PacketOut(1, [Output(2)], b"x")
+        assert (out.data, out.buffer_id) == (b"x", NO_BUFFER)
+
+
+# ----------------------------------------------------------------------
+# The match codec against the code it replaced
+# ----------------------------------------------------------------------
+# The pre-table encode_match/decode_match and flowtable._exact_key,
+# verbatim, as the oracle: the rewrite must produce the same bytes and
+# the same matches.
+_F = {name: i + 1 for i, name in enumerate(MATCH_FIELDS)}
+
+
+def oracle_encode_match(match):
+    body = bytearray()
+
+    def tlv(field_id, value):
+        body.append(field_id)
+        body.append(len(value))
+        body.extend(value)
+
+    fields = match.fields
+    if "in_port" in fields:
+        tlv(_F["in_port"], struct.pack("!I", fields["in_port"]))
+    if "eth_src" in fields:
+        tlv(_F["eth_src"], fields["eth_src"].packed())
+    if "eth_dst" in fields:
+        tlv(_F["eth_dst"], fields["eth_dst"].packed())
+    if "eth_type" in fields:
+        tlv(_F["eth_type"], struct.pack("!H", fields["eth_type"]))
+    if "vlan_vid" in fields:
+        vid = fields["vlan_vid"]
+        raw = 0xFFFF if vid == VLAN_ABSENT else vid
+        tlv(_F["vlan_vid"], struct.pack("!H", raw))
+    for name in ("ip_src", "ip_dst"):
+        if name in fields:
+            value = fields[name]
+            if isinstance(value, IPv4Network):
+                tlv(_F[name], value.address.packed()
+                    + bytes([value.prefix_len]))
+            else:
+                tlv(_F[name], value.packed() + bytes([32]))
+    if "ip_proto" in fields:
+        tlv(_F["ip_proto"], bytes([fields["ip_proto"]]))
+    if "ip_dscp" in fields:
+        tlv(_F["ip_dscp"], bytes([fields["ip_dscp"]]))
+    if "l4_src" in fields:
+        tlv(_F["l4_src"], struct.pack("!H", fields["l4_src"]))
+    if "l4_dst" in fields:
+        tlv(_F["l4_dst"], struct.pack("!H", fields["l4_dst"]))
+    return struct.pack("!H", len(body)) + bytes(body)
+
+
+def oracle_decode_match(data):
+    (body_len,) = struct.unpack_from("!H", data)
+    end = 2 + body_len
+    fields = {}
+    offset = 2
+    while offset < end:
+        field_id, value_len = data[offset], data[offset + 1]
+        offset += 2
+        value = data[offset:offset + value_len]
+        offset += value_len
+        name = MATCH_FIELDS[field_id - 1]
+        if name == "in_port":
+            fields[name] = struct.unpack("!I", value)[0]
+        elif name in ("eth_src", "eth_dst"):
+            fields[name] = MACAddress(value)
+        elif name in ("eth_type", "l4_src", "l4_dst"):
+            fields[name] = struct.unpack("!H", value)[0]
+        elif name == "vlan_vid":
+            raw = struct.unpack("!H", value)[0]
+            fields[name] = VLAN_ABSENT if raw == 0xFFFF else raw
+        elif name in ("ip_src", "ip_dst"):
+            addr, prefix_len = IPv4Address(value[:4]), value[4]
+            fields[name] = (addr if prefix_len == 32
+                            else IPv4Network(str(addr), prefix_len))
+        else:
+            fields[name] = value[0]
+    return Match(**fields), end
+
+
+def oracle_exact_key(match):
+    fields = match.fields
+    if len(fields) != len(MATCH_FIELDS):
+        return None
+    if isinstance(fields["ip_src"], IPv4Network):
+        return None
+    if isinstance(fields["ip_dst"], IPv4Network):
+        return None
+    return tuple(fields[name] for name in MATCH_FIELDS)
+
+
+def oracle_hash(match):
+    return hash(tuple(sorted(match.fields.items(), key=lambda kv: kv[0])))
+
+
+_u8, _u16 = st.integers(0, 0xFF), st.integers(0, 0xFFFF)
+_mac = st.integers(0, 2**48 - 1).map(MACAddress)
+_ip = st.one_of(
+    st.integers(0, 2**32 - 1).map(IPv4Address),
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 31)).map(
+        lambda pair: IPv4Network(str(IPv4Address(pair[0])), pair[1])),
+)
+_FIELD_VALUES = {
+    "in_port": st.integers(0, 2**32 - 1),
+    "eth_src": _mac,
+    "eth_dst": _mac,
+    "eth_type": _u16,
+    "vlan_vid": st.one_of(st.just(VLAN_ABSENT), st.integers(0, 0xFFFE)),
+    "ip_src": _ip,
+    "ip_dst": _ip,
+    "ip_proto": _u8,
+    "ip_dscp": _u8,
+    "l4_src": _u16,
+    "l4_dst": _u16,
+}
+#: Every subset of the 11 fields; a quarter of the draws are full (all
+#: fields, so exact unless an IP drew a prefix).
+matches = st.one_of(
+    st.fixed_dictionaries({}, optional=_FIELD_VALUES),
+    st.fixed_dictionaries({}, optional=_FIELD_VALUES),
+    st.fixed_dictionaries({}, optional=_FIELD_VALUES),
+    st.fixed_dictionaries(_FIELD_VALUES),
+).map(lambda fields: Match(**fields))
+
+
+class TestMatchCodecAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(match=matches)
+    def test_same_bytes_same_match_same_seal(self, match):
+        blob = encode_match(match)
+        assert blob == oracle_encode_match(match)
+        decoded, used = decode_match(blob + b"trailing")
+        assert used == len(blob)
+        assert decoded == match == oracle_decode_match(blob)[0]
+        assert list(decoded) == list(oracle_decode_match(blob)[0])
+        for m in (match, decoded):
+            assert hash(m) == oracle_hash(m)
+            assert m.exact_key == oracle_exact_key(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(match=matches)
+    def test_exact_and_typed_constructors_agree_with_init(self, match):
+        rebuilt = Match.from_typed(match.fields)
+        assert rebuilt == match and hash(rebuilt) == hash(match)
+        assert rebuilt.exact_key == match.exact_key
+
+    def test_full_exact_match_has_a_key_and_a_prefix_kills_it(self):
+        fields = dict(
+            in_port=1, eth_src="02:00:00:00:00:01",
+            eth_dst="02:00:00:00:00:02", eth_type=0x0800,
+            vlan_vid=VLAN_ABSENT, ip_src="10.0.0.1", ip_dst="10.0.0.2",
+            ip_proto=17, ip_dscp=0, l4_src=5, l4_dst=6)
+        exact = Match(**fields)
+        assert exact.exact_key is not None
+        assert exact.exact_key == oracle_exact_key(exact)
+        assert exact.exact_key[1] == MACAddress("02:00:00:00:00:01")
+        assert Match(**dict(fields, ip_dst="10.0.0.0/24")).exact_key is None
+        del fields["l4_dst"]
+        assert Match(**fields).exact_key is None
+        with pytest.raises(AttributeError):
+            exact.exact_key = ()
+
+    @pytest.mark.parametrize("blob", [
+        b"\x00\x01\x01",                    # TLV header truncated
+        b"\x00\x04\x01\x04\x00\x00",        # value truncated
+        b"\x00\x03\x63\x01\x00",            # unknown field id
+        b"\x00\x05\x01\x03\x00\x00\x01",    # in_port with 3 bytes
+        b"\x00\x04\x08\x02\x06\x00",        # ip_proto with 2 bytes
+        b"\x00\x02\x08\x00",                # ip_proto with 0 bytes
+        b"\x00\x07\x02\x05\x00\x00\x00\x00\x01",  # 5-byte MAC
+        b"\x00\x07\x06\x05\x0a\x00\x00\x00\x21",  # prefix length 33
+    ])
+    def test_malformed_match_is_a_protocol_error(self, blob):
+        with pytest.raises(ProtocolError):
+            decode_match(blob)
+        flow_mod = bytearray(encode_message(FlowMod()))
+        flow_mod[-4:-2] = blob  # splice over the empty match
+        flow_mod[2:6] = struct.pack("!I", len(flow_mod))
+        with pytest.raises(ProtocolError):
+            decode_message(bytes(flow_mod))
+
+
+# ----------------------------------------------------------------------
+# Mutation fuzzing: malformed bytes end in ProtocolError, nothing else
+# ----------------------------------------------------------------------
+_SEED_MESSAGES = [
+    Hello(),
+    Error(Error.BUFFER_UNKNOWN, "no live buffer 7"),
+    EchoRequest(b"ping"),
+    FeaturesReply(dpid=42, num_tables=4, ports=[
+        PortDesc(1, b"\x02\x00\x00\x00\x00\x01", True)]),
+    PacketIn(in_port=3, reason="no_match", data=b"\x01" * 20, buffer_id=9),
+    PacketIn(in_port=3, reason="action", data=b"\x01" * 20),
+    PacketOut(in_port=2, actions=[Output(1)], buffer_id=9),
+    PacketOut(in_port=2, actions=ALL_ACTIONS, data=b"\xff" * 14),
+    FlowMod(command=FlowModCommand.ADD, table_id=2, match=RICH_MATCH,
+            priority=77, actions=ALL_ACTIONS, idle_timeout=2.5,
+            goto_table=3, flags=FlowMod.SEND_FLOW_REM),
+    FlowRemoved(table_id=1, match=RICH_MATCH, priority=7, cookie=99,
+                reason="hard_timeout", duration=12.5),
+    PortStatus("down", PortDesc(5, b"\x02\x00\x00\x00\x00\x05", False)),
+    GroupMod(ModCommand.ADD, group_id=9, group_type=GroupType.SELECT,
+             buckets=[Bucket([Output(1)], watch_port=1, weight=3)]),
+    MeterMod(ModCommand.MODIFY, meter_id=4, rate_bps=1e6, burst_bytes=1500),
+    StatsRequest(StatsKind.FLOW, table_id=2),
+    StatsReply(StatsKind.FLOW, [
+        FlowStatsEntry(0, 10, 77, 1000, 64000, 3.5, RICH_MATCH)]),
+    StatsReply(StatsKind.PORT, [{
+        "port": 1, "rx_packets": 10, "rx_bytes": 1000,
+        "tx_packets": 20, "tx_bytes": 2000, "tx_drops": 3}]),
+    BarrierRequest(),
+    RoleRequest(ControllerRole.PRIMARY, generation_id=12),
+]
+
+
+def _mutate(draw, wire: bytearray) -> None:
+    """Flip, truncate or extend ``wire`` in place, one to four times."""
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("flip", "truncate", "extend")))
+        if kind == "flip" and wire:
+            wire[draw(st.integers(0, len(wire) - 1))] = draw(_u8)
+        elif kind == "truncate" and wire:
+            del wire[draw(st.integers(0, len(wire) - 1)):]
+        else:
+            wire += draw(st.binary(min_size=1, max_size=8))
+
+
+@st.composite
+def mutated_frames(draw):
+    wire = bytearray(encode_message(draw(st.sampled_from(_SEED_MESSAGES))))
+    _mutate(draw, wire)
+    if draw(st.booleans()) and len(wire) >= 10:
+        # Keep the frame-length field honest so the mutation reaches
+        # the body decoders instead of dying at the framing check.
+        wire[2:6] = struct.pack("!I", len(wire))
+    return bytes(wire)
+
+
+@st.composite
+def mutated_match_blobs(draw):
+    wire = bytearray(encode_match(draw(matches)))
+    _mutate(draw, wire)
+    if draw(st.booleans()) and len(wire) >= 2:
+        wire[0:2] = struct.pack("!H", len(wire) - 2)
+    return bytes(wire)
+
+
+class TestMutationFuzz:
+    @settings(max_examples=1500, deadline=None)
+    @given(wire=mutated_frames())
+    def test_decode_returns_a_message_or_a_protocol_error(self, wire):
+        # Never struct.error, IndexError, KeyError, ValueError, ...
+        try:
+            msg = decode_message(wire)
+        except ProtocolError:
+            return
+        assert isinstance(msg, Message)
+
+    @settings(max_examples=500, deadline=None)
+    @given(blob=mutated_match_blobs())
+    def test_decode_match_names_its_own_errors(self, blob):
+        # Called directly there is no decode_message to wrap a stray
+        # struct.error or AddressError: the table checks every length.
+        try:
+            match, used = decode_match(blob)
+        except ProtocolError:
+            return
+        assert used <= len(blob) and hash(match) == oracle_hash(match)
