@@ -1,22 +1,34 @@
-"""E12 — Datapath fast path: microflow cache throughput on deep tables.
+"""E12 — Datapath fast path: what depth costs, what masks cost, and
+what the microflow cache buys back.
 
-Question: what does the exact-match microflow cache buy when flow
-tables get deep, and does it change any observable behaviour?
+Question: the flow table is a tuple-space classifier — one hash per
+match *shape* — under an exact-match microflow cache.  Does a deep
+table still cost anything, what does, and does the cache change any
+observable behaviour?
 
-Workload: a k=4 fat-tree under the proactive profile.  Every table 0 is
-deepened with 512 high-priority filler rules that never match traffic
-(the linear-scan tax real pipelines pay), then a fixed set of host
-pairs exchanges repeated UDP flows.  The identical simulation runs
-twice — fast path off, then on — and we measure dataplane packets per
-*wall-clock* second plus a kernel events-per-second microbench for the
-tuple-heap hot loop.
+Workload: a k=4 fat-tree under the proactive profile; a fixed set of
+host pairs exchanges repeated UDP flows.  The identical simulation runs
+over three recipes for table 0, each with the cache off and on:
 
-Expected shape: with the cache off every packet re-scans the filler
-rules at every hop; with it on, the first packet of each microflow
-pays the scan and the rest are one dict probe.  The speedup must be
->= 2x, and every simulation observable (switch counters, flow stats)
-must be bit-identical between the two runs — the cache is a pure
-performance construct.
+* *shallow* — the router's own rules, no filler;
+* *deep, one mask* — 512 high-priority filler rules that never match
+  traffic, all of one shape ``(eth_type, l4_dst)``, in 64 priority
+  bands (the recipe a per-priority scan paid 64 x 8 compares for);
+* *deep, many masks* — the same 512 rules and bands, but every band a
+  shape of its own (``ip_dst`` prefix lengths 1-32, with and without
+  an ``ip_src/8``): 64 subtables above the routing rule.
+
+We measure dataplane packets per *wall-clock* second plus a kernel
+events-per-second microbench for the tuple-heap hot loop, and publish
+two ratios: ``depth_ratio`` = deep-one-mask / shallow, both cache off,
+and ``mask_speedup`` = cache on / off on the many-mask table.
+
+Expected shape: depth is free (512 same-shape rules are one more row
+probe: ``depth_ratio`` ~ 1, contract >= 0.8 — it read 0.155 when every
+band was scanned); masks are what cost (64 probes per lookup), and that
+is where the cache pays, per mask.  Every simulation observable (switch
+counters, flow stats) must be bit-identical cache on vs off in all
+three recipes — the cache is a pure performance construct.
 """
 
 import time
@@ -36,11 +48,31 @@ DEEP_PRIORITIES = 64       # filler priority bands above the router rules
 ENTRIES_PER_PRIORITY = 8   # 512 never-matching entries per table 0
 PACKETS_PER_FLOW = 40
 FILLER_ETH_TYPE = 0x86DD   # IPv6: never sent by this workload
-MIN_SPEEDUP = 2.0
+MIN_DEPTH_RATIO = 0.8      # E12's contract, machine-independent
 KERNEL_EVENTS = 200_000
+REPS = 3                   # per arm, fastest kept: the window is ~0.1 s
 
 
-def drive(fast_path):
+def no_filler(band, j):
+    return None
+
+
+def one_mask(band, j):
+    return Match(eth_type=FILLER_ETH_TYPE, l4_dst=j)
+
+
+def many_masks(band, j):
+    fields = {"ip_dst": "10.128.0.0/%d" % (band % 32 + 1)}
+    if band >= 32:
+        fields["ip_src"] = "10.0.0.0/8"
+    return Match(eth_type=FILLER_ETH_TYPE, l4_dst=j, **fields)
+
+
+RECIPES = {"shallow": no_filler, "one_mask": one_mask,
+           "many_masks": many_masks}
+
+
+def drive(fast_path, filler=one_mask):
     """One full fat-tree run; returns (packets/wall-s, observables)."""
     platform = ZenPlatform(
         Topology.fat_tree(4, bandwidth_bps=1e9, delay=0.00005),
@@ -62,10 +94,9 @@ def drive(fast_path):
         table = dp.tables[0]
         for i in range(DEEP_PRIORITIES):
             for j in range(ENTRIES_PER_PRIORITY):
-                table.insert(FlowEntry(
-                    Match(eth_type=FILLER_ETH_TYPE, l4_dst=j),
-                    [], priority=1000 + i,
-                ))
+                match = filler(i, j)
+                if match is not None:
+                    table.insert(FlowEntry(match, [], priority=1000 + i))
     # Measured workload: repeated packets per microflow, spread over 1 s.
     sim = platform.sim
     rng = sim.fork_rng()
@@ -127,19 +158,24 @@ def kernel_events_per_second(n=KERNEL_EVENTS):
 
 
 def run_experiment():
-    off = drive(fast_path=False)
-    on = drive(fast_path=True)
+    def fastest(fast_path, filler):
+        return max((drive(fast_path, filler) for _ in range(REPS)),
+                   key=lambda run: run["pps"])
+
+    runs = {name: {"off": fastest(False, filler), "on": fastest(True, filler)}
+            for name, filler in RECIPES.items()}
     kernel_rate = kernel_events_per_second()
     table = Table(
-        "E12 — fast-path throughput, fat-tree k=4, 512 filler rules",
-        ["fast_path", "packets_per_wall_s", "wall_s", "forwarded",
-         "cache_hit_rate"],
+        "E12 — fast-path throughput, fat-tree k=4, three table recipes",
+        ["table", "fast_path", "packets_per_wall_s", "wall_s",
+         "forwarded", "cache_hit_rate"],
     )
-    table.add_row("off", off["pps"], off["wall_s"], off["forwarded"],
-                  off["hit_rate"])
-    table.add_row("on", on["pps"], on["wall_s"], on["forwarded"],
-                  on["hit_rate"])
-    return table, off, on, kernel_rate
+    for name, arms in runs.items():
+        for arm in ("off", "on"):
+            run = arms[arm]
+            table.add_row(name, arm, run["pps"], run["wall_s"],
+                          run["forwarded"], run["hit_rate"])
+    return table, runs, kernel_rate
 
 
 @pytest.fixture(scope="module")
@@ -148,13 +184,19 @@ def results():
 
 
 def test_e12_fastpath(results, benchmark):
-    table, off, on, kernel_rate = results
+    table, runs, kernel_rate = results
     publish("e12_fastpath", table)
-    speedup = on["pps"] / off["pps"]
+    depth_ratio = (runs["one_mask"]["off"]["pps"]
+                   / runs["shallow"]["off"]["pps"])
+    mask_speedup = (runs["many_masks"]["on"]["pps"]
+                    / runs["many_masks"]["off"]["pps"])
+    on = runs["many_masks"]["on"]
     publish_json("E12", {
-        "packets_per_wall_s": {"fast_path_off": off["pps"],
-                               "fast_path_on": on["pps"]},
-        "speedup": speedup,
+        "packets_per_wall_s": {
+            name: {arm: arms[arm]["pps"] for arm in ("off", "on")}
+            for name, arms in runs.items()},
+        "depth_ratio": depth_ratio,
+        "mask_speedup": mask_speedup,
         "cache_hit_rate": on["hit_rate"],
         "kernel_events_per_s": kernel_rate,
         "forwarded_packets": on["forwarded"],
@@ -162,20 +204,29 @@ def test_e12_fastpath(results, benchmark):
     })
     benchmark.pedantic(lambda: drive(True), rounds=1, iterations=1)
     # The cache is semantically invisible: identical seeds produce
-    # identical counters whether it is on or off.
-    assert on["observables"] == off["observables"]
-    assert on["events"] == off["events"]
-    assert on["forwarded"] == off["forwarded"]
-    # And it pays for itself on deep tables.
-    assert on["hit_rate"] > 0.8
-    assert speedup >= MIN_SPEEDUP, (
-        f"fast path speedup {speedup:.2f}x below {MIN_SPEEDUP}x "
-        f"({off['pps']:.0f} -> {on['pps']:.0f} pkts/wall-s)"
+    # identical counters whether it is on or off, whatever the table.
+    for name, arms in runs.items():
+        assert arms["on"]["observables"] == arms["off"]["observables"], name
+        assert arms["on"]["events"] == arms["off"]["events"], name
+        assert arms["on"]["forwarded"] == arms["off"]["forwarded"], name
+        assert arms["on"]["hit_rate"] > 0.8, name
+    # Filler never matches, so it never changes what is forwarded.
+    assert len({arms["on"]["forwarded"] for arms in runs.values()}) == 1
+    # Depth is free: 512 same-shape rules are one more row probe.
+    assert depth_ratio >= MIN_DEPTH_RATIO, (
+        f"deep one-mask table runs at {depth_ratio:.2f}x the shallow "
+        f"one, below {MIN_DEPTH_RATIO}x "
+        f"({runs['shallow']['off']['pps']:.0f} -> "
+        f"{runs['one_mask']['off']['pps']:.0f} pkts/wall-s)"
+    )
+    # Masks are what cost, and there the cache still pays for itself.
+    assert mask_speedup > 1.0, (
+        f"microflow cache is worth {mask_speedup:.2f}x over 64 masks"
     )
 
 
 def test_e12_kernel_microbench(results):
-    _, _, _, kernel_rate = results
+    _, _, kernel_rate = results
     # The tuple-heap hot loop should sustain a healthy dispatch rate
     # even on slow CI machines; this is a smoke floor, not a target.
     assert kernel_rate > 50_000

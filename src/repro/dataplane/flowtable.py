@@ -6,26 +6,21 @@ Entries may carry idle and hard timeouts; :meth:`FlowTable.expire` pops
 them from a lazy deadline heap, returning the evicted entries so the
 datapath can emit flow-removed notifications.
 
-Internally the table is indexed rather than flat (the observable
-semantics are unchanged — a TCAM):
-
-* entries are partitioned into per-priority buckets, with the priority
-  list kept sorted by bisect-insert instead of re-sorting on every add;
-* fully-specified matches (all fields constrained, no prefixes) live in
-  an exact-match hash per bucket, so the microflow-rule workloads that
-  dominate deep tables resolve in O(1) instead of a linear scan;
-* wildcard entries stay in a per-bucket list ordered by installation
-  sequence, scanned newest-first only until it cannot beat the exact hit.
+Internally the table is a tuple-space classifier (observably a TCAM):
+one subtable per match :class:`~repro.dataplane.match.Shape`, a hash
+from masked values to entries.  A lookup projects the key onto each
+shape and probes one row, best-priority subtables first, until none left
+can beat the hit; insert and strict delete probe the one row of their
+match.  Cost follows shapes, not rules; table order is derived on demand.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.dataplane.actions import Action
-from repro.dataplane.match import FlowKey, Match
+from repro.dataplane.match import FlowKey, Match, Shape
 from repro.errors import TableFullError
 
 __all__ = ["FlowEntry", "FlowTable", "RemovalReason"]
@@ -111,15 +106,6 @@ class FlowEntry:
             deadline = min(deadline, self.last_used + self.idle_timeout)
         return deadline
 
-    @property
-    def age_fields(self) -> dict:
-        return {
-            "packets": self.packet_count,
-            "bytes": self.byte_count,
-            "installed": self.install_time,
-            "last_used": self.last_used,
-        }
-
     def __repr__(self) -> str:
         return (
             f"<FlowEntry prio={self.priority} {self.match!r} "
@@ -127,30 +113,32 @@ class FlowEntry:
         )
 
 
-def _probe_key(key: FlowKey) -> Tuple:
-    """The value tuple of a packet's flow key, for exact-hash probing."""
-    return (
-        key.in_port, key.eth_src, key.eth_dst, key.eth_type, key.vlan_vid,
-        key.ip_src, key.ip_dst, key.ip_proto, key.ip_dscp,
-        key.l4_src, key.l4_dst,
-    )
+def _canonical(entry: FlowEntry) -> Tuple[int, int]:
+    """Sort key of table order: best priority, then newest, first."""
+    return (-entry.priority, -entry._seq)
 
 
-class _Bucket:
-    """Entries of one priority: an exact-match hash plus a wildcard list.
+def _slot(row: List[FlowEntry], priority: int) -> int:
+    """Where ``priority`` sits, or would, in a row (ascending; scanned
+    from the end: rows are short and bands mostly arrive ascending)."""
+    i = len(row)
+    while i and row[i - 1].priority >= priority:
+        i -= 1
+    return i
 
-    ``wild`` is kept in ascending installation order, so appending keeps
-    it sorted and a newest-first scan is ``reversed(wild)``.
-    """
 
-    __slots__ = ("exact", "wild")
+class _Subtable:
+    """The entries of one shape.  ``rows`` maps masked values to the
+    entries of that match: the bare entry when there is one (the common
+    case), else a list by ascending priority."""
 
-    def __init__(self) -> None:
-        self.exact: dict = {}  # value tuple -> FlowEntry
-        self.wild: List[FlowEntry] = []
+    __slots__ = ("project", "rows", "per_priority", "max_priority")
 
-    def __len__(self) -> int:
-        return len(self.exact) + len(self.wild)
+    def __init__(self, shape: Shape) -> None:
+        self.project = shape.project
+        self.rows: dict = {}
+        self.per_priority: Dict[int, int] = {}  # priority -> entry count
+        self.max_priority = -_INFINITY
 
 
 class FlowTable:
@@ -173,10 +161,9 @@ class FlowTable:
         self.table_id = table_id
         self.capacity = capacity  # 0 means unbounded
         self.eviction_policy = eviction_policy  # None or "lru"
-        self._buckets: dict = {}  # priority -> _Bucket
-        self._neg_prios: List[int] = []  # -priority, ascending
+        self._subtables: Dict[Shape, _Subtable] = {}
+        self._order: List[_Subtable] = []  # by max_priority, descending
         self._live: set = set()  # identity set of resident entries
-        self._count = 0
         self._timeout_count = 0
         # Items are (deadline, push_id, entry_seq, entry): push_id makes
         # comparisons unique (entry seqs are reused on replacement), and
@@ -210,35 +197,26 @@ class FlowTable:
         if self.on_change is not None:
             self.on_change()
 
-    def _bucket(self, priority: int) -> _Bucket:
-        bucket = self._buckets.get(priority)
-        if bucket is None:
-            bucket = self._buckets[priority] = _Bucket()
-            insort(self._neg_prios, -priority)
-        return bucket
+    def _reorder(self) -> None:  # stable: ties keep a deterministic order
+        self._order.sort(key=lambda sub: -sub.max_priority)
 
     def _add(self, entry: FlowEntry) -> None:
-        bucket = self._bucket(entry.priority)
-        ek = entry.match.exact_key
-        if ek is not None:
-            bucket.exact[ek] = entry
-        else:
-            wild = bucket.wild
-            if wild and wild[-1]._seq > entry._seq:
-                # A replacement keeps its original sequence number, so
-                # bisect it back into recency order instead of appending.
-                lo, hi = 0, len(wild)
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if wild[mid]._seq < entry._seq:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                wild.insert(lo, entry)
-            else:
-                wild.append(entry)
+        shape, values = entry.match.index()
+        sub = self._subtables.get(shape)
+        if sub is None:
+            sub = self._subtables[shape] = _Subtable(shape)
+            self._order.append(sub)
+        priority = entry.priority
+        row = sub.rows.setdefault(values, entry)
+        if row is not entry:  # the match is resident at other priorities
+            if type(row) is not list:
+                row = sub.rows[values] = [row]
+            row.insert(_slot(row, priority), entry)
+        sub.per_priority[priority] = sub.per_priority.get(priority, 0) + 1
+        if priority > sub.max_priority:
+            sub.max_priority = priority
+            self._reorder()
         self._live.add(entry)
-        self._count += 1
         if entry.idle_timeout or entry.hard_timeout:
             self._timeout_count += 1
             self._arm_deadline(entry)
@@ -251,17 +229,26 @@ class FlowTable:
         )
 
     def _remove(self, entry: FlowEntry) -> None:
-        bucket = self._buckets[entry.priority]
-        ek = entry.match.exact_key
-        if ek is not None and bucket.exact.get(ek) is entry:
-            del bucket.exact[ek]
+        shape, values = entry.match.index()
+        sub = self._subtables[shape]
+        row = sub.rows[values]
+        if row is entry:
+            del sub.rows[values]
         else:
-            bucket.wild.remove(entry)
-        if not bucket.exact and not bucket.wild:
-            del self._buckets[entry.priority]
-            self._neg_prios.remove(-entry.priority)
+            row.remove(entry)
+            if len(row) == 1:
+                sub.rows[values] = row[0]
+        priority = entry.priority
+        sub.per_priority[priority] -= 1
+        if not sub.per_priority[priority]:
+            del sub.per_priority[priority]
+            if not sub.per_priority:
+                del self._subtables[shape]
+                self._order.remove(sub)
+            elif priority == sub.max_priority:
+                sub.max_priority = max(sub.per_priority)
+                self._reorder()
         self._live.discard(entry)
-        self._count -= 1
         if entry.idle_timeout or entry.hard_timeout:
             self._timeout_count -= 1
         # Stale deadline-heap items are skipped lazily by expire().
@@ -276,40 +263,34 @@ class FlowTable:
         evicted: List[FlowEntry] = []
         existing = self._find_same(entry.match, entry.priority)
         if existing is not None:
-            entry.install_time = now
-            entry.last_used = now
-            entry._seq = existing._seq
+            entry._seq = existing._seq  # keeps its place in recency
             self._remove(existing)
-            self._add(entry)
-            self._changed()
-            return evicted
-        if self.capacity and self._count >= self.capacity:
-            if self.eviction_policy == "lru":
-                victim = min(self._iter_entries(),
+        else:
+            if self.capacity and len(self._live) >= self.capacity:
+                if self.eviction_policy != "lru":
+                    raise TableFullError(self.table_id, self.capacity)
+                victim = min(self._live,
                              key=lambda e: (e.last_used, e._seq))
                 self._remove(victim)
                 evicted.append(victim)
-            else:
-                raise TableFullError(self.table_id, self.capacity)
-        self._seq += 1
-        entry._seq = self._seq
-        entry.install_time = now
-        entry.last_used = now
+            self._seq += 1
+            entry._seq = self._seq
+        entry.install_time = entry.last_used = now
         self._add(entry)
         self._changed()
         return evicted
 
     def _find_same(self, match: Match,
                    priority: int) -> Optional[FlowEntry]:
-        bucket = self._buckets.get(priority)
-        if bucket is None:
-            return None
-        ek = match.exact_key
-        if ek is not None:
-            return bucket.exact.get(ek)
-        for existing in bucket.wild:
-            if existing.match == match:
-                return existing
+        """The resident entry with exactly this (match, priority)."""
+        shape, values = match.index()
+        sub = self._subtables.get(shape)
+        row = sub.rows.get(values) if sub is not None else None
+        if type(row) is list:
+            i = _slot(row, priority)
+            row = row[i] if i < len(row) else None
+        if row is not None and row.priority == priority:
+            return row
         return None
 
     def delete(
@@ -325,20 +306,19 @@ class FlowTable:
         the given pattern (OpenFlow OFPFC_DELETE); strict delete requires
         the exact (match, priority) pair.
         """
-        removed: List[FlowEntry] = []
-        for entry in list(self._iter_entries()):
-            doomed = True
-            if cookie is not None and entry.cookie != cookie:
-                doomed = False
-            if doomed and match is not None:
-                if strict:
-                    doomed = entry.match == match and entry.priority == priority
-                else:
-                    doomed = entry.match.is_subset_of(match)
-            elif doomed and strict and priority is not None:
-                doomed = entry.priority == priority
-            if doomed:
-                removed.append(entry)
+        if strict and match is not None:
+            candidates = ([] if priority is None
+                          else [self._find_same(match, priority)])
+        else:
+            candidates = self.entries()
+            if match is not None:
+                candidates = [e for e in candidates
+                              if e.match.is_subset_of(match)]
+            elif strict and priority is not None:
+                candidates = [e for e in candidates
+                              if e.priority == priority]
+        removed = [e for e in candidates if e is not None
+                   and (cookie is None or e.cookie == cookie)]
         for entry in removed:
             self._remove(entry)
         if removed:
@@ -369,17 +349,16 @@ class FlowTable:
         if expired:
             # Canonical (-priority, -seq) order, matching table iteration,
             # so flow-removed notification order is deterministic.
-            expired.sort(key=lambda pair: (-pair[0].priority, -pair[0]._seq))
+            expired.sort(key=lambda pair: _canonical(pair[0]))
             self._changed()
         return expired
 
     def clear(self) -> int:
-        count = self._count
-        self._buckets.clear()
-        self._neg_prios.clear()
+        count = len(self._live)
+        self._subtables.clear()
+        self._order.clear()
         self._live.clear()
         self._deadline_heap.clear()
-        self._count = 0
         self._timeout_count = 0
         if count:
             self._changed()
@@ -390,42 +369,26 @@ class FlowTable:
     # ------------------------------------------------------------------
     def lookup(self, key: FlowKey) -> Optional[FlowEntry]:
         """The highest-priority entry matching ``key``, or ``None``."""
-        self.lookup_count += 1
-        if self._m_lookups is not None:
-            self._m_lookups.inc()
-        probe = None
-        for neg_prio in self._neg_prios:
-            bucket = self._buckets[-neg_prio]
-            best = None
-            if bucket.exact:
-                if probe is None:
-                    probe = _probe_key(key)
-                best = bucket.exact.get(probe)
-            if bucket.wild:
-                # Newest-first; a wildcard entry older than the exact hit
-                # cannot win the recency tie-break, so stop there.
-                floor = best._seq if best is not None else -1
-                for entry in reversed(bucket.wild):
-                    if entry._seq < floor:
-                        break
-                    if entry.match.matches(key):
-                        best = entry
-                        break
-            if best is not None:
-                self.matched_count += 1
-                if self._m_matches is not None:
-                    self._m_matches.inc()
-                return best
-        return None
+        best, floor = None, -_INFINITY
+        for sub in self._order:
+            if sub.max_priority < floor:
+                break  # nothing further down can beat the hit
+            row = sub.rows.get(sub.project(key))
+            if row is not None:
+                if type(row) is list:
+                    row = row[-1]
+                priority = row.priority
+                if priority > floor or (priority == floor
+                                        and row._seq > best._seq):
+                    best, floor = row, priority
+        self.record_lookup(best is not None)
+        return best
 
     def record_lookup(self, hit: bool) -> None:
-        """Account a lookup served by a cache above this table.
-
-        The datapath's microflow fast path resolves packets without
-        touching the pipeline, but stats replies must stay bit-identical
-        with the cache on or off — so cache hits replay the counter
-        effects of the lookups they skipped.
-        """
+        """Account one lookup — also one served by a cache above this
+        table: the datapath's microflow fast path resolves packets
+        without touching the pipeline, but stats replies must stay
+        bit-identical cache on or off, so hits replay these counters."""
         self.lookup_count += 1
         if self._m_lookups is not None:
             self._m_lookups.inc()
@@ -437,35 +400,23 @@ class FlowTable:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def _iter_entries(self) -> Iterator[FlowEntry]:
-        """All entries in canonical (-priority, -seq) order."""
-        for neg_prio in self._neg_prios:
-            bucket = self._buckets[-neg_prio]
-            if bucket.exact:
-                merged = list(bucket.exact.values())
-                merged.extend(bucket.wild)
-                merged.sort(key=lambda e: -e._seq)
-                yield from merged
-            else:
-                yield from reversed(bucket.wild)
-
     def __len__(self) -> int:
-        return self._count
+        return len(self._live)
 
     def __iter__(self) -> Iterator[FlowEntry]:
-        return self._iter_entries()
+        return iter(self.entries())
 
     def entries(
         self, predicate: Optional[Callable[[FlowEntry], bool]] = None
     ) -> List[FlowEntry]:
-        if predicate is None:
-            return list(self._iter_entries())
-        return [e for e in self._iter_entries() if predicate(e)]
+        """Entries in canonical (-priority, -seq) order, derived on
+        demand (live seqs are unique, so set order cannot show)."""
+        return sorted(filter(predicate, self._live), key=_canonical)
 
     @property
     def size(self) -> int:
         """Resident entry count (occupancy as an absolute number)."""
-        return self._count
+        return len(self._live)
 
     @property
     def has_timeouts(self) -> bool:
@@ -478,8 +429,8 @@ class FlowTable:
         :attr:`size` for the absolute count)."""
         if not self.capacity:
             return 0.0
-        return self._count / self.capacity
+        return len(self._live) / self.capacity
 
     def __repr__(self) -> str:
         cap = self.capacity or "∞"
-        return f"<FlowTable id={self.table_id} {self._count}/{cap}>"
+        return f"<FlowTable id={self.table_id} {len(self._live)}/{cap}>"

@@ -12,7 +12,7 @@ Open vSwitch) expose by default.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.errors import DataplaneError
@@ -53,7 +53,6 @@ MATCH_FIELDS: Tuple[str, ...] = (
 )
 
 _FIELD_SET = frozenset(MATCH_FIELDS)
-_ALL_VALUES = itemgetter(*MATCH_FIELDS)
 
 
 #: The header classes a flow key reads, and which of them (if any) each
@@ -61,13 +60,17 @@ _ALL_VALUES = itemgetter(*MATCH_FIELDS)
 _KINDS = (Ethernet, VLAN, IPv4, ARP, TCP, UDP, ICMP)
 _KIND_OF: Dict[type, Optional[type]] = {}
 
+#: The address classes a key or a match may hold in an address field.
+_TYPED = (MACAddress, IPv4Address)
+
 
 class FlowKey:
     """The concrete header fields of one packet, extracted at ingress.
 
     Fields that do not exist in the packet (e.g. ``l4_src`` of an ARP
     frame) are ``None``; a Match constraining such a field cannot match
-    the packet.
+    the packet.  Address literals become ``MACAddress``/``IPv4Address``:
+    tables hash these values, and a ``str`` does not hash like one.
     """
 
     __slots__ = MATCH_FIELDS
@@ -87,12 +90,16 @@ class FlowKey:
         l4_dst: Optional[int] = None,
     ) -> None:
         self.in_port = in_port
-        self.eth_src = eth_src
-        self.eth_dst = eth_dst
+        self.eth_src = (eth_src if eth_src is None
+                        or type(eth_src) in _TYPED else MACAddress(eth_src))
+        self.eth_dst = (eth_dst if eth_dst is None
+                        or type(eth_dst) in _TYPED else MACAddress(eth_dst))
         self.eth_type = eth_type
         self.vlan_vid = vlan_vid
-        self.ip_src = ip_src
-        self.ip_dst = ip_dst
+        self.ip_src = (ip_src if ip_src is None
+                       or type(ip_src) in _TYPED else IPv4Address(ip_src))
+        self.ip_dst = (ip_dst if ip_dst is None
+                       or type(ip_dst) in _TYPED else IPv4Address(ip_dst))
         self.ip_proto = ip_proto
         self.ip_dscp = ip_dscp
         self.l4_src = l4_src
@@ -119,48 +126,50 @@ class FlowKey:
         successors = headers[1:]
         successors.append(None)
 
-        eth_src = eth_dst = eth_type = None
-        vlan_vid = VLAN_ABSENT
+        # Header fields are typed already: skip __init__'s conversion.
+        key = cls.__new__(cls)
+        key.in_port = in_port
+        key.eth_src = key.eth_dst = key.eth_type = None
+        key.vlan_vid = VLAN_ABSENT
         i = first.get(Ethernet)
         if i is not None:
             eth = headers[i]
-            eth_src = eth.src
-            eth_dst = eth.dst
+            key.eth_src = eth.src
+            key.eth_dst = eth.dst
             # What the wire will say, not the not-yet-linked field.
-            eth_type = ETHERTYPES.code_for(successors[i], eth.ethertype)
+            key.eth_type = ETHERTYPES.code_for(successors[i], eth.ethertype)
         i = first.get(VLAN)
         if i is not None:
             vlan = headers[i]
-            vlan_vid = vlan.vid
+            key.vlan_vid = vlan.vid
             # Match on the inner protocol.
-            eth_type = ETHERTYPES.code_for(successors[i], vlan.ethertype)
-        ip_src = ip_dst = ip_proto = ip_dscp = None
+            key.eth_type = ETHERTYPES.code_for(successors[i], vlan.ethertype)
+        key.ip_src = key.ip_dst = key.ip_proto = key.ip_dscp = None
         i = first.get(IPv4)
         if i is not None:
             ip = headers[i]
-            ip_src = ip.src
-            ip_dst = ip.dst
-            ip_proto = IP_PROTOS.code_for(successors[i], ip.proto)
-            ip_dscp = ip.dscp
+            key.ip_src = ip.src
+            key.ip_dst = ip.dst
+            key.ip_proto = IP_PROTOS.code_for(successors[i], ip.proto)
+            key.ip_dscp = ip.dscp
         elif ARP in first:
             # OpenFlow convention: ARP SPA/TPA ride the IP fields.
             arp = headers[first[ARP]]
-            ip_src = arp.sender_ip
-            ip_dst = arp.target_ip
-            ip_proto = arp.opcode
-        l4_src = l4_dst = None
+            key.ip_src = arp.sender_ip
+            key.ip_dst = arp.target_ip
+            key.ip_proto = arp.opcode
+        key.l4_src = key.l4_dst = None
         if TCP in first:
             tcp = headers[first[TCP]]
-            l4_src, l4_dst = tcp.src_port, tcp.dst_port
+            key.l4_src, key.l4_dst = tcp.src_port, tcp.dst_port
         elif UDP in first:
             udp = headers[first[UDP]]
-            l4_src, l4_dst = udp.src_port, udp.dst_port
+            key.l4_src, key.l4_dst = udp.src_port, udp.dst_port
         elif ICMP in first:
             # OpenFlow convention: ICMP type/code ride the L4 port fields.
             icmp = headers[first[ICMP]]
-            l4_src, l4_dst = icmp.icmp_type, icmp.code
-        return cls(in_port, eth_src, eth_dst, eth_type, vlan_vid,
-                   ip_src, ip_dst, ip_proto, ip_dscp, l4_src, l4_dst)
+            key.l4_src, key.l4_dst = icmp.icmp_type, icmp.code
+        return key
 
     def as_dict(self) -> Dict[str, Any]:
         return {f: getattr(self, f) for f in MATCH_FIELDS}
@@ -185,10 +194,7 @@ class FlowKey:
         return f"FlowKey({set_fields})"
 
 
-_IPField = Union[str, IPv4Address, IPv4Network]
-
-
-def _normalise_ip(value: _IPField) -> Union[IPv4Address, IPv4Network]:
+def _normalise_ip(value: Any) -> Union[IPv4Address, IPv4Network]:
     if isinstance(value, (IPv4Address, IPv4Network)):
         return value
     if isinstance(value, str) and "/" in value:
@@ -203,7 +209,64 @@ _NORMALISERS = {
     "ip_src": _normalise_ip,
     "ip_dst": _normalise_ip,
 }
-_TYPED = (MACAddress, IPv4Address)
+
+
+class Shape:
+    """Which fields a match constrains, and how: ``fields`` is
+    ``((name, mask), ...)`` in :data:`MATCH_FIELDS` order, ``mask`` being
+    ``None`` for an exact value or the netmask of an IP prefix.
+
+    Matches of one shape differ only in their *masked values* (a prefix
+    counts as its network integer), so a table files them in one hash:
+    ``values_of(match fields)`` is a rule's row, ``project(key)`` the
+    row a key falls in — ``None``, or a tuple holding ``None``, when the
+    key lacks a constrained field, which no rule's values equal.  Shapes
+    are interned, so both functions are built once per shape.
+    """
+
+    __slots__ = ("fields", "project", "values_of")
+
+    def __init__(self, fields: Tuple[Tuple[str, Optional[int]], ...]) -> None:
+        self.fields = fields
+        names = [name for name, _mask in fields]
+        if not names:
+            self.project = self.values_of = lambda _: ()
+        elif all(mask is None for _name, mask in fields):
+            # One name yields the bare value, several a tuple: both sides.
+            self.project = attrgetter(*names)
+            self.values_of = itemgetter(*names)
+        else:
+            # Compiled from MATCH_FIELDS names and integer masks only.
+            absent = " or ".join(f"key.{name} is None"
+                                 for name, mask in fields if mask is not None)
+            values = ", ".join(
+                f"key.{name}" if mask is None else f"key.{name}.value & {mask}"
+                for name, mask in fields)
+            self.project = eval(
+                f"lambda key: None if {absent} else ({values},)")
+            self.values_of = lambda match_fields: tuple(
+                match_fields[name] if mask is None
+                else match_fields[name].address.value
+                for name, mask in fields)
+
+
+#: Interned shapes, by (bit set of constrained fields, prefix masks).
+_SHAPES: Dict[tuple, Shape] = {}
+_FIELD_BIT = {name: 1 << i for i, name in enumerate(MATCH_FIELDS)}
+
+
+def _shape_of(fields: Dict[str, Any]) -> Shape:
+    ip_src, ip_dst = fields.get("ip_src"), fields.get("ip_dst")
+    key = (sum(map(_FIELD_BIT.__getitem__, fields)),
+           ip_src.netmask_int() if isinstance(ip_src, IPv4Network) else None,
+           ip_dst.netmask_int() if isinstance(ip_dst, IPv4Network) else None)
+    shape = _SHAPES.get(key)
+    if shape is None:
+        masks = {"ip_src": key[1], "ip_dst": key[2]}
+        shape = _SHAPES[key] = Shape(tuple(
+            (name, masks.get(name)) for name in MATCH_FIELDS
+            if name in fields))
+    return shape
 
 
 class Match:
@@ -218,7 +281,7 @@ class Match:
     True
     """
 
-    __slots__ = ("_fields", "_hash", "_exact")
+    __slots__ = ("_fields", "_hash", "_shape", "_values")
 
     def __init__(self, **fields: Any) -> None:
         if not _FIELD_SET.issuperset(fields):
@@ -236,17 +299,12 @@ class Match:
         self._seal(normalised)
 
     def _seal(self, fields: Dict[str, Any]) -> None:
-        """Adopt ``fields`` and compute, once, what a match is asked for
-        on every table operation: its hash and its exact key."""
+        """Adopt ``fields`` and compute the hash once; :meth:`index` is
+        deferred, so a match that is only encoded never pays for it."""
         self._fields = fields
         # Field names are unique, so the sort never compares values.
         self._hash = hash(tuple(sorted(fields.items())))
-        if (len(fields) == len(MATCH_FIELDS)
-                and not isinstance(fields["ip_src"], IPv4Network)
-                and not isinstance(fields["ip_dst"], IPv4Network)):
-            self._exact = _ALL_VALUES(fields)
-        else:
-            self._exact = None
+        self._shape: Optional[Shape] = None
 
     @classmethod
     def from_typed(cls, fields: Dict[str, Any]) -> "Match":
@@ -270,17 +328,15 @@ class Match:
     def get(self, name: str) -> Any:
         return self._fields.get(name)
 
-    @property
-    def exact_key(self) -> Optional[Tuple]:
-        """The value tuple, in :data:`MATCH_FIELDS` order, when this
-        match is fully specified; ``None`` for anything wildcarded.
-
-        A fully-specified match constrains every field with an exact
-        value (no IP prefixes), so it matches exactly the keys whose
-        field tuple equals this one — the property the flow table's
-        exact-match hash relies on.
-        """
-        return self._exact
+    def index(self) -> Tuple[Shape, Any]:
+        """``(shape, masked values)``: the subtable and row a classifier
+        files this match in.  It accepts exactly the keys with
+        ``shape.project(key) == masked values``.  Computed once."""
+        shape = self._shape
+        if shape is None:
+            shape = self._shape = _shape_of(self._fields)
+            self._values = shape.values_of(self._fields)
+        return shape, self._values
 
     def __contains__(self, name: str) -> bool:
         return name in self._fields
@@ -426,19 +482,12 @@ class Match:
             value = getattr(key, name)
             if value is not None:
                 fields[name] = value
-        # A key extracted from a packet is already typed; one built by
-        # hand (tests, the checker) may hold literals.
-        for name, normalise in _NORMALISERS.items():
-            value = fields.get(name)
-            if value is not None and type(value) not in _TYPED:
-                fields[name] = normalise(value)
-        return cls.from_typed(fields)
+        return cls.from_typed(fields)  # a key's addresses are typed
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Match):
             return NotImplemented
-        # The sealed hash settles most unequal pairs with an int compare
-        # (a same-priority wildcard scan is a run of such pairs).
+        # The sealed hash settles most unequal pairs with an int compare.
         return self._hash == other._hash and self._fields == other._fields
 
     def __hash__(self) -> int:

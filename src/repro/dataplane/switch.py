@@ -11,6 +11,7 @@ layering is design principle #1 in DESIGN.md.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.dataplane.actions import (
@@ -24,14 +25,9 @@ from repro.dataplane.actions import (
     TTLExpired,
     apply_actions,
 )
-from repro.dataplane.flowtable import (
-    FlowEntry,
-    FlowTable,
-    RemovalReason,
-    _probe_key,
-)
+from repro.dataplane.flowtable import FlowEntry, FlowTable, RemovalReason
 from repro.dataplane.group import GroupTable
-from repro.dataplane.match import FlowKey, Match
+from repro.dataplane.match import MATCH_FIELDS, FlowKey, Match
 from repro.dataplane.meter import MeterTable
 from repro.errors import DataplaneError
 from repro.packet import MACAddress, Packet
@@ -46,6 +42,9 @@ _MAX_GROUP_DEPTH = 4
 #: Microflow cache entries before a generation bump also clears the dict
 #: (bounds memory; correctness never depends on eager clearing).
 _FP_CACHE_MAX = 8192
+
+#: The value tuple of a packet's flow key: what the microflow cache keys on.
+_probe_key = attrgetter(*MATCH_FIELDS)
 
 
 class _CachedPath:

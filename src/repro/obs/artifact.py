@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+from repro.errors import ZenError
 from repro.obs.scraper import Annotation, FaultWindow, fault_windows
 from repro.obs.series import Series
 from repro.obs.slo import HealthReport
@@ -110,5 +111,10 @@ def save_artifact(artifact: RunArtifact, path: str) -> None:
 
 
 def load_artifact(path: str) -> RunArtifact:
-    with open(path) as fh:
-        return RunArtifact.from_dict(json.load(fh))
+    """Read an artifact file; a missing, unreadable, non-JSON or
+    wrong-format file is a :class:`ZenError` naming the path."""
+    try:
+        with open(path) as fh:
+            return RunArtifact.from_dict(json.load(fh))
+    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ZenError(f"cannot load run artifact {path}: {exc}") from exc

@@ -108,6 +108,22 @@ class TestNamedErrors:
         (line,) = err.splitlines()
         assert line.startswith("repro: error: ") and names in line
 
+    @pytest.mark.parametrize("content", [None, "{not json"])
+    @pytest.mark.parametrize("argv", [
+        ["obs", "diff", "{path}", "{path}"],
+        ["obs", "dashboard", "--path", "{path}"],
+    ])
+    def test_missing_or_malformed_artifact(self, argv, content, tmp_path,
+                                           capsys):
+        path = tmp_path / "artifact.json"
+        if content is not None:
+            path.write_text(content)
+        code = main([arg.format(path=path) for arg in argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("repro: error: ") and str(path) in line
+
     def test_unknown_workload_name(self):
         src = pathlib.Path(repro.__file__).parent.parent
         done = subprocess.run(

@@ -66,6 +66,29 @@ def _random_match(rng) -> Match:
     return Match(**fields)
 
 
+def _many_shapes_match(rng) -> Match:
+    """Random match over many shapes: any subset of seven fields, the
+    IP fields as prefixes of several lengths — overlapping rules in
+    different subtables of the classifier, so the winner is decided
+    across subtables by priority and recency."""
+    fields = {}
+    if rng.random() < 0.5:
+        fields["eth_type"] = 0x0800
+    if rng.random() < 0.3:
+        fields["eth_dst"] = rng.choice(MACS)
+    if rng.random() < 0.2:
+        fields["in_port"] = rng.choice(PORTS)
+    if rng.random() < 0.2:
+        fields["ip_proto"] = 17
+    if rng.random() < 0.3:
+        fields["l4_dst"] = rng.randrange(1, 5)
+    for name in ("ip_src", "ip_dst"):
+        if rng.random() < 0.45:
+            fields[name] = "%s/%d" % (rng.choice(IPS),
+                                      rng.choice((0, 8, 24, 30, 31, 32)))
+    return Match(**fields)
+
+
 def _random_packet(rng):
     return (
         Ethernet(src=rng.choice(MACS), dst=rng.choice(MACS))
@@ -75,7 +98,8 @@ def _random_packet(rng):
     )
 
 
-def _drive_datapath(fast_path: bool, seed: int) -> dict:
+def _drive_datapath(fast_path: bool, seed: int,
+                    random_match=_random_match) -> dict:
     sim = Simulator(seed=seed)
     dp = Datapath(1, sim, num_tables=3, fast_path=fast_path)
     for number in PORTS:
@@ -95,9 +119,12 @@ def _drive_datapath(fast_path: bool, seed: int) -> dict:
         Bucket([Output(1)]), Bucket([Output(2)], weight=2),
     ]))
     rng = sim.fork_rng()
+    peak_shapes = [0]  # most subtables table 0 ever held
 
     def random_op():
         roll = rng.random()
+        peak_shapes[0] = max(peak_shapes[0], len(
+            {e.match.index()[0] for e in dp.tables[0]}))
         if roll < 0.45:
             table_id = rng.randrange(3)
             actions = rng.choice((
@@ -110,7 +137,7 @@ def _drive_datapath(fast_path: bool, seed: int) -> dict:
             goto = (table_id + 1 if table_id < 2 and rng.random() < 0.25
                     else None)
             dp.install_flow(FlowEntry(
-                _random_match(rng), actions,
+                random_match(rng), actions,
                 priority=rng.randrange(1, 6),
                 idle_timeout=rng.choice((0.0, 0.0, 0.4)),
                 hard_timeout=rng.choice((0.0, 0.0, 0.9)),
@@ -134,6 +161,7 @@ def _drive_datapath(fast_path: bool, seed: int) -> dict:
         sim.schedule(0.01 * i + rng.random() * 0.005, random_op)
     sim.run(until=8.0)  # past every timeout so expiry fires too
     return {
+        "peak_shapes": peak_shapes[0],
         "emitted": emitted,
         "punts": punts,
         "removed": removed,
@@ -154,6 +182,15 @@ def test_datapath_differential_random_workload(seed):
     off = _drive_datapath(fast_path=False, seed=seed)
     on = _drive_datapath(fast_path=True, seed=seed)
     assert on == off
+
+
+@pytest.mark.parametrize("seed", [2, 9])
+def test_datapath_differential_many_shapes(seed):
+    """Cache on ≡ off when every lookup crosses several subtables."""
+    off = _drive_datapath(False, seed, random_match=_many_shapes_match)
+    on = _drive_datapath(True, seed, random_match=_many_shapes_match)
+    assert on == off
+    assert on["peak_shapes"] >= 8
 
 
 # ----------------------------------------------------------------------

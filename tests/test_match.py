@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.dataplane import FlowKey, Match, VLAN_ABSENT
+from repro.dataplane import MATCH_FIELDS, FlowKey, Match, VLAN_ABSENT
 from repro.errors import DataplaneError
 from repro.packet import (
     ARP,
@@ -112,9 +112,13 @@ class TestMatchSemantics:
             exact, built = Match.exact(key), Match(**fields)
             assert exact == built and hash(exact) == hash(built)
             assert list(exact) == list(built)
-            assert exact.exact_key == built.exact_key
-        # A full key seals an exact key; a literal is normalised first.
-        assert Match.exact(udp_key()).exact_key is not None
+            assert exact.index()[0] is built.index()[0]  # interned shape
+            assert exact.index() == built.index()
+        # A full key is the eleven-field shape, no masks, and its masked
+        # values are the key's own projection; a literal is normalised.
+        shape, values = Match.exact(udp_key()).index()
+        assert shape.fields == tuple((f, None) for f in MATCH_FIELDS)
+        assert values == shape.project(udp_key())
         literal = Match.exact(FlowKey(eth_src=MAC_A, ip_dst="10.0.1.7"))
         assert literal.get("eth_src").value and literal.get("ip_dst").value
 

@@ -276,7 +276,9 @@ class TestBufferIdLayouts:
 # ----------------------------------------------------------------------
 # The pre-table encode_match/decode_match and flowtable._exact_key,
 # verbatim, as the oracle: the rewrite must produce the same bytes and
-# the same matches.
+# the same matches.  (The exact key itself is gone — a fully-specified
+# match is now the eleven-field shape of the classifier — so the oracle
+# is compared with the match's masked values under that shape.)
 _F = {name: i + 1 for i, name in enumerate(MATCH_FIELDS)}
 
 
@@ -360,6 +362,15 @@ def oracle_exact_key(match):
     return tuple(fields[name] for name in MATCH_FIELDS)
 
 
+def exact_key(match):
+    """What ``Match.exact_key`` was: the masked values when the shape is
+    all eleven fields without a prefix, else ``None``."""
+    shape, values = match.index()
+    if shape.fields == tuple((name, None) for name in MATCH_FIELDS):
+        return values
+    return None
+
+
 def oracle_hash(match):
     return hash(tuple(sorted(match.fields.items(), key=lambda kv: kv[0])))
 
@@ -406,14 +417,15 @@ class TestMatchCodecAgainstOracle:
         assert list(decoded) == list(oracle_decode_match(blob)[0])
         for m in (match, decoded):
             assert hash(m) == oracle_hash(m)
-            assert m.exact_key == oracle_exact_key(m)
+            assert exact_key(m) == oracle_exact_key(m)
 
     @settings(max_examples=100, deadline=None)
     @given(match=matches)
     def test_exact_and_typed_constructors_agree_with_init(self, match):
         rebuilt = Match.from_typed(match.fields)
         assert rebuilt == match and hash(rebuilt) == hash(match)
-        assert rebuilt.exact_key == match.exact_key
+        assert rebuilt.index()[0] is match.index()[0]  # interned shape
+        assert rebuilt.index() == match.index()
 
     def test_full_exact_match_has_a_key_and_a_prefix_kills_it(self):
         fields = dict(
@@ -422,14 +434,18 @@ class TestMatchCodecAgainstOracle:
             vlan_vid=VLAN_ABSENT, ip_src="10.0.0.1", ip_dst="10.0.0.2",
             ip_proto=17, ip_dscp=0, l4_src=5, l4_dst=6)
         exact = Match(**fields)
-        assert exact.exact_key is not None
-        assert exact.exact_key == oracle_exact_key(exact)
-        assert exact.exact_key[1] == MACAddress("02:00:00:00:00:01")
-        assert Match(**dict(fields, ip_dst="10.0.0.0/24")).exact_key is None
+        assert exact_key(exact) is not None
+        assert exact_key(exact) == oracle_exact_key(exact)
+        assert exact.index()[1][1] == MACAddress("02:00:00:00:00:01")
+        prefixed = Match(**dict(fields, ip_dst="10.0.0.0/24"))
+        assert exact_key(prefixed) is None
+        shape, values = prefixed.index()
+        assert dict(shape.fields)["ip_dst"] == 0xFFFFFF00
+        assert values[6] == 0x0A000000
         del fields["l4_dst"]
-        assert Match(**fields).exact_key is None
+        assert exact_key(Match(**fields)) is None
         with pytest.raises(AttributeError):
-            exact.exact_key = ()
+            exact.index = ()
 
     @pytest.mark.parametrize("blob", [
         b"\x00\x01\x01",                    # TLV header truncated
