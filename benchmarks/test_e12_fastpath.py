@@ -20,13 +20,19 @@ over three recipes for table 0, each with the cache off and on:
 
 We measure dataplane packets per *wall-clock* second plus a kernel
 events-per-second microbench for the tuple-heap hot loop, and publish
-two ratios: ``depth_ratio`` = deep-one-mask / shallow, both cache off,
-and ``mask_speedup`` = cache on / off on the many-mask table.
+three ratios: ``depth_ratio`` = deep-one-mask / shallow, both cache off;
+``hit_speedup`` = cache on / off on the one-mask table, where a lookup
+is two row probes and a hit has almost nothing to save; and
+``mask_speedup`` = cache on / off on the many-mask table.
 
 Expected shape: depth is free (512 same-shape rules are one more row
 probe: ``depth_ratio`` ~ 1, contract >= 0.8 — it read 0.155 when every
-band was scanned); masks are what cost (64 probes per lookup), and that
-is where the cache pays, per mask.  Every simulation observable (switch
+band was scanned); a hit costs less than a probe on every table
+(``hit_speedup`` > 1: the cache is probed with the frame's memoised
+wire-image fields and a hit builds no ``FlowKey``; it read 0.97 when
+every hit extracted a key first); masks are what cost (64 probes per
+lookup), and that is where the cache pays most, per mask.  Every
+simulation observable (switch
 counters, flow stats) must be bit-identical cache on vs off in all
 three recipes — the cache is a pure performance construct.
 """
@@ -188,6 +194,8 @@ def test_e12_fastpath(results, benchmark):
     publish("e12_fastpath", table)
     depth_ratio = (runs["one_mask"]["off"]["pps"]
                    / runs["shallow"]["off"]["pps"])
+    hit_speedup = (runs["one_mask"]["on"]["pps"]
+                   / runs["one_mask"]["off"]["pps"])
     mask_speedup = (runs["many_masks"]["on"]["pps"]
                     / runs["many_masks"]["off"]["pps"])
     on = runs["many_masks"]["on"]
@@ -196,6 +204,7 @@ def test_e12_fastpath(results, benchmark):
             name: {arm: arms[arm]["pps"] for arm in ("off", "on")}
             for name, arms in runs.items()},
         "depth_ratio": depth_ratio,
+        "hit_speedup": hit_speedup,
         "mask_speedup": mask_speedup,
         "cache_hit_rate": on["hit_rate"],
         "kernel_events_per_s": kernel_rate,
@@ -219,7 +228,10 @@ def test_e12_fastpath(results, benchmark):
         f"({runs['shallow']['off']['pps']:.0f} -> "
         f"{runs['one_mask']['off']['pps']:.0f} pkts/wall-s)"
     )
-    # Masks are what cost, and there the cache still pays for itself.
+    # hit_speedup (a hit against two row probes: a few percent either
+    # side of 1.1 in a 70 ms window) is gated against its baseline by
+    # check_regression.py, not asserted here.
+    # Masks are what cost, and there the cache pays for itself most.
     assert mask_speedup > 1.0, (
         f"microflow cache is worth {mask_speedup:.2f}x over 64 masks"
     )

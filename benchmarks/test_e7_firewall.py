@@ -89,7 +89,7 @@ def verdicts_agree(num_rules):
     dp.install_flow(FlowEntry(Match(), [Output(2)], priority=1),
                     table_id=1)
     sent = []
-    dp.transmit = lambda port, pkt: sent.append(port)
+    dp.transmit = lambda port, pkt, size: sent.append(port)
     agreements = 0
     for _ in range(PROBE_KEYS):
         rng_key = random_key(rng)

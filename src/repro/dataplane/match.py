@@ -32,7 +32,7 @@ from repro.packet import (
 from repro.packet.ethernet import ETHERTYPES
 from repro.packet.ipv4 import IP_PROTOS
 
-__all__ = ["FlowKey", "Match", "VLAN_ABSENT", "MATCH_FIELDS"]
+__all__ = ["FlowKey", "Match", "VLAN_ABSENT", "MATCH_FIELDS", "wire_fields"]
 
 #: Sentinel for "the frame carries no 802.1Q tag" in the vlan_vid field.
 VLAN_ABSENT = -1
@@ -192,6 +192,22 @@ class FlowKey:
             if v is not None and not (f == "vlan_vid" and v == VLAN_ABSENT)
         )
         return f"FlowKey({set_fields})"
+
+
+_header_fields = attrgetter(*MATCH_FIELDS[1:])
+
+
+def wire_fields(packet: Packet) -> Tuple[tuple, tuple]:
+    """What a datapath has :meth:`Packet.read` keep per wire image: the
+    ten header-derived fields of :meth:`FlowKey.from_packet`, ``eth_src``
+    to ``l4_dst``, twice.  First as a key holds them, so that
+    ``FlowKey(in_port, *fields)`` is the packet's key on any port; then
+    with each address as its integer, so that a tuple of them hashes and
+    compares without leaving C (the microflow cache's probe).
+    """
+    fields = _header_fields(FlowKey.from_packet(packet))
+    return fields, tuple([v.value if type(v) in _TYPED else v
+                          for v in fields])
 
 
 def _normalise_ip(value: Any) -> Union[IPv4Address, IPv4Network]:

@@ -11,7 +11,6 @@ layering is design principle #1 in DESIGN.md.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.dataplane.actions import (
@@ -27,7 +26,7 @@ from repro.dataplane.actions import (
 )
 from repro.dataplane.flowtable import FlowEntry, FlowTable, RemovalReason
 from repro.dataplane.group import GroupTable
-from repro.dataplane.match import MATCH_FIELDS, FlowKey, Match
+from repro.dataplane.match import FlowKey, Match, wire_fields
 from repro.dataplane.meter import MeterTable
 from repro.errors import DataplaneError
 from repro.packet import MACAddress, Packet
@@ -42,9 +41,6 @@ _MAX_GROUP_DEPTH = 4
 #: Microflow cache entries before a generation bump also clears the dict
 #: (bounds memory; correctness never depends on eager clearing).
 _FP_CACHE_MAX = 8192
-
-#: The value tuple of a packet's flow key: what the microflow cache keys on.
-_probe_key = attrgetter(*MATCH_FIELDS)
 
 
 class _CachedPath:
@@ -198,7 +194,7 @@ class Datapath:
         self.miss_behaviour = miss_behaviour
 
         # Microflow fast path: exact-match cache in front of the table
-        # pipeline, keyed by the packet's flow-key value tuple.  Any
+        # pipeline, keyed by ingress port + the frame's wire_fields.  Any
         # table/group/meter mutation or port flap bumps the generation,
         # orphaning every cached path at O(1) cost.  The cache is
         # semantically invisible: replay reproduces every counter, trace
@@ -213,9 +209,11 @@ class Datapath:
         self.groups.on_change = self.invalidate_fast_path
         self.meters.on_change = self.invalidate_fast_path
 
-        # Hooks — the emulator sets transmit; the southbound agent (or a
-        # test) sets the on_* callbacks.  Defaults are safe no-ops.
-        self.transmit: Callable[[int, Packet], None] = lambda port, pkt: None
+        # Hooks — the emulator sets transmit(port_no, packet, size), size
+        # being len(packet) as this hop already read it; the southbound
+        # agent (or a test) sets the on_* callbacks.  Safe no-op defaults.
+        self.transmit: Callable[[int, Packet, int], None] = (
+            lambda port, pkt, size: None)
         self.on_packet_in: Optional[
             Callable[[Packet, int, str], None]
         ] = None
@@ -315,7 +313,8 @@ class Datapath:
         if port is None or not port.up:
             self.count_drop()
             return
-        size = len(packet)
+        # The hop's one validated read: everything downstream is told.
+        size, fields = packet.read(wire_fields)
         port.rx_packets += 1
         port.rx_bytes += size
         self.packets_received += 1
@@ -326,7 +325,7 @@ class Datapath:
                 packet.trace_id, "switch.pipeline", "dataplane",
                 dpid=self.dpid, in_port=in_port,
             )
-        self._run_pipeline(packet, in_port, table_id=0)
+        self._run_pipeline(packet, in_port, size, fields)
 
     def invalidate_fast_path(self) -> None:
         """Orphan every cached microflow path (O(1) generation bump).
@@ -339,30 +338,32 @@ class Datapath:
         if len(self._fp_cache) > _FP_CACHE_MAX:
             self._fp_cache.clear()
 
-    def _run_pipeline(self, packet: Packet, in_port: int,
-                      table_id: int) -> None:
-        key = FlowKey.from_packet(packet, in_port)
-        if table_id != 0 or not self._fp_enabled:
-            self._walk(packet, in_port, table_id, key, None)
-            return
-        probe = _probe_key(key)
-        path = self._fp_cache.get(probe)
-        if path is not None and path.gen == self._fp_gen:
-            self.fast_path_hits += 1
-            self._replay(path, packet, in_port, key)
-            return
-        self.fast_path_misses += 1
-        steps: list = []
-        terminal = self._walk(packet, in_port, table_id, key, steps)
-        if terminal is not None:
+    def _run_pipeline(self, packet: Packet, in_port: int, size: int,
+                      fields: tuple) -> None:
+        """Table 0 onward, for a frame sized and read (``wire_fields``)
+        by the caller.  A cache hit builds no :class:`FlowKey`."""
+        typed, hashable = fields
+        steps: Optional[list] = None
+        if self._fp_enabled:
+            probe = (in_port,) + hashable
+            path = self._fp_cache.get(probe)
+            if path is not None and path.gen == self._fp_gen:
+                self.fast_path_hits += 1
+                self._replay(path, packet, in_port, size, typed)
+                return
+            self.fast_path_misses += 1
+            steps = []
+        terminal = self._walk(packet, in_port, FlowKey(in_port, *typed),
+                              size, steps)
+        if steps is not None and terminal is not None:
             # Walks where the packet died mid-pipeline (meter drop, TTL
             # expiry) are not cached: the truncated lookup sequence is
             # packet-state-dependent, not a property of the microflow.
             self._fp_cache[probe] = _CachedPath(self._fp_gen, steps,
                                                terminal)
 
-    def _walk(self, packet: Packet, in_port: int, table_id: int,
-              key: FlowKey, steps: Optional[list]) -> Optional[str]:
+    def _walk(self, packet: Packet, in_port: int, key: FlowKey, size: int,
+              steps: Optional[list]) -> Optional[str]:
         """The slow path: walk the table pipeline, optionally recording
         each lookup into ``steps`` for the microflow cache.
 
@@ -370,7 +371,7 @@ class Datapath:
         ``None`` when the packet died mid-walk and the recorded steps do
         not describe the full pipeline for this microflow.
         """
-        size = len(packet)
+        table_id = 0
         while True:
             entry = self.tables[table_id].lookup(key)
             if steps is not None:
@@ -399,22 +400,26 @@ class Datapath:
                 self.count_drop()
                 return "drop"
             entry.touch(self.sim.now, size)
-            packet = self._execute(entry.actions, packet, in_port, key,
-                                   has_goto=entry.goto_table is not None)
-            if packet is None:
+            goto = entry.goto_table
+            rewritten = self._execute(entry.actions, packet, in_port, key,
+                                      size, has_goto=goto is not None)
+            if rewritten is None:
                 return None  # metered out or TTL-expired
-            if entry.goto_table is None:
+            if goto is None:
                 return "stop"
-            if entry.goto_table <= table_id:
+            if goto <= table_id:
                 raise DataplaneError(
-                    f"goto_table must move forward "
-                    f"({table_id} -> {entry.goto_table})"
+                    f"goto_table must move forward ({table_id} -> {goto})"
                 )
-            table_id = entry.goto_table
-            key = FlowKey.from_packet(packet, in_port)
+            table_id = goto
+            if rewritten is not packet:
+                # Later tables match, and count, the frame as it is now.
+                packet = rewritten
+                size, (typed, _) = packet.read(wire_fields)
+                key = FlowKey(in_port, *typed)
 
-    def _replay(self, path: _CachedPath, packet: Packet,
-                in_port: int, key: FlowKey) -> None:
+    def _replay(self, path: _CachedPath, packet: Packet, in_port: int,
+                size: int, typed: tuple) -> None:
         """Re-execute a cached pipeline walk without any table lookups.
 
         Every observable effect of the slow path is reproduced — entry
@@ -423,7 +428,7 @@ class Datapath:
         Actions still execute against the live packet, and the packet
         can still die at a meter or TTL check exactly as it would have.
         """
-        size = len(packet)
+        key = None  # built only if a SELECT group asks for it
         now = self.sim.now
         tracing = packet.trace_id is not None and self._tracing
         tables = self.tables
@@ -440,14 +445,16 @@ class Datapath:
                 continue
             entry.touch(now, size)
             if needs_key and key is None:
-                key = FlowKey.from_packet(packet, in_port)
-            packet = self._execute(entry.actions, packet, in_port, key,
-                                   has_goto=entry.goto_table is not None)
-            if packet is None:
+                key = FlowKey(in_port, *typed)
+            goto = entry.goto_table is not None
+            rewritten = self._execute(entry.actions, packet, in_port, key,
+                                      size, has_goto=goto)
+            if rewritten is None:
                 return  # metered out or TTL-expired, same as the walk
-            # Actions may have rewritten header fields; re-extract the
-            # key lazily if a later step needs it for group selection.
-            key = None
+            if rewritten is not packet:
+                packet, key = rewritten, None
+                if goto:  # later steps count the frame as it is now
+                    size, (typed, _) = packet.read(wire_fields)
         if path.terminal == "punt":
             self._punt(packet, in_port, PacketInReason.NO_MATCH)
         elif path.terminal == "drop":
@@ -458,7 +465,8 @@ class Datapath:
         actions: Iterable[Action],
         packet: Packet,
         in_port: int,
-        key: FlowKey,
+        key: Optional[FlowKey],
+        size: int,
         depth: int = 0,
         has_goto: bool = False,
     ) -> Optional[Packet]:
@@ -474,22 +482,23 @@ class Datapath:
         except TTLExpired:
             self._punt(packet, in_port, PacketInReason.TTL)
             return None
+        if rewritten is not packet:  # copy-on-rewrite: else same frame
+            size = len(rewritten)
         for meter_id in meter_ids:
-            if not self.meters.get(meter_id).allow(len(rewritten),
-                                                   self.sim.now):
+            if not self.meters.get(meter_id).allow(size, self.sim.now):
                 self.count_drop()
                 return None
         for port_no in out_ports:
-            self._emit(rewritten, in_port, port_no)
+            self._emit(rewritten, in_port, port_no, size)
         for group_id in group_ids:
-            self._run_group(rewritten, in_port, key, group_id, depth)
+            self._run_group(rewritten, in_port, key, group_id, depth, size)
         if not out_ports and not group_ids and not meter_ids and not has_goto:
             # Empty action list with no continuation = explicit drop.
             self.count_drop()
         return rewritten
 
     def _run_group(self, packet: Packet, in_port: int, key: FlowKey,
-                   group_id: int, depth: int) -> None:
+                   group_id: int, depth: int, size: int) -> None:
         if depth >= _MAX_GROUP_DEPTH:
             raise DataplaneError(
                 f"group recursion deeper than {_MAX_GROUP_DEPTH}"
@@ -500,17 +509,19 @@ class Datapath:
             self.count_drop()
             return
         for bucket in buckets:
-            self._execute(bucket.actions, packet, in_port, key, depth + 1)
+            self._execute(bucket.actions, packet, in_port, key, size,
+                          depth + 1)
 
-    def _emit(self, packet: Packet, in_port: int, port_no: int) -> None:
+    def _emit(self, packet: Packet, in_port: int, port_no: int,
+              size: int) -> None:
         if port_no == PORT_CONTROLLER:
             self._punt(packet, in_port, PacketInReason.ACTION)
             return
         if port_no == PORT_TABLE:
-            self._run_pipeline(packet, in_port, table_id=0)
+            self._run_pipeline(packet, in_port, *packet.read(wire_fields))
             return
         if port_no == PORT_IN_PORT:
-            self._transmit_one(packet, in_port)
+            self._transmit_one(packet, in_port, size)
             return
         if port_no in (PORT_FLOOD, PORT_ALL):
             for port in self.ports.values():
@@ -518,7 +529,7 @@ class Datapath:
                     continue
                 if not port.up or (port.no_flood and port_no == PORT_FLOOD):
                     continue
-                self._transmit_one(packet, port.number)
+                self._transmit_one(packet, port.number, size)
             return
         if port_no == in_port:
             # Per the OpenFlow spec, a packet is never emitted on its
@@ -527,16 +538,15 @@ class Datapath:
             # ingress hairpins the frame and poisons upstream learning.
             self.count_drop()
             return
-        self._transmit_one(packet, port_no)
+        self._transmit_one(packet, port_no, size)
 
-    def _transmit_one(self, packet: Packet, port_no: int) -> None:
+    def _transmit_one(self, packet: Packet, port_no: int, size: int) -> None:
         port = self.ports.get(port_no)
         if port is None or not port.up:
             self.count_drop()
             if port is not None:
                 port.tx_drops += 1
             return
-        size = len(packet)
         port.tx_packets += 1
         port.tx_bytes += size
         self.packets_forwarded += 1
@@ -547,7 +557,7 @@ class Datapath:
                 packet.trace_id, "switch.forward", "dataplane",
                 dpid=self.dpid, port=port_no,
             )
-        self.transmit(port_no, packet)
+        self.transmit(port_no, packet, size)
 
     def send_packet_out(self, packet: Packet, actions: List[Action],
                         in_port: int = 0) -> None:
@@ -556,7 +566,7 @@ class Datapath:
         key = None
         if any(isinstance(a, Group) for a in actions):
             key = FlowKey.from_packet(packet, in_port)
-        self._execute(actions, packet, in_port, key)
+        self._execute(actions, packet, in_port, key, len(packet))
 
     def _punt(self, packet: Packet, in_port: int, reason: str) -> None:
         self.packets_to_controller += 1

@@ -151,8 +151,9 @@ class Host:
         """Emit a fully formed frame on the host's link."""
         if self._link is None:
             raise TopologyError(f"host {self.name} has no link")
+        size = len(packet)  # read once: the link is told
         self.tx_packets += 1
-        self.tx_bytes += len(packet)
+        self.tx_bytes += size
         tel = self._tel
         if tel.tracing and packet.trace_id is None:
             # A trace begins where the packet does.  The label is built
@@ -163,7 +164,7 @@ class Host:
             if tid is not None:
                 packet.trace_id = tid
                 tel.tracer.record(tid, "host.tx", "host", host=self.name)
-        self._link.send_from(self.name, packet)
+        self._link.send_from(self.name, packet, size)
 
     def send_ip(self, dst_ip: Union[str, IPv4Address],
                 transport: Packet) -> None:

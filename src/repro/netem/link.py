@@ -162,13 +162,16 @@ class _Direction:
             self._tracer.record(packet.trace_id, "link.drop", "link",
                                 link=self.name, reason=reason)
 
-    def send(self, packet: Packet, up: bool) -> None:
+    def send(self, packet: Packet, up: bool,
+             size: Optional[int] = None) -> None:
+        """``size`` is ``len(packet)`` when the sender has read it."""
         if not up or self.dst is None:
             return
+        if size is None:
+            size = len(packet)
         if self.bands is not None and self.bandwidth_bps:
-            self._send_banded(packet)
+            self._send_banded(packet, size)
             return
-        size = len(packet)
         now = self.sim.now
         if self.bandwidth_bps:
             start = max(now, self.busy_until)
@@ -229,7 +232,7 @@ class _Direction:
         band = self.classifier(packet) if self.classifier else 0
         return max(0, min(band, len(self.bands) - 1))
 
-    def _send_banded(self, packet: Packet) -> None:
+    def _send_banded(self, packet: Packet, size: int) -> None:
         band = self._band_of(packet)
         # Per-band drop-tail with the shared capacity split evenly.
         per_band = (max(self.queue_capacity // len(self.bands), 1)
@@ -239,20 +242,19 @@ class _Direction:
             self.band_dropped[band] += 1
             self._drop(packet, "queue")
             return
-        self.bands[band].append(packet)
+        self.bands[band].append((packet, size))
         if not self._transmitting:
             self._transmit_next()
 
     def _transmit_next(self) -> None:
         for band, queue in enumerate(self.bands):
             if queue:
-                packet = queue.pop(0)
+                packet, size = queue.pop(0)
                 break
         else:
             self._transmitting = False
             return
         self._transmitting = True
-        size = len(packet)
         tx_time = size * 8 / self.bandwidth_bps
         self.busy_time += tx_time
         self._window_busy += tx_time
@@ -364,12 +366,14 @@ class Link:
     # ------------------------------------------------------------------
     # Data transfer
     # ------------------------------------------------------------------
-    def send_from(self, node_name: str, packet: Packet) -> None:
-        """Transmit ``packet`` from the named endpoint toward the other."""
+    def send_from(self, node_name: str, packet: Packet,
+                  size: Optional[int] = None) -> None:
+        """Transmit ``packet`` from the named endpoint toward the other;
+        a sender that has read ``len(packet)`` passes it as ``size``."""
         if node_name == self.a.node_name:
-            self._ab.send(packet, self.up)
+            self._ab.send(packet, self.up, size)
         elif node_name == self.b.node_name:
-            self._ba.send(packet, self.up)
+            self._ba.send(packet, self.up, size)
         else:
             raise TopologyError(
                 f"{node_name} is not an endpoint of {self!r}"

@@ -208,11 +208,11 @@ class Network:
                 if port is not None:
                     links_by_port[port] = link
 
-        def transmit(port_no: int, packet: Packet,
+        def transmit(port_no: int, packet: Packet, size: int,
                      table: Dict[int, Link] = links_by_port) -> None:
             link = table.get(port_no)
             if link is not None:
-                link.send_from(name, packet)
+                link.send_from(name, packet, size)
 
         dp.transmit = transmit
 

@@ -17,12 +17,15 @@ reverses the process byte-exactly.
 A packet keeps its last serialisation (the *wire image*) and hands it
 back from ``encode()``, ``len()``, ``==`` and ``summary()`` for as long
 as no header changed; see :meth:`Packet.encode` for how that is checked.
+:meth:`Packet.read` also keeps what a reader derived from that image.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
 from typing import (
+    Any,
+    Callable,
     Dict,
     Iterator,
     List,
@@ -203,7 +206,7 @@ class Raw(Header):
 class Packet:
     """An ordered stack of headers plus trailing payload bytes."""
 
-    __slots__ = ("headers", "trace_id", "_wire", "_stamp")
+    __slots__ = ("headers", "trace_id", "_wire", "_stamp", "_memo")
 
     def __init__(self, headers: Optional[Sequence[Header]] = None) -> None:
         self.headers: List[Header] = list(headers or [])
@@ -217,6 +220,9 @@ class Packet:
         #: is replaced, never edited, so copies may share it.
         self._wire: Optional[bytes] = None
         self._stamp: Optional[list] = None
+        #: ``(stamp, derive, derive(self))`` of the last :meth:`read`:
+        #: good while ``stamp`` is still this packet's validated stamp.
+        self._memo: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -241,6 +247,7 @@ class Packet:
         clone.trace_id = self.trace_id
         clone._wire = self._wire
         clone._stamp = self._stamp
+        clone._memo = self._memo
         return clone
 
     # ------------------------------------------------------------------
@@ -297,8 +304,10 @@ class Packet:
         every header is in the state it was serialised in.
         """
         wire = self._cached_wire()
-        if wire is not None:
-            return wire
+        return wire if wire is not None else self._serialise()
+
+    def _serialise(self) -> bytes:
+        """Pack the headers and take a new stamp, unconditionally."""
         headers = self.headers
         # Let each header learn about its successor (ethertype, proto...).
         for i, header in enumerate(headers):
@@ -315,7 +324,22 @@ class Packet:
 
     def __len__(self) -> int:
         wire = self._cached_wire()
-        return len(wire if wire is not None else self.encode())
+        return len(wire if wire is not None else self._serialise())
+
+    def read(self, derive: Callable[["Packet"], Any]) -> Tuple[int, Any]:
+        """``(len(self), derive(self))`` for one validation of the stamp.
+
+        ``derive`` must depend on nothing but the headers.  Its result is
+        kept beside the wire image and is good for exactly as long: while
+        the stamp it was made under is the one just validated (stamps are
+        replaced, never edited, so that is an identity test).  Copies
+        share it, so a frame's hops and a flood's duplicates derive once.
+        """
+        size = len(self)  # the validation; serialises if it has to
+        memo = self._memo
+        if memo is None or memo[0] is not self._stamp or memo[1] is not derive:
+            memo = self._memo = (self._stamp, derive, derive(self))
+        return size, memo[2]
 
     @classmethod
     def decode(cls, data: bytes, first: Optional[Type[Header]] = None) -> "Packet":

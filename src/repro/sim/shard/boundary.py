@@ -112,9 +112,10 @@ class BoundaryLink:
         self._rx.dst = local_att
 
     # -- data path ---------------------------------------------------
-    def send_from(self, node_name: str, packet: Packet) -> None:
+    def send_from(self, node_name: str, packet: Packet,
+                  size: Optional[int] = None) -> None:
         if node_name == self.local_name:
-            self._tx.send(packet, self.up)
+            self._tx.send(packet, self.up, size)
         # Frames "from" the remote end arrive via deliver(), never here.
 
     def deliver(self, message: ShardMessage) -> None:

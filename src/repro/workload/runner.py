@@ -21,11 +21,13 @@ wall-clock only — per-run digests are identical at any ``jobs``.
 from __future__ import annotations
 
 import json
+import traceback
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.analysis import percentile
 from repro.core import ZenPlatform
 from repro.digest import canonical_digest
+from repro.errors import ZenError
 from repro.faults import FaultSchedule, arm_faults
 from repro.obs import ObsPlane, RunArtifact, default_slos, slo_from_spec
 from repro.telemetry import Telemetry
@@ -253,12 +255,19 @@ def _suite_worker(job: tuple) -> dict:
     ``job`` is ``(spec_doc, shards)``; sharded suite runs use the
     in-process coordinator per spec (the pool already owns the
     process-level parallelism), which is bit-identical to the
-    multiprocess engine anyway.
+    multiprocess engine anyway.  A spec that raises comes back as a
+    named failure entry (``name``, ``error``, ``traceback``) so that one
+    bad scenario cannot take the suite's finished results down with it.
     """
     spec_doc, shards = job
-    spec = WorkloadSpec.from_dict(spec_doc)
-    return run_workload(spec, shards=shards,
-                        shard_processes=False).to_dict()
+    try:
+        spec = WorkloadSpec.from_dict(spec_doc)
+        return run_workload(spec, shards=shards,
+                            shard_processes=False).to_dict()
+    except Exception as exc:
+        return {"name": spec_doc.get("name", "?"),
+                "error": f"{type(exc).__name__}: {exc}",
+                "traceback": traceback.format_exc()}
 
 
 def run_suite(specs: List[WorkloadSpec], jobs: int = 1,
@@ -271,6 +280,12 @@ def run_suite(specs: List[WorkloadSpec], jobs: int = 1,
     order regardless of worker scheduling.  With ``out_dir`` the parent
     (not the workers) writes ``<name>.json`` run artifacts there, so
     ``repro obs diff`` works on any pair of suite outputs.
+
+    A scenario that raises does not lose the others: every finished
+    result is still written to ``out_dir``, and the call then ends in
+    one :class:`~repro.errors.ZenError` naming each failed scenario
+    (its ``results`` attribute holds the full list, failure entries
+    included).
     """
     jobs_in = [(spec.to_dict(), shards) for spec in specs]
     if jobs <= 1 or len(jobs_in) <= 1:
@@ -285,6 +300,8 @@ def run_suite(specs: List[WorkloadSpec], jobs: int = 1,
 
         os.makedirs(out_dir, exist_ok=True)
         for entry in results:
+            if "error" in entry:
+                continue
             path = os.path.join(out_dir, f"{entry['name']}.json")
             if "artifact" in entry:
                 RunArtifact.from_dict(entry["artifact"]).save(path)
@@ -292,6 +309,16 @@ def run_suite(specs: List[WorkloadSpec], jobs: int = 1,
                 with open(path, "w") as fh:
                     json.dump(entry, fh, indent=1, sort_keys=True)
                     fh.write("\n")
+    failed = [entry for entry in results if "error" in entry]
+    if failed:
+        kept = len(results) - len(failed)
+        where = f" and written to {out_dir}" if out_dir is not None else ""
+        error = ZenError(
+            f"{len(failed)} of {len(results)} suite scenario(s) failed "
+            f"({kept} finished{where}): " + "; ".join(
+                f"{entry['name']}: {entry['error']}" for entry in failed))
+        error.results = results
+        raise error
     return results
 
 

@@ -164,7 +164,7 @@ class TestAgentFlowMods:
         sim.run_until_idle()
         assert dp.flow_count() == 1
         sent = []
-        dp.transmit = lambda p, pkt: sent.append(p)
+        dp.transmit = lambda p, pkt, size: sent.append(p)
         dp.inject(udp_packet(), 1)
         assert sent == [2]
 
@@ -298,7 +298,7 @@ class TestAgentDataplaneEvents:
         channel.connect()
         sim.run_until_idle()
         sent = []
-        dp.transmit = lambda p, pkt: sent.append(p)
+        dp.transmit = lambda p, pkt, size: sent.append(p)
         channel.controller_end.send(PacketOut(
             in_port=0, actions=[Output(2)], data=udp_packet().encode(),
         ))

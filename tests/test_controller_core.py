@@ -171,7 +171,7 @@ class TestProgrammingSurface:
     def test_packet_out_transmits(self):
         sim, controller, dps, _ = build()
         sent = []
-        dps[0].transmit = lambda p, pkt: sent.append(p)
+        dps[0].transmit = lambda p, pkt, size: sent.append(p)
         controller.switch(1).packet_out(udp_packet(), [Output(2)])
         sim.run_until_idle()
         assert sent == [2]

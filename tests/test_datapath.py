@@ -21,11 +21,13 @@ from repro.dataplane import (
     PORT_FLOOD,
     PORT_IN_PORT,
     PORT_TABLE,
+    PopVLAN,
+    PushVLAN,
     SetIPDst,
     TableMissBehaviour,
 )
 from repro.errors import DataplaneError
-from repro.packet import Ethernet, IPv4, UDP
+from repro.packet import VLAN, Ethernet, IPv4, UDP
 from repro.sim import Simulator
 
 
@@ -42,7 +44,8 @@ def dp():
     for n in (1, 2, 3):
         datapath.add_port(n)
     datapath.sent = []
-    datapath.transmit = lambda port, pkt: datapath.sent.append((port, pkt))
+    datapath.transmit = lambda port, pkt, size: datapath.sent.append(
+        (port, pkt))
     datapath.punted = []
     datapath.on_packet_in = (
         lambda pkt, in_port, reason:
@@ -102,7 +105,7 @@ class TestMissBehaviour:
         datapath.add_port(1)
         datapath.add_port(2)
         sent = []
-        datapath.transmit = lambda port, pkt: sent.append(port)
+        datapath.transmit = lambda port, pkt, size: sent.append(port)
         datapath.install_flow(FlowEntry(Match(), [Output(2)]), table_id=1)
         datapath.inject(udp_packet(), 1)
         assert sent == [2]
@@ -156,6 +159,41 @@ class TestPipeline:
         dp.inject(udp_packet(), 1)
         assert dp.tables[0].entries()[0].packet_count == 1
         assert dp.tables[1].entries()[0].packet_count == 1
+
+    @pytest.mark.parametrize("fast_path", [False, True])
+    @pytest.mark.parametrize("tagged_in", [False, True])
+    def test_entry_counts_the_bytes_of_the_frame_it_matched(
+            self, fast_path, tagged_in):
+        """A length-changing rewrite before ``goto_table``: the later
+        entry, the meter and the egress port all see the frame as it is
+        by then — on the walk (cache off; first frame with it on) and on
+        the replay (second frame) alike."""
+        datapath = Datapath(1, Simulator(), num_tables=2, fast_path=fast_path)
+        datapath.add_port(1)
+        datapath.add_port(2)
+        sizes = []
+        datapath.transmit = lambda port, pkt, size: sizes.append(
+            (size, len(pkt)))
+        if tagged_in:
+            rewrite, later = PopVLAN(), Match(vlan_vid=-1)
+        else:
+            rewrite, later = PushVLAN(5), Match(vlan_vid=5)
+        datapath.install_flow(FlowEntry(Match(in_port=1), [rewrite],
+                                        goto_table=1))
+        datapath.install_flow(FlowEntry(later, [Output(2)]), table_id=1)
+        for _ in range(2):
+            frame = udp_packet()
+            if tagged_in:
+                frame.headers.insert(1, VLAN(vid=5))
+            datapath.inject(frame, 1)
+        before, after = (50, 46) if tagged_in else (46, 50)
+        assert datapath.ports[1].rx_bytes == 2 * before
+        assert datapath.tables[0].entries()[0].byte_count == 2 * before
+        assert datapath.tables[1].entries()[0].byte_count == 2 * after
+        assert datapath.ports[2].tx_bytes == 2 * after
+        assert sizes == [(after, after)] * 2
+        if fast_path:
+            assert (datapath.fast_path_misses, datapath.fast_path_hits) == (1, 1)
 
     def test_ttl_expiry_punts_the_frame_as_received(self, dp):
         dp.install_flow(FlowEntry(

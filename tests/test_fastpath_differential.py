@@ -16,7 +16,12 @@ from repro.dataplane.actions import (
     Output,
     PORT_CONTROLLER,
     PORT_FLOOD,
+    PORT_TABLE,
+    PopVLAN,
+    PushVLAN,
     SetDSCP,
+    SetIPDst,
+    SetL4Dst,
 )
 from repro.dataplane.flowtable import FlowEntry
 from repro.dataplane.group import Bucket, GroupEntry, GroupType
@@ -89,6 +94,49 @@ def _many_shapes_match(rng) -> Match:
     return Match(**fields)
 
 
+def _plain_actions(rng, match) -> list:
+    return rng.choice((
+        [Output(rng.choice(PORTS))],
+        [SetDSCP(10), Output(rng.choice(PORTS))],
+        [Group(7)],
+        [Output(PORT_FLOOD)],
+        [Output(PORT_CONTROLLER)],
+    ))
+
+
+def _rewrite_match(rng) -> Match:
+    """Matches on the fields ``_rewriting_actions`` rewrites, so whether
+    a later table (or the resubmitted frame) hits depends on the frame
+    as rewritten, not as received."""
+    fields = {}
+    if rng.random() < 0.5:
+        fields["ip_dst"] = rng.choice(IPS)
+    if rng.random() < 0.4:
+        fields["l4_dst"] = rng.randrange(1, 5)
+    if rng.random() < 0.4:
+        fields["vlan_vid"] = rng.choice((5, -1))
+    if rng.random() < 0.2:
+        fields["in_port"] = rng.choice(PORTS)
+    return Match(**fields)
+
+
+def _rewriting_actions(rng, match) -> list:
+    """Header rewrites, two of them length-changing, usually followed by
+    ``goto_table`` (the driver adds it) or by an output or a SELECT
+    group, whose bucket choice reads the key."""
+    rewrite = rng.choice((
+        [SetIPDst(rng.choice(IPS))],
+        [SetL4Dst(rng.randrange(1, 5))],
+        [PushVLAN(5)],
+        [PopVLAN()] if match.get("vlan_vid") == 5 else [SetDSCP(10)],
+        [],
+    ))
+    return rewrite + rng.choice((
+        [], [], [Output(rng.choice(PORTS))], [Group(7)],
+        [Output(PORT_FLOOD)], [Output(PORT_CONTROLLER)],
+    ))
+
+
 def _random_packet(rng):
     return (
         Ethernet(src=rng.choice(MACS), dst=rng.choice(MACS))
@@ -99,13 +147,20 @@ def _random_packet(rng):
 
 
 def _drive_datapath(fast_path: bool, seed: int,
-                    random_match=_random_match) -> dict:
+                    random_match=_random_match,
+                    random_actions=_plain_actions,
+                    goto_share: float = 0.25,
+                    resubmit_share: float = 0.0,
+                    flows: int = 0, repeat: int = 1) -> dict:
+    """``flows``/``repeat``: draw frames from a pool of that many and
+    inject each ``repeat`` times, so that microflows recur (drawn
+    afresh, a frame in 65,536 practically never does: zero hits)."""
     sim = Simulator(seed=seed)
     dp = Datapath(1, sim, num_tables=3, fast_path=fast_path)
     for number in PORTS:
         dp.add_port(number)
     emitted, punts, removed = [], [], []
-    dp.transmit = lambda port, pkt: emitted.append(
+    dp.transmit = lambda port, pkt, size: emitted.append(
         (sim.now, port, bytes(pkt.encode()))
     )
     dp.on_packet_in = lambda pkt, in_port, reason: punts.append(
@@ -120,6 +175,10 @@ def _drive_datapath(fast_path: bool, seed: int,
     ]))
     rng = sim.fork_rng()
     peak_shapes = [0]  # most subtables table 0 ever held
+    pool = [_random_packet(rng) for _ in range(flows)]
+
+    def frame():
+        return rng.choice(pool).copy() if pool else _random_packet(rng)
 
     def random_op():
         roll = rng.random()
@@ -127,17 +186,12 @@ def _drive_datapath(fast_path: bool, seed: int,
             {e.match.index()[0] for e in dp.tables[0]}))
         if roll < 0.45:
             table_id = rng.randrange(3)
-            actions = rng.choice((
-                [Output(rng.choice(PORTS))],
-                [SetDSCP(10), Output(rng.choice(PORTS))],
-                [Group(7)],
-                [Output(PORT_FLOOD)],
-                [Output(PORT_CONTROLLER)],
-            ))
-            goto = (table_id + 1 if table_id < 2 and rng.random() < 0.25
-                    else None)
+            match = random_match(rng)
+            actions = random_actions(rng, match)
+            goto = (table_id + 1
+                    if table_id < 2 and rng.random() < goto_share else None)
             dp.install_flow(FlowEntry(
-                random_match(rng), actions,
+                match, actions,
                 priority=rng.randrange(1, 6),
                 idle_timeout=rng.choice((0.0, 0.0, 0.4)),
                 hard_timeout=rng.choice((0.0, 0.0, 0.9)),
@@ -154,8 +208,18 @@ def _drive_datapath(fast_path: bool, seed: int,
         elif roll < 0.62:
             port = rng.choice(PORTS)
             dp.set_port_state(port, not dp.port(port).up)
+        elif resubmit_share and rng.random() < resubmit_share:
+            # A packet-out that rewrites, then resubmits to table 0: the
+            # cache is probed with a frame this switch itself changed.
+            dp.send_packet_out(
+                frame(),
+                [SetIPDst(rng.choice(IPS)), PushVLAN(5),
+                 Output(PORT_TABLE)][rng.randrange(2):],
+                in_port=rng.choice(PORTS))
         else:
-            dp.inject(_random_packet(rng), rng.choice(PORTS))
+            packet, in_port = frame(), rng.choice(PORTS)
+            for _ in range(repeat):
+                dp.inject(packet.copy(), in_port)
 
     for i in range(600):
         sim.schedule(0.01 * i + rng.random() * 0.005, random_op)
@@ -166,6 +230,8 @@ def _drive_datapath(fast_path: bool, seed: int,
         "punts": punts,
         "removed": removed,
         "stats": dp.stats(),
+        "fast_path": (dp.fast_path_hits, dp.fast_path_misses),
+        "ports": [p.stats() for p in dp.ports.values()],
         "tables": [(t.table_id, t.lookup_count, t.matched_count, len(t))
                    for t in dp.tables],
         "entries": [
@@ -177,11 +243,46 @@ def _drive_datapath(fast_path: bool, seed: int,
     }
 
 
+def _same_but_for_the_cache(on: dict, off: dict, hits_at_least=0) -> bool:
+    """Every observable equal; the hit/miss counters are the one thing
+    the cache may change."""
+    hits, misses = on.pop("fast_path")
+    assert off.pop("fast_path") == (0, 0)
+    assert hits >= hits_at_least and misses >= hits_at_least
+    return on == off
+
+
 @pytest.mark.parametrize("seed", [1, 7, 42])
 def test_datapath_differential_random_workload(seed):
     off = _drive_datapath(fast_path=False, seed=seed)
     on = _drive_datapath(fast_path=True, seed=seed)
-    assert on == off
+    assert _same_but_for_the_cache(on, off)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_datapath_differential_recurring_microflows(seed):
+    """The same workload over eight frames, each injected twice: the
+    replay, not only the walk, is what is compared."""
+    off = _drive_datapath(False, seed, flows=8, repeat=2)
+    on = _drive_datapath(True, seed, flows=8, repeat=2)
+    assert _same_but_for_the_cache(on, off, hits_at_least=40)
+
+
+@pytest.mark.parametrize("seed", [4, 13, 31])
+def test_datapath_differential_probe_after_a_rewrite(seed):
+    """Cache on ≡ off when the frame that is looked up, counted and sent
+    is not the frame that arrived: rewrite-then-``goto_table`` pipelines
+    (the later entry's byte count is the pushed or popped length) and
+    packet-outs that rewrite, then resubmit through ``PORT_TABLE``."""
+    kwargs = dict(random_match=_rewrite_match,
+                  random_actions=_rewriting_actions,
+                  goto_share=0.7, resubmit_share=0.35, flows=8, repeat=2)
+    off = _drive_datapath(False, seed, **kwargs)
+    on = _drive_datapath(True, seed, **kwargs)
+    tagged = [wire for _t, _p, wire in on["emitted"]
+              if wire[12:14] == b"\x81\x00"]
+    assert len(tagged) > 15 and len(on["emitted"]) - len(tagged) > 15
+    assert _same_but_for_the_cache(on, off, hits_at_least=40)
 
 
 @pytest.mark.parametrize("seed", [2, 9])
@@ -189,7 +290,7 @@ def test_datapath_differential_many_shapes(seed):
     """Cache on ≡ off when every lookup crosses several subtables."""
     off = _drive_datapath(False, seed, random_match=_many_shapes_match)
     on = _drive_datapath(True, seed, random_match=_many_shapes_match)
-    assert on == off
+    assert _same_but_for_the_cache(on, off)
     assert on["peak_shapes"] >= 8
 
 
@@ -266,7 +367,7 @@ def test_fast_path_stats_shape():
     dp = Datapath(1, sim, fast_path=True)
     dp.add_port(1)
     dp.add_port(2)
-    dp.transmit = lambda port, pkt: None
+    dp.transmit = lambda port, pkt, size: None
     dp.install_flow(FlowEntry(Match(eth_type=0x0800), [Output(2)],
                               priority=1))
     pkt = (Ethernet(src=MACS[0], dst=MACS[1])

@@ -59,7 +59,8 @@ class Stack:
         self.dp.add_port(1)
         self.dp.add_port(2)
         self.sent = []
-        self.dp.transmit = lambda port, pkt: self.sent.append((port, pkt))
+        self.dp.transmit = lambda port, pkt, size: self.sent.append(
+            (port, pkt))
         self.channels, self.agents, self.inboxes = [], [], []
         for _ in range(connections):
             channel = ControlChannel(self.sim, latency=latency)
@@ -512,9 +513,11 @@ def test_a_punt_crosses_the_channel_once(monkeypatch):
     assert counts["decode"] == punts
     # Each host serialises a datagram once; nobody on the punt path does.
     assert counts["serialise"] == host_tx
-    # One key per pipeline run, one more per installed flow (the app's
-    # exact match; floods install none): the packet-out builds none.
+    # One extraction per wire image (a datagram punted at five hops is
+    # still the one its host built: the parked frame goes on, memo and
+    # all), one more per installed flow (the app's exact match, on the
+    # frame it decoded; floods install none): the packet-out builds none.
     assert delta["received"] == punts
-    assert counts["flowkey"] == punts + platform.learning.flows_installed
-    assert counts["flowkey"] <= 2 * punts
+    assert counts["flowkey"] == host_tx + platform.learning.flows_installed
+    assert counts["flowkey"] < 2 * punts
     assert delta["bytes"] < 1.2 * frame_bytes + delta["FlowMod"]

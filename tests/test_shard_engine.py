@@ -60,12 +60,17 @@ def test_static_forwarding_serialises_a_frame_once(monkeypatch):
 
     On the static-forwarding oracle no switch rewrites anything, so a
     frame is packed when its host first sizes it and never again, and
-    nothing on the path parses bytes back into headers.
+    nothing on the path parses bytes back into headers.  A hop checks
+    the frame against its wire image once (whoever receives it; the
+    sending host once more), and the match fields are extracted once
+    per wire image, not once per hop: no cache hit builds a key.
     """
+    from repro.dataplane.match import FlowKey
     from repro.packet import IPv4, Packet
 
-    counts = {"serialise": 0, "decode": 0}
+    counts = {"serialise": 0, "decode": 0, "validate": 0, "flowkey": 0}
     ipv4_encode, decode = IPv4.encode, Packet.decode.__func__
+    cached_wire, from_packet = Packet._cached_wire, FlowKey.from_packet.__func__
 
     def counting_encode(self, following):
         counts["serialise"] += 1
@@ -75,8 +80,19 @@ def test_static_forwarding_serialises_a_frame_once(monkeypatch):
         counts["decode"] += 1
         return decode(cls, data, first)
 
+    def counting_cached_wire(self):
+        counts["validate"] += 1
+        return cached_wire(self)
+
+    def counting_from_packet(cls, packet, in_port=None):
+        counts["flowkey"] += 1
+        return from_packet(cls, packet, in_port)
+
     monkeypatch.setattr(IPv4, "encode", counting_encode)
     monkeypatch.setattr(Packet, "decode", classmethod(counting_decode))
+    monkeypatch.setattr(Packet, "_cached_wire", counting_cached_wire)
+    monkeypatch.setattr(FlowKey, "from_packet",
+                        classmethod(counting_from_packet))
     spec = WorkloadSpec(
         "sentinel",
         topology={"family": "fat_tree", "size": 4},
@@ -92,12 +108,20 @@ def test_static_forwarding_serialises_a_frame_once(monkeypatch):
                   for half in halves.values())
     assert link_tx > 500 and result.summary["flows_completed"] > 0
     per_tx = counts["serialise"] / link_tx
+    validated = counts["validate"] / link_tx
     # CI runs this test with -s and greps the line into the job summary.
     print(f"\npacket sentinel: {link_tx} link transmissions, "
-          f"{per_tx:.3f} serialisations and "
-          f"{counts['decode'] / link_tx:.3f} decodes per transmission")
+          f"{per_tx:.3f} serialisations, "
+          f"{counts['decode'] / link_tx:.3f} decodes, "
+          f"{validated:.3f} validated reads per transmission, "
+          f"{counts['flowkey']} key extractions / "
+          f"{counts['serialise']} wire images")
     assert per_tx <= 1.0
     assert counts["decode"] == 0
+    # One per arrival plus one per host send (3.8 before the hop was
+    # told its frame's size instead of asking four times).
+    assert validated <= 1.25
+    assert 0 < counts["flowkey"] <= counts["serialise"]
 
 
 def test_wan_flap_actually_cuts_a_boundary_link():

@@ -1,13 +1,14 @@
 """Workload plane tests: sizes, generators, specs, runner, suite, CLI."""
 
 import json
+import os
 import random
 
 import pytest
 
 from repro.cli import main
 from repro.dataplane import FlowEntry, Match, Output, PORT_FLOOD
-from repro.errors import TopologyError
+from repro.errors import TopologyError, ZenError
 from repro.netem import FlowSink, Network, Topology
 from repro.obs import diff_runs, load_artifact
 from repro.workload import (
@@ -59,6 +60,15 @@ def tiny_spec(name="tiny", seed=3, **overrides):
     )
     doc.update(overrides)
     return WorkloadSpec(**doc)
+
+
+def raising_spec():
+    """Well formed as a document; raises inside the suite worker, where
+    the fault is armed: it names a switch the topology does not have."""
+    return tiny_spec(name="tiny-bad", faults=[{
+        "kind": "channel_flap", "switch": "nope", "at": 0.5,
+        "down_for": 0.2, "period": 0.6, "count": 1,
+    }])
 
 
 # ----------------------------------------------------------------------
@@ -387,6 +397,40 @@ class TestRunner:
             a = load_artifact(str(tmp_path / "serial" / f"{name}.json"))
             b = load_artifact(str(tmp_path / "parallel" / f"{name}.json"))
             assert diff_runs(a, b).ok
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_raising_spec_does_not_lose_the_suite(self, jobs, tmp_path):
+        specs = [tiny_spec(), raising_spec(),
+                 tiny_spec(name="tiny-b", seed=4)]
+        with pytest.raises(ZenError) as caught:
+            run_suite(specs, jobs=jobs, out_dir=str(tmp_path))
+        message = str(caught.value)
+        assert "\n" not in message and "1 of 3" in message
+        assert "tiny-bad: TopologyError: " in message and "nope" in message
+        assert "tiny-b:" not in message
+        assert sorted(os.listdir(tmp_path)) == ["tiny-b.json", "tiny.json"]
+        kept = caught.value.results
+        assert [entry["name"] for entry in kept] == \
+            ["tiny", "tiny-bad", "tiny-b"]
+        failure, = [entry for entry in kept if "error" in entry]
+        assert sorted(failure) == ["error", "name", "traceback"]
+        assert "arm_faults" in failure["traceback"]  # where, for a human
+        # What was kept is what a clean suite of the two would have been.
+        assert [entry["digest"] for entry in kept if "digest" in entry] == \
+            [entry["digest"]
+             for entry in run_suite([specs[0], specs[2]], jobs=1)]
+
+    def test_cli_suite_names_the_failed_scenario(self, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(
+            "repro.workload.library",
+            lambda: {"tiny": tiny_spec(), "tiny-bad": raising_spec()})
+        assert main(["workload", "suite", "--jobs", "1",
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: 1 of 2 suite scenario(s)")
+        assert err.count("\n") == 1 and "tiny-bad: " in err
+        assert os.listdir(tmp_path) == ["tiny.json"]
 
     def test_probe_entry_sends_one_datagram(self):
         network, hosts = flooded_network()
