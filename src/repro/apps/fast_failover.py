@@ -50,8 +50,6 @@ class ProtectedPair:
         self.backup: Optional[List[int]] = None
         self.protected = False
         self.reprotections = 0
-        #: Rules installed: (dpid, match).
-        self.rules: List[Tuple[int, Match]] = []
         #: Groups installed: (dpid, group_id).
         self.groups: List[Tuple[int, int]] = []
 
@@ -130,92 +128,95 @@ class ProtectedPairs(App):
         return primary, backup
 
     def _establish(self, pair: ProtectedPair) -> None:
-        self._teardown(pair)
+        """Plan the pair's rules and groups, then declare them.
+
+        Groups are not in the controller's ledger, so this app makes
+        the new ones before the update (the head rules point at them)
+        and drops the old ones after it (nothing points at them any
+        more); per-switch channel order does the rest.
+        """
+        old_groups, pair.groups = pair.groups, []
+        self.controller.update((self.name, pair.pair_id),
+                               self._plan(pair))
+        for dpid, group_id in old_groups:
+            switch = self.controller.switches.get(dpid)
+            if switch is not None:
+                switch.delete_group(group_id)
+
+    def _plan(self, pair: ProtectedPair) -> List[Tuple[int, dict]]:
         src = self._tracker.lookup_mac(pair.src_mac)
         dst = self._tracker.lookup_mac(pair.dst_mac)
         if src is None or dst is None:
-            return
+            return []
         if src.dpid == dst.dpid:
             # Same switch: nothing to protect; plain delivery rules.
-            self._rule(pair, src.dpid,
-                       Match(eth_src=pair.src_mac,
-                             eth_dst=pair.dst_mac),
-                       [Output(dst.port)])
-            self._rule(pair, src.dpid,
-                       Match(eth_src=pair.dst_mac,
-                             eth_dst=pair.src_mac),
-                       [Output(src.port)])
             pair.primary, pair.backup = [src.dpid], None
             pair.protected = False
-            return
+            return [
+                self._rule(pair, src.dpid,
+                           Match(eth_src=pair.src_mac,
+                                 eth_dst=pair.dst_mac),
+                           Output(dst.port)),
+                self._rule(pair, src.dpid,
+                           Match(eth_src=pair.dst_mac,
+                                 eth_dst=pair.src_mac),
+                           Output(src.port)),
+            ]
         primary, backup = self._disjoint_paths(src.dpid, dst.dpid)
         if primary is None:
-            return
+            return []
         pair.primary, pair.backup = primary, backup
-        self._program_direction(pair, primary, backup, pair.src_mac,
-                                pair.dst_mac, dst.port)
+        pair.protected = backup is not None
         rev_primary = list(reversed(primary))
         rev_backup = list(reversed(backup)) if backup else None
-        self._program_direction(pair, rev_primary, rev_backup,
-                                pair.dst_mac, pair.src_mac, src.port)
-        pair.protected = backup is not None
+        return (
+            self._direction_rules(pair, primary, backup, pair.src_mac,
+                                  pair.dst_mac, dst.port)
+            + self._direction_rules(pair, rev_primary, rev_backup,
+                                    pair.dst_mac, pair.src_mac, src.port))
 
-    def _program_direction(self, pair: ProtectedPair,
-                           primary: List[int],
-                           backup: Optional[List[int]],
-                           src_mac: MACAddress, dst_mac: MACAddress,
-                           final_port: int) -> None:
+    def _direction_rules(self, pair: ProtectedPair,
+                         primary: List[int],
+                         backup: Optional[List[int]],
+                         src_mac: MACAddress, dst_mac: MACAddress,
+                         final_port: int) -> List[Tuple[int, dict]]:
         match = Match(eth_src=src_mac, eth_dst=dst_mac)
+        hops = []  # (dpid, action)
         # Transit rules along both paths (skip the head, handled below;
         # the tail switch delivers to the host).
         for path in filter(None, (primary, backup)):
-            hops = self._paths.path_ports(path)
-            for dpid, out_port in hops[1:]:
-                self._rule(pair, dpid, match, [Output(out_port)])
-            self._rule(pair, path[-1], match, [Output(final_port)])
+            hops += [(dpid, Output(out_port)) for dpid, out_port
+                     in self._paths.path_ports(path)[1:]]
+            hops.append((path[-1], Output(final_port)))
         head = primary[0]
         primary_port = self._paths.path_ports(primary[:2])[0][1]
-        if backup is not None and len(backup) > 1:
+        switch = self.controller.switches.get(head)
+        if backup is not None and len(backup) > 1 and switch is not None:
             backup_port = self._paths.path_ports(backup[:2])[0][1]
             group_id = self._alloc_group(head)
-            switch = self.controller.switches[head]
             switch.add_group(group_id, GroupType.FAST_FAILOVER, [
                 Bucket([Output(primary_port)], watch_port=primary_port),
                 Bucket([Output(backup_port)], watch_port=backup_port),
             ])
             pair.groups.append((head, group_id))
-            self._rule(pair, head, match, [Group(group_id)])
+            hops.append((head, Group(group_id)))
         else:
-            self._rule(pair, head, match, [Output(primary_port)])
+            hops.append((head, Output(primary_port)))
+        return [self._rule(pair, dpid, match, action)
+                for dpid, action in hops]
 
-    def _rule(self, pair: ProtectedPair, dpid: int, match: Match,
-              actions) -> None:
-        switch = self.controller.switches.get(dpid)
-        if switch is None:
-            return
-        switch.add_flow(match, actions, priority=PROTECT_PRIORITY,
-                        cookie=pair.pair_id)
-        pair.rules.append((dpid, match))
+    @staticmethod
+    def _rule(pair: ProtectedPair, dpid: int, match: Match,
+              action) -> Tuple[int, dict]:
+        return dpid, {"match": match, "actions": [action],
+                      "priority": PROTECT_PRIORITY,
+                      "cookie": pair.pair_id}
 
     def _alloc_group(self, dpid: int) -> int:
         # Group ids above 1000 to stay clear of other apps' allocations.
         group_id = self._next_group.get(dpid, 1001)
         self._next_group[dpid] = group_id + 1
         return group_id
-
-    def _teardown(self, pair: ProtectedPair) -> None:
-        for dpid, match in pair.rules:
-            switch = self.controller.switches.get(dpid)
-            if switch is not None:
-                switch.delete_flows(match=match,
-                                    priority=PROTECT_PRIORITY,
-                                    strict=True)
-        for dpid, group_id in pair.groups:
-            switch = self.controller.switches.get(dpid)
-            if switch is not None:
-                switch.delete_group(group_id)
-        pair.rules = []
-        pair.groups = []
 
     # ------------------------------------------------------------------
     # Re-protection after failures

@@ -156,8 +156,10 @@ class LoadBalancer(App):
         if not healthy:
             return None
         if self.mode == "hash":
+            # The address's integer value, not the object: an address
+            # hashes a ``str`` tag, which is salted per process.
             choice = healthy[
-                hash((ip.src, client_port, ip.proto)) % len(healthy)
+                hash((ip.src.value, client_port, ip.proto)) % len(healthy)
             ]
         else:
             choice = healthy[self._rr_index % len(healthy)]

@@ -14,16 +14,13 @@ O(distinct port sets), not O(hosts).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, Iterator, Tuple
 
 from repro.apps.proactive_router import ProactiveRouter
 from repro.controller.core import SwitchHandle
 from repro.dataplane.actions import Group, Output
 from repro.dataplane.group import Bucket, GroupType
 from repro.dataplane.match import Match
-from repro.packet import MACAddress
 
 __all__ = ["MultipathRouter"]
 
@@ -36,9 +33,6 @@ class MultipathRouter(ProactiveRouter):
     def __init__(self, max_paths: int = 4, **kwargs) -> None:
         super().__init__(**kwargs)
         self.max_paths = max_paths
-        #: (dpid, mac) -> frozenset of next-hop ports we programmed.
-        self._installed_sets: Dict[Tuple[int, MACAddress],
-                                   FrozenSet[int]] = {}
         #: (dpid, port set) -> group id, for group sharing.
         self._group_ids: Dict[Tuple[int, FrozenSet[int]], int] = {}
         self._next_group: Dict[int, int] = {}
@@ -46,21 +40,18 @@ class MultipathRouter(ProactiveRouter):
     # ------------------------------------------------------------------
     # Rebuild with ECMP sets
     # ------------------------------------------------------------------
-    def _rebuild(self) -> None:
-        self._rebuild_pending = False
-        self.rebuild_count += 1
+    def _wanted(self) -> Iterator[Tuple[int, dict]]:
         view = self._discovery.view()
         graph = view.graph
-        wanted: Dict[Tuple[int, MACAddress], FrozenSet[int]] = {}
+        switches = self.controller.switches
         for entry in self._tracker.hosts_by_mac.values():
             if entry.dpid not in graph:
                 continue
-            dist = nx.single_source_shortest_path_length(
-                graph, entry.dpid)
+            dist = view.distances(entry.dpid)
+            match = Match(eth_dst=entry.mac)
             for dpid in graph.nodes:
                 if dpid == entry.dpid:
-                    wanted[(dpid, entry.mac)] = frozenset(
-                        {entry.port})
+                    yield dpid, self._rule(match, Output(entry.port))
                     continue
                 if dpid not in dist:
                     continue
@@ -68,51 +59,16 @@ class MultipathRouter(ProactiveRouter):
                     n for n in graph.neighbors(dpid)
                     if dist.get(n, -1) + 1 == dist[dpid]
                 )[: self.max_paths]
-                ports = set()
-                for hop in next_hops:
-                    port = view.port_toward(dpid, hop)
-                    if port is not None:
-                        ports.add(port)
-                if ports:
-                    wanted[(dpid, entry.mac)] = frozenset(ports)
-        self._apply_set_diff(wanted)
-
-    def _apply_set_diff(
-        self,
-        wanted: Dict[Tuple[int, MACAddress], FrozenSet[int]],
-    ) -> None:
-        switches = self.controller.switches
-        for key in list(self._installed_sets):
-            if key not in wanted:
-                dpid, mac = key
-                switch = switches.get(dpid)
-                if switch is not None:
-                    switch.delete_flows(
-                        match=Match(eth_dst=mac),
-                        table_id=self.table_id,
-                        priority=self.priority,
-                        strict=True,
-                    )
-                del self._installed_sets[key]
-        for key, ports in wanted.items():
-            if self._installed_sets.get(key) == ports:
-                continue
-            dpid, mac = key
-            switch = switches.get(dpid)
-            if switch is None:
-                continue
-            if len(ports) == 1:
-                actions = [Output(next(iter(ports)))]
-            else:
-                group_id = self._group_for(switch, ports)
-                actions = [Group(group_id)]
-            switch.add_flow(
-                Match(eth_dst=mac),
-                actions,
-                priority=self.priority,
-                table_id=self.table_id,
-            )
-            self._installed_sets[key] = ports
+                ports = {view.port_toward(dpid, hop)
+                         for hop in next_hops} - {None}
+                if len(ports) == 1:
+                    yield dpid, self._rule(match, Output(ports.pop()))
+                elif ports and dpid in switches:
+                    # Groups are not in the ledger: this app makes them,
+                    # just ahead of the first rule that points at one.
+                    group_id = self._group_for(switches[dpid],
+                                               frozenset(ports))
+                    yield dpid, self._rule(match, Group(group_id))
 
     def _group_for(self, switch: SwitchHandle,
                    ports: FrozenSet[int]) -> int:
@@ -135,14 +91,10 @@ class MultipathRouter(ProactiveRouter):
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def rules_installed(self) -> int:
-        return len(self._installed_sets)
-
-    @property
     def multipath_rules(self) -> int:
         """Destinations currently spread over more than one port."""
-        return sum(1 for ports in self._installed_sets.values()
-                   if len(ports) > 1)
+        return sum(1 for _dpid, spec in self.controller.owned(self.name)
+                   if isinstance(spec["actions"][0], Group))
 
     @property
     def groups_created(self) -> int:

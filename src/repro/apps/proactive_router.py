@@ -14,7 +14,7 @@ redundant topologies where naive flooding would storm.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.controller.core import App
 from repro.controller.discovery import TopologyDiscovery
@@ -29,7 +29,7 @@ from repro.controller.hosttracker import HostTracker
 from repro.dataplane.actions import Output
 from repro.dataplane.match import Match
 from repro.errors import ControllerError
-from repro.packet import ARP, Ethernet, LLDP, MACAddress
+from repro.packet import ARP, Ethernet, LLDP
 
 __all__ = ["ProactiveRouter"]
 
@@ -53,8 +53,6 @@ class ProactiveRouter(App):
         self.priority = priority
         self.table_id = table_id
         self.rebuild_delay = rebuild_delay
-        #: (dpid, mac) -> out_port for rules we currently have installed.
-        self._installed: Dict[Tuple[int, MACAddress], int] = {}
         self._rebuild_pending = False
         self.rebuild_count = 0
         self.packets_flooded = 0
@@ -88,51 +86,29 @@ class ProactiveRouter(App):
     def _rebuild(self) -> None:
         self._rebuild_pending = False
         self.rebuild_count += 1
+        self.controller.update(self.name, self._wanted())
+
+    def _wanted(self) -> Iterator[Tuple[int, dict]]:
+        """Every rule the fabric should hold, in flow-mod order: hosts
+        as learned, the attachment switch first, then the view's
+        shortest-path tree toward it (one BFS per attachment switch,
+        shared by its hosts)."""
         view = self._discovery.view()
-        # Insertion order is the flow-mod order: hosts as learned, the
-        # attachment switch first, then the view's shortest-path tree
-        # toward it (one BFS per attachment switch, shared by its hosts).
-        wanted: Dict[Tuple[int, MACAddress], int] = {}
         for entry in self._tracker.hosts_by_mac.values():
             if entry.dpid not in view.graph:
                 continue
-            wanted[(entry.dpid, entry.mac)] = entry.port
+            match = Match(eth_dst=entry.mac)
+            yield entry.dpid, self._rule(match, Output(entry.port))
             for dpid, port in view.next_hops(entry.dpid).items():
-                wanted[(dpid, entry.mac)] = port
-        self._apply_diff(wanted)
+                yield dpid, self._rule(match, Output(port))
 
-    def _apply_diff(self, wanted: Dict[Tuple[int, MACAddress], int]) -> None:
-        switches = self.controller.switches
-        for key in list(self._installed):
-            if key not in wanted:
-                dpid, mac = key
-                switch = switches.get(dpid)
-                if switch is not None:
-                    switch.delete_flows(
-                        match=Match(eth_dst=mac),
-                        table_id=self.table_id,
-                        priority=self.priority,
-                        strict=True,
-                    )
-                del self._installed[key]
-        for key, port in wanted.items():
-            if self._installed.get(key) == port:
-                continue
-            dpid, mac = key
-            switch = switches.get(dpid)
-            if switch is None:
-                continue
-            switch.add_flow(
-                Match(eth_dst=mac),
-                [Output(port)],
-                priority=self.priority,
-                table_id=self.table_id,
-            )
-            self._installed[key] = port
+    def _rule(self, match: Match, action) -> dict:
+        return {"match": match, "actions": [action],
+                "priority": self.priority, "table_id": self.table_id}
 
     @property
     def rules_installed(self) -> int:
-        return len(self._installed)
+        return sum(1 for _ in self.controller.owned(self.name))
 
     # ------------------------------------------------------------------
     # Flooding fallback for unknowns and broadcast

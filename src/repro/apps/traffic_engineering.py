@@ -139,7 +139,10 @@ def ecmp_place(graph: nx.Graph, demands: List[Demand],
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             _book(result, demand, None)
             continue
-        index = hash((demand.src_ip, demand.dst_ip)) % len(paths)
+        # Integer values, not address objects: an address hashes a
+        # ``str`` tag, which is salted per process.
+        index = (hash((demand.src_ip.value, demand.dst_ip.value))
+                 % len(paths))
         _book(result, demand, paths[index])
     return result
 
@@ -221,7 +224,6 @@ class TrafficEngineering(App):
         self._paths: Optional[PathService] = None
         self.demands: List[Demand] = []
         self.last_result: Optional[PlacementResult] = None
-        self._installed: List[Tuple[int, Match]] = []
         self.replacements = 0
 
     def start(self, controller) -> None:
@@ -266,10 +268,11 @@ class TrafficEngineering(App):
         """Place ``demands`` and program the network accordingly."""
         self.demands = list(demands)
         result = self.place(self.demands)
-        self._uninstall_all()
-        for demand, path in result.paths.items():
-            if path is not None:
-                self._install_demand(demand, path)
+        self.controller.update(self.name, [
+            rule for demand, path in result.paths.items()
+            if path is not None
+            for rule in self._demand_rules(demand, path)
+        ])
         self.last_result = result
         return result
 
@@ -283,27 +286,17 @@ class TrafficEngineering(App):
     # ------------------------------------------------------------------
     # Programming
     # ------------------------------------------------------------------
-    def _install_demand(self, demand: Demand, path: List[int]) -> None:
+    def _demand_rules(self, demand: Demand,
+                      path: List[int]) -> List[Tuple[int, dict]]:
         dst_entry = self._tracker.require_ip(demand.dst_ip)
         match = Match(
             eth_type=EtherType.IPV4,
             ip_src=demand.src_ip,
             ip_dst=demand.dst_ip,
         )
-        hops = (self._paths.path_ports(path) if len(path) > 1 else [])
-        hops.append((path[-1], dst_entry.port))
-        for dpid, out_port in hops:
-            switch = self.controller.switches.get(dpid)
-            if switch is None:
-                continue
-            switch.add_flow(match, [Output(out_port)],
-                            priority=TE_PRIORITY, table_id=self.table_id)
-            self._installed.append((dpid, match))
-
-    def _uninstall_all(self) -> None:
-        for dpid, match in self._installed:
-            switch = self.controller.switches.get(dpid)
-            if switch is not None:
-                switch.delete_flows(match=match, table_id=self.table_id,
-                                    priority=TE_PRIORITY, strict=True)
-        self._installed = []
+        hops = self._paths.path_ports(path) + [(path[-1], dst_entry.port)]
+        return [
+            (dpid, {"match": match, "actions": [Output(out_port)],
+                    "priority": TE_PRIORITY, "table_id": self.table_id})
+            for dpid, out_port in hops
+        ]

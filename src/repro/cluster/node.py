@@ -301,15 +301,9 @@ class ClusterController(Controller):
             return
         self.cluster.bus.broadcast(self.node_id, kind, payload)
 
-    def _ledger_record(self, dpid, match, actions, priority, table_id,
-                       idle_timeout, hard_timeout, cookie, goto_table,
-                       notify_removed) -> None:
-        super()._ledger_record(dpid, match, actions, priority, table_id,
-                               idle_timeout, hard_timeout, cookie,
-                               goto_table, notify_removed)
-        spec = self._ledger[dpid][(table_id, priority, match)]
-        self._broadcast("ledger_record",
-                        (dpid, (table_id, priority, match), spec))
+    def _ledger_record(self, dpid, spec) -> None:
+        super()._ledger_record(dpid, spec)
+        self._broadcast("ledger_record", (dpid, spec))
 
     def _ledger_forget(self, dpid, match, table_id, priority,
                        strict) -> None:
@@ -357,8 +351,8 @@ class ClusterController(Controller):
         if self.crashed:
             return
         if kind == "ledger_record":
-            dpid, key, spec = payload
-            self._ledger.setdefault(dpid, {})[key] = dict(spec)
+            dpid, spec = payload
+            Controller._ledger_record(self, dpid, dict(spec))
         elif kind == "ledger_forget":
             dpid, match, table_id, priority, strict = payload
             Controller._ledger_forget(self, dpid, match, table_id,

@@ -14,8 +14,12 @@ apps.  The core's jobs are:
 
 from __future__ import annotations
 
+import inspect
 import time
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from typing import (
+    Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple,
+    Type,
+)
 
 from repro.controller.events import (
     ErrorEvent,
@@ -98,15 +102,21 @@ class SwitchHandle:
         cookie: int = 0,
         goto_table: Optional[int] = None,
         notify_removed: bool = False,
+        owner: Optional[Hashable] = None,
     ) -> None:
-        """Install one flow entry (ZOF FlowMod ADD)."""
+        """Install one flow entry (ZOF FlowMod ADD).
+
+        ``owner`` is who :meth:`Controller.update` reconciles the entry
+        for; it is ledger state only and never reaches the wire.
+        """
         flags = FlowMod.SEND_FLOW_REM if notify_removed else 0
-        self.controller._ledger_record(
-            self.dpid, match=match, actions=actions, priority=priority,
+        self.controller._ledger_record(self.dpid, dict(
+            match=match, actions=list(actions), priority=priority,
             table_id=table_id, idle_timeout=idle_timeout,
             hard_timeout=hard_timeout, cookie=cookie,
             goto_table=goto_table, notify_removed=notify_removed,
-        )
+            owner=owner,
+        ))
         ctx = self.controller._trace_ctx
         if ctx is not None:
             self.controller.telemetry.tracer.record(
@@ -239,6 +249,18 @@ class SwitchHandle:
         return f"<SwitchHandle dpid={self.dpid} {state}>"
 
 
+#: ``add_flow``'s optional keywords with their defaults: what completes
+#: a rule handed to :meth:`Controller.update` into a ledger entry.
+_FLOW_DEFAULTS = {
+    name: param.default for name, param
+    in inspect.signature(SwitchHandle.add_flow).parameters.items()
+    if param.default is not param.empty}
+
+
+def _ledger_key(spec: dict) -> Tuple[int, int, Match]:
+    return spec["table_id"], spec["priority"], spec["match"]
+
+
 class App:
     """Base class for controller applications.
 
@@ -321,7 +343,8 @@ class Controller:
         self._subscribers: Dict[Type[Event], List[Tuple[Callable, str]]] = {}
         self._endpoint_switch: Dict[ChannelEndpoint, SwitchHandle] = {}
         #: Intended flow state per dpid, keyed (table_id, priority, match)
-        #: — the source of truth the resync reconciles the switch against.
+        #: — ``add_flow``'s keywords, ``owner`` included; the source of
+        #: truth resync and :meth:`update` reconcile the switch against.
         self._ledger: Dict[int, Dict[Tuple[int, int, Match], dict]] = {}
         #: Switches that dropped their channel; remembered (not forgotten)
         #: so the reconnect handshake can reconcile rather than rebuild.
@@ -493,7 +516,12 @@ class Controller:
             return
         handle = self._endpoint_switch.get(endpoint)
         if handle is None:
-            return  # pre-handshake noise
+            # Pre-handshake noise.  Nobody will dispatch a punt that
+            # lands here, so take its trace id out of the stash.
+            if isinstance(msg, PacketIn) and self.telemetry.tracing:
+                self.telemetry.tracer.adopt(
+                    ("packet_in", msg.in_port, msg.data))
+            return
         if isinstance(msg, PacketIn):
             self._enqueue_packet_in(handle, msg)
         elif isinstance(msg, FlowRemoved):
@@ -610,22 +638,9 @@ class Controller:
     # ------------------------------------------------------------------
     # Intent ledger
     # ------------------------------------------------------------------
-    def _ledger_record(self, dpid: int, match: Match, actions: List[Action],
-                       priority: int, table_id: int, idle_timeout: float,
-                       hard_timeout: float, cookie: int,
-                       goto_table: Optional[int],
-                       notify_removed: bool) -> None:
-        self._ledger.setdefault(dpid, {})[(table_id, priority, match)] = {
-            "match": match,
-            "actions": list(actions),
-            "priority": priority,
-            "table_id": table_id,
-            "idle_timeout": idle_timeout,
-            "hard_timeout": hard_timeout,
-            "cookie": cookie,
-            "goto_table": goto_table,
-            "notify_removed": notify_removed,
-        }
+    def _ledger_record(self, dpid: int, spec: dict) -> None:
+        """Write down one intended entry: ``add_flow``'s keywords."""
+        self._ledger.setdefault(dpid, {})[_ledger_key(spec)] = spec
 
     def _ledger_forget(self, dpid: int, match: Match, table_id: int,
                        priority: int, strict: bool) -> None:
@@ -642,9 +657,68 @@ class Controller:
         for key in doomed:
             del flows[key]
 
-    def intended_flows(self, dpid: int) -> int:
-        """Number of ledger entries for ``dpid`` (introspection/tests)."""
-        return len(self._ledger.get(dpid, ()))
+    def owned(self, owner: Hashable) -> Iterator[Tuple[int, dict]]:
+        """``(dpid, entry)`` for every ledger entry ``owner`` holds,
+        switches that are away included."""
+        for dpid, flows in self._ledger.items():
+            for spec in flows.values():
+                if spec["owner"] == owner:
+                    yield dpid, spec
+
+    def owners_on(self, dpid: int) -> set:
+        """Who holds entries on ``dpid`` (``None``: plain ``add_flow``)."""
+        return {spec["owner"] for spec in self._ledger.get(dpid, {}).values()}
+
+    # ------------------------------------------------------------------
+    # Control updates: apps declare, the controller reconciles
+    # ------------------------------------------------------------------
+    def update(self, owner: Hashable,
+               rules: Iterable[Tuple[int, dict]],
+               on_done: Optional[Callable[[], None]] = None) -> None:
+        """Make ``owner``'s entries on the connected switches ``rules``.
+
+        ``rules`` is everything ``owner`` wants, as ``(dpid, add_flow
+        keywords)`` pairs in sending order; it is read once.  New and
+        changed rules go out first, then strict deletes for entries
+        ``owner`` holds and no longer wants (make before break); what
+        the ledger holds unchanged is not sent.  A switch that is away
+        is not touched and its entries stay owned: the first update
+        after it returns reconciles them.  ``on_done`` fires once every
+        switch that was sent something has answered a barrier.
+        """
+        wanted = set()
+        touched: Dict[int, SwitchHandle] = {}
+        for dpid, rule in rules:
+            spec = {**_FLOW_DEFAULTS, **rule, "owner": owner}
+            key = _ledger_key(spec)
+            wanted.add((dpid, key))
+            handle = self.switches.get(dpid)
+            if (handle is not None
+                    and self._ledger.get(dpid, {}).get(key) != spec):
+                handle.add_flow(**spec)
+                touched[dpid] = handle
+        for dpid, spec in list(self.owned(owner)):
+            handle = self.switches.get(dpid)
+            if (handle is not None
+                    and (dpid, _ledger_key(spec)) not in wanted):
+                handle.delete_flows(
+                    match=spec["match"], table_id=spec["table_id"],
+                    priority=spec["priority"], strict=True)
+                touched[dpid] = handle
+        if on_done is None:
+            return
+        pending = len(touched)
+
+        def acked() -> None:
+            nonlocal pending
+            pending -= 1
+            if not pending:
+                on_done()
+
+        for handle in touched.values():
+            handle.barrier(acked)
+        if not touched:
+            on_done()
 
     # -- packet-in compute model ---------------------------------------
     def _enqueue_packet_in(self, handle: SwitchHandle,

@@ -73,7 +73,7 @@ class TopologyView:
     """
 
     __slots__ = ("version", "graph", "_toward", "_inter_switch",
-                 "_tree_ports", "_next_hops")
+                 "_tree_ports", "_next_hops", "_distances")
 
     def __init__(self, version: int, switches: Iterable[int],
                  links: Iterable[DiscoveredLink]) -> None:
@@ -109,6 +109,7 @@ class TopologyView:
         self._tree_ports = {
             dpid: frozenset(ports) for dpid, ports in tree_ports.items()}
         self._next_hops: Dict[int, Dict[int, int]] = {}
+        self._distances: Dict[int, Dict[int, int]] = {}
 
     def port_toward(self, src_dpid: int, dst_dpid: int) -> Optional[int]:
         """The port on ``src_dpid`` that reaches neighbour ``dst_dpid``."""
@@ -133,7 +134,9 @@ class TopologyView:
         if hops is None:
             paths = nx.single_source_shortest_path(self.graph, dst_dpid)
             hops = self._next_hops[dst_dpid] = {}
+            dist = self._distances[dst_dpid] = {}
             for dpid, path in paths.items():
+                dist[dpid] = len(path) - 1
                 if dpid == dst_dpid:
                     continue
                 # path is [dst_dpid, ..., dpid]: the hop back toward the
@@ -142,6 +145,12 @@ class TopologyView:
                 if port is not None:
                     hops[dpid] = port
         return hops
+
+    def distances(self, dst_dpid: int) -> Dict[int, int]:
+        """``{dpid: hop count}`` to ``dst_dpid`` (itself, at 0, included)
+        for every switch that can reach it: :meth:`next_hops`' BFS."""
+        self.next_hops(dst_dpid)
+        return self._distances[dst_dpid]
 
 
 class TopologyDiscovery(App):

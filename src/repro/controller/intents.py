@@ -12,9 +12,9 @@ cookie, so withdrawal and rerouting can remove them surgically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.controller.core import App
+from repro.controller.core import App, SwitchHandle
 from repro.controller.discovery import TopologyDiscovery
 from repro.controller.events import (
     HostMoved,
@@ -51,8 +51,6 @@ class Intent:
         #: must not depend on what else this process has run.
         self.intent_id: Optional[int] = None
         self.state = IntentState.SUBMITTED
-        #: Rules currently installed: (dpid, match, priority, table_id).
-        self.installed_rules: List[Tuple[int, Match, int, int]] = []
         #: dpid paths in use (for failure impact analysis).
         self.paths: List[List[int]] = []
         self.reroutes = 0
@@ -90,7 +88,8 @@ class IntentService(App):
         self.intents: Dict[int, Intent] = {}
         #: Running count of recompilations caused by topology churn.
         self.reroute_events = 0
-        #: Sim times at which a reroute batch finished (barrier-acked).
+        #: Sim times at which a rerouted intent's update was barrier-
+        #: acked; the last one of a batch is when the batch was done.
         self.reroute_done_times: List[float] = []
 
     def start(self, controller) -> None:
@@ -141,8 +140,18 @@ class IntentService(App):
         intent = self.intents.pop(intent_id, None)
         if intent is None:
             raise IntentError(f"no intent with id {intent_id}")
-        self._uninstall(intent)
+        self.controller.update((self.name, intent_id), ())
+        intent.paths = []
         intent.state = IntentState.WITHDRAWN
+
+    def on_switch_enter(self, switch: SwitchHandle) -> None:
+        # A switch that was away when an intent was withdrawn still
+        # holds its rules, and nobody will declare for that intent
+        # again: reconcile them now that the switch is back.
+        for owner in self.controller.owners_on(switch.dpid):
+            if (isinstance(owner, tuple) and owner[0] == self.name
+                    and owner[1] not in self.intents):
+                self.controller.update(owner, ())
 
     def installed_count(self) -> int:
         return sum(1 for i in self.intents.values()
@@ -155,92 +164,66 @@ class IntentService(App):
     # ------------------------------------------------------------------
     # Compilation
     # ------------------------------------------------------------------
-    def _compile(self, intent: Intent) -> None:
-        """(Re)satisfy an intent, make-before-break.
+    def _compile(self, intent: Intent,
+                 on_done: Optional[Callable[[], None]] = None) -> None:
+        """(Re)satisfy an intent: plan both directions, then declare.
 
-        New-path rules are installed before old-path rules are removed,
-        so a *planned* reroute (host move, better path appearing) never
-        black-holes in-flight traffic.  Failure reroutes get the same
-        treatment for free — the stale rules point into the dead link
-        anyway and are removed once the new ones are in.
+        :meth:`Controller.update` sends new-path rules before it
+        removes old-path ones, so a *planned* reroute (host move,
+        better path appearing) never black-holes in-flight traffic.
+        Failure reroutes get the same treatment for free — the stale
+        rules point into the dead link anyway and are removed once the
+        new ones are in.  An intent that cannot be planned holds no
+        rules.
         """
         if not isinstance(intent, HostToHostIntent):
             raise IntentError(
                 f"cannot compile intent type {type(intent).__name__}"
             )
-        old_rules = list(intent.installed_rules)
+        path, rules = self._plan(intent)
+        self.controller.update((self.name, intent.intent_id), rules,
+                               on_done)
+        intent.paths = [] if path is None else [path]
+        intent.state = (IntentState.FAILED if path is None
+                        else IntentState.INSTALLED)
+
+    def _plan(self, intent: HostToHostIntent
+              ) -> Tuple[Optional[List[int]], List[Tuple[int, dict]]]:
+        """The dpid path and every hop rule of both directions, or
+        ``(None, [])`` while the intent cannot be satisfied."""
         src = self._tracker.lookup_mac(intent.src_mac)
         dst = self._tracker.lookup_mac(intent.dst_mac)
         if src is None or dst is None:
-            self._uninstall(intent)
-            intent.state = IntentState.FAILED
-            return
+            return None, []
         if src.dpid == dst.dpid:
             path = [src.dpid]
         else:
             path = self._paths.shortest_path(src.dpid, dst.dpid)
             if path is None:
-                self._uninstall(intent)
-                intent.state = IntentState.FAILED
-                return
-        new_rules: List[Tuple[int, Match, int, int]] = []
+                return None, []
         try:
-            self._install_direction(intent, path, intent.src_mac,
-                                    intent.dst_mac, dst.port, new_rules)
-            self._install_direction(intent, list(reversed(path)),
-                                    intent.dst_mac, intent.src_mac,
-                                    src.port, new_rules)
+            return path, (
+                self._direction_rules(intent, path, intent.src_mac,
+                                      intent.dst_mac, dst.port)
+                + self._direction_rules(intent, list(reversed(path)),
+                                        intent.dst_mac, intent.src_mac,
+                                        src.port))
         except ControllerError:
             # Discovery state moved under us (e.g. a port map went
-            # stale mid-compile); clean up and retry on the next
-            # topology event.
-            intent.installed_rules = old_rules + new_rules
-            self._uninstall(intent)
-            intent.state = IntentState.FAILED
-            return
-        # Break after make: drop only the rules the new path no longer
-        # uses.  (Per-switch channel FIFO guarantees the matching ADD
-        # lands before any same-switch DELETE sent here.)
-        fresh = set(new_rules)
-        for rule in old_rules:
-            if rule not in fresh:
-                self._delete_rule(rule)
-        intent.installed_rules = new_rules
-        intent.paths = [path]
-        intent.state = IntentState.INSTALLED
+            # stale mid-plan); retry on the next topology event.
+            return None, []
 
-    def _install_direction(self, intent: Intent, path: List[int],
-                           src_mac: MACAddress, dst_mac: MACAddress,
-                           final_port: int,
-                           out_rules: List[Tuple[int, Match, int, int]],
-                           ) -> None:
+    def _direction_rules(self, intent: Intent, path: List[int],
+                         src_mac: MACAddress, dst_mac: MACAddress,
+                         final_port: int) -> List[Tuple[int, dict]]:
         match = Match(eth_src=src_mac, eth_dst=dst_mac)
-        hops = self._paths.path_ports(path) if len(path) > 1 else []
-        hops.append((path[-1], final_port))
-        for dpid, out_port in hops:
-            switch = self.controller.switches.get(dpid)
-            if switch is None:
-                continue
-            switch.add_flow(
-                match,
-                [Output(out_port)],
-                priority=INTENT_PRIORITY,
-                cookie=intent.intent_id,
-            )
-            out_rules.append((dpid, match, INTENT_PRIORITY, 0))
-
-    def _delete_rule(self, rule: Tuple[int, Match, int, int]) -> None:
-        dpid, match, priority, table_id = rule
-        switch = self.controller.switches.get(dpid)
-        if switch is not None:
-            switch.delete_flows(match=match, table_id=table_id,
-                                priority=priority, strict=True)
-
-    def _uninstall(self, intent: Intent) -> None:
-        for rule in intent.installed_rules:
-            self._delete_rule(rule)
-        intent.installed_rules = []
-        intent.paths = []
+        hops = self._paths.path_ports(path) + [(path[-1], final_port)]
+        return [
+            (dpid, {"match": match, "actions": [Output(out_port)],
+                    "priority": INTENT_PRIORITY,
+                    "cookie": intent.intent_id})
+            for dpid, out_port in hops
+        ]
 
     # ------------------------------------------------------------------
     # Reactions to topology churn
@@ -260,30 +243,10 @@ class IntentService(App):
         if not batch:
             return
         self.reroute_events += 1
-        touched: set = set()
         for intent in batch:
             intent.reroutes += 1
-            self._compile(intent)
-            for dpid, *_ in intent.installed_rules:
-                touched.add(dpid)
-        self._await_barriers(touched)
-
-    def _await_barriers(self, dpids: set) -> None:
-        """Record the reroute-done time once every switch acks a barrier."""
-        remaining = {d for d in dpids if d in self.controller.switches}
-        if not remaining:
-            self.reroute_done_times.append(self.sim.now)
-            return
-
-        def acked(dpid: int) -> None:
-            remaining.discard(dpid)
-            if not remaining:
-                self.reroute_done_times.append(self.sim.now)
-
-        for dpid in list(remaining):
-            self.controller.switches[dpid].barrier(
-                lambda d=dpid: acked(d)
-            )
+            self._compile(intent, on_done=lambda: (
+                self.reroute_done_times.append(self.sim.now)))
 
     def _on_link_vanished(self, event: LinkVanished) -> None:
         self._recompile_batch(

@@ -192,7 +192,7 @@ class ZenPlatform:
                 node.attach_discovery(discovery)
                 node.start_replication()
                 node.wipe_hooks.append(self._make_wipe_hook(
-                    discovery, tracker, router, learning
+                    discovery, tracker, learning
                 ))
             if node is self.controller:
                 self.discovery: TopologyDiscovery = discovery
@@ -223,14 +223,13 @@ class ZenPlatform:
                 channel.connect()
 
     @staticmethod
-    def _make_wipe_hook(discovery, tracker, router, learning):
-        """What a crashed cluster node forgets (its apps' soft state)."""
+    def _make_wipe_hook(discovery, tracker, learning):
+        """What a crashed cluster node forgets (its apps' soft state;
+        what its apps had installed went with the node's ledger)."""
         def wipe() -> None:
             discovery.forget()
             tracker.hosts_by_mac.clear()
             tracker.hosts_by_ip.clear()
-            if router is not None:
-                router._installed.clear()
             if learning is not None:
                 learning.mac_tables.clear()
         return wipe

@@ -10,6 +10,7 @@ from repro.apps import (
     greedy_place,
     spf_place,
 )
+from repro.apps.traffic_engineering import TE_PRIORITY
 from repro.core import ZenPlatform
 from repro.errors import ControllerError
 from repro.netem import Topology
@@ -200,6 +201,45 @@ class TestTrafficEngineeringApp:
         session = h1.ping(h2.ip, count=2, interval=0.1)
         platform.run(3.0)
         assert session.received == 2
+
+    def test_uninstall_reaches_a_switch_that_was_away(self, platform):
+        """A delete that found its switch's channel down used to be
+        dropped while the ledger kept the rule, so resync defended the
+        leak for ever.  Asserts the switch tables, not the app."""
+        h1, h2 = platform.host("h1"), platform.host("h2")
+
+        def te_entries():
+            return {
+                name: sum(1 for t in dp.tables for e in t
+                          if e.priority == TE_PRIORITY)
+                for name, dp in platform.net.switches.items()
+            }
+
+        result = platform.te.install([Demand(h1.ip, h2.ip, 6e6)])
+        platform.run(0.5)
+        path = next(iter(result.paths.values()))
+        transit = platform.net.switch_name(path[1])
+        assert te_entries()[transit] == 1
+        platform.net.channel(transit).disconnect()
+        platform.run(0.1)
+        platform.te.install([])
+        platform.run(0.5)
+        assert te_entries()[transit] == 1  # out of reach for now
+        platform.net.channel(transit).connect()
+        platform.run(3.0)  # handshake, resync, rediscovery
+        platform.te.install([])
+        platform.run(0.5)
+        assert te_entries() == dict.fromkeys(platform.net.switches, 0)
+
+    def test_replace_leaves_unchanged_paths_alone(self, platform):
+        # Re-declaring the same placement sends nothing, so the rules'
+        # counters (what AdaptiveTE samples) are not reset.
+        h1, h2 = platform.host("h1"), platform.host("h2")
+        platform.te.install([Demand(h1.ip, h2.ip, 6e6)])
+        platform.run(0.5)
+        before = platform.total_control_messages()
+        platform.te.replace()
+        assert platform.total_control_messages() == before
 
     def test_strategy_validation(self):
         with pytest.raises(ControllerError):

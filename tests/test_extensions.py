@@ -4,6 +4,7 @@ pairs (fast failover), and link taps."""
 import networkx as nx
 
 from repro.apps import MultipathRouter, ProtectedPairs
+from repro.apps.fast_failover import PROTECT_PRIORITY
 from repro.core import ZenPlatform
 from repro.netem import CBRStream, Tap, Topology
 from repro.packet import ICMP, UDP
@@ -188,6 +189,54 @@ class TestProtectedPairs:
         # On the diamond, losing one arm leaves a single path: pair is
         # connected but no longer protected.
         assert not pair.protected
+        session = h1.ping(h2.ip, count=2, interval=0.1)
+        platform.run(3.0)
+        assert session.received == 2
+
+
+    def test_reprotection_reaches_a_switch_that_was_away(self):
+        """A re-protection that found a transit switch's channel down
+        used to drop that switch's deletes while the ledger kept the
+        rules, so resync defended them for ever.  Asserts the tables."""
+        topo = Topology()
+        for _ in range(5):
+            topo.add_switch()
+        for arm in ("s2", "s3", "s5"):  # three disjoint 2-hop arms
+            topo.add_link("s1", arm, bandwidth_bps=1e9)
+            topo.add_link(arm, "s4", bandwidth_bps=1e9)
+        topo.add_link(topo.add_host(), "s1", bandwidth_bps=1e9)
+        topo.add_link(topo.add_host(), "s4", bandwidth_bps=1e9)
+        platform = ZenPlatform(topo, profile="bare", control_latency=0.002)
+        protector = platform.add_app(ProtectedPairs())
+        platform.start()
+        h1, h2 = warm_protected(platform)
+
+        def protect_entries():
+            return {
+                name: sum(1 for t in dp.tables for e in t
+                          if e.priority == PROTECT_PRIORITY)
+                for name, dp in platform.net.switches.items()
+            }
+
+        pair = protector.protect_ips(h1.ip, h2.ip)
+        platform.run(0.5)
+        assert (pair.primary, pair.backup) == ([1, 2, 4], [1, 3, 4])
+        assert protect_entries()["s2"] == 2  # one per direction
+        # s2's channel drops: its links leave the view, the pair moves
+        # to the other two arms, s2's rules are out of reach.
+        platform.net.channel("s2").disconnect()
+        platform.run(0.1)
+        assert (pair.primary, pair.backup) == ([1, 3, 4], [1, 5, 4])
+        platform.fail_link("s2", "s4")  # s2 comes back as a dead end
+        platform.net.channel("s2").connect()
+        platform.run(3.0)  # handshake, resync, rediscovery
+        assert protect_entries()["s2"] == 2  # resync kept them: owned
+        # The next re-protection is the first update after s2's return.
+        platform.fail_link("s1", "s3")
+        platform.run(1.0)
+        assert (pair.primary, pair.backup) == ([1, 5, 4], None)
+        assert protect_entries() == {
+            "s1": 2, "s2": 0, "s3": 0, "s4": 2, "s5": 2}
         session = h1.ping(h2.ip, count=2, interval=0.1)
         platform.run(3.0)
         assert session.received == 2

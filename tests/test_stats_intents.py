@@ -8,6 +8,7 @@ from repro.controller import (
     PortStatsUpdate,
     StatsPoller,
 )
+from repro.controller.intents import INTENT_PRIORITY
 from repro.core import ZenPlatform
 from repro.errors import IntentError
 from repro.netem import CBRStream, FlowSink, Topology
@@ -175,6 +176,41 @@ class TestIntents:
         assert flows_without < flows_with
         with pytest.raises(IntentError):
             platform.intents.withdraw(intent.intent_id)
+
+    def test_withdraw_reaches_a_switch_that_was_away(self,
+                                                     intent_platform):
+        """A withdrawal that found a transit switch's channel down used
+        to drop that switch's deletes while the ledger kept the rules,
+        so resync defended them for ever.  Asserts the switch tables."""
+        platform = intent_platform
+        h1, h3 = platform.host("h1"), platform.host("h3")
+
+        def intent_entries():
+            return {
+                name: sum(1 for t in dp.tables for e in t
+                          if e.priority == INTENT_PRIORITY)
+                for name, dp in platform.net.switches.items()
+            }
+
+        intent = platform.intents.connect_ips(h1.ip, h3.ip)
+        platform.run(0.5)
+        transit = platform.net.switch_name(intent.paths[0][1])
+        assert intent_entries()[transit] == 2  # one per direction
+        platform.net.channel(transit).disconnect()
+        platform.run(0.1)
+        # SwitchLeave rerouted the intent the other way round the ring;
+        # the transit switch still holds the old path's rules.
+        assert intent.state == IntentState.INSTALLED
+        assert transit not in map(platform.net.switch_name,
+                                  intent.paths[0])
+        platform.intents.withdraw(intent.intent_id)
+        platform.run(0.5)
+        assert intent_entries()[transit] == 2  # out of reach for now
+        platform.net.channel(transit).connect()
+        platform.run(3.0)  # handshake, resync, rediscovery
+        assert intent_entries() == dict.fromkeys(platform.net.switches, 0)
+        assert not list(platform.controller.owned(
+            ("intents", intent.intent_id)))
 
     def test_intent_reroutes_around_failure(self, intent_platform):
         platform = intent_platform

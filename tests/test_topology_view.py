@@ -145,8 +145,11 @@ class TopologyViewMachine(RuleBasedStateMachine):
         self.discovery.stop()  # probing and ageing are driven by rules
         self.tracker = self.controller.add_app(HostTracker())
         self.router = self.controller.add_app(ProactiveRouter())
-        self.wanted = []
-        self.router._apply_diff = self.wanted.append
+        # What the router declares: (owner, [(dpid, rule), ...]) per
+        # rebuild, as handed to the controller's one update primitive.
+        self.updates = []
+        self.controller.update = (
+            lambda owner, rules: self.updates.append((owner, list(rules))))
         for dpid in (1, 2, 3):
             self.enter(dpid)
 
@@ -231,7 +234,16 @@ class TopologyViewMachine(RuleBasedStateMachine):
                 assert (discovery.is_edge_port(a, port)
                         == (port not in naive_ports_in_use(discovery, a)))
         self.router._rebuild()
-        assert (list(self.wanted[-1].items())
+        owner, rules = self.updates[-1]
+        assert owner == self.router.name
+        assert all(
+            rule.keys() == {"match", "actions", "priority", "table_id"}
+            and rule["priority"] == self.router.priority
+            and rule["table_id"] == self.router.table_id
+            and len(rule["actions"]) == 1
+            for _dpid, rule in rules)
+        assert ([((dpid, rule["match"].fields["eth_dst"]),
+                  rule["actions"][0].port) for dpid, rule in rules]
                 == list(naive_wanted(discovery, self.tracker).items()))
         # All of the above cost at most one view, and it is shared.
         assert discovery.views_built <= built + 1

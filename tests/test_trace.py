@@ -263,6 +263,44 @@ class TestStashScope:
         platform.run(4.0)
         assert tel.tracer.stash_size == 0
 
+    def test_pre_handshake_punt_leaves_no_stash_residue(self):
+        """A packet-in that lands between reconnect and handshake is
+        dropped by the controller; its stashed trace id goes with it
+        (it used to sit in the tracer until the next epoch change)."""
+        from repro.core import dataplane_digest
+        from repro.southbound.messages import PacketIn
+
+        def run(tel):
+            platform = _reactive_platform(tel).start()
+            h1, h3 = platform.host("h1"), platform.host("h3")
+            h1.add_static_arp(h3.ip, h3.mac)
+            controller = platform.controller
+            dropped = []
+            handle = controller._handle
+
+            def spy(endpoint, msg):
+                if (isinstance(msg, PacketIn)
+                        and endpoint not in controller._endpoint_switch):
+                    dropped.append(msg)
+                handle(endpoint, msg)
+
+            controller._handle = spy
+            stash = tel.tracer.stash_size if tel is not None else 0
+            channel = platform.net.channel("s1")
+            channel.disconnect()
+            platform.run(0.05)
+            channel.connect()
+            h1.send_udp(h3.ip, 7, 7, b"x")  # punted before FeaturesReply
+            platform.run(2.0)
+            assert len(dropped) == 1
+            if tel is not None:
+                assert tel.tracer.stash_size == stash
+                assert tel.tracer.stash_pruned == 0
+            return (dataplane_digest(platform.net),
+                    platform.sim.events_processed)
+
+        assert run(Telemetry()) == run(None)
+
     def test_null_tracer_stash_api_is_silent(self):
         from repro.telemetry import NULL_TRACER
 
