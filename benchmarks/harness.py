@@ -1,9 +1,10 @@
 """Shared utilities for the experiment benchmarks (E1–E10).
 
 Each benchmark module regenerates one table or figure from DESIGN.md's
-experiment index.  Results are printed to stdout *and* written under
+experiment index.  Tables are printed to stdout *and* written under
 ``benchmarks/results/`` so ``pytest benchmarks/ --benchmark-only | tee``
-captures them and EXPERIMENTS.md can cite them verbatim.
+captures them and EXPERIMENTS.md can cite them verbatim; machine-readable
+results are written once, as ``BENCH_<ID>.json`` at the repo root.
 """
 
 from __future__ import annotations
@@ -28,22 +29,14 @@ def publish(artifact_id: str, table) -> str:
 
 
 def publish_json(bench_id: str, payload: dict) -> dict:
-    """Persist machine-readable results for trajectory tracking.
-
-    Two copies are written: ``benchmarks/results/<bench_id>.json``
-    (committed history) and ``BENCH_<BENCH_ID>.json`` at the repo root
-    (picked up by CI as a build artifact and by the regression gate).
-    """
+    """Persist machine-readable results as ``BENCH_<BENCH_ID>.json`` at
+    the repo root: committed history, CI build artifact and the
+    regression gate's input are one file."""
     record = {"bench": bench_id.upper()}
     record.update(payload)
-    blob = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    with open(os.path.join(RESULTS_DIR, f"{bench_id.lower()}.json"),
-              "w") as fh:
-        fh.write(blob)
     with open(os.path.join(REPO_ROOT, f"BENCH_{bench_id.upper()}.json"),
               "w") as fh:
-        fh.write(blob)
+        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return record
 
 

@@ -75,18 +75,19 @@ def run_platform(profile):
         Topology.linear(4, hosts_per_switch=1, bandwidth_bps=1e9),
         profile=profile,
     ).start()
+    warmup = (0,) * 5
     if profile == "proactive":
         # Warm all hosts so rules exist before the measured window.
         hosts = list(platform.net.hosts.values())
         for i, host in enumerate(hosts):
             host.send_udp(hosts[(i + 1) % len(hosts)].ip, 7, 7, b"w")
         platform.run(1.0)
-        # Reset counters: measure steady state only.
-        for channel in platform.net.channels.values():
-            channel.switch_end.sent.reset()
-            channel.controller_end.sent.reset()
+        # Measure steady state only: the window is the difference of
+        # two totals (the channel's counters are monotone).
+        warmup = _totals(platform.net.channels)
     _workload(platform.net)
-    return _totals(platform.net.channels)
+    return tuple(total - before for total, before
+                 in zip(_totals(platform.net.channels), warmup))
 
 
 def run_experiment():

@@ -174,21 +174,19 @@ class FlowTable:
         self.lookup_count = 0
         self.matched_count = 0
         self.on_change: Optional[Callable[[], None]] = None
-        # Telemetry children; bound by attach_metrics(), else free no-ops.
-        self._m_lookups = None
-        self._m_matches = None
 
     def attach_metrics(self, registry, dpid: int) -> None:
-        """Bind per-table lookup/match counters labelled by (dpid, table)."""
-        labels = (str(dpid), str(self.table_id))
-        self._m_lookups = registry.counter(
+        """Bind ``lookup_count``/``matched_count`` as the per-table
+        counters labelled by (dpid, table)."""
+        labels = (dpid, self.table_id)
+        registry.counter(
             "table_lookups_total", "Flow-table lookups",
             ("dpid", "table"),
-        ).labels(*labels)
-        self._m_matches = registry.counter(
+        ).bind(labels, lambda: self.lookup_count)
+        registry.counter(
             "table_matches_total", "Flow-table lookup hits",
             ("dpid", "table"),
-        ).labels(*labels)
+        ).bind(labels, lambda: self.matched_count)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -390,12 +388,8 @@ class FlowTable:
         without touching the pipeline, but stats replies must stay
         bit-identical cache on or off, so hits replay these counters."""
         self.lookup_count += 1
-        if self._m_lookups is not None:
-            self._m_lookups.inc()
         if hit:
             self.matched_count += 1
-            if self._m_matches is not None:
-                self._m_matches.inc()
 
     # ------------------------------------------------------------------
     # Introspection

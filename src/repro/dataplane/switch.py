@@ -166,28 +166,27 @@ class Datapath:
         self.telemetry = tel
         self._tracing = tel.tracing
         if tel.enabled:
-            d = str(dpid)
+            # Read through to the aggregate counters below: the pipeline
+            # counts once, for stats(), ZOF replies and telemetry alike.
             registry = tel.metrics
-            self._m_rx = registry.counter(
+            registry.counter(
                 "switch_rx_packets_total", "Packets entering the pipeline",
                 ("dpid",),
-            ).labels(d)
-            self._m_fwd = registry.counter(
+            ).bind((dpid,), lambda: self.packets_received)
+            registry.counter(
                 "switch_forwarded_total", "Packets emitted on a port",
                 ("dpid",),
-            ).labels(d)
-            self._m_drop = registry.counter(
+            ).bind((dpid,), lambda: self.packets_forwarded)
+            registry.counter(
                 "switch_dropped_total", "Packets dropped by the pipeline",
                 ("dpid",),
-            ).labels(d)
-            self._m_punt = registry.counter(
+            ).bind((dpid,), lambda: self.packets_dropped)
+            registry.counter(
                 "switch_packet_ins_total", "Packets punted to the controller",
                 ("dpid",),
-            ).labels(d)
+            ).bind((dpid,), lambda: self.packets_to_controller)
             for flow_table in self.tables:
                 flow_table.attach_metrics(registry, dpid)
-        else:
-            self._m_rx = self._m_fwd = self._m_drop = self._m_punt = None
         self.groups = GroupTable()
         self.meters = MeterTable()
         self.ports: Dict[int, Port] = {}
@@ -318,8 +317,6 @@ class Datapath:
         port.rx_packets += 1
         port.rx_bytes += size
         self.packets_received += 1
-        if self._m_rx is not None:
-            self._m_rx.inc()
         if packet.trace_id is not None and self._tracing:
             self.telemetry.tracer.record(
                 packet.trace_id, "switch.pipeline", "dataplane",
@@ -550,8 +547,6 @@ class Datapath:
         port.tx_packets += 1
         port.tx_bytes += size
         self.packets_forwarded += 1
-        if self._m_fwd is not None:
-            self._m_fwd.inc()
         if packet.trace_id is not None and self._tracing:
             self.telemetry.tracer.record(
                 packet.trace_id, "switch.forward", "dataplane",
@@ -570,8 +565,6 @@ class Datapath:
 
     def _punt(self, packet: Packet, in_port: int, reason: str) -> None:
         self.packets_to_controller += 1
-        if self._m_punt is not None:
-            self._m_punt.inc()
         if packet.trace_id is not None and self._tracing:
             self.telemetry.tracer.record(
                 packet.trace_id, "switch.punt", "dataplane",
@@ -584,8 +577,6 @@ class Datapath:
         """Account one dropped packet (the agent calls this for a
         packet-out whose buffered frame is gone)."""
         self.packets_dropped += 1
-        if self._m_drop is not None:
-            self._m_drop.inc()
 
     # ------------------------------------------------------------------
     # Housekeeping

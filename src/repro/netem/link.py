@@ -70,7 +70,6 @@ class _Direction:
         "tx_bytes",
         "dropped_queue",
         "dropped_loss",
-        "busy_time",
         "_window_start",
         "_window_busy",
         "bands",
@@ -82,8 +81,6 @@ class _Direction:
         "dropped_cut",
         "name",
         "_tracer",
-        "_m_tx_pkts",
-        "_m_tx_bytes",
         "_m_drops",
         "key_base",
         "_key_seq",
@@ -98,8 +95,6 @@ class _Direction:
         # (it knows the endpoint names); until then everything is off.
         self.name = ""
         self._tracer = None
-        self._m_tx_pkts = None
-        self._m_tx_bytes = None
         self._m_drops = None
         self.bandwidth_bps = bandwidth_bps
         self.delay = delay
@@ -113,7 +108,6 @@ class _Direction:
         self.tx_bytes = 0
         self.dropped_queue = 0
         self.dropped_loss = 0
-        self.busy_time = 0.0
         self._window_start = 0.0
         self._window_busy = 0.0
         self.bands = ([[] for _ in range(priority_bands)]
@@ -135,21 +129,24 @@ class _Direction:
         self._key_seq = 0
 
     def attach_telemetry(self, telemetry, name: str) -> None:
-        """Bind metric children and the tracer; no-op when disabled."""
+        """Bind this direction's counters and the tracer; no-op when
+        disabled.  The tx counts are read through, so transmitting
+        touches no metric; drops are pushed because their ``reason``
+        label is only known when one happens."""
         self.name = name
         if not telemetry.enabled:
             return
         if telemetry.tracing:
             self._tracer = telemetry.tracer
         registry = telemetry.metrics
-        self._m_tx_pkts = registry.counter(
+        registry.counter(
             "link_tx_packets_total", "Packets transmitted per direction",
             ("link",),
-        ).labels(name)
-        self._m_tx_bytes = registry.counter(
+        ).bind((name,), lambda: self.tx_packets)
+        registry.counter(
             "link_tx_bytes_total", "Bytes transmitted per direction",
             ("link",),
-        ).labels(name)
+        ).bind((name,), lambda: self.tx_bytes)
         self._m_drops = registry.counter(
             "link_dropped_total", "Packets dropped per direction",
             ("link", "reason"),
@@ -183,7 +180,6 @@ class _Direction:
             tx_time = size * 8 / self.bandwidth_bps
             depart = start + tx_time
             self.busy_until = depart
-            self.busy_time += tx_time
             self._window_busy += tx_time
             self.queued += 1
             self.sim.schedule_at(depart, self._dequeue)
@@ -197,9 +193,6 @@ class _Direction:
         self.tx_packets += 1
         self.tx_bytes += size
         arrival = depart + self.delay
-        if self._m_tx_pkts is not None:
-            self._m_tx_pkts.inc()
-            self._m_tx_bytes.inc(size)
         if self._tracer is not None and packet.trace_id is not None:
             self._tracer.record(packet.trace_id, "link.transit", "link",
                                 start=now, end=arrival, link=self.name)
@@ -256,7 +249,6 @@ class _Direction:
             return
         self._transmitting = True
         tx_time = size * 8 / self.bandwidth_bps
-        self.busy_time += tx_time
         self._window_busy += tx_time
         if self.loss_rate and self.rng.random() < self.loss_rate:
             self.dropped_loss += 1
@@ -265,9 +257,6 @@ class _Direction:
             self.tx_packets += 1
             self.tx_bytes += size
             self.band_tx_packets[band] += 1
-            if self._m_tx_pkts is not None:
-                self._m_tx_pkts.inc()
-                self._m_tx_bytes.inc(size)
             if self._tracer is not None and packet.trace_id is not None:
                 now = self.sim.now
                 self._tracer.record(

@@ -101,7 +101,7 @@ class ObsPlane:
 
     Attaching never perturbs the run: the scraper rides the observer
     side-channel, the controller subscriptions only append annotations,
-    and the channel probes are pure reads of serialisation state.
+    and the channel backlog gauges are pure reads of serialisation state.
 
     Parameters
     ----------
@@ -172,8 +172,13 @@ class ObsPlane:
         return self
 
     def watch_channels(self, net) -> "ObsPlane":
-        """Probe per-channel serialisation backlog depth as gauges."""
+        """Bind per-channel serialisation backlog depth as gauges."""
         sim = net.sim
+        family = self.platform.telemetry.metrics.gauge(
+            "obs_channel_backlog_seconds",
+            "Control-channel serialisation backlog",
+            ("channel",),
+        )
         for name in sorted(net.channels):
             channel = net.channels[name]
 
@@ -185,10 +190,7 @@ class ObsPlane:
                     max(ch._busy_until.values(), default=0.0) - sim.now,
                 )
 
-            self.scraper.probe(
-                f'obs_channel_backlog_seconds{{channel="{name}"}}',
-                backlog,
-            )
+            family.bind((name,), backlog)
         return self
 
     def watch_cluster(self, cluster) -> "ObsPlane":

@@ -8,11 +8,12 @@ Observer ticks cannot schedule events or draw randomness, so a scraped
 run is bit-identical to an unscraped one — the telemetry doctrine,
 extended to history.
 
-Beyond registry families the scraper supports:
+The registry is the one pull path: state that is not a pushed metric
+(control-channel serialisation backlog, say) is a gauge family bound to
+its reader (:meth:`~repro.telemetry.registry.MetricFamily.bind`) and is
+sampled like any other child.  Beyond registry families the scraper
+supports:
 
-* **probes** — named read-only callables sampled as gauges each tick
-  (e.g. control-channel serialisation backlog, which is platform state
-  rather than a pushed metric);
 * **annotations** — timestamped marks (fault injections, ``SwitchEnter``
   / ``ResyncDone`` convergence events, invariant violations) that align
   timelines with what the run *did*; paired down/up annotations become
@@ -133,8 +134,6 @@ class MetricsScraper:
         #: Memoised prefix -> matching series; cleared when a series
         #: appears, so SLO evaluation stops re-scanning every tick.
         self._match_cache: Dict[str, List[Series]] = {}
-        #: Read-only callables sampled as gauges each tick.
-        self._probes: List[Tuple[str, Callable[[], float]]] = []
         #: Post-scrape hooks (SLO evaluation), called with the tick time.
         self.on_tick: List[Callable[[float], None]] = []
         self.sim = None
@@ -155,10 +154,6 @@ class MetricsScraper:
         if self._handle is not None:
             self._handle.cancel()
             self._handle = None
-
-    def probe(self, name: str, fn: Callable[[], float]) -> None:
-        """Register a pure-read callable sampled as a gauge each tick."""
-        self._probes.append((name, fn))
 
     def annotate(self, kind: str, label: str,
                  time: Optional[float] = None,
@@ -191,7 +186,7 @@ class MetricsScraper:
         return bound
 
     def scrape_now(self) -> None:
-        """Take one sample of every family child and probe.
+        """Take one sample of every family child.
 
         Runs inside an observer tick (or may be called directly at run
         end for a final aligned sample).  Strictly read-only.
@@ -208,8 +203,6 @@ class MetricsScraper:
                 for key, child in family.children.items():
                     self._bind(name, family, key).sample(
                         t, float(child.value))
-        for sid, fn in self._probes:
-            self._series(sid, "gauge").sample(t, float(fn()))
         self.scrapes += 1
         for hook in self.on_tick:
             hook(t)

@@ -43,10 +43,6 @@ class ChannelStats:
         self.by_type: Dict[str, int] = defaultdict(int)
         self.bytes_by_type: Dict[str, int] = defaultdict(int)
 
-    def reset(self) -> None:
-        """Zero all counters (measurement windows)."""
-        self.__init__()
-
     def record(self, msg: Message, size: int) -> None:
         name = type(msg).__name__
         self.messages += 1
@@ -105,16 +101,12 @@ class ChannelEndpoint:
         self.on_connect: Optional[Callable[[], None]] = None
         self.on_disconnect: Optional[Callable[[], None]] = None
         self.sent = ChannelStats()
-        self.received = ChannelStats()
         self._next_xid = 1
         self._pending: Dict[int, _PendingRequest] = {}
         #: Requests failed (disconnect or retries exhausted) and resends.
         self.requests_failed = 0
         self.request_retries = 0
         self.peer: "ChannelEndpoint" = None  # set by the channel
-        # Telemetry children; bound by ControlChannel when enabled.
-        self._m_msgs = None
-        self._m_bytes = None
 
     def send(self, msg: Message) -> int:
         """Transmit ``msg``; assigns an xid when the caller left it 0."""
@@ -128,9 +120,6 @@ class ChannelEndpoint:
             self._next_xid += 1
         wire = encode_message(msg)
         self.sent.record(msg, len(wire))
-        if self._m_msgs is not None:
-            self._m_msgs.inc()
-            self._m_bytes.inc(len(wire))
         self._channel._deliver(self, wire)
         return msg.xid
 
@@ -172,7 +161,6 @@ class ChannelEndpoint:
             pending.retries_left -= 1
             pending.timeout *= pending.backoff
             self.request_retries += 1
-            self._channel._count_retry()
             self.send(pending.msg)  # same xid: the reply resolves us
             pending.timer = self._channel.sim.schedule(
                 pending.timeout, self._on_request_timeout, xid
@@ -187,7 +175,6 @@ class ChannelEndpoint:
                       detail: str) -> None:
         pending.cancel_timer()
         self.requests_failed += 1
-        self._channel._count_request_failure()
         err = Error(code, detail)
         err.xid = pending.msg.xid
         if pending.on_failure is not None:
@@ -197,7 +184,6 @@ class ChannelEndpoint:
 
     def _receive(self, wire: bytes) -> None:
         msg = decode_message(wire)
-        self.received.record(msg, len(wire))
         # Only genuine replies take part in xid correlation: both ends
         # assign xids independently, so an async event may coincide with
         # a pending request's xid without being its answer.
@@ -277,10 +263,7 @@ class ControlChannel:
             self.switch_end: 0.0,
             self.controller_end: 0.0,
         }
-        self._m_drops = None
         self._m_flaps = None
-        self._m_retries = None
-        self._m_failures = None
         self._tracer = None
         self._m_stash_pruned = None
         if telemetry is not None and telemetry.enabled:
@@ -291,6 +274,9 @@ class ControlChannel:
                     "Stashed trace ids discarded at an epoch change",
                     ("channel",),
                 ).labels(name or "channel")
+            # Everything the channel and its endpoints already count is
+            # read through; only transitions are pushed (their ``event``
+            # label is known when one happens).
             msgs = telemetry.metrics.counter(
                 "channel_messages_total", "Control messages sent",
                 ("channel", "direction"),
@@ -300,30 +286,33 @@ class ControlChannel:
                 ("channel", "direction"),
             )
             label = name or "channel"
-            self.switch_end._m_msgs = msgs.labels(label, "to_controller")
-            self.switch_end._m_bytes = nbytes.labels(label, "to_controller")
-            self.controller_end._m_msgs = msgs.labels(label, "to_switch")
-            self.controller_end._m_bytes = nbytes.labels(label, "to_switch")
-            self._m_drops = telemetry.metrics.counter(
+            switch_end, controller_end = self.switch_end, self.controller_end
+            for sent, direction in ((switch_end.sent, "to_controller"),
+                                    (controller_end.sent, "to_switch")):
+                msgs.bind((label, direction), lambda sent=sent: sent.messages)
+                nbytes.bind((label, direction), lambda sent=sent: sent.bytes)
+            telemetry.metrics.counter(
                 "channel_dropped_total",
                 "Control messages lost to disconnects (epoch mismatch)",
                 ("channel",),
-            ).labels(label)
+            ).bind((label,), lambda: self.messages_dropped)
             self._m_flaps = telemetry.metrics.counter(
                 "channel_transitions_total",
                 "Channel connect/disconnect transitions",
                 ("channel", "event"),
             )
-            self._m_retries = telemetry.metrics.counter(
+            telemetry.metrics.counter(
                 "channel_request_retries_total",
                 "xid requests resent after a timeout",
                 ("channel",),
-            ).labels(label)
-            self._m_failures = telemetry.metrics.counter(
+            ).bind((label,), lambda: (switch_end.request_retries
+                                      + controller_end.request_retries))
+            telemetry.metrics.counter(
                 "channel_request_failures_total",
                 "xid requests failed (timeout or channel down)",
                 ("channel",),
-            ).labels(label)
+            ).bind((label,), lambda: (switch_end.requests_failed
+                                      + controller_end.requests_failed))
 
     def _prune_stash(self) -> None:
         """Evict trace ids stashed for frames this epoch change kills.
@@ -386,18 +375,8 @@ class ControlChannel:
         # before the arrival event fired.
         if not self.connected or epoch != self.epoch:
             self.messages_dropped += 1
-            if self._m_drops is not None:
-                self._m_drops.inc()
             return  # lost in the disconnect
         receiver._receive(wire)
-
-    def _count_retry(self) -> None:
-        if self._m_retries is not None:
-            self._m_retries.inc()
-
-    def _count_request_failure(self) -> None:
-        if self._m_failures is not None:
-            self._m_failures.inc()
 
     def total_stats(self) -> dict:
         """Combined both-direction counters (benchmark E9 reads this)."""

@@ -1,9 +1,13 @@
 """Metrics registry: Counters, Gauges, and Histograms with labels.
 
-The registry is the passive half of the telemetry plane: components
-create metric families once at construction time and increment children
-on their hot paths.  Two properties keep it honest for a deterministic
-simulator:
+The registry is the passive half of the telemetry plane.  A count has
+one owner: where a layer already keeps it (a link's ``tx_packets``, a
+table's ``lookup_count``), the layer *binds* a read-through child to
+that attribute at construction (:meth:`MetricFamily.bind`) and its hot
+path does nothing for telemetry; where no layer keeps it (histogram
+observations, label sets discovered mid-run, children several writers
+share), the component pushes into a child from :meth:`MetricFamily.labels`.
+Two properties keep it honest for a deterministic simulator:
 
 * **No side effects on the simulation.**  Metrics never schedule events
   or draw random numbers, so enabling them cannot perturb a run.
@@ -139,6 +143,21 @@ class Histogram:
         }
 
 
+class _Bound:
+    """Read-through child: the owning layer keeps the count and
+    ``snapshot`` *is* its reader, so there is nothing to ``inc`` or
+    ``set``."""
+
+    __slots__ = ("snapshot",)
+
+    def __init__(self, read: Callable[[], float]) -> None:
+        self.snapshot = read
+
+    @property
+    def value(self):
+        return self.snapshot()
+
+
 class NullMetric:
     """Shared do-nothing stand-in for every metric kind (and family)."""
 
@@ -147,6 +166,9 @@ class NullMetric:
 
     def labels(self, *_values: str) -> "NullMetric":
         return self
+
+    def bind(self, label_values, read) -> None:
+        pass
 
     def inc(self, amount: float = 1) -> None:
         pass
@@ -203,13 +225,34 @@ class MetricFamily:
     def kind(self) -> str:
         return self._ctor.kind
 
-    def labels(self, *values) -> object:
+    def _key(self, values) -> Tuple[str, ...]:
         key = tuple(str(v) for v in values)
         if len(key) != len(self.labelnames):
             raise ValueError(
                 f"metric {self.name!r} takes labels {self.labelnames}, "
                 f"got {key}"
             )
+        return key
+
+    def bind(self, label_values: Sequence, read: Callable[[], float]) -> None:
+        """Create the read-through child for ``label_values``: its
+        value is ``read()``, a count the caller's layer already keeps.
+
+        A bound child has exactly one owner, so a label set that
+        already has a child — pushed or bound — is a ``ValueError``
+        here, at attach time, rather than two writers silently sharing
+        one series.  Bound children are minted once at construction by
+        their owners and are exempt from the cardinality cap.
+        """
+        key = self._key(label_values)
+        if key in self.children:
+            raise ValueError(
+                f"metric {self.name!r} already has a child for {key}"
+            )
+        self.children[key] = _Bound(read)
+
+    def labels(self, *values) -> object:
+        key = self._key(values)
         child = self.children.get(key)
         if child is None:
             if (self.labelnames
@@ -249,21 +292,27 @@ class MetricsRegistry:
         self._m_overflow: Optional[MetricFamily] = None
 
     # -- family constructors -------------------------------------------
+    # Given a label schema (the empty one included) these return the
+    # family, whose children come from labels() or bind(); with
+    # ``labels`` omitted they return the bare metric of a zero-label
+    # family, which is how an unlabelled pushed metric reads best.
     def counter(self, name: str, help_text: str = "",
-                labels: Sequence[str] = ()):
+                labels: Optional[Sequence[str]] = None):
         return self._family(name, help_text, labels, Counter)
 
     def gauge(self, name: str, help_text: str = "",
-              labels: Sequence[str] = ()):
+              labels: Optional[Sequence[str]] = None):
         return self._family(name, help_text, labels, Gauge)
 
     def histogram(self, name: str, help_text: str = "",
-                  labels: Sequence[str] = (),
+                  labels: Optional[Sequence[str]] = None,
                   buckets: Sequence[float] = DEFAULT_BUCKETS):
         return self._family(name, help_text, labels, Histogram,
                             buckets=buckets)
 
     def _family(self, name: str, help_text: str, labels, ctor, **kwargs):
+        bare = labels is None
+        labels = () if bare else labels
         family = self._families.get(name)
         if family is None:
             family = MetricFamily(name, help_text, labels, ctor,
@@ -276,10 +325,7 @@ class MetricsRegistry:
                 f"metric {name!r} already registered as {family.kind} "
                 f"with labels {family.labelnames}"
             )
-        # Zero-label families read as a bare metric at the call site.
-        if not family.labelnames:
-            return family.labels()
-        return family
+        return family.labels() if bare else family
 
     def _note_overflow(self, family_name: str) -> None:
         """Bump the cardinality-guard warning counter for a family.
@@ -334,15 +380,15 @@ class NullRegistry(MetricsRegistry):
         super().__init__()
 
     def counter(self, name: str, help_text: str = "",
-                labels: Sequence[str] = ()):
+                labels: Optional[Sequence[str]] = None):
         return NULL_METRIC
 
     def gauge(self, name: str, help_text: str = "",
-              labels: Sequence[str] = ()):
+              labels: Optional[Sequence[str]] = None):
         return NULL_METRIC
 
     def histogram(self, name: str, help_text: str = "",
-                  labels: Sequence[str] = (),
+                  labels: Optional[Sequence[str]] = None,
                   buckets: Sequence[float] = DEFAULT_BUCKETS):
         return NULL_METRIC
 

@@ -181,7 +181,11 @@ def assemble(spec: WorkloadSpec, *, telemetry: bool = False,
         return float(total)
 
     if plane is not None:
-        plane.scraper.probe("workload_flow_entries", flow_entries)
+        tel.metrics.gauge(
+            "workload_flow_entries",
+            "Flow entries installed across all switches",
+            (),
+        ).bind((), flow_entries)
 
     arm_faults(schedule, spec.faults, base=sim.now)
 

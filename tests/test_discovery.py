@@ -113,7 +113,7 @@ class TestFailureReaction:
         net, controller, discovery = build(Topology.linear(2))
         net.run(2.0)
         discovery.stop()
-        before = net.channels["s1"].switch_end.received.messages
+        before = net.channels["s1"].controller_end.sent.messages
         net.run(2.0)
-        after = net.channels["s1"].switch_end.received.messages
+        after = net.channels["s1"].controller_end.sent.messages
         assert after == before  # no more LLDP packet-outs

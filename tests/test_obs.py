@@ -246,8 +246,8 @@ class TestSLOs:
         net = platform.net
         link = net.link("s1", "s2")
         scraper = MetricsScraper(platform.telemetry, interval=0.1)
-        scraper.probe("link_s1_s2_down",
-                      lambda: 0.0 if link.up else 1.0)
+        platform.telemetry.metrics.gauge("link_s1_s2_down", "", ()).bind(
+            (), lambda: 0.0 if link.up else 1.0)
         scraper.attach(platform.sim)
         slo = SeriesSLO("link-up", "link_s1_s2_down", 0.0,
                         signal="last", for_s=0.2, resolve_s=0.0)
@@ -275,7 +275,8 @@ class TestSLOs:
         telemetry = Telemetry(profile=False)
         scraper = MetricsScraper(telemetry, interval=0.1)
         state = {"bad": False}
-        scraper.probe("flaky", lambda: 1.0 if state["bad"] else 0.0)
+        telemetry.metrics.gauge("flaky", "", ()).bind(
+            (), lambda: 1.0 if state["bad"] else 0.0)
         scraper.attach(sim)
         tight = SeriesSLO("tight", "flaky", 0.0, for_s=0.0)
         budgeted = SeriesSLO("budgeted", "flaky", 0.0, for_s=0.0,

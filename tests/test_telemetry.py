@@ -521,3 +521,165 @@ class TestLabelCardinalityGuard:
         registry.counter("a_total", "t").inc()
         registry.gauge("b", "t").set(1)
         assert registry.counter("a_total", "t").value == 1.0
+
+
+# ----------------------------------------------------------------------
+# Read-through children (MetricFamily.bind)
+# ----------------------------------------------------------------------
+def _owned_counts(platform):
+    """``(family, label values) -> the count its layer keeps``, for
+    every child the stack binds instead of pushing."""
+    net = platform.net
+    want = {}
+    for link in net.links:
+        for d in (link._ab, link._ba):
+            want["link_tx_packets_total", (d.name,)] = d.tx_packets
+            want["link_tx_bytes_total", (d.name,)] = d.tx_bytes
+    for dp in net.switches.values():
+        dpid = (str(dp.dpid),)
+        want["switch_rx_packets_total", dpid] = dp.packets_received
+        want["switch_forwarded_total", dpid] = dp.packets_forwarded
+        want["switch_dropped_total", dpid] = dp.packets_dropped
+        want["switch_packet_ins_total", dpid] = dp.packets_to_controller
+        for table in dp.tables:
+            key = dpid + (str(table.table_id),)
+            want["table_lookups_total", key] = table.lookup_count
+            want["table_matches_total", key] = table.matched_count
+    for name, ch in net.channels.items():
+        for end, direction in ((ch.switch_end, "to_controller"),
+                               (ch.controller_end, "to_switch")):
+            want["channel_messages_total", (name, direction)] = \
+                end.sent.messages
+            want["channel_bytes_total", (name, direction)] = end.sent.bytes
+        want["channel_dropped_total", (name,)] = ch.messages_dropped
+        want["channel_request_retries_total", (name,)] = (
+            ch.switch_end.request_retries
+            + ch.controller_end.request_retries)
+        want["channel_request_failures_total", (name,)] = (
+            ch.switch_end.requests_failed
+            + ch.controller_end.requests_failed)
+    want["workload_flow_entries", ()] = sum(
+        dp.flow_count() for dp in net.switches.values())
+    return want
+
+
+class TestReadThroughChildren:
+    def test_bound_children_read_their_owners_after_a_fat_tree_run(self):
+        from repro.obs import series_id
+        from repro.workload import WorkloadSpec
+        from repro.workload.runner import assemble
+
+        live = assemble(WorkloadSpec(
+            "bound-children",
+            topology={"family": "fat_tree",
+                      "params": {"k": 4, "bandwidth_bps": 1e9}},
+            seed=1, duration=2.0,
+            traffic=[{"kind": "flows", "rate": 80.0,
+                      "sizes": {"dist": "fixed", "size": 3_000},
+                      "start": 0.2, "duration": 1.0}],
+        ), obs=True)
+        live.platform.run(2.0)
+        live.plane.finish()  # one last sample, aligned with "now"
+
+        registry = live.platform.telemetry.metrics
+        scraper = live.plane.scraper
+        want = _owned_counts(live.platform)
+        bound = {}
+        for name, family in registry._families.items():
+            for key, child in family.children.items():
+                if not any(hasattr(child, verb)
+                           for verb in ("inc", "set", "observe")):
+                    bound[name, key] = (family, child)
+        backlog = {pair for pair in bound
+                   if pair[0] == "obs_channel_backlog_seconds"}
+        assert {key for _, key in backlog} == \
+            {(name,) for name in live.platform.net.channels}
+        # Every bound child is accounted for, and nothing else is bound.
+        assert set(bound) - backlog == set(want)
+        for (name, key), (family, child) in bound.items():
+            last = scraper.get(series_id(name, family.labelnames, key)).last
+            assert last == (live.platform.sim.now, float(child.value))
+            if (name, key) in want:
+                assert child.value == want[name, key], (name, key)
+                assert registry.get(name, *key) == want[name, key]
+        # The run moved them: this is not a table of zeros.
+        for name in ("link_tx_packets_total", "switch_forwarded_total",
+                     "table_matches_total", "channel_bytes_total"):
+            assert sum(value for (family, _), value in want.items()
+                       if family == name) > 0, name
+
+    def test_channel_counts_sum_both_endpoints(self):
+        """Retries and failures are kept per endpoint; the channel's
+        two series are their sums, and a frame lost to a flap counts."""
+        from repro.sim import Simulator
+        from repro.southbound.channel import ControlChannel
+        from repro.southbound.messages import EchoRequest
+
+        sim = Simulator()
+        tel = Telemetry(profile=False)
+        channel = ControlChannel(sim, latency=0.010, telemetry=tel,
+                                 name="s1")
+        channel.connect()  # no handler on either end: nothing replies
+        for end, retries in ((channel.controller_end, 2),
+                             (channel.switch_end, 1)):
+            end.request(EchoRequest(b"ping"), callback=lambda err: None,
+                        timeout=0.1, retries=retries)
+        sim.run_until_idle()
+        channel.switch_end.send(EchoRequest(b"doomed"))
+        channel.disconnect()
+        sim.run_until_idle()
+        reg = tel.metrics
+        assert reg.get("channel_request_retries_total", "s1") == 3
+        assert reg.get("channel_request_failures_total", "s1") == 2
+        assert reg.get("channel_dropped_total", "s1") == 1
+        assert reg.get("channel_messages_total", "s1", "to_switch") == \
+            channel.controller_end.sent.messages == 3
+
+    def test_a_bound_child_has_no_mutator(self):
+        registry = MetricsRegistry()
+        owner = {"count": 3}
+        family = registry.counter("owned_total", "t", ("who",))
+        family.bind(("me",), lambda: owner["count"])
+        child = family.children[("me",)]
+        assert family.labels("me") is child
+        assert child.value == 3 and child.snapshot() == 3
+        owner["count"] += 2
+        assert registry.get("owned_total", "me") == 5
+        for verb in ("inc", "set", "dec"):
+            with pytest.raises(AttributeError):
+                getattr(child, verb)(1)
+        with pytest.raises(AttributeError):
+            child.value = 9
+
+    def test_a_label_set_has_one_owner(self):
+        registry = MetricsRegistry()
+        family = registry.counter("owned_total", "t", ("who",))
+        family.labels("pushed").inc()
+        family.bind(("bound",), lambda: 1)
+        for taken in ("pushed", "bound"):
+            with pytest.raises(ValueError, match="already has a child"):
+                family.bind((taken,), lambda: 2)
+        with pytest.raises(ValueError, match="takes labels"):
+            family.bind(("a", "b"), lambda: 2)
+        assert family.children[("pushed",)].value == 1
+        assert family.children[("bound",)].value == 1
+
+    def test_an_unlabelled_family_binds_its_one_child(self):
+        registry = MetricsRegistry()
+        registry.gauge("depth", "t", ()).bind((), lambda: 7.0)
+        assert registry.get("depth") == 7.0
+        assert registry.gauge("depth", "t").value == 7.0  # the bare metric
+        with pytest.raises(ValueError):
+            registry.gauge("depth", "t", ()).bind((), lambda: 8.0)
+        registry.gauge("pushed", "t").set(1.0)  # minted by asking for it
+        with pytest.raises(ValueError):
+            registry.gauge("pushed", "t", ()).bind((), lambda: 2.0)
+
+    def test_null_registry_accepts_bind_and_exports_nothing(self):
+        from repro.telemetry.registry import NULL_REGISTRY
+
+        family = NULL_REGISTRY.counter("owned_total", "t", ("who",))
+        assert family.bind(("me",), lambda: 1) is None
+        NULL_REGISTRY.gauge("depth", "t", ()).bind((), lambda: 1.0)
+        assert NULL_REGISTRY.snapshot() == {}
+        assert NULL_REGISTRY.get("owned_total", "me") is None

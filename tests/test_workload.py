@@ -376,6 +376,42 @@ class TestRunner:
         assert any(sid.startswith("workload_flow_entries")
                    for sid in result.artifact.series)
 
+    def test_dc_heavy_tail_golden_and_telemetry_sentinel(self, monkeypatch):
+        """One library run, two gates a builder's ``pytest`` can see.
+
+        The digest equals the committed reference ``check_regression.py``
+        compares ``BENCH_E16.json`` against, and telemetry costs the
+        packet path nothing: every per-packet count is read through from
+        the layer that keeps it, so what is left to ``Counter.inc`` is
+        one per packet-in (the cluster-shared child) plus event-rate
+        families.  6.52 per link transmission before counts were bound.
+        """
+        from repro.telemetry.registry import Counter
+
+        incs = [0]
+        real_inc = Counter.inc
+
+        def counting_inc(self, amount=1):
+            incs[0] += 1
+            real_inc(self, amount)
+
+        monkeypatch.setattr(Counter, "inc", counting_inc)
+        result = run_workload(library()["dc-heavy-tail"])
+        monkeypatch.undo()
+
+        here = os.path.dirname(__file__)
+        with open(os.path.join(here, "..", "benchmarks",
+                               "baseline_e16.json")) as fh:
+            assert result.digest == json.load(fh)["digests"]["dc-heavy-tail"]
+
+        transmissions = sum(
+            series.last[1]
+            for series in result.artifact.match("link_tx_packets_total"))
+        per_tx = incs[0] / transmissions
+        print(f"\ntelemetry sentinel: {per_tx:.2f} Counter.inc per link "
+              f"transmission ({incs[0]} for {transmissions:.0f})")
+        assert per_tx <= 0.5
+
     def test_faults_are_armed(self):
         spec = tiny_spec(name="tiny-fault", faults=[{
             "kind": "channel_flap", "switch": "s1", "at": 0.5,
