@@ -37,7 +37,8 @@ from repro.core import ZenPlatform, dataplane_digest
 from repro.netem import Topology
 from repro.sim.shard import run_sharded
 from repro.telemetry import Telemetry
-from repro.trace import FlightRecorder, TraceArtifact, critical_path
+from repro.telemetry.flight import FlightRecorder
+from repro.telemetry.artifact import TraceArtifact, critical_path
 from repro.workload import WorkloadSpec
 
 from harness import RESULTS_DIR, publish, publish_json, seed_arp

@@ -24,7 +24,7 @@ import json
 import random
 from typing import Callable, List, Optional
 
-from repro.digest import canonical_digest
+from repro.digest import canonical_digest, load_document
 from repro.workload.runner import assemble
 from repro.workload.spec import WorkloadSpec, build_spec_topology
 
@@ -337,12 +337,14 @@ def write_repro(path: str, scenario: WorkloadSpec,
 def load_scenario(path: str) -> WorkloadSpec:
     """The spec in a repro file — or the file itself, when it is a bare
     spec document (``WorkloadSpec.to_dict()`` / ``workload run --spec``
-    form)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    if isinstance(payload, dict):
-        payload = payload.get("scenario", payload)
-    return WorkloadSpec.from_dict(payload)
+    form).  A missing or malformed file is a
+    :class:`~repro.errors.ZenError` naming the path."""
+    def build(payload) -> WorkloadSpec:
+        if isinstance(payload, dict):
+            payload = payload.get("scenario", payload)
+        return WorkloadSpec.from_dict(payload)
+
+    return load_document(path, "replay document", build)
 
 
 def replay(path: str, monitor: bool = False) -> ScenarioResult:
@@ -385,8 +387,7 @@ def run_corpus(path: str) -> List[ScenarioResult]:
     (all expected clean in CI).  ``"seeds"`` replay through
     :func:`generate_scenario`; the additive ``"cluster_seeds"`` key
     replays through :func:`generate_cluster_scenario`."""
-    with open(path) as fh:
-        corpus = json.load(fh)
+    corpus = load_document(path, "fuzz corpus")
     results = []
     for seed in corpus["seeds"]:
         results.append(run_scenario(generate_scenario(seed)))

@@ -30,6 +30,7 @@ from typing import List, Optional
 
 from repro.analysis import Table
 from repro.core import ZenPlatform
+from repro.digest import load_document
 from repro.errors import ZenError
 from repro.faults import arm_faults
 from repro.netem.topology import FAMILIES, Topology
@@ -293,8 +294,7 @@ def _cmd_check(args) -> int:
     if args.mode == "replay":
         if not args.path:
             raise SystemExit("replay needs --path <repro or corpus file>")
-        with open(args.path) as fh:
-            payload = json.load(fh)
+        payload = load_document(args.path, "replay document")
         if "seeds" in payload:  # a corpus file
             from repro.check import generate_cluster_scenario
 
@@ -558,7 +558,8 @@ def _run_trace_platform(args):
     """Traced platform/cluster run under a scripted fault, with the
     flight recorder armed on invariant violations and SLO alerts."""
     from repro.obs.slo import ConvergenceSLO
-    from repro.trace import FlightRecorder, TraceArtifact
+    from repro.telemetry.artifact import TraceArtifact
+    from repro.telemetry.flight import FlightRecorder
 
     if args.seed is None:
         args.seed = 0
@@ -622,11 +623,8 @@ def _run_trace_platform(args):
 
 
 def _report_artifact(artifact, args, tree: bool) -> int:
-    from repro.trace import (
-        critical_path,
-        render_critical_path,
-        render_tree,
-    )
+    from repro.telemetry.artifact import TraceArtifact, critical_path
+    from repro.telemetry.export import render_critical_path, render_tree
 
     print(f"{artifact!r}")
     for trigger in artifact.triggers:
@@ -645,9 +643,7 @@ def _report_artifact(artifact, args, tree: bool) -> int:
             print(f"no trace #{args.trace_id} in this artifact")
             return 1
     else:
-        from repro.trace.artifact import TraceArtifact as _TA
-
-        trace = _TA(candidates).longest()
+        trace = TraceArtifact(candidates).longest()
     if trace is None:
         print("artifact holds no traces")
         return 1
@@ -663,7 +659,7 @@ def _report_artifact(artifact, args, tree: bool) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.trace import TraceArtifact
+    from repro.telemetry.artifact import TraceArtifact
 
     if args.mode == "critical-path":
         if not args.artifact:

@@ -285,7 +285,7 @@ class ZenPlatform:
         plane).  ``monitor=True`` runs an
         :class:`~repro.check.monitor.InvariantMonitor` on the default
         invariants, a ``NetworkChecker`` runs that one.  ``recorder``
-        is a :class:`~repro.trace.FlightRecorder` the caller built.
+        is a :class:`~repro.telemetry.flight.FlightRecorder` the caller built.
 
         Hooks register (and so run) in one fixed order — whatever
         records a fault or a convergence event before the monitor that

@@ -1,11 +1,15 @@
-"""The one canonical content hash every run digest goes through."""
+"""The one canonical content hash every run digest goes through, and
+the one reader every document the CLI takes goes through."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+from typing import Any, Callable, TextIO
 
-__all__ = ["canonical_digest"]
+from repro.errors import ZenError
+
+__all__ = ["canonical_digest", "load_document"]
 
 
 def canonical_digest(doc) -> str:
@@ -17,3 +21,21 @@ def canonical_digest(doc) -> str:
     """
     blob = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def load_document(path: str, what: str,
+                  build: Callable[[Any], Any] = lambda doc: doc,
+                  parse: Callable[[TextIO], Any] = json.load) -> Any:
+    """Read the document at ``path`` and ``build`` an object from it.
+
+    A missing, unreadable or unparseable file, or one ``build`` rejects
+    (wrong format tag, malformed spec), is a :class:`ZenError` naming
+    ``what`` and the path, so the CLI ends in one ``repro: error:``
+    line rather than a traceback.
+    """
+    try:
+        with open(path) as fh:
+            return build(parse(fh))
+    except (OSError, ValueError, ZenError) as exc:
+        # JSONDecodeError is a ValueError
+        raise ZenError(f"cannot load {what} {path}: {exc}") from exc

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from repro.errors import ZenError
+from repro.digest import load_document
 from repro.obs.scraper import Annotation, FaultWindow, fault_windows
 from repro.obs.series import Series
 from repro.obs.slo import HealthReport
@@ -113,8 +113,4 @@ def save_artifact(artifact: RunArtifact, path: str) -> None:
 def load_artifact(path: str) -> RunArtifact:
     """Read an artifact file; a missing, unreadable, non-JSON or
     wrong-format file is a :class:`ZenError` naming the path."""
-    try:
-        with open(path) as fh:
-            return RunArtifact.from_dict(json.load(fh))
-    except (OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ZenError(f"cannot load run artifact {path}: {exc}") from exc
+    return load_document(path, "run artifact", RunArtifact.from_dict)

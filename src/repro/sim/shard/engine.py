@@ -35,7 +35,7 @@ from repro.digest import canonical_digest
 from repro.errors import SimulationError
 from repro.sim.shard.partition import Partition, partition_topology
 from repro.sim.shard.worker import ShardWorker
-from repro.trace.artifact import TraceArtifact
+from repro.telemetry.artifact import TraceArtifact
 from repro.workload.spec import WorkloadSpec, build_spec_topology
 
 __all__ = ["ShardedResult", "run_sharded"]
@@ -65,7 +65,7 @@ class ShardedResult:
         self.processes = processes
         self.observables = observables
         self.summary = summary
-        #: Merged per-shard :class:`~repro.trace.artifact.TraceArtifact`
+        #: Merged per-shard :class:`~repro.telemetry.artifact.TraceArtifact`
         #: when the run was traced; deliberately OUTSIDE the digest.
         self.trace_artifact = trace_artifact
 
@@ -121,8 +121,10 @@ class _LocalAdapter:
     def collect(self) -> dict:
         return self.worker.collect()
 
-    def traces(self) -> dict:
-        return self.worker.collect_traces()
+    def traces(self) -> TraceArtifact:
+        worker = self.worker
+        return TraceArtifact.from_tracer(worker.telemetry.tracer,
+                                         meta={"shard": worker.shard_id})
 
     def close(self) -> None:
         pass
@@ -143,7 +145,9 @@ def _shard_child(conn, spec_doc: dict, shard_id: int, shards: int,
             elif op == "collect":
                 conn.send(worker.collect())
             elif op == "traces":
-                conn.send(worker.collect_traces())
+                conn.send(TraceArtifact.from_tracer(
+                    worker.telemetry.tracer,
+                    meta={"shard": worker.shard_id}))
             elif op == "quit":
                 return
     except EOFError:  # coordinator died; exit quietly
@@ -193,7 +197,7 @@ class _ProcessAdapter:
         self.conn.send(("collect",))
         return self._recv()
 
-    def traces(self) -> dict:
+    def traces(self) -> TraceArtifact:
         self.conn.send(("traces",))
         return self._recv()
 
@@ -312,7 +316,7 @@ def run_sharded(spec: WorkloadSpec, shards: int = 1,
 
     ``trace=True`` arms per-shard telemetry (each tracer minting ids in
     its own stride band) and merges every shard's span forest into one
-    global :class:`~repro.trace.artifact.TraceArtifact` on
+    global :class:`~repro.telemetry.artifact.TraceArtifact` on
     :attr:`ShardedResult.trace_artifact`, optionally saved to
     ``trace_out``.  The observables digest is bit-identical with
     tracing on or off.
@@ -324,7 +328,7 @@ def run_sharded(spec: WorkloadSpec, shards: int = 1,
                      else effective > 1)
     spec_doc = spec.to_dict()
 
-    trace_parts: Optional[List[dict]] = None
+    trace_parts: Optional[List[TraceArtifact]] = None
     started = time.perf_counter()
     if use_processes and effective > 1:
         import multiprocessing
@@ -388,7 +392,7 @@ def run_sharded(spec: WorkloadSpec, shards: int = 1,
     trace_artifact = None
     if trace_parts is not None:
         trace_artifact = TraceArtifact.merge(
-            [TraceArtifact.from_dict(doc) for doc in trace_parts],
+            trace_parts,
             meta={"kind": "sharded-run", "name": spec.name,
                   "seed": spec.seed, "shards": effective})
     result = ShardedResult(spec, shards, effective,

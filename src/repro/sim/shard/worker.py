@@ -27,7 +27,7 @@ from repro.sim.shard.boundary import BoundaryLink, ShardMessage
 from repro.sim.shard.partition import Partition, partition_topology
 from repro.sim.shard.program import Program, build_program, build_routes
 from repro.telemetry import Telemetry
-from repro.trace.artifact import SHARD_ID_STRIDE, TraceArtifact
+from repro.telemetry.artifact import SHARD_ID_STRIDE
 from repro.workload.spec import WorkloadSpec, build_spec_topology
 
 __all__ = ["ShardWorker"]
@@ -211,18 +211,3 @@ class ShardWorker:
             "switches": switches,
             "links": links,
         }
-
-    def collect_traces(self) -> dict:
-        """This shard's tracer snapshot, in TraceArtifact dict form.
-
-        Kept out of :meth:`collect` deliberately: observables feed the
-        partition-invariance digest, and the trace plane must never
-        move that needle.
-        """
-        tracer = (self.sim.telemetry.tracer
-                  if self.telemetry is not None else None)
-        if tracer is None or not tracer.enabled:
-            return TraceArtifact([], meta={"shard": self.shard_id}
-                                 ).to_dict()
-        return TraceArtifact.from_tracer(
-            tracer, meta={"shard": self.shard_id}).to_dict()

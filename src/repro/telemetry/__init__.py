@@ -7,7 +7,10 @@ is threaded through the whole stack by :class:`~repro.core.platform.ZenPlatform`
   histograms with labels, published by the sim kernel, links, datapaths,
   control channels, and the controller;
 * :class:`~repro.telemetry.trace.Tracer` — packet-lifecycle spans
-  (host TX → link → table lookup → punt → dispatch → app → flow-mod);
+  (host TX → link → table lookup → punt → dispatch → app → flow-mod),
+  serialised in one form, :class:`~repro.telemetry.artifact.TraceArtifact`
+  (the flight recorder, :mod:`repro.telemetry.flight`, dumps it; the
+  renderers in :mod:`repro.telemetry.export` read it);
 * :class:`~repro.telemetry.flowrecords.FlowRecordExporter` — NetFlow
   style records emitted on flow expiry/removal;
 * :class:`~repro.telemetry.flowrecords.AppProfiler` — wall-clock profile
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.telemetry.artifact import TraceArtifact
 from repro.telemetry.flowrecords import (
     NULL_FLOW_RECORDS,
     NULL_PROFILER,
@@ -69,6 +73,7 @@ __all__ = [
     "QuantileSketch",
     "Span",
     "Telemetry",
+    "TraceArtifact",
     "Tracer",
 ]
 

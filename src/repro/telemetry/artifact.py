@@ -1,0 +1,274 @@
+"""TraceArtifact: the one serialised form of a trace, and the critical
+path through one.
+
+A tracer's traces leave it as a :class:`TraceArtifact` whatever reads
+them — the telemetry JSON snapshot, a shard's report to the sharded
+engine (merged across shards without renumbering: shard *k* mints ids
+above ``k * SHARD_ID_STRIDE``), a flight-recorder dump and a saved
+``trace dump`` file.  :meth:`TraceArtifact.longest` is the one picker
+and :func:`critical_path` attributes one artifact-form trace's latency
+per stage.  The recorder lives in :mod:`repro.telemetry.flight` and the
+renderers in :mod:`repro.telemetry.export`.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.digest import canonical_digest, load_document
+from repro.telemetry.trace import Tracer
+
+__all__ = ["FORMAT", "SHARD_ID_STRIDE", "TraceArtifact", "critical_path",
+           "group_traces", "shard_of_id"]
+
+FORMAT = "zensdn-trace-artifact-v1"
+
+#: Id stride per shard: shard *k*'s tracer mints trace and span ids in
+#: ``(k * STRIDE, (k + 1) * STRIDE]``, so ids are globally unique and
+#: the owning shard of any id is ``id // STRIDE``.
+SHARD_ID_STRIDE = 1_000_000_000
+
+
+def shard_of_id(any_id: int) -> int:
+    """The shard whose tracer minted ``any_id`` (0 for unsharded runs)."""
+    return any_id // SHARD_ID_STRIDE
+
+
+def group_traces(pieces: Iterable[Tuple[int, str, Iterable[dict]]],
+                 ) -> List[dict]:
+    """Fold ``(trace id, label, span dicts)`` pieces into artifact-form
+    traces, in id order.
+
+    Pieces sharing an id — halves of a span tree held by two shards, or
+    one trace's spans spread over a recorder's per-stage rings — are
+    unioned with their spans sorted by ``(start, span_id)``; the first
+    non-empty label wins (the origin shard names a trace, receivers
+    adopt it with an empty label).
+    """
+    merged: Dict[int, dict] = {}
+    for tid, label, spans in pieces:
+        trace = merged.get(tid)
+        if trace is None:
+            trace = merged[tid] = {"id": tid, "label": label, "spans": []}
+        elif not trace["label"]:
+            trace["label"] = label
+        trace["spans"].extend(spans)
+    traces = [merged[tid] for tid in sorted(merged)]
+    for trace in traces:
+        trace["spans"].sort(key=lambda s: (s["start"], s["span_id"]))
+    return traces
+
+
+class TraceArtifact:
+    """Plain-data bundle of traces + capture triggers + metadata.
+
+    The only serialised form of a trace: the telemetry JSON snapshot,
+    a shard's trace report, a flight-recorder dump and a saved
+    ``trace dump`` file are all one.  ``traces`` is a list of
+    ``{"id", "label", "spans"}`` dicts whose spans carry
+    ``span_id``/``parent`` links (:meth:`Span.to_dict`); ``triggers``
+    records why the artifact exists (flight-recorder dumps name the
+    violation or alert that fired); ``meta`` is free-form run context.
+    Artifacts are built only from simulated time and tracer state, so
+    two identical-seed runs serialise byte-identically.
+    """
+
+    def __init__(self, traces: List[dict],
+                 triggers: Optional[List[dict]] = None,
+                 meta: Optional[dict] = None) -> None:
+        self.traces = traces
+        self.triggers = triggers if triggers is not None else []
+        self.meta = meta if meta is not None else {}
+
+    @classmethod
+    def from_tracer(cls, tracer: Tracer, meta: Optional[dict] = None,
+                    triggers: Optional[List[dict]] = None,
+                    ) -> "TraceArtifact":
+        """Snapshot every live trace of one tracer."""
+        traces = [
+            {"id": tid, "label": label,
+             "spans": [s.to_dict() for s in spans]}
+            for tid, label, spans in tracer.traces()
+        ]
+        doc = dict(meta or {})
+        doc.setdefault("dropped_traces", tracer.dropped)
+        doc.setdefault("dropped_spans", tracer.dropped_spans)
+        return cls(traces, triggers=triggers, meta=doc)
+
+    @classmethod
+    def merge(cls, artifacts: Iterable["TraceArtifact"],
+              meta: Optional[dict] = None) -> "TraceArtifact":
+        """Fuse artifacts (one per shard) into one global artifact.
+
+        Traces sharing an id — a frame that crossed a boundary link —
+        are unioned by :func:`group_traces`, parent links left intact
+        (span ids are globally unique by the stride scheme).
+        """
+        parts = list(artifacts)
+        traces = group_traces(
+            (trace["id"], trace["label"], trace["spans"])
+            for part in parts for trace in part.traces)
+        doc = dict(meta or {})
+        doc.setdefault("merged_from", len(parts))
+        return cls(traces,
+                   triggers=[t for part in parts for t in part.triggers],
+                   meta=doc)
+
+    def trace(self, trace_id: int) -> Optional[dict]:
+        for trace in self.traces:
+            if trace["id"] == trace_id:
+                return trace
+        return None
+
+    def longest(self) -> Optional[dict]:
+        """The trace spanning the most simulated time (ties: lowest id).
+
+        The one picker: every report that shows "the" trace of a run
+        shows this one, so two views of one run never disagree.
+        """
+        best = None
+        best_key = None
+        for trace in self.traces:
+            spans = trace["spans"]
+            if not spans:
+                continue
+            extent = (max(s["end"] for s in spans)
+                      - min(s["start"] for s in spans))
+            key = (-extent, trace["id"])
+            if best_key is None or key < best_key:
+                best, best_key = trace, key
+        return best
+
+    def shards_of(self, trace: dict) -> List[int]:
+        """Distinct shards whose tracers contributed spans, sorted."""
+        return sorted({shard_of_id(s["span_id"])
+                       for s in trace["spans"]})
+
+    @property
+    def span_count(self) -> int:
+        return sum(len(t["spans"]) for t in self.traces)
+
+    @property
+    def digest(self) -> str:
+        """Canonical content hash (determinism gate surface)."""
+        return canonical_digest(self.to_dict())
+
+    def to_dict(self) -> dict:
+        return {
+            "format": FORMAT,
+            "meta": self.meta,
+            "triggers": self.triggers,
+            "traces": self.traces,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TraceArtifact":
+        tag = data.get("format")
+        if tag != FORMAT:
+            raise ValueError(f"not a {FORMAT} artifact (format={tag!r})")
+        return cls(list(data.get("traces", ())),
+                   triggers=list(data.get("triggers", ())),
+                   meta=dict(data.get("meta", {})))
+
+    def save(self, path: str) -> None:
+        with open(path, "w") as fh:
+            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path: str) -> "TraceArtifact":
+        return load_document(path, "trace artifact", cls.from_dict)
+
+    def __repr__(self) -> str:
+        return (f"<TraceArtifact {len(self.traces)} traces, "
+                f"{self.span_count} spans, "
+                f"{len(self.triggers)} triggers>")
+
+
+# ----------------------------------------------------------------------
+# Critical path
+# ----------------------------------------------------------------------
+def critical_path(trace: dict) -> dict:
+    """The causal chain that determined when ``trace`` finished.
+
+    ``trace`` is one artifact-form ``{"id", "label", "spans"}`` dict.
+    Start from the span with the latest end, walk parent links back to
+    a root, and prepend the flat (un-parented) prefix — the host/link/
+    dataplane spans recorded before the controller started threading
+    parents — in time order, which for one packet's journey is causal
+    order.
+
+    Each stage is attributed ``elapsed = end - previous stage's end``:
+    the time the trace spent waiting for and executing it.  Elapsed
+    sums telescope to the path's duration, so the attribution answers
+    "where did the latency go" exactly — the per-stage controller
+    methodology of the POX/Floodlight/OpenDaylight study.
+
+    Returns ``{"trace_id", "label", "total", "stages", "by_stage"}``
+    where ``stages`` is the ordered chain (each with ``name``,
+    ``stage``, ``start``, ``end``, ``elapsed``, ``self``) and
+    ``by_stage`` aggregates elapsed per stage name.
+    """
+    spans = trace["spans"]
+    trace_id = trace.get("id")
+    label = trace.get("label", "")
+    if not spans:
+        return {"trace_id": trace_id, "label": label, "total": 0.0,
+                "stages": [], "by_stage": {}}
+
+    by_id: Dict[int, dict] = {}
+    for span in spans:
+        sid = span.get("span_id", 0)
+        if sid:
+            by_id[sid] = span
+
+    # Terminal span: latest end; ties break on span id so the pick is
+    # deterministic and favours the most recently recorded span.
+    leaf = max(spans, key=lambda s: (s["end"], s.get("span_id", 0)))
+
+    # Walk parent links to the chain's root (cycle-guarded).
+    chain: List[dict] = [leaf]
+    seen = {leaf.get("span_id", 0)}
+    while True:
+        parent: Optional[int] = chain[-1].get("parent")
+        if parent is None or parent not in by_id or parent in seen:
+            break
+        seen.add(parent)
+        chain.append(by_id[parent])
+    chain.reverse()
+
+    # Stitch the flat prefix: spans recorded before parent-threading
+    # began (host TX, link transit, table lookups) causally precede the
+    # chain root when they end by its start.
+    root_start = chain[0]["start"]
+    chain_ids = {id(s) for s in chain}
+    prefix = sorted(
+        (s for s in spans
+         if id(s) not in chain_ids
+         and s.get("parent") is None
+         and s["end"] <= root_start),
+        key=lambda s: (s["start"], s["end"], s.get("span_id", 0)),
+    )
+    chain = prefix + chain
+
+    stages = []
+    by_stage: Dict[str, float] = {}
+    prev_end = chain[0]["start"]
+    for span in chain:
+        elapsed = max(0.0, span["end"] - prev_end)
+        stages.append({
+            "name": span["name"],
+            "stage": span.get("stage", ""),
+            "span_id": span.get("span_id", 0),
+            "start": span["start"],
+            "end": span["end"],
+            "elapsed": elapsed,
+            "self": span["end"] - span["start"],
+        })
+        key = span.get("stage", "") or span["name"]
+        by_stage[key] = by_stage.get(key, 0.0) + elapsed
+        prev_end = max(prev_end, span["end"])
+    total = chain[-1]["end"] - chain[0]["start"]
+    return {"trace_id": trace_id, "label": label, "total": total,
+            "stages": stages, "by_stage": by_stage}

@@ -1,5 +1,10 @@
 """Exporters: metrics/traces/flow records as JSON or human tables.
 
+Traces are exported in their one form,
+:class:`~repro.telemetry.artifact.TraceArtifact`, and rendered from it:
+:func:`render_tree` is the one span renderer and
+:meth:`~repro.telemetry.artifact.TraceArtifact.longest` the one picker.
+
 Everything here is read-only over the telemetry plane and deterministic
 for a given run — with one deliberate exception: the app *profile*
 reports host wall-clock time, which varies between runs, so it is kept
@@ -10,18 +15,18 @@ requested.
 from __future__ import annotations
 
 import json
-from typing import List, Optional, Tuple
+from typing import Dict, List
 
 from repro.analysis.report import Table
-from repro.telemetry.trace import Span, Tracer
+from repro.telemetry.artifact import TraceArtifact
 
 __all__ = [
-    "best_trace",
     "flow_records_table",
     "metrics_table",
     "profile_table",
+    "render_critical_path",
     "render_report",
-    "render_trace",
+    "render_tree",
     "snapshot",
     "to_json",
 ]
@@ -55,41 +60,111 @@ def metrics_table(registry) -> Table:
 
 
 # ----------------------------------------------------------------------
-# Traces
+# Traces: ASCII span trees and critical paths over artifact-form dicts,
+# plain enough to grep in CI logs
 # ----------------------------------------------------------------------
-def best_trace(
-    tracer: Tracer,
-) -> Optional[Tuple[int, str, List[Span]]]:
-    """The most complete trace: most stages crossed, then most spans.
+def _fmt_t(t: float) -> str:
+    return f"{t:.6f}"
 
-    Ties break toward the lowest trace id, so the pick is deterministic.
+
+def _fmt_d(seconds: float) -> str:
+    if seconds >= 1.0:
+        return f"{seconds:.3f}s"
+    if seconds >= 1e-3:
+        return f"{seconds * 1e3:.3f}ms"
+    return f"{seconds * 1e6:.1f}us"
+
+
+def _attr_suffix(span: dict) -> str:
+    attrs = span.get("attrs") or {}
+    if not attrs:
+        return ""
+    inner = " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
+    return f"  {{{inner}}}"
+
+
+def render_tree(trace: dict, attrs: bool = False) -> str:
+    """Render one trace's span tree as an ASCII outline.
+
+    Roots are spans with no (resolvable) parent, in time order;
+    children sort by ``(start, span_id)``.  A flat legacy trace renders
+    as a root-level sequence, which is its causal order anyway.
     """
-    ranked = sorted(
-        tracer.traces(),
-        key=lambda t: (-len({s.stage for s in t[2]}), -len(t[2]), t[0]),
-    )
-    for tid, label, spans in ranked:
-        if spans:
-            return tid, label, spans
-    return None
-
-
-def render_trace(trace_id: int, label: str, spans: List[Span]) -> str:
-    """A packet trace as an aligned per-span latency breakdown."""
+    spans: List[dict] = list(trace.get("spans", ()))
+    lines = [
+        f"trace #{trace.get('id', '?')} "
+        f"{trace.get('label', '') or '(unlabelled)'} "
+        f"({len(spans)} spans)"
+    ]
     if not spans:
-        return f"trace #{trace_id} {label}: (no spans)"
-    origin = min(s.start for s in spans)
-    lines = [f"trace #{trace_id}  {label}  "
-             f"({len(spans)} spans, {max(s.end for s in spans) - origin:.6f}s)"]
-    for span in sorted(spans, key=lambda s: (s.start, s.end)):
-        attrs = " ".join(
-            f"{k}={v}" for k, v in sorted(span.attrs.items())
-        )
+        return "\n".join(lines)
+    ids = {s.get("span_id", 0) for s in spans}
+    children: Dict[int, List[dict]] = {}
+    roots: List[dict] = []
+    for span in spans:
+        parent = span.get("parent")
+        if parent is None or parent not in ids:
+            roots.append(span)
+        else:
+            children.setdefault(parent, []).append(span)
+    order = (lambda s: (s["start"], s.get("span_id", 0)))
+    roots.sort(key=order)
+    for kids in children.values():
+        kids.sort(key=order)
+
+    def emit(span: dict, prefix: str, is_last: bool,
+             is_root: bool) -> None:
+        if is_root:
+            stem, cont = "", ""
+        else:
+            stem = "`- " if is_last else "|- "
+            cont = "   " if is_last else "|  "
+        dur = span["end"] - span["start"]
+        dur_s = f" +{_fmt_d(dur)}" if dur > 0 else ""
         lines.append(
-            f"  t+{span.start - origin:.6f}s "
-            f"{'+' + format(span.duration, '.6f') + 's':>12} "
-            f"{span.name:<18} [{span.stage:<10}] {attrs}"
+            f"{prefix}{stem}{span['name']} [{span.get('stage', '')}] "
+            f"t={_fmt_t(span['start'])}{dur_s}"
+            f"{_attr_suffix(span) if attrs else ''}"
         )
+        kids = children.get(span.get("span_id", 0), ())
+        for i, kid in enumerate(kids):
+            emit(kid, prefix + ("" if is_root else cont),
+                 i == len(kids) - 1, False)
+
+    for i, root in enumerate(roots):
+        emit(root, "", i == len(roots) - 1, True)
+    return "\n".join(lines)
+
+
+def render_critical_path(path: dict) -> str:
+    """Render a :func:`~repro.telemetry.artifact.critical_path` result."""
+    stages = path.get("stages", ())
+    header = (
+        f"critical path of trace #{path.get('trace_id', '?')} "
+        f"{path.get('label', '') or ''}".rstrip()
+        + f": {_fmt_d(path.get('total', 0.0))} over "
+        f"{len(stages)} stages"
+    )
+    lines = [header]
+    if not stages:
+        return header
+    name_w = max(len(s["name"]) for s in stages)
+    stage_w = max(len(s["stage"]) for s in stages)
+    for s in stages:
+        lines.append(
+            f"  t={_fmt_t(s['start'])}  {s['name']:<{name_w}}  "
+            f"[{s['stage']:<{stage_w}}]  +{_fmt_d(s['elapsed'])}"
+        )
+    by_stage = path.get("by_stage", {})
+    if by_stage:
+        total = path.get("total", 0.0) or 1.0
+        lines.append("  attribution:")
+        for stage in sorted(by_stage, key=lambda k: (-by_stage[k], k)):
+            share = by_stage[stage] / total * 100.0 if total else 0.0
+            lines.append(
+                f"    {stage:<{max(stage_w, 10)}} "
+                f"{_fmt_d(by_stage[stage]):>10}  {share:5.1f}%"
+            )
     return "\n".join(lines)
 
 
@@ -148,7 +223,7 @@ def snapshot(telemetry, include_wall_profile: bool = False) -> dict:
     doc = {
         "enabled": telemetry.enabled,
         "metrics": telemetry.metrics.snapshot(),
-        "traces": telemetry.tracer.to_dict(),
+        "traces": TraceArtifact.from_tracer(telemetry.tracer).to_dict(),
         "flow_records": telemetry.flows.to_dict(),
         "profile_calls": telemetry.profiler.call_counts(),
     }
@@ -174,12 +249,12 @@ def render_report(telemetry, include_wall_profile: bool = False) -> str:
     parts = [metrics_table(telemetry.metrics).render()]
 
     tracer = telemetry.tracer
-    pick = best_trace(tracer)
     parts.append(f"\nPacket traces: {tracer.trace_count} captured"
                  + (f", {tracer.dropped} dropped (cap)"
                     if tracer.dropped else ""))
+    pick = TraceArtifact.from_tracer(tracer).longest()
     if pick is not None:
-        parts.append(render_trace(*pick))
+        parts.append(render_tree(pick, attrs=True))
 
     flows = telemetry.flows
     parts.append(f"\nFlow records: {len(flows)} exported"

@@ -1,4 +1,5 @@
-"""Packet-lifecycle tracing: timestamped spans over one frame's journey.
+"""Packet-lifecycle tracing: timestamped span trees over one frame's
+journey.
 
 A traced packet carries a ``trace_id`` (a plain int stamped on the
 :class:`~repro.packet.base.Packet` object); every layer it crosses
@@ -13,6 +14,9 @@ in-memory attribute.  The tracer bridges that gap with a stash/adopt
 pair: the sender stashes the trace id under a key derived from the wire
 bytes, and the receiver adopts it after decoding.  Channels are ordered
 and lossless, so FIFO adoption per key is exact.
+
+A tracer's traces leave it in one form,
+:class:`~repro.telemetry.artifact.TraceArtifact`.
 """
 
 from __future__ import annotations
@@ -315,9 +319,13 @@ class Tracer:
     def traces(self) -> List[Tuple[int, str, List[Span]]]:
         """Every trace as ``(id, label, spans)``, in id order."""
         return [
-            (tid, self._labels.get(tid, ""), spans)
+            (tid, self.label(tid), spans)
             for tid, spans in sorted(self._spans.items())
         ]
+
+    def label(self, trace_id: int) -> str:
+        """The label a live trace was started with ("" once evicted)."""
+        return self._labels.get(trace_id, "")
 
     def spans(self, trace_id: int) -> List[Span]:
         return list(self._spans.get(trace_id, ()))
@@ -330,20 +338,6 @@ class Tracer:
     @property
     def trace_count(self) -> int:
         return len(self._spans)
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.trace_count,
-            "dropped": self.dropped,
-            "traces": [
-                {
-                    "id": tid,
-                    "label": label,
-                    "spans": [s.to_dict() for s in spans],
-                }
-                for tid, label, spans in self.traces()
-            ],
-        }
 
     def __repr__(self) -> str:
         return f"<Tracer {self.trace_count} traces>"
@@ -381,3 +375,4 @@ class NullTracer(Tracer):
 
 
 NULL_TRACER = NullTracer()
+

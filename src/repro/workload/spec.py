@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
+from repro.digest import load_document
 from repro.errors import TopologyError
 from repro.faults import fault_end
 from repro.netem import Topology
@@ -222,7 +223,10 @@ def load_spec(path: str) -> WorkloadSpec:
 
     YAML support is import-gated: it only needs PyYAML when the file
     actually is YAML, so the library keeps its zero-dependency core.
+    A missing or malformed file is a :class:`~repro.errors.ZenError`
+    naming the path.
     """
+    parse = json.load
     if path.endswith((".yaml", ".yml")):
         try:
             import yaml  # type: ignore[import-untyped]
@@ -230,10 +234,9 @@ def load_spec(path: str) -> WorkloadSpec:
             raise TopologyError(
                 "YAML specs need PyYAML installed; use JSON instead"
             ) from exc
-        with open(path) as fh:
-            return WorkloadSpec.from_dict(yaml.safe_load(fh))
-    with open(path) as fh:
-        return WorkloadSpec.from_dict(json.load(fh))
+        parse = yaml.safe_load
+    return load_document(path, "workload spec", WorkloadSpec.from_dict,
+                         parse)
 
 
 def build_spec_topology(spec: WorkloadSpec) -> Topology:

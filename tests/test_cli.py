@@ -108,10 +108,14 @@ class TestNamedErrors:
         (line,) = err.splitlines()
         assert line.startswith("repro: error: ") and names in line
 
-    @pytest.mark.parametrize("content", [None, "{not json"])
+    @pytest.mark.parametrize("content",
+                             [None, "{not json", '{"format": "x"}'])
     @pytest.mark.parametrize("argv", [
         ["obs", "diff", "{path}", "{path}"],
         ["obs", "dashboard", "--path", "{path}"],
+        ["trace", "critical-path", "{path}"],
+        ["check", "replay", "--path", "{path}"],
+        ["workload", "run", "--spec", "{path}"],
     ])
     def test_missing_or_malformed_artifact(self, argv, content, tmp_path,
                                            capsys):

@@ -11,8 +11,11 @@ Three layers of coverage:
   simulation, and identical seeds must produce identical telemetry.
 """
 
+import json
+
 import pytest
 
+import repro.cli
 from repro.cli import main as cli_main
 from repro.core import ZenPlatform
 from repro.netem import Topology
@@ -21,9 +24,10 @@ from repro.telemetry import (
     NULL_TELEMETRY,
     MetricsRegistry,
     Telemetry,
+    TraceArtifact,
     Tracer,
 )
-from repro.telemetry.export import best_trace, render_report, to_json
+from repro.telemetry.export import render_report, to_json
 from repro.telemetry.flowrecords import (
     AppProfiler,
     FlowRecordExporter,
@@ -273,12 +277,11 @@ class TestEndToEnd:
         tel = Telemetry()
         platform = _reactive_platform(tel).start()
         assert platform.ping_all(count=1, settle=8.0) == 1.0
-        pick = best_trace(tel.tracer)
+        pick = TraceArtifact.from_tracer(tel.tracer).longest()
         assert pick is not None
-        _tid, label, spans = pick
-        assert label  # "h1 Ethernet/..." style origin label
-        assert len(spans) >= 5
-        stages = {s.stage for s in spans}
+        assert pick["label"]  # "h1 Ethernet/..." style origin label
+        assert len(pick["spans"]) >= 5
+        stages = {s["stage"] for s in pick["spans"]}
         # The acceptance bar: host -> dataplane -> controller -> app.
         assert {"host", "dataplane", "controller", "app"} <= stages
         # The full wiring also covers the link and channel hops.
@@ -333,15 +336,25 @@ class TestEndToEnd:
         assert "trace #" in out
         assert "Flow records" in out
 
-    def test_cli_telemetry_json(self, capsys):
+    def test_cli_telemetry_json(self, capsys, monkeypatch):
+        built = []
+
+        class Kept(Telemetry):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(repro.cli, "Telemetry", Kept)
         assert cli_main(["telemetry", "--size", "2",
                          "--format", "json"]) == 0
-        import json
-
         doc = json.loads(capsys.readouterr().out)
         assert doc["enabled"] is True
-        assert doc["traces"]["count"] >= 1
+        assert doc["traces"]["traces"]
         assert doc["flow_records"]["count"] >= 1
+        # The snapshot's traces are the run's one serialised form.
+        (tel,) = built
+        artifact = TraceArtifact.from_tracer(tel.tracer).to_dict()
+        assert doc["traces"] == json.loads(json.dumps(artifact))
 
 
 # ----------------------------------------------------------------------

@@ -21,14 +21,14 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import ZenPlatform
 from repro.netem import Topology
+from repro.errors import ZenError
 from repro.telemetry import Telemetry, Tracer
-from repro.trace import (
+from repro.telemetry.export import render_critical_path, render_tree
+from repro.telemetry.flight import FlightRecorder
+from repro.telemetry.artifact import (
     SHARD_ID_STRIDE,
-    FlightRecorder,
     TraceArtifact,
     critical_path,
-    render_critical_path,
-    render_tree,
     shard_of_id,
 )
 from repro.workload import WorkloadSpec
@@ -155,10 +155,20 @@ class TestTraceArtifact:
         assert back.meta["seed"] == 7
         assert back.trace(tid)["spans"][0]["name"] == "a"
 
+    def test_save_load_round_trips_byte_identically(self, tmp_path):
+        tel = Telemetry()
+        _reactive_platform(tel).start().ping_all(count=1, settle=8.0)
+        art = TraceArtifact.from_tracer(tel.tracer, meta={"seed": 0})
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        art.save(str(first))
+        TraceArtifact.load(str(first)).save(str(second))
+        assert art.span_count > 50
+        assert first.read_bytes() == second.read_bytes()
+
     def test_load_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps({"format": "something-else"}))
-        with pytest.raises(ValueError):
+        with pytest.raises(ZenError, match="something-else"):
             TraceArtifact.load(str(path))
 
     def test_merge_unions_split_traces_across_shards(self):
@@ -418,6 +428,18 @@ class TestFlightRecorder:
         assert rec.dumps, "red verdict did not dump the rings"
         assert rec.dumps[0].triggers[0]["kind"] == "violation"
         assert seen, "earlier hook was replaced, not kept"
+
+    def test_dump_orders_spans_as_merge_does(self):
+        """A dump and a merge of the same spans are one grouping: same
+        traces, same labels, spans in ``(start, span_id)`` order."""
+        tel = self._tel()
+        platform = _reactive_platform(tel)
+        rec = FlightRecorder(tel, capacity=100_000)
+        platform.start().ping_all(count=1, settle=8.0)
+        assert tel.tracer.dropped_spans == 0, "vacuous: tracer evicted"
+        merged = TraceArtifact.merge([TraceArtifact.from_tracer(tel.tracer)])
+        assert merged.span_count > 50
+        assert rec.snapshot().traces == merged.traces
 
     def test_snapshot_is_deterministic(self):
         def build():
