@@ -2,10 +2,12 @@
 
 Every gate is one row of :data:`GATES` — ``(file, key, predicate,
 message)``: the predicate gets the key's value and the whole document
-and holds when the contract does; the message says what the contract
-is.  One loop reads each ``BENCH_E*.json`` at the repo root, checks its
-rows and prints one line per row (``ok`` or ``FAIL``, the file, the key
-and the message); any failing row makes the exit status 1.
+and returns ``True`` when the contract holds — a row that can say what
+broke returns that as a string instead of ``False``; the message says
+what the contract is.  One loop reads each ``BENCH_E*.json`` at the
+repo root, checks its rows and prints one line per row (``ok`` or
+``FAIL``, the file, the key, the message and what broke); any failing
+row makes the exit status 1.
 ``BENCH_E12.json`` must be present (its path may be given as the first
 argument); the other files are gated only when present, so the gate
 keeps working on partial benchmark runs.
@@ -28,9 +30,13 @@ wall time moves whenever the thing being observed gets cheaper:
   before and after the crash, and 2-/3-controller failover within the
   recovery SLO (sim time) and faster than a single-controller restart.
 * **E16 (workload suite)** — digests identical across worker counts,
-  paired run artifacts diff clean, and every scenario's digest equal
-  to the committed ``baseline_e16.json`` (the only gate on the library
-  digests across commits) with flows completed.
+  paired run artifacts diff clean, and every scenario equal to its
+  committed ``baseline_e16.json`` golden (the only gate on the library
+  digests across commits) with flows completed.  A golden holds the
+  digest, one digest per artifact section (``repro.digest.
+  section_digests``: ``series`` split by metric family) and the
+  observables a reader checks first, so a FAIL line names the scenario
+  and each section that is absent, new or changed.
 * **E17 (sharded kernel)** — merged observables identical across shard
   counts and coordinators, equal to the committed ``baseline_e17.json``
   digest, flows completed.  The 4-shard speedup is reported by the
@@ -78,10 +84,37 @@ def _failover_ok(recovery: dict, doc: dict) -> bool:
                and recovery[n] < recovery["1"] for n in ("2", "3"))
 
 
-def _library_ok(scenarios: dict, doc: dict) -> bool:
-    return (all(scenarios.get(name, {}).get("digest") == digest
-                for name, digest in E16_BASE["digests"].items())
-            and all(s["flows_completed"] > 0 for s in scenarios.values()))
+#: What a library golden pins beside its digest and sections.
+E16_OBSERVABLES = ("events", "flows_completed", "health_ok")
+
+
+def golden_moves(golden: dict, run: dict) -> list:
+    """What ``run`` (a ``BENCH_E16.json`` scenario record) moved
+    against its ``baseline_e16.json`` golden: each observable that
+    differs, then each section that is absent, new or changed."""
+    moved = [f"{key} {golden[key]} -> {run.get(key)}"
+             for key in E16_OBSERVABLES if run.get(key) != golden[key]]
+    blessed, sections = golden["sections"], run.get("sections", {})
+    moved += [("absent " if key not in sections
+               else "new " if key not in blessed else "changed ") + key
+              for key in sorted(blessed.keys() | sections.keys())
+              if blessed.get(key) != sections.get(key)]
+    if not moved and run.get("digest") != golden["digest"]:
+        moved.append("digest")
+    return moved
+
+
+def _library_ok(scenarios: dict, doc: dict):
+    broke = []
+    for name, golden in sorted(E16_BASE["scenarios"].items()):
+        run = scenarios.get(name)
+        moved = ["absent"] if run is None else golden_moves(golden, run)
+        if moved:
+            broke.append(f"{name}: " + ", ".join(moved))
+    broke += [f"{name}: no flow completed"
+              for name, run in sorted(scenarios.items())
+              if run["flows_completed"] <= 0]
+    return "; ".join(broke) or True
 
 
 GATES = [
@@ -111,8 +144,8 @@ GATES = [
     ("BENCH_E16.json", "diff_clean", lambda v, d: v is True,
      "paired workload run artifacts diff clean"),
     ("BENCH_E16.json", "scenarios", _library_ok,
-     "every library digest equals baseline_e16.json (or refresh it "
-     "deliberately) and every scenario completes flows"),
+     "every library scenario equals its baseline_e16.json golden (or "
+     "refresh it deliberately) and completes flows"),
     ("BENCH_E17.json", "identical", lambda v, d: v is True,
      "sharded observables do not depend on the shard count"),
     ("BENCH_E17.json", "digest", lambda v, d: v == E17_BASE["digest"],
@@ -164,10 +197,12 @@ def main(argv) -> int:
         if doc is None:
             continue
         value = doc[key]
-        ok = holds(value, doc)
+        verdict = holds(value, doc)
+        broke = isinstance(verdict, str)
+        ok = bool(verdict) and not broke
         failed += not ok
         print(f"{'ok  ' if ok else 'FAIL'}: {name} {key}={_show(value)}: "
-              f"{message}")
+              f"{message}{': ' + verdict if broke else ''}")
     print(f"{len(GATES)} gates, {failed} failed")
     return 1 if failed else 0
 

@@ -17,15 +17,18 @@ Contract:
 
 * per-scenario digests are bit-identical across the two suite runs —
   the process fan-out changes wall-clock only — and, in
-  ``check_regression.py``, equal to the ones committed in
-  ``benchmarks/baseline_e16.json`` (identity across commits);
+  ``check_regression.py``, equal to the goldens committed in
+  ``benchmarks/baseline_e16.json`` (identity across commits; each
+  golden also pins one digest per artifact section, so a moved digest
+  names the metric family or section that moved);
 * ``diff_runs`` between the paired artifacts is clean (the property
   that lets CI diff workload runs against committed baselines);
 * every scenario completes flows and reports tail FCT and a non-zero
   flow-table occupancy peak.
 
 Published: per-scenario tail FCT (p50/p95/p99), flow-table peak, flow
-counts, and the reproducibility verdicts (``BENCH_E16.json``).
+and event counts, digest and section digests, and the reproducibility
+verdicts (``BENCH_E16.json``).
 """
 
 import os
@@ -33,6 +36,7 @@ import os
 import pytest
 
 from repro.analysis import Table
+from repro.digest import section_digests
 from repro.obs import RunArtifact, diff_runs
 from repro.workload import library, run_suite, suite_digest
 
@@ -98,7 +102,9 @@ def test_e16_workload(results, benchmark):
                 "fct_p99_s": entry["summary"]["fct_p99"],
                 "flow_table_peak": entry["summary"]["flow_table_peak"],
                 "health_ok": entry["summary"]["health_ok"],
+                "events": entry["summary"]["events"],
                 "digest": entry["digest"],
+                "sections": section_digests(entry["artifact"]),
             }
             for entry in serial
         },

@@ -53,6 +53,13 @@ _PROFILE_CHOICES = ("reactive", "proactive")
 #: recovery, so resync and re-routing finish before the final check.
 _SETTLE = 8.0
 
+#: Events one scenario may execute.  A run that reaches it ends in the
+#: ``event_budget_exhausted`` verdict instead of running on for
+#: minutes: the budget is over 50x the largest corpus seed (3,761
+#: events), so only a run that never settles (a forwarding storm)
+#: reaches it.
+EVENT_BUDGET = 200_000
+
 
 class ScenarioResult:
     """Outcome of one scenario run."""
@@ -255,6 +262,10 @@ def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
     :class:`~repro.obs.ObsPlane` (implies telemetry) whose scraper,
     SLOs, and annotations must leave the observables bit-identical —
     the invariant ``tests/test_obs.py`` checks over the fuzz corpus.
+
+    A run that reaches :data:`EVENT_BUDGET` with events still due stops
+    there and fails, with an ``event_budget_exhausted`` verdict (absent
+    from every other run's verdicts).
     """
     if checker is None:
         checker = NetworkChecker()
@@ -262,14 +273,21 @@ def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
                     monitor=checker if monitor else False,
                     fast_path=fast_path)
     platform, mon = live.platform, live.monitor
-    net = platform.net
-    platform.run(scenario.duration)
+    net, sim = platform.net, platform.sim
+    end = sim.now + scenario.duration
+    executed = sim.run(until=end, max_events=EVENT_BUDGET)
     if live.plane is not None:
         live.plane.finish()
 
     final = checker.check(net)
     ok = final.ok
     verdicts = final.to_dict()
+    if executed >= EVENT_BUDGET and sim.next_event_time <= end:
+        ok = False
+        verdicts["event_budget_exhausted"] = {
+            "budget": EVENT_BUDGET, "now": sim.now,
+            "pending": sim.pending_events,
+        }
     if platform.cluster is not None:
         # Cluster invariants join the pass criterion; the key is only
         # present for cluster scenarios, so committed single-controller

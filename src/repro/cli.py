@@ -186,7 +186,7 @@ def _cmd_telemetry(args) -> int:
     if args.sample_every < 1:
         raise SystemExit("--sample-every must be >= 1")
     telemetry = Telemetry(
-        trace_sample_every=args.sample_every,
+        trace=True, trace_sample_every=args.sample_every,
         max_traces=args.max_traces,
     )
     platform = _build_platform(args, telemetry=telemetry).start()
@@ -328,7 +328,10 @@ def _cmd_check(args) -> int:
 
     def report(result) -> None:
         s = result.scenario
-        verdict = "clean" if result.ok else "VIOLATIONS"
+        verdict = ("clean" if result.ok
+                   else "EVENT BUDGET"
+                   if "event_budget_exhausted" in result.verdicts
+                   else "VIOLATIONS")
         transients = (f", {len(result.monitor_failures)} transient"
                       if result.monitor_failures else "")
         print(f"seed {s.seed:6d} {s.topology['family']}"
@@ -563,7 +566,8 @@ def _run_trace_platform(args):
 
     if args.seed is None:
         args.seed = 0
-    telemetry = Telemetry(profile=False, max_traces=args.max_traces)
+    telemetry = Telemetry(profile=False, trace=True,
+                          max_traces=args.max_traces)
     platform = _build_platform(args, telemetry=telemetry)
     # Built before start() so the rings hold the bring-up spans too.
     recorder = FlightRecorder(telemetry, capacity=args.ring,

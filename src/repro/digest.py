@@ -1,15 +1,16 @@
-"""The one canonical content hash every run digest goes through, and
-the one reader every document the CLI takes goes through."""
+"""The one canonical content hash every run digest goes through, its
+per-section form that names what moved, and the one reader every
+document the CLI takes goes through."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, Dict, TextIO
 
 from repro.errors import ZenError
 
-__all__ = ["canonical_digest", "load_document"]
+__all__ = ["canonical_digest", "load_document", "section_digests"]
 
 
 def canonical_digest(doc) -> str:
@@ -21,6 +22,25 @@ def canonical_digest(doc) -> str:
     """
     blob = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def section_digests(artifact: dict) -> Dict[str, str]:
+    """One :func:`canonical_digest` per section of a run artifact
+    document (``RunArtifact.to_dict()``).
+
+    Every top-level key is a section, except ``series``, which splits
+    into one ``series/<family>`` section per metric family (a series id
+    up to its first ``{``).  Two runs whose digests differ differ in at
+    least one section, so comparing the maps names what moved.
+    """
+    sections = {key: canonical_digest(value)
+                for key, value in artifact.items() if key != "series"}
+    families: Dict[str, dict] = {}
+    for sid, series in artifact.get("series", {}).items():
+        families.setdefault(sid.split("{", 1)[0], {})[sid] = series
+    sections.update((f"series/{family}", canonical_digest(doc))
+                    for family, doc in families.items())
+    return sections
 
 
 def load_document(path: str, what: str,

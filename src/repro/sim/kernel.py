@@ -472,6 +472,8 @@ class Simulator:
             the clock is then advanced to ``until``.
         max_events:
             Stop after executing this many events (a runaway-loop guard).
+            A run stopped by this bound leaves the clock at the last
+            event it executed, not at ``until``.
         exclusive:
             Treat ``until`` as a half-open bound: events exactly *at*
             ``until`` stay queued (and observer ticks at ``until`` stay
@@ -490,9 +492,8 @@ class Simulator:
         # millions of events per run (benchmark E12 tracks events/s).
         heap = self._heap
         heappop = heapq.heappop
+        budget_hit = False
         while heap:
-            if max_events is not None and executed >= max_events:
-                break
             time, _seq, event = heap[0]
             if event.cancelled:
                 heappop(heap)
@@ -502,6 +503,9 @@ class Simulator:
                 time > until or (exclusive and time == until)
             ):
                 break
+            if max_events is not None and executed >= max_events:
+                budget_hit = True
+                break
             heappop(heap)
             event._fired = True
             if time >= self._obs_next:
@@ -510,7 +514,10 @@ class Simulator:
             event.callback(*event.args)
             executed += 1
         self._processed += executed
-        if until is not None and self._now < until:
+        # A run cut short by ``max_events`` stays at its last event: an
+        # event due before ``until`` is still queued, and jumping past
+        # it would run the clock backwards on the next call.
+        if until is not None and not budget_hit and self._now < until:
             if until >= self._obs_next:
                 self._fire_observers(until, inclusive=not exclusive)
             self._now = until

@@ -49,7 +49,7 @@ class ShardWorker:
         # observer (doctrine), so the digest is bit-identical either
         # way — asserted by the differential tests.
         self.telemetry = (
-            Telemetry(trace_id_base=shard_id * SHARD_ID_STRIDE)
+            Telemetry(trace=True, trace_id_base=shard_id * SHARD_ID_STRIDE)
             if trace else None)
         self.sim = Simulator(seed=self.spec.seed, stable_ties=True,
                              telemetry=self.telemetry)

@@ -10,7 +10,11 @@ is threaded through the whole stack by :class:`~repro.core.platform.ZenPlatform`
   (host TX → link → table lookup → punt → dispatch → app → flow-mod),
   serialised in one form, :class:`~repro.telemetry.artifact.TraceArtifact`
   (the flight recorder, :mod:`repro.telemetry.flight`, dumps it; the
-  renderers in :mod:`repro.telemetry.export` read it);
+  renderers in :mod:`repro.telemetry.export` read it).  Tracing is
+  opt-in: only a caller that reads spans builds ``Telemetry(trace=True)``
+  (``repro telemetry``, ``repro trace``, a traced sharded run); every
+  other plane holds :data:`~repro.telemetry.trace.NULL_TRACER` and
+  records nothing;
 * :class:`~repro.telemetry.flowrecords.FlowRecordExporter` — NetFlow
   style records emitted on flow expiry/removal;
 * :class:`~repro.telemetry.flowrecords.AppProfiler` — wall-clock profile
@@ -79,12 +83,21 @@ __all__ = [
 
 
 class Telemetry:
-    """The assembled observability plane for one platform/run."""
+    """The assembled observability plane for one platform/run.
+
+    ``trace`` is off unless asked for: a caller that reads spans (the
+    ``telemetry`` and ``trace`` commands, E18, a shard worker of a
+    traced sharded run) passes ``trace=True``; everyone else gets
+    metrics, flow records and the profiler with :data:`NULL_TRACER`, so
+    no hop records, stashes or adopts a span and the two tracer-only
+    families (``telemetry_trace_dropped_spans_total``,
+    ``trace_stash_pruned_total``) never exist.
+    """
 
     def __init__(
         self,
         enabled: bool = True,
-        trace: bool = True,
+        trace: bool = False,
         trace_sample_every: int = 1,
         max_traces: int = 256,
         max_spans: int = 4096,

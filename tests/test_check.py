@@ -38,6 +38,7 @@ from repro.check import (
     run_scenario,
     write_repro,
 )
+from repro.check.fuzzer import EVENT_BUDGET
 from repro.workload import (
     WorkloadSpec,
     build_spec_topology,
@@ -204,6 +205,17 @@ class TestFuzzerDeterminism:
         for seed in corpus["seeds"]:
             result = run_scenario(generate_scenario(seed))
             assert result.ok, (seed, result.verdicts["violations"])
+            assert "event_budget_exhausted" not in result.verdicts
+
+    def test_a_runaway_scenario_ends_in_the_budget_verdict(self):
+        # mesh(4)/reactive: a storm that never settles (unbounded, this
+        # seed runs for minutes).
+        result = run_scenario(generate_scenario(30))
+        assert not result.ok
+        budget = result.verdicts["event_budget_exhausted"]
+        assert budget["budget"] == EVENT_BUDGET
+        assert budget["pending"] > 0
+        assert budget["now"] < result.scenario.duration
 
 
 # ----------------------------------------------------------------------

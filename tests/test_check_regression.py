@@ -23,10 +23,15 @@ gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
 
+#: The one metric family ``_bad_scenarios`` moves.
+MOVED_FAMILY = "series/link_tx_packets_total"
+
+
 def _bad_scenarios(doc):
     scenarios = json.loads(json.dumps(doc["scenarios"]))
     name = sorted(scenarios)[0]
     scenarios[name]["digest"] = "0" * 64
+    scenarios[name]["sections"][MOVED_FAMILY] = "0" * 64
     return scenarios
 
 
@@ -104,3 +109,7 @@ def test_doctored_key_fails_its_row(name, key, tmp_path):
               if line.startswith("FAIL")]
     assert failed, done.stdout
     assert all(line.startswith(f"FAIL: {name} {key}=") for line in failed)
+    if (name, key) == ("BENCH_E16.json", "scenarios"):
+        # The golden row names the scenario and what moved in it.
+        scenario = sorted(doc[key])[0]
+        assert failed[0].endswith(f": {scenario}: changed {MOVED_FAMILY}")

@@ -450,7 +450,7 @@ class TestRendering:
 
 class TestOpenMetricsGolden:
     def test_exposition_matches_golden_file(self):
-        telemetry = Telemetry(profile=False, trace=False)
+        telemetry = Telemetry(profile=False)
         reg = telemetry.metrics
         reg.counter("requests_total", "Requests served",
                     ("method",)).labels("get").inc(3)
@@ -464,7 +464,7 @@ class TestOpenMetricsGolden:
         assert got == golden
 
     def test_label_escaping(self):
-        reg = Telemetry(profile=False, trace=False).metrics
+        reg = Telemetry(profile=False).metrics
         reg.counter("odd_total", "", ("path",)).labels('a"b\\c').inc()
         text = render_openmetrics(reg)
         assert r'path="a\"b\\c"' in text

@@ -244,7 +244,7 @@ class TestBufferLifetime:
         assert [e.code for e in s.errors()] == [Error.BUFFER_UNKNOWN]
 
     def test_a_refused_packet_out_leaves_no_trace_stash_behind(self):
-        telemetry = Telemetry()
+        telemetry = Telemetry(trace=True)
         s = Stack(telemetry=telemetry)
         tracer = telemetry.tracer
         tracer.stash(("packet_out", s.dp.dpid, 7), tracer.start_trace("t"),
@@ -333,7 +333,7 @@ def _pairs_traffic(platform, hosts, count, gap=0.004, start=0.3,
 def _reactive_tree():
     platform = ZenPlatform(Topology.tree(depth=3, fanout=2),
                            profile="reactive", seed=4, exact_match=True,
-                           telemetry=Telemetry()).start()
+                           telemetry=Telemetry(trace=True)).start()
     _pairs_traffic(platform, platform.seed_static_arp(), 80)
     platform.run(2.5)
     return platform
@@ -341,7 +341,7 @@ def _reactive_tree():
 
 def _fat_tree_silent_destination():
     platform = ZenPlatform(Topology.fat_tree(4, bandwidth_bps=1e9),
-                           seed=2, telemetry=Telemetry()).start()
+                           seed=2, telemetry=Telemetry(trace=True)).start()
     hosts = platform.seed_static_arp()
     silent = hosts[-1]  # never sends: traffic toward it keeps flooding
     for i in range(60):
@@ -354,7 +354,7 @@ def _fat_tree_silent_destination():
 def _three_controllers():
     platform = ZenPlatform(Topology.tree(depth=2, fanout=2),
                            profile="reactive", seed=6, exact_match=True,
-                           controllers=3, telemetry=Telemetry()).start()
+                           controllers=3, telemetry=Telemetry(trace=True)).start()
     _pairs_traffic(platform, platform.seed_static_arp(), 40, start=0.6)
     platform.run(2.5)
     return platform
@@ -373,7 +373,7 @@ def _flapped_and_traced():
     """
     platform = ZenPlatform(Topology.tree(depth=2, fanout=2),
                            profile="reactive", seed=9, exact_match=True,
-                           telemetry=Telemetry()).start()
+                           telemetry=Telemetry(trace=True)).start()
     hosts = platform.seed_static_arp()
     net, sim = platform.net, platform.sim
     names = sorted(net.switches)

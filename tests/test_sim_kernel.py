@@ -98,6 +98,20 @@ class TestRunBounds:
         assert executed == 10
         assert sim.pending_events == 90
 
+    def test_max_events_bound_does_not_jump_the_clock(self):
+        sim = Simulator()
+        fired = []
+        for i in range(10):
+            sim.schedule(float(i), lambda: fired.append(sim.now))
+        ticks = []
+        sim.observe_every(50.0, lambda: ticks.append(sim.now))
+        assert sim.run(until=100.0, max_events=3) == 3
+        assert sim.now == 2.0  # the t = 3 event is still due
+        assert ticks == []  # and no observer fired at ``until``
+        sim.run(until=100.0)
+        assert fired == [float(i) for i in range(10)]  # never backwards
+        assert (sim.now, ticks) == (100.0, [50.0, 100.0])
+
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(5):

@@ -22,6 +22,7 @@ from repro.netem import Topology
 from repro.telemetry import (
     NULL_METRIC,
     NULL_TELEMETRY,
+    NULL_TRACER,
     MetricsRegistry,
     Telemetry,
     TraceArtifact,
@@ -245,10 +246,14 @@ class TestFlowRecords:
 class TestTelemetryObject:
     def test_enabled_plane_has_live_primitives(self):
         tel = Telemetry()
-        assert tel.enabled and tel.tracing
+        assert tel.enabled
         assert tel.metrics.enabled
         assert tel.flows.enabled
         assert tel.profiler.enabled
+        # Tracing is opt-in: only a caller that reads spans records them.
+        assert tel.tracer is NULL_TRACER and not tel.tracing
+        traced = Telemetry(trace=True)
+        assert traced.tracing and isinstance(traced.tracer, Tracer)
 
     def test_disabled_plane_is_all_nulls(self):
         tel = Telemetry(enabled=False)
@@ -274,7 +279,7 @@ def _reactive_platform(telemetry=None, seed=0):
 
 class TestEndToEnd:
     def test_trace_crosses_every_stage(self):
-        tel = Telemetry()
+        tel = Telemetry(trace=True)
         platform = _reactive_platform(tel).start()
         assert platform.ping_all(count=1, settle=8.0) == 1.0
         pick = TraceArtifact.from_tracer(tel.tracer).longest()
@@ -319,7 +324,7 @@ class TestEndToEnd:
                    for r in tel.flows.records)
 
     def test_report_renders_all_sections(self):
-        tel = Telemetry()
+        tel = Telemetry(trace=True)
         platform = _reactive_platform(tel).start()
         platform.ping_all(count=1, settle=8.0)
         for dp in platform.net.switches.values():
@@ -393,11 +398,11 @@ class TestDeterminism:
         """
         baseline = _flow_setup_fingerprint(None)
         assert _flow_setup_fingerprint(Telemetry(enabled=False)) == baseline
-        assert _flow_setup_fingerprint(Telemetry()) == baseline
+        assert _flow_setup_fingerprint(Telemetry(trace=True)) == baseline
 
     def test_identical_seeds_identical_telemetry_output(self):
         def run():
-            tel = Telemetry()
+            tel = Telemetry(trace=True)
             platform = _reactive_platform(tel, seed=3).start()
             platform.ping_all(count=1, settle=8.0)
             for dp in platform.net.switches.values():
@@ -454,7 +459,7 @@ class TestTracerSpanRing:
         assert sum(drops) == tracer.dropped_spans > 0
 
     def test_telemetry_wires_drop_counter(self):
-        telemetry = Telemetry(max_spans=4)
+        telemetry = Telemetry(trace=True, max_spans=4)
         for i in range(4):
             tid = telemetry.tracer.start_trace(f"t{i}")
             telemetry.tracer.record(tid, "a", "switch")

@@ -156,7 +156,7 @@ class TestTraceArtifact:
         assert back.trace(tid)["spans"][0]["name"] == "a"
 
     def test_save_load_round_trips_byte_identically(self, tmp_path):
-        tel = Telemetry()
+        tel = Telemetry(trace=True)
         _reactive_platform(tel).start().ping_all(count=1, settle=8.0)
         art = TraceArtifact.from_tracer(tel.tracer, meta={"seed": 0})
         first, second = tmp_path / "first.json", tmp_path / "second.json"
@@ -213,7 +213,7 @@ def _reactive_platform(telemetry=None, seed=0):
 
 class TestStashScope:
     def test_epoch_change_prunes_scoped_entries(self):
-        tel = Telemetry()
+        tel = Telemetry(trace=True)
         platform = _reactive_platform(tel).start()
         tracer = tel.tracer
         channel = platform.net.channel("s1")
@@ -233,7 +233,7 @@ class TestStashScope:
     def test_pre_reconnect_frame_does_not_adopt_into_new_epoch(self):
         """A frame serialised before a flap must not hand its trace to
         a byte-identical frame sent after the reconnect."""
-        tel = Telemetry()
+        tel = Telemetry(trace=True)
         platform = _reactive_platform(tel).start()
         tracer = tel.tracer
         channel = platform.net.channel("s1")
@@ -253,7 +253,7 @@ class TestStashScope:
         the stash empty once the run settles."""
         from repro.faults import FaultSchedule
 
-        tel = Telemetry()
+        tel = Telemetry(trace=True)
         platform = _reactive_platform(tel).start()
         hosts = list(platform.net.hosts.values())
         for a in hosts:
@@ -309,7 +309,7 @@ class TestStashScope:
             return (dataplane_digest(platform.net),
                     platform.sim.events_processed)
 
-        assert run(Telemetry()) == run(None)
+        assert run(Telemetry(trace=True)) == run(None)
 
     def test_null_tracer_stash_api_is_silent(self):
         from repro.telemetry import NULL_TRACER
@@ -326,7 +326,7 @@ class TestEvictionThroughOpenMetrics:
         tracer counters AND the OpenMetrics export line."""
         from repro.obs import render_openmetrics
 
-        tel = Telemetry(max_traces=4, max_spans=24)
+        tel = Telemetry(trace=True, max_traces=4, max_spans=24)
         platform = _reactive_platform(tel).start()
         assert platform.ping_all(count=2, settle=8.0) > 0
         tracer = tel.tracer
@@ -345,7 +345,7 @@ class TestEvictionThroughOpenMetrics:
 # ----------------------------------------------------------------------
 class TestControlPlaneSpanTree:
     def test_packet_in_dispatch_app_flowmod_chain(self):
-        tel = Telemetry()
+        tel = Telemetry(trace=True)
         platform = _reactive_platform(tel).start()
         assert platform.ping_all(count=1, settle=8.0) == 1.0
         spans = next(
@@ -375,7 +375,7 @@ class TestControlPlaneSpanTree:
 # ----------------------------------------------------------------------
 class TestFlightRecorder:
     def _tel(self):
-        return Telemetry()
+        return Telemetry(trace=True)
 
     def test_rings_are_bounded_per_stage(self):
         tel = self._tel()
@@ -486,7 +486,7 @@ def _run_cluster_crash(tel, seed=0):
 
 class TestClusterHandoverTrace:
     def test_handover_chain_is_one_span_tree(self):
-        tel = Telemetry()
+        tel = Telemetry(trace=True)
         platform, _sched = _run_cluster_crash(tel)
         fault_traces = [
             (tid, label, spans) for tid, label, spans in
@@ -526,7 +526,7 @@ class TestClusterHandoverTrace:
         from repro.obs import ObsPlane
         from repro.obs.slo import ConvergenceSLO
 
-        tel = Telemetry(profile=False)
+        tel = Telemetry(profile=False, trace=True)
         platform = _reactive_platform(tel).start()
         slo = ConvergenceSLO("conv", 5.0,
                              open_kinds=("switch_crash",),
@@ -560,7 +560,7 @@ class TestClusterHandoverTrace:
             return dataplane_digest(platform.net)
 
         base = digest(None)
-        assert digest(Telemetry()) == base
+        assert digest(Telemetry(trace=True)) == base
         assert digest(Telemetry(enabled=False)) == base
 
 

@@ -1,5 +1,6 @@
 """Workload plane tests: sizes, generators, specs, runner, suite, CLI."""
 
+import importlib.util
 import json
 import os
 import random
@@ -7,6 +8,7 @@ import random
 import pytest
 
 from repro.cli import main
+from repro.digest import section_digests
 from repro.dataplane import FlowEntry, Match, Output, PORT_FLOOD
 from repro.errors import TopologyError, ZenError
 from repro.netem import FlowSink, Network, Topology
@@ -379,37 +381,56 @@ class TestRunner:
     def test_dc_heavy_tail_golden_and_telemetry_sentinel(self, monkeypatch):
         """One library run, two gates a builder's ``pytest`` can see.
 
-        The digest equals the committed reference ``check_regression.py``
-        compares ``BENCH_E16.json`` against, and telemetry costs the
+        The run equals the committed golden ``check_regression.py``
+        compares ``BENCH_E16.json`` against (a mismatch names each
+        section or metric family that moved), and telemetry costs the
         packet path nothing: every per-packet count is read through from
         the layer that keeps it, so what is left to ``Counter.inc`` is
         one per packet-in (the cluster-shared child) plus event-rate
         families.  6.52 per link transmission before counts were bound.
+        Nothing in ``run_workload`` reads spans, so it records none.
         """
         from repro.telemetry.registry import Counter
+        from repro.telemetry.trace import Tracer
 
         incs = [0]
         real_inc = Counter.inc
+        records = [0]
+        real_record = Tracer.record
 
         def counting_inc(self, amount=1):
             incs[0] += 1
             real_inc(self, amount)
 
+        def counting_record(self, *args, **kwargs):
+            records[0] += 1
+            return real_record(self, *args, **kwargs)
+
         monkeypatch.setattr(Counter, "inc", counting_inc)
+        monkeypatch.setattr(Tracer, "record", counting_record)
         result = run_workload(library()["dc-heavy-tail"])
         monkeypatch.undo()
 
-        here = os.path.dirname(__file__)
-        with open(os.path.join(here, "..", "benchmarks",
-                               "baseline_e16.json")) as fh:
-            assert result.digest == json.load(fh)["digests"]["dc-heavy-tail"]
+        script = os.path.join(os.path.dirname(__file__), "..",
+                              "benchmarks", "check_regression.py")
+        loader = importlib.util.spec_from_file_location("gate", script)
+        gate = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(gate)
+        golden = gate.E16_BASE["scenarios"]["dc-heavy-tail"]
+        record = dict(result.summary, digest=result.digest,
+                      sections=section_digests(result.artifact.to_dict()))
+        moved = gate.golden_moves(golden, record)
+        assert not moved, f"dc-heavy-tail moved: {', '.join(moved)}"
+        assert result.digest == golden["digest"]
+        assert records == [0], "an untraced run recorded spans"
 
         transmissions = sum(
             series.last[1]
             for series in result.artifact.match("link_tx_packets_total"))
         per_tx = incs[0] / transmissions
         print(f"\ntelemetry sentinel: {per_tx:.2f} Counter.inc per link "
-              f"transmission ({incs[0]} for {transmissions:.0f})")
+              f"transmission ({incs[0]} for {transmissions:.0f}), "
+              f"{records[0]} Tracer.record")
         assert per_tx <= 0.5
 
     def test_faults_are_armed(self):
