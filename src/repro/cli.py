@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Five commands, aimed at kicking the tyres without writing code:
+Commands aimed at kicking the tyres without writing code:
 
 * ``demo``      — build a topology, run a platform profile, verify
   all-pairs connectivity, print what the controller learned and what
@@ -19,6 +19,14 @@ Five commands, aimed at kicking the tyres without writing code:
   (single platform, cluster under faults, or the sharded kernel),
   dump the merged TraceArtifact, and render span trees and critical
   paths.
+
+The run-making commands assemble their runs in one place: ``faults``,
+``obs`` and ``trace`` (platform mode) lower their flags to one
+:class:`~repro.workload.WorkloadSpec` (``_spec``) and run it through
+:func:`repro.workload.assemble`, then drive their own phases (ping,
+run, report).  ``demo`` and ``telemetry`` stay on a bare
+:class:`ZenPlatform`: they show ARP resolution, which the assembler's
+static ARP would skip.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ from repro.analysis import Table
 from repro.core import ZenPlatform
 from repro.digest import load_document
 from repro.errors import ZenError
-from repro.faults import arm_faults
 from repro.netem.topology import FAMILIES, Topology
 from repro.telemetry import Telemetry
 from repro.telemetry.export import render_report, to_json
@@ -69,42 +76,32 @@ _EXPERIMENTS = [
 
 
 def _build_platform(args, telemetry=None) -> ZenPlatform:
-    """The stack the shared arguments (plus ``--controllers``, where a
-    command has it) describe; ``--controllers 1`` is the plain
-    single-controller platform."""
-    controllers = getattr(args, "controllers", 1)
-    kind = getattr(args, "kind", None)
-    if kind in ("controller", "partition") and controllers < 2:
-        raise SystemExit(
-            f"a {kind} fault needs a cluster; pass --controllers >= 2"
-        )
+    """The bare stack ``demo`` and ``telemetry`` show: no static ARP, so
+    their pings resolve addresses through the controller's ARP proxy."""
     topo = build_topology(args.topology, args.size, args.bandwidth)
     return ZenPlatform(topo, profile=args.profile, seed=args.seed,
-                       control_latency=args.control_latency,
-                       telemetry=telemetry,
-                       controllers=controllers if controllers > 1 else None)
+                       telemetry=telemetry)
 
 
-def _warm_traffic(platform: ZenPlatform) -> None:
-    """Static ARP plus one datagram to each host's neighbour, so the
-    proactive profile has routes for a fault to break."""
-    platform.seed_static_arp()
-    hosts = list(platform.net.hosts.values())
-    for i, host in enumerate(hosts):
-        host.send_udp(hosts[(i + 1) % len(hosts)].ip, 7, 7, b"warm")
-
-
-def _fault_dicts(args, platform: ZenPlatform):
+def _fault_dicts(args, topo: Topology):
     """Lower ``--kind/--target/--cycles/--period/--down-for`` to
     :func:`repro.faults.arm_faults` dicts, ``at`` relative to the first
-    injection.  Returns ``(target switch, description, dicts)``."""
+    injection.  Reads only the topology and the pure election, so a bad
+    flag fails before any simulated time.  Returns ``(target switch,
+    description, dicts)``."""
     if args.kind == "none":
         return "", "none", []
-    net = platform.net
-    switches = sorted(net.switches)
+    controllers = getattr(args, "controllers", 1)
+    if args.kind in ("controller", "partition") and controllers < 2:
+        raise ZenError(
+            f"a {args.kind} fault needs a cluster; pass --controllers >= 2"
+        )
+    if args.cycles < 1:
+        raise ZenError(f"--cycles must be >= 1, not {args.cycles}")
+    switches = sorted(node.name for node in topo.switches)
     target = args.target or switches[0]
-    if target not in net.switches:
-        raise SystemExit(f"unknown switch {target!r}; pick from {switches}")
+    if target not in switches:
+        raise ZenError(f"unknown switch {target!r}; pick from {switches}")
     # `trace` injects a single cycle and has no --period.
     period = args.period if args.period is not None else 2 * args.down_for
     flap = {"at": 0.0, "down_for": args.down_for, "period": period,
@@ -113,31 +110,63 @@ def _fault_dicts(args, platform: ZenPlatform):
         what = f"control channel of {target}"
         return target, what, [dict(flap, kind="channel_flap", switch=target)]
     if args.kind == "link":
-        neighbours = sorted(n for n in net.topology.neighbours(target)
-                            if n in net.switches)
+        neighbours = sorted(n for n in topo.neighbours(target)
+                            if topo.nodes[n].is_switch)
         if not neighbours:
-            raise SystemExit(f"{target} has no switch neighbour to cut")
+            raise ZenError(f"{target} has no switch neighbour to cut")
         what = f"link {target}-{neighbours[0]}"
         return target, what, [
             dict(flap, kind="link_flap", a=target, b=neighbours[0])]
+    from repro.cluster.election import assign_masters, elect_leader
+
+    members = range(controllers)
     if args.kind == "crash":
         what = f"agent of {target} (state wiped)"
         cycle = {"kind": "switch_crash", "switch": target,
                  "restart_after": args.down_for}
     elif args.kind == "controller":
-        victim = platform.cluster.master_of(net.switches[target].dpid)
+        dpid = topo.nodes[target].dpid
+        victim = assign_masters(members, [dpid], args.seed)[dpid]
         what = f"controller-{victim} (master of {target})"
         cycle = {"kind": "controller_crash", "node": victim,
                  "restart_after": args.down_for}
     else:  # partition: the leader alone against everyone else
-        cluster = platform.cluster
-        minority = [cluster.leader]
-        majority = [n for n in range(cluster.size) if n not in minority]
+        minority = [elect_leader(members, args.seed)]
+        majority = [n for n in members if n not in minority]
         what = f"east-west bus into {minority} | {majority}"
         cycle = {"kind": "controller_partition", "minority": minority,
                  "heal_after": args.down_for}
     return target, what, [dict(cycle, at=k * period)
                           for k in range(args.cycles)]
+
+
+def _spec(args, offset: float, duration: Optional[float] = None,
+          slos=()):
+    """Lower a run-making command's flags to one ``WorkloadSpec``.
+
+    Every host sends one probe to its neighbour at t = 0, so the
+    proactive profile has routes for a fault to break; the faults fire
+    ``offset`` seconds in.  Returns ``(spec, target switch, fault
+    description)``; the command runs ``repro.workload.assemble(spec)``.
+    """
+    from repro.workload import WorkloadSpec
+
+    topo = build_topology(args.topology, args.size, args.bandwidth)
+    target, what, faults = _fault_dicts(args, topo)
+    hosts = [node.name for node in topo.hosts]
+    spec = WorkloadSpec(
+        args.command,
+        topology={"family": args.topology, "size": args.size,
+                  "bandwidth": args.bandwidth},
+        traffic=[{"kind": "probe", "src": src,
+                  "dst": hosts[(i + 1) % len(hosts)]}
+                 for i, src in enumerate(hosts)],
+        seed=args.seed, duration=duration,
+        interval=getattr(args, "interval", 0.1), profile=args.profile,
+        faults=[dict(fault, at=fault["at"] + offset) for fault in faults],
+        slos=slos, controllers=getattr(args, "controllers", 1),
+    )
+    return spec, target, what
 
 
 def _cmd_demo(args) -> int:
@@ -204,18 +233,20 @@ def _cmd_telemetry(args) -> int:
 
 
 def _cmd_faults(args) -> int:
-    platform = _build_platform(args).start()
-    _warm_traffic(platform)
+    from repro.workload import assemble
+
+    # The faults fire 0.5 s after the 1 s warm-up and the 13 s
+    # (5 s timeout + 8 s settle) pre-fault ping_all below.
+    spec, target, what = _spec(args, offset=1.0 + 13.0 + 0.5)
+    live = assemble(spec)
+    platform, sched = live.platform, live.schedule
     platform.run(1.0)
     before = platform.ping_all(count=1, settle=8.0)
     print(f"Pre-fault all-pairs delivery: {before:.0%}")
 
     net = platform.net
-    target, what, faults = _fault_dicts(args, platform)
     if args.kind == "controller":
         what += ", state wiped on crash"
-    sched = platform.fault_schedule()
-    arm_faults(sched, faults, base=net.sim.now + 0.5)
     print(f"Flapping {what}: {args.cycles} cycle(s), "
           f"{args.down_for:.2f}s down every {args.period:.2f}s")
     platform.run(args.cycles * args.period + 2.0)
@@ -350,22 +381,6 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _run_obs_scenario(args):
-    """Build a platform with the obs plane attached, run the scripted
-    scenario, and return the finished ``(platform, plane, schedule)``."""
-    platform = _build_platform(
-        args, telemetry=Telemetry(profile=False)).start()
-    sched = platform.fault_schedule()
-    plane, _ = platform.observe(sched, interval=args.interval,
-                                monitor=args.monitor)
-    _warm_traffic(platform)
-    _, _, faults = _fault_dicts(args, platform)
-    arm_faults(sched, faults, base=platform.sim.now + 0.5)
-    platform.run(args.duration)
-    plane.finish()
-    return platform, plane, sched
-
-
 def _cmd_obs(args) -> int:
     from repro.obs import (
         diff_runs,
@@ -402,7 +417,13 @@ def _cmd_obs(args) -> int:
         dashboard(load_artifact(args.path))
         return 0
 
-    platform, plane, sched = _run_obs_scenario(args)
+    from repro.workload import assemble
+
+    spec, _, _ = _spec(args, offset=0.5, duration=args.duration)
+    live = assemble(spec, obs=True, monitor=args.monitor)
+    platform, plane = live.platform, live.plane
+    platform.run(spec.duration)
+    plane.finish()
     artifact = plane.artifact(
         topology=f"{args.topology}({args.size})", profile=args.profile,
         seed=args.seed, faults=args.kind, duration=args.duration)
@@ -417,7 +438,7 @@ def _cmd_obs(args) -> int:
               f"{len(plane.scraper.series)} series over "
               f"{platform.sim.now:.1f}s sim "
               f"(interval {args.interval}s); "
-              f"{len(sched.log)} fault(s) injected, "
+              f"{len(live.schedule.log)} fault(s) injected, "
               f"{len(plane.scraper.annotations)} annotations")
         print()
         print(render_health(plane.report))
@@ -560,36 +581,32 @@ def _run_trace_sharded(args):
 def _run_trace_platform(args):
     """Traced platform/cluster run under a scripted fault, with the
     flight recorder armed on invariant violations and SLO alerts."""
-    from repro.obs.slo import ConvergenceSLO
     from repro.telemetry.artifact import TraceArtifact
     from repro.telemetry.flight import FlightRecorder
+    from repro.workload import assemble
 
     if args.seed is None:
         args.seed = 0
     telemetry = Telemetry(profile=False, trace=True,
                           max_traces=args.max_traces)
-    platform = _build_platform(args, telemetry=telemetry)
-    # Built before start() so the rings hold the bring-up spans too.
+    # Built before assemble starts the platform, so the rings hold the
+    # bring-up spans too.
     recorder = FlightRecorder(telemetry, capacity=args.ring,
                               max_events=args.ring)
-    platform.start()
-    net = platform.net
-
-    sched = platform.fault_schedule()
-    plane, _ = platform.observe(sched, interval=0.05, slos=[
-        ConvergenceSLO(
-            "convergence", args.slo,
-            open_kinds=("controller_crash", "channel_down",
-                        "switch_crash", "link_down"),
-            close_kinds=("resync_done",)),
-    ], monitor=True, recorder=recorder)
-
-    _warm_traffic(platform)
-    platform.run(1.0)
-
-    _, what, faults = _fault_dicts(args, platform)
-    arm_faults(sched, faults, base=net.sim.now + 0.5)
-    platform.run(args.duration if args.duration is not None else 3.0)
+    # A 1 s warm-up, then the fault 0.5 s in.
+    spec, _, what = _spec(
+        args, offset=1.5,
+        duration=1.0 + (args.duration if args.duration is not None
+                        else 3.0),
+        slos=[{"kind": "convergence", "name": "convergence",
+               "threshold": args.slo,
+               "open_kinds": ["controller_crash", "channel_down",
+                              "switch_crash", "link_down"],
+               "close_kinds": ["resync_done"]}])
+    live = assemble(spec, telemetry=telemetry, obs=True, monitor=True,
+                    recorder=recorder)
+    platform, plane, sched = live.platform, live.plane, live.schedule
+    platform.run(spec.duration)
     plane.finish()
 
     clustered = platform.cluster is not None
@@ -616,7 +633,7 @@ def _run_trace_platform(args):
         else:
             artifact = recorder.trigger("end-of-run",
                                         "no trigger fired; manual "
-                                        "capture", net.sim.now)
+                                        "capture", platform.sim.now)
             lines.append("no trigger fired; captured the rings at "
                          "end of run")
         artifact.meta.update(meta)
@@ -711,7 +728,6 @@ def _stack_args(topology: str = "ring", size: int = 4,
                        choices=("reactive", "proactive"))
     stack.add_argument("--seed", type=int, default=seed)
     stack.add_argument("--bandwidth", type=float, default=1e9)
-    stack.add_argument("--control-latency", type=float, default=0.001)
     return stack
 
 
@@ -939,7 +955,8 @@ def _parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", default="",
                     help="write the TraceArtifact here")
     # One injection at the first switch; `_fault_dicts` derives the period.
-    tr.set_defaults(fn=_cmd_trace, target="", cycles=1, period=None)
+    tr.set_defaults(fn=_cmd_trace, target="", cycles=1, period=None,
+                    interval=0.05)
     return parser
 
 

@@ -13,11 +13,11 @@ Profiles
 * ``proactive`` — all-pairs shortest-path routing, pre-installed.
 * ``bare``      — services only; the caller adds its own apps.
 
-A scripted, observed run is the same sequence whoever assembles it
-(``repro.workload.assemble`` for every spec, the CLI's phased demos by
-hand): ``start`` → ``seed_static_arp`` → ``fault_schedule`` →
-``observe`` → ``repro.faults.arm_faults`` → ``run`` (ARCHITECTURE.md,
-"Scenario document and assembly order").
+A scripted, observed run is assembled in one place,
+``repro.workload.assemble``: ``start`` → ``seed_static_arp`` →
+``fault_schedule`` → observers → ``repro.faults.arm_faults`` →
+traffic → ``run`` (ARCHITECTURE.md, "Scenario document and assembly
+order").
 
 Cluster determinism contract: with zero faults the dataplane is
 bit-identical for any cluster size — per-node discovery runs with
@@ -101,9 +101,9 @@ class ZenPlatform:
         one channel per (switch, instance), initial mastership agreed
         by the rendezvous election (``1`` is the differential oracle).
         ``controller``/``discovery``/… then name node 0's.
-    detect_delay, election_seed:
-        Cluster only: east-west death-detection delay; rendezvous-hash
-        seed (defaults to ``seed``).
+    detect_delay:
+        Cluster only: east-west death-detection delay.  The
+        rendezvous-hash election is seeded with ``seed``.
     """
 
     def __init__(
@@ -112,7 +112,6 @@ class ZenPlatform:
         profile: str = "proactive",
         seed: int = 0,
         control_latency: float = 0.001,
-        control_bandwidth_bps: float = 0.0,
         flowmod_delay: float = 0.0,
         packet_in_service_time: float = 0.0,
         num_tables: int = 4,
@@ -125,7 +124,6 @@ class ZenPlatform:
         fast_path: bool = True,
         controllers: Optional[int] = None,
         detect_delay: float = 0.05,
-        election_seed: Optional[int] = None,
     ) -> None:
         if profile not in _PROFILES:
             raise ControllerError(
@@ -163,7 +161,7 @@ class ZenPlatform:
 
             self.cluster = ControllerCluster(
                 self.net.sim, controllers,
-                seed=election_seed if election_seed is not None else seed,
+                seed=seed,
                 detect_delay=detect_delay,
                 packet_in_service_time=packet_in_service_time,
                 telemetry=self.telemetry,
@@ -214,7 +212,6 @@ class ZenPlatform:
                 channel = self.net.make_channel(
                     name,
                     latency=control_latency,
-                    bandwidth_bps=control_bandwidth_bps,
                     flowmod_delay=flowmod_delay,
                     instance=(None if self.cluster is None
                               else node.node_id),
@@ -255,8 +252,8 @@ class ZenPlatform:
         return self.controller.add_app(app)
 
     # ------------------------------------------------------------------
-    # Run assembly (planes are imported on use: a bare platform never
-    # pays for them)
+    # Run assembly (the fault plane is imported on use: a bare platform
+    # never pays for it)
     # ------------------------------------------------------------------
     def seed_static_arp(self) -> List[Host]:
         """Teach every host every other's MAC (runs measure forwarding,
@@ -274,48 +271,6 @@ class ZenPlatform:
         from repro.faults import FaultSchedule
 
         return FaultSchedule(self.net).attach_cluster(self.cluster)
-
-    def observe(self, schedule, *, interval: Optional[float],
-                slos=None, monitor=False, recorder=None):
-        """Attach observers to this platform and ``schedule``; returns
-        ``(plane, monitor)``, each ``None`` unless asked for.
-
-        ``interval`` is the scrape period of the
-        :class:`~repro.obs.ObsPlane` judging ``slos`` (``None``: no
-        plane).  ``monitor=True`` runs an
-        :class:`~repro.check.monitor.InvariantMonitor` on the default
-        invariants, a ``NetworkChecker`` runs that one.  ``recorder``
-        is a :class:`~repro.telemetry.flight.FlightRecorder` the caller built.
-
-        Hooks register (and so run) in one fixed order — whatever
-        records a fault or a convergence event before the monitor that
-        audits it — so a timeline reads fault, then its violations, and
-        a dump triggered by a violation already holds that fault.
-        """
-        plane = mon = None
-        if recorder is not None:
-            recorder.watch_faults(schedule)
-        if interval is not None:
-            from repro.obs import ObsPlane
-
-            plane = ObsPlane(self, interval=interval, slos=slos)
-            plane.watch_faults(schedule)
-            if self.cluster is not None:
-                plane.watch_cluster(self.cluster)
-            if recorder is not None:
-                recorder.watch_alerts(plane.health)
-        if monitor:
-            from repro.check.monitor import InvariantMonitor
-
-            mon = InvariantMonitor(
-                self.net, None if monitor is True else monitor)
-            mon.attach(self.controller)
-            mon.watch(schedule)
-            if plane is not None:
-                plane.watch_monitor(mon)
-            if recorder is not None:
-                recorder.watch_monitor(mon)
-        return plane, mon
 
     # ------------------------------------------------------------------
     # Convenience passthroughs

@@ -101,7 +101,6 @@ class Telemetry:
         trace_sample_every: int = 1,
         max_traces: int = 256,
         max_spans: int = 4096,
-        max_flow_records: int = 10_000,
         max_label_sets: int = 1024,
         profile: bool = True,
         trace_id_base: int = 0,
@@ -123,9 +122,7 @@ class Telemetry:
                     "Spans evicted by the tracer's retention ring",
                 )
                 self.tracer.on_drop = dropped.inc
-            self.flows: FlowRecordExporter = FlowRecordExporter(
-                max_records=max_flow_records
-            )
+            self.flows: FlowRecordExporter = FlowRecordExporter()
             self.profiler: AppProfiler = (
                 AppProfiler() if profile else NULL_PROFILER
             )

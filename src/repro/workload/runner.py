@@ -131,20 +131,34 @@ def _build_platform(spec: WorkloadSpec, telemetry,
     return platform
 
 
-def assemble(spec: WorkloadSpec, *, telemetry: bool = False,
-             obs: bool = False, monitor=False,
+def assemble(spec: WorkloadSpec, *, telemetry=False,
+             obs: bool = False, monitor=False, recorder=None,
              fast_path: bool = True) -> AssembledRun:
     """Turn ``spec`` into a started platform with everything armed.
 
-    ``obs`` attaches an :class:`~repro.obs.ObsPlane` scraping every
-    ``spec.interval`` (implies ``telemetry``); ``monitor`` is
-    :meth:`ZenPlatform.observe`'s (``True``, or the ``NetworkChecker``
-    to run).  No plane perturbs the simulation.
+    ``telemetry`` is ``True`` (a fresh metrics plane), a
+    :class:`~repro.telemetry.Telemetry` the caller built (a tracing
+    one, say), or falsy for none.  ``obs`` attaches an
+    :class:`~repro.obs.ObsPlane` scraping every ``spec.interval`` and
+    judging the stock SLOs plus ``spec.slos`` (implies ``telemetry``).
+    ``monitor=True`` runs an
+    :class:`~repro.check.monitor.InvariantMonitor` on the default
+    invariants, a ``NetworkChecker`` runs that one.  ``recorder`` is a
+    :class:`~repro.telemetry.flight.FlightRecorder` built on
+    ``telemetry`` before this call, so its rings hold the bring-up
+    spans too.  No observer perturbs the simulation.
 
     The order below is fixed: ``fork_rng`` calls and event scheduling
-    order feed committed digests.
+    order feed committed digests, and observers hook in so that
+    whatever records a fault or a convergence event runs before the
+    monitor that audits it — a timeline reads fault, then its
+    violations, and a dump triggered by a violation already holds that
+    fault.
     """
-    tel = Telemetry(profile=False) if telemetry or obs else None
+    if isinstance(telemetry, Telemetry):
+        tel = telemetry
+    else:
+        tel = Telemetry(profile=False) if telemetry or obs else None
     platform = _build_platform(spec, tel, fast_path)
     platform.start()
     sim = platform.sim
@@ -161,14 +175,31 @@ def assemble(spec: WorkloadSpec, *, telemetry: bool = False,
         def on_flow_complete(record) -> None:
             fct_hist.observe(record.fct)
 
-    slos = None
-    if obs:
-        slos = default_slos(spec.interval) + [slo_from_spec(doc)
-                                              for doc in spec.slos]
     schedule = platform.fault_schedule()
-    plane, mon = platform.observe(
-        schedule, interval=spec.interval if obs else None, slos=slos,
-        monitor=monitor)
+    plane = mon = None
+    if recorder is not None:
+        recorder.watch_faults(schedule)
+    if obs:
+        plane = ObsPlane(platform, interval=spec.interval, slos=(
+            default_slos(spec.interval)
+            + [slo_from_spec(doc) for doc in spec.slos]))
+        plane.watch_faults(schedule)
+        if platform.cluster is not None:
+            plane.watch_cluster(platform.cluster)
+        if recorder is not None:
+            recorder.watch_alerts(plane.health)
+    if monitor:
+        # Imported on use: `repro.check` builds on this module.
+        from repro.check.monitor import InvariantMonitor
+
+        mon = InvariantMonitor(platform.net,
+                               None if monitor is True else monitor)
+        mon.attach(platform.controller)
+        mon.watch(schedule)
+        if plane is not None:
+            plane.watch_monitor(mon)
+        if recorder is not None:
+            recorder.watch_monitor(mon)
 
     # Flow-table occupancy: scraped every tick, peak kept in-closure so
     # the summary does not depend on the ring-buffer capacity.

@@ -107,6 +107,16 @@ class WorkloadSpec:
                 f"workload spec {name!r}: controllers must be >= 1, "
                 f"not {controllers}"
             )
+        if interval <= 0:
+            raise TopologyError(
+                f"workload spec {name!r}: interval must be > 0, "
+                f"not {interval}"
+            )
+        if duration is not None and duration < 0:
+            raise TopologyError(
+                f"workload spec {name!r}: duration must be >= 0, "
+                f"not {duration}"
+            )
         if stack != "plain" and (profile != "bare" or controllers > 1):
             raise TopologyError(
                 f"workload spec {name!r}: the {stack!r} stack installs its "

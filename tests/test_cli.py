@@ -12,6 +12,7 @@ import pytest
 import repro
 from repro.cli import build_topology, main
 from repro.errors import TopologyError
+from repro.sim import Simulator
 
 
 class TestBuildTopology:
@@ -97,12 +98,38 @@ class TestNamedErrors:
           "traffic": []}, "donut"),
         ({"version": 1, "name": "x", "topology": {"family": "ring"},
           "traffic": [{"kind": "telepathy"}]}, "telepathy"),
+        ({"version": 1, "name": "x", "topology": {"family": "ring"},
+          "traffic": [], "interval": 0}, "interval"),
+        ({"version": 1, "name": "x", "topology": {"family": "ring"},
+          "traffic": [], "duration": -1}, "duration"),
     ])
     def test_malformed_spec_document(self, document, names, tmp_path,
                                      capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(document))
         code = main(["check", "replay", "--path", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("repro: error: ") and names in line
+
+    @pytest.mark.parametrize("argv, names", [
+        (["faults", "--cycles", "0"], "--cycles"),
+        (["faults", "--topology", "linear", "--size", "1", "--kind", "link"],
+         "no switch neighbour"),
+        (["faults", "--kind", "controller"], "--controllers"),
+        (["obs", "report", "--faults", "link", "--target", "nosuch"],
+         "nosuch"),
+        (["obs", "report", "--interval", "0"], "interval"),
+        (["obs", "report", "--duration", "-1"], "duration"),
+    ])
+    def test_bad_run_flags_fail_before_any_simulated_time(
+            self, argv, names, capsys, monkeypatch):
+        def run(*_args, **_kwargs):
+            raise AssertionError("simulated time ran")
+
+        monkeypatch.setattr(Simulator, "run", run)
+        code = main(argv)
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         (line,) = err.splitlines()

@@ -104,23 +104,33 @@ class TestPlatformAssembly:
         first, last = hosts[0], hosts[-1]
         assert first.arp_table[last.ip] == last.mac
 
-    def test_observe_wires_only_what_is_asked_for(self):
+    def test_assemble_wires_only_the_observers_asked_for(self):
         from repro.telemetry import Telemetry
+        from repro.telemetry.flight import FlightRecorder
+        from repro.workload import WorkloadSpec, assemble
 
-        platform = ZenPlatform(Topology.ring(3, hosts_per_switch=1),
-                               telemetry=Telemetry(profile=False)).start()
-        schedule = platform.fault_schedule()
-        assert platform.observe(schedule, interval=None) == (None, None)
-        assert schedule.on_fire == []
-        plane, monitor = platform.observe(schedule, interval=0.1,
-                                          monitor=True)
-        schedule.link_flap(platform.sim.now + 0.2, "s1", "s2",
-                           down_for=0.3, period=1.0)
-        platform.run(1.5)
-        plane.finish()
-        kinds = [a.kind for a in plane.scraper.annotations]
+        spec = WorkloadSpec(
+            "observers", topology={"family": "ring", "size": 3},
+            traffic=[], faults=[{"kind": "link_flap", "a": "s1", "b": "s2",
+                                 "at": 0.2, "down_for": 0.3, "period": 1.0,
+                                 "count": 1}])
+        bare = assemble(spec)
+        assert (bare.plane, bare.monitor) == (None, None)
+        assert bare.platform.telemetry.enabled is False
+        assert len(bare.schedule.on_fire) == 0
+        telemetry = Telemetry(profile=False, trace=True)
+        recorder = FlightRecorder(telemetry)
+        live = assemble(spec, telemetry=telemetry, obs=True, monitor=True,
+                        recorder=recorder)
+        assert live.platform.telemetry is telemetry
+        live.platform.run(1.5)
+        live.plane.finish()
+        kinds = [a.kind for a in live.plane.scraper.annotations]
         assert "link_down" in kinds and "link_up" in kinds
-        assert monitor.checks_run >= 2
+        assert live.monitor.checks_run >= 2
+        # The recorder hooks in first: it holds each fault as context.
+        assert [e["kind"] for e in recorder.events] == [
+            "fault:link_down", "fault:link_up"]
 
 
 class TestEndToEndScenarios:
