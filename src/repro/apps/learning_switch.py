@@ -2,7 +2,11 @@
 
 For every punted frame the app learns (switch, src MAC) → in_port.  When
 the destination is already known it installs a flow so subsequent packets
-stay in the dataplane; unknown destinations are flooded.
+stay in the dataplane; unknown destinations and broadcasts are flooded
+along the discovery's spanning tree
+(:meth:`~repro.controller.discovery.TopologyDiscovery.flood_ports`), so a
+fabric with a cycle does not storm.  (A :class:`~repro.apps.hub.HubApp`
+floods with ``PORT_FLOOD``: it has no topology to read.)
 
 Two rule granularities are supported because their table-occupancy
 behaviour differs by orders of magnitude (benchmark E2):
@@ -17,9 +21,11 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.controller.core import App, SwitchHandle
+from repro.controller.discovery import TopologyDiscovery
 from repro.controller.events import PacketInEvent, PortStatusEvent
-from repro.dataplane.actions import Output, PORT_FLOOD
+from repro.dataplane.actions import Output
 from repro.dataplane.match import FlowKey, Match
+from repro.errors import ControllerError
 from repro.packet import Ethernet, LLDP, MACAddress
 
 __all__ = ["LearningSwitch"]
@@ -48,6 +54,12 @@ class LearningSwitch(App):
         self.mac_tables: Dict[int, Dict[MACAddress, int]] = {}
         self.flows_installed = 0
         self.packets_flooded = 0
+
+    def start(self, controller) -> None:
+        super().start(controller)
+        self._discovery = controller.get_app(TopologyDiscovery)
+        if self._discovery is None:
+            raise ControllerError("LearningSwitch needs TopologyDiscovery")
 
     def on_switch_enter(self, switch: SwitchHandle) -> None:
         self.mac_tables.setdefault(switch.dpid, {})
@@ -80,8 +92,10 @@ class LearningSwitch(App):
             table[eth.src] = event.in_port
         out_port = table.get(eth.dst)
         if out_port is None or eth.dst.is_multicast:
-            event.forward([Output(PORT_FLOOD)])
-            self.packets_flooded += 1
+            ports = self._discovery.flood_ports(dpid) - {event.in_port}
+            if ports:
+                event.forward([Output(p) for p in sorted(ports)])
+                self.packets_flooded += 1
             return
         match = self._build_match(packet, event.in_port, eth)
         event.switch.add_flow(

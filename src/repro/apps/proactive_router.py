@@ -14,7 +14,7 @@ redundant topologies where naive flooding would storm.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Set, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.controller.core import App
 from repro.controller.discovery import TopologyDiscovery
@@ -136,18 +136,8 @@ class ProactiveRouter(App):
         by hop without ever looping.
         """
         dpid = event.switch.dpid
-        ports = self.flood_ports(dpid) - {event.in_port}
+        ports = self._discovery.flood_ports(dpid) - {event.in_port}
         if not ports:
             return
         event.forward([Output(p) for p in sorted(ports)])
         self.packets_flooded += 1
-
-    def flood_ports(self, dpid: int) -> Set[int]:
-        """Edge ports plus this switch's spanning-tree ports."""
-        switch = self.controller.switches.get(dpid)
-        if switch is None:
-            return set()
-        view = self._discovery.view()
-        up_ports = {p.number for p in switch.ports.values() if p.up}
-        return ((up_ports - view.inter_switch_ports(dpid))
-                | view.tree_ports(dpid))

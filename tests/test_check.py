@@ -38,7 +38,7 @@ from repro.check import (
     run_scenario,
     write_repro,
 )
-from repro.check.fuzzer import EVENT_BUDGET
+from repro.check import fuzzer
 from repro.workload import (
     WorkloadSpec,
     build_spec_topology,
@@ -207,13 +207,15 @@ class TestFuzzerDeterminism:
             assert result.ok, (seed, result.verdicts["violations"])
             assert "event_budget_exhausted" not in result.verdicts
 
-    def test_a_runaway_scenario_ends_in_the_budget_verdict(self):
-        # mesh(4)/reactive: a storm that never settles (unbounded, this
-        # seed runs for minutes).
-        result = run_scenario(generate_scenario(30))
+    def test_a_runaway_scenario_ends_in_the_budget_verdict(
+            self, monkeypatch):
+        # A budget below what corpus seed 0 (tree(4)/reactive, 2,438
+        # events) needs stands in for a run that never settles.
+        monkeypatch.setattr(fuzzer, "EVENT_BUDGET", 1_000)
+        result = run_scenario(generate_scenario(0))
         assert not result.ok
         budget = result.verdicts["event_budget_exhausted"]
-        assert budget["budget"] == EVENT_BUDGET
+        assert budget["budget"] == fuzzer.EVENT_BUDGET
         assert budget["pending"] > 0
         assert budget["now"] < result.scenario.duration
 

@@ -328,17 +328,15 @@ class TestHandover:
             assert set(rejoined.get(dpid, {})) == set(flows), dpid
 
     def test_wipe_forgets_the_topology_view_until_lldp_relearns(self):
-        from repro.apps import ProactiveRouter
         from repro.controller import TopologyDiscovery
 
         platform = ring_cluster()
         cluster = platform.cluster
         node = cluster.node(cluster.master_of(4))
         discovery = node.get_app(TopologyDiscovery)
-        router = node.get_app(ProactiveRouter)
         handle = node.switches[4]
         up_ports = {p.number for p in handle.ports.values() if p.up}
-        settled = router.flood_ports(4)
+        settled = discovery.flood_ports(4)
         assert discovery.graph().number_of_edges() == 4
         assert settled < up_ports  # s3--s4 closes the ring: off the tree
         # What a crash forgets, with the switch set left as it was: the
@@ -347,14 +345,14 @@ class TestHandover:
             hook()
         assert discovery.link_count == 0
         assert discovery.graph().number_of_edges() == 0
-        assert router.flood_ports(4) == up_ports  # all edge, no tree yet
+        assert discovery.flood_ports(4) == up_ports  # all edge, no tree yet
         platform.run(2 * discovery.probe_interval)
         assert discovery.graph().number_of_edges() == 4
-        assert router.flood_ports(4) == settled
+        assert discovery.flood_ports(4) == settled
         # The real thing wipes the switch set too.
         cluster.crash_node(node.node_id)
         assert discovery.graph().number_of_nodes() == 0
-        assert router.flood_ports(4) == set()
+        assert discovery.flood_ports(4) == set()
 
     def test_all_but_one_crash_single_survivor_owns_fabric(self):
         platform = ring_cluster()

@@ -225,7 +225,7 @@ class TopologyViewMachine(RuleBasedStateMachine):
         for a in range(1, 6):
             assert (discovery.switch_ports_in_use(a)
                     == naive_ports_in_use(discovery, a))
-            assert (self.router.flood_ports(a)
+            assert (discovery.flood_ports(a)
                     == naive_flood_ports(discovery, a))
             for b in range(1, 6):
                 assert (discovery.port_toward(a, b)
