@@ -9,7 +9,9 @@ one place it becomes a wired :class:`~repro.core.platform.ZenPlatform`;
 attached, and :func:`~repro.workload.runner.run_suite` fans scenario
 suites across worker processes with bit-identical per-run digests.
 ``repro.check`` builds on this package (its fuzzer generates and checks
-the same documents through the same assembler); nothing here imports it.
+the same documents through the same assembler); nothing here imports it
+at import time (``assemble`` loads the invariant monitor only when a
+caller asks for one).
 
 Building blocks, usable directly too:
 
