@@ -16,7 +16,7 @@ Layer map (each package depends only on the ones above it):
 - :mod:`repro.controller` — controller core and services
 - :mod:`repro.apps` — forwarding/policy/resource applications
 - :mod:`repro.baselines` — distributed STP and link-state competitors
-- :mod:`repro.core` — the assembled platform and policy algebra
+- :mod:`repro.core` — the assembled platform
 - :mod:`repro.analysis` — statistics and artifact rendering
 - :mod:`repro.telemetry` — metrics, packet traces, flow records
 """

@@ -1,6 +1,5 @@
 """Controller applications: forwarding, policy, and resource management."""
 
-from repro.apps.adaptive_te import AdaptiveTE
 from repro.apps.arp_proxy import ArpProxy
 from repro.apps.fast_failover import ProtectedPair, ProtectedPairs
 from repro.apps.firewall import Firewall, FirewallRule
@@ -20,7 +19,6 @@ from repro.apps.traffic_engineering import (
 )
 
 __all__ = [
-    "AdaptiveTE",
     "ArpProxy",
     "Demand",
     "Firewall",

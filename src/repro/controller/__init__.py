@@ -11,7 +11,6 @@ from repro.controller.events import (
     LinkDiscovered,
     LinkVanished,
     PacketInEvent,
-    PortStatsUpdate,
     PortStatusEvent,
     SwitchEnter,
     SwitchLeave,
@@ -24,7 +23,6 @@ from repro.controller.intents import (
     IntentState,
 )
 from repro.controller.pathing import PathService
-from repro.controller.stats import PortRate, StatsPoller
 
 __all__ = [
     "App",
@@ -45,10 +43,7 @@ __all__ = [
     "LinkVanished",
     "PacketInEvent",
     "PathService",
-    "PortRate",
-    "PortStatsUpdate",
     "PortStatusEvent",
-    "StatsPoller",
     "SwitchEnter",
     "SwitchHandle",
     "SwitchLeave",

@@ -1,7 +1,7 @@
 """Controller-side event types published on the event bus.
 
 Apps subscribe to these; the controller core and the built-in services
-(discovery, host tracker, stats poller) publish them.  Events are plain
+(discovery, host tracker) publish them.  Events are plain
 value objects so they can be logged, asserted on in tests, and
 replayed; the one verb is :meth:`PacketInEvent.forward`, the answer to
 a punt.
@@ -30,7 +30,6 @@ __all__ = [
     "LinkVanished",
     "HostDiscovered",
     "HostMoved",
-    "PortStatsUpdate",
 ]
 
 
@@ -181,17 +180,3 @@ class HostMoved(Event):
         self.dpid = dpid
         self.port = port
 
-
-class PortStatsUpdate(Event):
-    """A fresh port-stats sample set from the stats poller."""
-
-    def __init__(self, dpid: int, entries: list, interval: float,
-                 elapsed: Optional[float] = None) -> None:
-        self.dpid = dpid
-        self.entries = entries
-        #: The poller's nominal sampling interval (configuration).
-        self.interval = interval
-        #: Measured time since the previous reply from this switch —
-        #: what rate computations should divide by, since replies can be
-        #: delayed by channel congestion.  ``None`` on the first sample.
-        self.elapsed = elapsed

@@ -1,8 +1,7 @@
 """Path computation over the discovered topology.
 
-A thin service on top of :class:`TopologyDiscovery`'s graph offering the
-three primitives every forwarding app needs: shortest path, k-shortest
-paths (Yen), and the full equal-cost set for ECMP.  Paths are lists of
+A thin service on top of :class:`TopologyDiscovery`'s graph: the
+hop-count shortest path between two switches.  Paths are lists of
 dpids; :meth:`PathService.path_ports` converts one into the (dpid,
 out_port) hop list a flow programmer installs.
 """
@@ -36,40 +35,6 @@ class PathService:
             return nx.shortest_path(graph, src_dpid, dst_dpid)
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             return None
-
-    def k_shortest_paths(self, src_dpid: int, dst_dpid: int,
-                         k: int) -> List[List[int]]:
-        """Up to ``k`` loop-free paths in non-decreasing length order."""
-        if k < 1:
-            raise ControllerError(f"k must be >= 1, got {k}")
-        graph = self.discovery.graph()
-        if src_dpid not in graph or dst_dpid not in graph:
-            return []
-        paths: List[List[int]] = []
-        try:
-            for path in nx.shortest_simple_paths(graph, src_dpid, dst_dpid):
-                paths.append(path)
-                if len(paths) >= k:
-                    break
-        except nx.NetworkXNoPath:
-            return []
-        return paths
-
-    def ecmp_paths(self, src_dpid: int, dst_dpid: int,
-                   limit: int = 16) -> List[List[int]]:
-        """Every shortest path (up to ``limit``) — the ECMP set."""
-        graph = self.discovery.graph()
-        if src_dpid not in graph or dst_dpid not in graph:
-            return []
-        try:
-            paths = []
-            for path in nx.all_shortest_paths(graph, src_dpid, dst_dpid):
-                paths.append(path)
-                if len(paths) >= limit:
-                    break
-            return paths
-        except nx.NetworkXNoPath:
-            return []
 
     def distance(self, src_dpid: int, dst_dpid: int) -> Optional[int]:
         path = self.shortest_path(src_dpid, dst_dpid)

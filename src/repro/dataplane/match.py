@@ -410,8 +410,8 @@ class Match:
         """True when every key matched by ``self`` is matched by ``other``.
 
         Conservative for IP prefixes (exact containment check); used by
-        flow-mod delete-with-wildcard semantics and by the policy compiler
-        to prune shadowed rules.
+        flow-mod delete-with-wildcard semantics and by the reachability
+        checker.
         """
         for name, their in other._fields.items():
             ours = self._fields.get(name)

@@ -62,6 +62,3 @@ class ControllerError(ZenError):
 class IntentError(ControllerError):
     """An intent could not be compiled or installed."""
 
-
-class PolicyError(ZenError):
-    """A northbound policy expression is malformed or uncompilable."""

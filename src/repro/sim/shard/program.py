@@ -25,6 +25,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.netem.topology import Topology
+from repro.workload.generators import TenantMatrix
 from repro.workload.sizes import size_source_from_spec
 from repro.workload.spec import WorkloadSpec
 
@@ -64,29 +65,6 @@ def _entry_rng(seed: int, index: int, role: str) -> random.Random:
     return random.Random(f"{seed}\x1ftraffic:{index}:{role}")
 
 
-class _NameTenantMatrix:
-    """The generator-plane TenantMatrix, compiled over host *names*.
-
-    Mirrors :class:`repro.workload.generators.TenantMatrix` draw
-    semantics (cumulative user weights, largest-remainder host split,
-    intra-tenant bias) but runs offline on strings.
-    """
-
-    def __init__(self, rng: random.Random, hosts: List[str],
-                 tenants: List[dict]) -> None:
-        from repro.workload.generators import TenantMatrix
-
-        # Reuse the real partition/draw logic: it only needs list
-        # elements it can hand back, never Host attributes.
-        self._matrix = TenantMatrix(rng, hosts, tenants)
-
-    def pick(self) -> Tuple[str, str]:
-        return self._matrix.pick()
-
-    def aggregate_rate(self, flows_per_user_per_s: float) -> float:
-        return self._matrix.aggregate_rate(flows_per_user_per_s)
-
-
 class _PortRotor:
     """The generators' ephemeral source-port rotation, 30000..60000."""
 
@@ -105,7 +83,7 @@ class _PortRotor:
 
 def _compile_flows(program: Program, entry: dict, index: int,
                    seed: int, hosts: List[str],
-                   matrix: Optional[_NameTenantMatrix]) -> None:
+                   matrix: Optional[TenantMatrix]) -> None:
     """Poisson / diurnal-thinned Poisson arrivals, fully unrolled."""
     import math
 
@@ -225,9 +203,11 @@ def build_program(spec: WorkloadSpec, topology: Topology) -> Program:
     hosts = sorted(n.name for n in topology.hosts)
     program = Program()
 
-    matrix: Optional[_NameTenantMatrix] = None
+    # TenantMatrix only hands back list elements, so it draws over host
+    # names here exactly as it draws over Hosts in the generator plane.
+    matrix: Optional[TenantMatrix] = None
     if spec.tenants:
-        matrix = _NameTenantMatrix(
+        matrix = TenantMatrix(
             random.Random(f"{spec.seed}\x1ftenants"), hosts, spec.tenants)
 
     for index, entry in enumerate(spec.traffic):

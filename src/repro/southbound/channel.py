@@ -200,9 +200,9 @@ class ChannelEndpoint:
         if up and self.on_connect is not None:
             self.on_connect()
         if not up:
-            # Fail every outstanding request explicitly so callers (the
-            # stats poller, handshake logic, barriers) see the loss and
-            # can retry after reconnect, instead of waiting forever.
+            # Fail every outstanding request explicitly so callers
+            # (resync's stats requests, handshake logic, barriers) see the
+            # loss and can retry after reconnect, instead of waiting forever.
             pending_now, self._pending = self._pending, {}
             for pending in pending_now.values():
                 self._fail_request(pending, Error.CHANNEL_DOWN,

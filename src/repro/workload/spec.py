@@ -17,6 +17,7 @@ CI smoke suite run.
 
 from __future__ import annotations
 
+import inspect
 import json
 from typing import Dict, List, Optional
 
@@ -24,6 +25,7 @@ from repro.digest import load_document
 from repro.errors import TopologyError
 from repro.faults import fault_end
 from repro.netem import Topology
+from repro.netem.topology import FAMILIES, LinkSpec
 
 __all__ = [
     "WorkloadSpec",
@@ -46,6 +48,41 @@ _FIELD_TYPES = {
     "stack": str,
 }
 
+#: Traffic-entry keys the generators read with ``int``/``float``
+#: (``fanin: null`` means every sender).
+_TRAFFIC_NUMBERS = (
+    "start", "duration", "dst_port", "rate", "rate_bps", "flow_rate_bps",
+    "flows_per_user_per_s", "packet_size", "bytes_per_sender", "period",
+    "fanin", "trough", "phase",
+)
+
+
+def _check_buildable(label: str, topology: dict,
+                     traffic: List[dict]) -> None:
+    """Reject a topology or traffic entry the run could not build."""
+    family = topology.get("family", "fat_tree")
+    if family not in FAMILIES:
+        raise TopologyError(f"{label}: topology field 'family' names no "
+                            f"Topology builder: {family!r}")
+    try:
+        if topology.get("params"):
+            bound = inspect.signature(getattr(Topology, family)).bind(
+                **topology["params"])
+            # The builder hands its leftover keywords to every LinkSpec.
+            inspect.signature(LinkSpec).bind(
+                "a", "b", **bound.arguments.get("link_opts", {}))
+    except TypeError as exc:
+        raise TopologyError(f"{label}: topology field 'params' does not "
+                            f"fit Topology.{family}: {exc}") from None
+    for index, entry in enumerate(traffic):
+        for field in _TRAFFIC_NUMBERS:
+            value = entry.get(field, 0)
+            if not isinstance(value, _NUMBER) and not (
+                    field == "fanin" and value is None):
+                raise TopologyError(
+                    f"{label}: traffic[{index}] field {field!r} must be "
+                    f"a number, not {type(value).__name__}")
+
 
 class WorkloadSpec:
     """One declarative scenario (see the module docstring).
@@ -56,7 +93,8 @@ class WorkloadSpec:
         ``{"family": name, "size": n, "bandwidth": bps, "params": {...}}``
         — ``family`` is any :meth:`Topology.build` family;
         ``params``, when present, are passed to the builder classmethod
-        directly (carrier-WAN tier widths, for example).
+        directly (carrier-WAN tier widths, for example) and must bind
+        to its signature.
     traffic:
         A list of entries for
         :func:`~repro.workload.generators.arm_traffic` (kinds ``flows``,
@@ -97,29 +135,23 @@ class WorkloadSpec:
                  slos: Optional[List[dict]] = None,
                  settle: float = 2.0, controllers: int = 1,
                  stack: str = "plain") -> None:
+        label = f"workload spec {name!r}"
+        _check_buildable(label, topology, traffic)
         if stack not in STACKS:
             raise TopologyError(
-                f"workload spec {name!r}: unknown stack {stack!r}; "
-                f"pick from {STACKS}"
-            )
+                f"{label}: unknown stack {stack!r}; pick from {STACKS}")
         if controllers < 1:
             raise TopologyError(
-                f"workload spec {name!r}: controllers must be >= 1, "
-                f"not {controllers}"
-            )
+                f"{label}: controllers must be >= 1, not {controllers}")
         if interval <= 0:
             raise TopologyError(
-                f"workload spec {name!r}: interval must be > 0, "
-                f"not {interval}"
-            )
+                f"{label}: interval must be > 0, not {interval}")
         if duration is not None and duration < 0:
             raise TopologyError(
-                f"workload spec {name!r}: duration must be >= 0, "
-                f"not {duration}"
-            )
+                f"{label}: duration must be >= 0, not {duration}")
         if stack != "plain" and (profile != "bare" or controllers > 1):
             raise TopologyError(
-                f"workload spec {name!r}: the {stack!r} stack installs its "
+                f"{label}: the {stack!r} stack installs its "
                 f"own forwarding apps; it needs profile 'bare' and one "
                 f"controller, not {profile!r} x {controllers}"
             )
@@ -259,10 +291,7 @@ def build_spec_topology(spec: WorkloadSpec) -> Topology:
     family = spec.topology.get("family", "fat_tree")
     params = spec.topology.get("params")
     if params:
-        builder = getattr(Topology, family, None)
-        if builder is None:
-            raise TopologyError(f"unknown topology family {family!r}")
-        return builder(**params)
+        return getattr(Topology, family)(**params)
     return Topology.build(family, int(spec.topology.get("size", 4)),
                           float(spec.topology.get("bandwidth", 1e9)))
 

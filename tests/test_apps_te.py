@@ -233,7 +233,7 @@ class TestTrafficEngineeringApp:
 
     def test_replace_leaves_unchanged_paths_alone(self, platform):
         # Re-declaring the same placement sends nothing, so the rules'
-        # counters (what AdaptiveTE samples) are not reset.
+        # counters are not reset.
         h1, h2 = platform.host("h1"), platform.host("h2")
         platform.te.install([Demand(h1.ip, h2.ip, 6e6)])
         platform.run(0.5)

@@ -113,6 +113,32 @@ class TestNamedErrors:
         (line,) = err.splitlines()
         assert line.startswith("repro: error: ") and names in line
 
+    @pytest.mark.parametrize("document, names", [
+        ({"name": "x", "topology": {"family": "ring", "params": {"n": 3}},
+          "traffic": []}, "'params' does not fit Topology.ring"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [{"kind": "flows", "rate": "fast"}]},
+         "traffic[0] field 'rate' must be a number"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["workload", "run", "--spec"],
+        ["check", "replay", "--path"],
+    ])
+    def test_bad_spec_fields_fail_before_any_simulated_time(
+            self, document, names, argv, tmp_path, capsys, monkeypatch):
+        def run(*_args, **_kwargs):
+            raise AssertionError("simulated time ran")
+
+        monkeypatch.setattr(Simulator, "run", run)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document))
+        code = main(argv + [str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("repro: error: ")
+        assert "workload spec 'x'" in line and names in line
+
     @pytest.mark.parametrize("argv, names", [
         (["faults", "--cycles", "0"], "--cycles"),
         (["faults", "--topology", "linear", "--size", "1", "--kind", "link"],

@@ -204,17 +204,6 @@ class TestSmallApiCorners:
         assert hash(k1) == hash(k2)
         assert len({k1, k2}) == 1
 
-    def test_policy_reprs(self):
-        from repro.core import drop, filter_, flood, fwd, ifte, mod
-
-        policy = ifte({"l4_dst": 80},
-                      filter_(in_port=1) >> mod(ip_dscp=46) >> fwd(2),
-                      flood() | drop())
-        text = repr(policy)
-        for token in ("ifte", "filter", "mod", "fwd(2)", "flood()",
-                      "drop()"):
-            assert token in text
-
     def test_flow_generator_pair_picker(self):
         from repro.dataplane import FlowEntry, Match, Output, PORT_FLOOD
         from repro.netem import FlowGenerator, Network, Topology

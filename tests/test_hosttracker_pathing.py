@@ -94,26 +94,9 @@ class TestPathService:
         assert path == [1, 2, 3]  # hop-count shortest on a 5-ring
         assert service.distance(1, 3) == 2
 
-    def test_k_shortest_paths(self, paths):
-        platform, service = paths
-        result = service.k_shortest_paths(1, 3, k=2)
-        assert len(result) == 2
-        assert result[0] == [1, 2, 3]
-        assert result[1] == [1, 5, 4, 3]
-        assert len(service.k_shortest_paths(1, 3, k=10)) == 2
-
-    def test_ecmp_paths_on_even_ring(self):
-        platform = ZenPlatform(
-            Topology.ring(4, hosts_per_switch=0, bandwidth_bps=1e9)
-        ).start()
-        service = PathService(platform.discovery)
-        ecmp = service.ecmp_paths(1, 3)
-        assert sorted(ecmp) == [[1, 2, 3], [1, 4, 3]]
-
     def test_unknown_nodes(self, paths):
         platform, service = paths
         assert service.shortest_path(1, 99) is None
-        assert service.k_shortest_paths(99, 1, 3) == []
         assert service.distance(1, 99) is None
 
     def test_path_ports_installable(self, paths):
@@ -133,7 +116,3 @@ class TestPathService:
         assert service.path_uses_link([1, 2, 3], 3, 2)
         assert not service.path_uses_link([1, 2, 3], 1, 3)
 
-    def test_k_must_be_positive(self, paths):
-        platform, service = paths
-        with pytest.raises(ControllerError):
-            service.k_shortest_paths(1, 2, k=0)

@@ -1,108 +1,12 @@
-"""Stats poller and intent framework tests."""
+"""Intent framework tests."""
 
 import pytest
 
-from repro.controller import (
-    IntentService,
-    IntentState,
-    PortStatsUpdate,
-    StatsPoller,
-)
+from repro.controller import IntentService, IntentState
 from repro.controller.intents import INTENT_PRIORITY
 from repro.core import ZenPlatform
 from repro.errors import IntentError
-from repro.netem import CBRStream, FlowSink, Topology
-
-
-class TestStatsPoller:
-    def test_rates_derived_from_samples(self):
-        platform = ZenPlatform(
-            Topology.single(2, bandwidth_bps=100e6)
-        ).start()
-        poller = platform.add_app(StatsPoller(interval=0.5))
-        h1, h2 = platform.host("h1"), platform.host("h2")
-        FlowSink(h2, 9000)
-        CBRStream(h1, h2.ip, rate_bps=10e6, packet_size=1000,
-                  duration=5.0)
-        platform.run(5.0)
-        dpid = platform.switch("s1").dpid
-        rx_port = platform.net.port_of("s1", "h1")
-        rate = poller.rate(dpid, rx_port)
-        assert rate is not None
-        # CBR at 10 Mb/s (plus framing/ARP noise).
-        assert rate.rx_bps == pytest.approx(10e6, rel=0.15)
-        poller.stop()
-
-    def test_update_events_published(self):
-        platform = ZenPlatform(Topology.single(1)).start()
-        updates = []
-        platform.controller.subscribe(PortStatsUpdate, updates.append)
-        platform.add_app(StatsPoller(interval=0.5))
-        platform.run(2.0)
-        assert updates
-        assert updates[0].dpid == platform.switch("s1").dpid
-
-    def test_elapsed_measures_reply_gap_not_nominal_interval(self):
-        """A congested control channel delays replies; rates must divide
-        by the measured gap (PortStatsUpdate.elapsed), not the nominal
-        polling interval, or they overshoot by the delay ratio."""
-        platform = ZenPlatform(
-            Topology.single(2, bandwidth_bps=100e6)
-        ).start()
-        poller = platform.add_app(StatsPoller(interval=0.5))
-        h1, h2 = platform.host("h1"), platform.host("h2")
-        FlowSink(h2, 9000)
-        CBRStream(h1, h2.ip, rate_bps=10e6, packet_size=1000,
-                  duration=10.0)
-        dpid = platform.switch("s1").dpid
-        rx_port = platform.net.port_of("s1", "h1")
-        samples = []
-
-        def on_update(event):
-            rate = poller.rate(dpid, rx_port)
-            samples.append((event.elapsed,
-                            rate.rx_bps if rate else None))
-
-        platform.controller.subscribe(PortStatsUpdate, on_update)
-        platform.run(2.0)
-        # Congest the control channel: the round trip jumps by ~0.8 s,
-        # so exactly one reply arrives far later than the cadence.
-        platform.net.channels["s1"].latency = 0.4
-        platform.run(4.0)
-        poller.stop()
-
-        elapsed = [e for e, _ in samples]
-        assert elapsed[0] is None  # nothing to measure on first sample
-        # Steady cadence matches the interval (0.01 s poll jitter).
-        assert elapsed[1] == pytest.approx(0.5, abs=0.05)
-        # The delayed reply is visible as a measured gap, which nominal
-        # interval reporting would have hidden entirely.
-        delayed = max(e for e in elapsed if e is not None)
-        assert delayed > 1.0
-        # Across the transient the measured-gap rate must beat what
-        # nominal-interval division would have reported.  (Counters are
-        # snapshotted at the switch when the request lands, so even the
-        # measured rate dips during the jump — but nominal division
-        # overshoots truth by the full delay ratio.)
-        i = next(i for i, (e, _) in enumerate(samples) if e == delayed)
-        measured_rate = samples[i][1]
-        nominal_rate = measured_rate * delayed / poller.interval
-        assert abs(measured_rate - 10e6) < abs(nominal_rate - 10e6)
-        # Once the latency is steady again, rates are accurate.
-        assert samples[-1][1] == pytest.approx(10e6, rel=0.15)
-
-    def test_busiest_ports_ranking(self):
-        platform = ZenPlatform(
-            Topology.single(3, bandwidth_bps=100e6)
-        ).start()
-        poller = platform.add_app(StatsPoller(interval=0.5))
-        h1, h2 = platform.host("h1"), platform.host("h2")
-        FlowSink(h2, 9000)
-        CBRStream(h1, h2.ip, rate_bps=20e6, duration=4.0)
-        platform.run(4.0)
-        top = poller.busiest_ports(top_n=2)
-        assert len(top) == 2
-        assert top[0].tx_bps >= top[1].tx_bps
+from repro.netem import Topology
 
 
 def build_intent_platform():
