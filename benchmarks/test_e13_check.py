@@ -112,11 +112,11 @@ def test_e13_checker_recall_precision_cost():
     for scenario in example_scenarios():
         result = run_scenario(scenario)
         clean_runs += 1
-        false_positives += len(result.verdicts["violations"])
+        false_positives += len(result.artifact.checks["violations"])
     for seed in range(FUZZ_SEEDS):
         result = run_scenario(generate_scenario(seed))
         clean_runs += 1
-        false_positives += len(result.verdicts["violations"])
+        false_positives += len(result.artifact.checks["violations"])
     table.add_row("clean stacks", "0 violations",
                   f"{false_positives} across {clean_runs} runs", "—",
                   "clean" if false_positives == 0 else "NOISY")

@@ -37,7 +37,7 @@ import pytest
 
 from repro.analysis import Table
 from repro.digest import section_digests
-from repro.obs import RunArtifact, diff_runs
+from repro.obs import diff_runs
 from repro.workload import library, run_suite, suite_digest
 
 from harness import RESULTS_DIR, publish, publish_json
@@ -58,8 +58,7 @@ def run_experiment():
                                               "e16_artifacts"))
     identical = suite_digest(serial) == suite_digest(parallel)
     diffs = {
-        a["name"]: diff_runs(RunArtifact.from_dict(a["artifact"]),
-                             RunArtifact.from_dict(b["artifact"]))
+        a.spec.name: diff_runs(a.artifact, b.artifact)
         for a, b in zip(serial, parallel)
     }
 
@@ -69,10 +68,10 @@ def run_experiment():
         ["scenario", "flows", "fct p50 ms", "fct p95 ms", "fct p99 ms",
          "table peak", "faults", "health"],
     )
-    for entry in serial:
-        s = entry["summary"]
+    for result in serial:
+        s = result.summary
         table.add_row(
-            entry["name"],
+            result.spec.name,
             f"{s['flows_completed']}/{s['flows_started']}",
             fmt_ms(s["fct_p50"]), fmt_ms(s["fct_p95"]),
             fmt_ms(s["fct_p99"]), s["flow_table_peak"],
@@ -94,19 +93,19 @@ def test_e16_workload(results, benchmark):
         "identical": identical,
         "diff_clean": all(d.ok for d in diffs.values()),
         "scenarios": {
-            entry["name"]: {
-                "flows_started": entry["summary"]["flows_started"],
-                "flows_completed": entry["summary"]["flows_completed"],
-                "fct_p50_s": entry["summary"]["fct_p50"],
-                "fct_p95_s": entry["summary"]["fct_p95"],
-                "fct_p99_s": entry["summary"]["fct_p99"],
-                "flow_table_peak": entry["summary"]["flow_table_peak"],
-                "health_ok": entry["summary"]["health_ok"],
-                "events": entry["summary"]["events"],
-                "digest": entry["digest"],
-                "sections": section_digests(entry["artifact"]),
+            result.spec.name: {
+                "flows_started": result.summary["flows_started"],
+                "flows_completed": result.summary["flows_completed"],
+                "fct_p50_s": result.summary["fct_p50"],
+                "fct_p95_s": result.summary["fct_p95"],
+                "fct_p99_s": result.summary["fct_p99"],
+                "flow_table_peak": result.summary["flow_table_peak"],
+                "health_ok": result.summary["health_ok"],
+                "events": result.summary["events"],
+                "digest": result.digest,
+                "sections": section_digests(result.artifact.to_dict()),
             }
-            for entry in serial
+            for result in serial
         },
     })
     # One full scenario run, timed for the record.
@@ -116,29 +115,28 @@ def test_e16_workload(results, benchmark):
     )
 
     assert identical, "suite digest depends on the worker count"
-    assert [r["digest"] for r in serial] == \
-        [r["digest"] for r in parallel]
+    assert [r.digest for r in serial] == [r.digest for r in parallel]
     for name, diff in diffs.items():
         assert diff.ok, f"{name}: paired runs diverged: {diff.regressions}"
 
 
 def test_e16_every_scenario_produces_flows_and_occupancy(results):
     _, serial, _, _, _ = results
-    assert [r["name"] for r in serial] == list(SCENARIOS)
-    for entry in serial:
-        s = entry["summary"]
-        assert s["flows_completed"] > 0, entry["name"]
+    assert [r.spec.name for r in serial] == list(SCENARIOS)
+    for result in serial:
+        s = result.summary
+        assert s["flows_completed"] > 0, result.spec.name
         assert s["fct_p99"] is not None and s["fct_p99"] > 0
         assert s["flow_table_peak"] > 0
-        artifact = RunArtifact.from_dict(entry["artifact"])
+        artifact = result.artifact
         assert any(sid.startswith("workload_flow_entries")
-                   for sid in artifact.series), entry["name"]
+                   for sid in artifact.series), result.spec.name
         assert artifact.health is not None
 
 
 def test_e16_artifacts_written_for_diffing(results):
     _, _, parallel, _, _ = results
     out_dir = os.path.join(RESULTS_DIR, "e16_artifacts")
-    for entry in parallel:
+    for result in parallel:
         assert os.path.exists(
-            os.path.join(out_dir, f"{entry['name']}.json"))
+            os.path.join(out_dir, f"{result.spec.name}.json"))

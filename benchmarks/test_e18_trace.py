@@ -38,7 +38,13 @@ from repro.netem import Topology
 from repro.sim.shard import run_sharded
 from repro.telemetry import Telemetry
 from repro.telemetry.flight import FlightRecorder
-from repro.telemetry.artifact import TraceArtifact, critical_path
+from repro.telemetry.artifact import (
+    critical_path,
+    merge,
+    shards_of,
+    trace as find_trace,
+    tracer_traces,
+)
 from repro.workload import WorkloadSpec
 
 from harness import RESULTS_DIR, publish, publish_json, seed_arp
@@ -112,9 +118,8 @@ def sharded_identity():
     spec = _shard_spec()
     off = run_sharded(spec, shards=2, processes=False)
     on = run_sharded(spec, shards=2, processes=False, trace=True)
-    art = on.trace_artifact
-    crossing = sum(1 for t in art.traces if len(art.shards_of(t)) > 1)
-    return off.digest == on.digest, art, crossing
+    crossing = sum(1 for t in on.artifact.traces if len(shards_of(t)) > 1)
+    return off.digest == on.digest, on, crossing
 
 
 def cluster_identity():
@@ -169,7 +174,7 @@ def run_experiment():
     full_overhead_pct = (min(full_walls) - off) / off * 100.0
     identical = identical and full_obs == observables[False]
 
-    shard_identical, shard_art, crossing = sharded_identity()
+    shard_identical, shard_run, crossing = sharded_identity()
     cluster_identical, cluster_tracer = cluster_identity()
     fault_traces = [
         (tid, label, spans) for tid, label, spans in
@@ -178,9 +183,8 @@ def run_experiment():
     ]
     handover_total = 0.0
     if fault_traces:
-        art = TraceArtifact.from_tracer(cluster_tracer)
-        handover_total = critical_path(
-            art.trace(fault_traces[0][0]))["total"]
+        handover_total = critical_path(find_trace(
+            tracer_traces(cluster_tracer), fault_traces[0][0]))["total"]
 
     table = Table(
         "E18 — trace plane overhead (fat-tree k=4, proactive) "
@@ -204,7 +208,7 @@ def run_experiment():
     table.add_row("cluster dataplane identical", cluster_identical)
     table.add_row("handover critical path (s)", f"{handover_total:.4f}")
     return (table, off, on, overhead_pct, span_cost_us,
-            full_overhead_pct, identical, tracer, recorder, shard_identical, shard_art, crossing,
+            full_overhead_pct, identical, tracer, recorder, shard_identical, shard_run, crossing,
             cluster_identical, handover_total)
 
 
@@ -215,13 +219,13 @@ def results():
 
 def test_e18_trace(results, benchmark):
     (table, off, on, overhead_pct, span_cost_us, full_overhead_pct,
-     identical, tracer, recorder, shard_identical, shard_art, crossing,
+     identical, tracer, recorder, shard_identical, shard_run, crossing,
      cluster_identical, handover_total) = results
     publish("e18_trace", table)
     # ~900 KB: git-ignored, uploaded by CI instead of committed.
     out_dir = os.path.join(RESULTS_DIR, "e18_artifacts")
     os.makedirs(out_dir, exist_ok=True)
-    shard_art.save(os.path.join(out_dir, "trace_artifact.json"))
+    shard_run.save(os.path.join(out_dir, "trace_artifact.json"))
     publish_json("E18", {
         "wall_s": {"trace_off": off, "trace_on": on},
         "overhead_pct": overhead_pct,
@@ -237,9 +241,9 @@ def test_e18_trace(results, benchmark):
         "cross_shard_traces": crossing,
         "handover_critical_path_s": handover_total,
     })
-    # One full-artifact merge from the sharded run, for the record.
+    # One full-trace merge from the sharded run, for the record.
     benchmark.pedantic(
-        lambda: TraceArtifact.merge([shard_art]).digest,
+        lambda: merge([shard_run.artifact.traces]),
         rounds=1, iterations=1)
 
     assert identical, "trace plane perturbed the seeded run"
@@ -251,7 +255,7 @@ def test_e18_trace(results, benchmark):
 
 
 def test_e18_cross_plane_identity(results):
-    (_, _, _, _, _, _, _, _, _, shard_identical, shard_art, crossing,
+    (_, _, _, _, _, _, _, _, _, shard_identical, shard_run, crossing,
      cluster_identical, handover_total) = results
     assert shard_identical, "tracing changed the sharded digest"
     assert cluster_identical, "tracing changed the cluster dataplane"

@@ -16,7 +16,7 @@ The verification plane, in three layers:
   firewall compliance) and the online monitor that re-checks after
   convergence events.
 * :mod:`repro.check.fuzzer` — seeded scenario generation, execution,
-  and minimal repro files.  A scenario is a
+  and minimal repro files (saved run documents).  A scenario is a
   :class:`repro.workload.WorkloadSpec`, run through the workload
   plane's assembler, so any workload spec can be checked as it stands.
 
@@ -25,7 +25,6 @@ The verification plane, in three layers:
 
 from repro.check.cluster import ClusterViolation, check_cluster
 from repro.check.fuzzer import (
-    ScenarioResult,
     example_scenarios,
     fuzz,
     generate_cluster_scenario,
@@ -34,10 +33,8 @@ from repro.check.fuzzer import (
     minimize,
     platform_observables,
     replay,
-    result_digest,
     run_corpus,
     run_scenario,
-    write_repro,
 )
 from repro.check.invariants import (
     DEFAULT_INVARIANTS,
@@ -89,7 +86,6 @@ __all__ = [
     "NoForwardingLoops",
     "PacketClass",
     "PortSnap",
-    "ScenarioResult",
     "SliceIsolation",
     "TableSnap",
     "Terminal",
@@ -104,9 +100,7 @@ __all__ = [
     "minimize",
     "platform_observables",
     "replay",
-    "result_digest",
     "run_corpus",
     "run_scenario",
     "trace_packet",
-    "write_repro",
 ]

@@ -8,7 +8,7 @@ deterministic kernel through the one assembler
 (:func:`repro.workload.runner.assemble`), and the checker verdict is
 computed from a read-only snapshot — so *everything* about a scenario
 replays bit-identically, and a failing seed can be shipped as a small
-repro file and replayed anywhere.
+repro file — the run's saved document — and replayed anywhere.
 
 Every generated fault recovers (flaps restore links and channels,
 crashes get restarts), so the pass criterion is simple and strict: the
@@ -20,25 +20,22 @@ fuzzer writes a minimal repro file for it.
 
 from __future__ import annotations
 
-import json
 import random
 from typing import Callable, List, Optional
 
-from repro.digest import canonical_digest, load_document
+from repro.digest import load_document
+from repro.obs import RunArtifact, RunResult
 from repro.workload.runner import assemble
 from repro.workload.spec import WorkloadSpec, build_spec_topology
 
 from repro.check.invariants import NetworkChecker
 
 __all__ = [
-    "ScenarioResult",
     "generate_scenario",
     "generate_cluster_scenario",
     "run_scenario",
     "platform_observables",
-    "result_digest",
     "fuzz",
-    "write_repro",
     "load_scenario",
     "replay",
     "minimize",
@@ -59,39 +56,6 @@ _SETTLE = 8.0
 #: seed 0, 4,528 events; the largest plain seed, 0, takes 2,438), so
 #: only a run that never settles (a forwarding storm) reaches it.
 EVENT_BUDGET = 200_000
-
-
-class ScenarioResult:
-    """Outcome of one scenario run."""
-
-    __slots__ = ("scenario", "ok", "verdicts", "observables",
-                 "monitor_failures", "faults_fired", "obs")
-
-    def __init__(self, scenario: WorkloadSpec, ok: bool, verdicts: dict,
-                 observables: dict, monitor_failures: List[str],
-                 faults_fired: int, obs=None) -> None:
-        self.scenario = scenario
-        self.ok = ok
-        self.verdicts = verdicts
-        self.observables = observables
-        #: Trigger strings of monitor runs that saw violations
-        #: (transient failures; informational, not the pass criterion).
-        self.monitor_failures = monitor_failures
-        self.faults_fired = faults_fired
-        #: The attached :class:`~repro.obs.ObsPlane`, when the scenario
-        #: ran with ``obs=True``.  Excluded from :meth:`to_dict` so
-        #: digests compare the *simulation*, never the observer.
-        self.obs = obs
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "ok": self.ok,
-            "verdicts": self.verdicts,
-            "observables": self.observables,
-            "monitor_failures": list(self.monitor_failures),
-            "faults_fired": self.faults_fired,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -254,14 +218,21 @@ def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
                  monitor: bool = False,
                  checker: Optional[NetworkChecker] = None,
                  telemetry: bool = False,
-                 obs: bool = False) -> ScenarioResult:
+                 obs: bool = False) -> RunResult:
     """Assemble, run, and check one spec.  Deterministic end to end.
+
+    The result's artifact holds the final verdicts (``checks``) and the
+    :func:`platform_observables` (``observables``); its summary holds
+    ``ok``, ``faults_fired`` and ``monitor_failures`` (the trigger of
+    each monitor run that saw violations: transient, informational,
+    not the pass criterion).
 
     No plane is on unless asked for: ``telemetry=True`` runs with the
     metrics plane enabled; ``obs=True`` additionally attaches a full
-    :class:`~repro.obs.ObsPlane` (implies telemetry) whose scraper,
-    SLOs, and annotations must leave the observables bit-identical —
-    the invariant ``tests/test_obs.py`` checks over the fuzz corpus.
+    :class:`~repro.obs.ObsPlane` (implies telemetry), whose series and
+    health join the artifact and whose scraper, SLOs, and annotations
+    must leave the observables bit-identical — the invariant
+    ``tests/test_obs.py`` checks over the fuzz corpus.
 
     A run that reaches :data:`EVENT_BUDGET` with events still due stops
     there and fails, with an ``event_budget_exhausted`` verdict (absent
@@ -299,21 +270,19 @@ def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
         verdicts["cluster_violations"] = [
             v.to_dict() for v in cluster_violations
         ]
-    return ScenarioResult(
-        scenario,
-        ok=ok,
-        verdicts=verdicts,
-        observables=platform_observables(platform),
-        monitor_failures=[r.trigger for r in mon.failing_records()]
+    summary = {
+        "ok": ok,
+        "faults_fired": len(live.schedule.log),
+        "monitor_failures": [r.trigger for r in mon.failing_records()]
         if mon is not None else [],
-        faults_fired=len(live.schedule.log),
-        obs=live.plane,
-    )
-
-
-def result_digest(result: ScenarioResult) -> str:
-    """Stable digest of a run's full outcome (bit-identity checks)."""
-    return canonical_digest(result.to_dict())
+    }
+    meta = {"kind": "scenario", "workload": scenario.to_dict(),
+            "summary": summary}
+    artifact = (live.plane.artifact(**meta) if live.plane is not None
+                else RunArtifact(meta=meta))
+    artifact.observables = platform_observables(platform)
+    artifact.checks = verdicts
+    return RunResult(scenario, summary, artifact)
 
 
 # ----------------------------------------------------------------------
@@ -322,50 +291,40 @@ def result_digest(result: ScenarioResult) -> str:
 
 def fuzz(count: int, start_seed: int = 0, monitor: bool = False,
          out_dir: Optional[str] = None,
-         on_result: Optional[Callable[[ScenarioResult], None]] = None
-         ) -> List[ScenarioResult]:
-    """Run ``count`` seeded scenarios; write a repro per failure."""
-    results: List[ScenarioResult] = []
+         on_result: Optional[Callable[[RunResult], None]] = None
+         ) -> List[RunResult]:
+    """Run ``count`` seeded scenarios; save a minimised repro run per
+    failure."""
+    results: List[RunResult] = []
     for seed in range(start_seed, start_seed + count):
         scenario = generate_scenario(seed)
         result = run_scenario(scenario, monitor=monitor)
         results.append(result)
         if not result.ok and out_dir is not None:
-            minimized = minimize(scenario)
-            write_repro(f"{out_dir}/repro_seed{seed}.json",
-                        minimized, run_scenario(minimized))
+            run_scenario(minimize(scenario)).save(
+                f"{out_dir}/repro_seed{seed}.json")
         if on_result is not None:
             on_result(result)
     return results
 
 
-def write_repro(path: str, scenario: WorkloadSpec,
-                result: ScenarioResult) -> None:
-    """A self-contained, replayable failure record."""
-    payload = {
-        "scenario": scenario.to_dict(),
-        "verdicts": result.verdicts,
-        "digest": result_digest(result),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_scenario(path: str) -> WorkloadSpec:
-    """The spec in a repro file — or the file itself, when it is a bare
-    spec document (``WorkloadSpec.to_dict()`` / ``workload run --spec``
+    """The spec a saved run ran (a fuzz repro file, any ``workload run
+    --out`` document) — or the file itself, when it is a bare spec
+    document (``WorkloadSpec.to_dict()`` / ``workload run --spec``
     form).  A missing or malformed file is a
     :class:`~repro.errors.ZenError` naming the path."""
     def build(payload) -> WorkloadSpec:
-        if isinstance(payload, dict):
-            payload = payload.get("scenario", payload)
+        if isinstance(payload, dict) and "format" in payload:
+            payload = RunArtifact.from_dict(payload).meta.get("workload")
+            if payload is None:
+                raise ValueError("this run artifact records no spec")
         return WorkloadSpec.from_dict(payload)
 
     return load_document(path, "replay document", build)
 
 
-def replay(path: str, monitor: bool = False) -> ScenarioResult:
+def replay(path: str, monitor: bool = False) -> RunResult:
     """Re-run a repro file's scenario from scratch."""
     return run_scenario(load_scenario(path), monitor=monitor)
 
@@ -400,7 +359,7 @@ def minimize(scenario: WorkloadSpec,
     return current
 
 
-def run_corpus(path: str) -> List[ScenarioResult]:
+def run_corpus(path: str) -> List[RunResult]:
     """Replay a committed corpus file and return the per-seed results
     (all expected clean in CI).  ``"seeds"`` replay through
     :func:`generate_scenario`; the additive ``"cluster_seeds"`` key

@@ -17,14 +17,14 @@ Commands aimed at kicking the tyres without writing code:
   suite across worker processes.
 * ``trace``     — the causal trace plane: run a traced scenario
   (single platform, cluster under faults, or the sharded kernel),
-  dump the merged TraceArtifact, and render span trees and critical
-  paths.
+  dump its run artifact, and render span trees and critical paths.
 
 The run-making commands assemble their runs in one place: ``faults``,
 ``obs`` and ``trace`` (platform mode) lower their flags to one
 :class:`~repro.workload.WorkloadSpec` (``_spec``) and run it through
 :func:`repro.workload.assemble`, then drive their own phases (ping,
-run, report).  ``demo`` and ``telemetry`` stay on a bare
+run, report).  Every file a command writes or reads is one run document
+(:mod:`repro.obs.artifact`).  ``demo`` and ``telemetry`` stay on a bare
 :class:`ZenPlatform`: they show ARP resolution, which the assembler's
 static ARP would skip.
 """
@@ -34,11 +34,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import List, Optional
 
 from repro.analysis import Table
 from repro.core import ZenPlatform
-from repro.digest import load_document
+from repro.digest import load_document, save_document
 from repro.errors import ZenError
 from repro.netem.topology import FAMILIES, Topology
 from repro.telemetry import Telemetry
@@ -213,7 +214,7 @@ def _cmd_topology(args) -> int:
 
 def _cmd_telemetry(args) -> int:
     if args.sample_every < 1:
-        raise SystemExit("--sample-every must be >= 1")
+        raise ZenError("--sample-every must be >= 1")
     telemetry = Telemetry(
         trace=True, trace_sample_every=args.sample_every,
         max_traces=args.max_traces,
@@ -302,7 +303,6 @@ def _cmd_check(args) -> int:
         fuzz,
         generate_scenario,
         replay,
-        result_digest,
         run_scenario,
     )
 
@@ -312,10 +312,10 @@ def _cmd_check(args) -> int:
             result = run_scenario(scenario)
             verdict = "clean" if result.ok else "VIOLATIONS"
             print(f"{scenario.name:20s} {verdict:10s} "
-                  f"({result.verdicts['probes_run']} probes)")
+                  f"({result.artifact.checks['probes_run']} probes)")
             if not result.ok:
                 failures += 1
-                for violation in result.verdicts["violations"][:5]:
+                for violation in result.artifact.checks["violations"][:5]:
                     print(f"  {violation['invariant']}: "
                           f"{violation['message']}")
         print(f"\n{failures} of {len(example_scenarios())} scenarios "
@@ -324,7 +324,7 @@ def _cmd_check(args) -> int:
 
     if args.mode == "replay":
         if not args.path:
-            raise SystemExit("replay needs --path <repro or corpus file>")
+            raise ZenError("check replay needs --path <document>")
         payload = load_document(args.path, "replay document")
         if "seeds" in payload:  # a corpus file
             from repro.check import generate_cluster_scenario
@@ -337,18 +337,19 @@ def _cmd_check(args) -> int:
                 for seed in payload.get(key, []):
                     result = run_scenario(generate(seed),
                                           monitor=args.monitor)
-                    size = (f" ({result.scenario.controllers} instances)"
+                    size = (f" ({result.spec.controllers} instances)"
                             if key == "cluster_seeds" else "")
                     print(f"{label} {seed:6d} "
                           f"{'clean' if result.ok else 'VIOLATIONS'}{size}")
                     failures += 0 if result.ok else 1
             return 1 if failures else 0
         result = replay(args.path, monitor=args.monitor)
-        print(f"replayed {result.scenario.name}: "
+        print(f"replayed {result.spec.name}: "
               f"{'clean' if result.ok else 'VIOLATIONS'} "
-              f"(digest {result_digest(result)[:16]})")
-        expected = payload.get("digest")
-        if expected and expected != result_digest(result):
+              f"(digest {result.digest[:16]})")
+        # Only a checked scenario's digest is this replay's to compare.
+        recorded = payload.get("meta", {}).get("kind") == "scenario"
+        if recorded and payload["digest"] != result.digest:
             print("WARNING: digest drift vs the recorded run")
             return 1
         return 0 if result.ok else 1
@@ -358,13 +359,13 @@ def _cmd_check(args) -> int:
     failed = []
 
     def report(result) -> None:
-        s = result.scenario
+        s = result.spec
         verdict = ("clean" if result.ok
                    else "EVENT BUDGET"
-                   if "event_budget_exhausted" in result.verdicts
+                   if "event_budget_exhausted" in result.artifact.checks
                    else "VIOLATIONS")
-        transients = (f", {len(result.monitor_failures)} transient"
-                      if result.monitor_failures else "")
+        transients = len(result.summary["monitor_failures"])
+        transients = f", {transients} transient" if transients else ""
         print(f"seed {s.seed:6d} {s.topology['family']}"
               f"({s.topology['size']})/{s.profile} "
               f"{len(s.faults)} fault(s): {verdict}{transients}")
@@ -393,7 +394,7 @@ def _cmd_obs(args) -> int:
 
     if args.mode == "diff":
         if not args.base or not args.current:
-            raise SystemExit("obs diff needs BASE and CURRENT artifacts")
+            raise ZenError("obs diff needs BASE and CURRENT artifacts")
         base = load_artifact(args.base)
         current = load_artifact(args.current)
         report = diff_runs(base, current, tolerance=args.tolerance)
@@ -482,16 +483,20 @@ def _cmd_workload(args) -> int:
             spec = load_spec(args.spec)
         elif args.name:
             if args.name not in specs:
-                raise SystemExit(f"unknown scenario {args.name!r}; "
-                                 f"pick from {sorted(specs)}")
+                raise ZenError(f"unknown scenario {args.name!r}; "
+                               f"pick from {sorted(specs)}")
             spec = specs[args.name]
         else:
-            raise SystemExit("workload run needs --name or --spec")
+            raise ZenError("workload run needs --name or --spec")
         if args.seed is not None:
             spec.seed = args.seed
+        started = time.perf_counter()
         result = run_workload(
-            spec, out=args.out or None, shards=args.shards,
+            spec, shards=args.shards,
             shard_processes=False if args.shard_sequential else None)
+        wall = time.perf_counter() - started
+        if args.out:
+            result.save(args.out)
         s = result.summary
         if args.shards is not None:
             mode = "mp" if s["processes"] else "seq"
@@ -500,7 +505,7 @@ def _cmd_workload(args) -> int:
                   f"completed, fct p50/p99 "
                   f"{_fmt_fct(s['fct_p50'])}/{_fmt_fct(s['fct_p99'])}, "
                   f"{s['events']} events in {s['rounds']} round(s), "
-                  f"{s['wall_s']:.2f}s wall")
+                  f"{wall:.2f}s wall")
         else:
             print(f"{spec.name}: "
                   f"{s['flows_completed']}/{s['flows_started']} "
@@ -518,8 +523,8 @@ def _cmd_workload(args) -> int:
     if args.names:
         missing = [n for n in args.names.split(",") if n not in specs]
         if missing:
-            raise SystemExit(f"unknown scenario(s) {missing}; "
-                             f"pick from {sorted(specs)}")
+            raise ZenError(f"unknown scenario(s) {missing}; "
+                           f"pick from {sorted(specs)}")
         selection = [specs[n] for n in args.names.split(",")]
     else:
         selection = [specs[n] for n in sorted(specs)]
@@ -529,15 +534,15 @@ def _cmd_workload(args) -> int:
     table = Table(f"Workload suite ({args.jobs} job(s))",
                   ["name", "flows", "fct p99", "table peak", "health",
                    "digest"])
-    for entry in results:
-        s = entry["summary"]
+    for result in results:
+        s = result.summary
         table.add_row(
-            entry["name"],
+            result.spec.name,
             f"{s['flows_completed']}/{s['flows_started']}",
             _fmt_fct(s["fct_p99"]),
             s.get("flow_table_peak", "-"),
-            "ok" if s.get("health_ok", True) else "ALERTS",
-            entry["digest"][:16],
+            "ok" if result.ok else "ALERTS",
+            result.digest[:16],
         )
     print(table.render())
     print(f"\nsuite digest {suite_digest(results)[:16]} "
@@ -550,14 +555,15 @@ def _cmd_workload(args) -> int:
 
 def _run_trace_sharded(args):
     """Traced run on the sharded kernel: one workload scenario, per-
-    shard tracers merged into a single global artifact."""
+    shard tracers merged into one trace list."""
     from repro.sim.shard import run_sharded
+    from repro.telemetry.artifact import shards_of, span_count
     from repro.workload import library
 
     lib = library()
     if args.scenario not in lib:
-        raise SystemExit(f"unknown scenario {args.scenario!r}; "
-                         f"pick from {sorted(lib)}")
+        raise ZenError(f"unknown scenario {args.scenario!r}; "
+                       f"pick from {sorted(lib)}")
     spec = lib[args.scenario]
     if args.duration is not None:
         spec.duration = args.duration
@@ -566,22 +572,22 @@ def _run_trace_sharded(args):
     result = run_sharded(spec, shards=args.shards,
                          processes=not args.shard_sequential,
                          trace=True)
-    artifact = result.trace_artifact
-    crossing = sum(1 for t in artifact.traces
-                   if len(artifact.shards_of(t)) > 1)
+    traces = result.artifact.traces
+    crossing = sum(1 for t in traces if len(shards_of(t)) > 1)
     lines = [
-        f"Sharded run {spec.name!r}: shards={result.effective_shards} "
+        f"Sharded run {spec.name!r}: shards={result.summary['shards']} "
         f"digest={result.digest[:12]}",
-        f"{len(artifact.traces)} traces, {artifact.span_count} spans; "
+        f"{len(traces)} traces, {span_count(traces)} spans; "
         f"{crossing} trace(s) cross a shard boundary",
     ]
-    return artifact, lines
+    return result.artifact, result.to_dict(), lines
 
 
 def _run_trace_platform(args):
     """Traced platform/cluster run under a scripted fault, with the
-    flight recorder armed on invariant violations and SLO alerts."""
-    from repro.telemetry.artifact import TraceArtifact
+    flight recorder armed on invariant violations and SLO alerts; the
+    artifact keeps the obs plane's series and health beside the traces."""
+    from repro.telemetry.artifact import tracer_traces
     from repro.telemetry.flight import FlightRecorder
     from repro.workload import assemble
 
@@ -626,25 +632,26 @@ def _run_trace_platform(args):
     }
     if args.flight:
         if recorder.dumps:
-            artifact = recorder.dumps[0]
+            dump = recorder.dumps[0]
+            trigger = dump["triggers"][0]
             lines.append("flight-recorder dump captured at trigger "
-                         f"{artifact.triggers[0]['kind']!r} "
-                         f"({artifact.triggers[0]['detail']})")
+                         f"{trigger['kind']!r} ({trigger['detail']})")
         else:
-            artifact = recorder.trigger("end-of-run",
-                                        "no trigger fired; manual "
-                                        "capture", platform.sim.now)
+            dump = recorder.trigger("end-of-run",
+                                    "no trigger fired; manual "
+                                    "capture", platform.sim.now)
             lines.append("no trigger fired; captured the rings at "
                          "end of run")
-        artifact.meta.update(meta)
+        meta = dict(dump["meta"], **meta)
     else:
-        artifact = TraceArtifact.from_tracer(telemetry.tracer,
-                                             meta=meta)
-    return artifact, lines
+        dump = {"traces": tracer_traces(telemetry.tracer), "triggers": []}
+    artifact = plane.artifact(**meta)
+    artifact.traces, artifact.triggers = dump["traces"], dump["triggers"]
+    return artifact, artifact.to_dict(), lines
 
 
 def _report_artifact(artifact, args, tree: bool) -> int:
-    from repro.telemetry.artifact import TraceArtifact, critical_path
+    from repro.telemetry import artifact as traces
     from repro.telemetry.export import render_critical_path, render_tree
 
     print(f"{artifact!r}")
@@ -659,43 +666,45 @@ def _report_artifact(artifact, args, tree: bool) -> int:
             print("no fault-rooted trace in this artifact")
             return 1
     if args.trace_id is not None:
-        trace = artifact.trace(args.trace_id)
+        trace = traces.trace(artifact.traces, args.trace_id)
         if trace is None:
             print(f"no trace #{args.trace_id} in this artifact")
             return 1
     else:
-        trace = TraceArtifact(candidates).longest()
+        trace = traces.longest(candidates)
     if trace is None:
         print("artifact holds no traces")
         return 1
-    shards = artifact.shards_of(trace)
+    shards = traces.shards_of(trace)
     if len(shards) > 1:
         print(f"trace #{trace['id']} crosses shards {shards}")
     print()
     if tree:
         print(render_tree(trace, attrs=args.attrs))
         print()
-    print(render_critical_path(critical_path(trace)))
+    print(render_critical_path(traces.critical_path(trace)))
     return 0
 
 
 def _cmd_trace(args) -> int:
-    from repro.telemetry.artifact import TraceArtifact
+    from repro.obs import load_artifact
 
     if args.mode == "critical-path":
         if not args.artifact:
-            raise SystemExit("trace critical-path needs a saved "
-                             "TraceArtifact path")
-        artifact = TraceArtifact.load(args.artifact)
-        return _report_artifact(artifact, args, tree=args.tree)
+            raise ZenError("trace critical-path needs a saved run "
+                           "artifact path")
+        return _report_artifact(load_artifact(args.artifact), args,
+                                tree=args.tree)
 
     run = _run_trace_sharded if args.shards else _run_trace_platform
-    artifact, lines = run(args)
+    # ``document`` is what ``--out`` saves: the artifact, or a sharded
+    # run's result (the artifact plus its digest).
+    artifact, document, lines = run(args)
     for line in lines:
         print(line)
     if args.out:
-        artifact.save(args.out)
-        print(f"TraceArtifact written to {args.out}")
+        save_document(args.out, document)
+        print(f"run artifact written to {args.out}")
     if args.mode == "report":
         print()
         return _report_artifact(artifact, args, tree=True)
@@ -910,10 +919,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     tr.add_argument("mode", choices=("report", "dump", "critical-path"),
                     help="report: run + render the selected trace; "
-                         "dump: run + write the TraceArtifact; "
+                         "dump: run + write the run artifact; "
                          "critical-path: analyse a saved artifact")
     tr.add_argument("artifact", nargs="?", default="",
-                    help="saved TraceArtifact (critical-path mode)")
+                    help="saved run artifact (critical-path mode)")
     tr.add_argument("--controllers", type=int, default=1,
                     help="cluster size (>= 2 enables --fault controller)")
     tr.add_argument("--fault", dest="kind", default="none",
@@ -953,7 +962,7 @@ def _parser() -> argparse.ArgumentParser:
     tr.add_argument("--attrs", action="store_true",
                     help="include span attributes in the tree")
     tr.add_argument("--out", default="",
-                    help="write the TraceArtifact here")
+                    help="write the run artifact here")
     # One injection at the first switch; `_fault_dicts` derives the period.
     tr.set_defaults(fn=_cmd_trace, target="", cycles=1, period=None,
                     interval=0.05)

@@ -1,6 +1,6 @@
 """The one canonical content hash every run digest goes through, its
-per-section form that names what moved, and the one reader every
-document the CLI takes goes through."""
+per-section form that names what moved, and the one writer and one
+reader every document the CLI writes or takes goes through."""
 
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from typing import Any, Callable, Dict, TextIO
 
 from repro.errors import ZenError
 
-__all__ = ["canonical_digest", "load_document", "section_digests"]
+__all__ = ["canonical_digest", "load_document", "save_document",
+           "section_digests"]
 
 
 def canonical_digest(doc) -> str:
@@ -41,6 +42,15 @@ def section_digests(artifact: dict) -> Dict[str, str]:
     sections.update((f"series/{family}", canonical_digest(doc))
                     for family, doc in families.items())
     return sections
+
+
+def save_document(path: str, doc) -> None:
+    """Write ``doc`` to ``path`` as key-sorted, one-space-indented JSON
+    with a trailing newline: the byte form of every file a run writes,
+    so two identical documents are two identical files."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def load_document(path: str, what: str,

@@ -13,8 +13,10 @@ The third observability layer, built on ``repro.telemetry``:
   with burn-rate alerting, producing a
   :class:`~repro.obs.slo.HealthReport`;
 * :class:`~repro.obs.artifact.RunArtifact` — the run serialised to one
-  JSON file, rendered by :func:`~repro.obs.render.render_dashboard`
-  and A/B-compared by :func:`~repro.obs.diff.diff_runs`.
+  JSON file (the one run document every run kind writes, see
+  :class:`~repro.obs.artifact.RunResult`), rendered by
+  :func:`~repro.obs.render.render_dashboard` and A/B-compared by
+  :func:`~repro.obs.diff.diff_runs`.
 
 :class:`ObsPlane` assembles all of it around a
 :class:`~repro.core.platform.ZenPlatform` in one call::
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.obs.artifact import RunArtifact, load_artifact, save_artifact
+from repro.obs.artifact import RunArtifact, RunResult, load_artifact
 from repro.obs.diff import DiffEntry, DiffReport, diff_runs, render_diff
 from repro.obs.render import (
     render_dashboard,
@@ -76,6 +78,7 @@ __all__ = [
     "Point",
     "Rollup",
     "RunArtifact",
+    "RunResult",
     "SLO",
     "SLOEvaluator",
     "Series",
@@ -89,7 +92,6 @@ __all__ = [
     "render_diff",
     "render_health",
     "render_openmetrics",
-    "save_artifact",
     "series_id",
     "slo_from_spec",
     "sparkline",

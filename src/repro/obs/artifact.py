@@ -1,46 +1,69 @@
-"""Run artifacts: one JSON file per run, diffable and replottable.
+"""The run document: what a saved run looks like, one JSON file per run.
 
-A :class:`RunArtifact` freezes everything the obs plane learned about a
-run — per-series sample history (with rollups and the cumulative
-histogram sketches), the annotation timeline, derived fault windows,
-and the health report — into plain data.  Artifacts are deterministic
-for a seeded run (no wall-clock anywhere), so a committed baseline
-artifact diffs bit-for-bit against a CI re-run of the same scenario;
-that is what the ``obs diff`` CI gate leans on.
+A :class:`RunArtifact` freezes everything a run recorded into plain data
+— per-series sample history (with rollups and the cumulative histogram
+sketches), the annotation timeline, derived fault windows and the
+health report, plus whatever traces, triggers, dataplane observables
+and invariant checks the run made.  Artifacts are deterministic for a
+seeded run (no wall-clock anywhere), so a committed baseline artifact
+diffs bit-for-bit against a CI re-run of the same scenario; that is
+what the ``obs diff`` CI gate leans on.  A :class:`RunResult` is one
+spec's run — workload, sharded or checked scenario — with its summary,
+its artifact and the digest that pins it.  Every file a run writes is
+one of their ``to_dict()`` forms and every reader takes it through
+:func:`load_artifact`.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
-from repro.digest import load_document
+from repro.digest import canonical_digest, load_document, save_document
 from repro.obs.scraper import Annotation, FaultWindow, fault_windows
 from repro.obs.series import Series
 from repro.obs.slo import HealthReport
 
-__all__ = ["FORMAT", "RunArtifact", "load_artifact", "save_artifact"]
+__all__ = ["FORMAT", "RunArtifact", "RunResult", "load_artifact"]
 
 #: Format tag; bump on incompatible layout changes.
 FORMAT = "repro.obs/1"
 
+#: Sections a run writes only when it made them, so every document
+#: without them — and each digest taken over one — stays byte-identical.
+_OPTIONAL = ("traces", "triggers", "observables", "checks")
+
 
 class RunArtifact:
-    """A finished run's observability record, as plain data."""
+    """A finished run's record, as plain data.
 
-    def __init__(self, series: Dict[str, Series],
-                 annotations: List[Annotation],
+    ``traces`` is a list of ``{"id", "label", "spans"}`` dicts (the
+    :mod:`repro.telemetry.artifact` form), ``triggers`` says why a
+    flight-recorder dump exists, ``observables`` is the dataplane state
+    two runs are compared on, and ``checks`` the final invariant
+    verdicts.
+    """
+
+    def __init__(self, series: Optional[Dict[str, Series]] = None,
+                 annotations: Optional[List[Annotation]] = None,
                  health: Optional[HealthReport] = None,
                  interval: float = 0.0, horizon: float = 0.0,
                  scrapes: int = 0,
-                 meta: Optional[dict] = None) -> None:
-        self.series = series
-        self.annotations = annotations
+                 meta: Optional[dict] = None,
+                 traces: Optional[List[dict]] = None,
+                 triggers: Optional[List[dict]] = None,
+                 observables: Optional[dict] = None,
+                 checks: Optional[dict] = None) -> None:
+        self.series = series if series is not None else {}
+        self.annotations = annotations if annotations is not None else []
         self.health = health
         self.interval = interval
         self.horizon = horizon
         self.scrapes = scrapes
         self.meta = dict(meta or {})
+        self.traces = traces if traces is not None else []
+        self.triggers = triggers if triggers is not None else []
+        self.observables = observables if observables is not None else {}
+        self.checks = checks if checks is not None else {}
 
     # -- queries -------------------------------------------------------
     def get(self, sid: str) -> Optional[Series]:
@@ -55,7 +78,7 @@ class RunArtifact:
 
     # -- serialisation -------------------------------------------------
     def to_dict(self) -> dict:
-        return {
+        doc = {
             "format": FORMAT,
             "meta": self.meta,
             "interval": self.interval,
@@ -67,6 +90,9 @@ class RunArtifact:
             "health": (self.health.to_dict()
                        if self.health is not None else None),
         }
+        doc.update((key, getattr(self, key)) for key in _OPTIONAL
+                   if getattr(self, key))
+        return doc
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunArtifact":
@@ -93,24 +119,90 @@ class RunArtifact:
             horizon=data.get("horizon", 0.0),
             scrapes=data.get("scrapes", 0),
             meta=data.get("meta", {}),
+            **{key: data.get(key) for key in _OPTIONAL},
         )
 
     def save(self, path: str) -> None:
-        save_artifact(self, path)
+        save_document(path, self.to_dict())
 
     def __repr__(self) -> str:
+        traced = (f", {len(self.traces)} traces, "
+                  f"{sum(len(t['spans']) for t in self.traces)} spans, "
+                  f"{len(self.triggers)} triggers"
+                  if self.traces or self.triggers else "")
         return (f"<RunArtifact {len(self.series)} series, "
                 f"{len(self.annotations)} annotations, "
-                f"horizon {self.horizon:.3f}s>")
-
-
-def save_artifact(artifact: RunArtifact, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(artifact.to_dict(), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+                f"horizon {self.horizon:.3f}s{traced}>")
 
 
 def load_artifact(path: str) -> RunArtifact:
     """Read an artifact file; a missing, unreadable, non-JSON or
     wrong-format file is a :class:`ZenError` naming the path."""
     return load_document(path, "run artifact", RunArtifact.from_dict)
+
+
+class RunResult:
+    """One spec's run: the spec, its summary and its artifact.
+
+    ``artifact.meta`` names the run ``kind`` and carries the spec
+    (``workload``) and the summary, so a saved run rebuilds from its
+    document alone (:meth:`from_dict`).  Two digest scopes, both over
+    simulated state only (wall-clock never enters the summary):
+
+    * :attr:`full_digest` — the summary and the whole artifact;
+    * :attr:`dataplane_digest` — the dataplane observables alone.
+
+    :attr:`digest` is the dataplane scope for a sharded run, whose
+    contract is that the result does not depend on the shard count,
+    and the full scope for every other run.
+    """
+
+    __slots__ = ("spec", "summary", "artifact")
+
+    def __init__(self, spec, summary: dict, artifact: RunArtifact) -> None:
+        self.spec = spec
+        self.summary = summary
+        self.artifact = artifact
+
+    @property
+    def observables(self) -> dict:
+        return self.artifact.observables
+
+    @property
+    def ok(self) -> bool:
+        """The run's verdict: the final invariant check of a scenario,
+        the SLO health of a workload run; a sharded run has neither."""
+        summary = self.summary
+        return bool(summary.get("ok", summary.get("health_ok", True)))
+
+    @property
+    def full_digest(self) -> str:
+        return canonical_digest(
+            {"summary": self.summary, "artifact": self.artifact.to_dict()}
+        )
+
+    @property
+    def dataplane_digest(self) -> str:
+        return canonical_digest(self.artifact.observables)
+
+    @property
+    def digest(self) -> str:
+        if self.artifact.meta.get("kind") == "sharded":
+            return self.dataplane_digest
+        return self.full_digest
+
+    def to_dict(self) -> dict:
+        """The run document: the artifact plus its ``digest``."""
+        return dict(self.artifact.to_dict(), digest=self.digest)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunResult":
+        # Imported on use: `repro.workload` builds on this package.
+        from repro.workload.spec import WorkloadSpec
+
+        artifact = RunArtifact.from_dict(data)
+        return cls(WorkloadSpec.from_dict(artifact.meta["workload"]),
+                   artifact.meta["summary"], artifact)
+
+    def save(self, path: str) -> None:
+        save_document(path, self.to_dict())

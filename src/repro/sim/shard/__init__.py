@@ -8,7 +8,7 @@ count, multiprocess or in-process.
 """
 
 from repro.sim.shard.boundary import BoundaryLink, ShardMessage
-from repro.sim.shard.engine import ShardedResult, run_sharded
+from repro.sim.shard.engine import run_sharded
 from repro.sim.shard.partition import Partition, partition_topology
 from repro.sim.shard.program import Program, build_program, build_routes
 from repro.sim.shard.worker import ShardWorker
@@ -19,7 +19,6 @@ __all__ = [
     "Program",
     "ShardMessage",
     "ShardWorker",
-    "ShardedResult",
     "build_program",
     "build_routes",
     "partition_topology",

@@ -26,80 +26,17 @@ CI digest gate compares against.
 
 from __future__ import annotations
 
-import json
-import time
 from typing import Dict, List, Optional
 
 from repro.analysis import percentile
-from repro.digest import canonical_digest
 from repro.errors import SimulationError
+from repro.obs import RunArtifact, RunResult
 from repro.sim.shard.partition import Partition, partition_topology
 from repro.sim.shard.worker import ShardWorker
-from repro.telemetry.artifact import TraceArtifact
+from repro.telemetry.artifact import merge, tracer_traces
 from repro.workload.spec import WorkloadSpec, build_spec_topology
 
-__all__ = ["ShardedResult", "run_sharded"]
-
-
-class ShardedResult:
-    """Outcome of one sharded run: merged observables + metadata.
-
-    :attr:`digest` covers only the merged *observables* — flows, host
-    and switch counters, per-link-direction counters — which are
-    partition-invariant by construction.  Execution metadata (events,
-    rounds, wall time) lives in :attr:`summary` outside the digest:
-    total event count legitimately differs by the duplicated boundary
-    fault ops, and wall time is the whole point of varying shards.
-    """
-
-    __slots__ = ("spec", "shards", "effective_shards", "processes",
-                 "observables", "summary", "trace_artifact")
-
-    def __init__(self, spec: WorkloadSpec, shards: int,
-                 effective_shards: int, processes: bool,
-                 observables: dict, summary: dict,
-                 trace_artifact=None) -> None:
-        self.spec = spec
-        self.shards = shards
-        self.effective_shards = effective_shards
-        self.processes = processes
-        self.observables = observables
-        self.summary = summary
-        #: Merged per-shard :class:`~repro.telemetry.artifact.TraceArtifact`
-        #: when the run was traced; deliberately OUTSIDE the digest.
-        self.trace_artifact = trace_artifact
-
-    @property
-    def digest(self) -> str:
-        return canonical_digest(self.observables)
-
-    @property
-    def ok(self) -> bool:
-        return True  # no SLO plane in shard mode; health is the digest
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "sharded_workload",
-            "name": self.spec.name,
-            "spec": self.spec.to_dict(),
-            "shards": self.shards,
-            "effective_shards": self.effective_shards,
-            "processes": self.processes,
-            "summary": self.summary,
-            "observables": self.observables,
-            "digest": self.digest,
-        }
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-    def __repr__(self) -> str:
-        return (f"<ShardedResult {self.spec.name!r} "
-                f"shards={self.effective_shards} "
-                f"{self.summary.get('flows_completed', 0)} flows "
-                f"digest={self.digest[:12]}>")
+__all__ = ["run_sharded"]
 
 
 # ----------------------------------------------------------------------
@@ -121,10 +58,8 @@ class _LocalAdapter:
     def collect(self) -> dict:
         return self.worker.collect()
 
-    def traces(self) -> TraceArtifact:
-        worker = self.worker
-        return TraceArtifact.from_tracer(worker.telemetry.tracer,
-                                         meta={"shard": worker.shard_id})
+    def traces(self) -> List[dict]:
+        return tracer_traces(self.worker.telemetry.tracer)
 
     def close(self) -> None:
         pass
@@ -145,9 +80,7 @@ def _shard_child(conn, spec_doc: dict, shard_id: int, shards: int,
             elif op == "collect":
                 conn.send(worker.collect())
             elif op == "traces":
-                conn.send(TraceArtifact.from_tracer(
-                    worker.telemetry.tracer,
-                    meta={"shard": worker.shard_id}))
+                conn.send(tracer_traces(worker.telemetry.tracer))
             elif op == "quit":
                 return
     except EOFError:  # coordinator died; exit quietly
@@ -197,7 +130,7 @@ class _ProcessAdapter:
         self.conn.send(("collect",))
         return self._recv()
 
-    def traces(self) -> TraceArtifact:
+    def traces(self) -> List[dict]:
         self.conn.send(("traces",))
         return self._recv()
 
@@ -303,10 +236,15 @@ def _window_loop(adapters, partition: Partition,
 # ----------------------------------------------------------------------
 def run_sharded(spec: WorkloadSpec, shards: int = 1,
                 processes: Optional[bool] = None,
-                out: Optional[str] = None,
-                trace: bool = False,
-                trace_out: Optional[str] = None) -> ShardedResult:
+                trace: bool = False) -> RunResult:
     """Run one workload spec on the sharded kernel.
+
+    The result's artifact holds the merged *observables* — flows, host
+    and switch counters, per-link-direction counters — which are
+    partition-invariant by construction, and its digest covers only
+    them (the dataplane scope).  Execution metadata (events, rounds)
+    lives in the summary: total event count legitimately differs by the
+    duplicated boundary fault ops.
 
     ``processes=None`` picks multiprocess execution exactly when the
     partition yields more than one shard; ``processes=False`` forces
@@ -315,11 +253,9 @@ def run_sharded(spec: WorkloadSpec, shards: int = 1,
     asserted in the differential tests).
 
     ``trace=True`` arms per-shard telemetry (each tracer minting ids in
-    its own stride band) and merges every shard's span forest into one
-    global :class:`~repro.telemetry.artifact.TraceArtifact` on
-    :attr:`ShardedResult.trace_artifact`, optionally saved to
-    ``trace_out``.  The observables digest is bit-identical with
-    tracing on or off.
+    its own stride band) and merges every shard's span forest into the
+    artifact's ``traces``.  The observables digest is bit-identical
+    with tracing on or off.
     """
     topology = build_spec_topology(spec)
     partition = partition_topology(topology, shards)
@@ -328,8 +264,7 @@ def run_sharded(spec: WorkloadSpec, shards: int = 1,
                      else effective > 1)
     spec_doc = spec.to_dict()
 
-    trace_parts: Optional[List[TraceArtifact]] = None
-    started = time.perf_counter()
+    trace_parts: List[List[dict]] = []
     if use_processes and effective > 1:
         import multiprocessing
 
@@ -356,7 +291,6 @@ def run_sharded(spec: WorkloadSpec, shards: int = 1,
         parts = [adapter.collect() for adapter in adapters]
         if trace:
             trace_parts = [adapter.traces() for adapter in adapters]
-    wall = time.perf_counter() - started
 
     observables = _merge_observables(parts)
     fcts = [flow[5] - flow[4] for flow in observables["flows"]
@@ -387,20 +321,8 @@ def run_sharded(spec: WorkloadSpec, shards: int = 1,
         "fct_p99": percentile(fcts, 99) if fcts else None,
         "events": stats["events"],
         "rounds": stats["rounds"],
-        "wall_s": wall,
     }
-    trace_artifact = None
-    if trace_parts is not None:
-        trace_artifact = TraceArtifact.merge(
-            trace_parts,
-            meta={"kind": "sharded-run", "name": spec.name,
-                  "seed": spec.seed, "shards": effective})
-    result = ShardedResult(spec, shards, effective,
-                           use_processes and effective > 1,
-                           observables, summary,
-                           trace_artifact=trace_artifact)
-    if out:
-        result.save(out)
-    if trace_out and trace_artifact is not None:
-        trace_artifact.save(trace_out)
-    return result
+    return RunResult(spec, summary, RunArtifact(
+        meta={"kind": "sharded", "workload": spec_doc, "summary": summary},
+        horizon=spec.duration, traces=merge(trace_parts),
+        observables=observables))

@@ -8,9 +8,10 @@ is threaded through the whole stack by :class:`~repro.core.platform.ZenPlatform`
   control channels, and the controller;
 * :class:`~repro.telemetry.trace.Tracer` — packet-lifecycle spans
   (host TX → link → table lookup → punt → dispatch → app → flow-mod),
-  serialised in one form, :class:`~repro.telemetry.artifact.TraceArtifact`
-  (the flight recorder, :mod:`repro.telemetry.flight`, dumps it; the
-  renderers in :mod:`repro.telemetry.export` read it).  Tracing is
+  serialised in one form, a list of ``{"id", "label", "spans"}`` dicts
+  (:mod:`repro.telemetry.artifact`; the flight recorder,
+  :mod:`repro.telemetry.flight`, dumps it; the renderers in
+  :mod:`repro.telemetry.export` read it).  Tracing is
   opt-in: only a caller that reads spans builds ``Telemetry(trace=True)``
   (``repro telemetry``, ``repro trace``, a traced sharded run); every
   other plane holds :data:`~repro.telemetry.trace.NULL_TRACER` and
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.telemetry.artifact import TraceArtifact
 from repro.telemetry.flowrecords import (
     NULL_FLOW_RECORDS,
     NULL_PROFILER,
@@ -77,7 +77,6 @@ __all__ = [
     "QuantileSketch",
     "Span",
     "Telemetry",
-    "TraceArtifact",
     "Tracer",
 ]
 

@@ -1,28 +1,28 @@
-"""TraceArtifact: the one serialised form of a trace, and the critical
+"""Trace lists: the one serialised form of traces, and the critical
 path through one.
 
-A tracer's traces leave it as a :class:`TraceArtifact` whatever reads
-them — the telemetry JSON snapshot, a shard's report to the sharded
-engine (merged across shards without renumbering: shard *k* mints ids
-above ``k * SHARD_ID_STRIDE``), a flight-recorder dump and a saved
-``trace dump`` file.  :meth:`TraceArtifact.longest` is the one picker
-and :func:`critical_path` attributes one artifact-form trace's latency
-per stage.  The recorder lives in :mod:`repro.telemetry.flight` and the
-renderers in :mod:`repro.telemetry.export`.
+A tracer's traces leave it as a list of ``{"id", "label", "spans"}``
+dicts (:func:`tracer_traces`) whatever reads them — the telemetry JSON
+snapshot, a shard's report to the sharded engine (merged across shards
+without renumbering: shard *k* mints ids above ``k * SHARD_ID_STRIDE``),
+a flight-recorder dump, and the ``traces`` section of a saved run
+artifact (:class:`repro.obs.artifact.RunArtifact`, which this package
+never imports).  The functions here work on such a list:
+:func:`longest` is the one picker and :func:`critical_path` attributes
+one trace's latency per stage.  The recorder lives in
+:mod:`repro.telemetry.flight` and the renderers in
+:mod:`repro.telemetry.export`.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.digest import canonical_digest, load_document
 from repro.telemetry.trace import Tracer
 
-__all__ = ["FORMAT", "SHARD_ID_STRIDE", "TraceArtifact", "critical_path",
-           "group_traces", "shard_of_id"]
-
-FORMAT = "zensdn-trace-artifact-v1"
+__all__ = ["SHARD_ID_STRIDE", "critical_path", "group_traces", "longest",
+           "merge", "shard_of_id", "shards_of", "span_count", "trace",
+           "tracer_traces"]
 
 #: Id stride per shard: shard *k*'s tracer mints trace and span ids in
 #: ``(k * STRIDE, (k + 1) * STRIDE]``, so ids are globally unique and
@@ -37,7 +37,7 @@ def shard_of_id(any_id: int) -> int:
 
 def group_traces(pieces: Iterable[Tuple[int, str, Iterable[dict]]],
                  ) -> List[dict]:
-    """Fold ``(trace id, label, span dicts)`` pieces into artifact-form
+    """Fold ``(trace id, label, span dicts)`` pieces into serialised
     traces, in id order.
 
     Pieces sharing an id — halves of a span tree held by two shards, or
@@ -60,130 +60,56 @@ def group_traces(pieces: Iterable[Tuple[int, str, Iterable[dict]]],
     return traces
 
 
-class TraceArtifact:
-    """Plain-data bundle of traces + capture triggers + metadata.
-
-    The only serialised form of a trace: the telemetry JSON snapshot,
-    a shard's trace report, a flight-recorder dump and a saved
-    ``trace dump`` file are all one.  ``traces`` is a list of
-    ``{"id", "label", "spans"}`` dicts whose spans carry
-    ``span_id``/``parent`` links (:meth:`Span.to_dict`); ``triggers``
-    records why the artifact exists (flight-recorder dumps name the
-    violation or alert that fired); ``meta`` is free-form run context.
-    Artifacts are built only from simulated time and tracer state, so
-    two identical-seed runs serialise byte-identically.
-    """
-
-    def __init__(self, traces: List[dict],
-                 triggers: Optional[List[dict]] = None,
-                 meta: Optional[dict] = None) -> None:
-        self.traces = traces
-        self.triggers = triggers if triggers is not None else []
-        self.meta = meta if meta is not None else {}
-
-    @classmethod
-    def from_tracer(cls, tracer: Tracer, meta: Optional[dict] = None,
-                    triggers: Optional[List[dict]] = None,
-                    ) -> "TraceArtifact":
-        """Snapshot every live trace of one tracer."""
-        traces = [
-            {"id": tid, "label": label,
+def tracer_traces(tracer: Tracer) -> List[dict]:
+    """Every live trace of one tracer, in the one serialised form."""
+    return [{"id": tid, "label": label,
              "spans": [s.to_dict() for s in spans]}
-            for tid, label, spans in tracer.traces()
-        ]
-        doc = dict(meta or {})
-        doc.setdefault("dropped_traces", tracer.dropped)
-        doc.setdefault("dropped_spans", tracer.dropped_spans)
-        return cls(traces, triggers=triggers, meta=doc)
+            for tid, label, spans in tracer.traces()]
 
-    @classmethod
-    def merge(cls, artifacts: Iterable["TraceArtifact"],
-              meta: Optional[dict] = None) -> "TraceArtifact":
-        """Fuse artifacts (one per shard) into one global artifact.
 
-        Traces sharing an id — a frame that crossed a boundary link —
-        are unioned by :func:`group_traces`, parent links left intact
-        (span ids are globally unique by the stride scheme).
-        """
-        parts = list(artifacts)
-        traces = group_traces(
-            (trace["id"], trace["label"], trace["spans"])
-            for part in parts for trace in part.traces)
-        doc = dict(meta or {})
-        doc.setdefault("merged_from", len(parts))
-        return cls(traces,
-                   triggers=[t for part in parts for t in part.triggers],
-                   meta=doc)
+def merge(parts: Iterable[List[dict]]) -> List[dict]:
+    """Fuse trace lists (one per shard) into one global list.
 
-    def trace(self, trace_id: int) -> Optional[dict]:
-        for trace in self.traces:
-            if trace["id"] == trace_id:
-                return trace
-        return None
+    Traces sharing an id — a frame that crossed a boundary link — are
+    unioned by :func:`group_traces`, parent links left intact (span ids
+    are globally unique by the stride scheme).
+    """
+    return group_traces((trace["id"], trace["label"], trace["spans"])
+                        for part in parts for trace in part)
 
-    def longest(self) -> Optional[dict]:
-        """The trace spanning the most simulated time (ties: lowest id).
 
-        The one picker: every report that shows "the" trace of a run
-        shows this one, so two views of one run never disagree.
-        """
-        best = None
-        best_key = None
-        for trace in self.traces:
-            spans = trace["spans"]
-            if not spans:
-                continue
-            extent = (max(s["end"] for s in spans)
-                      - min(s["start"] for s in spans))
-            key = (-extent, trace["id"])
-            if best_key is None or key < best_key:
-                best, best_key = trace, key
-        return best
+def trace(traces: List[dict], trace_id: int) -> Optional[dict]:
+    """The trace with id ``trace_id``, or ``None``."""
+    return next((t for t in traces if t["id"] == trace_id), None)
 
-    def shards_of(self, trace: dict) -> List[int]:
-        """Distinct shards whose tracers contributed spans, sorted."""
-        return sorted({shard_of_id(s["span_id"])
-                       for s in trace["spans"]})
 
-    @property
-    def span_count(self) -> int:
-        return sum(len(t["spans"]) for t in self.traces)
+def longest(traces: List[dict]) -> Optional[dict]:
+    """The trace spanning the most simulated time (ties: lowest id).
 
-    @property
-    def digest(self) -> str:
-        """Canonical content hash (determinism gate surface)."""
-        return canonical_digest(self.to_dict())
+    The one picker: every report that shows "the" trace of a run shows
+    this one, so two views of one run never disagree.
+    """
+    best = None
+    best_key = None
+    for candidate in traces:
+        spans = candidate["spans"]
+        if not spans:
+            continue
+        extent = (max(s["end"] for s in spans)
+                  - min(s["start"] for s in spans))
+        key = (-extent, candidate["id"])
+        if best_key is None or key < best_key:
+            best, best_key = candidate, key
+    return best
 
-    def to_dict(self) -> dict:
-        return {
-            "format": FORMAT,
-            "meta": self.meta,
-            "triggers": self.triggers,
-            "traces": self.traces,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceArtifact":
-        tag = data.get("format")
-        if tag != FORMAT:
-            raise ValueError(f"not a {FORMAT} artifact (format={tag!r})")
-        return cls(list(data.get("traces", ())),
-                   triggers=list(data.get("triggers", ())),
-                   meta=dict(data.get("meta", {})))
+def shards_of(trace: dict) -> List[int]:
+    """Distinct shards whose tracers contributed spans, sorted."""
+    return sorted({shard_of_id(s["span_id"]) for s in trace["spans"]})
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
 
-    @classmethod
-    def load(cls, path: str) -> "TraceArtifact":
-        return load_document(path, "trace artifact", cls.from_dict)
-
-    def __repr__(self) -> str:
-        return (f"<TraceArtifact {len(self.traces)} traces, "
-                f"{self.span_count} spans, "
-                f"{len(self.triggers)} triggers>")
+def span_count(traces: List[dict]) -> int:
+    return sum(len(t["spans"]) for t in traces)
 
 
 # ----------------------------------------------------------------------
@@ -192,7 +118,7 @@ class TraceArtifact:
 def critical_path(trace: dict) -> dict:
     """The causal chain that determined when ``trace`` finished.
 
-    ``trace`` is one artifact-form ``{"id", "label", "spans"}`` dict.
+    ``trace`` is one serialised ``{"id", "label", "spans"}`` dict.
     Start from the span with the latest end, walk parent links back to
     a root, and prepend the flat (un-parented) prefix — the host/link/
     dataplane spans recorded before the controller started threading

@@ -1,9 +1,9 @@
 """Exporters: metrics/traces/flow records as JSON or human tables.
 
-Traces are exported in their one form,
-:class:`~repro.telemetry.artifact.TraceArtifact`, and rendered from it:
-:func:`render_tree` is the one span renderer and
-:meth:`~repro.telemetry.artifact.TraceArtifact.longest` the one picker.
+Traces are exported in their one form, a list of ``{"id", "label",
+"spans"}`` dicts, and rendered from it: :func:`render_tree` is the one
+span renderer and :func:`~repro.telemetry.artifact.longest` the one
+picker.
 
 Everything here is read-only over the telemetry plane and deterministic
 for a given run — with one deliberate exception: the app *profile*
@@ -18,7 +18,7 @@ import json
 from typing import Dict, List
 
 from repro.analysis.report import Table
-from repro.telemetry.artifact import TraceArtifact
+from repro.telemetry.artifact import longest, tracer_traces
 
 __all__ = [
     "flow_records_table",
@@ -60,7 +60,7 @@ def metrics_table(registry) -> Table:
 
 
 # ----------------------------------------------------------------------
-# Traces: ASCII span trees and critical paths over artifact-form dicts,
+# Traces: ASCII span trees and critical paths over serialised traces,
 # plain enough to grep in CI logs
 # ----------------------------------------------------------------------
 def _fmt_t(t: float) -> str:
@@ -223,7 +223,7 @@ def snapshot(telemetry, include_wall_profile: bool = False) -> dict:
     doc = {
         "enabled": telemetry.enabled,
         "metrics": telemetry.metrics.snapshot(),
-        "traces": TraceArtifact.from_tracer(telemetry.tracer).to_dict(),
+        "traces": tracer_traces(telemetry.tracer),
         "flow_records": telemetry.flows.to_dict(),
         "profile_calls": telemetry.profiler.call_counts(),
     }
@@ -252,7 +252,7 @@ def render_report(telemetry, include_wall_profile: bool = False) -> str:
     parts.append(f"\nPacket traces: {tracer.trace_count} captured"
                  + (f", {tracer.dropped} dropped (cap)"
                     if tracer.dropped else ""))
-    pick = TraceArtifact.from_tracer(tracer).longest()
+    pick = longest(tracer_traces(tracer))
     if pick is not None:
         parts.append(render_tree(pick, attrs=True))
 

@@ -4,11 +4,13 @@ An aircraft flight recorder does not stream; it keeps a bounded tail of
 everything and survives the crash.  This one holds per-component rings
 of the most recent spans (fed by the tracer's ``on_span`` hook, so it
 sees spans even after the tracer's own retention ring evicts their
-traces) plus a ring of fault/check events, and *dumps* a deterministic
-:class:`~repro.telemetry.artifact.TraceArtifact` the instant something
-goes red: an :class:`~repro.check.monitor.InvariantMonitor` violation or an
-SLO alert firing.  Every red verdict therefore ships its causal
-history, bounded in memory no matter how long the run.
+traces) plus a ring of fault/check events, and *dumps* them
+deterministically the instant something goes red: an
+:class:`~repro.check.monitor.InvariantMonitor` violation or an SLO
+alert firing.  A dump is the ``traces``, ``triggers`` and ``meta``
+sections of a run artifact, as plain data.  Every red verdict
+therefore ships its causal history, bounded in memory no matter how
+long the run.
 
 Doctrine: the recorder is a pure observer.  Hook bodies read state and
 append to Python lists — no kernel events, no RNG — so arming it leaves
@@ -20,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from repro.telemetry.artifact import TraceArtifact, group_traces
+from repro.telemetry.artifact import group_traces
 
 __all__ = ["FlightRecorder"]
 
@@ -38,7 +40,7 @@ class FlightRecorder:
     max_events:
         Fault/check events retained.
     max_dumps:
-        Artifacts kept; later triggers beyond this are counted in
+        Dumps kept; later triggers beyond this are counted in
         :attr:`dumps_suppressed` but not captured (a red run would
         otherwise dump per violation, unbounded).
     """
@@ -49,7 +51,7 @@ class FlightRecorder:
         self.max_dumps = max_dumps
         self.rings: Dict[str, Deque] = {}
         self.events: Deque[dict] = deque(maxlen=max_events)
-        self.dumps: List[TraceArtifact] = []
+        self.dumps: List[dict] = []
         self.dumps_suppressed = 0
         self.spans_seen = 0
         self._tracer = telemetry.tracer
@@ -113,27 +115,27 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Capture
     # ------------------------------------------------------------------
-    def trigger(self, kind: str, detail: str, time: float) -> Optional[
-            TraceArtifact]:
-        """Capture the rings into an artifact (bounded by max_dumps)."""
+    def trigger(self, kind: str, detail: str,
+                time: float) -> Optional[dict]:
+        """Capture the rings into a dump (bounded by max_dumps)."""
         self.note_event(kind, detail, time)
         if len(self.dumps) >= self.max_dumps:
             self.dumps_suppressed += 1
             return None
-        artifact = self.snapshot(
+        dump = self.snapshot(
             triggers=[{"time": time, "kind": kind, "detail": detail}])
-        self.dumps.append(artifact)
-        return artifact
+        self.dumps.append(dump)
+        return dump
 
-    def snapshot(self, triggers: Optional[List[dict]] = None,
-                 ) -> TraceArtifact:
-        """The rings' current contents as a deterministic artifact.
+    def snapshot(self, triggers: Optional[List[dict]] = None) -> dict:
+        """The rings' current contents as deterministic ``traces``,
+        ``triggers`` and ``meta`` sections.
 
         Spans are regrouped by trace id (a ring is per *component*)
-        the way :meth:`TraceArtifact.merge` regroups shards; trace
-        labels come from the live tracer where the trace still exists,
-        else empty — eviction is part of the story a bounded recorder
-        tells.
+        the way :func:`~repro.telemetry.artifact.merge` regroups
+        shards; trace labels come from the live tracer where the trace
+        still exists, else empty — eviction is part of the story a
+        bounded recorder tells.
         """
         label = self._tracer.label
         traces = group_traces(
@@ -148,8 +150,8 @@ class FlightRecorder:
             "rings": {stage: len(ring)
                       for stage, ring in sorted(self.rings.items())},
         }
-        return TraceArtifact(traces, triggers=list(triggers or ()),
-                             meta=meta)
+        return {"traces": traces, "triggers": list(triggers or ()),
+                "meta": meta}
 
     def __repr__(self) -> str:
         held = sum(len(r) for r in self.rings.values())

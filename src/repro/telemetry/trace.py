@@ -15,8 +15,8 @@ pair: the sender stashes the trace id under a key derived from the wire
 bytes, and the receiver adopts it after decoding.  Channels are ordered
 and lossless, so FIFO adoption per key is exact.
 
-A tracer's traces leave it in one form,
-:class:`~repro.telemetry.artifact.TraceArtifact`.
+A tracer's traces leave it in one form, a list of ``{"id", "label",
+"spans"}`` dicts (:func:`repro.telemetry.artifact.tracer_traces`).
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class Tracer:
         #: Offset for every id this tracer mints.  A sharded run gives
         #: shard *k* the base ``k * SHARD_ID_STRIDE``, so trace and
         #: span ids are globally unique and the engine can merge the
-        #: per-shard tracers into one artifact without renumbering.
+        #: per-shard tracers into one trace list without renumbering.
         self.id_base = id_base
         self._spans: Dict[int, List[Span]] = {}
         self._labels: Dict[int, str] = {}

@@ -34,7 +34,6 @@ from repro.workload.generators import (
 )
 from repro.workload.runner import (
     AssembledRun,
-    WorkloadResult,
     assemble,
     run_suite,
     run_workload,
@@ -59,7 +58,6 @@ __all__ = [
     "DiurnalFlowGenerator",
     "IncastGenerator",
     "TenantMatrix",
-    "WorkloadResult",
     "WorkloadSpec",
     "arm_traffic",
     "assemble",

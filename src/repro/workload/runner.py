@@ -7,20 +7,19 @@ asks for, installs flow sinks that feed a ``workload_fct_seconds``
 histogram, and arms every fault and traffic entry.
 :func:`run_workload` — the engine behind the ``workload`` CLI and
 benchmark E16 — runs that with the obs plane on (stock SLOs plus the
-spec's own) and returns a :class:`WorkloadResult` whose
-:class:`~repro.obs.artifact.RunArtifact` plugs straight into
-``repro obs diff`` and the dashboard; ``repro.check.run_scenario`` runs
-the same assembly and ends with an invariant verdict.
+spec's own) and returns a :class:`~repro.obs.artifact.RunResult` whose
+artifact plugs straight into ``repro obs diff`` and the dashboard;
+``repro.check.run_scenario`` runs the same assembly and ends with an
+invariant verdict.
 
 :func:`run_suite` fans a list of specs across worker processes.
-Workers return plain dicts (summaries + serialised artifacts); the
-parent reconstructs and writes the artifacts, so the fan-out changes
+Workers return run documents (:meth:`RunResult.to_dict`); the parent
+rebuilds the results and writes the documents, so the fan-out changes
 wall-clock only — per-run digests are identical at any ``jobs``.
 """
 
 from __future__ import annotations
 
-import json
 import traceback
 from typing import Dict, List, NamedTuple, Optional
 
@@ -29,57 +28,18 @@ from repro.core import ZenPlatform
 from repro.digest import canonical_digest
 from repro.errors import ZenError
 from repro.faults import FaultSchedule, arm_faults
-from repro.obs import ObsPlane, RunArtifact, default_slos, slo_from_spec
+from repro.obs import ObsPlane, RunResult, default_slos, slo_from_spec
 from repro.telemetry import Telemetry
 from repro.workload.generators import TenantMatrix, arm_traffic
 from repro.workload.spec import WorkloadSpec, build_spec_topology
 
 __all__ = [
     "AssembledRun",
-    "WorkloadResult",
     "assemble",
     "run_suite",
     "run_workload",
     "suite_digest",
 ]
-
-
-class WorkloadResult:
-    """Outcome of one workload run: summary + obs artifact."""
-
-    __slots__ = ("spec", "summary", "artifact")
-
-    def __init__(self, spec: WorkloadSpec, summary: dict,
-                 artifact: RunArtifact) -> None:
-        self.spec = spec
-        self.summary = summary
-        self.artifact = artifact
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.summary.get("health_ok", False))
-
-    @property
-    def digest(self) -> str:
-        """Stable digest of everything the run produced (bit-identity
-        checks across re-runs and across suite worker counts)."""
-        return canonical_digest(
-            {"summary": self.summary, "artifact": self.artifact.to_dict()}
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.spec.name,
-            "summary": self.summary,
-            "artifact": self.artifact.to_dict(),
-            "digest": self.digest,
-        }
-
-    def __repr__(self) -> str:
-        verdict = "ok" if self.ok else "ALERTS"
-        return (f"<WorkloadResult {self.spec.name!r} "
-                f"{self.summary.get('flows_completed', 0)} flows "
-                f"{verdict}>")
 
 
 class AssembledRun(NamedTuple):
@@ -236,14 +196,12 @@ def assemble(spec: WorkloadSpec, *, telemetry=False,
 
 
 def run_workload(spec: WorkloadSpec,
-                 out: Optional[str] = None,
                  shards: Optional[int] = None,
-                 shard_processes: Optional[bool] = None):
+                 shard_processes: Optional[bool] = None) -> RunResult:
     """Execute one spec end to end; deterministic in (spec, seed).
 
     With ``shards`` the run is delegated to the sharded kernel
-    (:func:`repro.sim.shard.run_sharded`) and the return value is a
-    :class:`~repro.sim.shard.ShardedResult` — a static-forwarding
+    (:func:`repro.sim.shard.run_sharded`) — a static-forwarding
     execution model whose merged observables are bit-identical at any
     shard count (``shards=1`` is the oracle).  Without ``shards`` the
     spec is assembled with telemetry and the obs plane on, run for
@@ -252,8 +210,7 @@ def run_workload(spec: WorkloadSpec,
     if shards is not None:
         from repro.sim.shard import run_sharded
 
-        return run_sharded(spec, shards=shards,
-                           processes=shard_processes, out=out)
+        return run_sharded(spec, shards=shards, processes=shard_processes)
     live = assemble(spec, obs=True)
     plane = live.plane
     live.platform.run(spec.duration)
@@ -277,15 +234,12 @@ def run_workload(spec: WorkloadSpec,
         "alerts": len(plane.report.alerts),
         "events": live.platform.sim.events_processed,
     }
-    artifact = plane.artifact(kind="workload", workload=spec.to_dict(),
-                              summary=summary)
-    if out:
-        artifact.save(out)
-    return WorkloadResult(spec, summary, artifact)
+    return RunResult(spec, summary, plane.artifact(
+        kind="workload", workload=spec.to_dict(), summary=summary))
 
 
 def _suite_worker(job: tuple) -> dict:
-    """Pool target: run one spec, return plain picklable data.
+    """Pool target: run one spec, return its run document.
 
     ``job`` is ``(spec_doc, shards)``; sharded suite runs use the
     in-process coordinator per spec (the pool already owns the
@@ -307,57 +261,52 @@ def _suite_worker(job: tuple) -> dict:
 
 def run_suite(specs: List[WorkloadSpec], jobs: int = 1,
               out_dir: Optional[str] = None,
-              shards: Optional[int] = None) -> List[dict]:
+              shards: Optional[int] = None) -> List[RunResult]:
     """Run a scenario suite, optionally across worker processes.
 
-    Returns one result dict per spec (``WorkloadResult.to_dict`` form,
-    or ``ShardedResult.to_dict`` when ``shards`` is given), in spec
-    order regardless of worker scheduling.  With ``out_dir`` the parent
-    (not the workers) writes ``<name>.json`` run artifacts there, so
-    ``repro obs diff`` works on any pair of suite outputs.
+    Returns one :class:`~repro.obs.artifact.RunResult` per spec, in
+    spec order regardless of worker scheduling.  With ``out_dir`` the
+    parent (not the workers) writes each run document to
+    ``<name>.json`` there, so ``repro obs diff`` works on any pair of
+    suite outputs.
 
     A scenario that raises does not lose the others: every finished
     result is still written to ``out_dir``, and the call then ends in
     one :class:`~repro.errors.ZenError` naming each failed scenario
-    (its ``results`` attribute holds the full list, failure entries
-    included).
+    (its ``results`` attribute holds the finished results, its
+    ``failures`` one ``{"name", "error", "traceback"}`` dict per failed
+    scenario).
     """
     jobs_in = [(spec.to_dict(), shards) for spec in specs]
-    if jobs <= 1 or len(jobs_in) <= 1:
-        results = [_suite_worker(job) for job in jobs_in]
-    else:
+    if jobs > 1 and len(jobs_in) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(min(jobs, len(jobs_in))) as pool:
-            results = pool.map(_suite_worker, jobs_in)
+            docs = pool.map(_suite_worker, jobs_in)
+    else:
+        docs = [_suite_worker(job) for job in jobs_in]
+    failed = [doc for doc in docs if "error" in doc]
+    results = [RunResult.from_dict(doc) for doc in docs
+               if "error" not in doc]
     if out_dir is not None:
         import os
 
         os.makedirs(out_dir, exist_ok=True)
-        for entry in results:
-            if "error" in entry:
-                continue
-            path = os.path.join(out_dir, f"{entry['name']}.json")
-            if "artifact" in entry:
-                RunArtifact.from_dict(entry["artifact"]).save(path)
-            else:  # sharded run: the result document is the artifact
-                with open(path, "w") as fh:
-                    json.dump(entry, fh, indent=1, sort_keys=True)
-                    fh.write("\n")
-    failed = [entry for entry in results if "error" in entry]
+        for result in results:
+            result.save(os.path.join(out_dir, f"{result.spec.name}.json"))
     if failed:
-        kept = len(results) - len(failed)
         where = f" and written to {out_dir}" if out_dir is not None else ""
         error = ZenError(
-            f"{len(failed)} of {len(results)} suite scenario(s) failed "
-            f"({kept} finished{where}): " + "; ".join(
-                f"{entry['name']}: {entry['error']}" for entry in failed))
+            f"{len(failed)} of {len(docs)} suite scenario(s) failed "
+            f"({len(results)} finished{where}): " + "; ".join(
+                f"{doc['name']}: {doc['error']}" for doc in failed))
         error.results = results
+        error.failures = failed
         raise error
     return results
 
 
-def suite_digest(results: List[dict]) -> str:
+def suite_digest(results: List[RunResult]) -> str:
     """One digest over a suite's per-run digests (in suite order)."""
-    return canonical_digest([{"name": r["name"], "digest": r["digest"]}
+    return canonical_digest([{"name": r.spec.name, "digest": r.digest}
                              for r in results])

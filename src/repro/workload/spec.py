@@ -75,13 +75,28 @@ def _check_buildable(label: str, topology: dict,
         raise TopologyError(f"{label}: topology field 'params' does not "
                             f"fit Topology.{family}: {exc}") from None
     for index, entry in enumerate(traffic):
+        where = f"{label}: traffic[{index}] field"
         for field in _TRAFFIC_NUMBERS:
             value = entry.get(field, 0)
             if not isinstance(value, _NUMBER) and not (
                     field == "fanin" and value is None):
                 raise TopologyError(
-                    f"{label}: traffic[{index}] field {field!r} must be "
-                    f"a number, not {type(value).__name__}")
+                    f"{where} {field!r} must be a number, not "
+                    f"{type(value).__name__}")
+        # Ranges both engines need; the defaults are the generators'.
+        kind = entry.get("kind", "flows")
+        positive = ["rate", "flows_per_user_per_s"]
+        if kind in ("incast", "diurnal"):
+            positive.append("period")
+        for field in positive:
+            value = entry.get(field, 1)
+            if value <= 0:
+                raise TopologyError(
+                    f"{where} {field!r} must be > 0, not {value}")
+        trough = entry.get("trough", 0.2)
+        if kind == "diurnal" and not 0 <= trough <= 1:
+            raise TopologyError(
+                f"{where} 'trough' must be in [0, 1], not {trough}")
 
 
 class WorkloadSpec:

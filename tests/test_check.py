@@ -34,9 +34,7 @@ from repro.check import (
     load_scenario,
     minimize,
     replay,
-    result_digest,
     run_scenario,
-    write_repro,
 )
 from repro.check import fuzzer
 from repro.workload import (
@@ -140,8 +138,8 @@ class TestSeededViolations:
 )
 def test_example_scenario_checks_clean(scenario):
     result = run_scenario(scenario)
-    assert result.ok, result.verdicts["violations"]
-    assert result.verdicts["probes_run"] > 0
+    assert result.ok, result.artifact.checks["violations"]
+    assert result.artifact.checks["probes_run"] > 0
 
 
 # ----------------------------------------------------------------------
@@ -164,26 +162,25 @@ class TestFuzzerDeterminism:
         assert scenario.faults  # the interesting case
         first = run_scenario(scenario, monitor=True)
         second = run_scenario(scenario, monitor=True)
-        assert result_digest(first) == result_digest(second)
+        assert first.digest == second.digest
         assert first.observables == second.observables
 
     def test_repro_file_roundtrip(self, tmp_path):
         scenario = generate_scenario(2)
         result = run_scenario(scenario)
         path = tmp_path / "repro.json"
-        write_repro(str(path), scenario, result)
+        result.save(str(path))
         payload = json.loads(path.read_text())
-        assert payload["digest"] == result_digest(result)
+        assert payload["digest"] == result.digest
         replayed = run_scenario(load_scenario(str(path)))
-        assert result_digest(replayed) == payload["digest"]
+        assert replayed.digest == payload["digest"]
 
     def test_a_bare_spec_document_replays(self, tmp_path):
         # `check replay --path` takes what `workload run --spec` takes.
         spec = generate_scenario(2)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec.to_dict()))
-        assert (result_digest(replay(str(path)))
-                == result_digest(run_scenario(spec)))
+        assert replay(str(path)).digest == run_scenario(spec).digest
 
     def test_minimize_drops_irrelevant_parts(self):
         scenario = generate_scenario(1)
@@ -204,8 +201,8 @@ class TestFuzzerDeterminism:
         corpus = json.loads(corpus_path.read_text())
         for seed in corpus["seeds"]:
             result = run_scenario(generate_scenario(seed))
-            assert result.ok, (seed, result.verdicts["violations"])
-            assert "event_budget_exhausted" not in result.verdicts
+            assert result.ok, (seed, result.artifact.checks["violations"])
+            assert "event_budget_exhausted" not in result.artifact.checks
 
     def test_a_runaway_scenario_ends_in_the_budget_verdict(
             self, monkeypatch):
@@ -214,10 +211,10 @@ class TestFuzzerDeterminism:
         monkeypatch.setattr(fuzzer, "EVENT_BUDGET", 1_000)
         result = run_scenario(generate_scenario(0))
         assert not result.ok
-        budget = result.verdicts["event_budget_exhausted"]
+        budget = result.artifact.checks["event_budget_exhausted"]
         assert budget["budget"] == fuzzer.EVENT_BUDGET
         assert budget["pending"] > 0
-        assert budget["now"] < result.scenario.duration
+        assert budget["now"] < result.spec.duration
 
 
 # ----------------------------------------------------------------------
@@ -258,9 +255,9 @@ class TestPurity:
         off = run_scenario(scenario, monitor=False)
         on = run_scenario(scenario, monitor=True)
         assert on.observables == off.observables
-        assert on.verdicts == off.verdicts
+        assert on.artifact.checks == off.artifact.checks
         # The monitor did actually run and see the transient failures.
-        assert on.monitor_failures
+        assert on.summary["monitor_failures"]
 
 
 # ----------------------------------------------------------------------
@@ -279,7 +276,7 @@ def test_library_spec_is_checked_on_the_run_the_workload_plane_measures(
     spec.duration = duration  # shortened for tier 1; same program
     checked = run_scenario(spec, monitor=True)
     measured = run_workload(spec)
-    assert checked.ok, checked.verdicts["violations"]
+    assert checked.ok, checked.artifact.checks["violations"]
     topo = build_spec_topology(spec)
     assert (set(checked.observables["dp_stats"])
             | set(checked.observables["hosts"])) == set(topo.nodes)
@@ -299,9 +296,10 @@ def test_cluster_spec_runs_on_both_planes():
     assert WorkloadSpec.from_dict(spec.to_dict()).to_dict() == spec.to_dict()
     checked = run_scenario(spec)
     measured = run_workload(spec)
-    assert checked.ok, checked.verdicts
-    assert checked.verdicts["cluster_violations"] == []
-    assert checked.faults_fired == measured.summary["faults_fired"] == 2
+    assert checked.ok, checked.artifact.checks
+    assert checked.artifact.checks["cluster_violations"] == []
+    assert (checked.summary["faults_fired"]
+            == measured.summary["faults_fired"] == 2)
     assert measured.summary["flows_completed"] > 0
     assert (checked.observables["events"]
             == measured.summary["events"])

@@ -119,10 +119,23 @@ class TestNamedErrors:
         ({"name": "x", "topology": {"family": "ring", "size": 3},
           "traffic": [{"kind": "flows", "rate": "fast"}]},
          "traffic[0] field 'rate' must be a number"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [{"kind": "diurnal", "period": 0}]},
+         "traffic[0] field 'period' must be > 0"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [{"kind": "diurnal", "trough": 1.5}]},
+         "traffic[0] field 'trough' must be in [0, 1]"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [{"kind": "flows", "rate": 0}]},
+         "traffic[0] field 'rate' must be > 0"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [{"kind": "incast", "period": 0}]},
+         "traffic[0] field 'period' must be > 0"),
     ])
     @pytest.mark.parametrize("argv", [
         ["workload", "run", "--spec"],
         ["check", "replay", "--path"],
+        ["workload", "run", "--shards", "1", "--spec"],
     ])
     def test_bad_spec_fields_fail_before_any_simulated_time(
             self, document, names, argv, tmp_path, capsys, monkeypatch):
@@ -181,6 +194,28 @@ class TestNamedErrors:
         (line,) = err.splitlines()
         assert line.startswith("repro: error: ") and str(path) in line
 
+    @pytest.mark.parametrize("argv, names", [
+        (["check", "replay"], "--path"),
+        (["obs", "diff"], "BASE and CURRENT"),
+        (["workload", "run"], "--name or --spec"),
+        (["workload", "suite", "--names", "nope"], "['nope']"),
+        (["trace", "report", "--shards", "2", "--scenario", "nope"],
+         "unknown scenario 'nope'"),
+        (["trace", "critical-path"], "artifact path"),
+        (["telemetry", "--sample-every", "0"], "--sample-every"),
+    ])
+    def test_missing_or_unknown_arguments_fail_before_any_simulated_time(
+            self, argv, names, capsys, monkeypatch):
+        def run(*_args, **_kwargs):
+            raise AssertionError("simulated time ran")
+
+        monkeypatch.setattr(Simulator, "run", run)
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("repro: error: ") and names in line
+
     def test_unknown_workload_name(self):
         src = pathlib.Path(repro.__file__).parent.parent
         done = subprocess.run(
@@ -188,6 +223,7 @@ class TestNamedErrors:
              "--name", "nope"],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True, text=True, timeout=120)
-        assert done.returncode == 1 and done.stdout == ""
+        assert done.returncode == 2 and done.stdout == ""
         (line,) = done.stderr.splitlines()
+        assert line.startswith("repro: error: ")
         assert "unknown scenario 'nope'" in line

@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 
 from repro.check import generate_cluster_scenario, generate_scenario
-from repro.check.fuzzer import result_digest, run_scenario
+from repro.check.fuzzer import run_scenario
 from repro.workload import WorkloadSpec
 
 DATA = Path(__file__).parent / "data"
@@ -55,8 +55,8 @@ class TestGeneration:
 class TestReplay:
     def test_cluster_scenario_runs_bit_identically(self):
         scenario = generate_cluster_scenario(1)
-        assert result_digest(run_scenario(scenario)) == \
-            result_digest(run_scenario(scenario))
+        assert run_scenario(scenario).digest == \
+            run_scenario(scenario).digest
 
     def test_monitor_on_vs_off_bit_identity(self):
         """The invariant monitor must not perturb a cluster run: every
@@ -70,13 +70,13 @@ class TestReplay:
             watched = run_scenario(scenario, monitor=True)
             assert plain.ok and watched.ok
             assert plain.observables == watched.observables, seed
-            assert plain.verdicts == watched.verdicts, seed
+            assert plain.artifact.checks == watched.artifact.checks, seed
 
     def test_verdicts_carry_cluster_violations_key(self):
         result = run_scenario(generate_cluster_scenario(0))
-        assert result.verdicts["cluster_violations"] == []
+        assert result.artifact.checks["cluster_violations"] == []
         classic = run_scenario(generate_scenario(0))
-        assert "cluster_violations" not in classic.verdicts
+        assert "cluster_violations" not in classic.artifact.checks
 
 
 class TestCorpus:
@@ -91,6 +91,6 @@ class TestCorpus:
             result = run_scenario(generate_cluster_scenario(seed))
             assert result.ok, (
                 seed,
-                result.verdicts.get("cluster_violations")
-                or result.verdicts["violations"],
+                result.artifact.checks.get("cluster_violations")
+                or result.artifact.checks["violations"],
             )

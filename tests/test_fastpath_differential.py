@@ -399,6 +399,6 @@ def test_check_verdicts_differential(seed):
     scenario = generate_scenario(seed)
     off = run_scenario(scenario, fast_path=False, monitor=True)
     on = run_scenario(scenario, fast_path=True, monitor=True)
-    assert on.verdicts == off.verdicts
-    assert on.monitor_failures == off.monitor_failures
+    assert on.artifact.checks == off.artifact.checks
+    assert on.summary == off.summary
     assert on.to_dict() == off.to_dict()

@@ -39,7 +39,8 @@ from repro.southbound import (
     encode_message,
 )
 from repro.southbound.agent import BUFFER_TTL
-from repro.telemetry import Telemetry, TraceArtifact
+from repro.telemetry import Telemetry
+from repro.telemetry.artifact import tracer_traces
 
 DATA = Path(__file__).parent / "data"
 
@@ -306,7 +307,8 @@ def _observe(platform) -> dict:
         "events": platform.sim.events_processed,
         "stats": {name: dp.stats() for name, dp in net.switches.items()},
         "flow_records": tel.flows.to_dict(),
-        "traces": TraceArtifact.from_tracer(tel.tracer).to_dict(),
+        "traces": tracer_traces(tel.tracer),
+        "dropped": (tel.tracer.dropped, tel.tracer.dropped_spans),
         "stash": tel.tracer.stash_size,
         # One table per datapath, whichever connection is asked.
         "punts": sum(stats["buffered"] + stats["unbuffered"]
@@ -404,7 +406,7 @@ def test_buffering_changes_no_dataplane_observable(build, monkeypatch):
         assert not any(platform.net.agent(name).buffer_stats()["buffered"]
                        for name in platform.net.switches)
     assert buffered["punts"] > 50, "vacuous: nothing was punted"
-    assert buffered["traces"]["traces"]
+    assert buffered["traces"]
     assert buffered["stash"] == 0 and unbuffered["stash"] == 0
     for key in buffered:
         assert buffered[key] == unbuffered[key], key

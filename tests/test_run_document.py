@@ -1,0 +1,95 @@
+"""One run document: every run kind saves one ``repro.obs/1`` file,
+through one writer, and every reader takes it."""
+
+import json
+
+import pytest
+
+from repro.check import generate_scenario, run_scenario
+from repro.cli import main
+from repro.digest import canonical_digest, save_document
+from repro.obs import RunResult, load_artifact
+from repro.sim.shard import run_sharded
+from repro.workload import WorkloadSpec, run_workload
+
+
+def _tiny_spec():
+    return WorkloadSpec(
+        "tiny", topology={"family": "linear", "size": 3}, seed=3,
+        duration=1.0,
+        traffic=[{"kind": "flows", "rate": 20.0,
+                  "sizes": {"dist": "fixed", "size": 2_000},
+                  "start": 0.2, "duration": 0.6}])
+
+
+def _trace_dump(tmp_path, *flags):
+    path = tmp_path / "dump.json"
+    assert main(["trace", "dump", "--topology", "linear", "--size", "3",
+                 "--duration", "1.0", *flags, "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+_RUNS = {
+    "workload": lambda tmp: run_workload(_tiny_spec()).to_dict(),
+    "sharded": lambda tmp: run_sharded(_tiny_spec(), shards=2,
+                                       processes=False).to_dict(),
+    "fuzz scenario": lambda tmp: run_scenario(generate_scenario(2),
+                                              monitor=True).to_dict(),
+    "trace dump": lambda tmp: _trace_dump(tmp),
+    "flight dump": lambda tmp: _trace_dump(tmp, "--fault", "link",
+                                           "--flight"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RUNS))
+def test_every_run_kind_round_trips_through_the_one_document(
+        kind, tmp_path, capsys):
+    doc = _RUNS[kind](tmp_path)
+    capsys.readouterr()
+    path = tmp_path / "run.json"
+    save_document(str(path), doc)
+    artifact = load_artifact(str(path))
+    # The digest is the run's, not a section of the artifact.
+    assert artifact.to_dict() == {k: v for k, v in doc.items()
+                                  if k != "digest"}
+    if "digest" in doc:  # a RunResult: it rebuilds, digest and all
+        assert RunResult.from_dict(json.loads(path.read_text())).digest \
+            == doc["digest"]
+
+
+def test_result_digest_scopes():
+    workload = run_workload(_tiny_spec())
+    assert workload.digest == workload.full_digest == canonical_digest(
+        {"summary": workload.summary,
+         "artifact": workload.artifact.to_dict()})
+    sharded = run_sharded(_tiny_spec(), shards=1)
+    assert sharded.digest == sharded.dataplane_digest == canonical_digest(
+        sharded.observables)
+    assert "wall_s" not in sharded.summary
+    assert sharded.digest == run_sharded(_tiny_spec(), shards=2,
+                                         processes=False).digest
+
+
+def test_a_sharded_suite_document_diffs(tmp_path, capsys):
+    out_dir = tmp_path / "D"
+    assert main(["workload", "suite", "--names", "incast-storm",
+                 "--shards", "1", "--out-dir", str(out_dir)]) == 0
+    saved = str(out_dir / "incast-storm.json")
+    assert main(["obs", "diff", saved, saved]) == 0
+    assert json.loads(open(saved).read())["digest"].startswith("d972a11c")
+
+
+def test_one_flight_dump_serves_the_dashboard_and_the_critical_path(
+        tmp_path, capsys):
+    path = str(tmp_path / "handover.json")
+    assert main(["trace", "dump", "--controllers", "3", "--fault",
+                 "controller", "--flight", "--duration", "2.5",
+                 "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["obs", "dashboard", "--path", path]) == 0
+    out = capsys.readouterr().out
+    assert "Health @ " in out and "convergence" in out
+    assert main(["trace", "critical-path", path, "--select", "fault",
+                 "--tree"]) == 0
+    out = capsys.readouterr().out
+    assert "fault.controller_crash" in out and "bus.death_detect" in out

@@ -187,28 +187,28 @@ def test_run_workload_delegates_to_sharded_kernel():
     spec = _scaled("incast-storm", 2.0)
     via_runner = run_workload(spec, shards=2, shard_processes=False)
     direct = run_sharded(spec, shards=2, processes=False)
-    assert via_runner.to_dict()["kind"] == "sharded_workload"
-    assert via_runner.digest == direct.digest
+    assert via_runner.artifact.meta["kind"] == "sharded"
+    assert via_runner.digest == direct.digest == direct.dataplane_digest
 
 
 def test_run_suite_sharded_writes_artifacts(tmp_path):
     spec = _scaled("incast-storm", 2.0)
     results = run_suite([spec], jobs=1, out_dir=str(tmp_path), shards=2)
     assert len(results) == 1
-    entry = results[0]
-    assert entry["kind"] == "sharded_workload"
+    result = results[0]
+    assert result.artifact.meta["kind"] == "sharded"
     path = os.path.join(str(tmp_path), f"{spec.name}.json")
     with open(path) as fh:
         saved = json.load(fh)
-    assert saved["digest"] == entry["digest"]
+    assert saved["digest"] == result.digest
     oracle = run_sharded(spec, shards=1)
-    assert entry["digest"] == oracle.digest
+    assert result.digest == oracle.digest
 
 
 def test_shards_one_is_single_window():
     spec = _scaled("incast-storm", 2.0)
     result = run_sharded(spec, shards=1)
-    assert result.effective_shards == 1
+    assert result.summary["shards"] == 1
     assert result.summary["rounds"] == 1
     assert result.summary["lookahead"] is None
     assert result.summary["cut_links"] == 0

@@ -25,9 +25,9 @@ from repro.telemetry import (
     NULL_TRACER,
     MetricsRegistry,
     Telemetry,
-    TraceArtifact,
     Tracer,
 )
+from repro.telemetry.artifact import longest, tracer_traces
 from repro.telemetry.export import render_report, to_json
 from repro.telemetry.flowrecords import (
     AppProfiler,
@@ -282,7 +282,7 @@ class TestEndToEnd:
         tel = Telemetry(trace=True)
         platform = _reactive_platform(tel).start()
         assert platform.ping_all(count=1, settle=8.0) == 1.0
-        pick = TraceArtifact.from_tracer(tel.tracer).longest()
+        pick = longest(tracer_traces(tel.tracer))
         assert pick is not None
         assert pick["label"]  # "h1 Ethernet/..." style origin label
         assert len(pick["spans"]) >= 5
@@ -354,12 +354,12 @@ class TestEndToEnd:
                          "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["enabled"] is True
-        assert doc["traces"]["traces"]
+        assert doc["traces"]
         assert doc["flow_records"]["count"] >= 1
         # The snapshot's traces are the run's one serialised form.
         (tel,) = built
-        artifact = TraceArtifact.from_tracer(tel.tracer).to_dict()
-        assert doc["traces"] == json.loads(json.dumps(artifact))
+        traces = tracer_traces(tel.tracer)
+        assert doc["traces"] == json.loads(json.dumps(traces))
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ Layers of coverage:
   ``end_span``, foreign adoption) and the critical-path walk;
 * the stash leak + cross-epoch adoption fixes on the control channel;
 * tracer eviction pressure surfaced end-to-end through OpenMetrics;
-* TraceArtifact merge across per-shard tracers and the flight
-  recorder's triggered dumps;
+* trace lists merged across per-shard tracers, the flight recorder's
+  triggered dumps, and the ``traces`` section of a saved run artifact;
 * the acceptance criteria: a sharded run and a clustered fault run
   each produce one merged artifact whose critical path crosses the
   shard/controller boundary, with the dataplane bit-identical whether
@@ -20,16 +20,23 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core import ZenPlatform
+from repro.digest import canonical_digest
 from repro.netem import Topology
 from repro.errors import ZenError
+from repro.obs import RunArtifact, load_artifact
 from repro.telemetry import Telemetry, Tracer
 from repro.telemetry.export import render_critical_path, render_tree
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.artifact import (
     SHARD_ID_STRIDE,
-    TraceArtifact,
     critical_path,
+    longest,
+    merge,
     shard_of_id,
+    shards_of,
+    span_count,
+    trace as find_trace,
+    tracer_traces,
 )
 from repro.workload import WorkloadSpec
 
@@ -140,66 +147,68 @@ class TestCriticalPath:
 
 
 # ----------------------------------------------------------------------
-# TraceArtifact
+# Trace lists, alone and as a run artifact's section
 # ----------------------------------------------------------------------
 class TestTraceArtifact:
     def test_round_trip_and_digest_stability(self, tmp_path):
         tr = Tracer()
         tid = tr.start_trace("t")
         tr.record(tid, "a", "host")
-        art = TraceArtifact.from_tracer(tr, meta={"seed": 7})
+        art = RunArtifact(meta={"seed": 7}, traces=tracer_traces(tr))
         path = tmp_path / "trace.json"
         art.save(str(path))
-        back = TraceArtifact.load(str(path))
-        assert back.digest == art.digest
+        back = load_artifact(str(path))
+        assert (canonical_digest(back.to_dict())
+                == canonical_digest(art.to_dict()))
         assert back.meta["seed"] == 7
-        assert back.trace(tid)["spans"][0]["name"] == "a"
+        assert find_trace(back.traces, tid)["spans"][0]["name"] == "a"
 
     def test_save_load_round_trips_byte_identically(self, tmp_path):
         tel = Telemetry(trace=True)
         _reactive_platform(tel).start().ping_all(count=1, settle=8.0)
-        art = TraceArtifact.from_tracer(tel.tracer, meta={"seed": 0})
+        art = RunArtifact(meta={"seed": 0},
+                          traces=tracer_traces(tel.tracer))
         first, second = tmp_path / "first.json", tmp_path / "second.json"
         art.save(str(first))
-        TraceArtifact.load(str(first)).save(str(second))
-        assert art.span_count > 50
+        load_artifact(str(first)).save(str(second))
+        assert span_count(art.traces) > 50
         assert first.read_bytes() == second.read_bytes()
 
     def test_load_rejects_foreign_documents(self, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(ZenError, match="something-else"):
-            TraceArtifact.load(str(path))
+            load_artifact(str(path))
 
     def test_merge_unions_split_traces_across_shards(self):
         # Shard 0 started the trace, shard 1 adopted it: same id, two
         # half span-trees.
         tid = 5
-        a = TraceArtifact([{"id": tid, "label": "origin", "spans": [
+        a = [{"id": tid, "label": "origin", "spans": [
             _span(1, "host.tx", "host", 0.0, 0.0),
             _span(2, "boundary_tx", "shard", 0.0, 0.001),
-        ]}])
-        b = TraceArtifact([{"id": tid, "label": "", "spans": [
+        ]}]
+        b = [{"id": tid, "label": "", "spans": [
             _span(SHARD_ID_STRIDE + 1, "boundary_rx", "shard",
                   0.001, 0.001, parent=2),
             _span(SHARD_ID_STRIDE + 2, "host.rx", "host", 0.002, 0.002),
-        ]}])
-        merged = TraceArtifact.merge([a, b])
-        trace = merged.trace(tid)
+        ]}]
+        merged = merge([a, b])
+        trace = find_trace(merged, tid)
+        assert len(merged) == 1
         assert trace["label"] == "origin"
         assert [s["name"] for s in trace["spans"]] == [
             "host.tx", "boundary_tx", "boundary_rx", "host.rx"]
-        assert merged.shards_of(trace) == [0, 1]
-        assert merged.meta["merged_from"] == 2
+        assert shards_of(trace) == [0, 1]
 
     def test_longest_picks_widest_extent(self):
-        art = TraceArtifact([
+        traces = [
             {"id": 1, "label": "short",
              "spans": [_span(1, "a", "host", 0.0, 0.1)]},
             {"id": 2, "label": "long",
              "spans": [_span(2, "b", "host", 0.0, 0.5)]},
-        ])
-        assert art.longest()["id"] == 2
+        ]
+        assert longest(traces)["id"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -385,8 +394,8 @@ class TestFlightRecorder:
             tel.tracer.record(tid, f"s{i}", "host")
         assert len(rec.rings["host"]) == 4
         assert rec.spans_seen == 10
-        art = rec.snapshot()
-        assert art.span_count == 4  # only the ring tail
+        dump = rec.snapshot()
+        assert span_count(dump["traces"]) == 4  # only the ring tail
 
     def test_trigger_captures_and_max_dumps_suppresses(self):
         tel = self._tel()
@@ -398,7 +407,7 @@ class TestFlightRecorder:
         assert rec.trigger("alert", "z", 3.0) is None
         assert len(rec.dumps) == 2
         assert rec.dumps_suppressed == 1
-        assert rec.dumps[0].triggers[0]["kind"] == "violation"
+        assert rec.dumps[0]["triggers"][0]["kind"] == "violation"
 
     def test_monitor_violation_triggers_a_dump(self):
         """An invariant going red dumps the rings, after any hook
@@ -426,7 +435,7 @@ class TestFlightRecorder:
         result = monitor.recheck("test-poison")
         assert not result.ok
         assert rec.dumps, "red verdict did not dump the rings"
-        assert rec.dumps[0].triggers[0]["kind"] == "violation"
+        assert rec.dumps[0]["triggers"][0]["kind"] == "violation"
         assert seen, "earlier hook was replaced, not kept"
 
     def test_dump_orders_spans_as_merge_does(self):
@@ -437,9 +446,9 @@ class TestFlightRecorder:
         rec = FlightRecorder(tel, capacity=100_000)
         platform.start().ping_all(count=1, settle=8.0)
         assert tel.tracer.dropped_spans == 0, "vacuous: tracer evicted"
-        merged = TraceArtifact.merge([TraceArtifact.from_tracer(tel.tracer)])
-        assert merged.span_count > 50
-        assert rec.snapshot().traces == merged.traces
+        merged = merge([tracer_traces(tel.tracer)])
+        assert span_count(merged) > 50
+        assert rec.snapshot()["traces"] == merged
 
     def test_snapshot_is_deterministic(self):
         def build():
@@ -448,7 +457,7 @@ class TestFlightRecorder:
             tid = tel.tracer.start_trace("t")
             tel.tracer.record(tid, "a", "host")
             tel.tracer.record(tid, "b", "link")
-            return rec.snapshot().digest
+            return canonical_digest(rec.snapshot())
 
         assert build() == build()
 
@@ -512,8 +521,7 @@ class TestClusterHandoverTrace:
         assert "bus.death_detect" in chain
         # Critical path crosses the controller boundary: detection on
         # the bus, recovery on the surviving master.
-        art = TraceArtifact.from_tracer(tel.tracer)
-        path = critical_path(art.trace(tid))
+        path = critical_path(find_trace(tracer_traces(tel.tracer), tid))
         path_names = [s["name"] for s in path["stages"]]
         assert path_names[0] == "fault.controller_crash"
         assert "bus.death_detect" in path_names
@@ -589,10 +597,8 @@ class TestShardedTracePlane:
         off = run_sharded(spec, shards=4, processes=False)
         on = run_sharded(spec, shards=4, processes=False, trace=True)
         assert on.digest == off.digest  # tracing never moves the needle
-        art = on.trace_artifact
-        assert art is not None and art.traces
-        crossing = [t for t in art.traces
-                    if len(art.shards_of(t)) > 1]
+        assert not off.artifact.traces
+        crossing = [t for t in on.artifact.traces if len(shards_of(t)) > 1]
         assert crossing, "no trace crossed a shard boundary"
         trace = crossing[0]
         names = [s["name"] for s in trace["spans"]]
@@ -617,18 +623,19 @@ class TestShardedTracePlane:
         seq = run_sharded(spec, shards=2, processes=False, trace=True)
         proc = run_sharded(spec, shards=2, processes=True, trace=True)
         assert proc.digest == seq.digest
-        assert proc.trace_artifact.digest == seq.trace_artifact.digest
+        assert proc.artifact.traces == seq.artifact.traces
 
-    def test_trace_out_writes_a_loadable_artifact(self, tmp_path):
+    def test_a_saved_sharded_run_keeps_its_merged_traces(self, tmp_path):
         from repro.sim.shard import run_sharded
 
         spec = _shard_spec(seed=303)
         path = tmp_path / "sharded-trace.json"
-        result = run_sharded(spec, shards=2, processes=False,
-                             trace=True, trace_out=str(path))
-        back = TraceArtifact.load(str(path))
-        assert back.digest == result.trace_artifact.digest
-        assert back.meta["shards"] == result.effective_shards
+        result = run_sharded(spec, shards=2, processes=False, trace=True)
+        result.save(str(path))
+        back = load_artifact(str(path))
+        assert back.traces == result.artifact.traces
+        assert span_count(back.traces) > 0
+        assert back.meta["summary"]["shards"] == 2
 
 
 # ----------------------------------------------------------------------
@@ -671,6 +678,6 @@ class TestTraceCLI:
         assert code == 0
         assert "cross a shard boundary" in out
 
-    def test_critical_path_needs_an_artifact(self):
-        with pytest.raises(SystemExit):
-            cli_main(["trace", "critical-path"])
+    def test_critical_path_needs_an_artifact(self, capsys):
+        assert cli_main(["trace", "critical-path"]) == 2
+        assert capsys.readouterr().err.startswith("repro: error: ")

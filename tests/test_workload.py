@@ -448,8 +448,7 @@ class TestRunner:
         parallel = run_suite(specs, jobs=2,
                              out_dir=str(tmp_path / "parallel"))
         assert suite_digest(serial) == suite_digest(parallel)
-        assert [r["digest"] for r in serial] == \
-            [r["digest"] for r in parallel]
+        assert [r.digest for r in serial] == [r.digest for r in parallel]
         for name in ("tiny", "tiny-b"):
             a = load_artifact(str(tmp_path / "serial" / f"{name}.json"))
             b = load_artifact(str(tmp_path / "parallel" / f"{name}.json"))
@@ -467,15 +466,15 @@ class TestRunner:
         assert "tiny-b:" not in message
         assert sorted(os.listdir(tmp_path)) == ["tiny-b.json", "tiny.json"]
         kept = caught.value.results
-        assert [entry["name"] for entry in kept] == \
-            ["tiny", "tiny-bad", "tiny-b"]
-        failure, = [entry for entry in kept if "error" in entry]
+        assert [result.spec.name for result in kept] == ["tiny", "tiny-b"]
+        failure, = caught.value.failures
         assert sorted(failure) == ["error", "name", "traceback"]
+        assert failure["name"] == "tiny-bad"
         assert "arm_faults" in failure["traceback"]  # where, for a human
         # What was kept is what a clean suite of the two would have been.
-        assert [entry["digest"] for entry in kept if "digest" in entry] == \
-            [entry["digest"]
-             for entry in run_suite([specs[0], specs[2]], jobs=1)]
+        assert [result.digest for result in kept] == \
+            [result.digest
+             for result in run_suite([specs[0], specs[2]], jobs=1)]
 
     def test_cli_suite_names_the_failed_scenario(self, tmp_path, capsys,
                                                  monkeypatch):
@@ -528,10 +527,10 @@ class TestWorkloadCLI:
         artifact = load_artifact(str(artifact_path))
         assert artifact.meta["workload"]["name"] == "tiny"
 
-    def test_run_unknown_name_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["workload", "run", "--name", "nope"])
+    def test_run_unknown_name_rejected(self, capsys):
+        assert main(["workload", "run", "--name", "nope"]) == 2
+        assert "unknown scenario 'nope'" in capsys.readouterr().err
 
-    def test_run_needs_name_or_spec(self):
-        with pytest.raises(SystemExit):
-            main(["workload", "run"])
+    def test_run_needs_name_or_spec(self, capsys):
+        assert main(["workload", "run"]) == 2
+        assert "--name or --spec" in capsys.readouterr().err
