@@ -35,8 +35,10 @@ wall time moves whenever the thing being observed gets cheaper:
   digests across commits) with flows completed.  A golden holds the
   digest, one digest per artifact section (``repro.digest.
   section_digests``: ``series`` split by metric family) and the
-  observables a reader checks first, so a FAIL line names the scenario
-  and each section that is absent, new or changed.
+  observables a reader checks first, so a FAIL line names the scenario,
+  each section that is absent, new or changed, and the ``python -m
+  repro report`` command over the run document that explains it (the
+  benchmark writes one per scenario under ``E16_ARTIFACTS``).
 * **E17 (sharded kernel)** — merged observables identical across shard
   counts and coordinators, equal to the committed ``baseline_e17.json``
   digest, flows completed.  The 4-shard speedup is reported by the
@@ -86,6 +88,8 @@ def _failover_ok(recovery: dict, doc: dict) -> bool:
 
 #: What a library golden pins beside its digest and sections.
 E16_OBSERVABLES = ("events", "flows_completed", "health_ok")
+#: Where the E16 benchmark saves each scenario's run document.
+E16_ARTIFACTS = "benchmarks/results/e16_artifacts"
 
 
 def golden_moves(golden: dict, run: dict) -> list:
@@ -110,7 +114,9 @@ def _library_ok(scenarios: dict, doc: dict):
         run = scenarios.get(name)
         moved = ["absent"] if run is None else golden_moves(golden, run)
         if moved:
-            broke.append(f"{name}: " + ", ".join(moved))
+            broke.append(f"{name}: " + ", ".join(moved)
+                         + f" (python -m repro report {E16_ARTIFACTS}/"
+                           f"{name}.json)")
     broke += [f"{name}: no flow completed"
               for name, run in sorted(scenarios.items())
               if run["flows_completed"] <= 0]

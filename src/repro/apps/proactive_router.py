@@ -33,6 +33,9 @@ from repro.packet import ARP, Ethernet, LLDP
 
 __all__ = ["ProactiveRouter"]
 
+#: Debounce, in seconds, between a topology event and its rebuild.
+_REBUILD_DELAY = 0.01
+
 
 class ProactiveRouter(App):
     """All-pairs proactive destination routing with spanning-tree floods."""
@@ -45,14 +48,12 @@ class ProactiveRouter(App):
         host_tracker: Optional[HostTracker] = None,
         priority: int = 200,
         table_id: int = 0,
-        rebuild_delay: float = 0.01,
     ) -> None:
         super().__init__()
         self._discovery = discovery
         self._tracker = host_tracker
         self.priority = priority
         self.table_id = table_id
-        self.rebuild_delay = rebuild_delay
         self._rebuild_pending = False
         self.rebuild_count = 0
         self.packets_flooded = 0
@@ -81,7 +82,7 @@ class ProactiveRouter(App):
         if self._rebuild_pending:
             return
         self._rebuild_pending = True
-        self.sim.schedule(self.rebuild_delay, self._rebuild)
+        self.sim.schedule(_REBUILD_DELAY, self._rebuild)
 
     def _rebuild(self) -> None:
         self._rebuild_pending = False

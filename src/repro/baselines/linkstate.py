@@ -36,6 +36,11 @@ __all__ = ["LSMessage", "LinkStateSwitch", "LinkStateNetwork",
 LS_ETHERTYPE = 0x88B6
 _LS_MULTICAST = MACAddress("01:80:c2:00:00:0f")
 
+#: Seconds between periodic LSA re-originations.
+_REFRESH_INTERVAL = 5.0
+#: Priority of the per-destination routes a switch installs.
+_ROUTE_PRIORITY = 100
+
 _KIND_HELLO = 1
 _KIND_LSA = 2
 
@@ -133,18 +138,12 @@ class LinkStateSwitch:
     """The local routing process of one switch."""
 
     def __init__(self, datapath: Datapath, hello_interval: float = 0.5,
-                 dead_interval: Optional[float] = None,
-                 refresh_interval: float = 5.0,
-                 carrier_detect: bool = False,
-                 route_priority: int = 100) -> None:
+                 carrier_detect: bool = False) -> None:
         self.dp = datapath
         self.dpid = datapath.dpid
         self.hello_interval = hello_interval
-        self.dead_interval = (dead_interval if dead_interval is not None
-                              else 3 * hello_interval)
-        self.refresh_interval = refresh_interval
+        self.dead_interval = 3 * hello_interval
         self.carrier_detect = carrier_detect
-        self.route_priority = route_priority
         #: port -> neighbour adjacency
         self.neighbours: Dict[int, _Neighbour] = {}
         #: local host mac -> port
@@ -190,7 +189,7 @@ class LinkStateSwitch:
                 del self.neighbours[port]
             self._originate()
         # Periodic LSA refresh.
-        if now - self._last_refresh >= self.refresh_interval:
+        if now - self._last_refresh >= _REFRESH_INTERVAL:
             self._originate()
 
     # ------------------------------------------------------------------
@@ -351,7 +350,7 @@ class LinkStateSwitch:
         for mac, port in self.routes.items():
             self.dp.install_flow(FlowEntry(
                 Match(eth_dst=mac), [Output(port)],
-                priority=self.route_priority,
+                priority=_ROUTE_PRIORITY,
             ))
 
     # ------------------------------------------------------------------

@@ -34,6 +34,8 @@ __all__ = ["BPDU", "StpSwitch", "SpanningTreeNetwork", "BPDU_ETHERTYPE"]
 
 BPDU_ETHERTYPE = 0x88B5
 _BPDU_MULTICAST = MACAddress("01:80:c2:00:00:00")
+#: Idle timeout of a learned destination rule.
+_LEARN_TIMEOUT = 30.0
 
 
 class BPDU(Header):
@@ -95,13 +97,11 @@ class StpSwitch:
     ROLE_BLOCKED = "blocked"
 
     def __init__(self, datapath: Datapath, hello_interval: float = 0.5,
-                 max_age: float = 1.6,
-                 learn_timeout: float = 30.0) -> None:
+                 max_age: float = 1.6) -> None:
         self.dp = datapath
         self.bridge_id = datapath.dpid
         self.hello_interval = hello_interval
         self.max_age = max_age
-        self.learn_timeout = learn_timeout
         #: Best received info per port.
         self._port_info: Dict[int, _PortInfo] = {}
         self.roles: Dict[int, str] = {}
@@ -209,7 +209,7 @@ class StpSwitch:
             Match(eth_dst=eth.dst),
             [Output(out_port)],
             priority=100,
-            idle_timeout=self.learn_timeout,
+            idle_timeout=_LEARN_TIMEOUT,
         ))
         self.dp.send_packet_out(packet, [Output(out_port)],
                                 in_port=in_port)

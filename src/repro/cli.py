@@ -16,15 +16,17 @@ Commands aimed at kicking the tyres without writing code:
 * ``workload``  — list/run declarative workload scenarios, or fan a
   suite across worker processes.
 * ``trace``     — the causal trace plane: run a traced scenario
-  (single platform, cluster under faults, or the sharded kernel),
-  dump its run artifact, and render span trees and critical paths.
+  (single platform, cluster under faults, or the sharded kernel) and
+  save its run document.
+* ``report``    — the one reader of a run document: dashboard and
+  health, trace critical path, invariant checks — whichever it holds.
 
 The run-making commands assemble their runs in one place: ``faults``,
 ``obs`` and ``trace`` (platform mode) lower their flags to one
 :class:`~repro.workload.WorkloadSpec` (``_spec``) and run it through
 :func:`repro.workload.assemble`, then drive their own phases (ping,
 run, report).  Every file a command writes or reads is one run document
-(:mod:`repro.obs.artifact`).  ``demo`` and ``telemetry`` stay on a bare
+(:mod:`repro.obs.artifact`), and ``report`` renders any of them.  ``demo`` and ``telemetry`` stay on a bare
 :class:`ZenPlatform`: they show ARP resolution, which the assembler's
 static ARP would skip.
 """
@@ -39,7 +41,7 @@ from typing import List, Optional
 
 from repro.analysis import Table
 from repro.core import ZenPlatform
-from repro.digest import load_document, save_document
+from repro.digest import document_text, load_document, save_document
 from repro.errors import ZenError
 from repro.netem.topology import FAMILIES, Topology
 from repro.telemetry import Telemetry
@@ -67,12 +69,17 @@ _EXPERIMENTS = [
      "clean-network precision"),
     ("E14", "—", "obs plane: scrape overhead, health under churn, "
      "run-to-run diff"),
+    ("E15", "—", "controller cluster: crash recovery vs cluster size"),
     ("E16", "—", "workload suite: tail FCT and flow-table occupancy "
      "across realistic scenarios"),
+    ("E17", "—", "sharded kernel: conservative-sync throughput and "
+     "bit-identity"),
     ("E18", "—", "trace plane: tracing overhead and bit-identity of "
      "seeded runs with tracing on vs off"),
     ("A1", "ablation", "reactive setup cost vs controller latency"),
     ("A2", "ablation", "microflow rules under table pressure (LRU)"),
+    ("A3", "ablation", "go-back-N recovery cost vs loss"),
+    ("A4", "ablation", "strict-priority queueing for expedited traffic"),
 ]
 
 
@@ -297,27 +304,34 @@ def _cmd_faults(args) -> int:
     return 0 if after == 1.0 and before == 1.0 and clean else 1
 
 
+def _verdict(checks: dict) -> str:
+    """A checked run's verdict, read off its ``checks`` section."""
+    if "event_budget_exhausted" in checks:
+        return "EVENT BUDGET"
+    if checks["ok"] and not checks.get("cluster_violations"):
+        return "clean"
+    return "VIOLATIONS"
+
+
+def _print_violations(checks: dict) -> None:
+    for violation in checks["violations"][:5]:
+        print(f"  {violation['invariant']}: {violation['message']}")
+
+
 def _cmd_check(args) -> int:
-    from repro.check import (
-        example_scenarios,
-        fuzz,
-        generate_scenario,
-        replay,
-        run_scenario,
-    )
+    from repro.check import (example_scenarios, fuzz, generate_scenario,
+                             replay, run_scenario)
 
     if args.mode == "verify":
         failures = 0
         for scenario in example_scenarios():
             result = run_scenario(scenario)
-            verdict = "clean" if result.ok else "VIOLATIONS"
-            print(f"{scenario.name:20s} {verdict:10s} "
-                  f"({result.artifact.checks['probes_run']} probes)")
+            checks = result.artifact.checks
+            print(f"{scenario.name:20s} {_verdict(checks):10s} "
+                  f"({checks['probes_run']} probes)")
             if not result.ok:
                 failures += 1
-                for violation in result.artifact.checks["violations"][:5]:
-                    print(f"  {violation['invariant']}: "
-                          f"{violation['message']}")
+                _print_violations(checks)
         print(f"\n{failures} of {len(example_scenarios())} scenarios "
               f"failed invariant checking")
         return 1 if failures else 0
@@ -360,10 +374,7 @@ def _cmd_check(args) -> int:
 
     def report(result) -> None:
         s = result.spec
-        verdict = ("clean" if result.ok
-                   else "EVENT BUDGET"
-                   if "event_budget_exhausted" in result.artifact.checks
-                   else "VIOLATIONS")
+        verdict = _verdict(result.artifact.checks)
         transients = len(result.summary["monitor_failures"])
         transients = f", {transients} transient" if transients else ""
         print(f"seed {s.seed:6d} {s.topology['family']}"
@@ -383,14 +394,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_obs(args) -> int:
-    from repro.obs import (
-        diff_runs,
-        load_artifact,
-        render_dashboard,
-        render_diff,
-        render_health,
-        render_openmetrics,
-    )
+    from repro.obs import (diff_runs, load_artifact, render_diff,
+                           render_health, render_openmetrics)
 
     if args.mode == "diff":
         if not args.base or not args.current:
@@ -405,19 +410,6 @@ def _cmd_obs(args) -> int:
                               cur_name=args.current))
         return 0 if report.ok else 1
 
-    def dashboard(artifact) -> None:
-        select = args.series.split(",") if args.series else None
-        print(render_dashboard(artifact, width=args.width,
-                               select=select,
-                               max_series=args.max_series))
-        if artifact.health is not None:
-            print()
-            print(render_health(artifact.health))
-
-    if args.mode == "dashboard" and args.path:
-        dashboard(load_artifact(args.path))
-        return 0
-
     from repro.workload import assemble
 
     spec, _, _ = _spec(args, offset=0.5, duration=args.duration)
@@ -428,12 +420,10 @@ def _cmd_obs(args) -> int:
     artifact = plane.artifact(
         topology=f"{args.topology}({args.size})", profile=args.profile,
         seed=args.seed, faults=args.kind, duration=args.duration)
-    if args.mode == "dashboard":
-        dashboard(artifact)
-    elif args.format == "openmetrics":
+    if args.format == "openmetrics":
         print(render_openmetrics(platform.telemetry.metrics), end="")
     elif args.format == "json":
-        print(json.dumps(artifact.to_dict(), indent=1, sort_keys=True))
+        print(document_text(artifact.to_dict()), end="")
     else:
         print(f"Scraped {plane.scraper.scrapes} samples of "
               f"{len(plane.scraper.series)} series over "
@@ -454,13 +444,8 @@ def _fmt_fct(value) -> str:
 
 
 def _cmd_workload(args) -> int:
-    from repro.workload import (
-        library,
-        load_spec,
-        run_suite,
-        run_workload,
-        suite_digest,
-    )
+    from repro.workload import (library, load_spec, run_suite,
+                                run_workload, suite_digest)
 
     specs = library()
     if args.mode == "list":
@@ -574,13 +559,11 @@ def _run_trace_sharded(args):
                          trace=True)
     traces = result.artifact.traces
     crossing = sum(1 for t in traces if len(shards_of(t)) > 1)
-    lines = [
-        f"Sharded run {spec.name!r}: shards={result.summary['shards']} "
-        f"digest={result.digest[:12]}",
-        f"{len(traces)} traces, {span_count(traces)} spans; "
-        f"{crossing} trace(s) cross a shard boundary",
-    ]
-    return result.artifact, result.to_dict(), lines
+    print(f"Sharded run {spec.name!r}: shards={result.summary['shards']} "
+          f"digest={result.digest[:12]}")
+    print(f"{len(traces)} traces, {span_count(traces)} spans; "
+          f"{crossing} trace(s) cross a shard boundary")
+    return result.to_dict()
 
 
 def _run_trace_platform(args):
@@ -616,14 +599,11 @@ def _run_trace_platform(args):
     plane.finish()
 
     clustered = platform.cluster is not None
-    lines = [
-        f"{'Cluster' if clustered else 'Platform'} run: "
-        f"{args.topology} size={args.size} profile={args.profile} "
-        f"fault={what}",
-        f"{len(sched.log)} injection(s), "
-        f"{len(plane.health.alerts)} SLO alert(s), "
-        f"{recorder!r}",
-    ]
+    print(f"{'Cluster' if clustered else 'Platform'} run: "
+          f"{args.topology} size={args.size} profile={args.profile} "
+          f"fault={what}")
+    print(f"{len(sched.log)} injection(s), "
+          f"{len(plane.health.alerts)} SLO alert(s), {recorder!r}")
     meta = {
         "kind": "cluster-run" if clustered else "platform-run",
         "topology": args.topology, "size": args.size,
@@ -634,23 +614,36 @@ def _run_trace_platform(args):
         if recorder.dumps:
             dump = recorder.dumps[0]
             trigger = dump["triggers"][0]
-            lines.append("flight-recorder dump captured at trigger "
-                         f"{trigger['kind']!r} ({trigger['detail']})")
+            print("flight-recorder dump captured at trigger "
+                  f"{trigger['kind']!r} ({trigger['detail']})")
         else:
             dump = recorder.trigger("end-of-run",
                                     "no trigger fired; manual "
                                     "capture", platform.sim.now)
-            lines.append("no trigger fired; captured the rings at "
-                         "end of run")
+            print("no trigger fired; captured the rings at end of run")
         meta = dict(dump["meta"], **meta)
     else:
         dump = {"traces": tracer_traces(telemetry.tracer), "triggers": []}
     artifact = plane.artifact(**meta)
     artifact.traces, artifact.triggers = dump["traces"], dump["triggers"]
-    return artifact, artifact.to_dict(), lines
+    return artifact.to_dict()
 
 
-def _report_artifact(artifact, args, tree: bool) -> int:
+def _cmd_trace(args) -> int:
+    run = _run_trace_sharded if args.shards else _run_trace_platform
+    # What ``--out`` saves: the artifact, or a sharded run's result
+    # (the artifact plus its digest).
+    document = run(args)
+    if args.out:
+        save_document(args.out, document)
+        print(f"run artifact written to {args.out}")
+    return 0
+
+
+def _trace_block(artifact, args) -> int:
+    """The selected trace's header, triggers, optional span tree and
+    critical path; 1 when ``--select fault`` or ``--trace-id`` names a
+    trace the document lacks."""
     from repro.telemetry import artifact as traces
     from repro.telemetry.export import render_critical_path, render_tree
 
@@ -674,40 +667,43 @@ def _report_artifact(artifact, args, tree: bool) -> int:
         trace = traces.longest(candidates)
     if trace is None:
         print("artifact holds no traces")
-        return 1
+        return 0
     shards = traces.shards_of(trace)
     if len(shards) > 1:
         print(f"trace #{trace['id']} crosses shards {shards}")
     print()
-    if tree:
+    if args.tree:
         print(render_tree(trace, attrs=args.attrs))
         print()
     print(render_critical_path(traces.critical_path(trace)))
     return 0
 
 
-def _cmd_trace(args) -> int:
-    from repro.obs import load_artifact
+def _cmd_report(args) -> int:
+    """Print every block the document holds: series and health, the
+    trace, the invariant checks — or its one-line header alone."""
+    from repro.obs import load_artifact, render_dashboard, render_health
 
-    if args.mode == "critical-path":
-        if not args.artifact:
-            raise ZenError("trace critical-path needs a saved run "
-                           "artifact path")
-        return _report_artifact(load_artifact(args.artifact), args,
-                                tree=args.tree)
-
-    run = _run_trace_sharded if args.shards else _run_trace_platform
-    # ``document`` is what ``--out`` saves: the artifact, or a sharded
-    # run's result (the artifact plus its digest).
-    artifact, document, lines = run(args)
-    for line in lines:
-        print(line)
-    if args.out:
-        save_document(args.out, document)
-        print(f"run artifact written to {args.out}")
-    if args.mode == "report":
-        print()
-        return _report_artifact(artifact, args, tree=True)
+    artifact = load_artifact(args.doc)
+    checks = artifact.checks
+    series = bool(artifact.series) or artifact.health is not None
+    traced = (bool(artifact.traces or artifact.triggers)
+              or args.select == "fault" or args.trace_id is not None)
+    if series:
+        select = args.series.split(",") if args.series else None
+        print(render_dashboard(artifact, width=args.width, select=select,
+                               max_series=args.max_series))
+        if artifact.health is not None:
+            print()
+            print(render_health(artifact.health))
+    if traced and _trace_block(artifact, args):
+        return 1
+    if checks:
+        print(f"checks: {_verdict(checks)} ({checks['probes_run']} "
+              f"probes, {len(checks['violations'])} violation(s))")
+        _print_violations(checks)
+    if not (series or traced or checks):
+        print(f"{artifact!r}")
     return 0
 
 
@@ -839,12 +835,11 @@ def _parser() -> argparse.ArgumentParser:
         help="sim-time metrics history, health/SLO report, run diffing",
         parents=[_stack_args(), _fault_args(down_for=0.5)],
     )
-    obs.add_argument("mode", choices=("report", "dashboard", "diff"),
+    obs.add_argument("mode", choices=("report", "diff"),
                      help="report: run a scenario and print its health "
-                          "report (or OpenMetrics/JSON); dashboard: "
-                          "render sim-time sparklines with fault "
-                          "windows; diff: A/B-compare two run "
-                          "artifacts and flag regressions")
+                          "report (or OpenMetrics/JSON); diff: "
+                          "A/B-compare two run artifacts and flag "
+                          "regressions")
     obs.add_argument("base", nargs="?", default="",
                      help="baseline artifact (diff mode)")
     obs.add_argument("current", nargs="?", default="",
@@ -861,18 +856,9 @@ def _parser() -> argparse.ArgumentParser:
                           "violations on the timeline")
     obs.add_argument("--out", default="",
                      help="write the run artifact (JSON) here")
-    obs.add_argument("--path", default="",
-                     help="render an existing artifact instead of "
-                          "running a scenario (dashboard mode)")
     obs.add_argument("--format", default="health",
                      choices=("health", "openmetrics", "json"),
                      help="report output format (diff: table or json)")
-    obs.add_argument("--width", type=int, default=60,
-                     help="dashboard sparkline width in columns")
-    obs.add_argument("--series", default="",
-                     help="comma-separated series name prefixes to "
-                          "show on the dashboard")
-    obs.add_argument("--max-series", type=int, default=24)
     obs.add_argument("--tolerance", type=float, default=0.10,
                      help="relative-delta floor for diff significance")
     obs.set_defaults(fn=_cmd_obs)
@@ -912,17 +898,11 @@ def _parser() -> argparse.ArgumentParser:
 
     tr = sub.add_parser(
         "trace",
-        help="causal trace plane: run a traced scenario and render "
-             "span trees, critical paths, and flight-recorder dumps",
+        help="causal trace plane: run a traced scenario and save its "
+             "run document (render it with `report`)",
         parents=[_stack_args(profile="reactive", seed=None),
                  _fault_args(down_for=0.3, flaps=False)],
     )
-    tr.add_argument("mode", choices=("report", "dump", "critical-path"),
-                    help="report: run + render the selected trace; "
-                         "dump: run + write the run artifact; "
-                         "critical-path: analyse a saved artifact")
-    tr.add_argument("artifact", nargs="?", default="",
-                    help="saved run artifact (critical-path mode)")
     tr.add_argument("--controllers", type=int, default=1,
                     help="cluster size (>= 2 enables --fault controller)")
     tr.add_argument("--fault", dest="kind", default="none",
@@ -950,22 +930,35 @@ def _parser() -> argparse.ArgumentParser:
                     help="save the flight-recorder dump (triggered, or "
                          "end-of-run capture) instead of the full "
                          "tracer snapshot")
-    tr.add_argument("--select", default="longest",
-                    choices=("longest", "fault"),
-                    help="which trace to render: the longest overall, "
-                         "or the longest fault-rooted one")
-    tr.add_argument("--trace-id", type=int, default=None,
-                    help="render this exact trace id instead")
-    tr.add_argument("--tree", action="store_true",
-                    help="also render the span tree (critical-path "
-                         "mode; report mode always does)")
-    tr.add_argument("--attrs", action="store_true",
-                    help="include span attributes in the tree")
     tr.add_argument("--out", default="",
                     help="write the run artifact here")
     # One injection at the first switch; `_fault_dicts` derives the period.
     tr.set_defaults(fn=_cmd_trace, target="", cycles=1, period=None,
                     interval=0.05)
+
+    rep = sub.add_parser(
+        "report",
+        help="render a run document (any --out file): dashboard and "
+             "health, trace critical path, invariant checks",
+    )
+    rep.add_argument("doc", metavar="DOC", help="run document to render")
+    rep.add_argument("--series", default="",
+                     help="comma-separated series name prefixes to "
+                          "show on the dashboard")
+    rep.add_argument("--width", type=int, default=60,
+                     help="dashboard sparkline width in columns")
+    rep.add_argument("--max-series", type=int, default=24)
+    rep.add_argument("--select", default="longest",
+                     choices=("longest", "fault"),
+                     help="which trace to render: the longest overall, "
+                          "or the longest fault-rooted one")
+    rep.add_argument("--trace-id", type=int, default=None,
+                     help="render this exact trace id instead")
+    rep.add_argument("--tree", action="store_true",
+                     help="also render the span tree")
+    rep.add_argument("--attrs", action="store_true",
+                     help="include span attributes in the tree")
+    rep.set_defaults(fn=_cmd_report)
     return parser
 
 

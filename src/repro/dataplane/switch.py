@@ -42,6 +42,9 @@ _MAX_GROUP_DEPTH = 4
 #: (bounds memory; correctness never depends on eager clearing).
 _FP_CACHE_MAX = 8192
 
+#: Seconds between sweeps for idle/hard-timed-out flow entries.
+_EXPIRY_INTERVAL = 1.0
+
 
 class _CachedPath:
     """One resolved walk through the table pipeline for a microflow.
@@ -149,7 +152,6 @@ class Datapath:
         table_capacity: int = 0,
         eviction_policy: Optional[str] = None,
         miss_behaviour: str = TableMissBehaviour.CONTROLLER,
-        expiry_interval: float = 1.0,
         telemetry=None,
         fast_path: bool = True,
     ) -> None:
@@ -227,7 +229,6 @@ class Datapath:
         self.packets_dropped = 0
         self.packets_to_controller = 0
 
-        self._expiry_interval = expiry_interval
         self._sweep_scheduled = False
         self._shutdown = False
 
@@ -591,7 +592,7 @@ class Datapath:
         if self._sweep_scheduled or self._shutdown:
             return
         self._sweep_scheduled = True
-        self.sim.schedule(self._expiry_interval, self._sweep)
+        self.sim.schedule(_EXPIRY_INTERVAL, self._sweep)
 
     def _sweep(self) -> None:
         self._sweep_scheduled = False

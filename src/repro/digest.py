@@ -10,8 +10,8 @@ from typing import Any, Callable, Dict, TextIO
 
 from repro.errors import ZenError
 
-__all__ = ["canonical_digest", "load_document", "save_document",
-           "section_digests"]
+__all__ = ["canonical_digest", "document_text", "load_document",
+           "save_document", "section_digests"]
 
 
 def canonical_digest(doc) -> str:
@@ -44,13 +44,17 @@ def section_digests(artifact: dict) -> Dict[str, str]:
     return sections
 
 
+def document_text(doc) -> str:
+    """``doc`` as key-sorted, one-space-indented JSON with a trailing
+    newline: the byte form of every document a run writes or prints, so
+    two identical documents are two identical files."""
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
 def save_document(path: str, doc) -> None:
-    """Write ``doc`` to ``path`` as key-sorted, one-space-indented JSON
-    with a trailing newline: the byte form of every file a run writes,
-    so two identical documents are two identical files."""
+    """Write ``doc`` to ``path`` in its :func:`document_text` form."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(document_text(doc))
 
 
 def load_document(path: str, what: str,

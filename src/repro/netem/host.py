@@ -24,7 +24,7 @@ from repro.packet import (
     Packet,
     UDP,
 )
-from repro.sim import Signal, Simulator
+from repro.sim import Simulator
 from repro.telemetry import ensure
 
 __all__ = ["Host", "PingSession"]
@@ -38,8 +38,9 @@ _ARP_MAX_TRIES = 3
 class PingSession:
     """Bookkeeping for one ``host.ping(...)`` invocation.
 
-    ``rtts`` collects one float per received reply (seconds); ``done``
-    fires when every probe has been answered or timed out.
+    ``rtts`` collects one float per received reply (seconds);
+    ``finished`` turns true once every probe has been answered or timed
+    out.
     """
 
     def __init__(self, sim: Simulator, count: int, timeout: float) -> None:
@@ -48,7 +49,6 @@ class PingSession:
         self.timeout = timeout
         self.rtts: List[float] = []
         self.lost = 0
-        self.done = Signal(sim)
         self._outstanding: Dict[int, float] = {}  # seq -> send time
 
     @property
@@ -79,16 +79,10 @@ class PingSession:
         if sent_at is None:
             return  # duplicate or late reply
         self.rtts.append(self._sim.now - sent_at)
-        self._maybe_finish()
 
     def _timeout(self, seq: int) -> None:
         if self._outstanding.pop(seq, None) is not None:
             self.lost += 1
-            self._maybe_finish()
-
-    def _maybe_finish(self) -> None:
-        if self.finished:
-            self.done.fire(self)
 
     def __repr__(self) -> str:
         return (

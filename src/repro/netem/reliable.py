@@ -20,7 +20,6 @@ from typing import Callable, Dict, Optional
 from repro.errors import TopologyError
 from repro.netem.host import Host
 from repro.packet import IPv4, Packet, UDP
-from repro.sim import Signal
 
 __all__ = ["ReliableSender", "ReliableReceiver"]
 
@@ -169,7 +168,6 @@ class ReliableSender:
         self.failed = False
         self.start_time = self.sim.now
         self.end_time: Optional[float] = None
-        self.done = Signal(self.sim)
         self._timer = None
         host.bind_udp(self.src_port, self._on_ack)
         self._fill_window()
@@ -234,7 +232,6 @@ class ReliableSender:
         if self.end_time is None:
             self.end_time = self.sim.now
         self.host.unbind_udp(self.src_port)
-        self.done.fire(self)
 
     # ------------------------------------------------------------------
     # Introspection

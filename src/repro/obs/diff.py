@@ -47,6 +47,10 @@ NEUTRAL = (
     "*resync_flows*",
 )
 
+#: A significant delta on a series with any spread is also at least
+#: this many pooled per-scrape standard deviations.
+_Z_FLOOR = 3.0
+
 
 def _direction(sid: str) -> int:
     """+1 when higher is worse, 0 when neutral, -1 when higher is
@@ -157,8 +161,7 @@ def _summary(series: Series) -> Tuple[float, float]:
 
 
 def _entry(signal: str, kind: str, base: float, cur: float,
-           spread: float, direction: int, tolerance: float,
-           z_floor: float) -> DiffEntry:
+           spread: float, direction: int, tolerance: float) -> DiffEntry:
     delta = cur - base
     scale = max(abs(base), abs(cur), 1e-12)
     rel = delta / scale
@@ -166,7 +169,7 @@ def _entry(signal: str, kind: str, base: float, cur: float,
         math.inf if delta > 0 else -math.inf if delta < 0 else 0.0
     )
     significant = abs(rel) > tolerance and (
-        spread == 0 or abs(zscore) >= z_floor
+        spread == 0 or abs(zscore) >= _Z_FLOOR
     )
     if not significant:
         flag = "same"
@@ -183,14 +186,12 @@ def _entry(signal: str, kind: str, base: float, cur: float,
 # The diff
 # ----------------------------------------------------------------------
 def diff_runs(base: RunArtifact, cur: RunArtifact,
-              tolerance: float = 0.10,
-              z_floor: float = 3.0) -> DiffReport:
+              tolerance: float = 0.10) -> DiffReport:
     """Compare two artifacts; see the module docstring for semantics.
 
     ``tolerance`` is the relative-delta floor below which a signal is
-    "same"; ``z_floor`` additionally requires the delta to exceed that
-    many pooled per-scrape standard deviations when the series has any
-    spread at all.
+    "same"; a series with any spread at all must also move by
+    ``_Z_FLOOR`` pooled per-scrape standard deviations.
     """
     entries: List[DiffEntry] = []
     shared = sorted(set(base.series) & set(cur.series))
@@ -203,7 +204,7 @@ def diff_runs(base: RunArtifact, cur: RunArtifact,
         # not badness; direction applies to its quantiles below.
         direction = 0 if b.kind == "histogram" else _direction(sid)
         entries.append(_entry(sid, b.kind, b_head, c_head, spread,
-                              direction, tolerance, z_floor))
+                              direction, tolerance))
         if b.kind == "histogram":
             for q, tag in ((0.5, "p50"), (0.95, "p95"), (0.99, "p99")):
                 bq = b.quantile(q)
@@ -212,7 +213,7 @@ def diff_runs(base: RunArtifact, cur: RunArtifact,
                     continue
                 entries.append(_entry(
                     f"{sid}:{tag}", "quantile", bq or 0.0, cq or 0.0,
-                    0.0, 1, tolerance, z_floor,
+                    0.0, 1, tolerance,
                 ))
 
     # Health plane: alert counts and total firing time per SLO.
@@ -224,13 +225,13 @@ def diff_runs(base: RunArtifact, cur: RunArtifact,
             entries.append(_entry(
                 f"slo:{name}:alerts", "health",
                 float(len(bs["alerts"])), float(len(cs["alerts"])),
-                0.0, 1, tolerance, z_floor,
+                0.0, 1, tolerance,
             ))
             entries.append(_entry(
                 f"slo:{name}:firing_s", "health",
                 _firing_seconds(bs, base.horizon),
                 _firing_seconds(cs, cur.horizon),
-                0.0, 1, tolerance, z_floor,
+                0.0, 1, tolerance,
             ))
 
     only_base = sorted(set(base.series) - set(cur.series))

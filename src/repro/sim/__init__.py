@@ -1,5 +1,5 @@
 """Deterministic discrete-event simulation kernel for ZenSDN."""
 
-from repro.sim.kernel import Event, Process, Signal, Simulator
+from repro.sim.kernel import Event, Simulator
 
-__all__ = ["Event", "Process", "Signal", "Simulator"]
+__all__ = ["Event", "Simulator"]

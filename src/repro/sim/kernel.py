@@ -6,13 +6,8 @@ single priority queue ordered by simulated time.  Determinism is a design
 goal — two runs with the same seed produce identical event orderings, which
 makes every experiment in ``benchmarks/`` reproducible bit-for-bit.
 
-Two programming styles are supported:
-
-* **Callbacks** — ``sim.schedule(delay, fn, *args)`` runs ``fn`` at
-  ``now + delay``.
-* **Processes** — generator functions spawned with ``sim.spawn`` that
-  ``yield sim.sleep(dt)`` or ``yield signal.wait()`` to advance simulated
-  time without inverting control flow.
+One programming model: callbacks.  ``sim.schedule(delay, fn, *args)``
+runs ``fn`` at ``now + delay``; anything that waits registers a callback.
 """
 
 from __future__ import annotations
@@ -20,11 +15,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
 
-__all__ = ["Event", "Observer", "Signal", "Simulator", "Process"]
+__all__ = ["Event", "Observer", "Simulator"]
 
 # Heap entries are plain (time, seq, event) tuples: tuple comparison stops
 # at the unique seq, and tuples cost a fraction of a dataclass to build and
@@ -93,112 +88,6 @@ class Observer:
         state = "active" if self.active else "cancelled"
         return (f"<Observer every {self.interval}s next="
                 f"{self.next_time:.6f} {state}>")
-
-
-class Signal:
-    """A broadcast condition processes can wait on.
-
-    ``yield signal.wait()`` suspends the waiting process until another party
-    calls :meth:`fire`.  The value passed to ``fire`` becomes the result of
-    the ``yield`` expression for every waiter.
-    """
-
-    __slots__ = ("_sim", "_waiters")
-
-    def __init__(self, sim: "Simulator") -> None:
-        self._sim = sim
-        self._waiters: list[Process] = []
-
-    def wait(self) -> "_Wait":
-        return _Wait(self)
-
-    def fire(self, value: Any = None) -> None:
-        """Wake every waiting process at the current simulated instant."""
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            self._sim.schedule(0.0, proc._resume, value)
-
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
-
-class _Wait:
-    """Yieldable token returned by :meth:`Signal.wait`."""
-
-    __slots__ = ("signal",)
-
-    def __init__(self, signal: Signal) -> None:
-        self.signal = signal
-
-
-class _Sleep:
-    """Yieldable token returned by :meth:`Simulator.sleep`."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float) -> None:
-        self.delay = delay
-
-
-class Process:
-    """A generator-based cooperative process running on the kernel.
-
-    The wrapped generator may yield:
-
-    * ``sim.sleep(dt)`` — resume after ``dt`` simulated seconds,
-    * ``signal.wait()`` — resume when the signal fires,
-    * another :class:`Process` — resume when that process finishes.
-    """
-
-    __slots__ = ("sim", "gen", "alive", "result", "_done", "name")
-
-    def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:
-        self.sim = sim
-        self.gen = gen
-        self.alive = True
-        self.result: Any = None
-        self._done = Signal(sim)
-        self.name = name or getattr(gen, "__name__", "process")
-
-    def wait(self) -> _Wait:
-        """Yieldable: suspend the caller until this process terminates."""
-        return self._done.wait()
-
-    def kill(self) -> None:
-        """Terminate the process; its generator is closed immediately."""
-        if not self.alive:
-            return
-        self.alive = False
-        self.gen.close()
-        self._done.fire(None)
-
-    def _resume(self, value: Any = None) -> None:
-        if not self.alive:
-            return
-        try:
-            yielded = self.gen.send(value)
-        except StopIteration as stop:
-            self.alive = False
-            self.result = stop.value
-            self._done.fire(stop.value)
-            return
-        if isinstance(yielded, _Sleep):
-            self.sim.schedule(yielded.delay, self._resume, None)
-        elif isinstance(yielded, _Wait):
-            yielded.signal._waiters.append(self)
-        elif isinstance(yielded, Process):
-            yielded._done._waiters.append(self)
-        else:
-            self.alive = False
-            raise SimulationError(
-                f"process {self.name!r} yielded unsupported value "
-                f"{yielded!r}; yield sim.sleep(), signal.wait(), or a Process"
-            )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "alive" if self.alive else "done"
-        return f"<Process {self.name} {state}>"
 
 
 class Simulator:
@@ -347,25 +236,6 @@ class Simulator:
 
         arm()
         return stop
-
-    # ------------------------------------------------------------------
-    # Processes
-    # ------------------------------------------------------------------
-    def spawn(self, gen: Generator, name: str = "") -> Process:
-        """Start a generator-based process; it first runs at the current time."""
-        proc = Process(self, gen, name=name)
-        self.schedule(0.0, proc._resume, None)
-        return proc
-
-    def sleep(self, delay: float) -> _Sleep:
-        """Yieldable: suspend the calling process for ``delay`` seconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot sleep a negative time: {delay=}")
-        return _Sleep(delay)
-
-    def signal(self) -> Signal:
-        """Create a new :class:`Signal` bound to this simulator."""
-        return Signal(self)
 
     # ------------------------------------------------------------------
     # Observers (read-only periodic ticks)

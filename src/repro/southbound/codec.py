@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 
+#: Frames a :class:`FrameCache` holds before it starts over; periodic
+#: sets are small.
+_FRAME_CACHE_MAX = 4096
+
+
 class FrameCache:
     """Memoises frames rebuilt identically every interval — LLDP
     probes, echo keepalives, and anything else periodic.
@@ -58,13 +63,12 @@ class FrameCache:
     hit is byte-identical to a rebuild by construction.
     """
 
-    __slots__ = ("_cache", "hits", "misses", "max_entries")
+    __slots__ = ("_cache", "hits", "misses")
 
-    def __init__(self, max_entries: int = 4096) -> None:
+    def __init__(self) -> None:
         self._cache: dict = {}
         self.hits = 0
         self.misses = 0
-        self.max_entries = max_entries
 
     def get(self, key, build):
         """The cached value for ``key``, building it on first use."""
@@ -74,8 +78,8 @@ class FrameCache:
             return value
         self.misses += 1
         value = build()
-        if len(self._cache) >= self.max_entries:
-            self._cache.clear()  # simple bound; periodic sets are small
+        if len(self._cache) >= _FRAME_CACHE_MAX:
+            self._cache.clear()
         self._cache[key] = value
         return value
 

@@ -8,7 +8,7 @@ histogram, and arms every fault and traffic entry.
 :func:`run_workload` — the engine behind the ``workload`` CLI and
 benchmark E16 — runs that with the obs plane on (stock SLOs plus the
 spec's own) and returns a :class:`~repro.obs.artifact.RunResult` whose
-artifact plugs straight into ``repro obs diff`` and the dashboard;
+artifact plugs straight into ``repro obs diff`` and ``repro report``;
 ``repro.check.run_scenario`` runs the same assembly and ends with an
 invariant verdict.
 

@@ -110,6 +110,9 @@ def test_doctored_key_fails_its_row(name, key, tmp_path):
     assert failed, done.stdout
     assert all(line.startswith(f"FAIL: {name} {key}=") for line in failed)
     if (name, key) == ("BENCH_E16.json", "scenarios"):
-        # The golden row names the scenario and what moved in it.
+        # The golden row names the scenario, what moved in it and the
+        # command that renders the run document explaining it.
         scenario = sorted(doc[key])[0]
-        assert failed[0].endswith(f": {scenario}: changed {MOVED_FAMILY}")
+        assert failed[0].endswith(
+            f": {scenario}: changed {MOVED_FAMILY} (python -m repro report "
+            f"benchmarks/results/e16_artifacts/{scenario}.json)")

@@ -4,15 +4,18 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import repro
-from repro.cli import build_topology, main
+from repro.cli import _parser, build_topology, main
 from repro.errors import TopologyError
 from repro.sim import Simulator
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestBuildTopology:
@@ -86,6 +89,39 @@ class TestCommands:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_bench_lists_every_benchmark(self, capsys):
+        assert main(["bench"]) == 0
+        listed = set(re.findall(r"\b[EA]\d+\b", capsys.readouterr().out))
+        benchmarks = REPO / "benchmarks"
+        ids = {re.match(r"test_([ea]\d+)_", path.name).group(1).upper()
+               for path in benchmarks.glob("test_[ea][0-9]*_*.py")}
+        assert len(ids) >= 22
+        assert ids <= listed, sorted(ids - listed)
+
+    @pytest.mark.parametrize("argv", [
+        ["obs", "dashboard", "--path", "run.json"],
+        ["trace", "critical-path", "run.json"],
+        ["trace", "report"],
+    ])
+    def test_the_old_readers_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_readme_cli_lines_parse(self):
+        """Every ``python -m repro`` line in README.md's code blocks is
+        a valid command line (parsed only: nothing runs)."""
+        readme = (REPO / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme,
+                            re.MULTILINE | re.DOTALL)
+        lines = [line.split("#", 1)[0]
+                 for block in blocks for line in block.splitlines()
+                 if line.startswith("python -m repro ")]
+        assert len(lines) >= 15
+        for line in lines:
+            _parser().parse_args(shlex.split(line)[3:])
 
 
 class TestNamedErrors:
@@ -178,8 +214,8 @@ class TestNamedErrors:
                              [None, "{not json", '{"format": "x"}'])
     @pytest.mark.parametrize("argv", [
         ["obs", "diff", "{path}", "{path}"],
-        ["obs", "dashboard", "--path", "{path}"],
-        ["trace", "critical-path", "{path}"],
+        ["report", "{path}"],
+        ["report", "{path}", "--select", "fault", "--tree"],
         ["check", "replay", "--path", "{path}"],
         ["workload", "run", "--spec", "{path}"],
     ])
@@ -199,9 +235,8 @@ class TestNamedErrors:
         (["obs", "diff"], "BASE and CURRENT"),
         (["workload", "run"], "--name or --spec"),
         (["workload", "suite", "--names", "nope"], "['nope']"),
-        (["trace", "report", "--shards", "2", "--scenario", "nope"],
+        (["trace", "--shards", "2", "--scenario", "nope"],
          "unknown scenario 'nope'"),
-        (["trace", "critical-path"], "artifact path"),
         (["telemetry", "--sample-every", "0"], "--sample-every"),
     ])
     def test_missing_or_unknown_arguments_fail_before_any_simulated_time(

@@ -11,7 +11,6 @@ from repro.dataplane import (
     Match,
     Output,
 )
-from repro.errors import SimulationError
 from repro.packet import Ethernet, IPv4, UDP
 from repro.sim import Simulator
 from repro.southbound import (
@@ -164,25 +163,6 @@ class TestSimCorners:
         sim.drain(events)
         sim.run_until_idle()
         assert fired == []
-
-    def test_signal_waiter_count(self):
-        sim = Simulator()
-        signal = sim.signal()
-
-        def waiter():
-            yield signal.wait()
-
-        sim.spawn(waiter())
-        sim.run(max_events=1)
-        assert signal.waiter_count == 1
-        signal.fire()
-        sim.run_until_idle()
-        assert signal.waiter_count == 0
-
-    def test_negative_sleep_rejected(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.sleep(-1.0)
 
 
 class TestSmallApiCorners:

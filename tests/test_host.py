@@ -111,15 +111,9 @@ class TestPing:
     def test_done_signal_fires(self, wire):
         sim, h1, h2 = wire
         session = h1.ping("10.0.0.2", count=2, interval=0.05)
-        finished = []
-
-        def waiter():
-            result = yield session.done.wait()
-            finished.append(result.received)
-
-        sim.spawn(waiter())
+        assert not session.finished
         sim.run_until_idle()
-        assert finished == [2]
+        assert session.finished and session.received == 2
 
     def test_concurrent_sessions_do_not_cross(self, wire):
         sim, h1, h2 = wire

@@ -528,8 +528,8 @@ class TestObsCLI:
         main(["obs", "report", "--seed", "3", "--duration", "2",
               "--faults", "link", "--out", str(out)])
         capsys.readouterr()
-        rc = main(["obs", "dashboard", "--path", str(out),
-                   "--series", "channel_messages", "--width", "30"])
+        rc = main(["report", str(out), "--series", "channel_messages",
+                   "--width", "30"])
         assert rc == 0
         text = capsys.readouterr().out
         assert "time axis:" in text and "▓" in text

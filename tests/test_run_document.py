@@ -1,5 +1,5 @@
 """One run document: every run kind saves one ``repro.obs/1`` file,
-through one writer, and every reader takes it."""
+through one writer, and the one reader (``repro report``) renders it."""
 
 import json
 
@@ -8,7 +8,7 @@ import pytest
 from repro.check import generate_scenario, run_scenario
 from repro.cli import main
 from repro.digest import canonical_digest, save_document
-from repro.obs import RunResult, load_artifact
+from repro.obs import RunArtifact, RunResult, load_artifact
 from repro.sim.shard import run_sharded
 from repro.workload import WorkloadSpec, run_workload
 
@@ -24,7 +24,7 @@ def _tiny_spec():
 
 def _trace_dump(tmp_path, *flags):
     path = tmp_path / "dump.json"
-    assert main(["trace", "dump", "--topology", "linear", "--size", "3",
+    assert main(["trace", "--topology", "linear", "--size", "3",
                  "--duration", "1.0", *flags, "--out", str(path)]) == 0
     return json.loads(path.read_text())
 
@@ -57,6 +57,52 @@ def test_every_run_kind_round_trips_through_the_one_document(
             == doc["digest"]
 
 
+#: What ``report`` prints for each run kind: the block each one holds.
+_BLOCKS = {
+    "workload": ["Health @ "],
+    "sharded": ["<RunArtifact 0 series"],
+    "fuzz scenario": ["checks: clean"],
+    "trace dump": ["Health @ ", "critical path of trace"],
+    "flight dump": ["Health @ ", "trigger: ", "critical path of trace"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_RUNS))
+def test_report_renders_every_run_kind(kind, tmp_path, capsys):
+    path = str(tmp_path / "run.json")
+    save_document(path, _RUNS[kind](tmp_path))
+    capsys.readouterr()
+    assert main(["report", path]) == 0
+    out = capsys.readouterr().out
+    for block in _BLOCKS[kind]:
+        assert block in out
+
+
+def test_report_prints_the_checks_verdict_and_five_violations(
+        tmp_path, capsys):
+    violations = [{"invariant": "loop-freedom", "message": f"loop {i}"}
+                  for i in range(7)]
+    path = str(tmp_path / "repro.json")
+    RunArtifact(checks={"ok": False, "probes_run": 9,
+                        "violations": violations}).save(path)
+    assert main(["report", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["checks: VIOLATIONS (9 probes, 7 violation(s))"] + [
+        f"  loop-freedom: loop {i}" for i in range(5)]
+
+
+def test_report_exits_1_only_for_a_trace_the_document_lacks(
+        tmp_path, capsys):
+    path = str(tmp_path / "run.json")
+    run_workload(_tiny_spec()).save(path)
+    assert main(["report", path]) == 0
+    assert main(["report", path, "--select", "fault"]) == 1
+    assert main(["report", path, "--trace-id", "7"]) == 1
+    out = capsys.readouterr().out
+    assert "no fault-rooted trace in this artifact" in out
+    assert "no trace #7 in this artifact" in out
+
+
 def test_result_digest_scopes():
     workload = run_workload(_tiny_spec())
     assert workload.digest == workload.full_digest == canonical_digest(
@@ -82,14 +128,13 @@ def test_a_sharded_suite_document_diffs(tmp_path, capsys):
 def test_one_flight_dump_serves_the_dashboard_and_the_critical_path(
         tmp_path, capsys):
     path = str(tmp_path / "handover.json")
-    assert main(["trace", "dump", "--controllers", "3", "--fault",
+    assert main(["trace", "--controllers", "3", "--fault",
                  "controller", "--flight", "--duration", "2.5",
                  "--out", path]) == 0
     capsys.readouterr()
-    assert main(["obs", "dashboard", "--path", path]) == 0
+    assert main(["report", path, "--select", "fault", "--tree"]) == 0
     out = capsys.readouterr().out
     assert "Health @ " in out and "convergence" in out
-    assert main(["trace", "critical-path", path, "--select", "fault",
-                 "--tree"]) == 0
-    out = capsys.readouterr().out
-    assert "fault.controller_crash" in out and "bus.death_detect" in out
+    # The series block comes first, then the trace block.
+    assert out.index("Health @ ") < out.index("fault.controller_crash")
+    assert "bus.death_detect" in out

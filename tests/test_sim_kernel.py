@@ -148,106 +148,6 @@ class TestPeriodic:
             sim.call_every(0.0, lambda: None)
 
 
-class TestProcesses:
-    def test_process_sleeps(self):
-        sim = Simulator()
-        trace = []
-
-        def proc():
-            trace.append(("start", sim.now))
-            yield sim.sleep(2.5)
-            trace.append(("end", sim.now))
-
-        sim.spawn(proc())
-        sim.run_until_idle()
-        assert trace == [("start", 0.0), ("end", 2.5)]
-
-    def test_process_return_value(self):
-        sim = Simulator()
-
-        def proc():
-            yield sim.sleep(1.0)
-            return 42
-
-        p = sim.spawn(proc())
-        sim.run_until_idle()
-        assert p.result == 42
-        assert not p.alive
-
-    def test_process_waits_on_signal(self):
-        sim = Simulator()
-        signal = sim.signal()
-        got = []
-
-        def waiter():
-            value = yield signal.wait()
-            got.append((value, sim.now))
-
-        sim.spawn(waiter())
-        sim.schedule(3.0, signal.fire, "hello")
-        sim.run_until_idle()
-        assert got == [("hello", 3.0)]
-
-    def test_signal_wakes_all_waiters(self):
-        sim = Simulator()
-        signal = sim.signal()
-        woken = []
-
-        def waiter(i):
-            yield signal.wait()
-            woken.append(i)
-
-        for i in range(3):
-            sim.spawn(waiter(i))
-        sim.schedule(1.0, signal.fire)
-        sim.run_until_idle()
-        assert sorted(woken) == [0, 1, 2]
-
-    def test_process_waits_on_process(self):
-        sim = Simulator()
-        order = []
-
-        def child():
-            yield sim.sleep(2.0)
-            order.append("child done")
-            return "result"
-
-        def parent():
-            p = sim.spawn(child())
-            yield p.wait()
-            order.append("parent done")
-
-        sim.spawn(parent())
-        sim.run_until_idle()
-        assert order == ["child done", "parent done"]
-
-    def test_killed_process_stops(self):
-        sim = Simulator()
-        trace = []
-
-        def proc():
-            trace.append("a")
-            yield sim.sleep(5.0)
-            trace.append("b")
-
-        p = sim.spawn(proc())
-        sim.run(until=1.0)
-        p.kill()
-        sim.run_until_idle()
-        assert trace == ["a"]
-        assert not p.alive
-
-    def test_bad_yield_raises(self):
-        sim = Simulator()
-
-        def proc():
-            yield "nonsense"
-
-        sim.spawn(proc())
-        with pytest.raises(SimulationError):
-            sim.run_until_idle()
-
-
 class TestRandomness:
     def test_same_seed_same_stream(self):
         a, b = Simulator(seed=7), Simulator(seed=7)

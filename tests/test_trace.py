@@ -642,9 +642,12 @@ class TestShardedTracePlane:
 # CLI surface
 # ----------------------------------------------------------------------
 class TestTraceCLI:
-    def test_report_platform_run(self, capsys):
-        code = cli_main(["trace", "report", "--topology", "linear",
-                         "--size", "3", "--duration", "1.0"])
+    def test_report_platform_run(self, tmp_path, capsys):
+        out_path = str(tmp_path / "platform-trace.json")
+        assert cli_main(["trace", "--topology", "linear", "--size", "3",
+                         "--duration", "1.0", "--out", out_path]) == 0
+        capsys.readouterr()
+        code = cli_main(["report", out_path, "--tree"])
         out = capsys.readouterr().out
         assert code == 0
         assert "critical path of trace" in out
@@ -654,7 +657,7 @@ class TestTraceCLI:
         """The CI smoke path: clustered fault run, triggered
         flight-recorder dump, offline critical-path analysis."""
         out_path = tmp_path / "cluster-trace.json"
-        code = cli_main(["trace", "dump", "--controllers", "3",
+        code = cli_main(["trace", "--controllers", "3",
                          "--fault", "controller", "--flight",
                          "--duration", "2.5",
                          "--out", str(out_path)])
@@ -662,8 +665,8 @@ class TestTraceCLI:
         assert code == 0
         assert "flight-recorder dump captured" in out
         assert out_path.exists()
-        code = cli_main(["trace", "critical-path", str(out_path),
-                         "--select", "fault", "--tree"])
+        code = cli_main(["report", str(out_path), "--select", "fault",
+                         "--tree"])
         out = capsys.readouterr().out
         assert code == 0
         assert "fault.controller_crash" in out
@@ -671,7 +674,7 @@ class TestTraceCLI:
         assert "critical path of trace" in out
 
     def test_sharded_report(self, capsys):
-        code = cli_main(["trace", "report", "--shards", "2",
+        code = cli_main(["trace", "--shards", "2",
                          "--scenario", "dc-heavy-tail",
                          "--duration", "1.0", "--shard-sequential"])
         out = capsys.readouterr().out
@@ -679,5 +682,7 @@ class TestTraceCLI:
         assert "cross a shard boundary" in out
 
     def test_critical_path_needs_an_artifact(self, capsys):
-        assert cli_main(["trace", "critical-path"]) == 2
-        assert capsys.readouterr().err.startswith("repro: error: ")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["report"])
+        assert exc.value.code == 2
+        assert "DOC" in capsys.readouterr().err
