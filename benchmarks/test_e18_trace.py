@@ -20,7 +20,7 @@ cost of forwarding packets, which tracing does not control; see E14).
 Full per-packet sampling is measured too and reported ungated — it
 costs several times the sampled config, which is why sampled tracing
 is the always-on config and per-packet tracing is reserved for
-targeted `repro trace` runs.  The identity
+targeted `repro run --trace` runs.  The identity
 contract must also hold across the other two execution planes — a
 sharded run's merged observables digest (shards=2, in process) and a
 clustered fault run's dataplane digest — because spans ride the

@@ -29,7 +29,6 @@ from repro.check.fuzzer import (
     fuzz,
     generate_cluster_scenario,
     generate_scenario,
-    load_scenario,
     minimize,
     platform_observables,
     replay,
@@ -96,7 +95,6 @@ __all__ = [
     "fuzz",
     "generate_cluster_scenario",
     "generate_scenario",
-    "load_scenario",
     "minimize",
     "platform_observables",
     "replay",

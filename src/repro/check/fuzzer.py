@@ -26,7 +26,7 @@ from typing import Callable, List, Optional
 from repro.digest import load_document
 from repro.obs import RunArtifact, RunResult
 from repro.workload.runner import assemble
-from repro.workload.spec import WorkloadSpec, build_spec_topology
+from repro.workload.spec import WorkloadSpec, build_spec_topology, load_spec
 
 from repro.check.invariants import NetworkChecker
 
@@ -36,7 +36,6 @@ __all__ = [
     "run_scenario",
     "platform_observables",
     "fuzz",
-    "load_scenario",
     "replay",
     "minimize",
     "example_scenarios",
@@ -308,25 +307,9 @@ def fuzz(count: int, start_seed: int = 0, monitor: bool = False,
     return results
 
 
-def load_scenario(path: str) -> WorkloadSpec:
-    """The spec a saved run ran (a fuzz repro file, any ``workload run
-    --out`` document) — or the file itself, when it is a bare spec
-    document (``WorkloadSpec.to_dict()`` / ``workload run --spec``
-    form).  A missing or malformed file is a
-    :class:`~repro.errors.ZenError` naming the path."""
-    def build(payload) -> WorkloadSpec:
-        if isinstance(payload, dict) and "format" in payload:
-            payload = RunArtifact.from_dict(payload).meta.get("workload")
-            if payload is None:
-                raise ValueError("this run artifact records no spec")
-        return WorkloadSpec.from_dict(payload)
-
-    return load_document(path, "replay document", build)
-
-
 def replay(path: str, monitor: bool = False) -> RunResult:
     """Re-run a repro file's scenario from scratch."""
-    return run_scenario(load_scenario(path), monitor=monitor)
+    return run_scenario(load_spec(path), monitor=monitor)
 
 
 def minimize(scenario: WorkloadSpec,

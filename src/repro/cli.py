@@ -10,23 +10,25 @@ Commands aimed at kicking the tyres without writing code:
 * ``telemetry`` — run a traffic demo with the observability plane on
   and dump metrics, a packet trace, and flow records.
 * ``faults``    — run a demo under scripted fault injection (channel
-  flaps, link flaps, or switch crashes) and report what recovered.
+  flaps, link flaps, switch crashes, controller crashes or partitions)
+  and report what recovered.
 * ``check``     — verify network invariants or fuzz seeded scenarios.
-* ``obs``       — sim-time metrics history, health reports, run diffs.
-* ``workload``  — list/run declarative workload scenarios, or fan a
-  suite across worker processes.
-* ``trace``     — the causal trace plane: run a traced scenario
-  (single platform, cluster under faults, or the sharded kernel) and
-  save its run document.
+* ``workload``  — list the scenario library, or fan a suite across
+  worker processes.
+* ``run``       — the one writer of a run document: run one spec (a
+  library scenario, a spec file or saved run, or one built from the
+  stack and fault flags), print its summary and digest, save it.
 * ``report``    — the one reader of a run document: dashboard and
   health, trace critical path, invariant checks — whichever it holds.
+* ``diff``      — A/B-compare two run documents and flag regressions.
 
-The run-making commands assemble their runs in one place: ``faults``,
-``obs`` and ``trace`` (platform mode) lower their flags to one
-:class:`~repro.workload.WorkloadSpec` (``_spec``) and run it through
-:func:`repro.workload.assemble`, then drive their own phases (ping,
-run, report).  Every file a command writes or reads is one run document
-(:mod:`repro.obs.artifact`), and ``report`` renders any of them.  ``demo`` and ``telemetry`` stay on a bare
+``faults`` and a flag-built ``run`` lower the same stack and fault
+flags to one :class:`~repro.workload.WorkloadSpec` (``_spec``) and run
+it through :func:`repro.workload.assemble`.  ``run`` saves the
+:class:`~repro.obs.RunResult` document — spec, summary, digest — that
+``report`` renders, ``diff`` compares and ``run --spec`` replays to the
+same digest.  ``demo``, ``telemetry`` and ``faults`` are drills: they
+print and write no document.  ``demo`` and ``telemetry`` stay on a bare
 :class:`ZenPlatform`: they show ARP resolution, which the assembler's
 static ARP would skip.
 """
@@ -34,14 +36,12 @@ static ARP would skip.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import time
 from typing import List, Optional
 
 from repro.analysis import Table
 from repro.core import ZenPlatform
-from repro.digest import document_text, load_document, save_document
+from repro.digest import load_document
 from repro.errors import ZenError
 from repro.netem.topology import FAMILIES, Topology
 from repro.telemetry import Telemetry
@@ -82,6 +82,19 @@ _EXPERIMENTS = [
     ("A4", "ablation", "strict-priority queueing for expedited traffic"),
 ]
 
+#: What a flag-built run assumes for a stack or fault flag it was not
+#: given (``demo`` and ``faults`` default to the same stack).
+_STACK = {"topology": "ring", "size": 4, "profile": "proactive",
+          "seed": 0, "bandwidth": 1e9}
+_FAULT = {"controllers": 1, "target": "", "cycles": 2, "period": 2.0,
+          "down_for": 0.5}
+#: Armed on a flag-built ``--flight`` run: a breach dumps the recorder.
+_CONVERGENCE_SLO = {"kind": "convergence", "name": "convergence",
+                    "threshold": 0.05,
+                    "open_kinds": ["controller_crash", "channel_down",
+                                   "switch_crash", "link_down"],
+                    "close_kinds": ["resync_done"]}
+
 
 def _build_platform(args, telemetry=None) -> ZenPlatform:
     """The bare stack ``demo`` and ``telemetry`` show: no static ARP, so
@@ -92,17 +105,16 @@ def _build_platform(args, telemetry=None) -> ZenPlatform:
 
 
 def _fault_dicts(args, topo: Topology):
-    """Lower ``--kind/--target/--cycles/--period/--down-for`` to
+    """Lower ``--fault/--target/--cycles/--period/--down-for`` to
     :func:`repro.faults.arm_faults` dicts, ``at`` relative to the first
     injection.  Reads only the topology and the pure election, so a bad
     flag fails before any simulated time.  Returns ``(target switch,
     description, dicts)``."""
-    if args.kind == "none":
+    if args.fault is None:
         return "", "none", []
-    controllers = getattr(args, "controllers", 1)
-    if args.kind in ("controller", "partition") and controllers < 2:
+    if args.fault in ("controller", "partition") and args.controllers < 2:
         raise ZenError(
-            f"a {args.kind} fault needs a cluster; pass --controllers >= 2"
+            f"a {args.fault} fault needs a cluster; pass --controllers >= 2"
         )
     if args.cycles < 1:
         raise ZenError(f"--cycles must be >= 1, not {args.cycles}")
@@ -110,14 +122,12 @@ def _fault_dicts(args, topo: Topology):
     target = args.target or switches[0]
     if target not in switches:
         raise ZenError(f"unknown switch {target!r}; pick from {switches}")
-    # `trace` injects a single cycle and has no --period.
-    period = args.period if args.period is not None else 2 * args.down_for
-    flap = {"at": 0.0, "down_for": args.down_for, "period": period,
+    flap = {"at": 0.0, "down_for": args.down_for, "period": args.period,
             "count": args.cycles}
-    if args.kind == "channel":
+    if args.fault == "channel":
         what = f"control channel of {target}"
         return target, what, [dict(flap, kind="channel_flap", switch=target)]
-    if args.kind == "link":
+    if args.fault == "link":
         neighbours = sorted(n for n in topo.neighbours(target)
                             if topo.nodes[n].is_switch)
         if not neighbours:
@@ -127,12 +137,12 @@ def _fault_dicts(args, topo: Topology):
             dict(flap, kind="link_flap", a=target, b=neighbours[0])]
     from repro.cluster.election import assign_masters, elect_leader
 
-    members = range(controllers)
-    if args.kind == "crash":
+    members = range(args.controllers)
+    if args.fault == "crash":
         what = f"agent of {target} (state wiped)"
         cycle = {"kind": "switch_crash", "switch": target,
                  "restart_after": args.down_for}
-    elif args.kind == "controller":
+    elif args.fault == "controller":
         dpid = topo.nodes[target].dpid
         victim = assign_masters(members, [dpid], args.seed)[dpid]
         what = f"controller-{victim} (master of {target})"
@@ -144,7 +154,7 @@ def _fault_dicts(args, topo: Topology):
         what = f"east-west bus into {minority} | {majority}"
         cycle = {"kind": "controller_partition", "minority": minority,
                  "heal_after": args.down_for}
-    return target, what, [dict(cycle, at=k * period)
+    return target, what, [dict(cycle, at=k * args.period)
                           for k in range(args.cycles)]
 
 
@@ -172,7 +182,7 @@ def _spec(args, offset: float, duration: Optional[float] = None,
         seed=args.seed, duration=duration,
         interval=getattr(args, "interval", 0.1), profile=args.profile,
         faults=[dict(fault, at=fault["at"] + offset) for fault in faults],
-        slos=slos, controllers=getattr(args, "controllers", 1),
+        slos=slos, controllers=args.controllers,
     )
     return spec, target, what
 
@@ -253,7 +263,7 @@ def _cmd_faults(args) -> int:
     print(f"Pre-fault all-pairs delivery: {before:.0%}")
 
     net = platform.net
-    if args.kind == "controller":
+    if args.fault == "controller":
         what += ", state wiped on crash"
     print(f"Flapping {what}: {args.cycles} cycle(s), "
           f"{args.down_for:.2f}s down every {args.period:.2f}s")
@@ -393,59 +403,12 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_obs(args) -> int:
-    from repro.obs import (diff_runs, load_artifact, render_diff,
-                           render_health, render_openmetrics)
-
-    if args.mode == "diff":
-        if not args.base or not args.current:
-            raise ZenError("obs diff needs BASE and CURRENT artifacts")
-        base = load_artifact(args.base)
-        current = load_artifact(args.current)
-        report = diff_runs(base, current, tolerance=args.tolerance)
-        if args.format == "json":
-            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(render_diff(report, base_name=args.base,
-                              cur_name=args.current))
-        return 0 if report.ok else 1
-
-    from repro.workload import assemble
-
-    spec, _, _ = _spec(args, offset=0.5, duration=args.duration)
-    live = assemble(spec, obs=True, monitor=args.monitor)
-    platform, plane = live.platform, live.plane
-    platform.run(spec.duration)
-    plane.finish()
-    artifact = plane.artifact(
-        topology=f"{args.topology}({args.size})", profile=args.profile,
-        seed=args.seed, faults=args.kind, duration=args.duration)
-    if args.format == "openmetrics":
-        print(render_openmetrics(platform.telemetry.metrics), end="")
-    elif args.format == "json":
-        print(document_text(artifact.to_dict()), end="")
-    else:
-        print(f"Scraped {plane.scraper.scrapes} samples of "
-              f"{len(plane.scraper.series)} series over "
-              f"{platform.sim.now:.1f}s sim "
-              f"(interval {args.interval}s); "
-              f"{len(live.schedule.log)} fault(s) injected, "
-              f"{len(plane.scraper.annotations)} annotations")
-        print()
-        print(render_health(plane.report))
-    if args.out:
-        artifact.save(args.out)
-        print(f"\nrun artifact written to {args.out}")
-    return 0
-
-
 def _fmt_fct(value) -> str:
     return f"{value * 1e3:.1f}ms" if value is not None else "-"
 
 
 def _cmd_workload(args) -> int:
-    from repro.workload import (library, load_spec, run_suite,
-                                run_workload, suite_digest)
+    from repro.workload import library, run_suite, suite_digest
 
     specs = library()
     if args.mode == "list":
@@ -458,53 +421,10 @@ def _cmd_workload(args) -> int:
             table.add_row(name, spec.topology.get("family", "?"),
                           kinds, len(spec.faults), spec.seed)
         print(table.render())
-        print("\nRun one:      python -m repro workload run --name "
-              "<name>")
+        print("\nRun one:      python -m repro run --name <name>")
         print("Run them all: python -m repro workload suite --jobs 2")
         return 0
 
-    if args.mode == "run":
-        if args.spec:
-            spec = load_spec(args.spec)
-        elif args.name:
-            if args.name not in specs:
-                raise ZenError(f"unknown scenario {args.name!r}; "
-                               f"pick from {sorted(specs)}")
-            spec = specs[args.name]
-        else:
-            raise ZenError("workload run needs --name or --spec")
-        if args.seed is not None:
-            spec.seed = args.seed
-        started = time.perf_counter()
-        result = run_workload(
-            spec, shards=args.shards,
-            shard_processes=False if args.shard_sequential else None)
-        wall = time.perf_counter() - started
-        if args.out:
-            result.save(args.out)
-        s = result.summary
-        if args.shards is not None:
-            mode = "mp" if s["processes"] else "seq"
-            print(f"{spec.name} [{s['shards']} shard(s), {mode}]: "
-                  f"{s['flows_completed']}/{s['flows_started']} flows "
-                  f"completed, fct p50/p99 "
-                  f"{_fmt_fct(s['fct_p50'])}/{_fmt_fct(s['fct_p99'])}, "
-                  f"{s['events']} events in {s['rounds']} round(s), "
-                  f"{wall:.2f}s wall")
-        else:
-            print(f"{spec.name}: "
-                  f"{s['flows_completed']}/{s['flows_started']} "
-                  f"flows completed, fct p50/p99 "
-                  f"{_fmt_fct(s['fct_p50'])}/{_fmt_fct(s['fct_p99'])}, "
-                  f"flow-table peak {s['flow_table_peak']}, "
-                  f"{s['faults_fired']} fault(s), "
-                  f"health {'ok' if s['health_ok'] else 'ALERTS'}")
-        print(f"digest {result.digest[:16]}")
-        if args.out:
-            print(f"run artifact written to {args.out}")
-        return 0
-
-    # suite
     if args.names:
         missing = [n for n in args.names.split(",") if n not in specs]
         if missing:
@@ -534,110 +454,127 @@ def _cmd_workload(args) -> int:
           f"(independent of --jobs)")
     if args.out_dir:
         print(f"run artifacts in {args.out_dir}/ "
-              f"(diff any pair: python -m repro obs diff A B)")
+              f"(diff any pair: python -m repro diff A B)")
     return 0
 
 
-def _run_trace_sharded(args):
-    """Traced run on the sharded kernel: one workload scenario, per-
-    shard tracers merged into one trace list."""
-    from repro.sim.shard import run_sharded
-    from repro.telemetry.artifact import shards_of, span_count
-    from repro.workload import library
+def _run_spec(args):
+    """The spec ``run`` runs: a library scenario (``--name``), a spec
+    file or saved run (``--spec``), or the stack and fault flags lowered
+    by :func:`_spec` (faults 0.5 s in).  Only ``--seed`` and
+    ``--duration`` override a named or loaded spec."""
+    from repro.workload import WorkloadSpec, library, load_spec
 
-    lib = library()
-    if args.scenario not in lib:
-        raise ZenError(f"unknown scenario {args.scenario!r}; "
-                       f"pick from {sorted(lib)}")
-    spec = lib[args.scenario]
-    if args.duration is not None:
-        spec.duration = args.duration
-    if args.seed is not None:
-        spec.seed = args.seed
-    result = run_sharded(spec, shards=args.shards,
-                         processes=not args.shard_sequential,
-                         trace=True)
-    traces = result.artifact.traces
-    crossing = sum(1 for t in traces if len(shards_of(t)) > 1)
-    print(f"Sharded run {spec.name!r}: shards={result.summary['shards']} "
-          f"digest={result.digest[:12]}")
-    print(f"{len(traces)} traces, {span_count(traces)} spans; "
-          f"{crossing} trace(s) cross a shard boundary")
-    return result.to_dict()
+    # Every flag a flag-built run reads, with its default (no fault).
+    flags = dict(_STACK, **_FAULT, fault=None, interval=0.1)
+    if not (args.name or args.spec):
+        for dest, value in flags.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
+        spec, _, _ = _spec(
+            args, offset=0.5,
+            duration=6.0 if args.duration is None else args.duration,
+            slos=[_CONVERGENCE_SLO] if args.flight else ())
+        return spec
+    given = ["--" + dest.replace("_", "-") for dest in flags
+             if dest != "seed" and getattr(args, dest) is not None]
+    if args.name and args.spec:
+        raise ZenError("run takes --name or --spec, not both")
+    if given:
+        raise ZenError(f"{', '.join(given)} cannot change a --name or "
+                       f"--spec run, which takes only --seed and "
+                       f"--duration")
+    if args.spec:
+        spec = load_spec(args.spec)
+    else:
+        specs = library()
+        if args.name not in specs:
+            raise ZenError(f"unknown scenario {args.name!r}; "
+                           f"pick from {sorted(specs)}")
+        spec = specs[args.name]
+    overrides = {key: getattr(args, key) for key in ("seed", "duration")
+                 if getattr(args, key) is not None}
+    if overrides:
+        spec = WorkloadSpec.from_dict(dict(spec.to_dict(), **overrides))
+    return spec
 
 
-def _run_trace_platform(args):
-    """Traced platform/cluster run under a scripted fault, with the
-    flight recorder armed on invariant violations and SLO alerts; the
-    artifact keeps the obs plane's series and health beside the traces."""
+def _run_platform(spec, args):
+    """``run_workload``'s run — ``assemble(spec, obs=True)``, then
+    ``run_assembled`` — with the observers ``--monitor``, ``--trace``
+    and ``--flight`` ask for attached to the assembly."""
     from repro.telemetry.artifact import tracer_traces
     from repro.telemetry.flight import FlightRecorder
-    from repro.workload import assemble
+    from repro.workload import assemble, run_assembled
 
-    if args.seed is None:
-        args.seed = 0
-    telemetry = Telemetry(profile=False, trace=True,
-                          max_traces=args.max_traces)
-    # Built before assemble starts the platform, so the rings hold the
-    # bring-up spans too.
-    recorder = FlightRecorder(telemetry, capacity=args.ring,
-                              max_events=args.ring)
-    # A 1 s warm-up, then the fault 0.5 s in.
-    spec, _, what = _spec(
-        args, offset=1.5,
-        duration=1.0 + (args.duration if args.duration is not None
-                        else 3.0),
-        slos=[{"kind": "convergence", "name": "convergence",
-               "threshold": args.slo,
-               "open_kinds": ["controller_crash", "channel_down",
-                              "switch_crash", "link_down"],
-               "close_kinds": ["resync_done"]}])
-    live = assemble(spec, telemetry=telemetry, obs=True, monitor=True,
-                    recorder=recorder)
-    platform, plane, sched = live.platform, live.plane, live.schedule
-    platform.run(spec.duration)
-    plane.finish()
-
-    clustered = platform.cluster is not None
-    print(f"{'Cluster' if clustered else 'Platform'} run: "
-          f"{args.topology} size={args.size} profile={args.profile} "
-          f"fault={what}")
-    print(f"{len(sched.log)} injection(s), "
-          f"{len(plane.health.alerts)} SLO alert(s), {recorder!r}")
-    meta = {
-        "kind": "cluster-run" if clustered else "platform-run",
-        "topology": args.topology, "size": args.size,
-        "controllers": args.controllers, "seed": args.seed,
-        "fault": args.kind,
-    }
+    telemetry = recorder = None
+    if args.trace or args.flight:
+        telemetry = Telemetry(profile=False, trace=True)
     if args.flight:
-        if recorder.dumps:
-            dump = recorder.dumps[0]
-            trigger = dump["triggers"][0]
-            print("flight-recorder dump captured at trigger "
-                  f"{trigger['kind']!r} ({trigger['detail']})")
-        else:
-            dump = recorder.trigger("end-of-run",
-                                    "no trigger fired; manual "
-                                    "capture", platform.sim.now)
-            print("no trigger fired; captured the rings at end of run")
-        meta = dict(dump["meta"], **meta)
+        # Built before assemble starts the platform, so the rings hold
+        # the bring-up spans too.
+        recorder = FlightRecorder(telemetry)
+    live = assemble(spec, telemetry=telemetry, obs=True,
+                    monitor=args.monitor, recorder=recorder)
+    result = run_assembled(spec, live)
+    artifact = result.artifact
+    if recorder is not None:
+        if not recorder.dumps:
+            recorder.trigger("end-of-run", "no trigger fired; manual "
+                             "capture", live.platform.sim.now)
+        dump = recorder.dumps[0]
+        artifact.traces, artifact.triggers = dump["traces"], dump["triggers"]
+    elif telemetry is not None:
+        artifact.traces = tracer_traces(telemetry.tracer)
+    return result
+
+
+def _cmd_run(args) -> int:
+    from repro.sim.shard import run_sharded
+
+    if args.shards is not None:
+        if args.shards < 1:
+            raise ZenError(f"--shards must be >= 1, not {args.shards}")
+        if args.flight or args.monitor:
+            raise ZenError("--flight and --monitor need the platform; "
+                           "the sharded kernel runs without --shards")
+    elif args.shard_sequential:
+        raise ZenError("--shard-sequential needs --shards")
+    spec = _run_spec(args)
+    if args.shards is None:
+        result = _run_platform(spec, args)
+        s, where = result.summary, ""
+        tail = (f"flow-table peak {s['flow_table_peak']}, "
+                f"{s['faults_fired']} fault(s), "
+                f"health {'ok' if s['health_ok'] else 'ALERTS'}")
     else:
-        dump = {"traces": tracer_traces(telemetry.tracer), "triggers": []}
-    artifact = plane.artifact(**meta)
-    artifact.traces, artifact.triggers = dump["traces"], dump["triggers"]
-    return artifact.to_dict()
-
-
-def _cmd_trace(args) -> int:
-    run = _run_trace_sharded if args.shards else _run_trace_platform
-    # What ``--out`` saves: the artifact, or a sharded run's result
-    # (the artifact plus its digest).
-    document = run(args)
+        result = run_sharded(
+            spec, shards=args.shards,
+            processes=False if args.shard_sequential else None,
+            trace=args.trace)
+        s = result.summary
+        where = (f" [{s['shards']} shard(s), "
+                 f"{'mp' if s['processes'] else 'seq'}]")
+        tail = f"{s['events']} events in {s['rounds']} round(s)"
+    if args.trace or args.flight:
+        tail += f", {len(result.artifact.traces)} trace(s)"
+    print(f"{spec.name}{where}: {s['flows_completed']}/"
+          f"{s['flows_started']} flows completed, fct p50/p99 "
+          f"{_fmt_fct(s['fct_p50'])}/{_fmt_fct(s['fct_p99'])}, {tail}")
+    print(f"digest {result.digest[:16]}")
     if args.out:
-        save_document(args.out, document)
-        print(f"run artifact written to {args.out}")
+        result.save(args.out)
+        print(f"run document written to {args.out}")
     return 0
+
+
+def _cmd_diff(args) -> int:
+    from repro.obs import diff_runs, load_artifact, render_diff
+
+    report = diff_runs(load_artifact(args.base),
+                       load_artifact(args.current))
+    print(render_diff(report, base_name=args.base, cur_name=args.current))
+    return 0 if report.ok else 1
 
 
 def _trace_block(artifact, args) -> int:
@@ -719,38 +656,43 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _stack_args(topology: str = "ring", size: int = 4,
-                profile: str = "proactive",
-                seed: Optional[int] = 0) -> argparse.ArgumentParser:
-    """The six arguments that describe a stack, as an argparse parent
+def _stack_args(**defaults) -> argparse.ArgumentParser:
+    """The five arguments that describe a stack, as an argparse parent
     (a fresh one per command: argparse shares a parent's actions with
-    every child, so ``set_defaults`` on one would leak into the rest)."""
+    every child, so ``set_defaults`` on one would leak into the rest).
+    An argument missing from ``defaults`` defaults to ``None``."""
     stack = argparse.ArgumentParser(add_help=False)
-    stack.add_argument("--topology", default=topology, choices=FAMILIES)
-    stack.add_argument("--size", type=int, default=size,
-                       help="builder size parameter")
-    stack.add_argument("--profile", default=profile,
-                       choices=("reactive", "proactive"))
-    stack.add_argument("--seed", type=int, default=seed)
-    stack.add_argument("--bandwidth", type=float, default=1e9)
+    stack.add_argument("--topology", choices=FAMILIES)
+    stack.add_argument("--size", type=int, help="builder size parameter")
+    stack.add_argument("--profile", choices=("reactive", "proactive"))
+    stack.add_argument("--seed", type=int)
+    stack.add_argument("--bandwidth", type=float)
+    stack.set_defaults(**defaults)
     return stack
 
 
-def _fault_args(down_for: float,
-                flaps: bool = True) -> argparse.ArgumentParser:
-    """The scripted-fault shape arguments, as an argparse parent
-    (``flaps=False``: a single injection, ``--down-for`` only)."""
+def _fault_args(**defaults) -> argparse.ArgumentParser:
+    """The scripted-fault arguments ``faults`` and ``run`` share, as an
+    argparse parent built like :func:`_stack_args`."""
     fault = argparse.ArgumentParser(add_help=False)
-    if flaps:
-        fault.add_argument("--target", default="",
-                           help="switch to torment (default: first "
-                                "switch)")
-        fault.add_argument("--cycles", type=int, default=2,
-                           help="down/up cycles to inject")
-        fault.add_argument("--period", type=float, default=2.0,
-                           help="seconds between cycle starts")
-    fault.add_argument("--down-for", type=float, default=down_for,
+    fault.add_argument("--fault",
+                       choices=("channel", "link", "crash", "controller",
+                                "partition"),
+                       help="what to flap: the control channel, a "
+                            "dataplane link, the whole agent, a "
+                            "controller instance, or the east-west bus "
+                            "(last two need --controllers >= 2)")
+    fault.add_argument("--controllers", type=int,
+                       help="controller instances (cluster mode when >1)")
+    fault.add_argument("--target",
+                       help="switch to torment (default: first switch)")
+    fault.add_argument("--cycles", type=int,
+                       help="down/up cycles to inject")
+    fault.add_argument("--period", type=float,
+                       help="seconds between cycle starts")
+    fault.add_argument("--down-for", type=float,
                        help="seconds down per cycle")
+    fault.set_defaults(**defaults)
     return fault
 
 
@@ -763,7 +705,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     demo = sub.add_parser("demo", help="run a platform demo",
-                          parents=[_stack_args()])
+                          parents=[_stack_args(**_STACK)])
     demo.add_argument("--pings", type=int, default=1)
     demo.set_defaults(fn=_cmd_demo)
 
@@ -779,25 +721,16 @@ def _parser() -> argparse.ArgumentParser:
     faults = sub.add_parser(
         "faults",
         help="run a demo under scripted fault injection",
-        parents=[_stack_args(), _fault_args(down_for=0.5)],
+        parents=[_stack_args(**_STACK),
+                 _fault_args(**_FAULT, fault="channel")],
     )
-    faults.add_argument("--controllers", type=int, default=1,
-                        help="controller instances (cluster mode when "
-                             ">1; enables controller/partition kinds)")
-    faults.add_argument("--kind", default="channel",
-                        choices=("channel", "link", "crash",
-                                 "controller", "partition"),
-                        help="what to flap: the control channel, a "
-                             "dataplane link, the whole agent, a "
-                             "controller instance, or the east-west "
-                             "bus (last two need --controllers >= 2)")
     faults.set_defaults(fn=_cmd_faults)
 
     tel = sub.add_parser(
         "telemetry",
         help="run a demo with the observability plane on and dump it",
-        parents=[_stack_args(topology="linear", size=3,
-                             profile="reactive")],
+        parents=[_stack_args(**dict(_STACK, topology="linear", size=3,
+                                    profile="reactive"))],
     )
     tel.add_argument("--pings", type=int, default=1)
     tel.add_argument("--format", default="report",
@@ -830,111 +763,58 @@ def _parser() -> argparse.ArgumentParser:
                      help="repro or corpus file for replay mode")
     chk.set_defaults(fn=_cmd_check)
 
-    obs = sub.add_parser(
-        "obs",
-        help="sim-time metrics history, health/SLO report, run diffing",
-        parents=[_stack_args(), _fault_args(down_for=0.5)],
-    )
-    obs.add_argument("mode", choices=("report", "diff"),
-                     help="report: run a scenario and print its health "
-                          "report (or OpenMetrics/JSON); diff: "
-                          "A/B-compare two run artifacts and flag "
-                          "regressions")
-    obs.add_argument("base", nargs="?", default="",
-                     help="baseline artifact (diff mode)")
-    obs.add_argument("current", nargs="?", default="",
-                     help="current artifact (diff mode)")
-    obs.add_argument("--interval", type=float, default=0.1,
-                     help="scrape interval in simulated seconds")
-    obs.add_argument("--duration", type=float, default=6.0,
-                     help="simulated seconds to run after warmup")
-    obs.add_argument("--faults", dest="kind", default="none",
-                     choices=("none", "link", "channel", "crash"),
-                     help="inject a scripted fault pattern")
-    obs.add_argument("--monitor", action="store_true",
-                     help="run the invariant monitor and annotate "
-                          "violations on the timeline")
-    obs.add_argument("--out", default="",
-                     help="write the run artifact (JSON) here")
-    obs.add_argument("--format", default="health",
-                     choices=("health", "openmetrics", "json"),
-                     help="report output format (diff: table or json)")
-    obs.add_argument("--tolerance", type=float, default=0.10,
-                     help="relative-delta floor for diff significance")
-    obs.set_defaults(fn=_cmd_obs)
-
     wl = sub.add_parser(
         "workload",
-        help="declarative workload scenarios: list the library, run "
-             "one, or fan a suite across worker processes",
+        help="declarative workload scenarios: list the library, or fan "
+             "a suite across worker processes",
     )
-    wl.add_argument("mode", choices=("list", "run", "suite"),
-                    help="list: show the scenario library; run: "
-                         "execute one scenario; suite: execute many "
-                         "and print per-run digests")
-    wl.add_argument("--name", default="",
-                    help="library scenario to run (run mode)")
-    wl.add_argument("--spec", default="",
-                    help="path to a JSON/YAML spec file (run mode)")
+    wl.add_argument("mode", choices=("list", "suite"),
+                    help="list: show the scenario library; suite: run "
+                         "many and print per-run digests")
     wl.add_argument("--names", default="",
-                    help="comma-separated library names (suite mode; "
-                         "default: the whole library)")
-    wl.add_argument("--seed", type=int, default=None,
-                    help="override the spec seed (run mode)")
+                    help="comma-separated library names (default: the "
+                         "whole library)")
     wl.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for suite mode")
-    wl.add_argument("--out", default="",
-                    help="write the run artifact here (run mode)")
+                    help="worker processes")
     wl.add_argument("--out-dir", default="",
-                    help="directory for suite run artifacts")
+                    help="directory for the run documents")
     wl.add_argument("--shards", type=int, default=None,
-                    help="run on the sharded kernel with N spatial "
-                         "shards (1 = the differential oracle; merged "
-                         "observables are bit-identical at any N)")
-    wl.add_argument("--shard-sequential", action="store_true",
-                    help="force the in-process shard coordinator "
-                         "instead of one worker process per shard")
+                    help="run each on the sharded kernel with N shards")
     wl.set_defaults(fn=_cmd_workload)
 
-    tr = sub.add_parser(
-        "trace",
-        help="causal trace plane: run a traced scenario and save its "
-             "run document (render it with `report`)",
-        parents=[_stack_args(profile="reactive", seed=None),
-                 _fault_args(down_for=0.3, flaps=False)],
+    run = sub.add_parser(
+        "run",
+        help="run a spec, print its summary and digest, save its run "
+             "document",
+        parents=[_stack_args(), _fault_args()],
     )
-    tr.add_argument("--controllers", type=int, default=1,
-                    help="cluster size (>= 2 enables --fault controller)")
-    tr.add_argument("--fault", dest="kind", default="none",
-                    choices=("none", "controller", "channel", "link"),
-                    help="scripted fault injected mid-run")
-    tr.add_argument("--duration", type=float, default=None,
-                    help="post-warmup run time (platform mode) or "
-                         "spec-duration override (sharded mode)")
-    tr.add_argument("--shards", type=int, default=None,
-                    help="trace a workload scenario on the sharded "
-                         "kernel with N shards instead of a platform")
-    tr.add_argument("--scenario", default="wan-diurnal",
-                    help="workload library scenario (sharded mode)")
-    tr.add_argument("--shard-sequential", action="store_true",
-                    help="in-process shard coordinator")
-    tr.add_argument("--max-traces", type=int, default=256,
-                    help="tracer retention ring size")
-    tr.add_argument("--ring", type=int, default=256,
-                    help="flight-recorder spans kept per component")
-    tr.add_argument("--slo", type=float, default=0.05,
-                    help="convergence SLO threshold (s) armed on "
-                         "platform runs; breaching it triggers a "
-                         "flight-recorder dump")
-    tr.add_argument("--flight", action="store_true",
-                    help="save the flight-recorder dump (triggered, or "
-                         "end-of-run capture) instead of the full "
-                         "tracer snapshot")
-    tr.add_argument("--out", default="",
-                    help="write the run artifact here")
-    # One injection at the first switch; `_fault_dicts` derives the period.
-    tr.set_defaults(fn=_cmd_trace, target="", cycles=1, period=None,
-                    interval=0.05)
+    run.add_argument("--name", default="",
+                     help="library scenario to run")
+    run.add_argument("--spec", default="",
+                     help="spec file (JSON/YAML) or run document to run")
+    run.add_argument("--duration", type=float, default=None,
+                     help="simulated seconds to run (flag-built: 6)")
+    run.add_argument("--interval", type=float, default=None,
+                     help="scrape interval in simulated seconds "
+                          "(flag-built: 0.1)")
+    run.add_argument("--monitor", action="store_true",
+                     help="run the invariant monitor and annotate "
+                          "violations on the timeline")
+    run.add_argument("--trace", action="store_true",
+                     help="record causal traces into the run document")
+    run.add_argument("--flight", action="store_true",
+                     help="save the flight-recorder dump (triggered, or "
+                          "end-of-run capture) instead of every trace")
+    run.add_argument("--shards", type=int, default=None,
+                     help="run on the sharded kernel with N spatial "
+                          "shards (1 = the differential oracle; merged "
+                          "observables are bit-identical at any N)")
+    run.add_argument("--shard-sequential", action="store_true",
+                     help="force the in-process shard coordinator "
+                          "instead of one worker process per shard")
+    run.add_argument("--out", default="",
+                     help="write the run document here")
+    run.set_defaults(fn=_cmd_run)
 
     rep = sub.add_parser(
         "report",
@@ -959,6 +839,15 @@ def _parser() -> argparse.ArgumentParser:
     rep.add_argument("--attrs", action="store_true",
                      help="include span attributes in the tree")
     rep.set_defaults(fn=_cmd_report)
+
+    diff = sub.add_parser(
+        "diff",
+        help="A/B-compare two run documents and flag regressions",
+    )
+    diff.add_argument("base", metavar="BASE", help="baseline document")
+    diff.add_argument("current", metavar="CURRENT",
+                      help="current document")
+    diff.set_defaults(fn=_cmd_diff)
     return parser
 
 

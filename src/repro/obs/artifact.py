@@ -7,7 +7,7 @@ health report, plus whatever traces, triggers, dataplane observables
 and invariant checks the run made.  Artifacts are deterministic for a
 seeded run (no wall-clock anywhere), so a committed baseline artifact
 diffs bit-for-bit against a CI re-run of the same scenario; that is
-what the ``obs diff`` CI gate leans on.  A :class:`RunResult` is one
+what the ``repro diff`` CI gate leans on.  A :class:`RunResult` is one
 spec's run — workload, sharded or checked scenario — with its summary,
 its artifact and the digest that pins it.  Every file a run writes is
 one of their ``to_dict()`` forms and every reader takes it through

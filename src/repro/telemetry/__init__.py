@@ -13,7 +13,7 @@ is threaded through the whole stack by :class:`~repro.core.platform.ZenPlatform`
   :mod:`repro.telemetry.flight`, dumps it; the renderers in
   :mod:`repro.telemetry.export` read it).  Tracing is
   opt-in: only a caller that reads spans builds ``Telemetry(trace=True)``
-  (``repro telemetry``, ``repro trace``, a traced sharded run); every
+  (``repro telemetry``, ``repro run --trace``, a traced sharded run); every
   other plane holds :data:`~repro.telemetry.trace.NULL_TRACER` and
   records nothing;
 * :class:`~repro.telemetry.flowrecords.FlowRecordExporter` — NetFlow

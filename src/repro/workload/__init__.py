@@ -35,6 +35,7 @@ from repro.workload.generators import (
 from repro.workload.runner import (
     AssembledRun,
     assemble,
+    run_assembled,
     run_suite,
     run_workload,
     suite_digest,
@@ -69,6 +70,7 @@ __all__ = [
     "library",
     "load_spec",
     "lognormal_sizes",
+    "run_assembled",
     "run_suite",
     "run_workload",
     "size_source_from_spec",

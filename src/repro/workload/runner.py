@@ -5,12 +5,14 @@ builds the spec's topology, starts a
 :class:`~repro.core.platform.ZenPlatform` with the planes the caller
 asks for, installs flow sinks that feed a ``workload_fct_seconds``
 histogram, and arms every fault and traffic entry.
-:func:`run_workload` — the engine behind the ``workload`` CLI and
-benchmark E16 — runs that with the obs plane on (stock SLOs plus the
-spec's own) and returns a :class:`~repro.obs.artifact.RunResult` whose
-artifact plugs straight into ``repro obs diff`` and ``repro report``;
-``repro.check.run_scenario`` runs the same assembly and ends with an
-invariant verdict.
+:func:`run_workload` — the engine behind ``repro run`` and benchmark
+E16 — runs that with the obs plane on (stock SLOs plus the spec's own)
+and returns a :class:`~repro.obs.artifact.RunResult` whose document
+``repro report`` renders and ``repro diff`` compares;
+:func:`run_assembled` is its run-and-summarise tail, which ``repro
+run`` also calls when it attaches a monitor, a tracer or a flight
+recorder to the assembly.  ``repro.check.run_scenario`` runs the same
+assembly and ends with an invariant verdict.
 
 :func:`run_suite` fans a list of specs across worker processes.
 Workers return run documents (:meth:`RunResult.to_dict`); the parent
@@ -36,6 +38,7 @@ from repro.workload.spec import WorkloadSpec, build_spec_topology
 __all__ = [
     "AssembledRun",
     "assemble",
+    "run_assembled",
     "run_suite",
     "run_workload",
     "suite_digest",
@@ -211,7 +214,13 @@ def run_workload(spec: WorkloadSpec,
         from repro.sim.shard import run_sharded
 
         return run_sharded(spec, shards=shards, processes=shard_processes)
-    live = assemble(spec, obs=True)
+    return run_assembled(spec, assemble(spec, obs=True))
+
+
+def run_assembled(spec: WorkloadSpec, live: AssembledRun) -> RunResult:
+    """Run ``live`` — ``spec`` assembled with the obs plane on, and
+    whatever other observers the caller attached — for
+    ``spec.duration``, and summarise it into the run document."""
     plane = live.plane
     live.platform.run(spec.duration)
     plane.finish()
@@ -267,8 +276,8 @@ def run_suite(specs: List[WorkloadSpec], jobs: int = 1,
     Returns one :class:`~repro.obs.artifact.RunResult` per spec, in
     spec order regardless of worker scheduling.  With ``out_dir`` the
     parent (not the workers) writes each run document to
-    ``<name>.json`` there, so ``repro obs diff`` works on any pair of
-    suite outputs.
+    ``<name>.json`` there, so ``repro diff`` works on any pair of suite
+    outputs.
 
     A scenario that raises does not lose the others: every finished
     result is still written to ``out_dir``, and the call then ends in

@@ -26,6 +26,7 @@ from repro.errors import TopologyError
 from repro.faults import fault_end
 from repro.netem import Topology
 from repro.netem.topology import FAMILIES, LinkSpec
+from repro.obs.artifact import RunArtifact
 
 __all__ = [
     "WorkloadSpec",
@@ -276,13 +277,23 @@ class WorkloadSpec:
 
 
 def load_spec(path: str) -> WorkloadSpec:
-    """Load a spec document from a ``.json`` or ``.yaml`` file.
+    """The spec a document holds: a bare spec document (``.json`` or
+    ``.yaml``, the :meth:`WorkloadSpec.to_dict` form), or the spec a
+    saved run ran — any run document that records one in
+    ``meta.workload`` (``repro run --out``, a fuzz repro file).
 
     YAML support is import-gated: it only needs PyYAML when the file
     actually is YAML, so the library keeps its zero-dependency core.
-    A missing or malformed file is a :class:`~repro.errors.ZenError`
-    naming the path.
+    A missing or malformed file, or a run document that records no
+    spec, is a :class:`~repro.errors.ZenError` naming the path.
     """
+    def build(payload) -> WorkloadSpec:
+        if isinstance(payload, dict) and "format" in payload:
+            payload = RunArtifact.from_dict(payload).meta.get("workload")
+            if payload is None:
+                raise ValueError("this run artifact records no spec")
+        return WorkloadSpec.from_dict(payload)
+
     parse = json.load
     if path.endswith((".yaml", ".yml")):
         try:
@@ -292,8 +303,7 @@ def load_spec(path: str) -> WorkloadSpec:
                 "YAML specs need PyYAML installed; use JSON instead"
             ) from exc
         parse = yaml.safe_load
-    return load_document(path, "workload spec", WorkloadSpec.from_dict,
-                         parse)
+    return load_document(path, "spec document", build, parse)
 
 
 def build_spec_topology(spec: WorkloadSpec) -> Topology:

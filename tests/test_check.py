@@ -31,7 +31,6 @@ from repro.check import (
     SliceIsolation,
     example_scenarios,
     generate_scenario,
-    load_scenario,
     minimize,
     replay,
     run_scenario,
@@ -41,6 +40,7 @@ from repro.workload import (
     WorkloadSpec,
     build_spec_topology,
     library,
+    load_spec,
     run_workload,
 )
 
@@ -172,11 +172,11 @@ class TestFuzzerDeterminism:
         result.save(str(path))
         payload = json.loads(path.read_text())
         assert payload["digest"] == result.digest
-        replayed = run_scenario(load_scenario(str(path)))
+        replayed = run_scenario(load_spec(str(path)))
         assert replayed.digest == payload["digest"]
 
     def test_a_bare_spec_document_replays(self, tmp_path):
-        # `check replay --path` takes what `workload run --spec` takes.
+        # `check replay --path` takes what `run --spec` takes.
         spec = generate_scenario(2)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec.to_dict()))

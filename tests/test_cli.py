@@ -103,6 +103,9 @@ class TestCommands:
         ["obs", "dashboard", "--path", "run.json"],
         ["trace", "critical-path", "run.json"],
         ["trace", "report"],
+        ["obs", "report", "--faults", "link"],
+        ["trace", "--controllers", "3", "--fault", "controller"],
+        ["workload", "run", "--name", "dc-heavy-tail"],
     ])
     def test_the_old_readers_are_gone(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -169,9 +172,9 @@ class TestNamedErrors:
          "traffic[0] field 'period' must be > 0"),
     ])
     @pytest.mark.parametrize("argv", [
-        ["workload", "run", "--spec"],
+        ["run", "--spec"],
         ["check", "replay", "--path"],
-        ["workload", "run", "--shards", "1", "--spec"],
+        ["run", "--shards", "1", "--spec"],
     ])
     def test_bad_spec_fields_fail_before_any_simulated_time(
             self, document, names, argv, tmp_path, capsys, monkeypatch):
@@ -190,13 +193,26 @@ class TestNamedErrors:
 
     @pytest.mark.parametrize("argv, names", [
         (["faults", "--cycles", "0"], "--cycles"),
-        (["faults", "--topology", "linear", "--size", "1", "--kind", "link"],
-         "no switch neighbour"),
-        (["faults", "--kind", "controller"], "--controllers"),
-        (["obs", "report", "--faults", "link", "--target", "nosuch"],
-         "nosuch"),
-        (["obs", "report", "--interval", "0"], "interval"),
-        (["obs", "report", "--duration", "-1"], "duration"),
+        (["faults", "--topology", "linear", "--size", "1", "--fault",
+          "link"], "no switch neighbour"),
+        (["faults", "--fault", "controller"], "--controllers"),
+        (["run", "--fault", "link", "--target", "nosuch"], "nosuch"),
+        (["run", "--interval", "0"], "interval"),
+        (["run", "--duration", "-1"], "duration"),
+        (["run", "--name", "incast-storm", "--duration", "-1"], "duration"),
+        (["run", "--shards", "0"], "--shards must be >= 1"),
+        (["run", "--shard-sequential"], "--shard-sequential needs --shards"),
+        (["run", "--flight", "--shards", "2"], "--flight and --monitor"),
+        (["run", "--name", "incast-storm", "--monitor", "--shards", "1"],
+         "--flight and --monitor"),
+        (["run", "--name", "incast-storm", "--fault", "link"],
+         "--fault cannot change a --name or --spec run"),
+        (["run", "--spec", "run.json", "--topology", "ring", "--cycles",
+          "3"], "--topology, --cycles cannot change"),
+        (["run", "--name", "incast-storm", "--controllers", "3"],
+         "--controllers cannot change"),
+        (["run", "--name", "incast-storm", "--spec", "run.json"],
+         "--name or --spec, not both"),
     ])
     def test_bad_run_flags_fail_before_any_simulated_time(
             self, argv, names, capsys, monkeypatch):
@@ -213,11 +229,11 @@ class TestNamedErrors:
     @pytest.mark.parametrize("content",
                              [None, "{not json", '{"format": "x"}'])
     @pytest.mark.parametrize("argv", [
-        ["obs", "diff", "{path}", "{path}"],
+        ["diff", "{path}", "{path}"],
         ["report", "{path}"],
         ["report", "{path}", "--select", "fault", "--tree"],
         ["check", "replay", "--path", "{path}"],
-        ["workload", "run", "--spec", "{path}"],
+        ["run", "--spec", "{path}"],
     ])
     def test_missing_or_malformed_artifact(self, argv, content, tmp_path,
                                            capsys):
@@ -232,10 +248,8 @@ class TestNamedErrors:
 
     @pytest.mark.parametrize("argv, names", [
         (["check", "replay"], "--path"),
-        (["obs", "diff"], "BASE and CURRENT"),
-        (["workload", "run"], "--name or --spec"),
         (["workload", "suite", "--names", "nope"], "['nope']"),
-        (["trace", "--shards", "2", "--scenario", "nope"],
+        (["run", "--shards", "2", "--name", "nope"],
          "unknown scenario 'nope'"),
         (["telemetry", "--sample-every", "0"], "--sample-every"),
     ])
@@ -254,8 +268,7 @@ class TestNamedErrors:
     def test_unknown_workload_name(self):
         src = pathlib.Path(repro.__file__).parent.parent
         done = subprocess.run(
-            [sys.executable, "-m", "repro", "workload", "run",
-             "--name", "nope"],
+            [sys.executable, "-m", "repro", "run", "--name", "nope"],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True, text=True, timeout=120)
         assert done.returncode == 2 and done.stdout == ""

@@ -514,19 +514,20 @@ class TestBitIdentity:
 class TestObsCLI:
     def test_report_writes_artifact(self, tmp_path, capsys):
         out = tmp_path / "run.json"
-        rc = main(["obs", "report", "--seed", "3", "--duration", "2",
+        rc = main(["run", "--seed", "3", "--duration", "2",
                    "--out", str(out)])
         assert rc == 0
         assert out.exists()
-        text = capsys.readouterr().out
-        assert "Health @" in text
         loaded = load_artifact(str(out))
         assert loaded.scrapes > 0
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        assert "Health @" in capsys.readouterr().out
 
     def test_dashboard_from_artifact(self, tmp_path, capsys):
         out = tmp_path / "run.json"
-        main(["obs", "report", "--seed", "3", "--duration", "2",
-              "--faults", "link", "--out", str(out)])
+        main(["run", "--seed", "3", "--duration", "2",
+              "--fault", "link", "--out", str(out)])
         capsys.readouterr()
         rc = main(["report", str(out), "--series", "channel_messages",
                    "--width", "30"])
@@ -539,16 +540,17 @@ class TestObsCLI:
         b = tmp_path / "b.json"
         _run_artifact(faults=False).save(str(a))
         _run_artifact(faults=True, down_for=2.0).save(str(b))
-        assert main(["obs", "diff", str(a), str(a)]) == 0
-        assert main(["obs", "diff", str(a), str(b)]) == 1
+        assert main(["diff", str(a), str(a)]) == 0
+        assert main(["diff", str(a), str(b)]) == 1
         text = capsys.readouterr().out
         assert "FAIL" in text
 
-    def test_openmetrics_format(self, capsys):
-        rc = main(["obs", "report", "--seed", "3", "--duration", "1",
-                   "--format", "openmetrics"])
-        assert rc == 0
-        text = capsys.readouterr().out
+    def test_openmetrics_format(self):
+        platform = _platform(seed=3)
+        plane = ObsPlane(platform, interval=0.1)
+        platform.run(1.0)
+        plane.finish()
+        text = render_openmetrics(platform.telemetry.metrics)
         assert "# TYPE sim_events_total counter" in text
         assert text.rstrip().endswith("# EOF")
 

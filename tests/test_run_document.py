@@ -24,7 +24,7 @@ def _tiny_spec():
 
 def _trace_dump(tmp_path, *flags):
     path = tmp_path / "dump.json"
-    assert main(["trace", "--topology", "linear", "--size", "3",
+    assert main(["run", "--topology", "linear", "--size", "3",
                  "--duration", "1.0", *flags, "--out", str(path)]) == 0
     return json.loads(path.read_text())
 
@@ -35,7 +35,7 @@ _RUNS = {
                                        processes=False).to_dict(),
     "fuzz scenario": lambda tmp: run_scenario(generate_scenario(2),
                                               monitor=True).to_dict(),
-    "trace dump": lambda tmp: _trace_dump(tmp),
+    "trace dump": lambda tmp: _trace_dump(tmp, "--trace"),
     "flight dump": lambda tmp: _trace_dump(tmp, "--fault", "link",
                                            "--flight"),
 }
@@ -121,14 +121,14 @@ def test_a_sharded_suite_document_diffs(tmp_path, capsys):
     assert main(["workload", "suite", "--names", "incast-storm",
                  "--shards", "1", "--out-dir", str(out_dir)]) == 0
     saved = str(out_dir / "incast-storm.json")
-    assert main(["obs", "diff", saved, saved]) == 0
+    assert main(["diff", saved, saved]) == 0
     assert json.loads(open(saved).read())["digest"].startswith("d972a11c")
 
 
 def test_one_flight_dump_serves_the_dashboard_and_the_critical_path(
         tmp_path, capsys):
     path = str(tmp_path / "handover.json")
-    assert main(["trace", "--controllers", "3", "--fault",
+    assert main(["run", "--controllers", "3", "--fault",
                  "controller", "--flight", "--duration", "2.5",
                  "--out", path]) == 0
     capsys.readouterr()
@@ -138,3 +138,35 @@ def test_one_flight_dump_serves_the_dashboard_and_the_critical_path(
     # The series block comes first, then the trace block.
     assert out.index("Health @ ") < out.index("fault.controller_crash")
     assert "bus.death_detect" in out
+
+
+@pytest.mark.parametrize("source, engine", [
+    (["--fault", "link"], []),
+    # A shortened run: the document records the overridden duration.
+    (["--name", "incast-storm", "--duration", "1"], []),
+    (["--name", "incast-storm"], ["--shards", "2", "--shard-sequential"]),
+    (["--controllers", "3", "--fault", "controller"], ["--trace"]),
+], ids=["flag-built", "library", "sharded", "traced-cluster"])
+def test_run_replays_its_own_document(source, engine, tmp_path, capsys):
+    """Every document ``run`` writes records its spec and its digest,
+    and ``run --spec DOC`` with the same engine flags reproduces it."""
+    path = str(tmp_path / "run.json")
+    assert main(["run", *source, *engine, "--out", path]) == 0
+    doc = json.loads(open(path).read())
+    assert doc["meta"]["workload"]["name"] and doc["digest"]
+    capsys.readouterr()
+    assert main(["run", "--spec", path, *engine]) == 0
+    assert f"digest {doc['digest'][:16]}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["run", "--spec"],
+                                  ["check", "replay", "--path"]])
+def test_a_document_that_records_no_spec_is_a_named_error(
+        argv, tmp_path, capsys):
+    path = str(tmp_path / "bare.json")
+    RunArtifact().save(path)
+    assert main(argv + [path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (f"repro: error: cannot load spec document "
+                                 f"{path}: this run artifact records no "
+                                 f"spec\n")

@@ -644,8 +644,9 @@ class TestShardedTracePlane:
 class TestTraceCLI:
     def test_report_platform_run(self, tmp_path, capsys):
         out_path = str(tmp_path / "platform-trace.json")
-        assert cli_main(["trace", "--topology", "linear", "--size", "3",
-                         "--duration", "1.0", "--out", out_path]) == 0
+        assert cli_main(["run", "--topology", "linear", "--size", "3",
+                         "--duration", "1.0", "--trace",
+                         "--out", out_path]) == 0
         capsys.readouterr()
         code = cli_main(["report", out_path, "--tree"])
         out = capsys.readouterr().out
@@ -657,29 +658,32 @@ class TestTraceCLI:
         """The CI smoke path: clustered fault run, triggered
         flight-recorder dump, offline critical-path analysis."""
         out_path = tmp_path / "cluster-trace.json"
-        code = cli_main(["trace", "--controllers", "3",
+        code = cli_main(["run", "--controllers", "3",
                          "--fault", "controller", "--flight",
                          "--duration", "2.5",
                          "--out", str(out_path)])
-        out = capsys.readouterr().out
+        capsys.readouterr()
         assert code == 0
-        assert "flight-recorder dump captured" in out
         assert out_path.exists()
         code = cli_main(["report", str(out_path), "--select", "fault",
                          "--tree"])
         out = capsys.readouterr().out
         assert code == 0
+        assert "trigger: alert at t=" in out and "(convergence)" in out
         assert "fault.controller_crash" in out
         assert "bus.death_detect" in out
         assert "critical path of trace" in out
 
-    def test_sharded_report(self, capsys):
-        code = cli_main(["trace", "--shards", "2",
-                         "--scenario", "dc-heavy-tail",
-                         "--duration", "1.0", "--shard-sequential"])
-        out = capsys.readouterr().out
+    def test_sharded_report(self, tmp_path, capsys):
+        out_path = str(tmp_path / "sharded-trace.json")
+        code = cli_main(["run", "--shards", "2",
+                         "--name", "dc-heavy-tail",
+                         "--duration", "1.0", "--shard-sequential",
+                         "--trace", "--out", out_path])
         assert code == 0
-        assert "cross a shard boundary" in out
+        assert "[2 shard(s), seq]" in capsys.readouterr().out
+        assert cli_main(["report", out_path, "--tree"]) == 0
+        assert "crosses shards" in capsys.readouterr().out
 
     def test_critical_path_needs_an_artifact(self, capsys):
         with pytest.raises(SystemExit) as exc:

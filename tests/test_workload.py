@@ -519,7 +519,7 @@ class TestWorkloadCLI:
         spec_path = tmp_path / "tiny.json"
         spec_path.write_text(json.dumps(tiny_spec().to_dict()))
         artifact_path = tmp_path / "run.json"
-        code = main(["workload", "run", "--spec", str(spec_path),
+        code = main(["run", "--spec", str(spec_path),
                      "--out", str(artifact_path)])
         assert code == 0
         out = capsys.readouterr().out
@@ -528,9 +528,5 @@ class TestWorkloadCLI:
         assert artifact.meta["workload"]["name"] == "tiny"
 
     def test_run_unknown_name_rejected(self, capsys):
-        assert main(["workload", "run", "--name", "nope"]) == 2
+        assert main(["run", "--name", "nope"]) == 2
         assert "unknown scenario 'nope'" in capsys.readouterr().err
-
-    def test_run_needs_name_or_spec(self, capsys):
-        assert main(["workload", "run"]) == 2
-        assert "--name or --spec" in capsys.readouterr().err
