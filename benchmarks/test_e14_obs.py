@@ -59,7 +59,7 @@ def drive(obs: bool):
         Topology.fat_tree(4, bandwidth_bps=1e9, delay=0.00005),
         profile="proactive",
         seed=3,
-        telemetry=Telemetry(profile=False),
+        telemetry=Telemetry(),
     ).start()
     plane = ObsPlane(platform, interval=SCRAPE_INTERVAL) if obs else None
     seed_arp(platform.net)
@@ -99,7 +99,7 @@ def ring_artifact(churn: bool):
     platform = ZenPlatform(
         Topology.ring(4, hosts_per_switch=1),
         profile="proactive", seed=7,
-        telemetry=Telemetry(profile=False),
+        telemetry=Telemetry(),
     ).start()
     plane = ObsPlane(platform, interval=SCRAPE_INTERVAL)
     schedule = FaultSchedule(platform.net)

@@ -60,8 +60,7 @@ REPS = 7                   # absolute deltas of ~10 ms need a tight minimum
 
 def drive(trace: bool, sample_every: int = SAMPLE_EVERY):
     """One seeded fat-tree run; returns (wall_s, observables, tracer)."""
-    telemetry = Telemetry(profile=False, trace=trace,
-                          trace_sample_every=sample_every)
+    telemetry = Telemetry(trace=trace, trace_sample_every=sample_every)
     platform = ZenPlatform(
         Topology.fat_tree(4, bandwidth_bps=1e9, delay=0.00005),
         profile="proactive",
@@ -143,8 +142,8 @@ def cluster_identity():
         platform.run(3.0)
         return dataplane_digest(net), tel
 
-    off, _ = digest(Telemetry(profile=False, trace=False))
-    on, tel = digest(Telemetry(profile=False, trace=True))
+    off, _ = digest(Telemetry(trace=False))
+    on, tel = digest(Telemetry(trace=True))
     return off == on, tel.tracer
 
 

@@ -342,18 +342,17 @@ def minimize(scenario: WorkloadSpec,
     return current
 
 
-def run_corpus(path: str) -> List[RunResult]:
+def run_corpus(path: str, monitor: bool = False) -> List[RunResult]:
     """Replay a committed corpus file and return the per-seed results
     (all expected clean in CI).  ``"seeds"`` replay through
     :func:`generate_scenario`; the additive ``"cluster_seeds"`` key
     replays through :func:`generate_cluster_scenario`."""
     corpus = load_document(path, "fuzz corpus")
-    results = []
-    for seed in corpus["seeds"]:
-        results.append(run_scenario(generate_scenario(seed)))
-    for seed in corpus.get("cluster_seeds", []):
-        results.append(run_scenario(generate_cluster_scenario(seed)))
-    return results
+    return ([run_scenario(generate_scenario(seed), monitor=monitor)
+             for seed in corpus["seeds"]]
+            + [run_scenario(generate_cluster_scenario(seed),
+                            monitor=monitor)
+               for seed in corpus.get("cluster_seeds", [])])
 
 
 # ----------------------------------------------------------------------

@@ -7,8 +7,6 @@ Commands aimed at kicking the tyres without writing code:
   the control channel cost.
 * ``topology``  — describe a builder's output (nodes, links, degrees).
 * ``bench``     — list the experiment suite and how to regenerate it.
-* ``telemetry`` — run a traffic demo with the observability plane on
-  and dump metrics, a packet trace, and flow records.
 * ``faults``    — run a demo under scripted fault injection (channel
   flaps, link flaps, switch crashes, controller crashes or partitions)
   and report what recovered.
@@ -27,10 +25,11 @@ flags to one :class:`~repro.workload.WorkloadSpec` (``_spec``) and run
 it through :func:`repro.workload.assemble`.  ``run`` saves the
 :class:`~repro.obs.RunResult` document — spec, summary, digest — that
 ``report`` renders, ``diff`` compares and ``run --spec`` replays to the
-same digest.  ``demo``, ``telemetry`` and ``faults`` are drills: they
-print and write no document.  ``demo`` and ``telemetry`` stay on a bare
-:class:`ZenPlatform`: they show ARP resolution, which the assembler's
-static ARP would skip.
+same digest.  ``demo`` and ``faults`` are drills: they print and write
+no document.  ``demo`` stays on a bare :class:`ZenPlatform`: it shows
+ARP resolution, which the assembler's static ARP would skip.  A packet's
+path through the stack is ``run --trace --out T`` then ``report T
+--tree --attrs``.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.digest import load_document
 from repro.errors import ZenError
 from repro.netem.topology import FAMILIES, Topology
 from repro.telemetry import Telemetry
-from repro.telemetry.export import render_report, to_json
 
 __all__ = ["main", "build_topology"]
 
@@ -96,12 +94,11 @@ _CONVERGENCE_SLO = {"kind": "convergence", "name": "convergence",
                     "close_kinds": ["resync_done"]}
 
 
-def _build_platform(args, telemetry=None) -> ZenPlatform:
-    """The bare stack ``demo`` and ``telemetry`` show: no static ARP, so
-    their pings resolve addresses through the controller's ARP proxy."""
+def _build_platform(args) -> ZenPlatform:
+    """The bare stack ``demo`` shows: no static ARP, so its pings
+    resolve addresses through the controller's ARP proxy."""
     topo = build_topology(args.topology, args.size, args.bandwidth)
-    return ZenPlatform(topo, profile=args.profile, seed=args.seed,
-                       telemetry=telemetry)
+    return ZenPlatform(topo, profile=args.profile, seed=args.seed)
 
 
 def _fault_dicts(args, topo: Topology):
@@ -229,27 +226,6 @@ def _cmd_topology(args) -> int:
     return 0
 
 
-def _cmd_telemetry(args) -> int:
-    if args.sample_every < 1:
-        raise ZenError("--sample-every must be >= 1")
-    telemetry = Telemetry(
-        trace=True, trace_sample_every=args.sample_every,
-        max_traces=args.max_traces,
-    )
-    platform = _build_platform(args, telemetry=telemetry).start()
-    platform.ping_all(count=args.pings, settle=8.0)
-    # Flush flows still resident so short runs export a full picture.
-    for dp in platform.net.switches.values():
-        telemetry.flows.flush_datapath(dp)
-    if args.format == "json":
-        print(to_json(telemetry,
-                      include_wall_profile=args.profile_report))
-    else:
-        print(render_report(telemetry,
-                            include_wall_profile=args.profile_report))
-    return 0
-
-
 def _cmd_faults(args) -> int:
     from repro.workload import assemble
 
@@ -329,8 +305,8 @@ def _print_violations(checks: dict) -> None:
 
 
 def _cmd_check(args) -> int:
-    from repro.check import (example_scenarios, fuzz, generate_scenario,
-                             replay, run_scenario)
+    from repro.check import (example_scenarios, fuzz, replay, run_corpus,
+                             run_scenario)
 
     if args.mode == "verify":
         failures = 0
@@ -351,22 +327,14 @@ def _cmd_check(args) -> int:
             raise ZenError("check replay needs --path <document>")
         payload = load_document(args.path, "replay document")
         if "seeds" in payload:  # a corpus file
-            from repro.check import generate_cluster_scenario
-
-            failures = 0
-            for key, generate, label in (
-                    ("seeds", generate_scenario, "seed"),
-                    ("cluster_seeds", generate_cluster_scenario,
-                     "cluster seed")):
-                for seed in payload.get(key, []):
-                    result = run_scenario(generate(seed),
-                                          monitor=args.monitor)
-                    size = (f" ({result.spec.controllers} instances)"
-                            if key == "cluster_seeds" else "")
-                    print(f"{label} {seed:6d} "
-                          f"{'clean' if result.ok else 'VIOLATIONS'}{size}")
-                    failures += 0 if result.ok else 1
-            return 1 if failures else 0
+            results = run_corpus(args.path, monitor=args.monitor)
+            for result in results:
+                n = result.spec.controllers
+                label, size = (("cluster seed", f" ({n} instances)")
+                               if n > 1 else ("seed", ""))
+                print(f"{label} {result.spec.seed:6d} "
+                      f"{'clean' if result.ok else 'VIOLATIONS'}{size}")
+            return 0 if all(r.ok for r in results) else 1
         result = replay(args.path, monitor=args.monitor)
         print(f"replayed {result.spec.name}: "
               f"{'clean' if result.ok else 'VIOLATIONS'} "
@@ -509,7 +477,7 @@ def _run_platform(spec, args):
 
     telemetry = recorder = None
     if args.trace or args.flight:
-        telemetry = Telemetry(profile=False, trace=True)
+        telemetry = Telemetry(trace=True)
     if args.flight:
         # Built before assemble starts the platform, so the rings hold
         # the bring-up spans too.
@@ -569,10 +537,16 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_diff(args) -> int:
-    from repro.obs import diff_runs, load_artifact, render_diff
+    from repro.obs import RunArtifact, diff_runs, render_diff
 
-    report = diff_runs(load_artifact(args.base),
-                       load_artifact(args.current))
+    def both(doc: dict):
+        return RunArtifact.from_dict(doc), doc
+
+    (base, base_doc), (cur, cur_doc) = (
+        load_document(path, "run artifact", both)
+        for path in (args.base, args.current))
+    report = diff_runs(base, cur)
+    report.compare_digests(base_doc, cur_doc)
     print(render_diff(report, base_name=args.base, cur_name=args.current))
     return 0 if report.ok else 1
 
@@ -725,23 +699,6 @@ def _parser() -> argparse.ArgumentParser:
                  _fault_args(**_FAULT, fault="channel")],
     )
     faults.set_defaults(fn=_cmd_faults)
-
-    tel = sub.add_parser(
-        "telemetry",
-        help="run a demo with the observability plane on and dump it",
-        parents=[_stack_args(**dict(_STACK, topology="linear", size=3,
-                                    profile="reactive"))],
-    )
-    tel.add_argument("--pings", type=int, default=1)
-    tel.add_argument("--format", default="report",
-                     choices=("report", "json"))
-    tel.add_argument("--sample-every", type=int, default=1,
-                     help="trace every Nth packet (1 = all)")
-    tel.add_argument("--max-traces", type=int, default=256)
-    tel.add_argument("--profile-report", action="store_true",
-                     help="include the wall-clock app profile "
-                          "(non-deterministic across runs)")
-    tel.set_defaults(fn=_cmd_telemetry)
 
     chk = sub.add_parser(
         "check",

@@ -15,7 +15,6 @@ apps.  The core's jobs are:
 from __future__ import annotations
 
 import inspect
-import time
 from typing import (
     Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple,
     Type,
@@ -381,7 +380,6 @@ class Controller:
         #: span, started_at), recorded when a traced adoption kicks off
         #: a ledger resync and closed by ``_on_resync_stats``.
         self._resync_trace: Dict[int, Tuple[int, Optional[int], float]] = {}
-        self._profile = tel.profiler.enabled
         if tel.enabled:
             self._m_packet_ins = tel.metrics.counter(
                 "controller_packet_ins_total",
@@ -420,37 +418,28 @@ class Controller:
     def publish(self, event: Event) -> None:
         self.events_published += 1
         handlers = self._subscribers.get(type(event), ())
-        if not self._profile and self._trace_ctx is None:
+        if self._trace_ctx is None:
             for handler, _owner in handlers:
                 handler(event)
             return
         event_name = type(event).__name__
         tracer = self.telemetry.tracer
-        profiler = self.telemetry.profiler
         for handler, owner in handlers:
-            sim_t0 = self.sim.now
-            wall_t0 = time.perf_counter() if self._profile else 0.0
-            app_span = None
             outer_span = self._trace_span
-            if self._trace_ctx is not None:
-                # Recorded *before* the handler so flow-mod/packet-out
-                # spans emitted inside it nest under the app span.  No
-                # wall time in attrs: trace output must stay
-                # deterministic across identical-seed runs.
-                app_span = tracer.record(
-                    self._trace_ctx, f"app.{owner}", "app",
-                    start=sim_t0, parent=outer_span,
-                    app=owner, event=event_name)
-                self._trace_span = app_span
+            # Recorded *before* the handler so flow-mod/packet-out spans
+            # emitted inside it nest under the app span.  No wall time in
+            # attrs: trace output must stay deterministic across
+            # identical-seed runs.
+            app_span = tracer.record(
+                self._trace_ctx, f"app.{owner}", "app",
+                start=self.sim.now, parent=outer_span,
+                app=owner, event=event_name)
+            self._trace_span = app_span
             try:
                 handler(event)
             finally:
                 self._trace_span = outer_span
-            if self._profile:
-                profiler.record(owner, event_name,
-                                time.perf_counter() - wall_t0)
-            if app_span is not None:
-                tracer.end_span(self._trace_ctx, app_span)
+            tracer.end_span(self._trace_ctx, app_span)
 
     # ------------------------------------------------------------------
     # App lifecycle

@@ -609,11 +609,6 @@ class Datapath:
 
     def _notify_removed(self, table_id: int, entry: FlowEntry,
                         reason: str) -> None:
-        # Export a flow record regardless of whether the controller asked
-        # for a removal notification — NetFlow sees everything.
-        self.telemetry.flows.record_removal(
-            self.dpid, table_id, entry, reason, self.sim.now
-        )
         if self.on_flow_removed is not None:
             self.on_flow_removed(table_id, entry, reason)
 

@@ -42,7 +42,6 @@ from repro.obs.diff import DiffEntry, DiffReport, diff_runs, render_diff
 from repro.obs.render import (
     render_dashboard,
     render_health,
-    render_openmetrics,
     sparkline,
 )
 from repro.obs.scraper import (
@@ -91,7 +90,6 @@ __all__ = [
     "render_dashboard",
     "render_diff",
     "render_health",
-    "render_openmetrics",
     "series_id",
     "slo_from_spec",
     "sparkline",

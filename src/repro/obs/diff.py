@@ -16,6 +16,11 @@ SLO, and classifies every delta:
 series does not fail a build while a clean 10x jump in drops does.
 Artifacts of the *same seeded run* always diff empty — the property
 the CI baseline gate depends on.
+
+Two documents that share no signal (a sharded run, a run too short to
+scrape) would diff clean whatever they hold, so then their recorded
+digests decide (:meth:`DiffReport.compare_digests`), and the report
+names every section (:func:`repro.digest.section_digests`) that moved.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import math
 from typing import List, Optional, Tuple
 
 from repro.analysis.report import Table
+from repro.digest import canonical_digest, section_digests
 from repro.obs.artifact import RunArtifact
 from repro.obs.series import Series
 
@@ -102,6 +108,8 @@ class DiffReport:
         self.entries = entries
         self.only_base = only_base
         self.only_cur = only_cur
+        #: Sections of two signal-less documents whose digests differ.
+        self.moved: List[str] = []
 
     @property
     def regressions(self) -> List[DiffEntry]:
@@ -117,7 +125,20 @@ class DiffReport:
 
     @property
     def ok(self) -> bool:
-        return not self.regressions
+        return not self.regressions and not self.moved
+
+    def compare_digests(self, base: dict, cur: dict) -> None:
+        """With no signal compared, let the two run documents' recorded
+        ``digest`` (the whole document's, when none is recorded) decide:
+        when they differ, :attr:`moved` names every section that did."""
+        def digest(doc: dict) -> str:
+            return doc.get("digest") or canonical_digest(doc)
+
+        if self.entries or digest(base) == digest(cur):
+            return
+        b, c = section_digests(base), section_digests(cur)
+        self.moved = sorted(key for key in b.keys() | c.keys()
+                            if key != "digest" and b.get(key) != c.get(key))
 
     def to_dict(self) -> dict:
         return {
@@ -278,6 +299,10 @@ def render_diff(report: DiffReport, base_name: str = "baseline",
         lines.append(f"only in {cur_name}: "
                      f"{', '.join(report.only_cur[:8])}"
                      + (" …" if len(report.only_cur) > 8 else ""))
+    if report.moved:
+        lines.append("FAIL — no signal compared and the digests differ; "
+                     f"sections moved: {', '.join(report.moved)}")
+        return "\n".join(lines)
     verdict = ("OK — no regressions flagged" if report.ok
                else f"FAIL — {len(report.regressions)} regression(s)")
     lines.append(verdict + f" ({len(report.improvements)} improvement(s),"

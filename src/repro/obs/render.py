@@ -1,7 +1,7 @@
-"""Rendering: ASCII sparkline dashboards and Prometheus exposition.
+"""Rendering: ASCII sparkline dashboards and the health table.
 
-Everything here is pure presentation over a :class:`RunArtifact` (or a
-live scraper/registry) — no simulation state is touched.  The
+Everything here is pure presentation over a :class:`RunArtifact` — no
+simulation state is touched.  The
 dashboard draws every selected series against one shared sim-time
 axis, with fault windows from the annotation timeline rendered as a
 ruler row (``▓`` where a window is open) so "what was happening at
@@ -10,7 +10,7 @@ t=3.2s when the link was cut" is answerable at a glance.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.analysis.report import Table
 from repro.obs.series import Series
@@ -18,7 +18,6 @@ from repro.obs.series import Series
 __all__ = [
     "render_dashboard",
     "render_health",
-    "render_openmetrics",
     "sparkline",
 ]
 
@@ -209,67 +208,3 @@ def render_health(report) -> str:
             lines.append(f"  alert {alert['slo']}: fired "
                          f"{alert['fired_at']:.3f}s, {resolved}{extra}")
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Prometheus / OpenMetrics text exposition
-# ----------------------------------------------------------------------
-def _escape(value: str) -> str:
-    return (value.replace("\\", r"\\").replace("\n", r"\n")
-            .replace('"', r'\"'))
-
-
-def _labels_text(names: Tuple[str, ...], values: Tuple[str, ...],
-                 extra: Optional[Tuple[str, str]] = None) -> str:
-    pairs = [f'{k}="{_escape(v)}"' for k, v in zip(names, values)]
-    if extra is not None:
-        pairs.append(f'{extra[0]}="{extra[1]}"')
-    return "{" + ",".join(pairs) + "}" if pairs else ""
-
-
-def _num(value) -> str:
-    if isinstance(value, float) and value == int(value) \
-            and abs(value) < 1e15:
-        return str(int(value))
-    return format(value, ".10g") if isinstance(value, float) \
-        else str(value)
-
-
-def render_openmetrics(registry) -> str:
-    """The registry in Prometheus text exposition format.
-
-    Deterministic: families sorted by name, children by label values,
-    ending with the OpenMetrics ``# EOF`` marker.  Histograms emit
-    cumulative ``_bucket{le=...}`` series (including ``+Inf``), ``_sum``
-    and ``_count``, exactly as a Prometheus scrape would expect.
-    """
-    lines: List[str] = []
-    for name in sorted(registry._families):
-        family = registry._families[name]
-        kind = family.kind
-        if family.help:
-            lines.append(f"# HELP {name} {_escape(family.help)}")
-        lines.append(f"# TYPE {name} {kind}")
-        for key in sorted(family.children):
-            child = family.children[key]
-            if kind == "histogram":
-                for bound, cumulative in zip(child.buckets,
-                                             child.bucket_counts):
-                    lines.append(
-                        f"{name}_bucket"
-                        f"{_labels_text(family.labelnames, key, ('le', _num(float(bound))))}"
-                        f" {cumulative}"
-                    )
-                lines.append(
-                    f"{name}_bucket"
-                    f"{_labels_text(family.labelnames, key, ('le', '+Inf'))}"
-                    f" {child.count}"
-                )
-                labels = _labels_text(family.labelnames, key)
-                lines.append(f"{name}_sum{labels} {_num(child.sum)}")
-                lines.append(f"{name}_count{labels} {child.count}")
-            else:
-                labels = _labels_text(family.labelnames, key)
-                lines.append(f"{name}{labels} {_num(child.snapshot())}")
-    lines.append("# EOF")
-    return "\n".join(lines) + "\n"

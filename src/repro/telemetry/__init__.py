@@ -1,7 +1,8 @@
 """repro.telemetry — the unified observability plane.
 
-One :class:`Telemetry` object bundles the four telemetry primitives and
-is threaded through the whole stack by :class:`~repro.core.platform.ZenPlatform`:
+One :class:`Telemetry` object bundles the two things a run document
+carries and is threaded through the whole stack by
+:class:`~repro.core.platform.ZenPlatform`:
 
 * :class:`~repro.telemetry.registry.MetricsRegistry` — counters, gauges,
   histograms with labels, published by the sim kernel, links, datapaths,
@@ -13,13 +14,13 @@ is threaded through the whole stack by :class:`~repro.core.platform.ZenPlatform`
   :mod:`repro.telemetry.flight`, dumps it; the renderers in
   :mod:`repro.telemetry.export` read it).  Tracing is
   opt-in: only a caller that reads spans builds ``Telemetry(trace=True)``
-  (``repro telemetry``, ``repro run --trace``, a traced sharded run); every
-  other plane holds :data:`~repro.telemetry.trace.NULL_TRACER` and
-  records nothing;
-* :class:`~repro.telemetry.flowrecords.FlowRecordExporter` — NetFlow
-  style records emitted on flow expiry/removal;
-* :class:`~repro.telemetry.flowrecords.AppProfiler` — wall-clock profile
-  of controller event handling by app.
+  (``repro run --trace|--flight``, a traced sharded run); every other
+  plane holds :data:`~repro.telemetry.trace.NULL_TRACER` and records
+  nothing.
+
+Per-flow counters have a protocol path of their own: a flow-mod with
+``SEND_FLOW_REM`` comes back as a ``FlowRemoved`` message carrying the
+entry's match, counters, duration and reason.
 
 Components default to the module-level :data:`NULL_TELEMETRY`, a shared
 disabled instance whose registries/tracers are no-ops — with telemetry
@@ -35,15 +36,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.telemetry.flowrecords import (
-    NULL_FLOW_RECORDS,
-    NULL_PROFILER,
-    AppProfiler,
-    FlowRecord,
-    FlowRecordExporter,
-    NullAppProfiler,
-    NullFlowRecordExporter,
-)
 from repro.telemetry.registry import (
     NULL_METRIC,
     NULL_REGISTRY,
@@ -57,21 +49,14 @@ from repro.telemetry.sketch import QuantileSketch
 from repro.telemetry.trace import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
-    "AppProfiler",
     "Counter",
-    "FlowRecord",
-    "FlowRecordExporter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_FLOW_RECORDS",
     "NULL_METRIC",
-    "NULL_PROFILER",
     "NULL_REGISTRY",
     "NULL_TELEMETRY",
     "NULL_TRACER",
-    "NullAppProfiler",
-    "NullFlowRecordExporter",
     "NullRegistry",
     "NullTracer",
     "QuantileSketch",
@@ -84,12 +69,12 @@ __all__ = [
 class Telemetry:
     """The assembled observability plane for one platform/run.
 
-    ``trace`` is off unless asked for: a caller that reads spans (the
-    ``telemetry`` and ``trace`` commands, E18, a shard worker of a
-    traced sharded run) passes ``trace=True``; everyone else gets
-    metrics, flow records and the profiler with :data:`NULL_TRACER`, so
-    no hop records, stashes or adopts a span and the two tracer-only
-    families (``telemetry_trace_dropped_spans_total``,
+    ``trace`` is off unless asked for: a caller that reads spans
+    (``repro run --trace|--flight``, E18, a shard worker of a traced
+    sharded run) passes ``trace=True``; everyone else gets the metrics
+    registry with :data:`NULL_TRACER`, so no hop records, stashes or
+    adopts a span and the two tracer-only families
+    (``telemetry_trace_dropped_spans_total``,
     ``trace_stash_pruned_total``) never exist.
     """
 
@@ -101,7 +86,6 @@ class Telemetry:
         max_traces: int = 256,
         max_spans: int = 4096,
         max_label_sets: int = 1024,
-        profile: bool = True,
         trace_id_base: int = 0,
     ) -> None:
         self.enabled = enabled
@@ -121,15 +105,9 @@ class Telemetry:
                     "Spans evicted by the tracer's retention ring",
                 )
                 self.tracer.on_drop = dropped.inc
-            self.flows: FlowRecordExporter = FlowRecordExporter()
-            self.profiler: AppProfiler = (
-                AppProfiler() if profile else NULL_PROFILER
-            )
         else:
             self.metrics = NULL_REGISTRY
             self.tracer = NULL_TRACER
-            self.flows = NULL_FLOW_RECORDS
-            self.profiler = NULL_PROFILER
 
     @property
     def tracing(self) -> bool:

@@ -1,68 +1,21 @@
-"""Exporters: metrics/traces/flow records as JSON or human tables.
+"""Renderers for serialised traces, plain enough to grep in CI logs.
 
 Traces are exported in their one form, a list of ``{"id", "label",
 "spans"}`` dicts, and rendered from it: :func:`render_tree` is the one
 span renderer and :func:`~repro.telemetry.artifact.longest` the one
-picker.
-
-Everything here is read-only over the telemetry plane and deterministic
-for a given run — with one deliberate exception: the app *profile*
-reports host wall-clock time, which varies between runs, so it is kept
-out of :func:`snapshot` and :func:`render_report` unless explicitly
-requested.
+picker.  Both renderers are read-only and deterministic for a given run.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List
 
-from repro.analysis.report import Table
-from repro.telemetry.artifact import longest, tracer_traces
-
 __all__ = [
-    "flow_records_table",
-    "metrics_table",
-    "profile_table",
     "render_critical_path",
-    "render_report",
     "render_tree",
-    "snapshot",
-    "to_json",
 ]
 
 
-# ----------------------------------------------------------------------
-# Metrics
-# ----------------------------------------------------------------------
-def _format_value(value) -> str:
-    if isinstance(value, dict):  # histogram
-        text = f"count={value['count']} sum={value['sum']:.6g}"
-        quantiles = value.get("quantiles") or {}
-        for name in ("p50", "p95", "p99"):
-            q = quantiles.get(name)
-            if q is not None:
-                text += f" {name}={q:.6g}"
-        return text
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
-def metrics_table(registry) -> Table:
-    """One row per (family, label set), sorted — the metrics dump."""
-    table = Table("Metrics", ["metric", "kind", "labels", "value"])
-    for name, family in sorted(registry.snapshot().items()):
-        for key, value in family["values"].items():
-            table.add_row(name, family["kind"], key or "-",
-                          _format_value(value))
-    return table
-
-
-# ----------------------------------------------------------------------
-# Traces: ASCII span trees and critical paths over serialised traces,
-# plain enough to grep in CI logs
-# ----------------------------------------------------------------------
 def _fmt_t(t: float) -> str:
     return f"{t:.6f}"
 
@@ -166,104 +119,3 @@ def render_critical_path(path: dict) -> str:
                 f"{_fmt_d(by_stage[stage]):>10}  {share:5.1f}%"
             )
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Flow records
-# ----------------------------------------------------------------------
-def flow_records_table(exporter) -> Table:
-    table = Table(
-        "Flow records",
-        ["dpid", "table", "five-tuple", "packets", "bytes", "duration",
-         "reason"],
-    )
-    for record in exporter.records:
-        table.add_row(record.dpid, record.table_id, record.five_tuple,
-                      record.packets, record.bytes,
-                      f"{record.duration:.3f}s", record.reason)
-    return table
-
-
-# ----------------------------------------------------------------------
-# Profile
-# ----------------------------------------------------------------------
-def profile_table(profiler, wall: bool = True) -> Table:
-    """Controller event-handling profile by app.
-
-    With ``wall=True`` (the default) the table includes host wall-clock
-    columns, which are **not** deterministic across runs.
-    """
-    if wall:
-        table = Table(
-            "Controller event handling by app (wall time is host time, "
-            "not simulated)",
-            ["app", "event", "calls", "wall ms", "avg us"],
-        )
-        for app, event, calls, seconds in profiler.rows():
-            table.add_row(app, event, calls, f"{seconds * 1e3:.3f}",
-                          f"{seconds / calls * 1e6:.1f}")
-    else:
-        table = Table("Controller events handled by app",
-                      ["app", "event", "calls"])
-        for app, events in profiler.call_counts().items():
-            for event, calls in events.items():
-                table.add_row(app, event, calls)
-    return table
-
-
-# ----------------------------------------------------------------------
-# Whole-plane snapshot
-# ----------------------------------------------------------------------
-def snapshot(telemetry, include_wall_profile: bool = False) -> dict:
-    """The full telemetry plane as one JSON-ready dict.
-
-    Deterministic for a given seed unless ``include_wall_profile`` is
-    set (wall times are host-dependent).
-    """
-    doc = {
-        "enabled": telemetry.enabled,
-        "metrics": telemetry.metrics.snapshot(),
-        "traces": tracer_traces(telemetry.tracer),
-        "flow_records": telemetry.flows.to_dict(),
-        "profile_calls": telemetry.profiler.call_counts(),
-    }
-    if include_wall_profile:
-        doc["profile_wall"] = [
-            {"app": app, "event": event, "calls": calls,
-             "wall_seconds": seconds}
-            for app, event, calls, seconds in telemetry.profiler.rows()
-        ]
-    return doc
-
-
-def to_json(telemetry, include_wall_profile: bool = False,
-            indent: int = 2) -> str:
-    return json.dumps(
-        snapshot(telemetry, include_wall_profile=include_wall_profile),
-        indent=indent, sort_keys=True, default=str,
-    )
-
-
-def render_report(telemetry, include_wall_profile: bool = False) -> str:
-    """The human-readable report the ``telemetry`` CLI command prints."""
-    parts = [metrics_table(telemetry.metrics).render()]
-
-    tracer = telemetry.tracer
-    parts.append(f"\nPacket traces: {tracer.trace_count} captured"
-                 + (f", {tracer.dropped} dropped (cap)"
-                    if tracer.dropped else ""))
-    pick = longest(tracer_traces(tracer))
-    if pick is not None:
-        parts.append(render_tree(pick, attrs=True))
-
-    flows = telemetry.flows
-    parts.append(f"\nFlow records: {len(flows)} exported"
-                 + (f", {flows.dropped} dropped (cap)"
-                    if flows.dropped else ""))
-    if len(flows):
-        parts.append(flow_records_table(flows).render())
-
-    if include_wall_profile:
-        parts.append("")
-        parts.append(profile_table(telemetry.profiler, wall=True).render())
-    return "\n".join(parts)

@@ -121,7 +121,7 @@ def assemble(spec: WorkloadSpec, *, telemetry=False,
     if isinstance(telemetry, Telemetry):
         tel = telemetry
     else:
-        tel = Telemetry(profile=False) if telemetry or obs else None
+        tel = Telemetry() if telemetry or obs else None
     platform = _build_platform(spec, tel, fast_path)
     platform.start()
     sim = platform.sim

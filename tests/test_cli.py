@@ -90,6 +90,14 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_corpus_replay_prints_one_line_per_seed(self, tmp_path,
+                                                     capsys):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps({"seeds": [2], "cluster_seeds": [0]}))
+        assert main(["check", "replay", "--path", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "seed      2 clean", "cluster seed      0 clean (2 instances)"]
+
     def test_bench_lists_every_benchmark(self, capsys):
         assert main(["bench"]) == 0
         listed = set(re.findall(r"\b[EA]\d+\b", capsys.readouterr().out))
@@ -106,6 +114,7 @@ class TestCommands:
         ["obs", "report", "--faults", "link"],
         ["trace", "--controllers", "3", "--fault", "controller"],
         ["workload", "run", "--name", "dc-heavy-tail"],
+        ["telemetry", "--size", "2"],
     ])
     def test_the_old_readers_are_gone(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -251,7 +260,6 @@ class TestNamedErrors:
         (["workload", "suite", "--names", "nope"], "['nope']"),
         (["run", "--shards", "2", "--name", "nope"],
          "unknown scenario 'nope'"),
-        (["telemetry", "--sample-every", "0"], "--sample-every"),
     ])
     def test_missing_or_unknown_arguments_fail_before_any_simulated_time(
             self, argv, names, capsys, monkeypatch):

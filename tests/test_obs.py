@@ -37,7 +37,6 @@ from repro.obs import (
     render_dashboard,
     render_diff,
     render_health,
-    render_openmetrics,
     sparkline,
 )
 from repro.obs.scraper import Annotation
@@ -48,7 +47,7 @@ DATA = Path(__file__).parent / "data"
 def _platform(seed=7, profile="proactive", size=4):
     return ZenPlatform(
         Topology.ring(size, hosts_per_switch=1),
-        profile=profile, seed=seed, telemetry=Telemetry(profile=False),
+        profile=profile, seed=seed, telemetry=Telemetry(),
     ).start()
 
 
@@ -272,7 +271,7 @@ class TestSLOs:
 
     def test_burn_rate_budget_tolerates_sparse_badness(self):
         sim = Simulator()
-        telemetry = Telemetry(profile=False)
+        telemetry = Telemetry()
         scraper = MetricsScraper(telemetry, interval=0.1)
         state = {"bad": False}
         telemetry.metrics.gauge("flaky", "", ()).bind(
@@ -310,7 +309,7 @@ class TestSLOs:
         assert not doc["alerts"]
 
     def test_convergence_slo_signal_is_oldest_open_age(self):
-        scraper = MetricsScraper(Telemetry(profile=False))
+        scraper = MetricsScraper(Telemetry())
         slo = ConvergenceSLO("conv", 1.0)
         scraper.annotations.append(Annotation(1.0, "channel_down", "s1"))
         scraper.annotations.append(Annotation(1.5, "switch_crash", "s2"))
@@ -326,7 +325,7 @@ class TestSLOs:
         ]
 
     def test_duplicate_slo_names_rejected(self):
-        scraper = MetricsScraper(Telemetry(profile=False))
+        scraper = MetricsScraper(Telemetry())
         slos = [SeriesSLO("x", "a", 0.0), SeriesSLO("x", "b", 0.0)]
         with pytest.raises(ValueError):
             SLOEvaluator(slos, scraper)
@@ -448,28 +447,6 @@ class TestRendering:
         assert "alert stale-switches" in text
 
 
-class TestOpenMetricsGolden:
-    def test_exposition_matches_golden_file(self):
-        telemetry = Telemetry(profile=False)
-        reg = telemetry.metrics
-        reg.counter("requests_total", "Requests served",
-                    ("method",)).labels("get").inc(3)
-        reg.gauge("temperature_celsius", "Current temperature").set(21.5)
-        hist = reg.histogram("latency_seconds", "Request latency",
-                             buckets=(0.001, 0.01, 0.1))
-        for v in (0.0005, 0.002, 0.002, 0.05, 0.2):
-            hist.observe(v)
-        got = render_openmetrics(reg)
-        golden = (DATA / "openmetrics_golden.txt").read_text()
-        assert got == golden
-
-    def test_label_escaping(self):
-        reg = Telemetry(profile=False).metrics
-        reg.counter("odd_total", "", ("path",)).labels('a"b\\c').inc()
-        text = render_openmetrics(reg)
-        assert r'path="a\"b\\c"' in text
-
-
 # ----------------------------------------------------------------------
 # The doctrine: obs never perturbs a seeded run
 # ----------------------------------------------------------------------
@@ -544,15 +521,6 @@ class TestObsCLI:
         assert main(["diff", str(a), str(b)]) == 1
         text = capsys.readouterr().out
         assert "FAIL" in text
-
-    def test_openmetrics_format(self):
-        platform = _platform(seed=3)
-        plane = ObsPlane(platform, interval=0.1)
-        platform.run(1.0)
-        plane.finish()
-        text = render_openmetrics(platform.telemetry.metrics)
-        assert "# TYPE sim_events_total counter" in text
-        assert text.rstrip().endswith("# EOF")
 
 
 # ----------------------------------------------------------------------

@@ -118,7 +118,7 @@ class TestPlatformAssembly:
         assert (bare.plane, bare.monitor) == (None, None)
         assert bare.platform.telemetry.enabled is False
         assert len(bare.schedule.on_fire) == 0
-        telemetry = Telemetry(profile=False, trace=True)
+        telemetry = Telemetry(trace=True)
         recorder = FlightRecorder(telemetry)
         live = assemble(spec, telemetry=telemetry, obs=True, monitor=True,
                         recorder=recorder)

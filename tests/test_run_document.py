@@ -125,6 +125,28 @@ def test_a_sharded_suite_document_diffs(tmp_path, capsys):
     assert json.loads(open(saved).read())["digest"].startswith("d972a11c")
 
 
+def test_documents_that_share_no_signal_diff_by_their_digests(
+        tmp_path, capsys):
+    """Sharded documents hold no series, so no signal is compared: the
+    recorded digests decide, and a FAIL names the sections that moved."""
+    def saved(name, shards=1, seed=3):
+        spec = WorkloadSpec.from_dict(dict(_tiny_spec().to_dict(),
+                                           seed=seed))
+        path = str(tmp_path / f"{name}.json")
+        run_sharded(spec, shards=shards, processes=False).save(path)
+        return path
+
+    base, other, split = saved("a"), saved("b", seed=5), saved("c", 2)
+    capsys.readouterr()
+    assert main(["diff", base, other]) == 1
+    out = capsys.readouterr().out
+    assert "(0 signals compared)" in out
+    assert "FAIL" in out and "observables" in out
+    # Same dataplane digest at any shard count: only meta differs.
+    assert main(["diff", base, split]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
 def test_one_flight_dump_serves_the_dashboard_and_the_critical_path(
         tmp_path, capsys):
     path = str(tmp_path / "handover.json")

@@ -2,11 +2,10 @@
 
 Three layers of coverage:
 
-* unit tests for the primitives (registry, tracer, flow records,
-  profiler) and their null stand-ins;
+* unit tests for the primitives (registry, tracer) and their null
+  stand-ins;
 * end-to-end wiring: a reactive platform with telemetry on must yield
-  populated metrics, a trace that crosses every stage of the stack, and
-  flow records;
+  populated metrics and a trace that crosses every stage of the stack;
 * the determinism contract — telemetry must never perturb the
   simulation, and identical seeds must produce identical telemetry.
 """
@@ -17,7 +16,9 @@ import pytest
 
 import repro.cli
 from repro.cli import main as cli_main
+from repro.controller import FlowRemovedEvent
 from repro.core import ZenPlatform
+from repro.dataplane.match import Match
 from repro.netem import Topology
 from repro.telemetry import (
     NULL_METRIC,
@@ -28,12 +29,6 @@ from repro.telemetry import (
     Tracer,
 )
 from repro.telemetry.artifact import longest, tracer_traces
-from repro.telemetry.export import render_report, to_json
-from repro.telemetry.flowrecords import (
-    AppProfiler,
-    FlowRecordExporter,
-    NullFlowRecordExporter,
-)
 from repro.telemetry.registry import NullRegistry
 from repro.telemetry.trace import STAGES, NullTracer
 
@@ -182,65 +177,6 @@ class TestTracer:
 
 
 # ----------------------------------------------------------------------
-# Flow records + profiler
-# ----------------------------------------------------------------------
-class _FakeMatch:
-    def __init__(self, fields):
-        self.fields = fields
-
-
-class _FakeEntry:
-    def __init__(self, fields):
-        self.priority = 10
-        self.cookie = 7
-        self.packet_count = 3
-        self.byte_count = 300
-        self.install_time = 1.0
-        self.match = _FakeMatch(fields)
-
-
-class TestFlowRecords:
-    def test_record_carries_five_tuple_and_counters(self):
-        exporter = FlowRecordExporter()
-        entry = _FakeEntry({"ip_src": "10.0.0.1", "ip_dst": "10.0.0.2",
-                            "ip_proto": 17, "eth_type": 0x800})
-        exporter.record_removal(5, 0, entry, "idle_timeout", now=3.5)
-        assert len(exporter) == 1
-        rec = exporter.records[0]
-        assert rec.five_tuple == "10.0.0.1>10.0.0.2 proto=17 *>*"
-        assert (rec.packets, rec.bytes) == (3, 300)
-        assert rec.duration == pytest.approx(2.5)
-        assert rec.reason == "idle_timeout"
-        assert rec.to_dict()["match"]["eth_type"] == str(0x800)
-
-    def test_cap_drops_excess(self):
-        exporter = FlowRecordExporter(max_records=1)
-        entry = _FakeEntry({})
-        exporter.record_removal(1, 0, entry, "delete", now=1.0)
-        exporter.record_removal(1, 0, entry, "delete", now=1.0)
-        assert len(exporter) == 1
-        assert exporter.dropped == 1
-
-    def test_null_exporter_drops_for_free(self):
-        exporter = NullFlowRecordExporter()
-        exporter.record_removal(1, 0, _FakeEntry({}), "delete", now=1.0)
-        assert len(exporter) == 0
-
-    def test_profiler_counts_are_deterministic_view(self):
-        profiler = AppProfiler()
-        profiler.record("l2", "PacketInEvent", 0.002)
-        profiler.record("l2", "PacketInEvent", 0.001)
-        profiler.record("arp", "PacketInEvent", 0.005)
-        assert profiler.call_counts() == {
-            "arp": {"PacketInEvent": 1},
-            "l2": {"PacketInEvent": 2},
-        }
-        rows = profiler.rows()
-        assert rows[0][0] == "arp"  # most wall time first
-        assert rows[1][2] == 2
-
-
-# ----------------------------------------------------------------------
 # The assembled plane
 # ----------------------------------------------------------------------
 class TestTelemetryObject:
@@ -248,12 +184,23 @@ class TestTelemetryObject:
         tel = Telemetry()
         assert tel.enabled
         assert tel.metrics.enabled
-        assert tel.flows.enabled
-        assert tel.profiler.enabled
         # Tracing is opt-in: only a caller that reads spans records them.
         assert tel.tracer is NULL_TRACER and not tel.tracing
         traced = Telemetry(trace=True)
         assert traced.tracing and isinstance(traced.tracer, Tracer)
+
+    def test_the_plane_is_metrics_and_traces(self):
+        import repro.obs
+        import repro.telemetry
+
+        tel = Telemetry()
+        assert not hasattr(tel, "flows") and not hasattr(tel, "profiler")
+        with pytest.raises(TypeError):
+            Telemetry(profile=False)
+        assert not [name for name in repro.telemetry.__all__
+                    if "Flow" in name or "Profiler" in name
+                    or name in ("NULL_FLOW_RECORDS", "NULL_PROFILER")]
+        assert not hasattr(repro.obs, "render_openmetrics")
 
     def test_disabled_plane_is_all_nulls(self):
         tel = Telemetry(enabled=False)
@@ -308,40 +255,44 @@ class TestEndToEnd:
         delay = reg.get("controller_packet_in_delay_seconds")
         assert delay["count"] > 0
 
-    def test_flow_records_exported(self):
-        tel = Telemetry()
-        platform = _reactive_platform(tel).start()
-        platform.ping_all(count=1, settle=8.0)
-        # The learning switch installs idle-timeout flows; make sure any
-        # still-resident entries are flushed so the export is complete.
-        for dp in platform.net.switches.values():
-            tel.flows.flush_datapath(dp)
-        assert len(tel.flows) >= 1
-        reasons = {r.reason for r in tel.flows.records}
-        assert reasons <= {"idle_timeout", "hard_timeout", "delete",
-                           "eviction", "active"}
-        assert all(r.packets >= 0 and r.duration >= 0
-                   for r in tel.flows.records)
+    def test_flow_counters_arrive_as_flow_removed(self):
+        """Per-flow records travel the protocol's own path:
+        ``SEND_FLOW_REM`` -> ``FlowRemoved`` -> ``FlowRemovedEvent``,
+        carrying the match, the counters, the lifetime and the reason."""
+        platform = _reactive_platform(Telemetry()).start()
+        removed = []
+        platform.controller.subscribe(FlowRemovedEvent, removed.append)
+        h1, h3 = platform.host("h1"), platform.host("h3")
+        match = Match(eth_type=0x0800, ip_dst=h3.ip)
+        handle = platform.controller.switch(platform.switch("s1").dpid)
+        handle.add_flow(match, [], priority=60000, idle_timeout=2.0,
+                        notify_removed=True)
+        h1.ping(h3.ip, count=3)
+        platform.run(8.0)
+        (event,) = [e for e in removed if e.match == match]
+        assert event.reason == "idle_timeout"
+        assert (event.packet_count, event.byte_count) == (3, 150)
+        assert event.duration == pytest.approx(4.0)
 
-    def test_report_renders_all_sections(self):
-        tel = Telemetry(trace=True)
-        platform = _reactive_platform(tel).start()
-        platform.ping_all(count=1, settle=8.0)
-        for dp in platform.net.switches.values():
-            tel.flows.flush_datapath(dp)
-        report = render_report(tel)
-        assert "Metrics" in report
-        assert "trace #" in report
-        assert "Flow records" in report
-
-    def test_cli_telemetry_command(self, capsys):
-        assert cli_main(["telemetry", "--size", "2"]) == 0
+    def test_cli_traced_run_shows_one_packet_crossing_the_stack(
+            self, tmp_path, capsys):
+        """``report --tree --attrs`` on a ``run --trace`` document
+        renders one packet's path through every stage."""
+        path = str(tmp_path / "t.json")
+        assert cli_main(["run", "--profile", "reactive", "--topology",
+                         "linear", "--size", "2", "--trace",
+                         "--out", path]) == 0
+        capsys.readouterr()
+        assert cli_main(["report", path, "--tree", "--attrs"]) == 0
         out = capsys.readouterr().out
-        assert "Metrics" in out
-        assert "trace #" in out
-        assert "Flow records" in out
+        assert "Health @" in out and "trace #" in out
+        for stage in STAGES:
+            assert f"[{stage}]" in out
 
-    def test_cli_telemetry_json(self, capsys, monkeypatch):
+    def test_cli_traced_run_saves_the_tracers_traces(
+            self, tmp_path, monkeypatch):
+        """``run --trace`` saves the tracer's traces in their one
+        serialised form."""
         built = []
 
         class Kept(Telemetry):
@@ -350,16 +301,14 @@ class TestEndToEnd:
                 built.append(self)
 
         monkeypatch.setattr(repro.cli, "Telemetry", Kept)
-        assert cli_main(["telemetry", "--size", "2",
-                         "--format", "json"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["enabled"] is True
-        assert doc["traces"]
-        assert doc["flow_records"]["count"] >= 1
-        # The snapshot's traces are the run's one serialised form.
+        path = str(tmp_path / "t.json")
+        assert cli_main(["run", "--profile", "reactive", "--topology",
+                         "linear", "--size", "2", "--trace",
+                         "--out", path]) == 0
         (tel,) = built
-        traces = tracer_traces(tel.tracer)
-        assert doc["traces"] == json.loads(json.dumps(traces))
+        traces = json.loads(open(path).read())["traces"]
+        assert traces
+        assert traces == json.loads(json.dumps(tracer_traces(tel.tracer)))
 
 
 # ----------------------------------------------------------------------
@@ -405,9 +354,7 @@ class TestDeterminism:
             tel = Telemetry(trace=True)
             platform = _reactive_platform(tel, seed=3).start()
             platform.ping_all(count=1, settle=8.0)
-            for dp in platform.net.switches.values():
-                tel.flows.flush_datapath(dp)
-            return to_json(tel)
+            return tel.metrics.snapshot(), tracer_traces(tel.tracer)
 
         assert run() == run()
 
@@ -493,14 +440,6 @@ class TestHistogramQuantiles:
         hist = registry.histogram("h", "test")
         assert hist.quantile(0.5) is None
         assert hist.snapshot()["quantiles"]["p99"] is None
-
-    def test_metrics_table_shows_percentiles(self):
-        from repro.telemetry.export import metrics_table
-
-        registry = MetricsRegistry()
-        registry.histogram("h", "test").observe(0.25)
-        text = metrics_table(registry).render()
-        assert "p50=" in text and "p95=" in text and "p99=" in text
 
 
 class TestLabelCardinalityGuard:
@@ -634,7 +573,7 @@ class TestReadThroughChildren:
         from repro.southbound.messages import EchoRequest
 
         sim = Simulator()
-        tel = Telemetry(profile=False)
+        tel = Telemetry()
         channel = ControlChannel(sim, latency=0.010, telemetry=tel,
                                  name="s1")
         channel.connect()  # no handler on either end: nothing replies

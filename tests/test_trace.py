@@ -5,7 +5,7 @@ Layers of coverage:
 * span-tree mechanics on the tracer (span ids, parent links,
   ``end_span``, foreign adoption) and the critical-path walk;
 * the stash leak + cross-epoch adoption fixes on the control channel;
-* tracer eviction pressure surfaced end-to-end through OpenMetrics;
+* tracer eviction pressure surfaced end-to-end through the registry;
 * trace lists merged across per-shard tracers, the flight recorder's
   triggered dumps, and the ``traces`` section of a saved run artifact;
 * the acceptance criteria: a sharded run and a clustered fault run
@@ -331,10 +331,8 @@ class TestStashScope:
 
 class TestEvictionThroughOpenMetrics:
     def test_dropped_spans_surface_in_the_export(self):
-        """Satellite 3: retention pressure must be visible end-to-end —
-        tracer counters AND the OpenMetrics export line."""
-        from repro.obs import render_openmetrics
-
+        """Retention pressure must be visible end-to-end — tracer
+        counters AND the registry's dropped-spans counter."""
         tel = Telemetry(trace=True, max_traces=4, max_spans=24)
         platform = _reactive_platform(tel).start()
         assert platform.ping_all(count=2, settle=8.0) > 0
@@ -342,11 +340,9 @@ class TestEvictionThroughOpenMetrics:
         assert tracer.dropped > 0          # max_traces pressure
         assert tracer.dropped_spans > 0    # span-ring eviction
         assert tracer.trace_count <= 4
-        text = render_openmetrics(tel.metrics)
-        line = [ln for ln in text.splitlines()
-                if ln.startswith("telemetry_trace_dropped_spans_total ")]
-        assert line, "dropped-spans counter missing from the export"
-        assert float(line[0].split()[-1]) == float(tracer.dropped_spans)
+        dropped = tel.metrics.snapshot()[
+            "telemetry_trace_dropped_spans_total"]["values"]
+        assert dropped == {"": tracer.dropped_spans}
 
 
 # ----------------------------------------------------------------------
@@ -534,7 +530,7 @@ class TestClusterHandoverTrace:
         from repro.obs import ObsPlane
         from repro.obs.slo import ConvergenceSLO
 
-        tel = Telemetry(profile=False, trace=True)
+        tel = Telemetry(trace=True)
         platform = _reactive_platform(tel).start()
         slo = ConvergenceSLO("conv", 5.0,
                              open_kinds=("switch_crash",),
