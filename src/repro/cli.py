@@ -6,30 +6,28 @@ Commands aimed at kicking the tyres without writing code:
   all-pairs connectivity, print what the controller learned and what
   the control channel cost.
 * ``topology``  — describe a builder's output (nodes, links, degrees).
-* ``bench``     — list the experiment suite and how to regenerate it.
-* ``faults``    — run a demo under scripted fault injection (channel
-  flaps, link flaps, switch crashes, controller crashes or partitions)
-  and report what recovered.
-* ``check``     — verify network invariants or fuzz seeded scenarios.
+* ``check``     — verify network invariants, fuzz seeded scenarios, or
+  replay a saved run or corpus with an invariant verdict.
 * ``workload``  — list the scenario library, or fan a suite across
   worker processes.
 * ``run``       — the one writer of a run document: run one spec (a
   library scenario, a spec file or saved run, or one built from the
   stack and fault flags), print its summary and digest, save it.
-* ``report``    — the one reader of a run document: dashboard and
-  health, trace critical path, invariant checks — whichever it holds.
+* ``report``    — the one reader of a run document: dashboard, health
+  and mastership handovers, trace critical path, invariant checks —
+  whichever it holds.
 * ``diff``      — A/B-compare two run documents and flag regressions.
 
-``faults`` and a flag-built ``run`` lower the same stack and fault
-flags to one :class:`~repro.workload.WorkloadSpec` (``_spec``) and run
-it through :func:`repro.workload.assemble`.  ``run`` saves the
+A flag-built ``run`` lowers the stack and fault flags to one
+:class:`~repro.workload.WorkloadSpec` and runs it through
+:func:`repro.workload.assemble`; it saves the
 :class:`~repro.obs.RunResult` document — spec, summary, digest — that
-``report`` renders, ``diff`` compares and ``run --spec`` replays to the
-same digest.  ``demo`` and ``faults`` are drills: they print and write
-no document.  ``demo`` stays on a bare :class:`ZenPlatform`: it shows
-ARP resolution, which the assembler's static ARP would skip.  A packet's
-path through the stack is ``run --trace --out T`` then ``report T
---tree --attrs``.
+``report`` renders, ``diff`` compares, ``check replay --path`` checks
+and ``run --spec`` replays to the same digest.  ``demo`` is a drill: it
+prints and writes no document, and stays on a bare
+:class:`ZenPlatform` to show ARP resolution, which the assembler's
+static ARP would skip.  A packet's path through the stack is ``run
+--trace --out T`` then ``report T --tree --attrs``.
 """
 
 from __future__ import annotations
@@ -50,38 +48,8 @@ __all__ = ["main", "build_topology"]
 #: Instantiate a named builder family at a given size.
 build_topology = Topology.build
 
-_EXPERIMENTS = [
-    ("E1", "Table 1", "flow-setup latency across control designs"),
-    ("E2", "Figure 1", "flow-table occupancy vs active flows"),
-    ("E3", "Table 2", "controller packet-in capacity (M/D/1)"),
-    ("E4", "Figure 2", "failure recovery time by repair mechanism"),
-    ("E5", "Table 3", "traffic engineering vs SPF/ECMP on a fat-tree"),
-    ("E6", "Figure 3", "VIP load balancing vs backend pool size"),
-    ("E7", "Table 4", "ACL rule-set scaling"),
-    ("E8", "Figure 4", "intent reconvergence under churn"),
-    ("E9", "Table 5", "control-channel overhead by app design"),
-    ("E10", "Figure 5", "slice isolation vs a hostile tenant"),
-    ("E11", "Figure 6", "failover under control-channel churn"),
-    ("E12", "—", "datapath fast-path throughput vs semantic drift"),
-    ("E13", "—", "invariant checker: seeded-bug recall and "
-     "clean-network precision"),
-    ("E14", "—", "obs plane: scrape overhead, health under churn, "
-     "run-to-run diff"),
-    ("E15", "—", "controller cluster: crash recovery vs cluster size"),
-    ("E16", "—", "workload suite: tail FCT and flow-table occupancy "
-     "across realistic scenarios"),
-    ("E17", "—", "sharded kernel: conservative-sync throughput and "
-     "bit-identity"),
-    ("E18", "—", "trace plane: tracing overhead and bit-identity of "
-     "seeded runs with tracing on vs off"),
-    ("A1", "ablation", "reactive setup cost vs controller latency"),
-    ("A2", "ablation", "microflow rules under table pressure (LRU)"),
-    ("A3", "ablation", "go-back-N recovery cost vs loss"),
-    ("A4", "ablation", "strict-priority queueing for expedited traffic"),
-]
-
 #: What a flag-built run assumes for a stack or fault flag it was not
-#: given (``demo`` and ``faults`` default to the same stack).
+#: given (``demo`` defaults to the same stack).
 _STACK = {"topology": "ring", "size": 4, "profile": "proactive",
           "seed": 0, "bandwidth": 1e9}
 _FAULT = {"controllers": 1, "target": "", "cycles": 2, "period": 2.0,
@@ -101,14 +69,13 @@ def _build_platform(args) -> ZenPlatform:
     return ZenPlatform(topo, profile=args.profile, seed=args.seed)
 
 
-def _fault_dicts(args, topo: Topology):
+def _fault_dicts(args, topo: Topology) -> List[dict]:
     """Lower ``--fault/--target/--cycles/--period/--down-for`` to
-    :func:`repro.faults.arm_faults` dicts, ``at`` relative to the first
-    injection.  Reads only the topology and the pure election, so a bad
-    flag fails before any simulated time.  Returns ``(target switch,
-    description, dicts)``."""
+    :func:`repro.faults.arm_faults` dicts, the first injection 0.5 s
+    into the run.  Reads only the topology and the pure election, so a
+    bad flag fails before any simulated time."""
     if args.fault is None:
-        return "", "none", []
+        return []
     if args.fault in ("controller", "partition") and args.controllers < 2:
         raise ZenError(
             f"a {args.fault} fault needs a cluster; pass --controllers >= 2"
@@ -119,69 +86,33 @@ def _fault_dicts(args, topo: Topology):
     target = args.target or switches[0]
     if target not in switches:
         raise ZenError(f"unknown switch {target!r}; pick from {switches}")
-    flap = {"at": 0.0, "down_for": args.down_for, "period": args.period,
+    flap = {"at": 0.5, "down_for": args.down_for, "period": args.period,
             "count": args.cycles}
     if args.fault == "channel":
-        what = f"control channel of {target}"
-        return target, what, [dict(flap, kind="channel_flap", switch=target)]
+        return [dict(flap, kind="channel_flap", switch=target)]
     if args.fault == "link":
         neighbours = sorted(n for n in topo.neighbours(target)
                             if topo.nodes[n].is_switch)
         if not neighbours:
             raise ZenError(f"{target} has no switch neighbour to cut")
-        what = f"link {target}-{neighbours[0]}"
-        return target, what, [
-            dict(flap, kind="link_flap", a=target, b=neighbours[0])]
+        return [dict(flap, kind="link_flap", a=target, b=neighbours[0])]
     from repro.cluster.election import assign_masters, elect_leader
 
     members = range(args.controllers)
     if args.fault == "crash":
-        what = f"agent of {target} (state wiped)"
         cycle = {"kind": "switch_crash", "switch": target,
                  "restart_after": args.down_for}
     elif args.fault == "controller":
         dpid = topo.nodes[target].dpid
-        victim = assign_masters(members, [dpid], args.seed)[dpid]
-        what = f"controller-{victim} (master of {target})"
-        cycle = {"kind": "controller_crash", "node": victim,
+        cycle = {"kind": "controller_crash",
+                 "node": assign_masters(members, [dpid], args.seed)[dpid],
                  "restart_after": args.down_for}
     else:  # partition: the leader alone against everyone else
         minority = [elect_leader(members, args.seed)]
-        majority = [n for n in members if n not in minority]
-        what = f"east-west bus into {minority} | {majority}"
         cycle = {"kind": "controller_partition", "minority": minority,
                  "heal_after": args.down_for}
-    return target, what, [dict(cycle, at=k * args.period)
-                          for k in range(args.cycles)]
-
-
-def _spec(args, offset: float, duration: Optional[float] = None,
-          slos=()):
-    """Lower a run-making command's flags to one ``WorkloadSpec``.
-
-    Every host sends one probe to its neighbour at t = 0, so the
-    proactive profile has routes for a fault to break; the faults fire
-    ``offset`` seconds in.  Returns ``(spec, target switch, fault
-    description)``; the command runs ``repro.workload.assemble(spec)``.
-    """
-    from repro.workload import WorkloadSpec
-
-    topo = build_topology(args.topology, args.size, args.bandwidth)
-    target, what, faults = _fault_dicts(args, topo)
-    hosts = [node.name for node in topo.hosts]
-    spec = WorkloadSpec(
-        args.command,
-        topology={"family": args.topology, "size": args.size,
-                  "bandwidth": args.bandwidth},
-        traffic=[{"kind": "probe", "src": src,
-                  "dst": hosts[(i + 1) % len(hosts)]}
-                 for i, src in enumerate(hosts)],
-        seed=args.seed, duration=duration,
-        interval=getattr(args, "interval", 0.1), profile=args.profile,
-        faults=[dict(fault, at=fault["at"] + offset) for fault in faults],
-        slos=slos, controllers=args.controllers,
-    )
-    return spec, target, what
+    return [dict(cycle, at=k * args.period + 0.5)
+            for k in range(args.cycles)]
 
 
 def _cmd_demo(args) -> int:
@@ -226,70 +157,6 @@ def _cmd_topology(args) -> int:
     return 0
 
 
-def _cmd_faults(args) -> int:
-    from repro.workload import assemble
-
-    # The faults fire 0.5 s after the 1 s warm-up and the 13 s
-    # (5 s timeout + 8 s settle) pre-fault ping_all below.
-    spec, target, what = _spec(args, offset=1.0 + 13.0 + 0.5)
-    live = assemble(spec)
-    platform, sched = live.platform, live.schedule
-    platform.run(1.0)
-    before = platform.ping_all(count=1, settle=8.0)
-    print(f"Pre-fault all-pairs delivery: {before:.0%}")
-
-    net = platform.net
-    if args.fault == "controller":
-        what += ", state wiped on crash"
-    print(f"Flapping {what}: {args.cycles} cycle(s), "
-          f"{args.down_for:.2f}s down every {args.period:.2f}s")
-    platform.run(args.cycles * args.period + 2.0)
-
-    table = Table("Injections", ["t", "fault", "target"])
-    for event in sched.log:
-        table.add_row(f"{event.time:.3f}", event.kind, event.target)
-    print()
-    print(table.render())
-    controller = platform.controller
-    channel = net.channel(target)
-    print(f"\nChannel {target}: {channel.disconnects} disconnects, "
-          f"{channel.messages_dropped} messages lost in flight")
-    print(f"Controller: {controller.resyncs} resyncs "
-          f"({controller.resync_reinstalled} flows reinstalled, "
-          f"{controller.resync_deleted} deleted, "
-          f"{controller.resync_pruned} pruned), "
-          f"{controller.resync_failures} resync failures")
-    clean = True
-    cluster = platform.cluster
-    if cluster is not None:
-        from repro.check import check_cluster
-
-        if cluster.handover_log:
-            hand = Table("Mastership handovers",
-                         ["t", "dpid", "from", "to", "term"])
-            for rec in cluster.handover_log:
-                hand.add_row(f"{rec.time:.3f}", str(rec.dpid),
-                             str(rec.old_node), str(rec.new_node),
-                             str(rec.term))
-            print()
-            print(hand.render())
-        masters = {d: m[0] for d, m in sorted(cluster.masters().items())
-                   if m}
-        print(f"\nCluster: {cluster.size} instance(s), "
-              f"leader controller-{cluster.leader}, masters {masters}")
-        violations = check_cluster(cluster, net)
-        clean = not violations
-        for v in violations:
-            print(f"  VIOLATION {v.invariant}/{v.kind}: {v.message}")
-        if clean:
-            print("Cluster invariants: clean "
-                  "(single-master, no orphans, ledgers converged)")
-    after = platform.ping_all(count=1, settle=8.0)
-    print(f"Post-recovery all-pairs delivery: {after:.0%} "
-          f"(switches managed: {controller.switch_count})")
-    return 0 if after == 1.0 and before == 1.0 and clean else 1
-
-
 def _verdict(checks: dict) -> str:
     """A checked run's verdict, read off its ``checks`` section."""
     if "event_budget_exhausted" in checks:
@@ -300,7 +167,9 @@ def _verdict(checks: dict) -> str:
 
 
 def _print_violations(checks: dict) -> None:
-    for violation in checks["violations"][:5]:
+    """The first five violations, the network's then the cluster's."""
+    violations = checks["violations"] + checks.get("cluster_violations", [])
+    for violation in violations[:5]:
         print(f"  {violation['invariant']}: {violation['message']}")
 
 
@@ -339,6 +208,8 @@ def _cmd_check(args) -> int:
         print(f"replayed {result.spec.name}: "
               f"{'clean' if result.ok else 'VIOLATIONS'} "
               f"(digest {result.digest[:16]})")
+        if not result.ok:
+            _print_violations(result.artifact.checks)
         # Only a checked scenario's digest is this replay's to compare.
         recorded = payload.get("meta", {}).get("kind") == "scenario"
         if recorded and payload["digest"] != result.digest:
@@ -347,6 +218,8 @@ def _cmd_check(args) -> int:
         return 0 if result.ok else 1
 
     # fuzz
+    if args.seeds < 1:
+        raise ZenError(f"--seeds must be >= 1, not {args.seeds}")
     out_dir = args.out or "."
     failed = []
 
@@ -402,8 +275,7 @@ def _cmd_workload(args) -> int:
     else:
         selection = [specs[n] for n in sorted(specs)]
     results = run_suite(selection, jobs=args.jobs,
-                        out_dir=args.out_dir or None,
-                        shards=args.shards)
+                        out_dir=args.out_dir or None)
     table = Table(f"Workload suite ({args.jobs} job(s))",
                   ["name", "flows", "fct p99", "table peak", "health",
                    "digest"])
@@ -428,9 +300,13 @@ def _cmd_workload(args) -> int:
 
 def _run_spec(args):
     """The spec ``run`` runs: a library scenario (``--name``), a spec
-    file or saved run (``--spec``), or the stack and fault flags lowered
-    by :func:`_spec` (faults 0.5 s in).  Only ``--seed`` and
-    ``--duration`` override a named or loaded spec."""
+    file or saved run (``--spec``), or one built from the stack and
+    fault flags.  Only ``--seed`` and ``--duration`` override a named or
+    loaded spec.
+
+    In a flag-built spec every host sends one probe to its neighbour at
+    t = 0, so the proactive profile has routes for a fault to break; the
+    faults fire 0.5 s in."""
     from repro.workload import WorkloadSpec, library, load_spec
 
     # Every flag a flag-built run reads, with its default (no fault).
@@ -439,11 +315,22 @@ def _run_spec(args):
         for dest, value in flags.items():
             if getattr(args, dest) is None:
                 setattr(args, dest, value)
-        spec, _, _ = _spec(
-            args, offset=0.5,
+        topo = build_topology(args.topology, args.size, args.bandwidth)
+        hosts = [node.name for node in topo.hosts]
+        return WorkloadSpec(
+            "run",
+            topology={"family": args.topology, "size": args.size,
+                      "bandwidth": args.bandwidth},
+            traffic=[{"kind": "probe", "src": src,
+                      "dst": hosts[(i + 1) % len(hosts)]}
+                     for i, src in enumerate(hosts)],
+            seed=args.seed,
             duration=6.0 if args.duration is None else args.duration,
-            slos=[_CONVERGENCE_SLO] if args.flight else ())
-        return spec
+            interval=args.interval, profile=args.profile,
+            faults=_fault_dicts(args, topo),
+            slos=[_CONVERGENCE_SLO] if args.flight else (),
+            controllers=args.controllers,
+        )
     given = ["--" + dest.replace("_", "-") for dest in flags
              if dest != "seed" and getattr(args, dest) is not None]
     if args.name and args.spec:
@@ -591,13 +478,17 @@ def _trace_block(artifact, args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """Print every block the document holds: series and health, the
-    trace, the invariant checks — or its one-line header alone."""
+    """Print every block the document holds: series, health and
+    mastership handovers, the trace, the invariant checks — or its
+    one-line header alone."""
     from repro.obs import load_artifact, render_dashboard, render_health
 
+    if args.width < 1:
+        raise ZenError(f"--width must be >= 1, not {args.width}")
     artifact = load_artifact(args.doc)
     checks = artifact.checks
     series = bool(artifact.series) or artifact.health is not None
+    handovers = [a for a in artifact.annotations if a.kind == "handover"]
     traced = (bool(artifact.traces or artifact.triggers)
               or args.select == "fault" or args.trace_id is not None)
     if series:
@@ -607,26 +498,22 @@ def _cmd_report(args) -> int:
         if artifact.health is not None:
             print()
             print(render_health(artifact.health))
+    if handovers:
+        table = Table("Mastership handovers", ["t", "switch"])
+        for handover in handovers:
+            table.add_row(f"{handover.time:.3f}", handover.label)
+        print()
+        print(table.render())
     if traced and _trace_block(artifact, args):
         return 1
     if checks:
+        found = len(checks["violations"]
+                    + checks.get("cluster_violations", []))
         print(f"checks: {_verdict(checks)} ({checks['probes_run']} "
-              f"probes, {len(checks['violations'])} violation(s))")
+              f"probes, {found} violation(s))")
         _print_violations(checks)
     if not (series or traced or checks):
         print(f"{artifact!r}")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    table = Table("Experiment suite (see DESIGN.md / EXPERIMENTS.md)",
-                  ["id", "artifact", "question"])
-    for exp_id, artifact, question in _EXPERIMENTS:
-        table.add_row(exp_id, artifact, question)
-    print(table.render())
-    print("\nRegenerate everything:  pytest benchmarks/ "
-          "--benchmark-only")
-    print("Per-artifact output lands in benchmarks/results/")
     return 0
 
 
@@ -645,9 +532,9 @@ def _stack_args(**defaults) -> argparse.ArgumentParser:
     return stack
 
 
-def _fault_args(**defaults) -> argparse.ArgumentParser:
-    """The scripted-fault arguments ``faults`` and ``run`` share, as an
-    argparse parent built like :func:`_stack_args`."""
+def _fault_args() -> argparse.ArgumentParser:
+    """The scripted-fault arguments of a flag-built ``run``, as an
+    argparse parent; each defaults to ``None`` (see ``_FAULT``)."""
     fault = argparse.ArgumentParser(add_help=False)
     fault.add_argument("--fault",
                        choices=("channel", "link", "crash", "controller",
@@ -666,7 +553,6 @@ def _fault_args(**defaults) -> argparse.ArgumentParser:
                        help="seconds between cycle starts")
     fault.add_argument("--down-for", type=float,
                        help="seconds down per cycle")
-    fault.set_defaults(**defaults)
     return fault
 
 
@@ -688,17 +574,6 @@ def _parser() -> argparse.ArgumentParser:
     topo.add_argument("--size", type=int, default=4)
     topo.add_argument("--bandwidth", type=float, default=1e9)
     topo.set_defaults(fn=_cmd_topology)
-
-    bench = sub.add_parser("bench", help="list the experiment suite")
-    bench.set_defaults(fn=_cmd_bench)
-
-    faults = sub.add_parser(
-        "faults",
-        help="run a demo under scripted fault injection",
-        parents=[_stack_args(**_STACK),
-                 _fault_args(**_FAULT, fault="channel")],
-    )
-    faults.set_defaults(fn=_cmd_faults)
 
     chk = sub.add_parser(
         "check",
@@ -735,8 +610,6 @@ def _parser() -> argparse.ArgumentParser:
                     help="worker processes")
     wl.add_argument("--out-dir", default="",
                     help="directory for the run documents")
-    wl.add_argument("--shards", type=int, default=None,
-                    help="run each on the sharded kernel with N shards")
     wl.set_defaults(fn=_cmd_workload)
 
     run = sub.add_parser(
@@ -812,7 +685,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except BrokenPipeError:  # e.g. `python -m repro bench | head`
+    except BrokenPipeError:  # e.g. `python -m repro workload list | head`
         return 0
     except ZenError as exc:  # a named failure (bad spec document, ...)
         print(f"repro: error: {exc}", file=sys.stderr)

@@ -5,14 +5,16 @@ builds the spec's topology, starts a
 :class:`~repro.core.platform.ZenPlatform` with the planes the caller
 asks for, installs flow sinks that feed a ``workload_fct_seconds``
 histogram, and arms every fault and traffic entry.
-:func:`run_workload` — the engine behind ``repro run`` and benchmark
-E16 — runs that with the obs plane on (stock SLOs plus the spec's own)
-and returns a :class:`~repro.obs.artifact.RunResult` whose document
-``repro report`` renders and ``repro diff`` compares;
-:func:`run_assembled` is its run-and-summarise tail, which ``repro
-run`` also calls when it attaches a monitor, a tracer or a flight
-recorder to the assembly.  ``repro.check.run_scenario`` runs the same
-assembly and ends with an invariant verdict.
+:func:`run_workload` — the engine behind ``repro run``, ``repro
+workload suite`` and benchmark E16 — takes one spec, runs that with
+the obs plane on (stock SLOs plus the spec's own) and returns a
+:class:`~repro.obs.artifact.RunResult` whose document ``repro report``
+renders and ``repro diff`` compares; :func:`run_assembled` is its
+run-and-summarise tail, which ``repro run`` also calls when it attaches
+a monitor, a tracer or a flight recorder to the assembly.
+``repro.check.run_scenario`` runs the same assembly and ends with an
+invariant verdict.  The sharded kernel's run of a spec is
+:func:`repro.sim.shard.run_sharded`, not this module.
 
 :func:`run_suite` fans a list of specs across worker processes.
 Workers return run documents (:meth:`RunResult.to_dict`); the parent
@@ -198,22 +200,13 @@ def assemble(spec: WorkloadSpec, *, telemetry=False,
                         generators, peak)
 
 
-def run_workload(spec: WorkloadSpec,
-                 shards: Optional[int] = None,
-                 shard_processes: Optional[bool] = None) -> RunResult:
+def run_workload(spec: WorkloadSpec) -> RunResult:
     """Execute one spec end to end; deterministic in (spec, seed).
 
-    With ``shards`` the run is delegated to the sharded kernel
-    (:func:`repro.sim.shard.run_sharded`) — a static-forwarding
-    execution model whose merged observables are bit-identical at any
-    shard count (``shards=1`` is the oracle).  Without ``shards`` the
-    spec is assembled with telemetry and the obs plane on, run for
-    ``spec.duration`` and summarised.
+    The spec is assembled with telemetry and the obs plane on, run for
+    ``spec.duration`` and summarised.  The sharded kernel's run of a
+    spec is :func:`repro.sim.shard.run_sharded`.
     """
-    if shards is not None:
-        from repro.sim.shard import run_sharded
-
-        return run_sharded(spec, shards=shards, processes=shard_processes)
     return run_assembled(spec, assemble(spec, obs=True))
 
 
@@ -247,21 +240,15 @@ def run_assembled(spec: WorkloadSpec, live: AssembledRun) -> RunResult:
         kind="workload", workload=spec.to_dict(), summary=summary))
 
 
-def _suite_worker(job: tuple) -> dict:
-    """Pool target: run one spec, return its run document.
+def _suite_worker(spec_doc: dict) -> dict:
+    """Pool target: run one spec document, return its run document.
 
-    ``job`` is ``(spec_doc, shards)``; sharded suite runs use the
-    in-process coordinator per spec (the pool already owns the
-    process-level parallelism), which is bit-identical to the
-    multiprocess engine anyway.  A spec that raises comes back as a
-    named failure entry (``name``, ``error``, ``traceback``) so that one
-    bad scenario cannot take the suite's finished results down with it.
+    A spec that raises comes back as a named failure entry (``name``,
+    ``error``, ``traceback``) so that one bad scenario cannot take the
+    suite's finished results down with it.
     """
-    spec_doc, shards = job
     try:
-        spec = WorkloadSpec.from_dict(spec_doc)
-        return run_workload(spec, shards=shards,
-                            shard_processes=False).to_dict()
+        return run_workload(WorkloadSpec.from_dict(spec_doc)).to_dict()
     except Exception as exc:
         return {"name": spec_doc.get("name", "?"),
                 "error": f"{type(exc).__name__}: {exc}",
@@ -269,8 +256,7 @@ def _suite_worker(job: tuple) -> dict:
 
 
 def run_suite(specs: List[WorkloadSpec], jobs: int = 1,
-              out_dir: Optional[str] = None,
-              shards: Optional[int] = None) -> List[RunResult]:
+              out_dir: Optional[str] = None) -> List[RunResult]:
     """Run a scenario suite, optionally across worker processes.
 
     Returns one :class:`~repro.obs.artifact.RunResult` per spec, in
@@ -286,7 +272,7 @@ def run_suite(specs: List[WorkloadSpec], jobs: int = 1,
     ``failures`` one ``{"name", "error", "traceback"}`` dict per failed
     scenario).
     """
-    jobs_in = [(spec.to_dict(), shards) for spec in specs]
+    jobs_in = [spec.to_dict() for spec in specs]
     if jobs > 1 and len(jobs_in) > 1:
         import multiprocessing
 

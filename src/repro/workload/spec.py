@@ -75,6 +75,14 @@ def _check_buildable(label: str, topology: dict,
     except TypeError as exc:
         raise TopologyError(f"{label}: topology field 'params' does not "
                             f"fit Topology.{family}: {exc}") from None
+    size, bandwidth = topology.get("size", 4), topology.get("bandwidth", 0)
+    if not isinstance(size, int):
+        raise TopologyError(f"{label}: topology field 'size' must be an "
+                            f"integer, not {type(size).__name__}")
+    # Bandwidth 0 is an unlimited link.
+    if not isinstance(bandwidth, _NUMBER) or bandwidth < 0:
+        raise TopologyError(f"{label}: topology field 'bandwidth' must be "
+                            f"a number >= 0, not {bandwidth!r}")
     for index, entry in enumerate(traffic):
         where = f"{label}: traffic[{index}] field"
         for field in _TRAFFIC_NUMBERS:

@@ -79,13 +79,6 @@ class TestCommands:
         assert code == 0
         assert "32 switch-to-switch" in out
 
-    def test_bench_listing(self, capsys):
-        code = main(["bench"])
-        out = capsys.readouterr().out
-        assert code == 0
-        for exp_id in ("E1", "E10", "A2"):
-            assert exp_id in out
-
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
@@ -98,14 +91,48 @@ class TestCommands:
         assert capsys.readouterr().out.splitlines() == [
             "seed      2 clean", "cluster seed      0 clean (2 instances)"]
 
-    def test_bench_lists_every_benchmark(self, capsys):
-        assert main(["bench"]) == 0
-        listed = set(re.findall(r"\b[EA]\d+\b", capsys.readouterr().out))
+    def test_a_failed_replay_names_its_cluster_violations(
+            self, tmp_path, capsys, monkeypatch):
+        """A cluster-only failure names what broke, not just
+        VIOLATIONS."""
+        from repro.check import cluster
+        from repro.workload import WorkloadSpec
+
+        breach = cluster.ClusterViolation(
+            "single-master", "dual-master", "dpid 1 has masters [0, 1]")
+        monkeypatch.setattr(cluster, "check_cluster",
+                            lambda *_args: [breach])
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(WorkloadSpec(
+            "split", topology={"family": "ring", "size": 3}, traffic=[],
+            controllers=2, duration=1.0).to_dict()))
+        assert main(["check", "replay", "--path", str(path)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("replayed split: VIOLATIONS (digest ")
+        assert lines[1:] == ["  single-master: dpid 1 has masters [0, 1]"]
+
+    @staticmethod
+    def _experiment_headings():
+        """EXPERIMENTS.md is the experiment list: ``## EN`` and
+        ``### AN`` headings, each id mapped to its title."""
+        text = (REPO / "EXPERIMENTS.md").read_text()
+        return {e or a: title.strip() for e, a, title in re.findall(
+            r"^(?:## (E\d+)|### (A\d+))\b(.*)$", text, re.MULTILINE)}
+
+    def test_bench_listing(self):
+        headings = self._experiment_headings()
+        for exp_id in ("E1", "E10", "A2"):
+            assert headings[exp_id].strip(" /—-"), exp_id
+
+    def test_bench_lists_every_benchmark(self):
+        """Every ``benchmarks/test_[ea]N_*.py`` has its ``## EN`` or
+        ``### AN`` section in EXPERIMENTS.md."""
         benchmarks = REPO / "benchmarks"
         ids = {re.match(r"test_([ea]\d+)_", path.name).group(1).upper()
                for path in benchmarks.glob("test_[ea][0-9]*_*.py")}
         assert len(ids) >= 22
-        assert ids <= listed, sorted(ids - listed)
+        assert ids <= set(self._experiment_headings()), sorted(
+            ids - set(self._experiment_headings()))
 
     @pytest.mark.parametrize("argv", [
         ["obs", "dashboard", "--path", "run.json"],
@@ -115,6 +142,9 @@ class TestCommands:
         ["trace", "--controllers", "3", "--fault", "controller"],
         ["workload", "run", "--name", "dc-heavy-tail"],
         ["telemetry", "--size", "2"],
+        ["faults", "--controllers", "3", "--fault", "controller"],
+        ["bench"],
+        ["workload", "suite", "--shards", "1"],
     ])
     def test_the_old_readers_are_gone(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -179,6 +209,14 @@ class TestNamedErrors:
         ({"name": "x", "topology": {"family": "ring", "size": 3},
           "traffic": [{"kind": "incast", "period": 0}]},
          "traffic[0] field 'period' must be > 0"),
+        ({"name": "x", "topology": {"family": "ring", "size": "four"},
+          "traffic": []}, "topology field 'size' must be an integer"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3,
+                                    "bandwidth": "fast"},
+          "traffic": []}, "topology field 'bandwidth' must be a number"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3,
+                                    "bandwidth": -5},
+          "traffic": []}, "topology field 'bandwidth' must be a number"),
     ])
     @pytest.mark.parametrize("argv", [
         ["run", "--spec"],
@@ -201,10 +239,10 @@ class TestNamedErrors:
         assert "workload spec 'x'" in line and names in line
 
     @pytest.mark.parametrize("argv, names", [
-        (["faults", "--cycles", "0"], "--cycles"),
-        (["faults", "--topology", "linear", "--size", "1", "--fault",
+        (["run", "--fault", "channel", "--cycles", "0"], "--cycles"),
+        (["run", "--topology", "linear", "--size", "1", "--fault",
           "link"], "no switch neighbour"),
-        (["faults", "--fault", "controller"], "--controllers"),
+        (["run", "--fault", "controller"], "--controllers"),
         (["run", "--fault", "link", "--target", "nosuch"], "nosuch"),
         (["run", "--interval", "0"], "interval"),
         (["run", "--duration", "-1"], "duration"),
@@ -222,6 +260,8 @@ class TestNamedErrors:
          "--controllers cannot change"),
         (["run", "--name", "incast-storm", "--spec", "run.json"],
          "--name or --spec, not both"),
+        (["report", "run.json", "--width", "0"], "--width must be >= 1"),
+        (["check", "fuzz", "--seeds", "-1"], "--seeds must be >= 1"),
     ])
     def test_bad_run_flags_fail_before_any_simulated_time(
             self, argv, names, capsys, monkeypatch):

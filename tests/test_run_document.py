@@ -91,6 +91,39 @@ def test_report_prints_the_checks_verdict_and_five_violations(
         f"  loop-freedom: loop {i}" for i in range(5)]
 
 
+def test_report_prints_cluster_violations(tmp_path, capsys):
+    """A cluster-only failure names its violations: the verdict alone
+    would say VIOLATIONS and list nothing."""
+    violations = [{"invariant": "single-master", "kind": "dual-master",
+                   "message": "dpid 1 has masters [0, 2]", "dpid": 1,
+                   "nodes": [0, 2], "time": 3.5}]
+    path = str(tmp_path / "cluster.json")
+    RunArtifact(checks={"ok": True, "probes_run": 4, "violations": [],
+                        "cluster_violations": violations}).save(path)
+    assert main(["report", path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "checks: VIOLATIONS (4 probes, 1 violation(s))",
+        "  single-master: dpid 1 has masters [0, 2]"]
+
+
+def test_report_lists_the_mastership_handovers(tmp_path, capsys):
+    path = str(tmp_path / "handover.json")
+    assert main(["run", "--controllers", "3", "--fault", "controller",
+                 "--topology", "ring", "--size", "5", "--cycles", "2",
+                 "--duration", "4", "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["report", path]) == 0
+    out = capsys.readouterr().out
+    table = out[out.index("Mastership handovers"):].splitlines()[4:]
+    assert table[:3] == ["3.050 | dpid-1", "3.050 | dpid-4",
+                         "3.050 | dpid-5"]
+    assert len(table) == 12
+    # A run without a cluster prints no handover block.
+    run_workload(_tiny_spec()).save(path)
+    assert main(["report", path]) == 0
+    assert "Mastership handovers" not in capsys.readouterr().out
+
+
 def test_report_exits_1_only_for_a_trace_the_document_lacks(
         tmp_path, capsys):
     path = str(tmp_path / "run.json")
@@ -117,10 +150,9 @@ def test_result_digest_scopes():
 
 
 def test_a_sharded_suite_document_diffs(tmp_path, capsys):
-    out_dir = tmp_path / "D"
-    assert main(["workload", "suite", "--names", "incast-storm",
-                 "--shards", "1", "--out-dir", str(out_dir)]) == 0
-    saved = str(out_dir / "incast-storm.json")
+    saved = str(tmp_path / "incast-storm.json")
+    assert main(["run", "--name", "incast-storm", "--shards", "1",
+                 "--out", saved]) == 0
     assert main(["diff", saved, saved]) == 0
     assert json.loads(open(saved).read())["digest"].startswith("d972a11c")
 

@@ -9,14 +9,11 @@ any divergence in event ordering, RNG consumption, or cut semantics
 shows up as a digest mismatch.
 """
 
-import json
-import os
-
 import pytest
 
 from repro.errors import TopologyError
 from repro.sim.shard import build_program, partition_topology, run_sharded
-from repro.workload import WorkloadSpec, library, run_suite, run_workload
+from repro.workload import WorkloadSpec, library
 from repro.workload.spec import build_spec_topology
 
 
@@ -181,28 +178,6 @@ def test_fuzz_specs_are_shard_count_invariant(seed):
     assert flows1 > 0
     assert results[2][0] == digest1
     assert results[4][0] == digest1
-
-
-def test_run_workload_delegates_to_sharded_kernel():
-    spec = _scaled("incast-storm", 2.0)
-    via_runner = run_workload(spec, shards=2, shard_processes=False)
-    direct = run_sharded(spec, shards=2, processes=False)
-    assert via_runner.artifact.meta["kind"] == "sharded"
-    assert via_runner.digest == direct.digest == direct.dataplane_digest
-
-
-def test_run_suite_sharded_writes_artifacts(tmp_path):
-    spec = _scaled("incast-storm", 2.0)
-    results = run_suite([spec], jobs=1, out_dir=str(tmp_path), shards=2)
-    assert len(results) == 1
-    result = results[0]
-    assert result.artifact.meta["kind"] == "sharded"
-    path = os.path.join(str(tmp_path), f"{spec.name}.json")
-    with open(path) as fh:
-        saved = json.load(fh)
-    assert saved["digest"] == result.digest
-    oracle = run_sharded(spec, shards=1)
-    assert result.digest == oracle.digest
 
 
 def test_shards_one_is_single_window():

@@ -19,6 +19,7 @@ from repro.workload import (
     TenantMatrix,
     WorkloadSpec,
     arm_traffic,
+    build_spec_topology,
     elephant_mice,
     empirical_sizes,
     fixed_sizes,
@@ -268,6 +269,13 @@ class TestSpec:
                             traffic=[])
         assert spec.duration == 1.0 + spec.settle
         assert WorkloadSpec.from_dict(spec.to_dict()).traffic == []
+
+    def test_zero_bandwidth_is_an_unlimited_link(self):
+        spec = WorkloadSpec("free", topology={"family": "single",
+                                              "size": 2, "bandwidth": 0},
+                            traffic=[])
+        topo = build_spec_topology(spec)
+        assert {link.bandwidth_bps for link in topo.links} == {0}
 
     @pytest.mark.parametrize("mutate, message", [
         (lambda d: d.pop("topology"),
