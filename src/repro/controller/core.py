@@ -37,6 +37,7 @@ from repro.errors import ControllerError
 from repro.packet import Packet
 from repro.sim import Simulator
 from repro.southbound.channel import ChannelEndpoint, ControlChannel
+from repro.southbound.codec import FrameCache
 from repro.southbound.messages import (
     NO_BUFFER,
     BarrierReply,
@@ -65,6 +66,11 @@ from repro.southbound.messages import (
 from repro.telemetry import ensure
 
 __all__ = ["Controller", "SwitchHandle", "App"]
+
+#: Distinct punted frames a controller keeps decoded.  One frame punts
+#: at each hop of its path within a few control round trips, so the
+#: window only has to span the frames in flight.
+PUNT_FRAMES = 256
 
 
 class SwitchHandle:
@@ -109,13 +115,13 @@ class SwitchHandle:
         for; it is ledger state only and never reaches the wire.
         """
         flags = FlowMod.SEND_FLOW_REM if notify_removed else 0
-        self.controller._ledger_record(self.dpid, dict(
-            match=match, actions=list(actions), priority=priority,
-            table_id=table_id, idle_timeout=idle_timeout,
-            hard_timeout=hard_timeout, cookie=cookie,
-            goto_table=goto_table, notify_removed=notify_removed,
-            owner=owner,
-        ))
+        self.controller._ledger_record(self.dpid, {
+            "match": match, "actions": list(actions), "priority": priority,
+            "table_id": table_id, "idle_timeout": idle_timeout,
+            "hard_timeout": hard_timeout, "cookie": cookie,
+            "goto_table": goto_table, "notify_removed": notify_removed,
+            "owner": owner,
+        })
         ctx = self.controller._trace_ctx
         if ctx is not None:
             self.controller.telemetry.tracer.record(
@@ -123,18 +129,9 @@ class SwitchHandle:
                 parent=self.controller._trace_span,
                 dpid=self.dpid, table=table_id, priority=priority,
             )
-        self.send(FlowMod(
-            command=FlowModCommand.ADD,
-            table_id=table_id,
-            match=match,
-            priority=priority,
-            actions=actions,
-            idle_timeout=idle_timeout,
-            hard_timeout=hard_timeout,
-            cookie=cookie,
-            goto_table=goto_table,
-            flags=flags,
-        ))
+        self.send(FlowMod(FlowModCommand.ADD, table_id, match, priority,
+                          actions, idle_timeout, hard_timeout, cookie,
+                          goto_table, flags))
 
     def delete_flows(
         self,
@@ -353,6 +350,8 @@ class Controller:
         self.handshake_retries = 2
         self.resync_timeout = 1.0
         self.resync_retries = 1
+        #: Punted frames decoded, by their bytes.
+        self._frames = FrameCache(PUNT_FRAMES)
         #: When the controller CPU frees up (single-server queue model).
         self._cpu_free_at = 0.0
         # Counters for E3/E9.
@@ -744,7 +743,9 @@ class Controller:
         if self._m_packet_ins is not None:
             self._m_packet_ins.inc()
             self._m_pi_delay.observe(delay)
-        packet = Packet.decode(msg.data)
+        # The same bytes punt at every hop of a reactive path and of a
+        # flood: decode them once, and hand the apps a copy to own.
+        packet = self._frames.get(msg.data, Packet.decode, msg.data).copy()
         dispatch_span = None
         if trace_id is not None:
             packet.trace_id = trace_id

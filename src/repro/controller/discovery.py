@@ -38,6 +38,10 @@ __all__ = ["TopologyDiscovery", "TopologyView", "DiscoveredLink"]
 #: Priority for the punt-LLDP-to-controller rule; above everything else.
 LLDP_RULE_PRIORITY = 65000
 
+#: Probe frames one discovery keeps: one per switch port, so a fabric
+#: of up to 4096 ports builds each probe once.
+PROBE_FRAMES = 4096
+
 _NO_PORTS: FrozenSet[int] = frozenset()
 
 
@@ -177,7 +181,7 @@ class TopologyDiscovery(App):
         # Probe frames are a pure function of (dpid, port, mac, ttl), so
         # build each one exactly once across all intervals; the frame
         # carries its own wire bytes after the first packet-out.
-        self._frames = FrameCache()
+        self._frames = FrameCache(PROBE_FRAMES)
         # What the current view was built from; see ``version``.
         self._version = 0
         self._switches: Tuple[int, ...] = ()

@@ -229,13 +229,10 @@ class FlowTable:
     def _remove(self, entry: FlowEntry) -> None:
         shape, values = entry.match.index()
         sub = self._subtables[shape]
-        row = sub.rows[values]
-        if row is entry:
-            del sub.rows[values]
-        else:
+        row = sub.rows.pop(values)  # one probe in the common, bare case
+        if row is not entry:
             row.remove(entry)
-            if len(row) == 1:
-                sub.rows[values] = row[0]
+            sub.rows[values] = row[0] if len(row) == 1 else row
         priority = entry.priority
         sub.per_priority[priority] -= 1
         if not sub.per_priority[priority]:

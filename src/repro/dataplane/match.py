@@ -13,7 +13,7 @@ Open vSwitch) expose by default.
 from __future__ import annotations
 
 from operator import attrgetter, itemgetter
-from typing import Any, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 from repro.errors import DataplaneError
 from repro.packet import (
@@ -55,10 +55,8 @@ MATCH_FIELDS: Tuple[str, ...] = (
 _FIELD_SET = frozenset(MATCH_FIELDS)
 
 
-#: The header classes a flow key reads, and which of them (if any) each
-#: header class seen so far is: ``issubclass`` asked once per class.
+#: The header classes a flow key reads.
 _KINDS = (Ethernet, VLAN, IPv4, ARP, TCP, UDP, ICMP)
-_KIND_OF: Dict[type, Optional[type]] = {}
 
 #: The address classes a key or a match may hold in an address field.
 _TYPED = (MACAddress, IPv4Address)
@@ -109,66 +107,19 @@ class FlowKey:
     def from_packet(cls, packet: Packet, in_port: Optional[int] = None) -> "FlowKey":
         """Extract the flow key of ``packet`` as received on ``in_port``.
 
-        One pass over the header stack: the first header of each kind
-        supplies its fields, wherever it sits.
+        The first header of each kind supplies its fields, wherever it
+        sits: one extractor per sequence of header classes, compiled on
+        first sight (:func:`_compile_extractor`), reads them.
         """
         headers = packet.headers
-        first: Dict[type, int] = {}  # kind -> index of its first header
-        for i, header in enumerate(headers):
-            header_cls = type(header)
-            try:
-                kind = _KIND_OF[header_cls]
-            except KeyError:
-                kind = _KIND_OF[header_cls] = next(
-                    (k for k in _KINDS if issubclass(header_cls, k)), None)
-            if kind is not None:
-                first.setdefault(kind, i)
-        successors = headers[1:]
-        successors.append(None)
-
+        layout = tuple(map(type, headers))
+        extract = _EXTRACTORS.get(layout)
+        if extract is None:
+            extract = _EXTRACTORS[layout] = _compile_extractor(layout)
         # Header fields are typed already: skip __init__'s conversion.
         key = cls.__new__(cls)
         key.in_port = in_port
-        key.eth_src = key.eth_dst = key.eth_type = None
-        key.vlan_vid = VLAN_ABSENT
-        i = first.get(Ethernet)
-        if i is not None:
-            eth = headers[i]
-            key.eth_src = eth.src
-            key.eth_dst = eth.dst
-            # What the wire will say, not the not-yet-linked field.
-            key.eth_type = ETHERTYPES.code_for(successors[i], eth.ethertype)
-        i = first.get(VLAN)
-        if i is not None:
-            vlan = headers[i]
-            key.vlan_vid = vlan.vid
-            # Match on the inner protocol.
-            key.eth_type = ETHERTYPES.code_for(successors[i], vlan.ethertype)
-        key.ip_src = key.ip_dst = key.ip_proto = key.ip_dscp = None
-        i = first.get(IPv4)
-        if i is not None:
-            ip = headers[i]
-            key.ip_src = ip.src
-            key.ip_dst = ip.dst
-            key.ip_proto = IP_PROTOS.code_for(successors[i], ip.proto)
-            key.ip_dscp = ip.dscp
-        elif ARP in first:
-            # OpenFlow convention: ARP SPA/TPA ride the IP fields.
-            arp = headers[first[ARP]]
-            key.ip_src = arp.sender_ip
-            key.ip_dst = arp.target_ip
-            key.ip_proto = arp.opcode
-        key.l4_src = key.l4_dst = None
-        if TCP in first:
-            tcp = headers[first[TCP]]
-            key.l4_src, key.l4_dst = tcp.src_port, tcp.dst_port
-        elif UDP in first:
-            udp = headers[first[UDP]]
-            key.l4_src, key.l4_dst = udp.src_port, udp.dst_port
-        elif ICMP in first:
-            # OpenFlow convention: ICMP type/code ride the L4 port fields.
-            icmp = headers[first[ICMP]]
-            key.l4_src, key.l4_dst = icmp.icmp_type, icmp.code
+        extract(key, headers)
         return key
 
     def as_dict(self) -> Dict[str, Any]:
@@ -194,6 +145,74 @@ class FlowKey:
         return f"FlowKey({set_fields})"
 
 
+def _kind_of(header_cls: type) -> Optional[type]:
+    """Which of :data:`_KINDS` a header class is, if any."""
+    return next((k for k in _KINDS if issubclass(header_cls, k)), None)
+
+
+#: Key extractors by the sequence of header classes of a packet.
+_EXTRACTORS: Dict[tuple, Callable[[FlowKey, list], None]] = {}
+
+
+def _compile_extractor(layout: tuple) -> Callable[[FlowKey, list], None]:
+    """``extract(key, headers)``: fill every field of ``key`` but
+    ``in_port`` from a header stack whose classes are ``layout``.  The
+    source holds only header indices and the fixed statements below."""
+    first: Dict[type, int] = {}  # kind -> index of its first header
+    for i, header_cls in enumerate(layout):
+        kind = _kind_of(header_cls)
+        if kind is not None:
+            first.setdefault(kind, i)
+
+    def after(i: int) -> str:  # what the demux field links to
+        return f"h[{i + 1}]" if i + 1 < len(layout) else "None"
+
+    lines = []
+    i = first.get(Ethernet)
+    if i is None:
+        lines.append("key.eth_src = key.eth_dst = key.eth_type = None")
+    else:
+        # What the wire will say, not the not-yet-linked field.
+        lines += [f"eth = h[{i}]", "key.eth_src = eth.src",
+                  "key.eth_dst = eth.dst",
+                  f"key.eth_type = ethertype({after(i)}, eth.ethertype)"]
+    i = first.get(VLAN)
+    if i is None:
+        lines.append("key.vlan_vid = VLAN_ABSENT")
+    else:
+        # Match on the inner protocol.
+        lines += [f"vlan = h[{i}]", "key.vlan_vid = vlan.vid",
+                  f"key.eth_type = ethertype({after(i)}, vlan.ethertype)"]
+    i = first.get(IPv4)
+    if i is not None:
+        lines += [f"ip = h[{i}]", "key.ip_src = ip.src", "key.ip_dst = ip.dst",
+                  f"key.ip_proto = ip_proto({after(i)}, ip.proto)",
+                  "key.ip_dscp = ip.dscp"]
+    elif ARP in first:
+        # OpenFlow convention: ARP SPA/TPA ride the IP fields.
+        lines += [f"arp = h[{first[ARP]}]", "key.ip_src = arp.sender_ip",
+                  "key.ip_dst = arp.target_ip", "key.ip_proto = arp.opcode",
+                  "key.ip_dscp = None"]
+    else:
+        lines.append("key.ip_src = key.ip_dst = key.ip_proto = "
+                     "key.ip_dscp = None")
+    l4 = next((first[k] for k in (TCP, UDP) if k in first), None)
+    if l4 is not None:
+        lines += [f"key.l4_src = h[{l4}].src_port",
+                  f"key.l4_dst = h[{l4}].dst_port"]
+    elif ICMP in first:
+        # OpenFlow convention: ICMP type/code ride the L4 port fields.
+        lines += [f"key.l4_src = h[{first[ICMP]}].icmp_type",
+                  f"key.l4_dst = h[{first[ICMP]}].code"]
+    else:
+        lines.append("key.l4_src = key.l4_dst = None")
+    namespace = {"ethertype": ETHERTYPES.code_for,
+                 "ip_proto": IP_PROTOS.code_for, "VLAN_ABSENT": VLAN_ABSENT}
+    exec("def extract(key, h):\n"
+         + "".join(f"    {line}\n" for line in lines), namespace)
+    return namespace["extract"]
+
+
 _header_fields = attrgetter(*MATCH_FIELDS[1:])
 
 
@@ -211,10 +230,14 @@ def wire_fields(packet: Packet) -> Tuple[tuple, tuple]:
 
 
 def _normalise_ip(value: Any) -> Union[IPv4Address, IPv4Network]:
-    if isinstance(value, (IPv4Address, IPv4Network)):
+    if isinstance(value, IPv4Address):
         return value
     if isinstance(value, str) and "/" in value:
-        return IPv4Network(value)
+        value = IPv4Network(value)
+    if isinstance(value, IPv4Network):
+        # A /32 is its address, as the wire decoder returns it: the
+        # two forms of one rule must be one ledger and table key.
+        return value.address if value.prefix_len == 32 else value
     return IPv4Address(value)
 
 
@@ -225,6 +248,32 @@ _NORMALISERS = {
     "ip_src": _normalise_ip,
     "ip_dst": _normalise_ip,
 }
+
+#: The integer fields and the values their wire field can carry
+#: (PROTOCOL.md §4.1); ``vlan_vid`` also takes :data:`VLAN_ABSENT`.
+_INT_RANGES = {
+    "in_port": 0xFFFFFFFF,
+    "eth_type": 0xFFFF,
+    "vlan_vid": 4095,
+    "ip_proto": 0xFF,
+    "ip_dscp": 63,
+    "l4_src": 0xFFFF,
+    "l4_dst": 0xFFFF,
+}
+
+
+def _check_int(name: str, value: Any) -> int:
+    """``value`` if an integer field can carry it, else a
+    :class:`DataplaneError` naming the field."""
+    top = _INT_RANGES[name]
+    if (type(value) is bool or not isinstance(value, int)
+            or not (0 <= value <= top
+                    or (name == "vlan_vid" and value == VLAN_ABSENT))):
+        raise DataplaneError(
+            f"match field {name} must be an integer in 0..{top}"
+            + (" or VLAN_ABSENT" if name == "vlan_vid" else "")
+            + f", got {value!r}")
+    return value
 
 
 class Shape:
@@ -289,8 +338,11 @@ class Match:
     """An immutable pattern over :data:`MATCH_FIELDS`.
 
     Unset fields are wildcards.  ``ip_src``/``ip_dst`` may be exact
-    addresses or :class:`IPv4Network` prefixes (given as ``"10.0.0.0/8"``).
-    ``vlan_vid`` may be :data:`VLAN_ABSENT` to require an untagged frame.
+    addresses or :class:`IPv4Network` prefixes (given as ``"10.0.0.0/8"``);
+    a ``/32`` is its address.  The integer fields take what their wire
+    field carries (``ip_dscp`` 0–63, ``vlan_vid`` 0–4095 or
+    :data:`VLAN_ABSENT` to require an untagged frame); anything else is
+    a :class:`DataplaneError` naming the field.
 
     >>> m = Match(eth_type=0x0800, ip_dst="10.0.1.0/24")
     >>> m.matches(FlowKey(eth_type=0x0800, ip_dst=IPv4Address("10.0.1.7")))
@@ -310,8 +362,11 @@ class Match:
             if value is None:
                 continue
             normalise = _NORMALISERS.get(name)
-            normalised[name] = (value if normalise is None
-                                else normalise(value))
+            if normalise is not None:
+                value = normalise(value)
+            elif not (type(value) is int and 0 <= value <= _INT_RANGES[name]):
+                value = _check_int(name, value)
+            normalised[name] = value
         self._seal(normalised)
 
     def _seal(self, fields: Dict[str, Any]) -> None:

@@ -17,6 +17,14 @@ __all__ = ["MACAddress", "IPv4Address", "IPv4Network", "BROADCAST_MAC"]
 
 _MAC_RE = re.compile(r"^([0-9a-fA-F]{2}[:\-]){5}[0-9a-fA-F]{2}$")
 
+_new = object.__new__
+
+#: Set above every address bit, so a MAC, an IPv4 address and the int
+#: of the same value hash apart (tables hash addresses on every flow
+#: install and lookup: a hash is one xor, with no tuple to build).
+_MAC_TAG = 1 << 60
+_IP4_TAG = 1 << 59
+
 
 class MACAddress:
     """A 48-bit Ethernet address.
@@ -51,8 +59,13 @@ class MACAddress:
             raise AddressError(f"cannot build MAC from {type(address).__name__}")
 
     @classmethod
-    def from_int(cls, value: int) -> "MACAddress":
-        return cls(value)
+    def from_wire(cls, value: int) -> "MACAddress":
+        """Trusted constructor for an int a 48-bit wire field already
+        bounds (a frame's or a match's decoder): no type dispatch and no
+        range check."""
+        mac = _new(cls)
+        mac.value = value
+        return mac
 
     @classmethod
     def local(cls, index: int) -> "MACAddress":
@@ -93,7 +106,7 @@ class MACAddress:
         return self.value < other.value
 
     def __hash__(self) -> int:
-        return hash(("mac", self.value))
+        return self.value ^ _MAC_TAG
 
     def __str__(self) -> str:
         raw = self.packed()
@@ -142,6 +155,14 @@ class IPv4Address:
                 f"cannot build IPv4 from {type(address).__name__}"
             )
 
+    @classmethod
+    def from_wire(cls, value: int) -> "IPv4Address":
+        """Trusted constructor for an int a 32-bit wire field already
+        bounds: no type dispatch and no range check."""
+        address = _new(cls)
+        address.value = value
+        return address
+
     def packed(self) -> bytes:
         """The 4-byte big-endian wire representation."""
         return self.value.to_bytes(4, "big")
@@ -172,7 +193,7 @@ class IPv4Address:
         return self.value < other.value
 
     def __hash__(self) -> int:
-        return hash(("ip4", self.value))
+        return self.value ^ _IP4_TAG
 
     def __str__(self) -> str:
         v = self.value

@@ -43,6 +43,8 @@ __all__ = ["DemuxRegistry", "Header", "Packet", "Raw"]
 
 H = TypeVar("H", bound="Header")
 
+_new = object.__new__
+
 
 class Header:
     """Base class for every protocol header.
@@ -96,6 +98,8 @@ class Header:
             def state(header):
                 return slots(header), dict(vars(header))
         cls._state = staticmethod(state)
+        if getattr(cls.copy, "_generic", False):
+            cls.copy = Header.copy  # never a base class's compiled copy
 
     def encode(self, following: bytes) -> bytes:
         raise NotImplementedError
@@ -116,12 +120,20 @@ class Header:
     def copy(self: H) -> H:
         """A header of the same type with the same field values."""
         cls = type(self)
+        if not cls.__dictoffset__:
+            # A slotted class copies with straight-line code, compiled
+            # at its first copy and then called directly.
+            cls.copy = _compile_copy(cls, cls._slot_names)
+            return cls.copy(self)
         clone = cls.__new__(cls)
         for name in cls._slot_names:
             setattr(clone, name, getattr(self, name))
-        if cls.__dictoffset__:
-            vars(clone).update(vars(self))
+        vars(clone).update(vars(self))
         return clone
+
+    #: Marks a copy that each subclass starts again from, unless it
+    #: defines its own.
+    copy._generic = True
 
     def fields(self) -> dict:
         """A name→value mapping of the public fields, for repr/tests."""
@@ -140,6 +152,18 @@ class Header:
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.fields().items())
         return f"{type(self).__name__}({inner})"
+
+
+def _compile_copy(cls: type, names: Tuple[str, ...]):
+    """``Header.copy`` for a slotted class, one assignment per slot.
+    Its source holds slot names only, which are identifiers."""
+    lines = "".join(f"    clone.{name} = self.{name}\n" for name in names)
+    namespace = {"new": _new, "cls": cls}
+    exec("def copy(self):\n    clone = new(cls)\n" + lines
+         + "    return clone\n", namespace)
+    copy = namespace["copy"]
+    copy._generic = True
+    return copy
 
 
 class DemuxRegistry:
@@ -243,7 +267,8 @@ class Packet:
         copies it first; the clone keeps the ``trace_id`` and shares the
         (immutable) wire image until one of its headers changes.
         """
-        clone = Packet([header.copy() for header in self.headers])
+        clone = _new(Packet)
+        clone.headers = [header.copy() for header in self.headers]
         clone.trace_id = self.trace_id
         clone._wire = self._wire
         clone._stamp = self._stamp

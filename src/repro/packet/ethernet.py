@@ -11,6 +11,9 @@ from repro.packet.base import DemuxRegistry, Header
 
 __all__ = ["Ethernet", "VLAN", "EtherType", "register_ethertype"]
 
+_new = object.__new__
+_mac = MACAddress.from_wire
+
 
 class EtherType:
     """Well-known EtherType values used across the platform."""
@@ -38,7 +41,8 @@ class Ethernet(Header):
 
     name = "ethernet"
     __slots__ = ("dst", "src", "ethertype")
-    _FMT = struct.Struct("!6s6sH")
+    #: Each address as its high 16 and low 32 bits.
+    _FMT = struct.Struct("!HIHIH")
 
     def __init__(
         self,
@@ -54,10 +58,9 @@ class Ethernet(Header):
         self.ethertype = ETHERTYPES.code_for(successor, self.ethertype)
 
     def encode(self, following: bytes) -> bytes:
-        return (
-            self._FMT.pack(self.dst.packed(), self.src.packed(), self.ethertype)
-            + following
-        )
+        dst, src = self.dst.value, self.src.value
+        return self._FMT.pack(dst >> 32, dst & 0xFFFFFFFF, src >> 32,
+                              src & 0xFFFFFFFF, self.ethertype) + following
 
     @classmethod
     def decode(cls, data: bytes) -> Tuple["Ethernet", int]:
@@ -65,8 +68,13 @@ class Ethernet(Header):
             raise DecodeError(
                 f"Ethernet header needs {cls._FMT.size} bytes, got {len(data)}"
             )
-        dst, src, ethertype = cls._FMT.unpack_from(data)
-        return cls(MACAddress(dst), MACAddress(src), ethertype), cls._FMT.size
+        dst_hi, dst_lo, src_hi, src_lo, ethertype = cls._FMT.unpack_from(data)
+        # The wire bounds both addresses: skip __init__'s conversions.
+        header = _new(cls)
+        header.dst = _mac(dst_hi << 32 | dst_lo)
+        header.src = _mac(src_hi << 32 | src_lo)
+        header.ethertype = ethertype
+        return header, cls._FMT.size
 
     def payload_class(self) -> Optional[Type[Header]]:
         return lookup_ethertype(self.ethertype)

@@ -13,6 +13,9 @@ from repro.packet.ethernet import EtherType, register_ethertype
 
 __all__ = ["IPv4", "IPProto", "register_ip_proto"]
 
+_new = object.__new__
+_address = IPv4Address.from_wire
+
 
 class IPProto:
     """Well-known IP protocol numbers."""
@@ -41,7 +44,7 @@ class IPv4(Header):
     name = "ipv4"
     __slots__ = ("src", "dst", "proto", "ttl", "dscp", "ecn", "ident",
                  "flags", "frag_offset")
-    _FMT = struct.Struct("!BBHHHBBH4s4s")
+    _FMT = struct.Struct("!BBHHHBBHII")
 
     def __init__(
         self,
@@ -81,8 +84,8 @@ class IPv4(Header):
             self.ttl,
             self.proto,
             0,  # checksum placeholder
-            self.src.packed(),
-            self.dst.packed(),
+            self.src.value,
+            self.dst.value,
         )
         checksum = internet_checksum(header)
         header = header[:10] + checksum.to_bytes(2, "big") + header[12:]
@@ -94,8 +97,8 @@ class IPv4(Header):
             raise DecodeError(
                 f"IPv4 needs {cls._FMT.size} bytes, got {len(data)}"
             )
-        (ver_ihl, tos, total_length, ident, flags_frag,
-         ttl, proto, checksum, src, dst) = cls._FMT.unpack_from(data)
+        (ver_ihl, tos, _total_length, ident, flags_frag,
+         ttl, proto, _checksum, src, dst) = cls._FMT.unpack_from(data)
         version, ihl = ver_ihl >> 4, ver_ihl & 0xF
         if version != 4:
             raise DecodeError(f"not an IPv4 packet (version={version})")
@@ -106,17 +109,17 @@ class IPv4(Header):
             raise DecodeError("IPv4 header truncated (options missing)")
         if internet_checksum(data[:header_len]) != 0:
             raise DecodeError("IPv4 header checksum mismatch")
-        header = cls(
-            src=IPv4Address(src),
-            dst=IPv4Address(dst),
-            proto=proto,
-            ttl=ttl,
-            dscp=tos >> 2,
-            ecn=tos & 0b11,
-            ident=ident,
-            flags=flags_frag >> 13,
-            frag_offset=flags_frag & 0x1FFF,
-        )
+        # The wire bounds every field: skip __init__'s conversions.
+        header = _new(cls)
+        header.src = _address(src)
+        header.dst = _address(dst)
+        header.proto = proto
+        header.ttl = ttl
+        header.dscp = tos >> 2
+        header.ecn = tos & 0b11
+        header.ident = ident
+        header.flags = flags_frag >> 13
+        header.frag_offset = flags_frag & 0x1FFF
         return header, header_len
 
     def payload_class(self) -> Optional[Type[Header]]:

@@ -298,7 +298,19 @@ class SwitchAgent:
     # ZOF messages -> datapath operations
     # ------------------------------------------------------------------
     def _handle(self, msg: Message) -> None:
-        if isinstance(msg, Hello):
+        # The programming verbs first: they are nearly all the traffic,
+        # and a decoded message is exactly its wire type.
+        kind = type(msg)
+        if kind in _VERBS:
+            if self.controller_role == ControllerRole.SECONDARY:
+                # OF 1.3 §6.3.1: SLAVE controllers are read-only.
+                self._send_error(msg, Error.BAD_ROLE,
+                                 "connection is SLAVE; mutation refused")
+            elif kind is PacketOut:
+                self._apply_packet_out(msg)
+            else:
+                self._queue_apply(getattr(self, _VERBS[kind]), msg)
+        elif isinstance(msg, Hello):
             self.peer_version = msg.version
         elif isinstance(msg, EchoRequest):
             self._reply(msg, EchoReply(msg.data))
@@ -309,19 +321,6 @@ class SwitchAgent:
                 ports=[self._port_desc(p)
                        for p in self.datapath.ports.values()],
             ))
-        elif (isinstance(msg, (FlowMod, GroupMod, MeterMod, PacketOut))
-                and self.controller_role == ControllerRole.SECONDARY):
-            # OF 1.3 §6.3.1: SLAVE controllers are read-only.
-            self._send_error(msg, Error.BAD_ROLE,
-                             "connection is SLAVE; mutation refused")
-        elif isinstance(msg, FlowMod):
-            self._queue_apply(self._apply_flow_mod, msg)
-        elif isinstance(msg, GroupMod):
-            self._queue_apply(self._apply_group_mod, msg)
-        elif isinstance(msg, MeterMod):
-            self._queue_apply(self._apply_meter_mod, msg)
-        elif isinstance(msg, PacketOut):
-            self._apply_packet_out(msg)
         elif isinstance(msg, BarrierRequest):
             self._schedule_barrier(msg)
         elif isinstance(msg, StatsRequest):
@@ -343,10 +342,10 @@ class SwitchAgent:
     # -- programming verbs, serialised behind flowmod_delay -----------
     def _queue_apply(self, fn, msg: Message) -> None:
         sim = self.datapath.sim
-        start = max(sim.now, self._apply_cursor)
-        finish = start + self.flowmod_delay
+        now = sim.now
+        finish = max(now, self._apply_cursor) + self.flowmod_delay
         self._apply_cursor = finish
-        if finish <= sim.now:
+        if finish <= now:
             fn(msg)
         else:
             sim.schedule_at(finish, fn, msg)
@@ -362,16 +361,9 @@ class SwitchAgent:
     def _apply_flow_mod(self, msg: FlowMod) -> None:
         try:
             if msg.command == FlowModCommand.ADD:
-                entry = FlowEntry(
-                    match=msg.match,
-                    actions=msg.actions,
-                    priority=msg.priority,
-                    idle_timeout=msg.idle_timeout,
-                    hard_timeout=msg.hard_timeout,
-                    cookie=msg.cookie,
-                    goto_table=msg.goto_table,
-                    flags=msg.flags,
-                )
+                entry = FlowEntry(msg.match, msg.actions, msg.priority,
+                                  msg.idle_timeout, msg.hard_timeout,
+                                  msg.cookie, msg.goto_table, msg.flags)
                 self.datapath.install_flow(entry, msg.table_id)
             elif msg.command == FlowModCommand.MODIFY:
                 table = self.datapath.table(msg.table_id)
@@ -542,3 +534,13 @@ class SwitchAgent:
 
     def __repr__(self) -> str:
         return f"<SwitchAgent dpid={self.datapath.dpid}>"
+
+
+#: Programming verb -> the agent method that applies it behind
+#: ``flowmod_delay`` (a packet-out is applied at once).
+_VERBS = {
+    FlowMod: "_apply_flow_mod",
+    GroupMod: "_apply_group_mod",
+    MeterMod: "_apply_meter_mod",
+    PacketOut: "_apply_packet_out",
+}

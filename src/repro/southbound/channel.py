@@ -33,6 +33,10 @@ from repro.southbound.messages import (
 
 __all__ = ["ControlChannel", "ChannelEndpoint", "ChannelStats"]
 
+#: A decoded message is exactly its wire type, so a set lookup answers
+#: "is this a reply" without walking the tuple.
+_REPLIES = frozenset(REPLY_TYPES)
+
 
 class ChannelStats:
     """Per-direction message and byte counters, broken down by type."""
@@ -187,7 +191,7 @@ class ChannelEndpoint:
         # Only genuine replies take part in xid correlation: both ends
         # assign xids independently, so an async event may coincide with
         # a pending request's xid without being its answer.
-        if isinstance(msg, REPLY_TYPES):
+        if type(msg) in _REPLIES:
             pending = self._pending.pop(msg.xid, None)
             if pending is not None:
                 pending.cancel_timer()
@@ -358,14 +362,14 @@ class ControlChannel:
         self.controller_end._connection_changed(False)
 
     def _deliver(self, sender: ChannelEndpoint, wire: bytes) -> None:
-        receiver = sender.peer
-        depart = self.sim.now
+        arrival_delay = self.latency
         if self.bandwidth_bps:
-            start = max(depart, self._busy_until[sender])
+            now = self.sim.now
+            start = max(now, self._busy_until[sender])
             depart = start + len(wire) * 8 / self.bandwidth_bps
             self._busy_until[sender] = depart
-        arrival_delay = (depart - self.sim.now) + self.latency
-        self.sim.schedule(arrival_delay, self._arrive, receiver, wire,
+            arrival_delay += depart - now
+        self.sim.schedule(arrival_delay, self._arrive, sender.peer, wire,
                           self.epoch)
 
     def _arrive(self, receiver: ChannelEndpoint, wire: bytes,

@@ -367,9 +367,11 @@ class FlowRemoved(Message):
         self.packet_count = packet_count
         self.byte_count = byte_count
 
+    _HEAD = struct.Struct("!BHQBdQQ")
+
     def encode_body(self) -> bytes:
-        head = struct.pack(
-            "!BHQBdQQ", self.table_id, self.priority, self.cookie,
+        head = self._HEAD.pack(
+            self.table_id, self.priority, self.cookie,
             _reason_code(self.reason), self.duration,
             self.packet_count, self.byte_count,
         )
@@ -377,10 +379,9 @@ class FlowRemoved(Message):
 
     @classmethod
     def decode_body(cls, body: bytes) -> "FlowRemoved":
-        fmt = struct.Struct("!BHQBdQQ")
         (table_id, priority, cookie, reason, duration,
-         packets, nbytes) = fmt.unpack_from(body)
-        match, _ = decode_match(body[fmt.size:])
+         packets, nbytes) = cls._HEAD.unpack_from(body)
+        match, _ = decode_match(body, cls._HEAD.size)
         return cls(table_id, match, priority, cookie, _reason_str(reason),
                    duration, packets, nbytes)
 
@@ -432,7 +433,7 @@ class PacketOut(Message):
         if len(body) < head:
             raise ProtocolError("PacketOut body truncated")
         in_port, buffer_id = cls._HEAD.unpack_from(body)
-        actions, used = decode_actions(body[head:])
+        actions, used = decode_actions(body, head)
         return cls(in_port, actions, body[head + used:], buffer_id)
 
 
@@ -490,9 +491,9 @@ class FlowMod(Message):
         (command, table_id, priority, idle, hard,
          cookie, goto, flags) = cls._HEAD.unpack_from(body)
         offset = cls._HEAD.size
-        match, used = decode_match(body[offset:])
+        match, used = decode_match(body, offset)
         offset += used
-        actions, used = decode_actions(body[offset:])
+        actions, _ = decode_actions(body, offset)
         return cls(
             command, table_id, match, priority, actions, idle, hard,
             cookie, None if goto == 0xFF else goto, flags,
@@ -626,10 +627,11 @@ class FlowStatsEntry:
         ) + encode_match(self.match)
 
     @classmethod
-    def decode(cls, data: bytes) -> Tuple["FlowStatsEntry", int]:
+    def decode(cls, data: bytes,
+               offset: int = 0) -> Tuple["FlowStatsEntry", int]:
         (table_id, priority, cookie,
-         packets, nbytes, duration) = cls._FMT.unpack_from(data)
-        match, used = decode_match(data[cls._FMT.size:])
+         packets, nbytes, duration) = cls._FMT.unpack_from(data, offset)
+        match, used = decode_match(data, offset + cls._FMT.size)
         return (
             cls(table_id, priority, cookie, packets, nbytes, duration, match),
             cls._FMT.size + used,
@@ -699,7 +701,7 @@ class StatsReply(Message):
         entries: list = []
         for _ in range(count):
             if kind == StatsKind.FLOW:
-                entry, used = FlowStatsEntry.decode(body[offset:])
+                entry, used = FlowStatsEntry.decode(body, offset)
                 entries.append(entry)
                 offset += used
             elif kind == StatsKind.PORT:

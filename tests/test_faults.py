@@ -345,6 +345,51 @@ class TestControllerResync:
         assert platform.ping_all(count=1, settle=5.0) == 1.0
 
 
+class TestHostPrefixRules:
+    """A ``/32`` rule is its address: the ledger and the switch, which
+    reads the wire form back, hold one key for it."""
+
+    @staticmethod
+    def bare():
+        platform = ZenPlatform(Topology.linear(2), profile="bare").start()
+        platform.run(0.5)
+        dp = platform.net.switch("s1")
+        return platform, dp, platform.controller.switch(dp.dpid)
+
+    def test_a_slash_32_match_is_its_address(self):
+        host = Match(ip_dst="10.0.0.9/32")
+        assert host == Match(ip_dst="10.0.0.9")
+        assert hash(host) == hash(Match(ip_dst="10.0.0.9"))
+        assert Match(ip_src="10.0.0.0/24") != Match(ip_src="10.0.0.0")
+
+    def test_a_slash_32_rule_survives_a_channel_flap(self):
+        platform, dp, handle = self.bare()
+        ctl = platform.controller
+        match = Match(eth_type=0x0800, ip_dst="10.0.0.9/32")
+        handle.add_flow(match, [Output(1)], priority=7)
+        platform.run(0.1)
+        channel = platform.net.channel("s1")
+        channel.disconnect()
+        platform.run(0.2)
+        channel.connect()
+        platform.run(2.0)
+        assert ctl.resyncs == 1
+        assert (ctl.resync_reinstalled, ctl.resync_deleted) == (0, 0)
+        assert [e.match for e in dp.table(0) if e.priority == 7] == [match]
+
+    def test_flow_removed_clears_a_slash_32_rule_from_the_ledger(self):
+        platform, dp, handle = self.bare()
+        ctl = platform.controller
+        handle.add_flow(Match(eth_type=0x0800, ip_dst="10.0.0.9/32"),
+                        [Output(1)], priority=7, hard_timeout=0.5,
+                        notify_removed=True)
+        platform.run(0.1)
+        assert any(s["priority"] == 7 for _, s in ctl.owned(None))
+        platform.run(2.0)
+        assert not any(e.priority == 7 for e in dp.table(0))
+        assert not any(s["priority"] == 7 for _, s in ctl.owned(None))
+
+
 class TestFaultSchedule:
     def test_validation(self):
         net = Network(Topology.ring(4, hosts_per_switch=1))

@@ -100,6 +100,23 @@ class TestMatchSemantics:
         with pytest.raises(DataplaneError):
             Match(bogus=1)
 
+    @pytest.mark.parametrize("field, bad, edges", [
+        ("in_port", 1 << 32, (0, 0xFFFFFFFF)),
+        ("eth_type", -1, (0, 0xFFFF)),
+        ("vlan_vid", 65535, (0, 4095, VLAN_ABSENT)),
+        ("ip_proto", 300, (0, 255)),
+        ("ip_dscp", 64, (0, 63)),
+        ("l4_src", 70000, (0, 0xFFFF)),
+        ("l4_dst", 70000, (0, 0xFFFF)),
+    ])
+    def test_an_integer_field_holds_what_its_wire_field_holds(
+            self, field, bad, edges):
+        for value in edges:
+            assert Match(**{field: value}).get(field) == value
+        for value in (bad, "3", 2.0, True):
+            with pytest.raises(DataplaneError, match=field):
+                Match(**{field: value})
+
     def test_exact_from_key_matches_its_packet(self):
         key = udp_key()
         assert Match.exact(key).matches(key)

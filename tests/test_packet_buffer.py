@@ -16,11 +16,13 @@ from pathlib import Path
 import pytest
 
 import repro.southbound.agent as agent_module
+import repro.southbound.codec as codec_module
 from repro.check import (
     generate_cluster_scenario,
     generate_scenario,
     run_scenario,
 )
+from repro.controller import Controller
 from repro.core import ZenPlatform, dataplane_digest
 from repro.dataplane import Datapath, FlowEntry, FlowKey, Match, Output
 from repro.netem import Topology
@@ -456,13 +458,25 @@ def test_a_punt_crosses_the_channel_once(monkeypatch):
     """Call-count sentinel: machine-independent, so it can gate tier 1.
 
     Reactive exact-match set-up answers every punt with one flow-mod
-    and one packet-out.  The frame is parsed once (by the controller),
-    serialised by nobody (the switch sends its wire image, the answer
-    names the buffer), and its bytes cross the channel once.
+    and one packet-out.  A frame is parsed once however many hops punt
+    it (the controller decodes each distinct frame once), serialised by
+    nobody (the switch sends its wire image, the answer names the
+    buffer), and its bytes cross the channel once per punt.  A match is
+    parsed once however many flow-mods carry it.
     """
-    counts = {"decode": 0, "serialise": 0, "flowkey": 0}
+    counts = {"decode": 0, "serialise": 0, "flowkey": 0, "parse": 0}
     ipv4_encode, decode = IPv4.encode, Packet.decode.__func__
     from_packet = FlowKey.from_packet.__func__
+    parse_match, process = codec_module._parse_match, Controller._process_packet_in
+    punted = set()
+
+    def counting_parse(blob):
+        counts["parse"] += 1
+        return parse_match(blob)
+
+    def collecting_process(self, handle, msg, *args):
+        punted.add(msg.data)
+        return process(self, handle, msg, *args)
 
     def counting_decode(cls, data, first=None):
         counts["decode"] += 1
@@ -495,9 +509,16 @@ def test_a_punt_crosses_the_channel_once(monkeypatch):
             "bytes": sum(s.bytes for s in sent),
             "PacketIn": sum(s.bytes_by_type["PacketIn"] for s in sent),
             "FlowMod": sum(s.bytes_by_type["FlowMod"] for s in sent),
+            "FlowMods": sum(s.by_type["FlowMod"] for s in sent),
         }
 
     before = totals()
+    # Start from empty memos, so the counts do not depend on test order.
+    controller._frames.invalidate()
+    monkeypatch.setattr(codec_module, "_MATCH_OF",
+                        codec_module.FrameCache(codec_module.MATCH_MEMO_SIZE))
+    monkeypatch.setattr(codec_module, "_parse_match", counting_parse)
+    monkeypatch.setattr(Controller, "_process_packet_in", collecting_process)
     monkeypatch.setattr(Packet, "decode", classmethod(counting_decode))
     monkeypatch.setattr(FlowKey, "from_packet",
                         classmethod(counting_from_packet))
@@ -512,10 +533,15 @@ def test_a_punt_crosses_the_channel_once(monkeypatch):
 
     packet_in_head = len(encode_message(PacketIn()))
     frame_bytes = delta["PacketIn"] - packet_in_head * punts
-    # CI runs this test with -s and greps the line into the job summary.
+    flow_mods = delta["FlowMods"]
+    # CI runs this test with -s and greps the lines into the job summary.
     print(f"\npunt sentinel: {counts['decode']} decodes / {punts} punts, "
           f"{delta['bytes'] / punts:.0f} bytes/punt")
-    assert counts["decode"] == punts
+    print(f"codec sentinel: {flow_mods} flow-mods, {counts['parse']} match "
+          f"parses, {counts['decode'] / punts:.2f} frame decodes per punt")
+    assert counts["decode"] == len(punted) < punts
+    assert counts["parse"] < flow_mods
+    assert len(controller._frames) <= controller._frames.size == 256
     # Each host serialises a datagram once; nobody on the punt path does.
     assert counts["serialise"] == host_tx
     # One extraction per wire image (a datagram punted at five hops is

@@ -28,6 +28,7 @@ from repro.dataplane import (
 from repro.dataplane.match import MATCH_FIELDS
 from repro.errors import ProtocolError
 from repro.packet import IPv4Address, IPv4Network, MACAddress
+import repro.southbound.codec as codec_module
 from repro.southbound import (
     NO_BUFFER,
     BarrierReply,
@@ -387,11 +388,11 @@ _FIELD_VALUES = {
     "eth_src": _mac,
     "eth_dst": _mac,
     "eth_type": _u16,
-    "vlan_vid": st.one_of(st.just(VLAN_ABSENT), st.integers(0, 0xFFFE)),
+    "vlan_vid": st.one_of(st.just(VLAN_ABSENT), st.integers(0, 4095)),
     "ip_src": _ip,
     "ip_dst": _ip,
     "ip_proto": _u8,
-    "ip_dscp": _u8,
+    "ip_dscp": st.integers(0, 63),
     "l4_src": _u16,
     "l4_dst": _u16,
 }
@@ -553,3 +554,135 @@ class TestMutationFuzz:
         except ProtocolError:
             return
         assert used <= len(blob) and hash(match) == oracle_hash(match)
+
+
+# ----------------------------------------------------------------------
+# The compiled match encoder and the parse-once memos
+# ----------------------------------------------------------------------
+#: PROTOCOL.md §4.1 as a table: field id, name, value layout.
+_SECTION_4_1 = (
+    (1, "in_port", "u32"), (2, "eth_src", "mac"), (3, "eth_dst", "mac"),
+    (4, "eth_type", "u16"), (5, "vlan_vid", "vlan"), (6, "ip_src", "ip"),
+    (7, "ip_dst", "ip"), (8, "ip_proto", "u8"), (9, "ip_dscp", "u8"),
+    (10, "l4_src", "u16"), (11, "l4_dst", "u16"),
+)
+
+
+def reference_encode_match(match):
+    """A u16 byte count, then ``field_id u8 | value_len u8 | value`` in
+    id order, written from the table alone."""
+    body = b""
+    for field_id, name, layout in _SECTION_4_1:
+        if name not in match:
+            continue
+        value = match.get(name)
+        if layout == "mac":
+            raw = value.value.to_bytes(6, "big")
+        elif layout == "ip":
+            if isinstance(value, IPv4Network):
+                raw = (value.address.value.to_bytes(4, "big")
+                       + bytes([value.prefix_len]))
+            else:
+                raw = value.value.to_bytes(4, "big") + bytes([32])
+        elif layout == "vlan":
+            raw = (0xFFFF if value == VLAN_ABSENT else value).to_bytes(2, "big")
+        else:
+            raw = value.to_bytes({"u8": 1, "u16": 2, "u32": 4}[layout], "big")
+        body += bytes([field_id, len(raw)]) + raw
+    return len(body).to_bytes(2, "big") + body
+
+
+@st.composite
+def shuffled_matches(draw):
+    """A match over any subset of the fields, built in a random order."""
+    fields = draw(st.fixed_dictionaries({}, optional=_FIELD_VALUES))
+    order = draw(st.permutations(sorted(fields)))
+    return Match(**{name: fields[name] for name in order})
+
+
+@st.composite
+def malformed_match_blobs(draw):
+    """A valid blob broken in one of the ways §4.1 says MUST fail."""
+    blob = encode_match(draw(shuffled_matches()))
+    fault = draw(st.sampled_from(
+        ("prefix", "body", "tlv_header", "tlv_value", "field_id", "size")))
+    if fault == "prefix":
+        return blob[:draw(st.integers(0, 1))]
+    if fault == "body":  # the count promises a byte more than follows
+        return blob[:-1] if len(blob) > 2 else struct.pack("!H", 1)
+    if fault == "tlv_header":  # the count ends one byte into a header
+        tail = b"\x01"
+    elif fault == "tlv_value":  # an in_port value runs past the count
+        tail = b"\x01\x04\x00"
+    elif fault == "field_id":
+        tail = bytes([draw(st.one_of(st.just(0), st.integers(12, 255))), 0])
+    else:  # a known field with a value size that is not its own
+        field_id, _name, layout = draw(st.sampled_from(_SECTION_4_1))
+        size = {"u8": 1, "u16": 2, "u32": 4, "mac": 6, "vlan": 2,
+                "ip": 5}[layout]
+        wrong = draw(st.integers(0, 8).filter(lambda n: n != size))
+        tail = bytes([field_id, wrong]) + b"\x00" * wrong
+    body = blob[2:] + tail
+    return struct.pack("!H", len(body)) + body
+
+
+class TestCompiledMatchCodec:
+    @settings(max_examples=400, deadline=None)
+    @given(match=shuffled_matches())
+    def test_compiled_encoder_is_section_4_1_and_round_trips(self, match):
+        blob = encode_match(match)
+        assert blob == reference_encode_match(match)
+        assert encode_match(match) == blob  # the memoised bytes too
+        for _ in range(2):  # parsed, then served by the memo
+            decoded, used = decode_match(blob + b"tail")
+            assert used == len(blob) and decoded == match
+            assert hash(decoded) == hash(match)
+
+    @settings(max_examples=400, deadline=None)
+    @given(blob=malformed_match_blobs())
+    def test_a_malformed_blob_fails_every_time_it_comes(self, blob):
+        memo = codec_module._MATCH_OF
+        hits = memo.hits
+        for _ in range(2):
+            with pytest.raises(ProtocolError):
+                decode_match(blob)
+        assert memo.hits == hits  # a failure is never served, or kept
+
+    def test_no_memo_outgrows_its_bound(self):
+        memos = (codec_module._WIRE_OF, codec_module._MATCH_OF)
+        assert all(m.size == codec_module.MATCH_MEMO_SIZE for m in memos)
+        for port in range(codec_module.MATCH_MEMO_SIZE + 300):
+            match = Match(in_port=port, eth_type=0x0800)
+            assert decode_match(encode_match(match))[0] == match
+            assert all(len(m) <= m.size for m in memos)
+        assert all(len(m) == m.size for m in memos)
+
+
+class TestFrameCache:
+    def test_the_oldest_value_goes_first(self):
+        cache = codec_module.FrameCache(2)
+        built = []
+
+        def build(key):
+            built.append(key)
+            return key * 10
+
+        assert [cache.get(k, build, k) for k in (1, 2, 1, 3, 1)] == [
+            10, 20, 10, 30, 10]
+        assert built == [1, 2, 3, 1] and len(cache) == 2
+        assert (cache.hits, cache.misses) == (1, 4)
+
+    def test_a_builder_that_raises_stores_nothing(self):
+        cache = codec_module.FrameCache(4)
+
+        def fail():
+            raise ProtocolError("bad")
+
+        for _ in range(2):
+            with pytest.raises(ProtocolError):
+                cache.get("k", fail)
+        assert len(cache) == 0 and cache.misses == 2
+
+    def test_a_cache_holds_something(self):
+        with pytest.raises(ValueError):
+            codec_module.FrameCache(0)
