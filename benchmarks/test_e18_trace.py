@@ -1,19 +1,20 @@
 """E18 — Causal trace plane: tracing overhead and bit-identity.
 
-Question: what does full causal tracing — per-packet span trees, the
-flight recorder's ring chaining, cross-shard context propagation —
-cost, and does switching it on change anything a seeded run computes?
+Question: what does full causal tracing — per-packet span trees and
+cross-shard context propagation — cost, and does switching it on change
+anything a seeded run computes?
 
 Workload: the E14 fat-tree (k=4, proactive profile) driving repeated
 UDP microflows.  The identical seeded run executes twice per rep —
-tracing off, then tracing on with a flight recorder chained onto the
-tracer — and the wall-clock delta is the trace plane's overhead.
+tracing off, then tracing on — and the wall-clock delta is the trace
+plane's overhead.
 Reps are interleaved and each arm takes its minimum wall time.
 
 Contract (the telemetry doctrine, extended to traces): at the gated
 sampling config (1-in-8, the production default for always-on
 tracing) the plane's own cost — the wall-clock delta divided by the
-spans it recorded — stays inside ``SPAN_BUDGET_US``, and every
+spans the tracer minted (:attr:`Tracer.spans_recorded`, evicted
+ones included) — stays inside ``SPAN_BUDGET_US``, and every
 simulation observable is bit-identical between the arms.  The delta
 as a share of the run is reported but not gated (it divides by the
 cost of forwarding packets, which tracing does not control; see E14).
@@ -37,7 +38,6 @@ from repro.core import ZenPlatform, dataplane_digest
 from repro.netem import Topology
 from repro.sim.shard import run_sharded
 from repro.telemetry import Telemetry
-from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.artifact import (
     critical_path,
     merge,
@@ -67,7 +67,6 @@ def drive(trace: bool, sample_every: int = SAMPLE_EVERY):
         seed=3,
         telemetry=telemetry,
     ).start()
-    recorder = FlightRecorder(telemetry) if trace else None
     seed_arp(platform.net)
     hosts = list(platform.net.hosts.values())
     pairs = [(hosts[i], hosts[(i + 5) % len(hosts)])
@@ -94,7 +93,7 @@ def drive(trace: bool, sample_every: int = SAMPLE_EVERY):
                       for t in dp.tables for e in t))
         for name, dp in platform.net.switches.items()
     }
-    return wall, observables, telemetry.tracer, recorder
+    return wall, observables, telemetry.tracer
 
 
 def _shard_spec():
@@ -150,25 +149,25 @@ def cluster_identity():
 def run_experiment():
     walls = {False: [], True: []}
     observables = {}
-    tracer = recorder = None
+    tracer = None
     for _ in range(REPS):
         for trace in (False, True):
-            wall, obs_state, tr, rec = drive(trace)
+            wall, obs_state, tr = drive(trace)
             walls[trace].append(wall)
             observables[trace] = obs_state
             if trace:
-                tracer, recorder = tr, rec
+                tracer = tr
     off = min(walls[False])
     on = min(walls[True])
     overhead_pct = (on - off) / off * 100.0
-    span_cost_us = (on - off) / recorder.spans_seen * 1e6
+    span_cost_us = (on - off) / tracer.spans_recorded * 1e6
     identical = observables[False] == observables[True]
 
     # Full per-packet sampling, ungated: the cost ceiling that makes
     # 1-in-8 the always-on default.  Bit-identity must hold here too.
     full_walls = []
     for _ in range(REPS):
-        wall, full_obs, _, _ = drive(True, sample_every=1)
+        wall, full_obs, _ = drive(True, sample_every=1)
         full_walls.append(wall)
     full_overhead_pct = (min(full_walls) - off) / off * 100.0
     identical = identical and full_obs == observables[False]
@@ -201,14 +200,14 @@ def run_experiment():
                   f"{full_overhead_pct:.2f}")
     table.add_row("observables bit-identical", identical)
     table.add_row("traces retained", tracer.trace_count)
-    table.add_row("spans recorded (flight rings)", recorder.spans_seen)
+    table.add_row("spans recorded (tracer)", tracer.spans_recorded)
     table.add_row("sharded digest identical (2 shards)", shard_identical)
     table.add_row("cross-shard traces in merged artifact", crossing)
     table.add_row("cluster dataplane identical", cluster_identical)
     table.add_row("handover critical path (s)", f"{handover_total:.4f}")
     return (table, off, on, overhead_pct, span_cost_us,
-            full_overhead_pct, identical, tracer, recorder, shard_identical, shard_run, crossing,
-            cluster_identical, handover_total)
+            full_overhead_pct, identical, tracer, shard_identical,
+            shard_run, crossing, cluster_identical, handover_total)
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +217,7 @@ def results():
 
 def test_e18_trace(results, benchmark):
     (table, off, on, overhead_pct, span_cost_us, full_overhead_pct,
-     identical, tracer, recorder, shard_identical, shard_run, crossing,
+     identical, tracer, shard_identical, shard_run, crossing,
      cluster_identical, handover_total) = results
     publish("e18_trace", table)
     # ~900 KB: git-ignored, uploaded by CI instead of committed.
@@ -236,7 +235,7 @@ def test_e18_trace(results, benchmark):
         "sharded_identical": shard_identical,
         "cluster_identical": cluster_identical,
         "traces": tracer.trace_count,
-        "spans_seen": recorder.spans_seen,
+        "spans_recorded": tracer.spans_recorded,
         "cross_shard_traces": crossing,
         "handover_critical_path_s": handover_total,
     })
@@ -250,11 +249,11 @@ def test_e18_trace(results, benchmark):
         f"a recorded span costs {span_cost_us:.2f} us of wall, over "
         f"the {SPAN_BUDGET_US} us budget"
     )
-    assert tracer.trace_count > 0 and recorder.spans_seen > 0
+    assert tracer.trace_count > 0 and tracer.spans_recorded > 0
 
 
 def test_e18_cross_plane_identity(results):
-    (_, _, _, _, _, _, _, _, _, shard_identical, shard_run, crossing,
+    (_, _, _, _, _, _, _, _, shard_identical, shard_run, crossing,
      cluster_identical, handover_total) = results
     assert shard_identical, "tracing changed the sharded digest"
     assert cluster_identical, "tracing changed the cluster dataplane"

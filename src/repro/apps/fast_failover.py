@@ -102,9 +102,6 @@ class ProtectedPairs(App):
         self._establish(pair)
         return pair
 
-    def protected_count(self) -> int:
-        return sum(1 for p in self.pairs.values() if p.protected)
-
     # ------------------------------------------------------------------
     # Path selection and programming
     # ------------------------------------------------------------------

@@ -154,7 +154,3 @@ class Firewall(App):
         if best is None:
             return self.default_allow
         return best.allow
-
-    @property
-    def rule_count(self) -> int:
-        return len(self.rules)

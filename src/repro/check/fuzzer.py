@@ -216,7 +216,6 @@ def platform_observables(platform) -> dict:
 def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
                  monitor: bool = False,
                  checker: Optional[NetworkChecker] = None,
-                 telemetry: bool = False,
                  obs: bool = False) -> RunResult:
     """Assemble, run, and check one spec.  Deterministic end to end.
 
@@ -226,10 +225,9 @@ def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
     each monitor run that saw violations: transient, informational,
     not the pass criterion).
 
-    No plane is on unless asked for: ``telemetry=True`` runs with the
-    metrics plane enabled; ``obs=True`` additionally attaches a full
-    :class:`~repro.obs.ObsPlane` (implies telemetry), whose series and
-    health join the artifact and whose scraper, SLOs, and annotations
+    The metrics plane is always on; ``obs=True`` attaches a full
+    :class:`~repro.obs.ObsPlane`, whose series and health join the
+    artifact and whose scraper, SLOs, and annotations
     must leave the observables bit-identical — the invariant
     ``tests/test_obs.py`` checks over the fuzz corpus.
 
@@ -239,7 +237,7 @@ def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
     """
     if checker is None:
         checker = NetworkChecker()
-    live = assemble(scenario, telemetry=telemetry, obs=obs,
+    live = assemble(scenario, obs=obs,
                     monitor=checker if monitor else False,
                     fast_path=fast_path)
     platform, mon = live.platform, live.monitor

@@ -72,19 +72,15 @@ class InvariantMonitor:
         #: uses this to annotate violations on the run timeline; hooks
         #: must be pure reads.
         self.on_record: List[Callable[[CheckRecord], None]] = []
-        tel = net.telemetry
-        if tel is not None and tel.enabled:
-            self._m_checks = tel.metrics.counter(
-                "check_runs_total", "Invariant monitor runs",
-                ("trigger",),
-            )
-            self._m_violations = tel.metrics.counter(
-                "check_violations_total",
-                "Invariant violations observed by the monitor",
-                ("invariant",),
-            )
-        else:
-            self._m_checks = self._m_violations = None
+        registry = net.telemetry.metrics
+        self._m_checks = registry.counter(
+            "check_runs_total", "Invariant monitor runs", ("trigger",),
+        )
+        self._m_violations = registry.counter(
+            "check_violations_total",
+            "Invariant violations observed by the monitor",
+            ("invariant",),
+        )
 
     # ------------------------------------------------------------------
     # Wiring
@@ -124,10 +120,9 @@ class InvariantMonitor:
         result = self.checker.check(self.net)
         self.checks_run += 1
         self.violations_seen += len(result.violations)
-        if self._m_checks is not None:
-            self._m_checks.labels(trigger.split(":", 1)[0]).inc()
-            for violation in result.violations:
-                self._m_violations.labels(violation.invariant).inc()
+        self._m_checks.labels(trigger.split(":", 1)[0]).inc()
+        for violation in result.violations:
+            self._m_violations.labels(violation.invariant).inc()
         record = CheckRecord(self.net.sim.now, trigger, result)
         self.records.append(record)
         if len(self.records) > self.max_records:

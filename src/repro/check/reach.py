@@ -327,10 +327,6 @@ class ConcreteTrace:
     def blackholes(self) -> List[Terminal]:
         return [t for t in self.terminals if t.is_blackhole]
 
-    def delivered_hosts(self) -> List[str]:
-        return sorted({t.host for t in self.terminals
-                       if t.kind == "delivered" and t.host})
-
     def delivered_to(self, host: str) -> bool:
         return any(t.kind == "delivered" and t.host == host
                    for t in self.terminals)

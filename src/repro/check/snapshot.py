@@ -229,18 +229,6 @@ class NetworkSnapshot:
     # ------------------------------------------------------------------
     # Introspection helpers
     # ------------------------------------------------------------------
-    def switch_by_dpid(self, dpid: int) -> Optional[DatapathSnap]:
-        for snap in self.switches.values():
-            if snap.dpid == dpid:
-                return snap
-        return None
-
-    def host_by_mac(self, mac: MACAddress) -> Optional[HostSnap]:
-        for host in self.hosts.values():
-            if host.mac == mac:
-                return host
-        return None
-
     def edge_ports(self) -> List[Tuple[str, int, HostSnap]]:
         """Host-facing ingress points, sorted by host name."""
         return [(h.switch, h.port, h)

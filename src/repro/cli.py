@@ -54,12 +54,15 @@ _STACK = {"topology": "ring", "size": 4, "profile": "proactive",
           "seed": 0, "bandwidth": 1e9}
 _FAULT = {"controllers": 1, "target": "", "cycles": 2, "period": 2.0,
           "down_for": 0.5}
-#: Armed on a flag-built ``--flight`` run: a breach dumps the recorder.
-_CONVERGENCE_SLO = {"kind": "convergence", "name": "convergence",
-                    "threshold": 0.05,
-                    "open_kinds": ["controller_crash", "channel_down",
-                                   "switch_crash", "link_down"],
-                    "close_kinds": ["resync_done"]}
+
+
+def _at_least_one(args, *dests: str) -> None:
+    """Reject a count flag below 1 before anything runs."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value < 1:
+            raise ZenError(f"--{dest.replace('_', '-')} must be >= 1, "
+                           f"not {value}")
 
 
 def _build_platform(args) -> ZenPlatform:
@@ -80,8 +83,7 @@ def _fault_dicts(args, topo: Topology) -> List[dict]:
         raise ZenError(
             f"a {args.fault} fault needs a cluster; pass --controllers >= 2"
         )
-    if args.cycles < 1:
-        raise ZenError(f"--cycles must be >= 1, not {args.cycles}")
+    _at_least_one(args, "cycles")
     switches = sorted(node.name for node in topo.switches)
     target = args.target or switches[0]
     if target not in switches:
@@ -116,6 +118,7 @@ def _fault_dicts(args, topo: Topology) -> List[dict]:
 
 
 def _cmd_demo(args) -> int:
+    _at_least_one(args, "pings")
     platform = _build_platform(args)
     print(f"Built {platform.net.topology}")
     platform.start()
@@ -218,8 +221,7 @@ def _cmd_check(args) -> int:
         return 0 if result.ok else 1
 
     # fuzz
-    if args.seeds < 1:
-        raise ZenError(f"--seeds must be >= 1, not {args.seeds}")
+    _at_least_one(args, "seeds")
     out_dir = args.out or "."
     failed = []
 
@@ -266,6 +268,7 @@ def _cmd_workload(args) -> int:
         print("Run them all: python -m repro workload suite --jobs 2")
         return 0
 
+    _at_least_one(args, "jobs")
     if args.names:
         missing = [n for n in args.names.split(",") if n not in specs]
         if missing:
@@ -328,7 +331,6 @@ def _run_spec(args):
             duration=6.0 if args.duration is None else args.duration,
             interval=args.interval, profile=args.profile,
             faults=_fault_dicts(args, topo),
-            slos=[_CONVERGENCE_SLO] if args.flight else (),
             controllers=args.controllers,
         )
     given = ["--" + dest.replace("_", "-") for dest in flags
@@ -356,31 +358,17 @@ def _run_spec(args):
 
 def _run_platform(spec, args):
     """``run_workload``'s run — ``assemble(spec, obs=True)``, then
-    ``run_assembled`` — with the observers ``--monitor``, ``--trace``
-    and ``--flight`` ask for attached to the assembly."""
+    ``run_assembled`` — with the observers ``--monitor`` and ``--trace``
+    ask for attached to the assembly."""
     from repro.telemetry.artifact import tracer_traces
-    from repro.telemetry.flight import FlightRecorder
     from repro.workload import assemble, run_assembled
 
-    telemetry = recorder = None
-    if args.trace or args.flight:
-        telemetry = Telemetry(trace=True)
-    if args.flight:
-        # Built before assemble starts the platform, so the rings hold
-        # the bring-up spans too.
-        recorder = FlightRecorder(telemetry)
+    telemetry = Telemetry(trace=True) if args.trace else None
     live = assemble(spec, telemetry=telemetry, obs=True,
-                    monitor=args.monitor, recorder=recorder)
+                    monitor=args.monitor)
     result = run_assembled(spec, live)
-    artifact = result.artifact
-    if recorder is not None:
-        if not recorder.dumps:
-            recorder.trigger("end-of-run", "no trigger fired; manual "
-                             "capture", live.platform.sim.now)
-        dump = recorder.dumps[0]
-        artifact.traces, artifact.triggers = dump["traces"], dump["triggers"]
-    elif telemetry is not None:
-        artifact.traces = tracer_traces(telemetry.tracer)
+    if telemetry is not None:
+        result.artifact.traces = tracer_traces(telemetry.tracer)
     return result
 
 
@@ -388,11 +376,10 @@ def _cmd_run(args) -> int:
     from repro.sim.shard import run_sharded
 
     if args.shards is not None:
-        if args.shards < 1:
-            raise ZenError(f"--shards must be >= 1, not {args.shards}")
-        if args.flight or args.monitor:
-            raise ZenError("--flight and --monitor need the platform; "
-                           "the sharded kernel runs without --shards")
+        _at_least_one(args, "shards")
+        if args.monitor:
+            raise ZenError("--monitor needs the platform; the sharded "
+                           "kernel runs without --shards")
     elif args.shard_sequential:
         raise ZenError("--shard-sequential needs --shards")
     spec = _run_spec(args)
@@ -411,7 +398,7 @@ def _cmd_run(args) -> int:
         where = (f" [{s['shards']} shard(s), "
                  f"{'mp' if s['processes'] else 'seq'}]")
         tail = f"{s['events']} events in {s['rounds']} round(s)"
-    if args.trace or args.flight:
+    if args.trace:
         tail += f", {len(result.artifact.traces)} trace(s)"
     print(f"{spec.name}{where}: {s['flows_completed']}/"
           f"{s['flows_started']} flows completed, fct p50/p99 "
@@ -439,16 +426,13 @@ def _cmd_diff(args) -> int:
 
 
 def _trace_block(artifact, args) -> int:
-    """The selected trace's header, triggers, optional span tree and
-    critical path; 1 when ``--select fault`` or ``--trace-id`` names a
-    trace the document lacks."""
+    """The selected trace's header, optional span tree and critical
+    path; 1 when ``--select fault`` or ``--trace-id`` names a trace the
+    document lacks."""
     from repro.telemetry import artifact as traces
     from repro.telemetry.export import render_critical_path, render_tree
 
     print(f"{artifact!r}")
-    for trigger in artifact.triggers:
-        print(f"  trigger: {trigger['kind']} at t={trigger['time']:.3f}"
-              f" ({trigger['detail']})")
     candidates = artifact.traces
     if args.select == "fault":
         candidates = [t for t in artifact.traces
@@ -483,14 +467,13 @@ def _cmd_report(args) -> int:
     one-line header alone."""
     from repro.obs import load_artifact, render_dashboard, render_health
 
-    if args.width < 1:
-        raise ZenError(f"--width must be >= 1, not {args.width}")
+    _at_least_one(args, "width", "max_series")
     artifact = load_artifact(args.doc)
     checks = artifact.checks
     series = bool(artifact.series) or artifact.health is not None
     handovers = [a for a in artifact.annotations if a.kind == "handover"]
-    traced = (bool(artifact.traces or artifact.triggers)
-              or args.select == "fault" or args.trace_id is not None)
+    traced = (bool(artifact.traces) or args.select == "fault"
+              or args.trace_id is not None)
     if series:
         select = args.series.split(",") if args.series else None
         print(render_dashboard(artifact, width=args.width, select=select,
@@ -632,9 +615,6 @@ def _parser() -> argparse.ArgumentParser:
                           "violations on the timeline")
     run.add_argument("--trace", action="store_true",
                      help="record causal traces into the run document")
-    run.add_argument("--flight", action="store_true",
-                     help="save the flight-recorder dump (triggered, or "
-                          "end-of-run capture) instead of every trace")
     run.add_argument("--shards", type=int, default=None,
                      help="run on the sharded kernel with N spatial "
                           "shards (1 = the differential oracle; merged "

@@ -93,13 +93,6 @@ class ClusterController(Controller):
     # ------------------------------------------------------------------
     # Role bookkeeping
     # ------------------------------------------------------------------
-    def is_master(self, dpid: int) -> bool:
-        return dpid in self.switches
-
-    @property
-    def mastered_dpids(self) -> List[int]:
-        return sorted(self.switches)
-
     def accept_channel(self, channel) -> None:
         self.channels.append(channel)
         super().accept_channel(channel)
@@ -132,8 +125,7 @@ class ClusterController(Controller):
             # let apps re-path around it.
             self.switches.pop(handle.dpid, None)
             self._stale[handle.dpid] = handle
-            if self._g_stale is not None:
-                self._g_stale.set(len(self._stale))
+            self._g_stale.set(len(self._stale))
             self.publish(SwitchLeave(handle.dpid))
         # A watched (slave) switch dropping its channel is silent: our
         # apps never saw it enter, so there is nothing to tear down.
@@ -171,8 +163,7 @@ class ClusterController(Controller):
                 trace_tid, "cluster.role_grant", "cluster",
                 parent=bump_span, dpid=dpid, node=self.node_id)
         stale = self._stale.pop(dpid, None)
-        if self._g_stale is not None:
-            self._g_stale.set(len(self._stale))
+        self._g_stale.set(len(self._stale))
         self.switches[dpid] = handle
         handle.send(RoleRequest(ControllerRole.PRIMARY, term))
         self.publish(SwitchEnter(handle))
@@ -195,8 +186,7 @@ class ClusterController(Controller):
     def _watch(self, handle: SwitchHandle) -> None:
         """Hold ``handle`` as SLAVE: connected, invisible to apps."""
         self._stale.pop(handle.dpid, None)
-        if self._g_stale is not None:
-            self._g_stale.set(len(self._stale))
+        self._g_stale.set(len(self._stale))
         handle.send(RoleRequest(ControllerRole.SECONDARY,
                                 self.terms.get(handle.dpid, 0)))
 
@@ -476,8 +466,7 @@ class ClusterController(Controller):
         """Forget everything, as a crashed process would."""
         self._ledger.clear()
         self._stale.clear()
-        if self._g_stale is not None:
-            self._g_stale.set(0)
+        self._g_stale.set(0)
         self.switches.clear()
         self.handles.clear()
         self._endpoint_switch.clear()
@@ -505,8 +494,7 @@ class ControllerCluster:
 
     def __init__(self, sim, size: int, seed: int = 0,
                  detect_delay: float = 0.05,
-                 packet_in_service_time: float = 0.0,
-                 telemetry=None) -> None:
+                 packet_in_service_time: float = 0.0) -> None:
         if size < 1:
             raise ValueError(f"cluster size must be >= 1, got {size}")
         self.sim = sim
@@ -524,9 +512,8 @@ class ControllerCluster:
         #: ``(trace_id, root_span, fired_at)`` handed over by
         #: :meth:`~repro.faults.schedule.FaultSchedule._fire` so the
         #: asynchronous handover chain records under the fault's trace.
-        self.tracer = (telemetry.tracer
-                       if telemetry is not None and telemetry.enabled
-                       and telemetry.tracing else None)
+        tel = sim.telemetry
+        self.tracer = tel.tracer if tel.tracing else None
         self._trace_ctx: Optional[tuple] = None
         self._trace_detect: Optional[int] = None
         self.bus.on_notify = self._on_bus_notify
@@ -534,7 +521,6 @@ class ControllerCluster:
             node = ClusterController(
                 sim, node_id, self,
                 packet_in_service_time=packet_in_service_time,
-                telemetry=telemetry,
             )
             self.bus.register(node)
             self.controllers.append(node)

@@ -63,7 +63,6 @@ from repro.southbound.messages import (
     StatsReply,
     StatsRequest,
 )
-from repro.telemetry import ensure
 
 __all__ = ["Controller", "SwitchHandle", "App"]
 
@@ -329,8 +328,7 @@ class Controller:
     """
 
     def __init__(self, sim: Simulator, name: str = "controller",
-                 packet_in_service_time: float = 0.0,
-                 telemetry=None) -> None:
+                 packet_in_service_time: float = 0.0) -> None:
         self.sim = sim
         self.name = name
         self.packet_in_service_time = packet_in_service_time
@@ -364,10 +362,7 @@ class Controller:
         self.resync_deleted = 0
         self.resync_pruned = 0
         self.resync_failures = 0
-        # Default to the kernel's plane so Controller(sim) just works.
-        tel = ensure(telemetry if telemetry is not None
-                     else getattr(sim, "telemetry", None))
-        self.telemetry = tel
+        tel = self.telemetry = sim.telemetry
         #: Trace id of the packet-in currently being dispatched, so app
         #: spans and resulting flow-mods/packet-outs join its trace.
         self._trace_ctx: Optional[int] = None
@@ -379,31 +374,27 @@ class Controller:
         #: span, started_at), recorded when a traced adoption kicks off
         #: a ledger resync and closed by ``_on_resync_stats``.
         self._resync_trace: Dict[int, Tuple[int, Optional[int], float]] = {}
-        if tel.enabled:
-            self._m_packet_ins = tel.metrics.counter(
-                "controller_packet_ins_total",
-                "Packet-in messages dispatched to apps",
-            )
-            self._m_pi_delay = tel.metrics.histogram(
-                "controller_packet_in_delay_seconds",
-                "Queueing delay between packet-in arrival and dispatch",
-            )
-            self._m_resyncs = tel.metrics.counter(
-                "controller_resyncs_total",
-                "Flow-table resyncs completed after a reconnect",
-            )
-            self._m_resync_flows = tel.metrics.counter(
-                "controller_resync_flows_total",
-                "Flow entries touched by resyncs",
-                ("action",),
-            )
-            self._g_stale = tel.metrics.gauge(
-                "controller_stale_switches",
-                "Switches currently disconnected but remembered",
-            )
-        else:
-            self._m_packet_ins = self._m_pi_delay = None
-            self._m_resyncs = self._m_resync_flows = self._g_stale = None
+        self._m_packet_ins = tel.metrics.counter(
+            "controller_packet_ins_total",
+            "Packet-in messages dispatched to apps",
+        )
+        self._m_pi_delay = tel.metrics.histogram(
+            "controller_packet_in_delay_seconds",
+            "Queueing delay between packet-in arrival and dispatch",
+        )
+        self._m_resyncs = tel.metrics.counter(
+            "controller_resyncs_total",
+            "Flow-table resyncs completed after a reconnect",
+        )
+        self._m_resync_flows = tel.metrics.counter(
+            "controller_resync_flows_total",
+            "Flow entries touched by resyncs",
+            ("action",),
+        )
+        self._g_stale = tel.metrics.gauge(
+            "controller_stale_switches",
+            "Switches currently disconnected but remembered",
+        )
 
     # ------------------------------------------------------------------
     # Event bus
@@ -483,8 +474,7 @@ class Controller:
         # and routing apps re-path around it; the retained handle's port
         # map seeds the reconciliation when the dpid comes back.
         self._stale[handle.dpid] = handle
-        if self._g_stale is not None:
-            self._g_stale.set(len(self._stale))
+        self._g_stale.set(len(self._stale))
         self.publish(SwitchLeave(handle.dpid))
 
     # ------------------------------------------------------------------
@@ -540,8 +530,7 @@ class Controller:
             return  # handshake failed (channel down / retries exhausted)
         handle = SwitchHandle(self, endpoint, reply)
         stale = self._stale.pop(handle.dpid, None)
-        if self._g_stale is not None:
-            self._g_stale.set(len(self._stale))
+        self._g_stale.set(len(self._stale))
         self.switches[handle.dpid] = handle
         self._endpoint_switch[endpoint] = handle
         self.publish(SwitchEnter(handle))
@@ -610,10 +599,9 @@ class Controller:
         self.resyncs += 1
         self.resync_reinstalled += reinstalled
         self.resync_deleted += deleted
-        if self._m_resyncs is not None:
-            self._m_resyncs.inc()
-            self._m_resync_flows.labels("reinstalled").inc(reinstalled)
-            self._m_resync_flows.labels("deleted").inc(deleted)
+        self._m_resyncs.inc()
+        self._m_resync_flows.labels("reinstalled").inc(reinstalled)
+        self._m_resync_flows.labels("deleted").inc(deleted)
         pending = self._resync_trace.pop(handle.dpid, None)
         if pending is not None:
             tid, parent, started = pending
@@ -740,9 +728,8 @@ class Controller:
         self.packet_ins_handled += 1
         delay = self.sim.now - arrival
         self.packet_in_delays.append(delay)
-        if self._m_packet_ins is not None:
-            self._m_packet_ins.inc()
-            self._m_pi_delay.observe(delay)
+        self._m_packet_ins.inc()
+        self._m_pi_delay.observe(delay)
         # The same bytes punt at every hop of a reactive path and of a
         # flood: decode them once, and hand the apps a copy to own.
         packet = self._frames.get(msg.data, Packet.decode, msg.data).copy()

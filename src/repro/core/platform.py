@@ -164,7 +164,6 @@ class ZenPlatform:
                 seed=seed,
                 detect_delay=detect_delay,
                 packet_in_service_time=packet_in_service_time,
-                telemetry=self.telemetry,
             )
             nodes = self.cluster.controllers
             # Probe timing must not consume main-RNG draws, or the draw

@@ -60,9 +60,6 @@ PORT_FLOOD = 0xFFFFFFFB
 #: Resubmit to the pipeline from table 0 (packet-out only) — OFPP_TABLE.
 PORT_TABLE = 0xFFFFFFF9
 
-_RESERVED_PORTS = {PORT_ALL, PORT_CONTROLLER, PORT_IN_PORT, PORT_FLOOD,
-                   PORT_TABLE}
-
 
 class TTLExpired(Exception):
     """Raised by :class:`DecTTL` when a packet's TTL reaches zero.
@@ -104,10 +101,6 @@ class Output(Action):
         if port < 0:
             raise DataplaneError(f"invalid output port {port}")
         self.port = port
-
-    @property
-    def is_reserved(self) -> bool:
-        return self.port in _RESERVED_PORTS
 
 
 class Group(Action):

@@ -31,7 +31,6 @@ from repro.dataplane.meter import MeterTable
 from repro.errors import DataplaneError
 from repro.packet import MACAddress, Packet
 from repro.sim import Simulator
-from repro.telemetry import ensure
 
 __all__ = ["Datapath", "Port", "PacketInReason", "TableMissBehaviour"]
 
@@ -152,7 +151,6 @@ class Datapath:
         table_capacity: int = 0,
         eviction_policy: Optional[str] = None,
         miss_behaviour: str = TableMissBehaviour.CONTROLLER,
-        telemetry=None,
         fast_path: bool = True,
     ) -> None:
         if num_tables < 1:
@@ -164,31 +162,29 @@ class Datapath:
                       eviction_policy=eviction_policy)
             for i in range(num_tables)
         ]
-        tel = ensure(telemetry)
-        self.telemetry = tel
+        tel = self.telemetry = sim.telemetry
         self._tracing = tel.tracing
-        if tel.enabled:
-            # Read through to the aggregate counters below: the pipeline
-            # counts once, for stats(), ZOF replies and telemetry alike.
-            registry = tel.metrics
-            registry.counter(
-                "switch_rx_packets_total", "Packets entering the pipeline",
-                ("dpid",),
-            ).bind((dpid,), lambda: self.packets_received)
-            registry.counter(
-                "switch_forwarded_total", "Packets emitted on a port",
-                ("dpid",),
-            ).bind((dpid,), lambda: self.packets_forwarded)
-            registry.counter(
-                "switch_dropped_total", "Packets dropped by the pipeline",
-                ("dpid",),
-            ).bind((dpid,), lambda: self.packets_dropped)
-            registry.counter(
-                "switch_packet_ins_total", "Packets punted to the controller",
-                ("dpid",),
-            ).bind((dpid,), lambda: self.packets_to_controller)
-            for flow_table in self.tables:
-                flow_table.attach_metrics(registry, dpid)
+        # Read through to the aggregate counters below: the pipeline
+        # counts once, for stats(), ZOF replies and telemetry alike.
+        registry = tel.metrics
+        registry.counter(
+            "switch_rx_packets_total", "Packets entering the pipeline",
+            ("dpid",),
+        ).bind((dpid,), lambda: self.packets_received)
+        registry.counter(
+            "switch_forwarded_total", "Packets emitted on a port",
+            ("dpid",),
+        ).bind((dpid,), lambda: self.packets_forwarded)
+        registry.counter(
+            "switch_dropped_total", "Packets dropped by the pipeline",
+            ("dpid",),
+        ).bind((dpid,), lambda: self.packets_dropped)
+        registry.counter(
+            "switch_packet_ins_total", "Packets punted to the controller",
+            ("dpid",),
+        ).bind((dpid,), lambda: self.packets_to_controller)
+        for flow_table in self.tables:
+            flow_table.attach_metrics(registry, dpid)
         self.groups = GroupTable()
         self.meters = MeterTable()
         self.ports: Dict[int, Port] = {}

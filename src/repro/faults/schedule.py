@@ -62,7 +62,7 @@ class FaultSchedule:
     in as they fire.
     """
 
-    def __init__(self, net: Network, telemetry=None) -> None:
+    def __init__(self, net: Network) -> None:
         self.net = net
         self.sim = net.sim
         self.log: List[FaultEvent] = []
@@ -76,16 +76,12 @@ class FaultSchedule:
         #: exact injection instant — before any control-plane reaction
         #: has been processed.
         self.on_fire: List[Callable[[FaultEvent], None]] = []
-        tel = telemetry if telemetry is not None else net.telemetry
-        self._tracer = None
-        self._m_faults = None
-        if tel is not None and tel.enabled:
-            self._m_faults = tel.metrics.counter(
-                "faults_injected_total", "Scripted fault injections",
-                ("kind",),
-            )
-            if tel.tracing:
-                self._tracer = tel.tracer
+        tel = net.telemetry
+        self._m_faults = tel.metrics.counter(
+            "faults_injected_total", "Scripted fault injections",
+            ("kind",),
+        )
+        self._tracer = tel.tracer if tel.tracing else None
 
     # ------------------------------------------------------------------
     # Link faults
@@ -263,8 +259,7 @@ class FaultSchedule:
         event = FaultEvent(self.sim.now, kind, target)
         self.log.append(event)
         self.injected += 1
-        if self._m_faults is not None:
-            self._m_faults.labels(kind).inc()
+        self._m_faults.labels(kind).inc()
         if self._tracer is not None:
             tid = self._tracer.start_trace(f"fault:{kind} {target}")
             sid = self._tracer.record(tid, f"fault.{kind}", "fault",

@@ -25,7 +25,6 @@ from repro.packet import (
     UDP,
 )
 from repro.sim import Simulator
-from repro.telemetry import ensure
 
 __all__ = ["Host", "PingSession"]
 
@@ -100,11 +99,10 @@ class Host:
         name: str,
         mac: MACAddress,
         ip: IPv4Address,
-        telemetry=None,
     ) -> None:
         self.sim = sim
         self.name = name
-        self._tel = ensure(telemetry)
+        self._tel = sim.telemetry
         self.mac = MACAddress(mac)
         self.ip = IPv4Address(ip)
         self._link = None  # set by attach()

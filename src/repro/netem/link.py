@@ -86,16 +86,12 @@ class _Direction:
         "_key_seq",
     )
 
-    def __init__(self, sim: Simulator, bandwidth_bps: float, delay: float,
-                 loss_rate: float, queue_capacity: int, rng,
+    def __init__(self, sim: Simulator, name: str, bandwidth_bps: float,
+                 delay: float, loss_rate: float, queue_capacity: int, rng,
                  priority_bands: int = 1,
                  classifier=None) -> None:
         self.sim = sim
-        # Telemetry is attached after construction by the owning Link
-        # (it knows the endpoint names); until then everything is off.
-        self.name = ""
-        self._tracer = None
-        self._m_drops = None
+        self.name = name
         self.bandwidth_bps = bandwidth_bps
         self.delay = delay
         self.loss_rate = loss_rate
@@ -127,17 +123,11 @@ class _Direction:
         #: cross-shard boundary.  ``None`` keeps the legacy int keys.
         self.key_base: Optional[int] = None
         self._key_seq = 0
-
-    def attach_telemetry(self, telemetry, name: str) -> None:
-        """Bind this direction's counters and the tracer; no-op when
-        disabled.  The tx counts are read through, so transmitting
-        touches no metric; drops are pushed because their ``reason``
-        label is only known when one happens."""
-        self.name = name
-        if not telemetry.enabled:
-            return
-        if telemetry.tracing:
-            self._tracer = telemetry.tracer
+        # The tx counts are read through, so transmitting touches no
+        # metric; drops are pushed because their ``reason`` label is
+        # only known when one happens.
+        telemetry = sim.telemetry
+        self._tracer = telemetry.tracer if telemetry.tracing else None
         registry = telemetry.metrics
         registry.counter(
             "link_tx_packets_total", "Packets transmitted per direction",
@@ -153,8 +143,7 @@ class _Direction:
         )
 
     def _drop(self, packet: Packet, reason: str) -> None:
-        if self._m_drops is not None:
-            self._m_drops.labels(self.name, reason).inc()
+        self._m_drops.labels(self.name, reason).inc()
         if self._tracer is not None and packet.trace_id is not None:
             self._tracer.record(packet.trace_id, "link.drop", "link",
                                 link=self.name, reason=reason)
@@ -329,28 +318,16 @@ class Link:
         # is a function of the link name, not of construction order.
         if rng is None:
             rng = sim.fork_rng()
-        self._ab = _Direction(sim, bandwidth_bps, delay, loss_rate,
-                              queue_capacity, rng,
-                              priority_bands=priority_bands,
-                              classifier=classifier)
-        self._ba = _Direction(sim, bandwidth_bps, delay, loss_rate,
-                              queue_capacity, rng,
-                              priority_bands=priority_bands,
-                              classifier=classifier)
+        self._ab = _Direction(
+            sim, f"{a.node_name}:{a.port_no}->{b.node_name}:{b.port_no}",
+            bandwidth_bps, delay, loss_rate, queue_capacity, rng,
+            priority_bands=priority_bands, classifier=classifier)
+        self._ba = _Direction(
+            sim, f"{b.node_name}:{b.port_no}->{a.node_name}:{a.port_no}",
+            bandwidth_bps, delay, loss_rate, queue_capacity, rng,
+            priority_bands=priority_bands, classifier=classifier)
         self._ab.dst = b
         self._ba.dst = a
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Name both directions and bind their metrics/tracer."""
-        if telemetry is None or not telemetry.enabled:
-            return
-        a, b = self.a, self.b
-        self._ab.attach_telemetry(
-            telemetry, f"{a.node_name}:{a.port_no}->{b.node_name}:{b.port_no}"
-        )
-        self._ba.attach_telemetry(
-            telemetry, f"{b.node_name}:{b.port_no}->{a.node_name}:{a.port_no}"
-        )
 
     # ------------------------------------------------------------------
     # Data transfer

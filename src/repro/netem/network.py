@@ -71,15 +71,10 @@ class Network:
     ) -> None:
         topology.validate()
         self.topology = topology
-        if sim is not None:
-            self.sim = sim
-            # An existing kernel brings its own telemetry plane along.
-            if telemetry is None:
-                telemetry = sim.telemetry
-        else:
-            self.sim = Simulator(seed=seed, telemetry=telemetry)
-            telemetry = self.sim.telemetry
-        self.telemetry = telemetry
+        # An existing kernel brings its own telemetry plane along.
+        self.sim = (sim if sim is not None
+                    else Simulator(seed=seed, telemetry=telemetry))
+        self.telemetry = self.sim.telemetry
         self.switches: Dict[str, Datapath] = {}
         self.hosts: Dict[str, Host] = {}
         self.links: List[Link] = []
@@ -106,7 +101,6 @@ class Network:
                 table_capacity=table_capacity,
                 eviction_policy=eviction_policy,
                 miss_behaviour=miss_behaviour,
-                telemetry=telemetry,
                 fast_path=fast_path,
             )
             self.switches[spec.name] = dp
@@ -116,9 +110,7 @@ class Network:
             if self._local is not None and spec.name not in self._local:
                 continue
             self.hosts[spec.name] = Host(
-                self.sim, spec.name, spec.mac, spec.ip,
-                telemetry=telemetry,
-            )
+                self.sim, spec.name, spec.mac, spec.ip)
         for index, link_spec in enumerate(topology.links):
             self._build_link(link_spec, index)
 
@@ -163,7 +155,6 @@ class Network:
             link._ba.key_base = index * 2 + 1
             link._ab.rng = self.sim.fork_rng(name=f"linkdir:{index}:0")
             link._ba.rng = self.sim.fork_rng(name=f"linkdir:{index}:1")
-        link.attach_telemetry(self.telemetry)
         self.links.append(link)
         self._link_index[(spec.a, spec.b)] = link
         self._link_index[(spec.b, spec.a)] = link
@@ -188,7 +179,6 @@ class Network:
         local_name = spec.a if local_is_a else spec.b
         att = self._attachment_for(local_name)
         link = self._boundary_factory(index, spec, att, local_is_a)
-        link.attach_telemetry(self.telemetry)
         self.links.append(link)
         self._link_index[(spec.a, spec.b)] = link
         self._link_index[(spec.b, spec.a)] = link
@@ -274,7 +264,6 @@ class Network:
             )
         channel = ControlChannel(self.sim, latency=latency,
                                  bandwidth_bps=bandwidth_bps,
-                                 telemetry=self.telemetry,
                                  name=key)
         agent = SwitchAgent(self.switches[switch_name], channel,
                             flowmod_delay=flowmod_delay)

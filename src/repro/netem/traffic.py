@@ -126,13 +126,6 @@ class FlowSink:
     def completed_flows(self) -> List[FlowRecord]:
         return [f for f in self.flows.values() if f.completed]
 
-    def throughput_bps(self, window: float) -> float:
-        """Average receive rate over the last ``window`` seconds assumes
-        the caller resets ``total_bytes`` at the window start."""
-        if window <= 0:
-            return 0.0
-        return self.total_bytes * 8 / window
-
 
 class CBRStream:
     """A constant-bit-rate UDP stream between two hosts.

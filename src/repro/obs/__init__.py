@@ -106,8 +106,7 @@ class ObsPlane:
     Parameters
     ----------
     platform:
-        The :class:`~repro.core.platform.ZenPlatform` to watch (its
-        telemetry plane must be enabled).
+        The :class:`~repro.core.platform.ZenPlatform` to watch.
     interval:
         Scrape period in simulated seconds.
     slos:
@@ -117,20 +116,10 @@ class ObsPlane:
     """
 
     def __init__(self, platform, interval: float = 0.1,
-                 slos: Optional[List[SLO]] = None,
-                 capacity: int = 4096,
-                 rollup_factor: int = 8) -> None:
-        telemetry = platform.telemetry
-        if telemetry is None or not telemetry.enabled:
-            raise ValueError(
-                "ObsPlane needs an enabled telemetry plane; build the "
-                "platform with telemetry=Telemetry()"
-            )
+                 slos: Optional[List[SLO]] = None) -> None:
         self.platform = platform
         self.scraper = MetricsScraper(
-            telemetry, interval=interval, capacity=capacity,
-            rollup_factor=rollup_factor,
-        ).attach(platform.sim)
+            platform.telemetry, interval=interval).attach(platform.sim)
         self.health = SLOEvaluator(
             default_slos(interval) if slos is None else slos,
             self.scraper,

@@ -3,8 +3,8 @@
 A :class:`RunArtifact` freezes everything a run recorded into plain data
 — per-series sample history (with rollups and the cumulative histogram
 sketches), the annotation timeline, derived fault windows and the
-health report, plus whatever traces, triggers, dataplane observables
-and invariant checks the run made.  Artifacts are deterministic for a
+health report, plus whatever traces, dataplane observables and
+invariant checks the run made.  Artifacts are deterministic for a
 seeded run (no wall-clock anywhere), so a committed baseline artifact
 diffs bit-for-bit against a CI re-run of the same scenario; that is
 what the ``repro diff`` CI gate leans on.  A :class:`RunResult` is one
@@ -30,17 +30,16 @@ FORMAT = "repro.obs/1"
 
 #: Sections a run writes only when it made them, so every document
 #: without them — and each digest taken over one — stays byte-identical.
-_OPTIONAL = ("traces", "triggers", "observables", "checks")
+_OPTIONAL = ("traces", "observables", "checks")
 
 
 class RunArtifact:
     """A finished run's record, as plain data.
 
     ``traces`` is a list of ``{"id", "label", "spans"}`` dicts (the
-    :mod:`repro.telemetry.artifact` form), ``triggers`` says why a
-    flight-recorder dump exists, ``observables`` is the dataplane state
-    two runs are compared on, and ``checks`` the final invariant
-    verdicts.
+    :mod:`repro.telemetry.artifact` form), ``observables`` is the
+    dataplane state two runs are compared on, and ``checks`` the final
+    invariant verdicts.
     """
 
     def __init__(self, series: Optional[Dict[str, Series]] = None,
@@ -50,7 +49,6 @@ class RunArtifact:
                  scrapes: int = 0,
                  meta: Optional[dict] = None,
                  traces: Optional[List[dict]] = None,
-                 triggers: Optional[List[dict]] = None,
                  observables: Optional[dict] = None,
                  checks: Optional[dict] = None) -> None:
         self.series = series if series is not None else {}
@@ -61,7 +59,6 @@ class RunArtifact:
         self.scrapes = scrapes
         self.meta = dict(meta or {})
         self.traces = traces if traces is not None else []
-        self.triggers = triggers if triggers is not None else []
         self.observables = observables if observables is not None else {}
         self.checks = checks if checks is not None else {}
 
@@ -127,9 +124,8 @@ class RunArtifact:
 
     def __repr__(self) -> str:
         traced = (f", {len(self.traces)} traces, "
-                  f"{sum(len(t['spans']) for t in self.traces)} spans, "
-                  f"{len(self.triggers)} triggers"
-                  if self.traces or self.triggers else "")
+                  f"{sum(len(t['spans']) for t in self.traces)} spans"
+                  if self.traces else "")
         return (f"<RunArtifact {len(self.series)} series, "
                 f"{len(self.annotations)} annotations, "
                 f"horizon {self.horizon:.3f}s{traced}>")

@@ -117,14 +117,11 @@ def fault_windows(annotations: List[Annotation]) -> List[FaultWindow]:
 class MetricsScraper:
     """Periodic sampler over one telemetry plane."""
 
-    def __init__(self, telemetry, interval: float = 0.1,
-                 capacity: int = 4096, rollup_factor: int = 8) -> None:
+    def __init__(self, telemetry, interval: float = 0.1) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive: {interval}")
         self.telemetry = telemetry
         self.interval = interval
-        self.capacity = capacity
-        self.rollup_factor = rollup_factor
         self.series: Dict[str, Series] = {}
         self.annotations: List[Annotation] = []
         self.scrapes = 0
@@ -171,8 +168,7 @@ class MetricsScraper:
     def _series(self, sid: str, kind: str) -> Series:
         series = self.series.get(sid)
         if series is None:
-            series = Series(sid, kind, capacity=self.capacity,
-                            rollup_factor=self.rollup_factor)
+            series = Series(sid, kind)
             self.series[sid] = series
             self._match_cache.clear()
         return series

@@ -4,7 +4,7 @@ One :class:`Series` holds the sampled history of a single metric child
 (one ``family{labels}`` pair) as ``(sim_time, value)`` points in a
 bounded ring.  When the raw ring wraps, evicted points are folded into
 *rollups* — coarse ``(t_start, t_end, count, sum, min, max)`` buckets,
-each covering ``rollup_factor`` raw samples — so long runs keep a full-
+each covering :data:`ROLLUP_FACTOR` raw samples — so long runs keep a full-
 horizon (if lower-resolution) history in bounded memory instead of
 silently forgetting the past.
 
@@ -27,6 +27,11 @@ __all__ = ["Point", "Rollup", "Series"]
 
 #: A raw sample: (sim_time, value).
 Point = Tuple[float, float]
+
+#: Ring sizes, read when a :class:`Series` is built: raw points (and
+#: rollups) a series holds, and raw points folded into one rollup.
+CAPACITY = 4096
+ROLLUP_FACTOR = 8
 
 
 class Rollup:
@@ -63,18 +68,13 @@ class Series:
                  "_rollups", "_pending", "_sketches", "_last_cum_sketch",
                  "samples_taken")
 
-    def __init__(self, name: str, kind: str, capacity: int = 4096,
-                 rollup_factor: int = 8) -> None:
-        if capacity < 2:
-            raise ValueError(f"capacity must be >= 2: {capacity}")
-        if rollup_factor < 1:
-            raise ValueError(f"rollup_factor must be >= 1: {rollup_factor}")
+    def __init__(self, name: str, kind: str) -> None:
         self.name = name
         self.kind = kind  # counter | gauge | histogram
-        self.capacity = capacity
-        self.rollup_factor = rollup_factor
+        self.capacity = CAPACITY
+        self.rollup_factor = ROLLUP_FACTOR
         self._points: Deque[Point] = deque()
-        self._rollups: Deque[Rollup] = deque(maxlen=capacity)
+        self._rollups: Deque[Rollup] = deque(maxlen=self.capacity)
         self._pending: List[Point] = []  # evicted, awaiting rollup fold
         #: Per-scrape delta sketches (histogram series only), aligned
         #: with ``_points``; ``None`` for scrapes with no observations.
@@ -249,9 +249,8 @@ class Series:
         return doc
 
     @classmethod
-    def from_dict(cls, name: str, data: dict,
-                  capacity: int = 4096) -> "Series":
-        out = cls(name, data["kind"], capacity=capacity)
+    def from_dict(cls, name: str, data: dict) -> "Series":
+        out = cls(name, data["kind"])
         for t, v in data["points"]:
             out._points.append((t, v))
         out.samples_taken = data.get("samples", len(out._points))

@@ -287,10 +287,6 @@ class SLOEvaluator:
         self.slos = list(slos)
         self.scraper = scraper
         self.alerts: List[Alert] = []
-        #: Called with each :class:`Alert` at the moment it fires (not
-        #: at resolve).  The flight recorder dumps its rings here so a
-        #: red SLO ships its causal history; hooks must be pure reads.
-        self.on_alert: List[Callable[[Alert], None]] = []
         self._state: Dict[str, _SLOState] = {
             slo.name: _SLOState() for slo in self.slos
         }
@@ -342,8 +338,6 @@ class SLOEvaluator:
                 state.firing = True
                 state.alert = Alert(slo.name, fired_at=t, worst=value)
                 self.alerts.append(state.alert)
-                for hook in self.on_alert:
-                    hook(state.alert)
             if state.firing and state.alert is not None:
                 worse = (value > state.alert.worst if slo.op == "<="
                          else value < state.alert.worst)

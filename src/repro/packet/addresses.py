@@ -176,9 +176,6 @@ class IPv4Address:
         """True for 224.0.0.0/4."""
         return (self.value >> 28) == 0xE
 
-    def in_network(self, network: "IPv4Network") -> bool:
-        return network.contains(self)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IPv4Address):
             return self.value == other.value

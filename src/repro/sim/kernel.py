@@ -18,6 +18,7 @@ import random
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import SimulationError
+from repro.telemetry import Telemetry
 
 __all__ = ["Event", "Observer", "Simulator"]
 
@@ -130,14 +131,13 @@ class Simulator:
         self._observers: list[Observer] = []
         self._obs_next = float("inf")
         self._in_observer = False
-        # Telemetry is optional and passive: the kernel publishes event
-        # counts and lends the tracer its clock, but telemetry can never
-        # schedule events or draw randomness — determinism is untouched.
+        # Every kernel owns a telemetry plane, passive by doctrine: the
+        # kernel publishes event counts and lends the tracer its clock,
+        # but telemetry can never schedule events or draw randomness —
+        # determinism is untouched.
         if telemetry is None:
-            from repro.telemetry import NULL_TELEMETRY
-            telemetry = NULL_TELEMETRY
+            telemetry = Telemetry()
         self.telemetry = telemetry
-        self._tel_on = telemetry.enabled
         telemetry.bind_clock(lambda: self._now)
         self._m_events = telemetry.metrics.counter(
             "sim_events_total",
@@ -391,9 +391,8 @@ class Simulator:
             if until >= self._obs_next:
                 self._fire_observers(until, inclusive=not exclusive)
             self._now = until
-        if self._tel_on:
-            self._m_events.inc(executed)
-            self._m_now.set(self._now)
+        self._m_events.inc(executed)
+        self._m_now.set(self._now)
         return executed
 
     @property

@@ -49,10 +49,10 @@ class _BoundaryTx(_Direction):
 
     __slots__ = ("outbox", "link_index", "direction")
 
-    def __init__(self, sim: Simulator, spec, rng,
+    def __init__(self, sim: Simulator, name: str, spec, rng,
                  outbox: List[ShardMessage], link_index: int,
                  direction: int) -> None:
-        super().__init__(sim, spec.bandwidth_bps, spec.delay,
+        super().__init__(sim, name, spec.bandwidth_bps, spec.delay,
                          spec.loss_rate, spec.queue_capacity, rng,
                          priority_bands=spec.priority_bands,
                          classifier=(dscp_classifier
@@ -81,7 +81,7 @@ class BoundaryLink:
 
     Quacks like :class:`~repro.netem.link.Link` for everything the
     shard-local machinery touches: ``send_from``, ``fail``/``recover``,
-    ``up``, ``direction_stats``, telemetry/utilisation no-ops.
+    ``up``, ``direction_stats``, utilisation no-ops.
     """
 
     def __init__(self, sim: Simulator, index: int, spec,
@@ -95,16 +95,21 @@ class BoundaryLink:
         self.remote_name = spec.b if local_is_a else spec.a
         # Direction 0 is a->b everywhere; the local transmit half is
         # whichever direction leaves this shard.
+        # With per-shard tracing on (``--trace``), the tx half records
+        # the boundary-tx span whose id rides the outbox tuple, and the
+        # rx half records the adopting boundary-rx span on delivery.
         tx_dir = 0 if local_is_a else 1
         rx_dir = 1 - tx_dir
+        names = (f"{spec.a}->{spec.b}", f"{spec.b}->{spec.a}")
         self._tx = _BoundaryTx(
-            sim, spec, sim.fork_rng(name=f"linkdir:{index}:{tx_dir}"),
+            sim, names[tx_dir], spec,
+            sim.fork_rng(name=f"linkdir:{index}:{tx_dir}"),
             outbox, index, tx_dir)
         # The remote attachment is a stub: the tx half never delivers
         # locally, it only needs a non-None dst to transmit.
         self._tx.dst = Attachment(self.remote_name, 0, lambda packet: None)
         self._rx = _Direction(
-            sim, spec.bandwidth_bps, spec.delay, spec.loss_rate,
+            sim, names[rx_dir], spec.bandwidth_bps, spec.delay, spec.loss_rate,
             spec.queue_capacity,
             sim.fork_rng(name=f"linkdir:{index}:{rx_dir}"),
             priority_bands=spec.priority_bands)
@@ -153,21 +158,6 @@ class BoundaryLink:
         self.up = True
 
     # -- Link API the rest of the stack touches ----------------------
-    def attach_telemetry(self, telemetry) -> None:
-        """Bind both halves' metrics and tracers.
-
-        With per-shard telemetry on (``--trace``), the tx half records
-        the boundary-tx span whose id rides the outbox tuple, and the
-        rx half records the adopting boundary-rx span on delivery.
-        """
-        if telemetry is None or not telemetry.enabled:
-            return
-        a, b = self.spec.a, self.spec.b
-        names = {0: f"{a}->{b}", 1: f"{b}->{a}"}
-        self._tx.attach_telemetry(telemetry, names[self._tx.direction])
-        self._rx.attach_telemetry(telemetry,
-                                  names[1 - self._tx.direction])
-
     def reset_utilisation_window(self) -> None:
         self._tx.reset_window()
         self._rx.reset_window()

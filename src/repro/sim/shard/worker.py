@@ -48,11 +48,12 @@ class ShardWorker:
         # shard's artifact without renumbering.  Telemetry is a pure
         # observer (doctrine), so the digest is bit-identical either
         # way — asserted by the differential tests.
-        self.telemetry = (
-            Telemetry(trace=True, trace_id_base=shard_id * SHARD_ID_STRIDE)
-            if trace else None)
-        self.sim = Simulator(seed=self.spec.seed, stable_ties=True,
-                             telemetry=self.telemetry)
+        self.sim = Simulator(
+            seed=self.spec.seed, stable_ties=True,
+            telemetry=(Telemetry(trace=True,
+                                 trace_id_base=shard_id * SHARD_ID_STRIDE)
+                       if trace else None))
+        self.telemetry = self.sim.telemetry
         self.outbox: List[ShardMessage] = []
         self.boundaries: Dict[int, BoundaryLink] = {}
         local = self.partition.nodes_of(shard_id)

@@ -242,7 +242,6 @@ class ControlChannel:
         sim: Simulator,
         latency: float = 0.001,
         bandwidth_bps: float = 0.0,
-        telemetry=None,
         name: str = "",
     ) -> None:
         self.sim = sim
@@ -267,56 +266,57 @@ class ControlChannel:
             self.switch_end: 0.0,
             self.controller_end: 0.0,
         }
-        self._m_flaps = None
+        tel = sim.telemetry
+        # A label set has one owner: unnamed channels get numbered ones.
+        label = self._label = name or f"channel{sim.next_id('channel')}"
         self._tracer = None
         self._m_stash_pruned = None
-        if telemetry is not None and telemetry.enabled:
-            if telemetry.tracing:
-                self._tracer = telemetry.tracer
-                self._m_stash_pruned = telemetry.metrics.counter(
-                    "trace_stash_pruned_total",
-                    "Stashed trace ids discarded at an epoch change",
-                    ("channel",),
-                ).labels(name or "channel")
-            # Everything the channel and its endpoints already count is
-            # read through; only transitions are pushed (their ``event``
-            # label is known when one happens).
-            msgs = telemetry.metrics.counter(
-                "channel_messages_total", "Control messages sent",
-                ("channel", "direction"),
-            )
-            nbytes = telemetry.metrics.counter(
-                "channel_bytes_total", "Control bytes sent (wire size)",
-                ("channel", "direction"),
-            )
-            label = name or "channel"
-            switch_end, controller_end = self.switch_end, self.controller_end
-            for sent, direction in ((switch_end.sent, "to_controller"),
-                                    (controller_end.sent, "to_switch")):
-                msgs.bind((label, direction), lambda sent=sent: sent.messages)
-                nbytes.bind((label, direction), lambda sent=sent: sent.bytes)
-            telemetry.metrics.counter(
-                "channel_dropped_total",
-                "Control messages lost to disconnects (epoch mismatch)",
+        if tel.tracing:
+            self._tracer = tel.tracer
+            self._m_stash_pruned = tel.metrics.counter(
+                "trace_stash_pruned_total",
+                "Stashed trace ids discarded at an epoch change",
                 ("channel",),
-            ).bind((label,), lambda: self.messages_dropped)
-            self._m_flaps = telemetry.metrics.counter(
-                "channel_transitions_total",
-                "Channel connect/disconnect transitions",
-                ("channel", "event"),
-            )
-            telemetry.metrics.counter(
-                "channel_request_retries_total",
-                "xid requests resent after a timeout",
-                ("channel",),
-            ).bind((label,), lambda: (switch_end.request_retries
-                                      + controller_end.request_retries))
-            telemetry.metrics.counter(
-                "channel_request_failures_total",
-                "xid requests failed (timeout or channel down)",
-                ("channel",),
-            ).bind((label,), lambda: (switch_end.requests_failed
-                                      + controller_end.requests_failed))
+            ).labels(label)
+        # Everything the channel and its endpoints already count is read
+        # through; only transitions are pushed (their ``event`` label is
+        # known when one happens).
+        registry = tel.metrics
+        msgs = registry.counter(
+            "channel_messages_total", "Control messages sent",
+            ("channel", "direction"),
+        )
+        nbytes = registry.counter(
+            "channel_bytes_total", "Control bytes sent (wire size)",
+            ("channel", "direction"),
+        )
+        switch_end, controller_end = self.switch_end, self.controller_end
+        for sent, direction in ((switch_end.sent, "to_controller"),
+                                (controller_end.sent, "to_switch")):
+            msgs.bind((label, direction), lambda sent=sent: sent.messages)
+            nbytes.bind((label, direction), lambda sent=sent: sent.bytes)
+        registry.counter(
+            "channel_dropped_total",
+            "Control messages lost to disconnects (epoch mismatch)",
+            ("channel",),
+        ).bind((label,), lambda: self.messages_dropped)
+        self._m_flaps = registry.counter(
+            "channel_transitions_total",
+            "Channel connect/disconnect transitions",
+            ("channel", "event"),
+        )
+        registry.counter(
+            "channel_request_retries_total",
+            "xid requests resent after a timeout",
+            ("channel",),
+        ).bind((label,), lambda: (switch_end.request_retries
+                                  + controller_end.request_retries))
+        registry.counter(
+            "channel_request_failures_total",
+            "xid requests failed (timeout or channel down)",
+            ("channel",),
+        ).bind((label,), lambda: (switch_end.requests_failed
+                                  + controller_end.requests_failed))
 
     def _prune_stash(self) -> None:
         """Evict trace ids stashed for frames this epoch change kills.
@@ -329,7 +329,7 @@ class ControlChannel:
         if self._tracer is None:
             return
         pruned = self._tracer.prune_scope(self)
-        if pruned and self._m_stash_pruned is not None:
+        if pruned:
             self._m_stash_pruned.inc(pruned)
 
     def connect(self) -> None:
@@ -340,8 +340,7 @@ class ControlChannel:
         self.epoch += 1
         self.connects += 1
         self._prune_stash()
-        if self._m_flaps is not None:
-            self._m_flaps.labels(self.name or "channel", "connect").inc()
+        self._m_flaps.labels(self._label, "connect").inc()
         self.switch_end._connection_changed(True)
         self.controller_end._connection_changed(True)
 
@@ -352,8 +351,7 @@ class ControlChannel:
         self.connected = False
         self.disconnects += 1
         self._prune_stash()
-        if self._m_flaps is not None:
-            self._m_flaps.labels(self.name or "channel", "disconnect").inc()
+        self._m_flaps.labels(self._label, "disconnect").inc()
         # A new connection starts with empty socket buffers: the old
         # serialisation backlog must not delay post-reconnect messages.
         self._busy_until[self.switch_end] = 0.0

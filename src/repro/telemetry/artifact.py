@@ -5,23 +5,21 @@ A tracer's traces leave it as a list of ``{"id", "label", "spans"}``
 dicts (:func:`tracer_traces`) whatever reads them — the telemetry JSON
 snapshot, a shard's report to the sharded engine (merged across shards
 without renumbering: shard *k* mints ids above ``k * SHARD_ID_STRIDE``),
-a flight-recorder dump, and the ``traces`` section of a saved run
-artifact (:class:`repro.obs.artifact.RunArtifact`, which this package
-never imports).  The functions here work on such a list:
-:func:`longest` is the one picker and :func:`critical_path` attributes
-one trace's latency per stage.  The recorder lives in
-:mod:`repro.telemetry.flight` and the renderers in
-:mod:`repro.telemetry.export`.
+and the ``traces`` section of a saved run artifact
+(:class:`repro.obs.artifact.RunArtifact`, which this package never
+imports).  The functions here work on such a list: :func:`longest` is
+the one picker and :func:`critical_path` attributes one trace's latency
+per stage.  The renderers live in :mod:`repro.telemetry.export`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.telemetry.trace import Tracer
 
-__all__ = ["SHARD_ID_STRIDE", "critical_path", "group_traces", "longest",
-           "merge", "shard_of_id", "shards_of", "span_count", "trace",
+__all__ = ["SHARD_ID_STRIDE", "critical_path", "longest", "merge",
+           "shard_of_id", "shards_of", "span_count", "trace",
            "tracer_traces"]
 
 #: Id stride per shard: shard *k*'s tracer mints trace and span ids in
@@ -35,31 +33,6 @@ def shard_of_id(any_id: int) -> int:
     return any_id // SHARD_ID_STRIDE
 
 
-def group_traces(pieces: Iterable[Tuple[int, str, Iterable[dict]]],
-                 ) -> List[dict]:
-    """Fold ``(trace id, label, span dicts)`` pieces into serialised
-    traces, in id order.
-
-    Pieces sharing an id — halves of a span tree held by two shards, or
-    one trace's spans spread over a recorder's per-stage rings — are
-    unioned with their spans sorted by ``(start, span_id)``; the first
-    non-empty label wins (the origin shard names a trace, receivers
-    adopt it with an empty label).
-    """
-    merged: Dict[int, dict] = {}
-    for tid, label, spans in pieces:
-        trace = merged.get(tid)
-        if trace is None:
-            trace = merged[tid] = {"id": tid, "label": label, "spans": []}
-        elif not trace["label"]:
-            trace["label"] = label
-        trace["spans"].extend(spans)
-    traces = [merged[tid] for tid in sorted(merged)]
-    for trace in traces:
-        trace["spans"].sort(key=lambda s: (s["start"], s["span_id"]))
-    return traces
-
-
 def tracer_traces(tracer: Tracer) -> List[dict]:
     """Every live trace of one tracer, in the one serialised form."""
     return [{"id": tid, "label": label,
@@ -68,14 +41,30 @@ def tracer_traces(tracer: Tracer) -> List[dict]:
 
 
 def merge(parts: Iterable[List[dict]]) -> List[dict]:
-    """Fuse trace lists (one per shard) into one global list.
+    """Fuse trace lists (one per shard) into one global list, in id
+    order.
 
-    Traces sharing an id — a frame that crossed a boundary link — are
-    unioned by :func:`group_traces`, parent links left intact (span ids
-    are globally unique by the stride scheme).
+    Traces sharing an id — halves of a span tree held by two shards, a
+    frame that crossed a boundary link — are unioned with their spans
+    sorted by ``(start, span_id)``, parent links left intact (span ids
+    are globally unique by the stride scheme); the first non-empty
+    label wins (the origin shard names a trace, receivers adopt it with
+    an empty label).
     """
-    return group_traces((trace["id"], trace["label"], trace["spans"])
-                        for part in parts for trace in part)
+    merged: Dict[int, dict] = {}
+    for part in parts:
+        for piece in part:
+            trace = merged.get(piece["id"])
+            if trace is None:
+                trace = merged[piece["id"]] = {
+                    "id": piece["id"], "label": piece["label"], "spans": []}
+            elif not trace["label"]:
+                trace["label"] = piece["label"]
+            trace["spans"].extend(piece["spans"])
+    traces = [merged[tid] for tid in sorted(merged)]
+    for trace in traces:
+        trace["spans"].sort(key=lambda s: (s["start"], s["span_id"]))
+    return traces
 
 
 def trace(traces: List[dict], trace_id: int) -> Optional[dict]:

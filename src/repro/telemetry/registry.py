@@ -10,10 +10,10 @@ share), the component pushes into a child from :meth:`MetricFamily.labels`.
 Two properties keep it honest for a deterministic simulator:
 
 * **No side effects on the simulation.**  Metrics never schedule events
-  or draw random numbers, so enabling them cannot perturb a run.
-* **Cheap when disabled.**  A disabled registry hands out a shared
-  :data:`NULL_METRIC` whose mutators are no-ops; components additionally
-  cache an ``enabled`` flag so per-packet paths pay one boolean check.
+  or draw random numbers, so a registry cannot perturb a run.
+* **Cheap enough to be always on.**  A read-through child costs nothing
+  until a scrape reads it; pushed children are bound once by their
+  owner, so a hot path pays one method call.
 
 Snapshots are fully deterministic: families and label sets are emitted
 in sorted order, and values are plain ints/floats.
@@ -31,10 +31,6 @@ __all__ = [
     "Histogram",
     "MetricFamily",
     "MetricsRegistry",
-    "NULL_METRIC",
-    "NULL_REGISTRY",
-    "NullMetric",
-    "NullRegistry",
     "OVERFLOW_LABEL",
 ]
 
@@ -46,11 +42,11 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 #: Label value all over-cap label sets collapse into (cardinality guard).
 OVERFLOW_LABEL = "__overflow__"
 
-#: Default cap on distinct label sets per family.  High enough that no
-#: legitimate per-switch/per-link family on the shipped topologies gets
-#: near it; low enough that a per-flow label on a million-flow run
-#: cannot blow up memory.
-DEFAULT_MAX_LABEL_SETS = 1024
+#: Cap on distinct label sets per family, read when a registry is
+#: built.  High enough that no legitimate per-switch/per-link family on
+#: the shipped topologies gets near it; low enough that a per-flow
+#: label on a million-flow run cannot blow up memory.
+MAX_LABEL_SETS = 1024
 
 
 class Counter:
@@ -158,40 +154,6 @@ class _Bound:
         return self.snapshot()
 
 
-class NullMetric:
-    """Shared do-nothing stand-in for every metric kind (and family)."""
-
-    kind = "null"
-    __slots__ = ()
-
-    def labels(self, *_values: str) -> "NullMetric":
-        return self
-
-    def bind(self, label_values, read) -> None:
-        pass
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float):
-        return None
-
-    def snapshot(self):
-        return None
-
-
-NULL_METRIC = NullMetric()
-
-
 class MetricFamily:
     """A named metric with a fixed label schema and one child per value
     combination.  Children are memoised, so hot paths bind them once.
@@ -207,7 +169,7 @@ class MetricFamily:
 
     def __init__(self, name: str, help_text: str,
                  labelnames: Sequence[str], ctor,
-                 max_label_sets: int = DEFAULT_MAX_LABEL_SETS,
+                 max_label_sets: int = MAX_LABEL_SETS,
                  on_overflow: Optional[Callable[[str], None]] = None,
                  **ctor_kwargs) -> None:
         self.name = name
@@ -283,12 +245,9 @@ class MetricFamily:
 class MetricsRegistry:
     """Holds every metric family; components get-or-create by name."""
 
-    enabled = True
-
-    def __init__(self,
-                 max_label_sets: int = DEFAULT_MAX_LABEL_SETS) -> None:
+    def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
-        self.max_label_sets = max_label_sets
+        self.max_label_sets = MAX_LABEL_SETS
         self._m_overflow: Optional[MetricFamily] = None
 
     # -- family constructors -------------------------------------------
@@ -370,27 +329,3 @@ class MetricsRegistry:
     def __repr__(self) -> str:
         return f"<MetricsRegistry {len(self._families)} families>"
 
-
-class NullRegistry(MetricsRegistry):
-    """Disabled registry: every constructor returns :data:`NULL_METRIC`."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name: str, help_text: str = "",
-                labels: Optional[Sequence[str]] = None):
-        return NULL_METRIC
-
-    def gauge(self, name: str, help_text: str = "",
-              labels: Optional[Sequence[str]] = None):
-        return NULL_METRIC
-
-    def histogram(self, name: str, help_text: str = "",
-                  labels: Optional[Sequence[str]] = None,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS):
-        return NULL_METRIC
-
-
-NULL_REGISTRY = NullRegistry()

@@ -41,6 +41,11 @@ EXTRA_STAGES = ("shard", "cluster", "fault")
 #: Every stage any layer may emit, in canonical render order.
 ALL_STAGES = STAGES + EXTRA_STAGES
 
+#: Retention caps, read when a :class:`Tracer` is built: live traces
+#: held at once, and spans held across them.
+MAX_TRACES = 256
+MAX_SPANS = 4096
+
 
 class Span:
     """One timestamped step of a traced packet's journey.
@@ -92,7 +97,7 @@ class Span:
 class Tracer:
     """Collects spans per trace id; bounded and sampled for big runs.
 
-    Retention is a ring over *spans*, not just traces: ``max_spans``
+    Retention is a ring over *spans*, not just traces: :data:`MAX_SPANS`
     caps the total spans held at once, and once it is exceeded the
     oldest trace's spans are evicted first (whole traces at a time, so
     surviving traces stay complete).  Before this cap the tracer kept
@@ -104,17 +109,14 @@ class Tracer:
 
     enabled = True
 
-    def __init__(self, sample_every: int = 1, max_traces: int = 256,
-                 max_spans: int = 4096,
+    def __init__(self, sample_every: int = 1,
                  clock: Optional[Callable[[], float]] = None,
                  id_base: int = 0) -> None:
         if sample_every < 1:
             raise ValueError(f"sample_every must be >= 1: {sample_every}")
-        if max_spans < 1:
-            raise ValueError(f"max_spans must be >= 1: {max_spans}")
         self.sample_every = sample_every
-        self.max_traces = max_traces
-        self.max_spans = max_spans
+        self.max_traces = MAX_TRACES
+        self.max_spans = MAX_SPANS
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         #: Offset for every id this tracer mints.  A sharded run gives
         #: shard *k* the base ``k * SHARD_ID_STRIDE``, so trace and
@@ -138,10 +140,6 @@ class Tracer:
         #: ring; :class:`~repro.telemetry.Telemetry` points this at a
         #: counter so drops are visible in the metrics plane.
         self.on_drop: Optional[Callable[[int], None]] = None
-        #: Called with every recorded :class:`Span` (after append).
-        #: The flight recorder feeds its per-component rings from this;
-        #: hooks must be pure — no events, no RNG.
-        self.on_span: Optional[Callable[[Span], None]] = None
         self._stash: Dict[
             Hashable, Deque[Tuple[int, float, Hashable]]
         ] = {}
@@ -189,8 +187,6 @@ class Tracer:
                     span_id=self._span_seq, parent=parent)
         spans.append(span)
         self._span_total += 1
-        if self.on_span is not None:
-            self.on_span(span)
         if self._span_total > self.max_spans:
             self._evict(keep=trace_id)
         return span.span_id
@@ -338,6 +334,11 @@ class Tracer:
     @property
     def trace_count(self) -> int:
         return len(self._spans)
+
+    @property
+    def spans_recorded(self) -> int:
+        """Spans minted over the tracer's life, evicted ones included."""
+        return self._span_seq - self.id_base
 
     def __repr__(self) -> str:
         return f"<Tracer {self.trace_count} traces>"

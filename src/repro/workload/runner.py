@@ -11,7 +11,7 @@ the obs plane on (stock SLOs plus the spec's own) and returns a
 :class:`~repro.obs.artifact.RunResult` whose document ``repro report``
 renders and ``repro diff`` compares; :func:`run_assembled` is its
 run-and-summarise tail, which ``repro run`` also calls when it attaches
-a monitor, a tracer or a flight recorder to the assembly.
+a monitor or a tracer to the assembly.
 ``repro.check.run_scenario`` runs the same assembly and ends with an
 invariant verdict.  The sharded kernel's run of a spec is
 :func:`repro.sim.shard.run_sharded`, not this module.
@@ -96,54 +96,42 @@ def _build_platform(spec: WorkloadSpec, telemetry,
     return platform
 
 
-def assemble(spec: WorkloadSpec, *, telemetry=False,
-             obs: bool = False, monitor=False, recorder=None,
-             fast_path: bool = True) -> AssembledRun:
+def assemble(spec: WorkloadSpec, *,
+             telemetry: Optional[Telemetry] = None, obs: bool = False,
+             monitor=False, fast_path: bool = True) -> AssembledRun:
     """Turn ``spec`` into a started platform with everything armed.
 
-    ``telemetry`` is ``True`` (a fresh metrics plane), a
+    The metrics plane is always on; ``telemetry`` is a
     :class:`~repro.telemetry.Telemetry` the caller built (a tracing
-    one, say), or falsy for none.  ``obs`` attaches an
+    one), or ``None`` for the kernel's own.  ``obs`` attaches an
     :class:`~repro.obs.ObsPlane` scraping every ``spec.interval`` and
-    judging the stock SLOs plus ``spec.slos`` (implies ``telemetry``).
-    ``monitor=True`` runs an
-    :class:`~repro.check.monitor.InvariantMonitor` on the default
-    invariants, a ``NetworkChecker`` runs that one.  ``recorder`` is a
-    :class:`~repro.telemetry.flight.FlightRecorder` built on
-    ``telemetry`` before this call, so its rings hold the bring-up
-    spans too.  No observer perturbs the simulation.
+    judging the stock SLOs plus ``spec.slos``.  ``monitor=True`` runs
+    an :class:`~repro.check.monitor.InvariantMonitor` on the default
+    invariants, a ``NetworkChecker`` runs that one.  No observer
+    perturbs the simulation.
 
     The order below is fixed: ``fork_rng`` calls and event scheduling
     order feed committed digests, and observers hook in so that
     whatever records a fault or a convergence event runs before the
     monitor that audits it — a timeline reads fault, then its
-    violations, and a dump triggered by a violation already holds that
-    fault.
+    violations.
     """
-    if isinstance(telemetry, Telemetry):
-        tel = telemetry
-    else:
-        tel = Telemetry() if telemetry or obs else None
-    platform = _build_platform(spec, tel, fast_path)
+    platform = _build_platform(spec, telemetry, fast_path)
     platform.start()
     sim = platform.sim
     hosts = platform.seed_static_arp()
+    registry = platform.telemetry.metrics
+    # Zero-label families come back as the bare metric.
+    fct_hist = registry.histogram(
+        "workload_fct_seconds",
+        "flow completion time measured at workload sinks",
+    )
 
-    on_flow_complete = None
-    if tel is not None:
-        # Zero-label families come back as the bare metric.
-        fct_hist = tel.metrics.histogram(
-            "workload_fct_seconds",
-            "flow completion time measured at workload sinks",
-        )
-
-        def on_flow_complete(record) -> None:
-            fct_hist.observe(record.fct)
+    def on_flow_complete(record) -> None:
+        fct_hist.observe(record.fct)
 
     schedule = platform.fault_schedule()
     plane = mon = None
-    if recorder is not None:
-        recorder.watch_faults(schedule)
     if obs:
         plane = ObsPlane(platform, interval=spec.interval, slos=(
             default_slos(spec.interval)
@@ -151,8 +139,6 @@ def assemble(spec: WorkloadSpec, *, telemetry=False,
         plane.watch_faults(schedule)
         if platform.cluster is not None:
             plane.watch_cluster(platform.cluster)
-        if recorder is not None:
-            recorder.watch_alerts(plane.health)
     if monitor:
         # Imported on use: `repro.check` builds on this module.
         from repro.check.monitor import InvariantMonitor
@@ -163,8 +149,6 @@ def assemble(spec: WorkloadSpec, *, telemetry=False,
         mon.watch(schedule)
         if plane is not None:
             plane.watch_monitor(mon)
-        if recorder is not None:
-            recorder.watch_monitor(mon)
 
     # Flow-table occupancy: scraped every tick, peak kept in-closure so
     # the summary does not depend on the ring-buffer capacity.
@@ -177,7 +161,7 @@ def assemble(spec: WorkloadSpec, *, telemetry=False,
         return float(total)
 
     if plane is not None:
-        tel.metrics.gauge(
+        registry.gauge(
             "workload_flow_entries",
             "Flow entries installed across all switches",
             (),
@@ -203,7 +187,7 @@ def assemble(spec: WorkloadSpec, *, telemetry=False,
 def run_workload(spec: WorkloadSpec) -> RunResult:
     """Execute one spec end to end; deterministic in (spec, seed).
 
-    The spec is assembled with telemetry and the obs plane on, run for
+    The spec is assembled with the obs plane on, run for
     ``spec.duration`` and summarised.  The sharded kernel's run of a
     spec is :func:`repro.sim.shard.run_sharded`.
     """

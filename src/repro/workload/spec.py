@@ -79,6 +79,9 @@ def _check_buildable(label: str, topology: dict,
     if not isinstance(size, int):
         raise TopologyError(f"{label}: topology field 'size' must be an "
                             f"integer, not {type(size).__name__}")
+    if size < 1:
+        raise TopologyError(f"{label}: topology field 'size' must be >= 1, "
+                            f"not {size}")
     # Bandwidth 0 is an unlimited link.
     if not isinstance(bandwidth, _NUMBER) or bandwidth < 0:
         raise TopologyError(f"{label}: topology field 'bandwidth' must be "

@@ -145,6 +145,7 @@ class TestCommands:
         ["faults", "--controllers", "3", "--fault", "controller"],
         ["bench"],
         ["workload", "suite", "--shards", "1"],
+        ["run", "--controllers", "3", "--fault", "controller", "--flight"],
     ])
     def test_the_old_readers_are_gone(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -217,6 +218,8 @@ class TestNamedErrors:
         ({"name": "x", "topology": {"family": "ring", "size": 3,
                                     "bandwidth": -5},
           "traffic": []}, "topology field 'bandwidth' must be a number"),
+        ({"name": "x", "topology": {"family": "linear", "size": 0},
+          "traffic": []}, "topology field 'size' must be >= 1"),
     ])
     @pytest.mark.parametrize("argv", [
         ["run", "--spec"],
@@ -249,9 +252,9 @@ class TestNamedErrors:
         (["run", "--name", "incast-storm", "--duration", "-1"], "duration"),
         (["run", "--shards", "0"], "--shards must be >= 1"),
         (["run", "--shard-sequential"], "--shard-sequential needs --shards"),
-        (["run", "--flight", "--shards", "2"], "--flight and --monitor"),
+        (["workload", "suite", "--jobs", "0"], "--jobs must be >= 1"),
         (["run", "--name", "incast-storm", "--monitor", "--shards", "1"],
-         "--flight and --monitor"),
+         "--monitor needs the platform"),
         (["run", "--name", "incast-storm", "--fault", "link"],
          "--fault cannot change a --name or --spec run"),
         (["run", "--spec", "run.json", "--topology", "ring", "--cycles",
@@ -262,6 +265,10 @@ class TestNamedErrors:
          "--name or --spec, not both"),
         (["report", "run.json", "--width", "0"], "--width must be >= 1"),
         (["check", "fuzz", "--seeds", "-1"], "--seeds must be >= 1"),
+        (["workload", "suite", "--jobs", "-3"], "--jobs must be >= 1"),
+        (["demo", "--pings", "0"], "--pings must be >= 1"),
+        (["report", "run.json", "--max-series", "0"],
+         "--max-series must be >= 1"),
     ])
     def test_bad_run_flags_fail_before_any_simulated_time(
             self, argv, names, capsys, monkeypatch):

@@ -125,8 +125,10 @@ class TestQuantileSketch:
 # Series rings
 # ----------------------------------------------------------------------
 class TestSeries:
-    def test_ring_evicts_into_rollups(self):
-        series = Series("g", "gauge", capacity=8, rollup_factor=4)
+    def test_ring_evicts_into_rollups(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.series.CAPACITY", 8)
+        monkeypatch.setattr("repro.obs.series.ROLLUP_FACTOR", 4)
+        series = Series("g", "gauge")
         for i in range(20):
             series.sample(float(i), float(i * 10))
         assert len(series) == 8

@@ -57,8 +57,8 @@ class Stack:
     """One datapath, one agent per controller connection, by hand."""
 
     def __init__(self, connections=1, latency=0.001, telemetry=None):
-        self.sim = Simulator()
-        self.dp = Datapath(1, self.sim, telemetry=telemetry)
+        self.sim = Simulator(telemetry=telemetry)
+        self.dp = Datapath(1, self.sim)
         self.dp.add_port(1)
         self.dp.add_port(2)
         self.sent = []

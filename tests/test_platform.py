@@ -106,7 +106,6 @@ class TestPlatformAssembly:
 
     def test_assemble_wires_only_the_observers_asked_for(self):
         from repro.telemetry import Telemetry
-        from repro.telemetry.flight import FlightRecorder
         from repro.workload import WorkloadSpec, assemble
 
         spec = WorkloadSpec(
@@ -116,21 +115,24 @@ class TestPlatformAssembly:
                                  "count": 1}])
         bare = assemble(spec)
         assert (bare.plane, bare.monitor) == (None, None)
-        assert bare.platform.telemetry.enabled is False
+        # Metrics are always on; tracing is not.
+        assert bare.platform.telemetry is bare.platform.sim.telemetry
+        assert not bare.platform.telemetry.tracing
         assert len(bare.schedule.on_fire) == 0
         telemetry = Telemetry(trace=True)
-        recorder = FlightRecorder(telemetry)
-        live = assemble(spec, telemetry=telemetry, obs=True, monitor=True,
-                        recorder=recorder)
+        live = assemble(spec, telemetry=telemetry, obs=True, monitor=True)
         assert live.platform.telemetry is telemetry
         live.platform.run(1.5)
         live.plane.finish()
         kinds = [a.kind for a in live.plane.scraper.annotations]
         assert "link_down" in kinds and "link_up" in kinds
         assert live.monitor.checks_run >= 2
-        # The recorder hooks in first: it holds each fault as context.
-        assert [e["kind"] for e in recorder.events] == [
-            "fault:link_down", "fault:link_up"]
+        # The plane hooks in before the monitor: a timeline reads each
+        # fault before the checks that audit it.
+        assert len(live.schedule.on_fire) == 2
+        fault_roots = [t for _tid, t, _ in telemetry.tracer.traces()
+                       if t.startswith("fault:")]
+        assert fault_roots == ["fault:link_down s1-s2", "fault:link_up s1-s2"]
 
 
 class TestEndToEndScenarios:

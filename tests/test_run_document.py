@@ -36,8 +36,6 @@ _RUNS = {
     "fuzz scenario": lambda tmp: run_scenario(generate_scenario(2),
                                               monitor=True).to_dict(),
     "trace dump": lambda tmp: _trace_dump(tmp, "--trace"),
-    "flight dump": lambda tmp: _trace_dump(tmp, "--fault", "link",
-                                           "--flight"),
 }
 
 
@@ -63,7 +61,6 @@ _BLOCKS = {
     "sharded": ["<RunArtifact 0 series"],
     "fuzz scenario": ["checks: clean"],
     "trace dump": ["Health @ ", "critical path of trace"],
-    "flight dump": ["Health @ ", "trigger: ", "critical path of trace"],
 }
 
 
@@ -179,19 +176,39 @@ def test_documents_that_share_no_signal_diff_by_their_digests(
     assert "OK" in capsys.readouterr().out
 
 
-def test_one_flight_dump_serves_the_dashboard_and_the_critical_path(
+def test_one_trace_document_serves_the_dashboard_and_the_critical_path(
         tmp_path, capsys):
     path = str(tmp_path / "handover.json")
     assert main(["run", "--controllers", "3", "--fault",
-                 "controller", "--flight", "--duration", "2.5",
+                 "controller", "--trace", "--duration", "2.5",
                  "--out", path]) == 0
     capsys.readouterr()
     assert main(["report", path, "--select", "fault", "--tree"]) == 0
     out = capsys.readouterr().out
-    assert "Health @ " in out and "convergence" in out
+    assert "Health @ " in out and "handover" in out
     # The series block comes first, then the trace block.
     assert out.index("Health @ ") < out.index("fault.controller_crash")
     assert "bus.death_detect" in out
+
+
+def test_a_replay_stops_where_an_alert_fired(tmp_path, capsys):
+    """``run --spec DOC --duration T --trace`` replays DOC up to T after
+    the warm-up: the same timeline, cut at ``horizon - duration + T``."""
+    path, upto = str(tmp_path / "h.json"), str(tmp_path / "upto.json")
+    assert main(["run", "--controllers", "3", "--fault", "controller",
+                 "--trace", "--out", path]) == 0
+    assert main(["run", "--spec", path, "--duration", "0.6", "--trace",
+                 "--out", upto]) == 0
+    capsys.readouterr()
+    full, cut = (json.loads(open(p).read()) for p in (path, upto))
+    warm_up = full["horizon"] - full["meta"]["workload"]["duration"]
+    assert warm_up == pytest.approx(2.5)
+    assert cut["horizon"] == pytest.approx(warm_up + 0.6)
+    assert cut["annotations"] == [a for a in full["annotations"]
+                                  if a["time"] <= cut["horizon"]]
+    roots = [t["spans"][0] for t in cut["traces"]
+             if t["label"].startswith("fault:controller_crash")]
+    assert [span["start"] for span in roots] == [warm_up + 0.5]
 
 
 @pytest.mark.parametrize("source, engine", [

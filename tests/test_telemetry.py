@@ -2,8 +2,8 @@
 
 Three layers of coverage:
 
-* unit tests for the primitives (registry, tracer) and their null
-  stand-ins;
+* unit tests for the primitives (registry, tracer) and the null
+  tracer;
 * end-to-end wiring: a reactive platform with telemetry on must yield
   populated metrics and a trace that crosses every stage of the stack;
 * the determinism contract — telemetry must never perturb the
@@ -21,15 +21,12 @@ from repro.core import ZenPlatform
 from repro.dataplane.match import Match
 from repro.netem import Topology
 from repro.telemetry import (
-    NULL_METRIC,
-    NULL_TELEMETRY,
     NULL_TRACER,
     MetricsRegistry,
     Telemetry,
     Tracer,
 )
 from repro.telemetry.artifact import longest, tracer_traces
-from repro.telemetry.registry import NullRegistry
 from repro.telemetry.trace import STAGES, NullTracer
 
 
@@ -104,15 +101,6 @@ class TestMetricsRegistry:
         assert snap["a_total"]["values"] == {"z": 1}
         assert snap["b_total"]["values"] == {"": 1}
 
-    def test_null_registry_is_free_and_silent(self):
-        reg = NullRegistry()
-        assert not reg.enabled
-        c = reg.counter("whatever")
-        assert c is NULL_METRIC
-        c.inc()
-        c.labels("x").observe(3)  # every mutator is a no-op
-        assert reg.snapshot() == {}
-
 
 # ----------------------------------------------------------------------
 # Tracer
@@ -142,8 +130,9 @@ class TestTracer:
         ]
         assert tracer.trace_count == 3
 
-    def test_max_traces_cap_counts_drops(self):
-        tracer = Tracer(max_traces=2)
+    def test_max_traces_cap_counts_drops(self, monkeypatch):
+        monkeypatch.setattr("repro.telemetry.trace.MAX_TRACES", 2)
+        tracer = Tracer()
         assert tracer.start_trace() is not None
         assert tracer.start_trace() is not None
         assert tracer.start_trace() is None
@@ -182,8 +171,7 @@ class TestTracer:
 class TestTelemetryObject:
     def test_enabled_plane_has_live_primitives(self):
         tel = Telemetry()
-        assert tel.enabled
-        assert tel.metrics.enabled
+        assert isinstance(tel.metrics, MetricsRegistry)
         # Tracing is opt-in: only a caller that reads spans records them.
         assert tel.tracer is NULL_TRACER and not tel.tracing
         traced = Telemetry(trace=True)
@@ -202,17 +190,74 @@ class TestTelemetryObject:
                     or name in ("NULL_FLOW_RECORDS", "NULL_PROFILER")]
         assert not hasattr(repro.obs, "render_openmetrics")
 
-    def test_disabled_plane_is_all_nulls(self):
-        tel = Telemetry(enabled=False)
-        assert not tel.enabled and not tel.tracing
-        assert not tel.metrics.enabled
-        assert tel.tracer.start_trace("x") is None
-        assert NULL_TELEMETRY.enabled is False
+    def test_observability_has_one_mode(self):
+        """Metrics are always on; tracing is the one opt-in."""
+        import repro.telemetry
+        import repro.telemetry.registry
+
+        for knob in ("enabled", "max_label_sets", "max_traces",
+                     "max_spans"):
+            with pytest.raises(TypeError):
+                Telemetry(**{knob: 1})
+        for gone in ("NULL_TELEMETRY", "NULL_REGISTRY", "NULL_METRIC",
+                     "NullRegistry", "ensure"):
+            assert not hasattr(repro.telemetry, gone)
+            assert not hasattr(repro.telemetry.registry, gone)
 
     def test_tracing_can_be_off_while_metrics_stay_on(self):
         tel = Telemetry(trace=False)
-        assert tel.enabled and not tel.tracing
-        assert tel.metrics.enabled
+        assert not tel.tracing and not hasattr(tel, "enabled")
+        assert isinstance(tel.metrics, MetricsRegistry)
+
+    def test_metrics_are_on_without_asking(self):
+        """A bare platform's read-through children are its counters."""
+        platform = ZenPlatform(Topology.ring(3)).start()
+        platform.ping_all(count=1, settle=2.0)
+        registry = platform.telemetry.metrics
+        assert platform.telemetry is platform.sim.telemetry
+        moved = 0
+        for link in platform.net.links:
+            for direction in (link._ab, link._ba):
+                assert registry.get("link_tx_packets_total",
+                                    direction.name) == direction.tx_packets
+                moved += direction.tx_packets
+        for dp in platform.net.switches.values():
+            assert registry.get("switch_rx_packets_total",
+                                dp.dpid) == dp.packets_received
+            for table in dp.tables:
+                assert registry.get("table_lookups_total", dp.dpid,
+                                    table.table_id) == table.lookup_count
+            moved += dp.packets_received
+        assert moved > 0
+
+    def test_every_layer_reads_the_kernels_plane(self):
+        """One plane per kernel: no layer builds or is handed its own."""
+        tel = Telemetry(trace=True)
+        platform = ZenPlatform(Topology.ring(3), controllers=2,
+                               telemetry=tel)
+        net = platform.net
+        assert platform.telemetry is net.telemetry is net.sim.telemetry \
+            is tel
+        assert all(dp.telemetry is tel for dp in net.switches.values())
+        assert all(node.telemetry is tel
+                   for node in platform.cluster.controllers)
+        assert platform.cluster.tracer is tel.tracer
+
+    def test_unnamed_channels_own_distinct_series(self):
+        from repro.sim import Simulator
+        from repro.southbound.channel import ControlChannel
+
+        sim = Simulator()
+        first, second = ControlChannel(sim), ControlChannel(sim)
+        first.connect()
+        second.connect()
+        second.disconnect()
+        reg = sim.telemetry.metrics
+        assert reg.get("channel_transitions_total", "channel1",
+                       "connect") == 1
+        assert reg.get("channel_transitions_total", "channel2",
+                       "disconnect") == 1
+        assert first.name == second.name == ""
 
 
 # ----------------------------------------------------------------------
@@ -338,15 +383,14 @@ class TestDeterminism:
         assert _flow_setup_fingerprint(None) == _flow_setup_fingerprint(None)
 
     def test_telemetry_never_perturbs_the_simulation(self):
-        """Enabling the full plane must not change a single sim observable.
+        """Tracing must not change a single sim observable.
 
         This is the overhead/benchmark invariant: telemetry never
         schedules events and never draws from the kernel RNG, so the E1
-        flow-setup run is bit-identical with it on, off, or explicitly
-        disabled.
+        flow-setup run is bit-identical with tracing on or off.
         """
         baseline = _flow_setup_fingerprint(None)
-        assert _flow_setup_fingerprint(Telemetry(enabled=False)) == baseline
+        assert _flow_setup_fingerprint(Telemetry()) == baseline
         assert _flow_setup_fingerprint(Telemetry(trace=True)) == baseline
 
     def test_identical_seeds_identical_telemetry_output(self):
@@ -363,8 +407,17 @@ class TestDeterminism:
 # Retention bounds and cardinality guards (the obs-plane satellites)
 # ----------------------------------------------------------------------
 class TestTracerSpanRing:
-    def test_span_total_stays_bounded(self):
-        tracer = Tracer(max_traces=1000, max_spans=50)
+    @pytest.fixture
+    def ring(self, monkeypatch):
+        """A tracer whose span ring holds ``spans``."""
+        def build(spans: int) -> Tracer:
+            monkeypatch.setattr("repro.telemetry.trace.MAX_TRACES", 1000)
+            monkeypatch.setattr("repro.telemetry.trace.MAX_SPANS", spans)
+            return Tracer()
+        return build
+
+    def test_span_total_stays_bounded(self, ring):
+        tracer = ring(50)
         for i in range(100):
             tid = tracer.start_trace(f"pkt-{i}")
             for j in range(3):
@@ -372,8 +425,8 @@ class TestTracerSpanRing:
         assert tracer._span_total <= 50
         assert tracer.dropped_spans == 300 - tracer._span_total
 
-    def test_oldest_traces_evicted_first(self):
-        tracer = Tracer(max_traces=1000, max_spans=10)
+    def test_oldest_traces_evicted_first(self, ring):
+        tracer = ring(10)
         first = tracer.start_trace("first")
         for _ in range(5):
             tracer.record(first, "span", "switch")
@@ -385,8 +438,8 @@ class TestTracerSpanRing:
         assert first not in tracer._spans
         assert all(tid in tracer._spans for tid in later[1:])
 
-    def test_live_trace_survives_even_when_oldest(self):
-        tracer = Tracer(max_traces=1000, max_spans=4)
+    def test_live_trace_survives_even_when_oldest(self, ring):
+        tracer = ring(4)
         tid = tracer.start_trace("huge")
         for i in range(10):
             tracer.record(tid, f"s{i}", "switch")
@@ -395,8 +448,8 @@ class TestTracerSpanRing:
         assert len(tracer._spans[tid]) == 10
         assert tracer.dropped_spans == 0
 
-    def test_on_drop_reports_eviction_sizes(self):
-        tracer = Tracer(max_traces=1000, max_spans=4)
+    def test_on_drop_reports_eviction_sizes(self, ring):
+        tracer = ring(4)
         drops = []
         tracer.on_drop = drops.append
         for i in range(4):
@@ -405,8 +458,9 @@ class TestTracerSpanRing:
             tracer.record(tid, "b", "switch")
         assert sum(drops) == tracer.dropped_spans > 0
 
-    def test_telemetry_wires_drop_counter(self):
-        telemetry = Telemetry(trace=True, max_spans=4)
+    def test_telemetry_wires_drop_counter(self, monkeypatch):
+        monkeypatch.setattr("repro.telemetry.trace.MAX_SPANS", 4)
+        telemetry = Telemetry(trace=True)
         for i in range(4):
             tid = telemetry.tracer.start_trace(f"t{i}")
             telemetry.tracer.record(tid, "a", "switch")
@@ -442,11 +496,18 @@ class TestHistogramQuantiles:
         assert hist.snapshot()["quantiles"]["p99"] is None
 
 
+def _capped_registry(cap: int) -> MetricsRegistry:
+    """A registry built while the label-set cap reads ``cap``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("repro.telemetry.registry.MAX_LABEL_SETS", cap)
+        return MetricsRegistry()
+
+
 class TestLabelCardinalityGuard:
     def test_overflow_collapses_into_sentinel_child(self):
         from repro.telemetry.registry import OVERFLOW_LABEL
 
-        registry = MetricsRegistry(max_label_sets=4)
+        registry = _capped_registry(4)
         family = registry.counter("hits_total", "test", ("path",))
         for i in range(10):
             family.labels(f"/page/{i}").inc()
@@ -457,7 +518,7 @@ class TestLabelCardinalityGuard:
         assert sentinel.value == 6.0
 
     def test_existing_children_still_resolve_after_overflow(self):
-        registry = MetricsRegistry(max_label_sets=2)
+        registry = _capped_registry(2)
         family = registry.counter("hits_total", "test", ("path",))
         a = family.labels("/a")
         family.labels("/b")
@@ -465,7 +526,7 @@ class TestLabelCardinalityGuard:
         assert family.labels("/a") is a
 
     def test_overflow_counter_counts_redirected_calls(self):
-        registry = MetricsRegistry(max_label_sets=2)
+        registry = _capped_registry(2)
         family = registry.counter("hits_total", "test", ("path",))
         for i in range(6):
             family.labels(f"/{i}").inc()
@@ -474,7 +535,7 @@ class TestLabelCardinalityGuard:
         assert overflow.labels("hits_total").value == 4.0
 
     def test_zero_label_families_never_overflow(self):
-        registry = MetricsRegistry(max_label_sets=1)
+        registry = _capped_registry(1)
         registry.counter("a_total", "t").inc()
         registry.gauge("b", "t").set(1)
         assert registry.counter("a_total", "t").value == 1.0
@@ -573,9 +634,7 @@ class TestReadThroughChildren:
         from repro.southbound.messages import EchoRequest
 
         sim = Simulator()
-        tel = Telemetry()
-        channel = ControlChannel(sim, latency=0.010, telemetry=tel,
-                                 name="s1")
+        channel = ControlChannel(sim, latency=0.010, name="s1")
         channel.connect()  # no handler on either end: nothing replies
         for end, retries in ((channel.controller_end, 2),
                              (channel.switch_end, 1)):
@@ -585,7 +644,7 @@ class TestReadThroughChildren:
         channel.switch_end.send(EchoRequest(b"doomed"))
         channel.disconnect()
         sim.run_until_idle()
-        reg = tel.metrics
+        reg = sim.telemetry.metrics
         assert reg.get("channel_request_retries_total", "s1") == 3
         assert reg.get("channel_request_failures_total", "s1") == 2
         assert reg.get("channel_dropped_total", "s1") == 1
@@ -631,12 +690,3 @@ class TestReadThroughChildren:
         registry.gauge("pushed", "t").set(1.0)  # minted by asking for it
         with pytest.raises(ValueError):
             registry.gauge("pushed", "t", ()).bind((), lambda: 2.0)
-
-    def test_null_registry_accepts_bind_and_exports_nothing(self):
-        from repro.telemetry.registry import NULL_REGISTRY
-
-        family = NULL_REGISTRY.counter("owned_total", "t", ("who",))
-        assert family.bind(("me",), lambda: 1) is None
-        NULL_REGISTRY.gauge("depth", "t", ()).bind((), lambda: 1.0)
-        assert NULL_REGISTRY.snapshot() == {}
-        assert NULL_REGISTRY.get("owned_total", "me") is None

@@ -6,8 +6,8 @@ Layers of coverage:
   ``end_span``, foreign adoption) and the critical-path walk;
 * the stash leak + cross-epoch adoption fixes on the control channel;
 * tracer eviction pressure surfaced end-to-end through the registry;
-* trace lists merged across per-shard tracers, the flight recorder's
-  triggered dumps, and the ``traces`` section of a saved run artifact;
+* trace lists merged across per-shard tracers, and the ``traces``
+  section of a saved run artifact;
 * the acceptance criteria: a sharded run and a clustered fault run
   each produce one merged artifact whose critical path crosses the
   shard/controller boundary, with the dataplane bit-identical whether
@@ -26,7 +26,6 @@ from repro.errors import ZenError
 from repro.obs import RunArtifact, load_artifact
 from repro.telemetry import Telemetry, Tracer
 from repro.telemetry.export import render_critical_path, render_tree
-from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.artifact import (
     SHARD_ID_STRIDE,
     critical_path,
@@ -75,8 +74,10 @@ class TestSpanTree:
         tr.end_span(tid, sid, end=2.0)
         assert tr.spans(tid)[0].end == 2.0
 
-    def test_adopt_foreign_bypasses_sampler_but_honours_cap(self):
-        tr = Tracer(sample_every=1000, max_traces=2)
+    def test_adopt_foreign_bypasses_sampler_but_honours_cap(
+            self, monkeypatch):
+        monkeypatch.setattr("repro.telemetry.trace.MAX_TRACES", 2)
+        tr = Tracer(sample_every=1000)
         assert tr.adopt_foreign(SHARD_ID_STRIDE + 7)
         assert tr.adopt_foreign(SHARD_ID_STRIDE + 7)  # idempotent
         assert tr.record(SHARD_ID_STRIDE + 7, "rx", "shard") is not None
@@ -84,14 +85,15 @@ class TestSpanTree:
         assert not tr.adopt_foreign(SHARD_ID_STRIDE + 9)  # full
         assert tr.dropped == 1
 
-    def test_on_span_hook_sees_every_span(self):
-        tr = Tracer()
-        seen = []
-        tr.on_span = seen.append
-        tid = tr.start_trace()
-        tr.record(tid, "a", "host")
-        tr.record(tid, "b", "link")
-        assert [s.name for s in seen] == ["a", "b"]
+    def test_spans_recorded_counts_evicted_spans_too(self, monkeypatch):
+        monkeypatch.setattr("repro.telemetry.trace.MAX_SPANS", 2)
+        tr = Tracer(id_base=SHARD_ID_STRIDE)
+        for label in ("a", "b", "c"):
+            tid = tr.start_trace(label)
+            tr.record(tid, "x", "host")
+            tr.record(tid, "y", "link")
+        assert tr.spans_recorded == 6
+        assert tr.dropped_spans == 4
 
 
 # ----------------------------------------------------------------------
@@ -330,10 +332,12 @@ class TestStashScope:
 
 
 class TestEvictionThroughOpenMetrics:
-    def test_dropped_spans_surface_in_the_export(self):
+    def test_dropped_spans_surface_in_the_export(self, monkeypatch):
         """Retention pressure must be visible end-to-end — tracer
         counters AND the registry's dropped-spans counter."""
-        tel = Telemetry(trace=True, max_traces=4, max_spans=24)
+        monkeypatch.setattr("repro.telemetry.trace.MAX_TRACES", 4)
+        monkeypatch.setattr("repro.telemetry.trace.MAX_SPANS", 24)
+        tel = Telemetry(trace=True)
         platform = _reactive_platform(tel).start()
         assert platform.ping_all(count=2, settle=8.0) > 0
         tracer = tel.tracer
@@ -373,89 +377,6 @@ class TestControlPlaneSpanTree:
         installs = [s for s in spans if s.name == "flow.install"]
         assert installs
         assert all(s.parent in app_ids for s in installs)
-
-
-# ----------------------------------------------------------------------
-# Flight recorder
-# ----------------------------------------------------------------------
-class TestFlightRecorder:
-    def _tel(self):
-        return Telemetry(trace=True)
-
-    def test_rings_are_bounded_per_stage(self):
-        tel = self._tel()
-        rec = FlightRecorder(tel, capacity=4)
-        tid = tel.tracer.start_trace("t")
-        for i in range(10):
-            tel.tracer.record(tid, f"s{i}", "host")
-        assert len(rec.rings["host"]) == 4
-        assert rec.spans_seen == 10
-        dump = rec.snapshot()
-        assert span_count(dump["traces"]) == 4  # only the ring tail
-
-    def test_trigger_captures_and_max_dumps_suppresses(self):
-        tel = self._tel()
-        rec = FlightRecorder(tel, max_dumps=2)
-        tid = tel.tracer.start_trace("t")
-        tel.tracer.record(tid, "a", "host")
-        assert rec.trigger("violation", "x", 1.0) is not None
-        assert rec.trigger("alert", "y", 2.0) is not None
-        assert rec.trigger("alert", "z", 3.0) is None
-        assert len(rec.dumps) == 2
-        assert rec.dumps_suppressed == 1
-        assert rec.dumps[0]["triggers"][0]["kind"] == "violation"
-
-    def test_monitor_violation_triggers_a_dump(self):
-        """An invariant going red dumps the rings, after any hook
-        already on ``on_record``."""
-        from repro.check import InvariantMonitor
-
-        tel = self._tel()
-        platform = _reactive_platform(tel).start()
-        rec = FlightRecorder(tel)
-        monitor = InvariantMonitor(platform.net)
-        seen = []
-        monitor.on_record.append(seen.append)     # pre-existing hook
-        rec.watch_monitor(monitor)
-        platform.ping_all(count=1, settle=8.0)
-        # Poison the dataplane: plant a high-priority flow out a link,
-        # fail that link, recheck before the control plane can react —
-        # dead-port blackhole, red verdict.
-        from repro.dataplane import FlowEntry, Match, Output
-
-        net = platform.net
-        net.switches["s1"].install_flow(FlowEntry(
-            Match(eth_dst=net.hosts["h2"].mac),
-            [Output(net.port_of("s1", "s2"))], priority=900))
-        net.fail_link("s1", "s2")
-        result = monitor.recheck("test-poison")
-        assert not result.ok
-        assert rec.dumps, "red verdict did not dump the rings"
-        assert rec.dumps[0]["triggers"][0]["kind"] == "violation"
-        assert seen, "earlier hook was replaced, not kept"
-
-    def test_dump_orders_spans_as_merge_does(self):
-        """A dump and a merge of the same spans are one grouping: same
-        traces, same labels, spans in ``(start, span_id)`` order."""
-        tel = self._tel()
-        platform = _reactive_platform(tel)
-        rec = FlightRecorder(tel, capacity=100_000)
-        platform.start().ping_all(count=1, settle=8.0)
-        assert tel.tracer.dropped_spans == 0, "vacuous: tracer evicted"
-        merged = merge([tracer_traces(tel.tracer)])
-        assert span_count(merged) > 50
-        assert rec.snapshot()["traces"] == merged
-
-    def test_snapshot_is_deterministic(self):
-        def build():
-            tel = self._tel()
-            rec = FlightRecorder(tel)
-            tid = tel.tracer.start_trace("t")
-            tel.tracer.record(tid, "a", "host")
-            tel.tracer.record(tid, "b", "link")
-            return canonical_digest(rec.snapshot())
-
-        assert build() == build()
 
 
 # ----------------------------------------------------------------------
@@ -556,7 +477,7 @@ class TestClusterHandoverTrace:
 
     def test_cluster_dataplane_bit_identical_with_tracing(self):
         """Acceptance: seeded clustered fault runs are bit-identical
-        with the trace plane on, off, or telemetry disabled."""
+        with the trace plane on or off."""
         from repro.core import dataplane_digest
 
         def digest(tel):
@@ -565,7 +486,6 @@ class TestClusterHandoverTrace:
 
         base = digest(None)
         assert digest(Telemetry(trace=True)) == base
-        assert digest(Telemetry(enabled=False)) == base
 
 
 # ----------------------------------------------------------------------
@@ -651,11 +571,11 @@ class TestTraceCLI:
         assert "attribution" in out
 
     def test_cluster_dump_then_critical_path(self, tmp_path, capsys):
-        """The CI smoke path: clustered fault run, triggered
-        flight-recorder dump, offline critical-path analysis."""
+        """The CI smoke path: clustered fault run traced into its run
+        document, offline critical-path analysis."""
         out_path = tmp_path / "cluster-trace.json"
         code = cli_main(["run", "--controllers", "3",
-                         "--fault", "controller", "--flight",
+                         "--fault", "controller", "--trace",
                          "--duration", "2.5",
                          "--out", str(out_path)])
         capsys.readouterr()
@@ -665,7 +585,6 @@ class TestTraceCLI:
                          "--tree"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "trigger: alert at t=" in out and "(convergence)" in out
         assert "fault.controller_crash" in out
         assert "bus.death_detect" in out
         assert "critical path of trace" in out
