@@ -27,22 +27,19 @@ class ArpProxy(App):
 
     name = "arp-proxy"
 
-    def __init__(self, host_tracker: Optional[HostTracker] = None,
-                 discovery: Optional[TopologyDiscovery] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._tracker = host_tracker
-        self._discovery = discovery
+        self._tracker: Optional[HostTracker] = None
+        self._discovery: Optional[TopologyDiscovery] = None
         self.replies_sent = 0
         self.misses = 0
 
     def start(self, controller) -> None:
         super().start(controller)
-        if self._tracker is None:
-            self._tracker = controller.get_app(HostTracker)
+        self._tracker = controller.get_app(HostTracker)
         if self._tracker is None:
             raise ControllerError("ArpProxy needs a HostTracker app")
-        if self._discovery is None:
-            self._discovery = controller.get_app(TopologyDiscovery)
+        self._discovery = controller.get_app(TopologyDiscovery)
 
     def knows(self, ip: IPv4Address) -> bool:
         return self._tracker.lookup_ip(ip) is not None

@@ -66,21 +66,18 @@ class ProtectedPairs(App):
 
     name = "protected-pairs"
 
-    def __init__(self, discovery: Optional[TopologyDiscovery] = None,
-                 host_tracker: Optional[HostTracker] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._discovery = discovery
-        self._tracker = host_tracker
+        self._discovery: Optional[TopologyDiscovery] = None
+        self._tracker: Optional[HostTracker] = None
         self._paths: Optional[PathService] = None
         self.pairs: Dict[int, ProtectedPair] = {}
         self._next_group: Dict[int, int] = {}
 
     def start(self, controller) -> None:
         super().start(controller)
-        if self._discovery is None:
-            self._discovery = controller.get_app(TopologyDiscovery)
-        if self._tracker is None:
-            self._tracker = controller.get_app(HostTracker)
+        self._discovery = controller.get_app(TopologyDiscovery)
+        self._tracker = controller.get_app(HostTracker)
         if self._discovery is None or self._tracker is None:
             raise ControllerError(
                 "ProtectedPairs needs TopologyDiscovery and HostTracker"

@@ -62,8 +62,6 @@ class LoadBalancer(App):
         table_id: int = 0,
         next_table: int = 1,
         idle_timeout: float = 10.0,
-        host_tracker: Optional[HostTracker] = None,
-        discovery: Optional[TopologyDiscovery] = None,
     ) -> None:
         if mode not in ("round_robin", "hash"):
             raise ControllerError(f"unknown balancing mode {mode!r}")
@@ -77,8 +75,8 @@ class LoadBalancer(App):
         self.table_id = table_id
         self.next_table = next_table
         self.idle_timeout = idle_timeout
-        self._tracker = host_tracker
-        self._discovery = discovery
+        self._tracker: Optional[HostTracker] = None
+        self._discovery: Optional[TopologyDiscovery] = None
         self._rr_index = 0
         #: backend ip -> connections assigned (benchmark E6 reads this).
         self.assignments: Dict[IPv4Address, int] = {
@@ -89,16 +87,14 @@ class LoadBalancer(App):
 
     def start(self, controller) -> None:
         super().start(controller)
-        if self._tracker is None:
-            self._tracker = controller.get_app(HostTracker)
+        self._tracker = controller.get_app(HostTracker)
         if self._tracker is None:
             raise ControllerError("LoadBalancer needs a HostTracker app")
         # The virtual MAC must never be mistaken for a host, or routing
         # apps will install blackhole rules toward wherever a rewritten
         # packet was last punted.
         self._tracker.exclude_mac(self.vmac)
-        if self._discovery is None:
-            self._discovery = controller.get_app(TopologyDiscovery)
+        self._discovery = controller.get_app(TopologyDiscovery)
 
     def on_switch_enter(self, switch: SwitchHandle) -> None:
         # Traffic not aimed at the VIP just continues to forwarding.

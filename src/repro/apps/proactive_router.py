@@ -44,14 +44,12 @@ class ProactiveRouter(App):
 
     def __init__(
         self,
-        discovery: Optional[TopologyDiscovery] = None,
-        host_tracker: Optional[HostTracker] = None,
         priority: int = 200,
         table_id: int = 0,
     ) -> None:
         super().__init__()
-        self._discovery = discovery
-        self._tracker = host_tracker
+        self._discovery: Optional[TopologyDiscovery] = None
+        self._tracker: Optional[HostTracker] = None
         self.priority = priority
         self.table_id = table_id
         self._rebuild_pending = False
@@ -60,10 +58,8 @@ class ProactiveRouter(App):
 
     def start(self, controller) -> None:
         super().start(controller)
-        if self._discovery is None:
-            self._discovery = controller.get_app(TopologyDiscovery)
-        if self._tracker is None:
-            self._tracker = controller.get_app(HostTracker)
+        self._discovery = controller.get_app(TopologyDiscovery)
+        self._tracker = controller.get_app(HostTracker)
         if self._discovery is None or self._tracker is None:
             raise ControllerError(
                 "ProactiveRouter needs TopologyDiscovery and HostTracker"

@@ -207,8 +207,6 @@ class TrafficEngineering(App):
         table_id: int = 0,
         strategy: str = "greedy",
         admit_all: bool = True,
-        discovery: Optional[TopologyDiscovery] = None,
-        host_tracker: Optional[HostTracker] = None,
     ) -> None:
         if strategy not in ("greedy", "ecmp", "spf"):
             raise ControllerError(f"unknown TE strategy {strategy!r}")
@@ -219,8 +217,8 @@ class TrafficEngineering(App):
         self.table_id = table_id
         self.strategy = strategy
         self.admit_all = admit_all
-        self._discovery = discovery
-        self._tracker = host_tracker
+        self._discovery: Optional[TopologyDiscovery] = None
+        self._tracker: Optional[HostTracker] = None
         self._paths: Optional[PathService] = None
         self.demands: List[Demand] = []
         self.last_result: Optional[PlacementResult] = None
@@ -228,10 +226,8 @@ class TrafficEngineering(App):
 
     def start(self, controller) -> None:
         super().start(controller)
-        if self._discovery is None:
-            self._discovery = controller.get_app(TopologyDiscovery)
-        if self._tracker is None:
-            self._tracker = controller.get_app(HostTracker)
+        self._discovery = controller.get_app(TopologyDiscovery)
+        self._tracker = controller.get_app(HostTracker)
         if self._discovery is None or self._tracker is None:
             raise ControllerError(
                 "TrafficEngineering needs TopologyDiscovery and HostTracker"

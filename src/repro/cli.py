@@ -84,6 +84,10 @@ def _fault_dicts(args, topo: Topology) -> List[dict]:
             f"a {args.fault} fault needs a cluster; pass --controllers >= 2"
         )
     _at_least_one(args, "cycles")
+    if args.cycles > 1 and args.period <= args.down_for:
+        raise ZenError(f"--period ({args.period}) must exceed --down-for "
+                       f"({args.down_for}): a cycle must end before the "
+                       f"next one starts")
     switches = sorted(node.name for node in topo.switches)
     target = args.target or switches[0]
     if target not in switches:

@@ -6,13 +6,13 @@ host locations, mastership terms) over this bus.  It is deliberately an
 traffic in ONOS-style clusters rides a datacenter fabric whose latency
 is orders of magnitude below the probe intervals and fault timescales
 this platform measures, so replication is delivered synchronously and
-only *failure detection* takes simulated time (``detect_delay``).
+only *failure detection* takes simulated time (:data:`DETECT_DELAY`).
 
 Failure-model doctrine (documented because the quorum math depends on
 it):
 
 * **Crashes are detected as crashes.**  A crashed member is removed
-  from every survivor's quorum denominator after ``detect_delay`` —
+  from every survivor's quorum denominator after :data:`DETECT_DELAY` —
   the perfect-failure-detector assumption, as if an out-of-band
   management network reported the process death.
 * **Partitions are detected as unreachability.**  A partitioned peer
@@ -30,7 +30,11 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional
 
-__all__ = ["EastWestBus"]
+__all__ = ["EastWestBus", "DETECT_DELAY"]
+
+#: Seconds between a membership event and survivors noticing, read
+#: when a bus is built.
+DETECT_DELAY = 0.05
 
 
 class EastWestBus:
@@ -40,10 +44,9 @@ class EastWestBus:
     kind, payload)`` and ``on_membership_change()``.
     """
 
-    def __init__(self, sim, detect_delay: float = 0.05) -> None:
+    def __init__(self, sim) -> None:
         self.sim = sim
-        #: Seconds between a membership event and survivors noticing.
-        self.detect_delay = detect_delay
+        self.detect_delay = DETECT_DELAY
         self.nodes: Dict[int, object] = {}
         #: Members whose process is up (crash removes, restart re-adds).
         self.alive: set = set()

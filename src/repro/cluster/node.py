@@ -493,13 +493,12 @@ class ControllerCluster:
     """
 
     def __init__(self, sim, size: int, seed: int = 0,
-                 detect_delay: float = 0.05,
                  packet_in_service_time: float = 0.0) -> None:
         if size < 1:
             raise ValueError(f"cluster size must be >= 1, got {size}")
         self.sim = sim
         self.seed = seed
-        self.bus = EastWestBus(sim, detect_delay=detect_delay)
+        self.bus = EastWestBus(sim)
         self.dpids: List[int] = []
         self.controllers: List[ClusterController] = []
         self.handover_log: List[HandoverRecord] = []

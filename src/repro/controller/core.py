@@ -162,22 +162,19 @@ class SwitchHandle:
         """Run ``actions`` on a frame at the switch: the frame it parked
         under ``buffer_id`` (``packet`` is then only the controller's
         view of it and is not sent), else ``packet``'s bytes."""
-        if buffer_id == NO_BUFFER:
-            data = stash_key = packet.encode()
-        else:
-            data, stash_key = b"", buffer_id
+        data = packet.encode() if buffer_id == NO_BUFFER else b""
+        msg = PacketOut(in_port, actions, data, buffer_id)
         ctx = self.controller._trace_ctx
         if ctx is None:
             ctx = packet.trace_id
         if ctx is not None:
-            tracer = self.controller.telemetry.tracer
-            tracer.record(ctx, "packet.out", "controller", dpid=self.dpid,
-                          parent=self.controller._trace_span)
-            # Stash so the switch agent re-adopts after deserialisation;
-            # scoped to the channel so an epoch bump prunes the entry.
-            tracer.stash(("packet_out", self.dpid, stash_key), ctx,
-                         scope=self.endpoint._channel)
-        self.send(PacketOut(in_port, actions, data, buffer_id))
+            controller = self.controller
+            controller.telemetry.tracer.record(
+                ctx, "packet.out", "controller", dpid=self.dpid,
+                parent=controller._trace_span)
+            # The switch agent re-attaches the id after decoding.
+            msg._trace = (ctx, controller.sim.now)
+        self.send(msg)
 
     def barrier(self, callback: Optional[Callable[[], None]] = None) -> None:
         """Request a barrier; ``callback`` fires when the reply lands.
@@ -494,12 +491,7 @@ class Controller:
             return
         handle = self._endpoint_switch.get(endpoint)
         if handle is None:
-            # Pre-handshake noise.  Nobody will dispatch a punt that
-            # lands here, so take its trace id out of the stash.
-            if isinstance(msg, PacketIn) and self.telemetry.tracing:
-                self.telemetry.tracer.adopt(
-                    ("packet_in", msg.in_port, msg.data))
-            return
+            return  # pre-handshake noise
         if isinstance(msg, PacketIn):
             self._enqueue_packet_in(handle, msg)
         elif isinstance(msg, FlowRemoved):
@@ -702,15 +694,12 @@ class Controller:
         arrival = self.sim.now
         trace_id = None
         trace_parent = None
-        if self.telemetry.tracing:
-            trace_id, sent_at = self.telemetry.tracer.adopt(
-                ("packet_in", msg.in_port, msg.data)
+        if msg._trace is not None:
+            trace_id, sent_at = msg._trace
+            trace_parent = self.telemetry.tracer.record(
+                trace_id, "channel.packet_in", "channel",
+                start=sent_at, end=arrival, dpid=handle.dpid,
             )
-            if trace_id is not None:
-                trace_parent = self.telemetry.tracer.record(
-                    trace_id, "channel.packet_in", "channel",
-                    start=sent_at, end=arrival, dpid=handle.dpid,
-                )
         if self.packet_in_service_time <= 0:
             self._process_packet_in(handle, msg, arrival, trace_id,
                                     trace_parent)

@@ -49,10 +49,9 @@ class HostTracker(App):
 
     name = "hosttracker"
 
-    def __init__(self,
-                 discovery: Optional[TopologyDiscovery] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._discovery = discovery
+        self._discovery: Optional[TopologyDiscovery] = None
         self.hosts_by_mac: Dict[MACAddress, HostEntry] = {}
         self.hosts_by_ip: Dict[IPv4Address, HostEntry] = {}
         #: MACs that must never be tracked as hosts (virtual addresses
@@ -61,8 +60,7 @@ class HostTracker(App):
 
     def start(self, controller) -> None:
         super().start(controller)
-        if self._discovery is None:
-            self._discovery = controller.get_app(TopologyDiscovery)
+        self._discovery = controller.get_app(TopologyDiscovery)
 
     # ------------------------------------------------------------------
     # Learning

@@ -79,11 +79,10 @@ class IntentService(App):
 
     name = "intents"
 
-    def __init__(self, discovery: Optional[TopologyDiscovery] = None,
-                 host_tracker: Optional[HostTracker] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self._discovery = discovery
-        self._tracker = host_tracker
+        self._discovery: Optional[TopologyDiscovery] = None
+        self._tracker: Optional[HostTracker] = None
         self._paths: Optional[PathService] = None
         self.intents: Dict[int, Intent] = {}
         #: Running count of recompilations caused by topology churn.
@@ -94,10 +93,8 @@ class IntentService(App):
 
     def start(self, controller) -> None:
         super().start(controller)
-        if self._discovery is None:
-            self._discovery = controller.get_app(TopologyDiscovery)
-        if self._tracker is None:
-            self._tracker = controller.get_app(HostTracker)
+        self._discovery = controller.get_app(TopologyDiscovery)
+        self._tracker = controller.get_app(HostTracker)
         if self._discovery is None or self._tracker is None:
             raise IntentError(
                 "IntentService needs TopologyDiscovery and HostTracker"

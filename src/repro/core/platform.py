@@ -100,9 +100,7 @@ class ZenPlatform:
         :class:`~repro.cluster.node.ControllerCluster` of N instances,
         one channel per (switch, instance), initial mastership agreed
         by the rendezvous election (``1`` is the differential oracle).
-        ``controller``/``discovery``/… then name node 0's.
-    detect_delay:
-        Cluster only: east-west death-detection delay.  The
+        ``controller``/``discovery``/… then name node 0's.  The
         rendezvous-hash election is seeded with ``seed``.
     """
 
@@ -123,7 +121,6 @@ class ZenPlatform:
         telemetry=None,
         fast_path: bool = True,
         controllers: Optional[int] = None,
-        detect_delay: float = 0.05,
     ) -> None:
         if profile not in _PROFILES:
             raise ControllerError(
@@ -162,7 +159,6 @@ class ZenPlatform:
             self.cluster = ControllerCluster(
                 self.net.sim, controllers,
                 seed=seed,
-                detect_delay=detect_delay,
                 packet_in_service_time=packet_in_service_time,
             )
             nodes = self.cluster.controllers

@@ -104,7 +104,7 @@ class FaultSchedule:
                   period: float, count: int = 1) -> "FaultSchedule":
         """``count`` down/up cycles: down at ``start + k*period`` for
         ``down_for`` seconds each."""
-        self._check_flap(down_for, period, count)
+        _check_flap(down_for, period, count)
         for k in range(count):
             t = start + k * period
             self.link_down(t, a, b)
@@ -129,7 +129,7 @@ class FaultSchedule:
     def channel_flap(self, start: float, switch: str, down_for: float,
                      period: float, count: int = 1) -> "FaultSchedule":
         """``count`` disconnect/reconnect cycles on one control channel."""
-        self._check_flap(down_for, period, count)
+        _check_flap(down_for, period, count)
         for k in range(count):
             t = start + k * period
             self.channel_down(t, switch)
@@ -237,17 +237,6 @@ class FaultSchedule:
     # ------------------------------------------------------------------
     # Machinery
     # ------------------------------------------------------------------
-    def _check_flap(self, down_for: float, period: float,
-                    count: int) -> None:
-        if down_for <= 0:
-            raise TopologyError(f"down_for must be positive: {down_for}")
-        if period <= down_for:
-            raise TopologyError(
-                f"period ({period}) must exceed down_for ({down_for})"
-            )
-        if count < 1:
-            raise TopologyError(f"count must be >= 1: {count}")
-
     def _arm(self, at: float, kind: str, target: str, action) -> None:
         if at < self.sim.now:
             raise TopologyError(
@@ -286,6 +275,41 @@ class FaultSchedule:
         return f"<FaultSchedule {self.injected} injected>"
 
 
+def _check_flap(down_for: float, period: float, count: int) -> None:
+    if down_for <= 0:
+        raise TopologyError(f"down_for must be positive: {down_for}")
+    if period <= down_for:
+        raise TopologyError(
+            f"period ({period}) must exceed down_for ({down_for})"
+        )
+    if count < 1:
+        raise TopologyError(f"count must be >= 1: {count}")
+
+
+def _period(fault: dict) -> float:
+    """A flap dict's cycle spacing.  A lone cycle has no next cycle to
+    overlap, so its period is moot: hand the schedule one its overlap
+    check accepts."""
+    if fault["count"] > 1:
+        return fault["period"]
+    return max(fault["period"], 2 * fault["down_for"])
+
+
+def _check_timing(kind: str, fault: dict) -> None:
+    """Reject a timing no run can honour: a negative ``at``, a flap
+    that never comes up or overlaps its next cycle, a crash or
+    partition that recovers before (or as) it strikes."""
+    if fault["at"] < 0:
+        raise TopologyError(f"at must be >= 0: {fault['at']}")
+    if kind.endswith("_flap"):
+        _check_flap(fault["down_for"], _period(fault), fault["count"])
+        return
+    field = ("heal_after" if kind == "controller_partition"
+             else "restart_after")
+    if fault[field] <= 0:
+        raise TopologyError(f"{field} must be positive: {fault[field]}")
+
+
 def _arm_partition(schedule: FaultSchedule, at: float, fault: dict) -> None:
     minority = list(fault["minority"])
     rest = [n for n in range(schedule._require_cluster().size)
@@ -308,12 +332,12 @@ def _flap_end(fault: dict) -> float:
 _KINDS = {
     "link_flap": (
         lambda s, at, f: s.link_flap(
-            at, f["a"], f["b"], down_for=f["down_for"], period=f["period"],
+            at, f["a"], f["b"], down_for=f["down_for"], period=_period(f),
             count=f["count"]),
         _flap_end),
     "channel_flap": (
         lambda s, at, f: s.channel_flap(
-            at, f["switch"], down_for=f["down_for"], period=f["period"],
+            at, f["switch"], down_for=f["down_for"], period=_period(f),
             count=f["count"]),
         _flap_end),
     "switch_crash": (
@@ -361,17 +385,22 @@ def arm_faults(schedule: FaultSchedule, faults: List[dict],
             raise TopologyError(f"fault #{index} ({kind}): {exc}") from exc
 
 
-def fault_end(fault: dict) -> float:
+def fault_end(fault: dict, label: str = "fault") -> float:
     """When ``fault``'s last recovery fires, on the clock its ``at`` is
     on — what a run's length must cover for the fault to have healed.
 
-    Raises :class:`~repro.errors.TopologyError` for an unknown kind or
-    a missing field, as :func:`arm_faults` does.
+    Raises :class:`~repro.errors.TopologyError` naming ``label`` and
+    the kind, as :func:`arm_faults` does, for an unknown kind, a missing
+    field or a timing no run can honour — so a spec, which reads every
+    fault through here, fails before any simulated time.
     """
-    kind, (_, end) = _kind_entry(fault, "fault")
+    kind, (_, end) = _kind_entry(fault, label)
     try:
+        _check_timing(kind, fault)
         return end(fault)
     except KeyError as exc:
         raise TopologyError(
-            f"fault ({kind}): missing field {exc}"
+            f"{label} ({kind}): missing field {exc}"
         ) from exc
+    except TopologyError as exc:
+        raise TopologyError(f"{label} ({kind}): {exc}") from exc

@@ -248,14 +248,11 @@ class SwitchAgent:
 
     def _send_packet_in(self, packet: Packet, in_port: int, reason: str,
                         buffer_id: int) -> None:
-        data = packet.encode()
+        msg = PacketIn(in_port, reason, packet.encode(), buffer_id)
         if packet.trace_id is not None and self._tel.tracing:
-            # The trace id cannot ride the wire; stash it keyed by the
-            # encoded bytes and the controller adopts it on arrival.
-            # Valid because the channel is ordered and lossless.
-            self._tel.tracer.stash(("packet_in", in_port, data),
-                                   packet.trace_id, scope=self.channel)
-        self.endpoint.send(PacketIn(in_port, reason, data, buffer_id))
+            # The trace id cannot ride the wire: it crosses beside it.
+            msg._trace = (packet.trace_id, self.datapath.sim.now)
+        self.endpoint.send(msg)
 
     def buffer_stats(self) -> dict:
         """Packet-buffer counters of this agent's datapath (shared by
@@ -431,14 +428,6 @@ class SwitchAgent:
             self._send_error(msg, Error.BAD_REQUEST,
                              "packet-out names a buffer and carries data")
             return
-        tid = None
-        if self._tel.tracing:
-            # Claimed before the lookup: a refused packet-out must not
-            # leave its stash entry behind.
-            tid, sent_at = self._tel.tracer.adopt((
-                "packet_out", dp.dpid,
-                msg.data if by_value else msg.buffer_id,
-            ))
         if by_value:
             packet = Packet.decode(msg.data)
         else:
@@ -448,8 +437,9 @@ class SwitchAgent:
                 self._send_error(msg, Error.BUFFER_UNKNOWN,
                                  f"no live buffer {msg.buffer_id}")
                 return
-        if tid is not None:
+        if msg._trace is not None:
             # A parked frame kept this id; a decoded one needs it back.
+            tid, sent_at = msg._trace
             packet.trace_id = tid
             self._tel.tracer.record(
                 tid, "channel.packet_out", "channel",

@@ -14,6 +14,9 @@ across arbitrarily fast flaps.  Pending xid-correlated requests are
 failed explicitly on disconnect, and :meth:`ChannelEndpoint.request`
 supports timeout/retry with exponential backoff for callers that must
 survive a lossy control plane.
+
+A traced message's ``_trace`` rides the delivery event beside its bytes,
+so a message lost in a flap loses its trace with it.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class ChannelEndpoint:
             self._next_xid += 1
         wire = encode_message(msg)
         self.sent.record(msg, len(wire))
-        self._channel._deliver(self, wire)
+        self._channel._deliver(self, wire, msg._trace)
         return msg.xid
 
     def request(
@@ -186,8 +189,10 @@ class ChannelEndpoint:
         else:
             pending.callback(err)
 
-    def _receive(self, wire: bytes) -> None:
+    def _receive(self, wire: bytes, trace: Optional[tuple]) -> None:
         msg = decode_message(wire)
+        if trace is not None:
+            msg._trace = trace
         # Only genuine replies take part in xid correlation: both ends
         # assign xids independently, so an async event may coincide with
         # a pending request's xid without being its answer.
@@ -269,15 +274,6 @@ class ControlChannel:
         tel = sim.telemetry
         # A label set has one owner: unnamed channels get numbered ones.
         label = self._label = name or f"channel{sim.next_id('channel')}"
-        self._tracer = None
-        self._m_stash_pruned = None
-        if tel.tracing:
-            self._tracer = tel.tracer
-            self._m_stash_pruned = tel.metrics.counter(
-                "trace_stash_pruned_total",
-                "Stashed trace ids discarded at an epoch change",
-                ("channel",),
-            ).labels(label)
         # Everything the channel and its endpoints already count is read
         # through; only transitions are pushed (their ``event`` label is
         # known when one happens).
@@ -318,20 +314,6 @@ class ControlChannel:
         ).bind((label,), lambda: (switch_end.requests_failed
                                   + controller_end.requests_failed))
 
-    def _prune_stash(self) -> None:
-        """Evict trace ids stashed for frames this epoch change kills.
-
-        Any id stashed under this channel and not yet adopted belongs
-        to an in-flight frame that will be dropped on arrival (epoch
-        mismatch) — without pruning, those entries leak forever and a
-        later byte-identical frame could adopt a stale trace.
-        """
-        if self._tracer is None:
-            return
-        pruned = self._tracer.prune_scope(self)
-        if pruned:
-            self._m_stash_pruned.inc(pruned)
-
     def connect(self) -> None:
         """Bring the channel up and notify both endpoints."""
         if self.connected:
@@ -339,7 +321,6 @@ class ControlChannel:
         self.connected = True
         self.epoch += 1
         self.connects += 1
-        self._prune_stash()
         self._m_flaps.labels(self._label, "connect").inc()
         self.switch_end._connection_changed(True)
         self.controller_end._connection_changed(True)
@@ -350,7 +331,6 @@ class ControlChannel:
             return
         self.connected = False
         self.disconnects += 1
-        self._prune_stash()
         self._m_flaps.labels(self._label, "disconnect").inc()
         # A new connection starts with empty socket buffers: the old
         # serialisation backlog must not delay post-reconnect messages.
@@ -359,7 +339,8 @@ class ControlChannel:
         self.switch_end._connection_changed(False)
         self.controller_end._connection_changed(False)
 
-    def _deliver(self, sender: ChannelEndpoint, wire: bytes) -> None:
+    def _deliver(self, sender: ChannelEndpoint, wire: bytes,
+                 trace: Optional[tuple]) -> None:
         arrival_delay = self.latency
         if self.bandwidth_bps:
             now = self.sim.now
@@ -368,17 +349,17 @@ class ControlChannel:
             self._busy_until[sender] = depart
             arrival_delay += depart - now
         self.sim.schedule(arrival_delay, self._arrive, sender.peer, wire,
-                          self.epoch)
+                          self.epoch, trace)
 
     def _arrive(self, receiver: ChannelEndpoint, wire: bytes,
-                epoch: int) -> None:
+                epoch: int, trace: Optional[tuple]) -> None:
         # Epoch check, not just `connected`: a message sent before a
         # disconnect must stay lost even if the channel reconnected
         # before the arrival event fired.
         if not self.connected or epoch != self.epoch:
             self.messages_dropped += 1
-            return  # lost in the disconnect
-        receiver._receive(wire)
+            return  # lost in the disconnect, trace id and all
+        receiver._receive(wire, trace)
 
     def total_stats(self) -> dict:
         """Combined both-direction counters (benchmark E9 reads this)."""

@@ -92,6 +92,10 @@ class Message:
 
     TYPE: ClassVar[int] = -1
     xid: int = 0
+    #: ``(trace_id, sent_at)`` of a traced message.  It crosses the
+    #: channel beside the bytes, never in them: the leading underscore
+    #: keeps it out of :meth:`fields`, equality and ``repr``.
+    _trace: Optional[Tuple[int, float]] = None
 
     def encode_body(self) -> bytes:
         return b""

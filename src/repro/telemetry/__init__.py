@@ -65,10 +65,9 @@ class Telemetry:
     The metrics registry is always there.  ``trace`` is off unless
     asked for: a caller that reads spans (``repro run --trace``, E18, a
     shard worker of a traced sharded run) passes ``trace=True``;
-    everyone else gets :data:`NULL_TRACER`, so no hop records, stashes
-    or adopts a span and the two tracer-only families
-    (``telemetry_trace_dropped_spans_total``,
-    ``trace_stash_pruned_total``) never exist.
+    everyone else gets :data:`NULL_TRACER`, so no hop records a span
+    and the tracer-only family ``telemetry_trace_dropped_spans_total``
+    never exists.
     """
 
     def __init__(self, trace: bool = False, trace_sample_every: int = 1,

@@ -10,10 +10,10 @@ with *simulated* time, so a trace is a causal latency breakdown of one
 packet and is bit-identical across runs with the same seed.
 
 Crossing the control channel re-serialises the frame, which strips any
-in-memory attribute.  The tracer bridges that gap with a stash/adopt
-pair: the sender stashes the trace id under a key derived from the wire
-bytes, and the receiver adopts it after decoding.  Channels are ordered
-and lossless, so FIFO adoption per key is exact.
+in-memory attribute, so the trace id crosses *beside* the bytes: the
+sender sets ``(trace_id, sent_at)`` as the message's ``_trace``, the
+channel's delivery event carries it, and the receiving endpoint sets it
+on the decoded message.  A message lost in a flap loses its id with it.
 
 A tracer's traces leave it in one form, a list of ``{"id", "label",
 "spans"}`` dicts (:func:`repro.telemetry.artifact.tracer_traces`).
@@ -22,7 +22,7 @@ A tracer's traces leave it in one form, a list of ``{"id", "label",
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 __all__ = ["Span", "Tracer", "NULL_TRACER", "NullTracer", "STAGES",
            "EXTRA_STAGES", "ALL_STAGES"]
@@ -133,16 +133,10 @@ class Tracer:
         self._seen = 0
         self.dropped = 0
         self.dropped_spans = 0
-        #: Stash entries discarded because their connection scope
-        #: epoch-bumped before adoption (the PR-10 leak fix).
-        self.stash_pruned = 0
         #: Called with the number of spans evicted by the retention
         #: ring; :class:`~repro.telemetry.Telemetry` points this at a
         #: counter so drops are visible in the metrics plane.
         self.on_drop: Optional[Callable[[int], None]] = None
-        self._stash: Dict[
-            Hashable, Deque[Tuple[int, float, Hashable]]
-        ] = {}
 
     # ------------------------------------------------------------------
     # Trace lifecycle
@@ -249,67 +243,6 @@ class Tracer:
                 self.on_drop(evicted)
 
     # ------------------------------------------------------------------
-    # Cross-serialisation context propagation
-    # ------------------------------------------------------------------
-    def stash(self, key: Hashable, trace_id: Optional[int],
-              scope: Hashable = None) -> None:
-        """Park a trace id before its packet is flattened to bytes.
-
-        ``scope`` names the connection the bytes ride (the control
-        channel object); :meth:`prune_scope` evicts every entry of a
-        scope when its connection epoch bumps, because frames
-        serialised into the old epoch are dropped on arrival and their
-        stashed ids would otherwise never be adopted — they used to
-        accumulate forever *and* could be mis-adopted by an identical
-        post-reconnect frame.
-        """
-        if trace_id is None:
-            return
-        self._stash.setdefault(key, deque()).append(
-            (trace_id, self.clock(), scope)
-        )
-
-    def adopt(self, key: Hashable) -> Tuple[Optional[int], float]:
-        """Claim the oldest stashed ``(trace_id, stash_time)`` for ``key``."""
-        queue = self._stash.get(key)
-        if not queue:
-            return None, 0.0
-        trace_id, stashed_at, _scope = queue.popleft()
-        if not queue:
-            del self._stash[key]
-        return trace_id, stashed_at
-
-    def prune_scope(self, scope: Hashable) -> int:
-        """Drop every stash entry parked under ``scope``.
-
-        Called by :class:`~repro.southbound.channel.ControlChannel` on
-        every connection epoch change; returns the number of entries
-        pruned (also accumulated in :attr:`stash_pruned`).
-        """
-        if scope is None:
-            return 0
-        pruned = 0
-        dead_keys = []
-        for key, queue in self._stash.items():
-            kept = deque(e for e in queue if e[2] is not scope)
-            removed = len(queue) - len(kept)
-            if removed:
-                pruned += removed
-                if kept:
-                    self._stash[key] = kept
-                else:
-                    dead_keys.append(key)
-        for key in dead_keys:
-            del self._stash[key]
-        self.stash_pruned += pruned
-        return pruned
-
-    @property
-    def stash_size(self) -> int:
-        """Entries currently parked (leak regression surface)."""
-        return sum(len(q) for q in self._stash.values())
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def traces(self) -> List[Tuple[int, str, List[Span]]]:
@@ -364,15 +297,6 @@ class NullTracer(Tracer):
 
     def adopt_foreign(self, trace_id, label="") -> bool:
         return False
-
-    def stash(self, key, trace_id, scope=None) -> None:
-        pass
-
-    def adopt(self, key):
-        return None, 0.0
-
-    def prune_scope(self, scope) -> int:
-        return 0
 
 
 NULL_TRACER = NullTracer()

@@ -194,8 +194,8 @@ class WorkloadSpec:
         self.settle = settle
         self.controllers = controllers
         self.stack = stack
-        self.duration = (duration if duration is not None
-                         else self.horizon())
+        horizon = self.horizon()  # reads, and so checks, every fault
+        self.duration = duration if duration is not None else horizon
 
     def horizon(self) -> float:
         """Simulated seconds implied by the armed traffic and faults."""
@@ -206,8 +206,9 @@ class WorkloadSpec:
             lasts = 0.0 if entry.get("kind") == "probe" else 10.0
             last = max(last, float(entry.get("start", 0.0))
                        + float(entry.get("duration", lasts)))
-        for fault in self.faults:
-            last = max(last, fault_end(fault))
+        for index, fault in enumerate(self.faults):
+            last = max(last, fault_end(
+                fault, f"workload spec {self.name!r}: fault #{index}"))
         return last + self.settle
 
     def to_dict(self) -> dict:

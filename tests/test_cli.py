@@ -220,6 +220,29 @@ class TestNamedErrors:
           "traffic": []}, "topology field 'bandwidth' must be a number"),
         ({"name": "x", "topology": {"family": "linear", "size": 0},
           "traffic": []}, "topology field 'size' must be >= 1"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [], "duration": 3.0,
+          "faults": [{"kind": "switch_crash", "switch": "s1", "at": -1.0,
+                      "restart_after": 0.5}]},
+         "fault #0 (switch_crash): at must be >= 0"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [],
+          "faults": [{"kind": "switch_crash", "switch": "s1", "at": 0.5,
+                      "restart_after": 0.5},
+                     {"kind": "channel_flap", "switch": "s1", "at": 0.5,
+                      "down_for": 0.5, "period": 0.5, "count": 2}]},
+         "fault #1 (channel_flap): period (0.5) must exceed down_for"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [],
+          "faults": [{"kind": "link_flap", "a": "s1", "b": "s2",
+                      "at": 0.5, "down_for": 0.1, "period": 1.0,
+                      "count": 0}]},
+         "fault #0 (link_flap): count must be >= 1"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [], "controllers": 3,
+          "faults": [{"kind": "controller_partition", "minority": [0],
+                      "at": 0.5, "heal_after": 0}]},
+         "fault #0 (controller_partition): heal_after must be positive"),
     ])
     @pytest.mark.parametrize("argv", [
         ["run", "--spec"],
@@ -269,6 +292,19 @@ class TestNamedErrors:
         (["demo", "--pings", "0"], "--pings must be >= 1"),
         (["report", "run.json", "--max-series", "0"],
          "--max-series must be >= 1"),
+        (["run", "--fault", "crash", "--down-for", "-1"],
+         "fault #0 (switch_crash): restart_after must be positive"),
+        (["run", "--fault", "crash", "--down-for", "0"],
+         "fault #0 (switch_crash): restart_after must be positive"),
+        (["run", "--fault", "channel", "--down-for", "0"],
+         "fault #0 (channel_flap): down_for must be positive"),
+        (["run", "--controllers", "3", "--fault", "controller",
+          "--down-for", "0"],
+         "fault #0 (controller_crash): restart_after must be positive"),
+        (["run", "--fault", "crash", "--cycles", "2", "--period", "0.2",
+          "--down-for", "0.5"], "--period (0.2) must exceed --down-for"),
+        (["run", "--controllers", "3", "--fault", "partition",
+          "--period", "0.5"], "--period (0.5) must exceed --down-for"),
     ])
     def test_bad_run_flags_fail_before_any_simulated_time(
             self, argv, names, capsys, monkeypatch):

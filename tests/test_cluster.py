@@ -101,9 +101,9 @@ class _Member:
         self.changes += 1
 
 
-def bus_of(n=3, detect_delay=0.05):
+def bus_of(n=3):
     sim = Simulator()
-    bus = EastWestBus(sim, detect_delay=detect_delay)
+    bus = EastWestBus(sim)
     members = [_Member(i) for i in range(n)]
     for member in members:
         bus.register(member)
@@ -271,8 +271,10 @@ class TestHandover:
             survivor = cluster.node(record.new_node)
             assert survivor.terms[record.dpid] == record.term
 
-    def test_failover_completion_hook_measures_detect_delay(self):
-        platform = ring_cluster(detect_delay=0.2)
+    def test_failover_completion_hook_measures_detect_delay(
+            self, monkeypatch):
+        monkeypatch.setattr("repro.cluster.bus.DETECT_DELAY", 0.2)
+        platform = ring_cluster()
         cluster = platform.cluster
         done = []
         cluster.on_failover_complete.append(

@@ -464,6 +464,10 @@ class TestArmFaults:
           "heal_after": 0.5},
          [("controller_partition", "2|0,1", 10.5),
           ("controller_heal", "cluster", 11.0)]),
+        # A lone cycle has no next cycle to overlap: its period is moot.
+        ({"kind": "channel_flap", "switch": "s3", "at": 0.5,
+          "down_for": 1.0, "period": 0.5, "count": 1},
+         [("channel_down", "s3", 10.5), ("channel_up", "s3", 11.5)]),
     ])
     def test_each_kind_lands_its_events(self, fault, expected):
         platform = ZenPlatform(Topology.ring(4, hosts_per_switch=1),

@@ -88,9 +88,12 @@ class Stack:
             self.sim.schedule_at(at, self.dp.inject, packet, 1)
         return packet
 
-    def packet_out(self, buffer_id, data=b"", connection=0, at=None):
-        """Send a packet-out toward port 2; returns the message."""
+    def packet_out(self, buffer_id, data=b"", connection=0, at=None,
+                   trace=None):
+        """Send a packet-out toward port 2 (under ``trace``, a
+        ``(trace_id, sent_at)`` pair); returns the message."""
         msg = PacketOut(1, [Output(2)], data, buffer_id)
+        msg._trace = trace
         send = self.channels[connection].controller_end.send
         if at is None:
             send(msg)
@@ -246,16 +249,23 @@ class TestBufferLifetime:
         assert not s.sent
         assert [e.code for e in s.errors()] == [Error.BUFFER_UNKNOWN]
 
-    def test_a_refused_packet_out_leaves_no_trace_stash_behind(self):
+    def test_a_refused_packet_out_records_no_channel_span(self):
         telemetry = Telemetry(trace=True)
         s = Stack(telemetry=telemetry)
         tracer = telemetry.tracer
-        tracer.stash(("packet_out", s.dp.dpid, 7), tracer.start_trace("t"),
-                     scope=s.channel)
-        s.packet_out(7)  # no such buffer
+        s.punt()
+        s.sim.run_until_idle()
+        (punt,) = s.packet_ins()
+        refused, served = tracer.start_trace("refused"), tracer.start_trace(
+            "served")
+        s.packet_out(punt.buffer_id + 1, trace=(refused, s.sim.now))
+        s.packet_out(punt.buffer_id, trace=(served, s.sim.now))
         s.sim.run_until_idle()
         assert [e.code for e in s.errors()] == [Error.BUFFER_UNKNOWN]
-        assert tracer.stash_size == 0
+        assert len(s.sent) == 1
+        assert not tracer.spans(refused)
+        assert [sp.name for sp in tracer.spans(served)][:1] == [
+            "channel.packet_out"]
 
     def test_nobody_listening_parks_nothing(self):
         s = Stack()
@@ -314,7 +324,6 @@ def _observe(platform) -> dict:
                     for table in dp.tables for entry in table],
         "traces": tracer_traces(tel.tracer),
         "dropped": (tel.tracer.dropped, tel.tracer.dropped_spans),
-        "stash": tel.tracer.stash_size,
         # One table per datapath, whichever connection is asked.
         "punts": sum(stats["buffered"] + stats["unbuffered"]
                      for stats in (net.agent(name).buffer_stats()
@@ -373,10 +382,7 @@ def _flapped_and_traced():
 
     Traffic comes in bursts and every cut lands inside one, so frames
     are mid-flight when the channel goes; every reconnect lands in the
-    gap after it.  (A punt that reaches the controller between
-    reconnect and handshake is dropped as pre-handshake noise together
-    with its stashed trace id — a leak that predates buffers and would
-    blur the ``stash_size == 0`` check below.)
+    gap after it.
     """
     platform = ZenPlatform(Topology.tree(depth=2, fanout=2),
                            profile="reactive", seed=9, exact_match=True,
@@ -412,7 +418,6 @@ def test_buffering_changes_no_dataplane_observable(build, monkeypatch):
                        for name in platform.net.switches)
     assert buffered["punts"] > 50, "vacuous: nothing was punted"
     assert buffered["traces"]
-    assert buffered["stash"] == 0 and unbuffered["stash"] == 0
     for key in buffered:
         assert buffered[key] == unbuffered[key], key
 

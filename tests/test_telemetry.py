@@ -138,16 +138,6 @@ class TestTracer:
         assert tracer.start_trace() is None
         assert tracer.dropped == 1
 
-    def test_stash_adopt_is_fifo_per_key(self):
-        tracer = Tracer(clock=lambda: 42.0)
-        t1, t2 = tracer.start_trace(), tracer.start_trace()
-        tracer.stash(("pi", b"wire"), t1)
-        tracer.stash(("pi", b"wire"), t2)
-        assert tracer.adopt(("pi", b"wire")) == (t1, 42.0)
-        assert tracer.adopt(("pi", b"wire")) == (t2, 42.0)
-        assert tracer.adopt(("pi", b"wire")) == (None, 0.0)
-        assert tracer.adopt(("never", 0)) == (None, 0.0)
-
     def test_clock_stamps_default_times(self):
         now = [7.5]
         tracer = Tracer(clock=lambda: now[0])
@@ -160,8 +150,7 @@ class TestTracer:
         tracer = NullTracer()
         assert not tracer.enabled
         assert tracer.start_trace("x") is None
-        tracer.stash("k", 1)
-        assert tracer.adopt("k") == (None, 0.0)
+        assert not tracer.adopt_foreign(5)
         assert tracer.trace_count == 0
 
 

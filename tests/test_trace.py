@@ -4,7 +4,9 @@ Layers of coverage:
 
 * span-tree mechanics on the tracer (span ids, parent links,
   ``end_span``, foreign adoption) and the critical-path walk;
-* the stash leak + cross-epoch adoption fixes on the control channel;
+* trace ids crossing the control channel beside their messages:
+  each punt keeps its own trace, and one lost in a flap takes its id
+  along;
 * tracer eviction pressure surfaced end-to-end through the registry;
 * trace lists merged across per-shard tracers, and the ``traces``
   section of a saved run artifact;
@@ -19,11 +21,16 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.controller import Controller
 from repro.core import ZenPlatform
+from repro.dataplane import Datapath
 from repro.digest import canonical_digest
 from repro.netem import Topology
 from repro.errors import ZenError
 from repro.obs import RunArtifact, load_artifact
+from repro.packet import Ethernet, IPv4, UDP
+from repro.sim import Simulator
+from repro.southbound import ControlChannel, SwitchAgent
 from repro.telemetry import Telemetry, Tracer
 from repro.telemetry.export import render_critical_path, render_tree
 from repro.telemetry.artifact import (
@@ -214,7 +221,7 @@ class TestTraceArtifact:
 
 
 # ----------------------------------------------------------------------
-# Stash leak + cross-epoch adoption (the PR-10 satellites)
+# The trace id crosses the control channel beside its message
 # ----------------------------------------------------------------------
 def _reactive_platform(telemetry=None, seed=0):
     topo = Topology.linear(3, hosts_per_switch=1, bandwidth_bps=1e9)
@@ -222,72 +229,79 @@ def _reactive_platform(telemetry=None, seed=0):
                        telemetry=telemetry)
 
 
-class TestStashScope:
-    def test_epoch_change_prunes_scoped_entries(self):
-        tel = Telemetry(trace=True)
-        platform = _reactive_platform(tel).start()
-        tracer = tel.tracer
-        channel = platform.net.channel("s1")
-        tid = tracer.start_trace("doomed")
-        tracer.stash(("packet_in", 1, b"frame"), tid, scope=channel)
-        assert tracer.stash_size == 1
-        channel.disconnect()
-        assert tracer.stash_size == 0
-        assert tracer.stash_pruned == 1
-        # The adopt after the epoch change finds nothing — the stale id
-        # cannot leak into a new connection's identical frame.
-        adopted, _ = tracer.adopt(("packet_in", 1, b"frame"))
-        assert adopted is None
-        # Surfaced as a metric, per channel.
-        assert tel.metrics.get("trace_stash_pruned_total", "s1") == 1
+def _punt_frame():
+    return (Ethernet(dst="00:00:00:00:00:02", src="00:00:00:00:00:01")
+            / IPv4(src="10.0.0.1", dst="10.0.0.2")
+            / UDP(src_port=1, dst_port=2) / b"x")
 
-    def test_pre_reconnect_frame_does_not_adopt_into_new_epoch(self):
-        """A frame serialised before a flap must not hand its trace to
-        a byte-identical frame sent after the reconnect."""
+
+def _traced_punt(tracer, dp, label):
+    """Inject one table-missing frame on port 1 under a new trace."""
+    packet = _punt_frame()
+    packet.trace_id = tid = tracer.start_trace(label)
+    dp.inject(packet, 1)
+    return tid
+
+
+def _span_names(tracer, tid):
+    return [s.name for s in tracer.spans(tid)]
+
+
+class TestControlChannelTrace:
+    def test_each_dispatch_joins_its_own_trace(self):
+        """Byte-identical punts from two switches whose channels differ
+        in latency: the later punt arrives first, and must still not
+        take the earlier punt's trace."""
+        sim = Simulator(telemetry=Telemetry(trace=True))
+        tracer = sim.telemetry.tracer
+        controller = Controller(sim)
+        dps = {}
+        for dpid, latency in ((1, 0.005), (2, 0.001)):
+            dp = dps[dpid] = Datapath(dpid, sim)
+            dp.add_port(1)
+            dp.add_port(2)
+            channel = ControlChannel(sim, latency=latency,
+                                     name=f"s{dpid}")
+            SwitchAgent(dp, channel)
+            controller.accept_channel(channel)
+            channel.connect()
+        sim.run_until_idle()
+        assert controller.switch_count == 2
+        sim.schedule(0.0, _traced_punt, tracer, dps[1], "from-s1")
+        sim.schedule(0.0005, _traced_punt, tracer, dps[2], "from-s2")
+        sim.run_until_idle()
+        assert controller.packet_ins_handled == 2
+        assert tracer.trace_count == 2
+        for tid, _label, spans in tracer.traces():
+            dispatch = [s for s in spans if s.name == "controller.dispatch"]
+            assert len(dispatch) == 1
+            assert tracer.label(tid) == f"from-s{dispatch[0].attrs['dpid']}"
+
+    def test_a_punt_lost_to_a_flap_takes_its_trace_with_it(self):
+        """A punt in flight at a flap is lost with its trace id; a
+        byte-identical punt after the reconnect joins its own trace."""
         tel = Telemetry(trace=True)
         platform = _reactive_platform(tel).start()
         tracer = tel.tracer
         channel = platform.net.channel("s1")
-        key = ("packet_in", 2, b"same-bytes")
-        old = tracer.start_trace("old-epoch")
-        tracer.stash(key, old, scope=channel)
+        dp = platform.net.switches["s1"]
+        lost = _traced_punt(tracer, dp, "lost")
         channel.disconnect()
         channel.connect()
-        new = tracer.start_trace("new-epoch")
-        tracer.stash(key, new, scope=channel)
-        adopted, _ = tracer.adopt(key)
-        assert adopted == new  # the old-epoch id was pruned, not FIFO'd
-        assert tracer.stash_pruned == 1
+        platform.run(1.0)  # handshake again
+        assert channel.messages_dropped >= 1
+        new = _traced_punt(tracer, dp, "after-reconnect")
+        platform.run(0.5)
+        assert "switch.punt" in _span_names(tracer, lost)
+        assert "channel.packet_in" not in _span_names(tracer, lost)
+        names = _span_names(tracer, new)
+        assert "channel.packet_in" in names
+        assert "controller.dispatch" in names
 
-    def test_flapped_run_leaves_no_stash_residue(self):
-        """End-to-end leak regression: channel flaps mid-traffic leave
-        the stash empty once the run settles."""
-        from repro.faults import FaultSchedule
-
-        tel = Telemetry(trace=True)
-        platform = _reactive_platform(tel).start()
-        hosts = list(platform.net.hosts.values())
-        for a in hosts:
-            for b in hosts:
-                if a is not b:
-                    a.add_static_arp(b.ip, b.mac)
-        sched = FaultSchedule(platform.net)
-        now = platform.sim.now
-        for k in range(3):
-            sched.channel_flap(now + 0.2 + 0.4 * k, "s2", down_for=0.2,
-                               period=0.4, count=1)
-        for i, host in enumerate(hosts):
-            for k in range(5):
-                platform.sim.schedule_at(
-                    now + 0.1 + 0.15 * k, host.send_udp,
-                    hosts[(i + 1) % len(hosts)].ip, 7, 7, b"x")
-        platform.run(4.0)
-        assert tel.tracer.stash_size == 0
-
-    def test_pre_handshake_punt_leaves_no_stash_residue(self):
+    def test_pre_handshake_punt_is_dropped_alike_traced_or_not(self):
         """A packet-in that lands between reconnect and handshake is
-        dropped by the controller; its stashed trace id goes with it
-        (it used to sit in the tracer until the next epoch change)."""
+        dropped by the controller, traced or not, and leaves the
+        dataplane as it would be untraced."""
         from repro.core import dataplane_digest
         from repro.southbound.messages import PacketIn
 
@@ -306,7 +320,6 @@ class TestStashScope:
                 handle(endpoint, msg)
 
             controller._handle = spy
-            stash = tel.tracer.stash_size if tel is not None else 0
             channel = platform.net.channel("s1")
             channel.disconnect()
             platform.run(0.05)
@@ -314,21 +327,10 @@ class TestStashScope:
             h1.send_udp(h3.ip, 7, 7, b"x")  # punted before FeaturesReply
             platform.run(2.0)
             assert len(dropped) == 1
-            if tel is not None:
-                assert tel.tracer.stash_size == stash
-                assert tel.tracer.stash_pruned == 0
             return (dataplane_digest(platform.net),
                     platform.sim.events_processed)
 
         assert run(Telemetry(trace=True)) == run(None)
-
-    def test_null_tracer_stash_api_is_silent(self):
-        from repro.telemetry import NULL_TRACER
-
-        NULL_TRACER.stash("k", 1, scope=object())
-        assert NULL_TRACER.prune_scope(object()) == 0
-        assert NULL_TRACER.adopt("k") == (None, 0.0)
-        assert not NULL_TRACER.adopt_foreign(5)
 
 
 class TestEvictionThroughOpenMetrics:
