@@ -38,14 +38,3 @@ def publish_json(bench_id: str, payload: dict) -> dict:
               "w") as fh:
         fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return record
-
-
-def seed_arp(network) -> None:
-    """Static-ARP every host pair so experiments measure forwarding,
-    not ARP resolution."""
-    hosts = list(network.hosts.values())
-    for a in hosts:
-        for b in hosts:
-            if a is not b:
-                a.add_static_arp(b.ip, b.mac)
-

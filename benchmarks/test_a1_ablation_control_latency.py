@@ -16,7 +16,7 @@ from repro.analysis import Series
 from repro.core import ZenPlatform
 from repro.netem import Topology
 
-from harness import publish, seed_arp
+from harness import publish
 
 LATENCIES = (0.0001, 0.001, 0.005, 0.01)
 SWITCHES = 2
@@ -29,7 +29,7 @@ def setup_cost(latency):
         profile="reactive",
         control_latency=latency,
     ).start()
-    seed_arp(platform.net)
+    platform.net.seed_static_arp()
     src = platform.host("h1")
     dst = platform.host(f"h{SWITCHES}")
     cold = src.ping(dst.ip, count=1)

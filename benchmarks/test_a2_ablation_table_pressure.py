@@ -21,7 +21,7 @@ from repro.analysis import Series
 from repro.core import ZenPlatform
 from repro.netem import Topology
 
-from harness import publish, seed_arp
+from harness import publish
 
 FLOWS = 60
 ROUNDS = 5
@@ -36,7 +36,7 @@ def run_capacity(capacity):
         table_capacity=capacity,
         eviction_policy="lru",
     ).start()
-    seed_arp(platform.net)
+    platform.net.seed_static_arp()
     hosts = list(platform.net.hosts.values())
     # Primer so destinations are learnable.
     for i, host in enumerate(hosts):

@@ -21,7 +21,7 @@ from repro.apps import NetworkSlicing, ProactiveRouter
 from repro.core import ZenPlatform
 from repro.netem import CBRStream, FlowSink, Topology
 
-from harness import publish, seed_arp
+from harness import publish
 
 BOTTLENECK = 20e6
 SLICE_CAP = 8e6
@@ -51,7 +51,7 @@ def run_point(b_offer, enforce):
         NetworkSlicing(table_id=0, next_table=1, enforce=enforce)
     )
     platform.start()
-    seed_arp(platform.net)
+    platform.net.seed_static_arp()
     a_src, b_src = platform.host("a_src"), platform.host("b_src")
     a_dst, b_dst = platform.host("a_dst"), platform.host("b_dst")
     slicing.define_slice("tenant-a", [a_src.ip], rate_bps=SLICE_CAP)

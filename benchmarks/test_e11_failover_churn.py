@@ -28,10 +28,10 @@ import pytest
 
 from repro.analysis import Series
 from repro.core import ZenPlatform
-from repro.faults import FaultSchedule
+from repro.faults import arm_faults
 from repro.netem import CBRStream, Topology
 
-from harness import publish, seed_arp
+from harness import publish
 
 PKT_INTERVAL = 0.01   # 100 pkt/s
 FAIL_AT_REL = 2.0     # link cut, seconds into the stream
@@ -46,7 +46,7 @@ def run_scenario(channel_down_for, seed=0):
         control_latency=0.002, seed=seed,
     ).start()
     net = platform.net
-    seed_arp(net)
+    net.seed_static_arp()
     h1, h2 = platform.host("h1"), platform.host("h2")
     h1.send_udp(h2.ip, 7, 7, b"warm")
     h2.send_udp(h1.ip, 7, 7, b"warm")
@@ -63,11 +63,13 @@ def run_scenario(channel_down_for, seed=0):
               packet_size=1000, duration=duration)
 
     t_fail = net.sim.now + FAIL_AT_REL
-    sched = FaultSchedule(net)
-    sched.link_down(t_fail, "s1", "s2")
+    # A permanent cut, as in E4: the kernel fails the link itself.
+    net.sim.schedule_at(t_fail, net.fail_link, "s1", "s2")
     if channel_down_for > 0:
-        sched.channel_down(t_fail - CHANNEL_LEAD, "s1")
-        sched.channel_up(t_fail - CHANNEL_LEAD + channel_down_for, "s1")
+        arm_faults(platform.fault_schedule(), [
+            {"kind": "channel_flap", "switch": "s1", "at": 0.0,
+             "down_for": channel_down_for, "period": channel_down_for,
+             "count": 1}], base=t_fail - CHANNEL_LEAD)
     net.run(duration + 2.0)
 
     before = [t for t in arrivals if t < t_fail]

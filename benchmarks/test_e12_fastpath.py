@@ -48,7 +48,7 @@ from repro.dataplane.match import Match
 from repro.netem import Topology
 from repro.sim import Simulator
 
-from harness import publish, publish_json, seed_arp
+from harness import publish, publish_json
 
 DEEP_PRIORITIES = 64       # filler priority bands above the router rules
 ENTRIES_PER_PRIORITY = 8   # 512 never-matching entries per table 0
@@ -86,7 +86,7 @@ def drive(fast_path, filler=one_mask):
         seed=3,
         fast_path=fast_path,
     ).start()
-    seed_arp(platform.net)
+    platform.net.seed_static_arp()
     hosts = list(platform.net.hosts.values())
     pairs = [(hosts[i], hosts[(i + 5) % len(hosts)])
              for i in range(len(hosts))]

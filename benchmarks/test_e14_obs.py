@@ -36,12 +36,12 @@ import pytest
 
 from repro.analysis import Table
 from repro.core import ZenPlatform
-from repro.faults import FaultSchedule
+from repro.faults import arm_faults
 from repro.netem import Topology
 from repro.obs import ObsPlane, diff_runs, render_dashboard
 from repro.telemetry import Telemetry
 
-from harness import RESULTS_DIR, publish, publish_json, seed_arp
+from harness import RESULTS_DIR, publish, publish_json
 
 PACKETS_PER_FLOW = 160     # keeps the obs-off arm above 0.3 s of wall
 SCRAPE_INTERVAL = 0.1      # the acceptance criterion's 100 ms
@@ -62,7 +62,7 @@ def drive(obs: bool):
         telemetry=Telemetry(),
     ).start()
     plane = ObsPlane(platform, interval=SCRAPE_INTERVAL) if obs else None
-    seed_arp(platform.net)
+    platform.net.seed_static_arp()
     hosts = list(platform.net.hosts.values())
     pairs = [(hosts[i], hosts[(i + 5) % len(hosts)])
              for i in range(len(hosts))]
@@ -102,15 +102,16 @@ def ring_artifact(churn: bool):
         telemetry=Telemetry(),
     ).start()
     plane = ObsPlane(platform, interval=SCRAPE_INTERVAL)
-    schedule = FaultSchedule(platform.net)
+    schedule = platform.fault_schedule()
     plane.watch_faults(schedule)
-    seed_arp(platform.net)
+    platform.net.seed_static_arp()
     hosts = list(platform.net.hosts.values())
     for i, host in enumerate(hosts):
         host.send_udp(hosts[(i + 1) % len(hosts)].ip, 7, 7, b"e14")
     if churn:
-        schedule.channel_flap(platform.sim.now + 0.5, "s1",
-                              down_for=2.0, period=3.5, count=1)
+        arm_faults(schedule, [{"kind": "channel_flap", "switch": "s1",
+                               "at": 0.5, "down_for": 2.0, "period": 3.5,
+                               "count": 1}], base=platform.sim.now)
     platform.run(6.0)
     plane.finish()
     return plane.artifact(seed=7, churn=churn)

@@ -35,6 +35,7 @@ import pytest
 
 from repro.analysis import Table
 from repro.core import ZenPlatform, dataplane_digest
+from repro.faults import arm_faults
 from repro.netem import Topology
 from repro.sim.shard import run_sharded
 from repro.telemetry import Telemetry
@@ -47,7 +48,7 @@ from repro.telemetry.artifact import (
 )
 from repro.workload import WorkloadSpec
 
-from harness import RESULTS_DIR, publish, publish_json, seed_arp
+from harness import RESULTS_DIR, publish, publish_json
 
 PACKETS_PER_FLOW = 160     # keeps the trace-off arm above 0.3 s of wall
 #: Wall-clock budget per recorded span at 1-in-8 sampling (it carries
@@ -67,7 +68,7 @@ def drive(trace: bool, sample_every: int = SAMPLE_EVERY):
         seed=3,
         telemetry=telemetry,
     ).start()
-    seed_arp(platform.net)
+    platform.net.seed_static_arp()
     hosts = list(platform.net.hosts.values())
     pairs = [(hosts[i], hosts[(i + 5) % len(hosts)])
              for i in range(len(hosts))]
@@ -129,15 +130,16 @@ def cluster_identity():
             telemetry=tel,
         ).start()
         net = platform.net
-        seed_arp(net)
+        net.seed_static_arp()
         hosts = list(net.hosts.values())
         for i, host in enumerate(hosts):
             host.send_udp(hosts[(i + 1) % len(hosts)].ip, 7, 7, b"e18")
         platform.run(1.0)
         sched = platform.fault_schedule()
         victim = platform.cluster.master_of(net.switches["s1"].dpid)
-        sched.controller_crash(net.sim.now + 0.5, victim,
-                               restart_after=0.4)
+        arm_faults(sched, [{"kind": "controller_crash", "node": victim,
+                            "at": 0.5, "restart_after": 0.4}],
+                   base=net.sim.now)
         platform.run(3.0)
         return dataplane_digest(net), tel
 

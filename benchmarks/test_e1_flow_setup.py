@@ -19,7 +19,7 @@ from repro.baselines import SpanningTreeNetwork
 from repro.core import ZenPlatform
 from repro.netem import Network, Topology
 
-from harness import publish, publish_json, seed_arp
+from harness import publish, publish_json
 
 SIZES = (2, 4, 8)
 CONTROL_LATENCY = 0.002  # 2 ms to the controller
@@ -39,7 +39,7 @@ def measure_sdn(profile, num_switches):
         profile=profile,
         control_latency=CONTROL_LATENCY,
     ).start()
-    seed_arp(platform.net)
+    platform.net.seed_static_arp()
     src = platform.host("h1")
     dst = platform.host(f"h{num_switches}")
     if profile == "proactive":
@@ -58,7 +58,7 @@ def measure_stp(num_switches):
                                   bandwidth_bps=1e9, delay=0.00005))
     stp = SpanningTreeNetwork(net)
     stp.converge(5.0)
-    seed_arp(net)
+    net.seed_static_arp()
     src, dst = net.host("h1"), net.host(f"h{num_switches}")
     cold = _ping_ms(net, src, dst)
     warm = _ping_ms(net, src, dst, count=3)

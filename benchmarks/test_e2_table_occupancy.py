@@ -17,7 +17,7 @@ from repro.analysis import Series
 from repro.core import ZenPlatform
 from repro.netem import Topology
 
-from harness import publish, seed_arp
+from harness import publish
 
 FLOW_COUNTS = (8, 32, 64, 128)
 HOSTS = 8
@@ -29,7 +29,7 @@ def peak_occupancy(profile, exact_match, flows):
         profile=profile,
         exact_match=exact_match,
     ).start()
-    seed_arp(platform.net)
+    platform.net.seed_static_arp()
     hosts = list(platform.net.hosts.values())
     if profile == "proactive":
         # Warm every host so the proactive rules exist.

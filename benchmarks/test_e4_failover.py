@@ -40,7 +40,7 @@ from repro.dataplane import (
 )
 from repro.netem import CBRStream, FlowSink, Network, Topology
 
-from harness import publish, seed_arp
+from harness import publish
 
 PKT_INTERVAL = 0.01  # 100 pkt/s
 FAIL_AT_REL = 2.0    # seconds into the stream
@@ -77,7 +77,7 @@ def sdn_central():
         Topology.ring(4, hosts_per_switch=1, bandwidth_bps=1e9),
         control_latency=0.002,
     ).start()
-    seed_arp(platform.net)
+    platform.net.seed_static_arp()
     h1, h2 = platform.host("h1"), platform.host("h2")
     h1.send_udp(h2.ip, 7, 7, b"warm")
     h2.send_udp(h1.ip, 7, 7, b"warm")
@@ -91,7 +91,7 @@ def fast_failover():
     net = Network(Topology.ring(4, hosts_per_switch=1,
                                 bandwidth_bps=1e9),
                   miss_behaviour="drop")
-    seed_arp(net)
+    net.seed_static_arp()
     h1, h2 = net.host("h1"), net.host("h2")
     # Forward path: s1 -> s2 primary, s1 -> s4 -> s3 -> s2 backup.
     s = {name: net.switches[name] for name in ("s1", "s2", "s3", "s4")}
@@ -134,7 +134,7 @@ def distributed(kind, carrier_detect=False):
     else:
         proto = SpanningTreeNetwork(net)
     proto.converge(5.0)
-    seed_arp(net)
+    net.seed_static_arp()
     h1, h2 = net.host("h1"), net.host("h2")
     h1.ping(h2.ip, count=1)
     net.run(2.0)

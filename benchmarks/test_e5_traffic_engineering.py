@@ -23,7 +23,7 @@ from repro.apps import Demand, TrafficEngineering
 from repro.core import ZenPlatform
 from repro.netem import CBRStream, FlowSink, Topology
 
-from harness import publish, seed_arp
+from harness import publish
 
 FABRIC_BW = 10e6
 DEMAND_BPS = 3e6
@@ -48,7 +48,7 @@ def run_strategy(strategy):
                           queue_capacity=30),
         probe_interval=0.5,
     ).start(warmup=2.0)
-    seed_arp(platform.net)
+    platform.net.seed_static_arp()
     te = platform.add_app(TrafficEngineering(
         default_capacity_bps=FABRIC_BW, strategy=strategy, k=8,
         admit_all=True,

@@ -19,7 +19,7 @@ from repro.analysis import Series
 from repro.core import ZenPlatform
 from repro.netem import Topology
 
-from harness import publish, seed_arp
+from harness import publish
 
 FLOWMOD_DELAY = 0.0005  # 0.5 ms per rule install at the switch
 
@@ -32,7 +32,7 @@ def run_intents(num_intents):
         control_latency=0.002,
         flowmod_delay=FLOWMOD_DELAY,
     ).start()
-    seed_arp(platform.net)
+    platform.net.seed_static_arp()
     hosts = list(platform.net.hosts.values())
     # Make everyone known to the tracker.
     for i, host in enumerate(hosts):

@@ -25,13 +25,13 @@ from repro.controller import Controller
 from repro.core import ZenPlatform
 from repro.netem import Network, Topology
 
-from harness import publish, seed_arp
+from harness import publish
 
 FLOWS = 60
 
 
 def _workload(net):
-    seed_arp(net)
+    net.seed_static_arp()
     hosts = list(net.hosts.values())
     ratio = net.ping_all(count=1, settle=4.0)
     assert ratio == 1.0, f"workload connectivity broken ({ratio})"

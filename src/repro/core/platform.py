@@ -14,7 +14,7 @@ Profiles
 * ``bare``      — services only; the caller adds its own apps.
 
 A scripted, observed run is assembled in one place,
-``repro.workload.assemble``: ``start`` → ``seed_static_arp`` →
+``repro.workload.assemble``: ``start`` → ``net.seed_static_arp`` →
 ``fault_schedule`` → observers → ``repro.faults.arm_faults`` →
 traffic → ``run`` (ARCHITECTURE.md, "Scenario document and assembly
 order").
@@ -27,7 +27,7 @@ exactly one master, and the bus delivers synchronously.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.apps.arp_proxy import ArpProxy
 from repro.apps.learning_switch import LearningSwitch
@@ -38,7 +38,6 @@ from repro.controller.hosttracker import HostTracker
 from repro.controller.intents import IntentService
 from repro.digest import canonical_digest
 from repro.errors import ControllerError
-from repro.netem.host import Host
 from repro.netem.network import Network
 from repro.netem.topology import Topology
 from repro.sim import Simulator
@@ -250,22 +249,12 @@ class ZenPlatform:
     # Run assembly (the fault plane is imported on use: a bare platform
     # never pays for it)
     # ------------------------------------------------------------------
-    def seed_static_arp(self) -> List[Host]:
-        """Teach every host every other's MAC (runs measure forwarding,
-        not address resolution); returns the hosts in name order."""
-        hosts = [self.net.hosts[name] for name in sorted(self.net.hosts)]
-        for a in hosts:
-            for b in hosts:
-                if a is not b:
-                    a.add_static_arp(b.ip, b.mac)
-        return hosts
-
     def fault_schedule(self):
         """A :class:`~repro.faults.FaultSchedule` over this platform's
         network, already bound to the cluster when there is one."""
         from repro.faults import FaultSchedule
 
-        return FaultSchedule(self.net).attach_cluster(self.cluster)
+        return FaultSchedule(self.net, self.cluster)
 
     # ------------------------------------------------------------------
     # Convenience passthroughs

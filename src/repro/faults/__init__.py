@@ -5,14 +5,16 @@ platform's behaviour when things break — links flap, switch agents
 crash, and the control channel itself drops.  This package scripts those
 failures against the simulation kernel so every run is reproducible:
 
-* :class:`FaultSchedule` — a fluent scripting surface that arms link
-  flaps, control-channel disconnect/reconnect cycles, and switch-agent
-  crash/restart at exact simulated times.
-* :class:`FaultEvent` — the per-injection log record (kind, time,
-  target), so tests and benchmarks can assert exactly what happened.
-* :func:`arm_faults` — the one table lowering the fault dicts that
-  workload specs, fuzz scenarios and the CLI carry onto schedule calls;
+* A fault is one dict — a link or control-channel flap, a switch-agent
+  crash, a controller crash or an east-west partition, each with its
+  recovery — the form workload specs, fuzz scenarios, the CLI and tests
+  all carry.
+* :func:`arm_faults` — the one way to inject faults: one table lowers
+  each kind to kernel events at exact simulated times, and
   :func:`fault_end` reads the same table for when a fault has healed.
+* :class:`FaultSchedule` — what the armed faults leave behind: the
+  :class:`FaultEvent` log (kind, time, target), fault metrics, root
+  spans when tracing is on, and ``on_fire`` hooks for observers.
 
 Recovery machinery lives where the state lives — the reconnect
 handshake and flow-table resync in ``controller.core``, request

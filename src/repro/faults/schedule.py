@@ -1,20 +1,24 @@
 """Scripted fault injection driven by the simulation kernel.
 
-A :class:`FaultSchedule` wraps a :class:`~repro.netem.network.Network`
-and arms failures at absolute simulated times.  Every injection is an
-ordinary kernel event, so fault scenarios replay bit-identically under a
-fixed seed — the property benchmark E11 leans on to sweep flap
-frequencies and compare runs.
+A fault is a dict, and :func:`arm_faults` is the one way to inject it::
 
-The schedule injects; it never repairs state itself.  Recovery is the
-platform's job: the controller resyncs flow tables on reconnect, the
-channel fails pending requests explicitly, routing apps re-path around
-a stale dpid.  What the schedule *does* keep is an execution log
-(:class:`FaultEvent` per injection) and fault/recovery telemetry.
+    {"kind": "link_flap", "a": "s1", "b": "s2", "at": 1.0,
+     "down_for": 0.5, "period": 2.0, "count": 3}
+
+Workload specs, fuzz scenarios, the CLI and hand-built runs all carry
+such dicts.  One table maps each kind to its lowering, the injections
+it arms in firing order; :func:`fault_end` reads the same table, and
+both check a fault's timing through one rule.  Every injection is an
+ordinary kernel event, so fault runs replay bit-identically under a
+fixed seed.  The schedule injects; it never repairs state itself —
+recovery is the platform's job (controller resync on reconnect,
+explicit request failure, re-pathing).  A :class:`FaultSchedule` keeps
+the execution log, fault telemetry and the ``on_fire`` hooks.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional
 
 from repro.errors import TopologyError
@@ -33,210 +37,37 @@ class FaultEvent:
 
     __slots__ = ("time", "kind", "target", "trace_id", "span_id")
 
-    def __init__(self, time: float, kind: str, target: str,
-                 trace_id: Optional[int] = None,
-                 span_id: Optional[int] = None) -> None:
+    def __init__(self, time: float, kind: str, target: str) -> None:
         self.time = time
         self.kind = kind
         self.target = target
-        self.trace_id = trace_id
-        self.span_id = span_id
+        self.trace_id: Optional[int] = None
+        self.span_id: Optional[int] = None
 
     def __repr__(self) -> str:
         return f"<FaultEvent t={self.time:.3f} {self.kind} {self.target}>"
 
 
 class FaultSchedule:
-    """Scripts failures against a network at simulated times.
+    """The log, metrics, tracing and hooks of the faults
+    :func:`arm_faults` injects into ``net`` and ``cluster`` (the
+    :class:`~repro.cluster.node.ControllerCluster` the ``controller_*``
+    kinds target; ``None`` for one controller)."""
 
-    All ``at``/``start`` times are *absolute* simulated seconds (matching
-    ``sim.schedule_at``), so a schedule composed before ``run()`` reads
-    like a timeline.  Methods return ``self`` for chaining::
-
-        FaultSchedule(net) \
-            .link_flap(5.0, "s1", "s2", down_for=0.5, period=2.0, count=3) \
-            .channel_flap(5.0, "s3", down_for=0.4, period=1.0, count=2) \
-            .switch_crash(8.0, "s4", restart_after=1.0)
-
-    Injections are armed immediately (kernel events); the ``log`` fills
-    in as they fire.
-    """
-
-    def __init__(self, net: Network) -> None:
+    def __init__(self, net: Network, cluster=None) -> None:
         self.net = net
         self.sim = net.sim
+        self.cluster = cluster
         self.log: List[FaultEvent] = []
-        self.injected = 0
-        #: Controller cluster targeted by controller_* faults; set via
-        #: :meth:`attach_cluster`.
-        self.cluster = None
-        #: Post-fire hooks: each is called, in registration order, with
-        #: the :class:`FaultEvent` after the injection's action ran.
-        #: The invariant monitor uses this to audit the dataplane at the
-        #: exact injection instant — before any control-plane reaction
-        #: has been processed.
+        #: Called in order with each :class:`FaultEvent` once its action
+        #: ran: the invariant monitor audits the dataplane there, before
+        #: any control-plane reaction.
         self.on_fire: List[Callable[[FaultEvent], None]] = []
         tel = net.telemetry
         self._m_faults = tel.metrics.counter(
-            "faults_injected_total", "Scripted fault injections",
-            ("kind",),
-        )
+            "faults_injected_total", "Scripted fault injections", ("kind",))
         self._tracer = tel.tracer if tel.tracing else None
 
-    # ------------------------------------------------------------------
-    # Link faults
-    # ------------------------------------------------------------------
-    def link_down(self, at: float, a: str, b: str) -> "FaultSchedule":
-        """Cut the a--b link at time ``at``."""
-        self.net.link(a, b)  # validate now, not at fire time
-        self._arm(at, "link_down", f"{a}-{b}",
-                  lambda: self.net.fail_link(a, b))
-        return self
-
-    def link_up(self, at: float, a: str, b: str) -> "FaultSchedule":
-        """Restore the a--b link at time ``at``."""
-        self.net.link(a, b)
-        self._arm(at, "link_up", f"{a}-{b}",
-                  lambda: self.net.recover_link(a, b))
-        return self
-
-    def link_flap(self, start: float, a: str, b: str, down_for: float,
-                  period: float, count: int = 1) -> "FaultSchedule":
-        """``count`` down/up cycles: down at ``start + k*period`` for
-        ``down_for`` seconds each."""
-        _check_flap(down_for, period, count)
-        for k in range(count):
-            t = start + k * period
-            self.link_down(t, a, b)
-            self.link_up(t + down_for, a, b)
-        return self
-
-    # ------------------------------------------------------------------
-    # Control-channel faults
-    # ------------------------------------------------------------------
-    def channel_down(self, at: float, switch: str) -> "FaultSchedule":
-        """Drop the control channel of ``switch`` at time ``at``."""
-        channel = self.net.channel(switch)
-        self._arm(at, "channel_down", switch, channel.disconnect)
-        return self
-
-    def channel_up(self, at: float, switch: str) -> "FaultSchedule":
-        """Reconnect the control channel of ``switch`` at time ``at``."""
-        channel = self.net.channel(switch)
-        self._arm(at, "channel_up", switch, channel.connect)
-        return self
-
-    def channel_flap(self, start: float, switch: str, down_for: float,
-                     period: float, count: int = 1) -> "FaultSchedule":
-        """``count`` disconnect/reconnect cycles on one control channel."""
-        _check_flap(down_for, period, count)
-        for k in range(count):
-            t = start + k * period
-            self.channel_down(t, switch)
-            self.channel_up(t + down_for, switch)
-        return self
-
-    # ------------------------------------------------------------------
-    # Switch-agent faults
-    # ------------------------------------------------------------------
-    def switch_crash(self, at: float, switch: str,
-                     restart_after: Optional[float] = None,
-                     wipe_state: bool = True) -> "FaultSchedule":
-        """Crash the ZOF agent(s) of ``switch`` (reboot semantics by
-        default); optionally restart ``restart_after`` seconds later.
-
-        In cluster mode a switch carries one agent per controller
-        instance; a physical crash takes down every one of them.
-        """
-        agents = self.net.agents_of(switch)
-
-        def crash_all() -> None:
-            for i, agent in enumerate(agents):
-                # State is shared per datapath: wipe it once.
-                agent.crash(wipe_state=wipe_state and i == 0)
-
-        self._arm(at, "switch_crash", switch, crash_all)
-        if restart_after is not None:
-            self.switch_restart(at + restart_after, switch)
-        return self
-
-    def switch_restart(self, at: float, switch: str) -> "FaultSchedule":
-        """Bring a crashed agent back: reconnect and re-handshake."""
-        agents = self.net.agents_of(switch)
-
-        def restart_all() -> None:
-            for agent in agents:
-                agent.restart()
-
-        self._arm(at, "switch_restart", switch, restart_all)
-        return self
-
-    # ------------------------------------------------------------------
-    # Controller-cluster faults
-    # ------------------------------------------------------------------
-    def attach_cluster(self, cluster) -> "FaultSchedule":
-        """Bind a :class:`~repro.cluster.node.ControllerCluster` so the
-        ``controller_*`` fault kinds can target its nodes."""
-        self.cluster = cluster
-        return self
-
-    def _require_cluster(self):
-        if self.cluster is None:
-            raise TopologyError(
-                "no cluster attached; call attach_cluster() first"
-            )
-        return self.cluster
-
-    def controller_crash(self, at: float, node: int,
-                         restart_after: Optional[float] = None,
-                         ) -> "FaultSchedule":
-        """Fail-stop controller instance ``node``: its channels drop,
-        its in-memory state is lost, and the survivors take over its
-        switches after the detection delay.  Optionally restart it
-        ``restart_after`` seconds later (it rejoins empty and resyncs
-        from its peers before reclaiming any mastership).
-        """
-        cluster = self._require_cluster()
-        cluster.node(node)  # validate now, not at fire time
-        self._arm(at, "controller_crash", f"controller-{node}",
-                  lambda: cluster.crash_node(node))
-        if restart_after is not None:
-            self.controller_restart(at + restart_after, node)
-        return self
-
-    def controller_restart(self, at: float, node: int) -> "FaultSchedule":
-        """Restart a crashed controller instance at time ``at``."""
-        cluster = self._require_cluster()
-        self._arm(at, "controller_restart", f"controller-{node}",
-                  lambda: cluster.restart_node(node))
-        return self
-
-    def controller_partition(self, at: float, groups,
-                             heal_after: Optional[float] = None,
-                             ) -> "FaultSchedule":
-        """Split the east-west bus into ``groups`` (lists of node ids)
-        at time ``at``; optionally heal ``heal_after`` seconds later.
-        Minority-side nodes self-demote their masterships; the majority
-        side adopts them, fenced by bumped terms.
-        """
-        cluster = self._require_cluster()
-        frozen = [list(g) for g in groups]
-        label = "|".join(",".join(str(n) for n in g) for g in frozen)
-        self._arm(at, "controller_partition", label,
-                  lambda: cluster.partition(frozen))
-        if heal_after is not None:
-            self.controller_heal(at + heal_after)
-        return self
-
-    def controller_heal(self, at: float) -> "FaultSchedule":
-        """Reconnect all east-west partitions at time ``at``."""
-        cluster = self._require_cluster()
-        self._arm(at, "controller_heal", "cluster", cluster.heal)
-        return self
-
-    # ------------------------------------------------------------------
-    # Machinery
-    # ------------------------------------------------------------------
     def _arm(self, at: float, kind: str, target: str, action) -> None:
         if at < self.sim.now:
             raise TopologyError(
@@ -247,7 +78,6 @@ class FaultSchedule:
     def _fire(self, kind: str, target: str, action) -> None:
         event = FaultEvent(self.sim.now, kind, target)
         self.log.append(event)
-        self.injected += 1
         self._m_faults.labels(kind).inc()
         if self._tracer is not None:
             tid = self._tracer.start_trace(f"fault:{kind} {target}")
@@ -265,44 +95,128 @@ class FaultSchedule:
         for hook in self.on_fire:
             hook(event)
 
-    def events(self, kind: Optional[str] = None) -> List[FaultEvent]:
-        """Executed injections so far, optionally filtered by kind."""
-        if kind is None:
-            return list(self.log)
-        return [e for e in self.log if e.kind == kind]
-
     def __repr__(self) -> str:
-        return f"<FaultSchedule {self.injected} injected>"
+        return f"<FaultSchedule {len(self.log)} injected>"
 
 
-def _check_flap(down_for: float, period: float, count: int) -> None:
-    if down_for <= 0:
-        raise TopologyError(f"down_for must be positive: {down_for}")
-    if period <= down_for:
-        raise TopologyError(
-            f"period ({period}) must exceed down_for ({down_for})"
-        )
-    if count < 1:
-        raise TopologyError(f"count must be >= 1: {count}")
+# ----------------------------------------------------------------------
+# The fault-dict table
+# ----------------------------------------------------------------------
+# A lowering maps a fault dict and its absolute ``at`` to the injections
+# it arms, in firing order: ``(at, kind, bind)``.  ``bind(schedule)``
+# checks the target when armed, not when fired, and returns the target
+# label (a partition's names the cluster's other nodes) and the action.
 
 
-def _period(fault: dict) -> float:
-    """A flap dict's cycle spacing.  A lone cycle has no next cycle to
-    overlap, so its period is moot: hand the schedule one its overlap
-    check accepts."""
-    if fault["count"] > 1:
-        return fault["period"]
-    return max(fault["period"], 2 * fault["down_for"])
+def _cycles(fault: dict, at: float, down: tuple, up: tuple) -> list:
+    """``count`` cycles of ``down`` then, ``down_for`` later, ``up``;
+    the k-th cycle goes down at ``at + k*period``."""
+    period = fault["period"]
+    injections = []
+    for k in range(fault["count"]):
+        t = at + k * period
+        injections += [(t,) + down, (t + fault["down_for"],) + up]
+    return injections
+
+
+def _link_flap(fault: dict, at: float) -> list:
+    a, b = fault["a"], fault["b"]
+
+    def on(method):
+        def bind(s):
+            s.net.link(a, b)
+            return f"{a}-{b}", partial(getattr(s.net, method), a, b)
+        return bind
+
+    return _cycles(fault, at, ("link_down", on("fail_link")),
+                   ("link_up", on("recover_link")))
+
+
+def _channel_flap(fault: dict, at: float) -> list:
+    switch = fault["switch"]
+
+    def on(method):
+        return lambda s: (switch, getattr(s.net.channel(switch), method))
+
+    return _cycles(fault, at, ("channel_down", on("disconnect")),
+                   ("channel_up", on("connect")))
+
+
+def _crash_all(agents) -> None:
+    for i, agent in enumerate(agents):
+        agent.crash(wipe_state=i == 0)  # one datapath: wipe it once
+
+
+def _restart_all(agents) -> None:
+    for agent in agents:
+        agent.restart()
+
+
+def _switch_crash(fault: dict, at: float) -> list:
+    """Reboot every ZOF agent of ``switch`` (one per controller
+    instance), then restart them."""
+    switch = fault["switch"]
+
+    def on(act):
+        return lambda s: (switch, partial(act, s.net.agents_of(switch)))
+
+    return [(at, "switch_crash", on(_crash_all)),
+            (at + fault["restart_after"], "switch_restart",
+             on(_restart_all))]
+
+
+def _controller_crash(fault: dict, at: float) -> list:
+    """Fail-stop ``node``, then restart it empty to resync from peers."""
+    node, label = fault["node"], f"controller-{fault['node']}"
+    return [(at, "controller_crash",
+             lambda s: (label, partial(s.cluster.crash_node, node))),
+            (at + fault["restart_after"], "controller_restart",
+             lambda s: (label, partial(s.cluster.restart_node, node)))]
+
+
+def _controller_partition(fault: dict, at: float) -> list:
+    """Split the east-west bus into ``minority`` and the rest, then
+    heal it; the minority side self-demotes its masterships."""
+    minority = list(fault["minority"])
+
+    def split(s):
+        groups = [minority, [n for n in range(s.cluster.size)
+                             if n not in minority]]
+        label = "|".join(",".join(str(n) for n in g) for g in groups)
+        return label, partial(s.cluster.partition, groups)
+
+    return [(at, "controller_partition", split),
+            (at + fault["heal_after"], "controller_heal",
+             lambda s: ("cluster", s.cluster.heal))]
+
+
+_KINDS = {
+    "link_flap": _link_flap,
+    "channel_flap": _channel_flap,
+    "switch_crash": _switch_crash,
+    "controller_crash": _controller_crash,
+    "controller_partition": _controller_partition,
+}
 
 
 def _check_timing(kind: str, fault: dict) -> None:
     """Reject a timing no run can honour: a negative ``at``, a flap
     that never comes up or overlaps its next cycle, a crash or
-    partition that recovers before (or as) it strikes."""
+    partition that recovers before (or as) it strikes.  A lone cycle
+    has no next cycle to overlap, so its period is moot."""
     if fault["at"] < 0:
         raise TopologyError(f"at must be >= 0: {fault['at']}")
     if kind.endswith("_flap"):
-        _check_flap(fault["down_for"], _period(fault), fault["count"])
+        down_for, count = fault["down_for"], fault["count"]
+        if down_for <= 0:
+            raise TopologyError(f"down_for must be positive: {down_for}")
+        if count < 1:
+            raise TopologyError(f"count must be >= 1: {count}")
+        if count > 1 and fault["period"] <= down_for:
+            raise TopologyError(
+                f"period ({fault['period']}) must exceed down_for "
+                f"({down_for})"
+            )
         return
     field = ("heal_after" if kind == "controller_partition"
              else "restart_after")
@@ -310,97 +224,77 @@ def _check_timing(kind: str, fault: dict) -> None:
         raise TopologyError(f"{field} must be positive: {fault[field]}")
 
 
-def _arm_partition(schedule: FaultSchedule, at: float, fault: dict) -> None:
-    minority = list(fault["minority"])
-    rest = [n for n in range(schedule._require_cluster().size)
-            if n not in minority]
-    schedule.controller_partition(at, [minority, rest],
-                                  heal_after=fault["heal_after"])
+def _check_nodes(kind: str, fault: dict, size: int) -> None:
+    """Reject a controller fault that ``size`` controllers cannot take:
+    no cluster, a node it lacks, a partition of nobody or everybody."""
+    if not kind.startswith("controller_"):
+        return
+    if size < 2:
+        raise TopologyError(f"needs a controller cluster, but the run has "
+                            f"{size} controller; set controllers >= 2")
+
+    def is_node(n) -> bool:
+        return isinstance(n, int) and 0 <= n < size
+
+    if kind == "controller_crash":
+        if not is_node(fault["node"]):
+            raise TopologyError(f"node {fault['node']!r} is not in the "
+                                f"cluster's nodes 0..{size - 1}")
+        return
+    minority = fault["minority"]
+    if not (minority and all(is_node(n) for n in minority)
+            and len(set(minority)) < size):
+        raise TopologyError(f"minority {minority!r} must name some but not "
+                            f"all of the cluster's nodes 0..{size - 1}")
 
 
-def _flap_end(fault: dict) -> float:
-    # The k-th cycle goes down at ``at + k*period`` and comes back
-    # ``down_for`` later, so the last recovery — not ``at + count*period``,
-    # which overshoots by ``period - down_for`` — ends the fault.
-    return (fault["at"] + (fault["count"] - 1) * fault["period"]
-            + fault["down_for"])
-
-
-#: Fault-dict ``kind`` -> (the schedule call it lowers to, when its last
-#: recovery fires).  The dict form is what workload specs, fuzz
-#: scenarios and the CLI all carry.
-_KINDS = {
-    "link_flap": (
-        lambda s, at, f: s.link_flap(
-            at, f["a"], f["b"], down_for=f["down_for"], period=_period(f),
-            count=f["count"]),
-        _flap_end),
-    "channel_flap": (
-        lambda s, at, f: s.channel_flap(
-            at, f["switch"], down_for=f["down_for"], period=_period(f),
-            count=f["count"]),
-        _flap_end),
-    "switch_crash": (
-        lambda s, at, f: s.switch_crash(
-            at, f["switch"], restart_after=f["restart_after"]),
-        lambda f: f["at"] + f["restart_after"]),
-    "controller_crash": (
-        lambda s, at, f: s.controller_crash(
-            at, f["node"], restart_after=f["restart_after"]),
-        lambda f: f["at"] + f["restart_after"]),
-    "controller_partition": (
-        _arm_partition,
-        lambda f: f["at"] + f["heal_after"]),
-}
-
-
-def _kind_entry(fault: dict, label: str):
+def _lower(fault: dict, label: str, base: float, size: Optional[int],
+           schedule: Optional[FaultSchedule] = None) -> list:
+    """``fault``'s injections, ``at`` relative to ``base``, once its
+    timing and — given the cluster ``size`` — its controller targets
+    pass; armed on ``schedule`` when one is given.  Every rejection is
+    a :class:`~repro.errors.TopologyError` naming ``label`` and the
+    kind."""
     kind = fault.get("kind")
-    entry = _KINDS.get(kind)
-    if entry is None:
+    lower = _KINDS.get(kind)
+    if lower is None:
         raise TopologyError(
             f"{label}: unknown kind {kind!r}; pick from {sorted(_KINDS)}"
         )
-    return kind, entry
+    try:
+        _check_timing(kind, fault)
+        if size is not None:
+            _check_nodes(kind, fault, size)
+        injections = lower(fault, base + fault["at"])
+        if schedule is not None:
+            for at, name, bind in injections:
+                schedule._arm(at, name, *bind(schedule))
+    except KeyError as exc:
+        raise TopologyError(f"{label} ({kind}): missing field {exc}") from exc
+    except TopologyError as exc:
+        raise TopologyError(f"{label} ({kind}): {exc}") from exc
+    return injections
 
 
 def arm_faults(schedule: FaultSchedule, faults: List[dict],
                base: float = 0.0) -> None:
-    """Arm every fault dict on ``schedule``, ``at`` relative to ``base``.
-
-    Raises :class:`~repro.errors.TopologyError` naming the offending
-    list index and kind for an unknown kind, a missing field, or a
-    fault the schedule rejects (bad target, controller kind without a
-    cluster).
-    """
+    """Arm every fault dict on ``schedule``, ``at`` relative to ``base``:
+    an unknown kind, a missing field, a timing no run can honour, a bad
+    target or a controller kind the schedule's cluster cannot take is an
+    error naming the list index and kind."""
+    size = 1 if schedule.cluster is None else schedule.cluster.size
     for index, fault in enumerate(faults):
-        kind, (arm, _) = _kind_entry(fault, f"fault #{index}")
-        try:
-            arm(schedule, base + fault["at"], fault)
-        except KeyError as exc:
-            raise TopologyError(
-                f"fault #{index} ({kind}): missing field {exc}"
-            ) from exc
-        except TopologyError as exc:
-            raise TopologyError(f"fault #{index} ({kind}): {exc}") from exc
+        _lower(fault, f"fault #{index}", base, size, schedule)
 
 
-def fault_end(fault: dict, label: str = "fault") -> float:
+def fault_end(fault: dict, label: str = "fault",
+              controllers: Optional[int] = None) -> float:
     """When ``fault``'s last recovery fires, on the clock its ``at`` is
     on — what a run's length must cover for the fault to have healed.
 
-    Raises :class:`~repro.errors.TopologyError` naming ``label`` and
-    the kind, as :func:`arm_faults` does, for an unknown kind, a missing
-    field or a timing no run can honour — so a spec, which reads every
-    fault through here, fails before any simulated time.
+    Rejects what :func:`arm_faults` would, naming ``label`` — bar the
+    targets, which only a run has, and the controller targets unless
+    ``controllers`` gives the cluster size — so a spec, which reads
+    every fault through here, fails before any simulated time.
     """
-    kind, (_, end) = _kind_entry(fault, label)
-    try:
-        _check_timing(kind, fault)
-        return end(fault)
-    except KeyError as exc:
-        raise TopologyError(
-            f"{label} ({kind}): missing field {exc}"
-        ) from exc
-    except TopologyError as exc:
-        raise TopologyError(f"{label} ({kind}): {exc}") from exc
+    return _lower(fault, label, 0.0, controllers)[-1][0]

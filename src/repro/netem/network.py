@@ -338,6 +338,16 @@ class Network:
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         return self.sim.run_until_idle(max_events=max_events)
 
+    def seed_static_arp(self) -> List[Host]:
+        """Teach every host every other's MAC (runs measure forwarding,
+        not address resolution); returns the hosts in name order."""
+        hosts = [self.hosts[name] for name in sorted(self.hosts)]
+        for a in hosts:
+            for b in hosts:
+                if a is not b:
+                    a.add_static_arp(b.ip, b.mac)
+        return hosts
+
     def ping_all(self, count: int = 1, timeout: float = 5.0,
                  settle: float = 10.0) -> float:
         """All-pairs ping; returns the delivery ratio in [0, 1].

@@ -119,7 +119,7 @@ def assemble(spec: WorkloadSpec, *,
     platform = _build_platform(spec, telemetry, fast_path)
     platform.start()
     sim = platform.sim
-    hosts = platform.seed_static_arp()
+    hosts = platform.net.seed_static_arp()
     registry = platform.telemetry.metrics
     # Zero-label families come back as the bare metric.
     fct_hist = registry.histogram(

@@ -208,7 +208,8 @@ class WorkloadSpec:
                        + float(entry.get("duration", lasts)))
         for index, fault in enumerate(self.faults):
             last = max(last, fault_end(
-                fault, f"workload spec {self.name!r}: fault #{index}"))
+                fault, f"workload spec {self.name!r}: fault #{index}",
+                self.controllers))
         return last + self.settle
 
     def to_dict(self) -> dict:

@@ -224,7 +224,7 @@ class TestProactiveRouter:
         monkeypatch.setattr(TopologyView, "__init__", recording_init)
         platform = ZenPlatform(
             Topology.fat_tree(4, bandwidth_bps=1e9)).start()
-        hosts = platform.seed_static_arp()
+        hosts = platform.net.seed_static_arp()
         src, silent = hosts[0], hosts[-1]  # ``silent`` is never learned
         discovery, router = platform.discovery, platform.router
         src.send_udp(silent.ip, 1, 2, b"x")

@@ -9,7 +9,7 @@ the *transient* window, not a lasting break.
 """
 
 from repro.core import ZenPlatform
-from repro.faults import FaultSchedule
+from repro.faults import FaultSchedule, arm_faults
 from repro.netem import Topology
 
 from repro.check import InvariantMonitor, NetworkChecker
@@ -47,8 +47,9 @@ def test_link_cut_causes_transient_blackhole_then_clears():
     net = platform.net
     assert NetworkChecker().check(net).ok  # converged and clean
 
-    schedule.link_down(net.sim.now + 0.5, "s1", "s2")
-    schedule.link_up(net.sim.now + 2.5, "s1", "s2")
+    arm_faults(schedule, [{"kind": "link_flap", "a": "s1", "b": "s2",
+                           "at": 0.5, "down_for": 2.0, "period": 3.0,
+                           "count": 1}], base=net.sim.now)
     platform.run(5.0)
 
     # At the injection instant the proactive routes still point at the
@@ -69,7 +70,9 @@ def test_switch_crash_flags_punt_dead_until_resync():
     _warm(platform, [("h1", "h3"), ("h3", "h1")])
     net = platform.net
 
-    schedule.switch_crash(net.sim.now + 0.5, "s2", restart_after=1.0)
+    arm_faults(schedule, [{"kind": "switch_crash", "switch": "s2",
+                           "at": 0.5, "restart_after": 1.0}],
+               base=net.sim.now)
     platform.run(5.0)
 
     # Crash wipes the tables and drops the channel: probes through s2
@@ -93,8 +96,9 @@ def test_channel_outage_downgrades_punts_to_blackholes():
     net = platform.net
     assert NetworkChecker().check(net).ok
 
-    schedule.channel_down(net.sim.now + 0.5, "s1")
-    schedule.channel_up(net.sim.now + 2.0, "s1")
+    arm_faults(schedule, [{"kind": "channel_flap", "switch": "s1",
+                           "at": 0.5, "down_for": 1.5, "period": 2.0,
+                           "count": 1}], base=net.sim.now)
     platform.run(4.0)
 
     assert monitor.saw_violation(kind="punt_dead",

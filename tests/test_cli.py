@@ -243,6 +243,40 @@ class TestNamedErrors:
           "faults": [{"kind": "controller_partition", "minority": [0],
                       "at": 0.5, "heal_after": 0}]},
          "fault #0 (controller_partition): heal_after must be positive"),
+        # A controller fault names nodes of the spec's own cluster.
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [], "controllers": 3,
+          "faults": [{"kind": "controller_crash", "node": 7, "at": 0.5,
+                      "restart_after": 0.5}]},
+         "fault #0 (controller_crash): node 7 is not in the cluster"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [], "controllers": 3,
+          "faults": [{"kind": "controller_crash", "node": -1, "at": 0.5,
+                      "restart_after": 0.5}]},
+         "fault #0 (controller_crash): node -1 is not in the cluster"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [], "controllers": 3,
+          "faults": [{"kind": "controller_crash", "node": 1.5, "at": 0.5,
+                      "restart_after": 0.5}]},
+         "fault #0 (controller_crash): node 1.5 is not in the cluster"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [], "controllers": 3,
+          "faults": [{"kind": "controller_partition", "minority": [5],
+                      "at": 0.5, "heal_after": 0.5}]},
+         "fault #0 (controller_partition): minority [5] must name some"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [], "controllers": 3,
+          "faults": [{"kind": "controller_partition",
+                      "minority": [0, 1, 2], "at": 0.5,
+                      "heal_after": 0.5}]},
+         "fault #0 (controller_partition): minority [0, 1, 2] must name "
+         "some but not all"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [],
+          "faults": [{"kind": "controller_crash", "node": 0, "at": 0.5,
+                      "restart_after": 0.5}]},
+         "fault #0 (controller_crash): needs a controller cluster, but the "
+         "run has 1 controller"),
     ])
     @pytest.mark.parametrize("argv", [
         ["run", "--spec"],

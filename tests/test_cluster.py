@@ -5,7 +5,7 @@ leader election, the east-west bus (membership epochs, quorum doctrine,
 partitions), ZOF role semantics on the switch side (PRIMARY demotion,
 SLAVE mutation refusal, generation fencing), mastership handover on
 controller crash/restart and partition/heal, replication convergence,
-the cluster invariant checker, FaultSchedule's controller kinds, and
+the cluster invariant checker, the controller fault kinds, and
 the obs handover SLO wiring.
 """
 
@@ -21,7 +21,7 @@ from repro.cluster import (
 )
 from repro.core import ZenPlatform, dataplane_digest
 from repro.errors import TopologyError
-from repro.faults import FaultSchedule
+from repro.faults import FaultSchedule, arm_faults
 from repro.netem import Topology
 from repro.sim import Simulator
 from repro.southbound import ControllerRole
@@ -458,22 +458,25 @@ class TestCheckCluster:
 
 
 # ----------------------------------------------------------------------
-# FaultSchedule controller kinds
+# Controller fault kinds
 # ----------------------------------------------------------------------
 class TestClusterFaults:
     def test_controller_kinds_require_attached_cluster(self):
         platform = ring_cluster()
         schedule = FaultSchedule(platform.net)
-        with pytest.raises(TopologyError):
-            schedule.controller_crash(platform.sim.now + 1.0, 0)
+        with pytest.raises(TopologyError, match="controller cluster"):
+            arm_faults(schedule, [{"kind": "controller_crash", "node": 0,
+                                   "at": 1.0, "restart_after": 1.0}],
+                       base=platform.sim.now)
 
     def test_scripted_crash_hands_over_and_checks_clean(self):
         platform = ring_cluster()
         cluster = platform.cluster
         victim = cluster.master_of(1)
-        schedule = FaultSchedule(platform.net).attach_cluster(cluster)
-        schedule.controller_crash(platform.sim.now + 0.5, victim,
-                                  restart_after=1.0)
+        schedule = FaultSchedule(platform.net, cluster)
+        arm_faults(schedule, [{"kind": "controller_crash", "node": victim,
+                               "at": 0.5, "restart_after": 1.0}],
+                   base=platform.sim.now)
         platform.run(3.0)
         kinds = [e.kind for e in schedule.log]
         assert kinds == ["controller_crash", "controller_restart"]
@@ -485,9 +488,10 @@ class TestClusterFaults:
     def test_scripted_partition_heals_clean(self):
         platform = ring_cluster()
         cluster = platform.cluster
-        schedule = FaultSchedule(platform.net).attach_cluster(cluster)
-        schedule.controller_partition(platform.sim.now + 0.5,
-                                      [[0], [1, 2]], heal_after=1.0)
+        schedule = FaultSchedule(platform.net, cluster)
+        arm_faults(schedule, [{"kind": "controller_partition",
+                               "minority": [0], "at": 0.5,
+                               "heal_after": 1.0}], base=platform.sim.now)
         platform.run(3.0)
         kinds = [e.kind for e in schedule.log]
         assert kinds == ["controller_partition", "controller_heal"]
@@ -497,8 +501,9 @@ class TestClusterFaults:
     def test_switch_crash_takes_down_every_instance_agent(self):
         platform = ring_cluster()
         schedule = FaultSchedule(platform.net)
-        schedule.switch_crash(platform.sim.now + 0.2, "s1",
-                              restart_after=0.5)
+        arm_faults(schedule, [{"kind": "switch_crash", "switch": "s1",
+                               "at": 0.2, "restart_after": 0.5}],
+                   base=platform.sim.now)
         platform.run(0.4)
         assert all(not a.channel.connected
                    for a in platform.net.agents_of("s1"))
@@ -527,7 +532,10 @@ class TestClusterObs:
         schedule = platform.fault_schedule()
         plane.watch_faults(schedule)
         victim = cluster.master_of(1)
-        schedule.controller_crash(platform.sim.now + 0.5, victim)
+        # The restart lands after the run: one crash, one measurement.
+        arm_faults(schedule, [{"kind": "controller_crash", "node": victim,
+                               "at": 0.5, "restart_after": 5.0}],
+                   base=platform.sim.now)
         platform.run(2.0)
         plane.finish()
         assert len(slo.measurements) == 1

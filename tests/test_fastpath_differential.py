@@ -27,7 +27,7 @@ from repro.dataplane.flowtable import FlowEntry
 from repro.dataplane.group import Bucket, GroupEntry, GroupType
 from repro.dataplane.match import Match
 from repro.dataplane.switch import Datapath
-from repro.faults import FaultSchedule
+from repro.faults import arm_faults
 from repro.netem import Topology
 from repro.packet import Ethernet, IPv4, UDP
 from repro.sim import Simulator
@@ -328,9 +328,11 @@ def _drive_platform(fast_path: bool, seed: int,
     ).start()
     if with_faults:
         # start() has already run ~2.5 s of warmup; faults go after.
-        (FaultSchedule(platform.net)
-         .link_flap(4.0, "s2", "s3", down_for=0.6, period=2.0, count=3)
-         .channel_flap(5.0, "s1", down_for=0.5, period=3.0, count=2))
+        arm_faults(platform.fault_schedule(), [
+            {"kind": "link_flap", "a": "s2", "b": "s3", "at": 4.0,
+             "down_for": 0.6, "period": 2.0, "count": 3},
+            {"kind": "channel_flap", "switch": "s1", "at": 5.0,
+             "down_for": 0.5, "period": 3.0, "count": 2}])
     hosts = list(platform.net.hosts.values())
     sim = platform.sim
     rng = sim.fork_rng()

@@ -274,8 +274,9 @@ class TestControllerResync:
         ctl = platform.controller
         net = platform.net
         t0 = net.sim.now
-        FaultSchedule(net).channel_flap(t0 + 0.5, "s1",
-                                        down_for=0.5, period=2.0)
+        arm_faults(FaultSchedule(net), [
+            {"kind": "channel_flap", "switch": "s1", "at": 0.5,
+             "down_for": 0.5, "period": 2.0, "count": 1}], base=t0)
         platform.run(0.7)  # channel is down now
         assert ctl.switch_count == 3
         assert net.switch("s1").dpid in ctl._stale
@@ -295,7 +296,9 @@ class TestControllerResync:
         flows_before = dp.flow_count()
         assert flows_before > 0
         t0 = net.sim.now
-        FaultSchedule(net).switch_crash(t0 + 0.5, "s2", restart_after=0.5)
+        arm_faults(FaultSchedule(net), [
+            {"kind": "switch_crash", "switch": "s2", "at": 0.5,
+             "restart_after": 0.5}], base=t0)
         platform.run(0.7)
         assert dp.flow_count() == 0  # reboot wiped the tables
         platform.run(3.0)
@@ -315,11 +318,11 @@ class TestControllerResync:
         rogue = FlowEntry(Match(ip_dst="203.0.113.9"),
                           [Output(1)], priority=7)
         t0 = net.sim.now
-        sched = FaultSchedule(net)
-        sched.channel_down(t0 + 0.2, "s3")
+        arm_faults(FaultSchedule(net), [
+            {"kind": "channel_flap", "switch": "s3", "at": 0.2,
+             "down_for": 0.6, "period": 1.0, "count": 1}], base=t0)
         # Rogue state appears while the controller is blind.
         net.sim.schedule_at(t0 + 0.4, dp.install_flow, rogue)
-        sched.channel_up(t0 + 0.8, "s3")
         platform.run(3.0)
         assert ctl.resync_deleted >= 1
         table = dp.table(0)
@@ -333,13 +336,14 @@ class TestControllerResync:
         ctl = platform.controller
         net = platform.net
         t0 = net.sim.now
-        sched = FaultSchedule(net)
-        sched.channel_down(t0 + 0.2, "s4")
-        # Reconnect, then cut again 1 ms in — mid-handshake (the
-        # features round trip needs 2 x 2 ms) — then heal for good.
-        sched.channel_up(t0 + 0.5, "s4")
-        sched.channel_down(t0 + 0.501, "s4")
-        sched.channel_up(t0 + 0.8, "s4")
+        # Down at +0.2, reconnect at +0.5, then cut again 1 ms in —
+        # mid-handshake (the features round trip needs 2 x 2 ms) — and
+        # heal for good at +0.8.
+        flap = {"kind": "channel_flap", "switch": "s4", "period": 1.0,
+                "count": 1}
+        arm_faults(FaultSchedule(net), [
+            dict(flap, at=0.2, down_for=0.3),
+            dict(flap, at=0.501, down_for=0.299)], base=t0)
         platform.run(3.0)
         assert ctl.switch_count == 4
         assert platform.ping_all(count=1, settle=5.0) == 1.0
@@ -391,29 +395,47 @@ class TestHostPrefixRules:
 
 
 class TestFaultSchedule:
+    FLAP = {"kind": "link_flap", "a": "s1", "b": "s2", "at": 0.0,
+            "down_for": 1.0, "period": 0.5}
+
     def test_validation(self):
+        """One timing rule: ``arm_faults`` and ``fault_end`` accept and
+        reject the same dicts, with the same message."""
         net = Network(Topology.ring(4, hosts_per_switch=1))
-        sched = FaultSchedule(net)
-        with pytest.raises(TopologyError):
-            sched.link_flap(0.0, "s1", "s2", down_for=0.0, period=1.0)
-        with pytest.raises(TopologyError):
-            sched.link_flap(0.0, "s1", "s2", down_for=1.0, period=0.5)
-        with pytest.raises(TopologyError):
-            sched.link_down(0.0, "s1", "nope")
+        # A lone cycle has no next cycle to overlap: its period is moot.
+        lone = dict(self.FLAP, count=1)
+        assert fault_end(lone) == 1.0
+        arm_faults(FaultSchedule(net), [lone])
+        overlapping = dict(self.FLAP, count=2)
+        message = r"\(link_flap\): period \(0.5\) must exceed down_for"
+        with pytest.raises(TopologyError, match=message):
+            fault_end(overlapping)
+        with pytest.raises(TopologyError, match=message):
+            arm_faults(FaultSchedule(net), [overlapping])
+        for bad, names in [
+                (dict(lone, down_for=0.0), "down_for must be positive"),
+                (dict(lone, b="nope"), r"\(link_flap\): no link s1 -- nope"),
+                ({"kind": "switch_crash", "switch": "nope", "at": 0.0,
+                  "restart_after": 1.0},
+                 r"\(switch_crash\): switch nope has no agent")]:
+            with pytest.raises(TopologyError, match=names):
+                arm_faults(FaultSchedule(net), [bad])
         net.run(1.0)
-        with pytest.raises(TopologyError):
-            sched.link_down(0.5, "s1", "s2")  # in the past
+        with pytest.raises(TopologyError, match=r"\(link_flap\): cannot "
+                                                r"schedule link_down at 0.5"):
+            arm_faults(FaultSchedule(net), [lone], base=0.5)  # the past
 
     def test_log_records_injections_in_order(self):
         net = Network(Topology.ring(4, hosts_per_switch=1))
         sched = FaultSchedule(net)
-        sched.link_flap(1.0, "s1", "s2", down_for=0.25, period=1.0, count=2)
+        arm_faults(sched, [dict(self.FLAP, at=1.0, down_for=0.25,
+                                period=1.0, count=2)])
         net.run(3.0)
         kinds = [(e.kind, e.time) for e in sched.log]
         assert kinds == [("link_down", 1.0), ("link_up", 1.25),
                          ("link_down", 2.0), ("link_up", 2.25)]
-        assert sched.events("link_down")[0].target == "s1-s2"
-        assert sched.injected == 4
+        assert sched.log[0].target == "s1-s2"
+        assert len(sched.log) == 4
 
     def test_scenario_is_deterministic(self):
         """Same seed, same schedule => bit-identical fault outcome."""
@@ -426,9 +448,11 @@ class TestFaultSchedule:
             net = platform.net
             t0 = net.sim.now
             sched = FaultSchedule(net)
-            sched.channel_flap(t0 + 0.5, "s1", down_for=0.4, period=1.0,
-                               count=2)
-            sched.link_flap(t0 + 0.7, "s2", "s3", down_for=0.3, period=1.0)
+            arm_faults(sched, [
+                {"kind": "channel_flap", "switch": "s1", "at": 0.5,
+                 "down_for": 0.4, "period": 1.0, "count": 2},
+                {"kind": "link_flap", "a": "s2", "b": "s3", "at": 0.7,
+                 "down_for": 0.3, "period": 1.0, "count": 1}], base=t0)
             platform.run(4.0)
             ctl = platform.controller
             return (net.sim.events_processed, ctl.resyncs,

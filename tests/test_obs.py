@@ -17,7 +17,7 @@ import pytest
 from repro.cli import main
 from repro.core import ZenPlatform
 from repro.errors import SimulationError
-from repro.faults import FaultSchedule
+from repro.faults import FaultSchedule, arm_faults
 from repro.netem import Topology
 from repro.sim import Simulator
 from repro.telemetry import Telemetry
@@ -218,8 +218,9 @@ class TestScraper:
         sched = FaultSchedule(platform.net)
         plane.watch_faults(sched)
         start = platform.sim.now + 0.5
-        sched.link_flap(start, "s1", "s2", down_for=0.4, period=1.0,
-                        count=2)
+        arm_faults(sched, [{"kind": "link_flap", "a": "s1", "b": "s2",
+                            "at": 0.5, "down_for": 0.4, "period": 1.0,
+                            "count": 2}], base=platform.sim.now)
         platform.run(3.0)
         windows = plane.scraper.windows()
         assert [w.kind for w in windows] == ["link_down", "link_down"]
@@ -256,8 +257,9 @@ class TestSLOs:
 
         base = platform.sim.now
         sched = FaultSchedule(net)
-        sched.link_down(base + 1.0, "s1", "s2")
-        sched.link_up(base + 2.0, "s1", "s2")
+        arm_faults(sched, [{"kind": "link_flap", "a": "s1", "b": "s2",
+                            "at": 1.0, "down_for": 1.0, "period": 2.0,
+                            "count": 1}], base=base)
         platform.run(3.0)
 
         report = evaluator.finish(platform.sim.now)
@@ -298,8 +300,9 @@ class TestSLOs:
         sched = FaultSchedule(platform.net)
         plane.watch_faults(sched)
         base = platform.sim.now
-        sched.channel_flap(base + 0.5, "s1", down_for=0.4, period=2.0,
-                           count=1)
+        arm_faults(sched, [{"kind": "channel_flap", "switch": "s1",
+                            "at": 0.5, "down_for": 0.4, "period": 2.0,
+                            "count": 1}], base=base)
         platform.run(3.0)
         report = plane.finish()
         doc = report.slo("convergence-after-fault")
@@ -343,9 +346,10 @@ def _run_artifact(seed=7, faults=False, down_for=0.5):
     plane.watch_faults(sched)
     _warm(platform)
     if faults:
-        sched.channel_flap(platform.sim.now + 0.5, "s1",
-                           down_for=down_for, period=down_for + 1.5,
-                           count=2)
+        arm_faults(sched, [{"kind": "channel_flap", "switch": "s1",
+                            "at": 0.5, "down_for": down_for,
+                            "period": down_for + 1.5, "count": 2}],
+                   base=platform.sim.now)
     platform.run(6.0)
     plane.finish()
     return plane.artifact(seed=seed, faults=faults)

@@ -350,7 +350,7 @@ def _reactive_tree():
     platform = ZenPlatform(Topology.tree(depth=3, fanout=2),
                            profile="reactive", seed=4, exact_match=True,
                            telemetry=Telemetry(trace=True)).start()
-    _pairs_traffic(platform, platform.seed_static_arp(), 80)
+    _pairs_traffic(platform, platform.net.seed_static_arp(), 80)
     platform.run(2.5)
     return platform
 
@@ -358,7 +358,7 @@ def _reactive_tree():
 def _fat_tree_silent_destination():
     platform = ZenPlatform(Topology.fat_tree(4, bandwidth_bps=1e9),
                            seed=2, telemetry=Telemetry(trace=True)).start()
-    hosts = platform.seed_static_arp()
+    hosts = platform.net.seed_static_arp()
     silent = hosts[-1]  # never sends: traffic toward it keeps flooding
     for i in range(60):
         platform.sim.schedule(0.3 + i * 0.01, hosts[i % 8].send_udp,
@@ -371,7 +371,7 @@ def _three_controllers():
     platform = ZenPlatform(Topology.tree(depth=2, fanout=2),
                            profile="reactive", seed=6, exact_match=True,
                            controllers=3, telemetry=Telemetry(trace=True)).start()
-    _pairs_traffic(platform, platform.seed_static_arp(), 40, start=0.6)
+    _pairs_traffic(platform, platform.net.seed_static_arp(), 40, start=0.6)
     platform.run(2.5)
     return platform
 
@@ -387,7 +387,7 @@ def _flapped_and_traced():
     platform = ZenPlatform(Topology.tree(depth=2, fanout=2),
                            profile="reactive", seed=9, exact_match=True,
                            telemetry=Telemetry(trace=True)).start()
-    hosts = platform.seed_static_arp()
+    hosts = platform.net.seed_static_arp()
     net, sim = platform.net, platform.sim
     names = sorted(net.switches)
     for burst in range(4):
@@ -499,7 +499,7 @@ def test_a_punt_crosses_the_channel_once(monkeypatch):
                            profile="reactive", seed=3,
                            exact_match=True).start()
     platform.learning.idle_timeout = 0.5
-    hosts = platform.seed_static_arp()
+    hosts = platform.net.seed_static_arp()
     platform.discovery.stop()  # LLDP probes are not punts of a frame
     platform.run(1.0)          # ... and the last of them has landed
     net, controller = platform.net, platform.controller

@@ -98,7 +98,7 @@ class TestPlatformAssembly:
 
     def test_seed_static_arp_returns_hosts_in_name_order(self):
         platform = ZenPlatform(Topology.fat_tree(4))
-        hosts = platform.seed_static_arp()
+        hosts = platform.net.seed_static_arp()
         assert [h.name for h in hosts] == sorted(platform.net.hosts)
         assert len(hosts) == 16
         first, last = hosts[0], hosts[-1]

@@ -391,7 +391,7 @@ def _cluster(tel=None, seed=0):
 
 
 def _run_cluster_crash(tel, seed=0):
-    from repro.faults import FaultSchedule
+    from repro.faults import arm_faults
 
     platform = _cluster(tel, seed=seed).start()
     net = platform.net
@@ -403,11 +403,10 @@ def _run_cluster_crash(tel, seed=0):
     for i, host in enumerate(hosts):
         host.send_udp(hosts[(i + 1) % len(hosts)].ip, 7, 7, b"warm")
     platform.run(1.0)
-    sched = FaultSchedule(net)
-    sched.attach_cluster(platform.cluster)
+    sched = platform.fault_schedule()
     victim = platform.cluster.master_of(net.switches["s1"].dpid)
-    sched.controller_crash(net.sim.now + 0.5, victim,
-                           restart_after=0.4)
+    arm_faults(sched, [{"kind": "controller_crash", "node": victim,
+                        "at": 0.5, "restart_after": 0.4}], base=net.sim.now)
     platform.run(3.0)
     return platform, sched
 
@@ -449,7 +448,7 @@ class TestClusterHandoverTrace:
         assert path["total"] > 0
 
     def test_convergence_slo_carries_trace_exemplars(self):
-        from repro.faults import FaultSchedule
+        from repro.faults import FaultSchedule, arm_faults
         from repro.obs import ObsPlane
         from repro.obs.slo import ConvergenceSLO
 
@@ -462,8 +461,9 @@ class TestClusterHandoverTrace:
         sched = FaultSchedule(platform.net)
         plane.watch_faults(sched)
         platform.ping_all(count=1, settle=8.0)
-        sched.switch_crash(platform.sim.now + 0.1, "s2",
-                           restart_after=0.3)
+        arm_faults(sched, [{"kind": "switch_crash", "switch": "s2",
+                            "at": 0.1, "restart_after": 0.3}],
+                   base=platform.sim.now)
         platform.run(3.0)
         plane.finish()
         assert slo.measurements, "crash never reconverged"
