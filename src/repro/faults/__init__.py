@@ -28,7 +28,10 @@ from repro.faults.schedule import (
     FaultEvent,
     FaultSchedule,
     arm_faults,
+    check_targets,
     fault_end,
+    lower_fault,
 )
 
-__all__ = ["FaultEvent", "FaultSchedule", "arm_faults", "fault_end"]
+__all__ = ["FaultEvent", "FaultSchedule", "arm_faults", "check_targets",
+           "fault_end", "lower_fault"]

@@ -24,7 +24,8 @@ from typing import Callable, List, Optional
 from repro.errors import TopologyError
 from repro.netem.network import Network
 
-__all__ = ["FaultEvent", "FaultSchedule", "arm_faults", "fault_end"]
+__all__ = ["FaultEvent", "FaultSchedule", "arm_faults", "check_targets",
+           "fault_end", "lower_fault"]
 
 
 class FaultEvent:
@@ -199,6 +200,22 @@ _KINDS = {
 }
 
 
+#: Each fault field's JSON type (``node`` is checked by the cluster).
+_NUMBER = (int, float)
+_FIELD_TYPES = {"at": _NUMBER, "down_for": _NUMBER, "period": _NUMBER,
+                "restart_after": _NUMBER, "heal_after": _NUMBER,
+                "count": int, "a": str, "b": str, "switch": str,
+                "minority": list}
+
+
+def _check_types(fault: dict) -> None:
+    for field, kind in _FIELD_TYPES.items():
+        if field in fault and not isinstance(fault[field], kind):
+            raise TopologyError(
+                f"{field} must be {getattr(kind, '__name__', 'a number')}"
+                f", not {type(fault[field]).__name__}")
+
+
 def _check_timing(kind: str, fault: dict) -> None:
     """Reject a timing no run can honour: a negative ``at``, a flap
     that never comes up or overlaps its next cycle, a crash or
@@ -248,13 +265,15 @@ def _check_nodes(kind: str, fault: dict, size: int) -> None:
                             f"all of the cluster's nodes 0..{size - 1}")
 
 
-def _lower(fault: dict, label: str, base: float, size: Optional[int],
-           schedule: Optional[FaultSchedule] = None) -> list:
-    """``fault``'s injections, ``at`` relative to ``base``, once its
-    timing and — given the cluster ``size`` — its controller targets
-    pass; armed on ``schedule`` when one is given.  Every rejection is
-    a :class:`~repro.errors.TopologyError` naming ``label`` and the
-    kind."""
+def lower_fault(fault: dict, label: str = "fault",
+                controllers: Optional[int] = None, base: float = 0.0,
+                on=None, arm: bool = False) -> list:
+    """``fault``'s injections ``(at, kind, bind)`` in firing order,
+    ``at`` relative to ``base``, once its field types, timing and —
+    given the cluster size ``controllers`` — controller targets pass;
+    bound on ``on`` (whatever has a schedule's ``net`` and ``cluster``)
+    and, with ``arm``, armed there.  Every rejection is a
+    :class:`~repro.errors.TopologyError` naming ``label`` and the kind."""
     kind = fault.get("kind")
     lower = _KINDS.get(kind)
     if lower is None:
@@ -262,13 +281,16 @@ def _lower(fault: dict, label: str, base: float, size: Optional[int],
             f"{label}: unknown kind {kind!r}; pick from {sorted(_KINDS)}"
         )
     try:
+        _check_types(fault)
         _check_timing(kind, fault)
-        if size is not None:
-            _check_nodes(kind, fault, size)
+        if controllers is not None:
+            _check_nodes(kind, fault, controllers)
         injections = lower(fault, base + fault["at"])
-        if schedule is not None:
+        if on is not None:
             for at, name, bind in injections:
-                schedule._arm(at, name, *bind(schedule))
+                target, action = bind(on)
+                if arm:
+                    on._arm(at, name, target, action)
     except KeyError as exc:
         raise TopologyError(f"{label} ({kind}): missing field {exc}") from exc
     except TopologyError as exc:
@@ -276,15 +298,26 @@ def _lower(fault: dict, label: str, base: float, size: Optional[int],
     return injections
 
 
+def _bind_all(on, faults: List[dict], base: float, arm: bool) -> None:
+    size = 1 if on.cluster is None else on.cluster.size
+    for index, fault in enumerate(faults):
+        lower_fault(fault, f"fault #{index}", size, base, on, arm)
+
+
 def arm_faults(schedule: FaultSchedule, faults: List[dict],
                base: float = 0.0) -> None:
     """Arm every fault dict on ``schedule``, ``at`` relative to ``base``:
-    an unknown kind, a missing field, a timing no run can honour, a bad
-    target or a controller kind the schedule's cluster cannot take is an
-    error naming the list index and kind."""
-    size = 1 if schedule.cluster is None else schedule.cluster.size
-    for index, fault in enumerate(faults):
-        _lower(fault, f"fault #{index}", base, size, schedule)
+    an unknown kind, a missing field or one of the wrong type, a timing
+    no run can honour, a bad target or a controller kind the schedule's
+    cluster cannot take is an error naming the list index and kind."""
+    _bind_all(schedule, faults, base, arm=True)
+
+
+def check_targets(platform, faults: List[dict]) -> None:
+    """Bind every fault's targets on ``platform`` before it starts,
+    arming nothing: the lookups :func:`arm_faults` makes, so a switch
+    or link the topology lacks fails before any simulated time."""
+    _bind_all(platform, faults, 0.0, arm=False)
 
 
 def fault_end(fault: dict, label: str = "fault",
@@ -297,4 +330,4 @@ def fault_end(fault: dict, label: str = "fault",
     ``controllers`` gives the cluster size — so a spec, which reads
     every fault through here, fails before any simulated time.
     """
-    return _lower(fault, label, 0.0, controllers)[-1][0]
+    return lower_fault(fault, label, controllers)[-1][0]

@@ -16,7 +16,7 @@ suite's needs:
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.netem.host import Host
@@ -32,6 +32,7 @@ __all__ = [
     "allocate_flow_id",
     "pareto_sizes",
     "send_framed_flow",
+    "source_ports",
     "FLOW_HEADER",
 ]
 
@@ -201,6 +202,13 @@ class CBRStream:
         )
 
 
+def source_ports() -> Iterator[int]:
+    """The ephemeral source ports a flow generator hands its flows in
+    turn: 30000 up to 60000, then round again."""
+    while True:
+        yield from range(30000, 60001)
+
+
 def pareto_sizes(rng, mean: float, shape: float = 1.2):
     """An infinite generator of Pareto-distributed flow sizes.
 
@@ -291,7 +299,7 @@ class FlowGenerator:
         self.rng = sim.fork_rng()
         self._end_at = sim.now + start + duration
         self.flows_started: List[FlowRecord] = []
-        self._next_src_port = 30000
+        self._ports = source_ports()
         sim.schedule(start + self.rng.expovariate(arrival_rate),
                      self._arrival)
 
@@ -307,15 +315,11 @@ class FlowGenerator:
         src, dst = self._pick_pair()
         size = next(self.size_source)
         flow_id = allocate_flow_id(self.sim)
-        src_port = self._next_src_port
-        self._next_src_port += 1
-        if self._next_src_port > 60000:
-            self._next_src_port = 30000
         record = FlowRecord(flow_id, src.name, dst.name, size, self.sim.now)
         self.flows_started.append(record)
-        send_framed_flow(self.sim, src, dst.ip, flow_id, size, src_port,
-                         self.dst_port, self.flow_rate_bps,
-                         self.packet_size)
+        send_framed_flow(self.sim, src, dst.ip, flow_id, size,
+                         next(self._ports), self.dst_port,
+                         self.flow_rate_bps, self.packet_size)
         return record
 
     def _arrival(self) -> None:

@@ -32,6 +32,7 @@ from repro.analysis import percentile
 from repro.errors import SimulationError
 from repro.obs import RunArtifact, RunResult
 from repro.sim.shard.partition import Partition, partition_topology
+from repro.sim.shard.program import build_program
 from repro.sim.shard.worker import ShardWorker
 from repro.telemetry.artifact import merge, tracer_traces
 from repro.workload.spec import WorkloadSpec, build_spec_topology
@@ -258,6 +259,8 @@ def run_sharded(spec: WorkloadSpec, shards: int = 1,
     with tracing on or off.
     """
     topology = build_spec_topology(spec)
+    # Compiled here too: a spec the kernel cannot run fails up front.
+    flows_started = build_program(spec, topology).flows_started
     partition = partition_topology(topology, shards)
     effective = partition.shards
     use_processes = (processes if processes is not None
@@ -295,16 +298,6 @@ def run_sharded(spec: WorkloadSpec, shards: int = 1,
     observables = _merge_observables(parts)
     fcts = [flow[5] - flow[4] for flow in observables["flows"]
             if flow[5] is not None]
-    program_flows = None
-    for adapter in adapters:
-        if isinstance(adapter, _LocalAdapter):
-            program_flows = adapter.worker.program.flows_started
-            break
-    if program_flows is None:
-        # Multiprocess parents never built a worker; recompute cheaply.
-        from repro.sim.shard.program import build_program
-
-        program_flows = build_program(spec, topology).flows_started
     summary = {
         "name": spec.name,
         "seed": spec.seed,
@@ -314,7 +307,7 @@ def run_sharded(spec: WorkloadSpec, shards: int = 1,
         "lookahead": (partition.lookahead
                       if partition.lookahead != float("inf") else None),
         "cut_links": len(partition.cut_links),
-        "flows_started": program_flows,
+        "flows_started": flows_started,
         "flows_completed": len(fcts),
         "fct_p50": percentile(fcts, 50) if fcts else None,
         "fct_p95": percentile(fcts, 95) if fcts else None,

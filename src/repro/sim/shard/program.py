@@ -21,15 +21,20 @@ entries, the static-forwarding execution model the sharded engine runs
 
 from __future__ import annotations
 
+import random
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TopologyError
+from repro.faults import lower_fault
 from repro.netem.topology import Topology
-from repro.workload.generators import TenantMatrix
+from repro.netem.traffic import source_ports
+from repro.workload.generators import (
+    TenantMatrix,
+    diurnal_fraction,
+    read_traffic,
+)
 from repro.workload.sizes import size_source_from_spec
 from repro.workload.spec import WorkloadSpec
-
-import random
 
 __all__ = ["Program", "build_program", "build_routes"]
 
@@ -50,14 +55,13 @@ class Program:
     * ``("link_down" | "link_up", t, a, b)``
     """
 
-    __slots__ = ("ops", "sinks", "flows_started", "fault_count")
+    __slots__ = ("ops", "sinks", "flows_started")
 
     def __init__(self) -> None:
         self.ops: List[tuple] = []
         #: (host name, udp port) pairs needing a FlowSink.
         self.sinks: List[Tuple[str, int]] = []
         self.flows_started = 0
-        self.fault_count = 0
 
 
 def _entry_rng(seed: int, index: int, role: str) -> random.Random:
@@ -65,137 +69,46 @@ def _entry_rng(seed: int, index: int, role: str) -> random.Random:
     return random.Random(f"{seed}\x1ftraffic:{index}:{role}")
 
 
-class _PortRotor:
-    """The generators' ephemeral source-port rotation, 30000..60000."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 30000
-
-    def next(self) -> int:
-        port = self.value
-        self.value += 1
-        if self.value > 60000:
-            self.value = 30000
-        return port
-
-
-def _compile_flows(program: Program, entry: dict, index: int,
-                   seed: int, hosts: List[str],
-                   matrix: Optional[TenantMatrix]) -> None:
-    """Poisson / diurnal-thinned Poisson arrivals, fully unrolled."""
-    import math
-
-    kind = entry.get("kind", "flows")
-    start = float(entry.get("start", 0.0))
-    duration = float(entry.get("duration", 10.0))
-    dst_port = int(entry.get("dst_port", 9000))
-    flow_rate = float(entry.get("flow_rate_bps", 10e6))
-    packet_size = int(entry.get("packet_size", 1000))
-    rng = _entry_rng(seed, index, "arrivals")
-    sizes: Iterator[int] = size_source_from_spec(
-        _entry_rng(seed, index, "sizes"),
-        entry.get("sizes", {"dist": "pareto", "mean": 50_000}))
-    use_matrix = bool(entry.get("tenant_matrix"))
-    if use_matrix and matrix is None:
-        raise TopologyError(
-            "traffic entry requests tenant_matrix but the spec "
-            "declares no tenants"
-        )
-    rate = float(entry.get(
-        "rate",
-        matrix.aggregate_rate(float(entry.get("flows_per_user_per_s",
-                                              2e-5)))
-        if (use_matrix and matrix is not None) else 10.0,
-    ))
-    if len(hosts) < 2:
-        raise TopologyError("flow generation needs >= 2 hosts")
-
-    period = float(entry.get("period", 86_400.0))
-    trough = float(entry.get("trough", 0.2))
-    phase = float(entry.get("phase", 0.0))
-
-    def rate_fraction(t: float) -> float:
-        cycle = 0.5 * (1.0 - math.cos(2.0 * math.pi * (t - phase) / period))
-        return trough + (1.0 - trough) * cycle
-
-    base = (index + 1) * FLOW_ID_BLOCK
-    rotor = _PortRotor()
-    end_at = start + duration
-    n = 0
-    t = start + rng.expovariate(rate)
+def _arrivals(entry: dict, rng: random.Random, sizes: Iterator[int],
+              hosts: List[str], matrix: Optional[TenantMatrix]):
+    """Poisson / diurnal-thinned Poisson flows ``(t, src, dst, size)``,
+    fully unrolled."""
+    rate = entry["rate"]
+    if rate is None:
+        rate = matrix.aggregate_rate(entry["flows_per_user_per_s"])
+    diurnal = entry["kind"] == "diurnal"
+    end_at = entry["start"] + entry["duration"]
+    t = entry["start"] + rng.expovariate(rate)
     while t <= end_at:
-        accept = True
-        if kind == "diurnal":
-            accept = rng.random() < rate_fraction(t)
-        if accept:
-            if use_matrix:
+        if not diurnal or rng.random() < diurnal_fraction(
+                t, entry["period"], entry["trough"], entry["phase"]):
+            if entry["tenant_matrix"]:
                 src, dst = matrix.pick()
             else:
                 src, dst = rng.sample(hosts, 2)
-            size = next(sizes)
-            program.ops.append(("flow", t, src, dst, base + n, size,
-                                rotor.next(), dst_port, flow_rate,
-                                packet_size))
-            n += 1
+            yield t, src, dst, next(sizes)
         t += rng.expovariate(rate)
-    program.flows_started += n
-    program.sinks.extend((h, dst_port) for h in hosts)
 
 
-def _compile_incast(program: Program, entry: dict, index: int,
-                    seed: int, hosts: List[str]) -> None:
-    start = float(entry.get("start", 0.0))
-    duration = float(entry.get("duration", 10.0))
-    dst_port = int(entry.get("dst_port", 9000))
-    period = float(entry.get("period", 1.0))
-    nbytes = int(entry.get("bytes_per_sender", 20_000))
-    flow_rate = float(entry.get("flow_rate_bps", 10e6))
-    packet_size = int(entry.get("packet_size", 1000))
-    aggregator = hosts[-1]
-    senders = hosts[:-1]
-    if not senders:
-        raise TopologyError("incast needs at least one sender")
-    fanin = min(int(entry.get("fanin") or len(senders)), len(senders))
-    rng = _entry_rng(seed, index, "incast")
-    base = (index + 1) * FLOW_ID_BLOCK
-    rotor = _PortRotor()
-    end_at = start + duration
-    n = 0
-    t = start
-    # Mirrors IncastGenerator: a burst landing exactly on the end
-    # instant does not fire.
+def _bursts(entry: dict, rng: random.Random, hosts: List[str]):
+    """Incast flows ``(t, src, aggregator, size)``: like
+    IncastGenerator, a burst landing exactly on the end instant does
+    not fire."""
+    aggregator, senders = hosts[-1], hosts[:-1]
+    fanin = min(entry["fanin"] or len(senders), len(senders))
+    end_at = entry["start"] + entry["duration"]
+    t = entry["start"]
     while t < end_at:
         for src in rng.sample(senders, fanin):
-            program.ops.append(("flow", t, src, aggregator, base + n,
-                                nbytes, rotor.next(), dst_port,
-                                flow_rate, packet_size))
-            n += 1
-        t += period
-    program.flows_started += n
-    program.sinks.append((aggregator, dst_port))
-
-
-def _compile_cbr(program: Program, entry: dict, index: int,
-                 hosts: List[str]) -> None:
-    if len(hosts) < 2:
-        raise TopologyError("cbr entry needs >= 2 hosts")
-    start = float(entry.get("start", 0.0))
-    duration = float(entry.get("duration", 10.0))
-    dst_port = int(entry.get("dst_port", 9000))
-    program.ops.append((
-        "cbr", start, duration, hosts[0], hosts[1],
-        (index + 1) * FLOW_ID_BLOCK,
-        float(entry.get("rate_bps", 1e6)),
-        int(entry.get("packet_size", 1000)),
-        20000, dst_port,
-    ))
-    program.sinks.append((hosts[1], dst_port))
+            yield t, src, aggregator, entry["bytes_per_sender"]
+        t += entry["period"]
 
 
 def build_program(spec: WorkloadSpec, topology: Topology) -> Program:
-    """Compile one spec into its partition-independent op list."""
+    """Compile one spec into its partition-independent op list: each
+    entry as :func:`~repro.workload.generators.read_traffic` reads it
+    and each fault as :func:`~repro.faults.lower_fault` lowers it, the
+    readings the platform arms from."""
     hosts = sorted(n.name for n in topology.hosts)
     program = Program()
 
@@ -207,17 +120,39 @@ def build_program(spec: WorkloadSpec, topology: Topology) -> Program:
             random.Random(f"{spec.seed}\x1ftenants"), hosts, spec.tenants)
 
     for index, entry in enumerate(spec.traffic):
-        kind = entry.get("kind", "flows")
-        if kind in ("flows", "diurnal"):
-            _compile_flows(program, entry, index, spec.seed, hosts, matrix)
-        elif kind == "incast":
-            _compile_incast(program, entry, index, spec.seed, hosts)
-        elif kind == "cbr":
-            _compile_cbr(program, entry, index, hosts)
+        entry = read_traffic(entry, f"traffic[{index}]", hosts)
+        kind = entry["kind"]
+        if kind == "probe":
+            raise TopologyError(
+                f"traffic[{index}]: sharded runs compile open-loop "
+                f"traffic; kind 'probe' is not supported under --shards")
+        base, port = (index + 1) * FLOW_ID_BLOCK, entry["dst_port"]
+        if kind == "cbr":
+            program.ops.append((
+                "cbr", entry["start"], entry["duration"], hosts[0],
+                hosts[1], base, entry["rate_bps"], entry["packet_size"],
+                20000, port))
+            program.sinks.append((hosts[1], port))
+            continue
+        if kind == "incast":
+            flows = _bursts(entry, _entry_rng(spec.seed, index, "incast"),
+                            hosts)
+            program.sinks.append((hosts[-1], port))
         else:
-            raise TopologyError(f"unknown traffic kind {kind!r}")
+            sizes = size_source_from_spec(
+                _entry_rng(spec.seed, index, "sizes"), entry["sizes"])
+            flows = _arrivals(entry, _entry_rng(spec.seed, index,
+                                                "arrivals"),
+                              sizes, hosts, matrix)
+            program.sinks.extend((h, port) for h in hosts)
+        for n, ((t, src, dst, size), sport) in enumerate(
+                zip(flows, source_ports())):
+            program.ops.append((
+                "flow", t, src, dst, base + n, size, sport, port,
+                entry["flow_rate_bps"], entry["packet_size"]))
+            program.flows_started += 1
 
-    for fault in spec.faults:
+    for index, fault in enumerate(spec.faults):
         kind = fault["kind"]
         if kind != "link_flap":
             raise TopologyError(
@@ -225,12 +160,8 @@ def build_program(spec: WorkloadSpec, topology: Topology) -> Program:
                 f"with no control channel; fault kind {kind!r} is not "
                 f"supported under --shards"
             )
-        for k in range(int(fault["count"])):
-            t = float(fault["at"]) + k * float(fault["period"])
-            program.ops.append(("link_down", t, fault["a"], fault["b"]))
-            program.ops.append(("link_up", t + float(fault["down_for"]),
-                                fault["a"], fault["b"]))
-            program.fault_count += 2
+        for at, name, _bind in lower_fault(fault, f"fault #{index}"):
+            program.ops.append((name, at, fault["a"], fault["b"]))
 
     # Sinks: unique, stable order.
     program.sinks = sorted(set(program.sinks))

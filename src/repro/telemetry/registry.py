@@ -34,11 +34,6 @@ __all__ = [
     "OVERFLOW_LABEL",
 ]
 
-#: Default histogram buckets, tuned for simulated latencies (seconds).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    1e-6, 1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 5e-2, 1e-1, 5e-1, 1.0, 5.0,
-)
-
 #: Label value all over-cap label sets collapse into (cardinality guard).
 OVERFLOW_LABEL = "__overflow__"
 
@@ -90,24 +85,20 @@ class Gauge:
 
 
 class Histogram:
-    """Cumulative-bucket histogram (Prometheus style).
-
-    Alongside the fixed buckets, every histogram feeds a mergeable
-    :class:`~repro.telemetry.sketch.QuantileSketch`, so percentiles
-    (:meth:`quantile`) are available at any accuracy the bucket layout
-    cannot provide — and the ``repro.obs`` time-series engine can diff
-    cumulative sketches into per-scrape windows.
+    """A distribution: its count, its sum and a mergeable
+    :class:`~repro.telemetry.sketch.QuantileSketch`, from which
+    :meth:`quantile` reads percentiles — and the ``repro.obs``
+    time-series engine diffs cumulative sketches into per-scrape
+    windows.
     """
 
     kind = "histogram"
-    __slots__ = ("buckets", "bucket_counts", "count", "sum", "sketch")
+    __slots__ = ("count", "sum", "sketch")
 
     #: Percentiles exported in snapshots and the metrics table.
     EXPORT_QUANTILES = (0.5, 0.95, 0.99)
 
-    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        self.buckets = tuple(sorted(buckets))
-        self.bucket_counts = [0] * len(self.buckets)
+    def __init__(self) -> None:
         self.count = 0
         self.sum = 0.0
         self.sketch = QuantileSketch()
@@ -116,9 +107,6 @@ class Histogram:
         self.count += 1
         self.sum += value
         self.sketch.observe(value)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[i] += 1
 
     def quantile(self, q: float) -> Optional[float]:
         """The sketched value at quantile ``q``; None while empty."""
@@ -128,10 +116,6 @@ class Histogram:
         return {
             "count": self.count,
             "sum": self.sum,
-            "buckets": {
-                repr(bound): cumulative
-                for bound, cumulative in zip(self.buckets, self.bucket_counts)
-            },
             "quantiles": {
                 f"p{int(q * 100)}": self.quantile(q)
                 for q in self.EXPORT_QUANTILES
@@ -164,19 +148,18 @@ class MetricFamily:
     per-flow label costs one warning counter, not unbounded memory.
     """
 
-    __slots__ = ("name", "help", "labelnames", "_ctor", "_ctor_kwargs",
-                 "children", "max_label_sets", "overflowed", "_on_overflow")
+    __slots__ = ("name", "help", "labelnames", "_ctor", "children",
+                 "max_label_sets", "overflowed", "_on_overflow")
 
     def __init__(self, name: str, help_text: str,
                  labelnames: Sequence[str], ctor,
                  max_label_sets: int = MAX_LABEL_SETS,
-                 on_overflow: Optional[Callable[[str], None]] = None,
-                 **ctor_kwargs) -> None:
+                 on_overflow: Optional[Callable[[str], None]] = None
+                 ) -> None:
         self.name = name
         self.help = help_text
         self.labelnames = tuple(labelnames)
         self._ctor = ctor
-        self._ctor_kwargs = ctor_kwargs
         self.children: Dict[Tuple[str, ...], object] = {}
         self.max_label_sets = max_label_sets
         #: Label sets redirected into the overflow child so far.
@@ -226,7 +209,7 @@ class MetricFamily:
                 child = self.children.get(key)
                 if child is not None:
                     return child
-            child = self._ctor(**self._ctor_kwargs)
+            child = self._ctor()
             self.children[key] = child
         return child
 
@@ -264,20 +247,17 @@ class MetricsRegistry:
         return self._family(name, help_text, labels, Gauge)
 
     def histogram(self, name: str, help_text: str = "",
-                  labels: Optional[Sequence[str]] = None,
-                  buckets: Sequence[float] = DEFAULT_BUCKETS):
-        return self._family(name, help_text, labels, Histogram,
-                            buckets=buckets)
+                  labels: Optional[Sequence[str]] = None):
+        return self._family(name, help_text, labels, Histogram)
 
-    def _family(self, name: str, help_text: str, labels, ctor, **kwargs):
+    def _family(self, name: str, help_text: str, labels, ctor):
         bare = labels is None
         labels = () if bare else labels
         family = self._families.get(name)
         if family is None:
             family = MetricFamily(name, help_text, labels, ctor,
                                   max_label_sets=self.max_label_sets,
-                                  on_overflow=self._note_overflow,
-                                  **kwargs)
+                                  on_overflow=self._note_overflow)
             self._families[name] = family
         elif family.kind != ctor.kind or family.labelnames != tuple(labels):
             raise ValueError(

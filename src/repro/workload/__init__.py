@@ -18,7 +18,8 @@ Building blocks, usable directly too:
 * :mod:`~repro.workload.sizes` — heavy-tailed / lognormal / empirical
   / elephant-mice flow-size sources;
 * :mod:`~repro.workload.generators` — incast storms, diurnal load
-  modulation, user-count-weighted tenant matrices, and the
+  modulation, user-count-weighted tenant matrices, ``read_traffic``
+  (the one reader of a traffic entry) and the
   :func:`~repro.workload.generators.arm_traffic` bridge from spec
   entries to armed generators;
 * :func:`~repro.workload.spec.library` — the canned scenario set

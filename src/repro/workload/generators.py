@@ -12,25 +12,30 @@ Three shapes the base :mod:`repro.netem.traffic` families do not cover:
   1.2 million users" and get a proportional, locality-biased share of
   a tractable aggregate flow rate.
 
-:func:`arm_traffic` is the declarative bridge: one traffic-entry dict
-from a :class:`~repro.workload.spec.WorkloadSpec` becomes one armed
-generator, with flow sinks lazily installed on the destination port.
+:func:`read_traffic` is the one reader of a traffic-entry dict (the
+spec, :func:`arm_traffic` and the sharded compiler all read through it);
+:func:`arm_traffic` is the declarative bridge: one entry becomes one
+armed generator, with flow sinks lazily installed on the destination
+port.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TopologyError
 from repro.netem.host import Host
 from repro.netem.traffic import (
+    FLOW_HEADER,
     CBRStream,
     FlowGenerator,
     FlowRecord,
     FlowSink,
     allocate_flow_id,
     send_framed_flow,
+    source_ports,
 )
 from repro.sim import Simulator
 from repro.workload.sizes import size_source_from_spec
@@ -38,9 +43,12 @@ from repro.workload.sizes import size_source_from_spec
 __all__ = [
     "DiurnalFlowGenerator",
     "IncastGenerator",
+    "TRAFFIC_KINDS",
     "TenantMatrix",
     "arm_traffic",
+    "diurnal_fraction",
     "ensure_sinks",
+    "read_traffic",
 ]
 
 
@@ -85,7 +93,7 @@ class IncastGenerator:
         self.bursts = 0
         self.flows_started: List[FlowRecord] = []
         self._end_at = sim.now + start + duration
-        self._next_src_port = 30000
+        self._ports = source_ports()
         sim.schedule(start, self._burst)
 
     def _burst(self) -> None:
@@ -94,28 +102,32 @@ class IncastGenerator:
         self.bursts += 1
         for src in self.rng.sample(self.senders, self.fanin):
             flow_id = allocate_flow_id(self.sim)
-            src_port = self._next_src_port
-            self._next_src_port += 1
-            if self._next_src_port > 60000:
-                self._next_src_port = 30000
             record = FlowRecord(flow_id, src.name, self.aggregator.name,
                                 self.bytes_per_sender, self.sim.now)
             self.flows_started.append(record)
             send_framed_flow(self.sim, src, self.aggregator.ip, flow_id,
-                             self.bytes_per_sender, src_port, self.dst_port,
-                             self.flow_rate_bps, self.packet_size)
+                             self.bytes_per_sender, next(self._ports),
+                             self.dst_port, self.flow_rate_bps,
+                             self.packet_size)
         self.sim.schedule(self.period, self._burst)
+
+
+def diurnal_fraction(t: float, period: float, trough: float,
+                     phase: float) -> float:
+    """The day curve at ``t`` as a fraction of peak, in [trough, 1]:
+    ``trough + (1 - trough) * 0.5 * (1 - cos(2 * pi * (t - phase) /
+    period))``."""
+    cycle = 0.5 * (1.0 - math.cos(2.0 * math.pi * (t - phase) / period))
+    return trough + (1.0 - trough) * cycle
 
 
 class DiurnalFlowGenerator(FlowGenerator):
     """Poisson arrivals modulated by a sinusoidal diurnal curve.
 
     The parent schedules candidate arrivals at the *peak* rate; each is
-    accepted with probability ``rate(t) / peak`` (Poisson thinning), so
-    the accepted process is an inhomogeneous Poisson process with
-
-    ``rate(t) = peak * (trough + (1 - trough) * 0.5 *
-    (1 - cos(2 * pi * (t - phase) / period)))``
+    accepted with probability :func:`diurnal_fraction` (Poisson
+    thinning), so the accepted process is an inhomogeneous Poisson
+    process with ``rate(t) = peak * diurnal_fraction(t, ...)``.
 
     ``trough`` is the floor as a fraction of peak (0.2 = nightly load
     is 20% of the daily maximum).
@@ -137,16 +149,11 @@ class DiurnalFlowGenerator(FlowGenerator):
         self.thinned = 0
         super().__init__(*args, **kwargs)
 
-    def rate_fraction(self, t: float) -> float:
-        """Instantaneous rate as a fraction of peak, in [trough, 1]."""
-        cycle = 0.5 * (1.0 - math.cos(
-            2.0 * math.pi * (t - self.phase) / self.period))
-        return self.trough + (1.0 - self.trough) * cycle
-
     def _arrival(self) -> None:
         if self.sim.now > self._end_at:
             return
-        if self.rng.random() < self.rate_fraction(self.sim.now):
+        if self.rng.random() < diurnal_fraction(
+                self.sim.now, self.period, self.trough, self.phase):
             self.accepted += 1
             self._spawn_flow()
         else:
@@ -242,121 +249,168 @@ class TenantMatrix:
 
 def ensure_sinks(hosts: List[Host], port: int,
                  registry: Dict[Tuple[str, int], FlowSink],
-                 on_flow_complete=None) -> List[FlowSink]:
+                 on_flow_complete=None) -> None:
     """Install a :class:`FlowSink` per (host, port) at most once.
 
     Several traffic entries may target the same destination port;
     ``registry`` (owned by the caller, typically the runner) makes the
     bind idempotent.
     """
-    sinks: List[FlowSink] = []
     for host in hosts:
         key = (host.name, port)
-        sink = registry.get(key)
-        if sink is None:
-            sink = FlowSink(host, port)
+        if key not in registry:
+            sink = registry[key] = FlowSink(host, port)
             if on_flow_complete is not None:
                 sink.on_flow_complete = on_flow_complete
-            registry[key] = sink
-        sinks.append(sink)
-    return sinks
+
+
+def _number(convert, low=None, strict=True):
+    """Reads any JSON number with ``convert`` (``int`` truncates, as the
+    generators always did), then holds it above ``low``."""
+    def read(value):
+        if not isinstance(value, (int, float)):
+            raise TopologyError(
+                f"must be a number, not {type(value).__name__}")
+        value = convert(value)
+        if low is not None and (value <= low if strict else value < low):
+            raise TopologyError(
+                f"must be {'>' if strict else '>='} {low}, not {value}")
+        return value
+    return read
+
+
+def _must(test, wants):
+    def read(value):
+        if not test(value):
+            raise TopologyError(f"must be {wants}, not {value!r}")
+        return value
+    return read
+
+
+def _fraction(value):
+    value = _number(float)(value)
+    if not 0 <= value <= 1:
+        raise TopologyError(f"must be in [0, 1], not {value}")
+    return value
+
+
+def _sizes(value):
+    """A size-spec dict; one draw from a throwaway stream checks its
+    distribution and every parameter."""
+    if not isinstance(value, dict):
+        raise TopologyError(
+            f"must be a size-spec object, not {type(value).__name__}")
+    try:
+        next(size_source_from_spec(random.Random(0), value))
+    except KeyError as exc:
+        raise TopologyError(f"misses {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise TopologyError(str(exc)) from None
+    return value
+
+
+_TIME, _POSITIVE = _number(float, 0, strict=False), _number(float, 0)
+_HOST = _must(lambda v: isinstance(v, str), "a host name")
+_SEND = {"start": (0.0, _TIME), "duration": (10.0, _TIME),
+         "dst_port": (9000, _number(int)),
+         "packet_size": (1000, _number(int, FLOW_HEADER.size))}
+_FLOW = {**_SEND, "flow_rate_bps": (10e6, _POSITIVE)}
+_POISSON = {**_FLOW, "rate": (10.0, _POSITIVE),
+            "sizes": ({"dist": "pareto", "mean": 50_000}, _sizes),
+            "tenant_matrix": (False, bool),
+            "flows_per_user_per_s": (2e-5, _POSITIVE)}
+
+#: One row per traffic kind: every field the kind reads -> its default
+#: and its reader.  :func:`read_traffic` is the only code that reads a
+#: raw entry through it; field names are the generators' keywords.
+TRAFFIC_KINDS = {
+    "flows": _POISSON,
+    "diurnal": {**_POISSON, "period": (86_400.0, _POSITIVE),
+                "trough": (0.2, _fraction), "phase": (0.0, _number(float))},
+    "incast": {**_FLOW, "bytes_per_sender": (20_000, _number(int, 0)),
+               "period": (1.0, _POSITIVE),
+               "fanin": (None, _must(
+                   lambda v: v is None or isinstance(v, int) and v >= 1,
+                   "null (every sender) or an integer >= 1"))},
+    "cbr": {**_SEND, "rate_bps": (1e6, _POSITIVE)},
+    # One datagram at ``start``: it lasts no time.
+    "probe": {"start": (0.0, _TIME), "duration": (0.0, _TIME),
+              "src": (None, _HOST), "dst": (None, _HOST)},
+}
+
+
+def read_traffic(entry: dict, label: str = "traffic entry",
+                 hosts: Optional[List[str]] = None) -> dict:
+    """``entry`` as a plain dict of its kind's fields, every default
+    filled in and checked (a tenant-matrix entry without its own rate
+    reads ``rate: None``), or one :class:`~repro.errors.TopologyError`
+    naming ``label`` and the field.  Given the topology's ``hosts``
+    (names), also checks that they carry it: a probe names two of
+    them, every other kind needs two."""
+    kind = entry.get("kind", "flows")
+    row = TRAFFIC_KINDS.get(kind)
+    if row is None:
+        raise TopologyError(f"{label} field 'kind' names no traffic kind: "
+                            f"{kind!r}; pick from {sorted(TRAFFIC_KINDS)}")
+    read = {"kind": kind}
+    for field, (default, reader) in row.items():
+        try:
+            read[field] = reader(entry.get(field, default))
+        except TopologyError as exc:
+            raise TopologyError(f"{label} field {field!r} {exc}") from None
+    if read.get("tenant_matrix") and "rate" not in entry:
+        read["rate"] = None
+    if hosts is None:
+        return read
+    if kind == "probe":
+        for field in ("src", "dst"):
+            if read[field] not in hosts:
+                raise TopologyError(f"{label} field {field!r} names an "
+                                    f"unknown host {read[field]!r}")
+    elif len(hosts) < 2:
+        raise TopologyError(f"{label}: kind {kind!r} needs >= 2 hosts, "
+                            f"the topology has {len(hosts)}")
+    return read
 
 
 def arm_traffic(sim: Simulator, hosts: List[Host], entry: dict,
                 sinks: Dict[Tuple[str, int], FlowSink],
                 on_flow_complete=None,
                 tenant_matrix: Optional[TenantMatrix] = None):
-    """Arm one declarative traffic entry and return the generator.
-
-    ``entry`` kinds (all times relative to *now*, i.e. spec time zero):
-
-    * ``flows``   — Poisson :class:`FlowGenerator`; keys ``rate``,
-      ``sizes`` (a size-spec dict), optional ``flow_rate_bps``,
-      ``tenant_matrix: true`` to route via ``tenant_matrix``.
-    * ``incast``  — :class:`IncastGenerator`; keys ``fanin``,
-      ``bytes_per_sender``, ``period``.
-    * ``diurnal`` — :class:`DiurnalFlowGenerator`; ``flows`` keys plus
-      ``period``, ``trough``, ``phase``.  ``rate`` is the *peak* rate.
-    * ``cbr``     — one :class:`CBRStream` between the first two hosts;
-      keys ``rate_bps``, optional ``packet_size``.
-    * ``probe``   — one UDP datagram from host ``src`` to host ``dst``
-      (names) at ``start``; no generator, returns ``None``.
-    """
-    kind = entry.get("kind", "flows")
-    start = float(entry.get("start", 0.0))
-    duration = float(entry.get("duration", 10.0))
-    dst_port = int(entry.get("dst_port", 9000))
-
+    """Arm one traffic entry, read by :func:`read_traffic` with times
+    relative to *now* (spec time zero), and return its generator:
+    ``flows`` a Poisson :class:`FlowGenerator` (``tenant_matrix: true``
+    draws its pairs, and unless given its rate, from ``tenant_matrix``),
+    ``diurnal`` a :class:`DiurnalFlowGenerator` (``rate`` is the peak),
+    ``incast`` an :class:`IncastGenerator` at the last host, ``cbr`` a
+    :class:`CBRStream` from the first host to the second; ``probe``
+    sends one datagram ``src`` -> ``dst`` at ``start`` and returns
+    ``None``."""
+    fields = read_traffic(entry, hosts=[host.name for host in hosts])
+    kind = fields.pop("kind")
     if kind == "probe":
         by_name = {host.name: host for host in hosts}
-        try:
-            src, dst = by_name[entry["src"]], by_name[entry["dst"]]
-        except KeyError as exc:
-            raise TopologyError(
-                f"probe entry: missing field or unknown host {exc}"
-            ) from exc
-        sim.schedule_at(sim.now + start, src.send_udp, dst.ip,
-                        5001, 5001, b"fuzz")
+        sim.schedule_at(sim.now + fields["start"],
+                        by_name[fields["src"]].send_udp,
+                        by_name[fields["dst"]].ip, 5001, 5001, b"fuzz")
         return None
-
+    receivers = (hosts[1:2] if kind == "cbr" else
+                 hosts[-1:] if kind == "incast" else hosts)
+    ensure_sinks(receivers, fields["dst_port"], sinks, on_flow_complete)
+    # The rest of a kind's fields are its generator's keywords.
     if kind == "cbr":
-        if len(hosts) < 2:
-            raise TopologyError("cbr entry needs >= 2 hosts")
-        ensure_sinks([hosts[1]], dst_port, sinks, on_flow_complete)
-        return CBRStream(hosts[0], hosts[1].ip,
-                         rate_bps=float(entry.get("rate_bps", 1e6)),
-                         packet_size=int(entry.get("packet_size", 1000)),
-                         start=start, duration=duration,
-                         dst_port=dst_port)
-
+        return CBRStream(hosts[0], hosts[1].ip, **fields)
     if kind == "incast":
-        aggregator = hosts[-1]
-        ensure_sinks([aggregator], dst_port, sinks, on_flow_complete)
-        return IncastGenerator(
-            sim, hosts[:-1], aggregator,
-            bytes_per_sender=int(entry.get("bytes_per_sender", 20_000)),
-            period=float(entry.get("period", 1.0)),
-            fanin=entry.get("fanin"),
-            start=start, duration=duration,
-            flow_rate_bps=float(entry.get("flow_rate_bps", 10e6)),
-            packet_size=int(entry.get("packet_size", 1000)),
-            dst_port=dst_port,
-        )
-
-    if kind in ("flows", "diurnal"):
-        ensure_sinks(hosts, dst_port, sinks, on_flow_complete)
-        size_rng = sim.fork_rng()
-        sizes = size_source_from_spec(
-            size_rng, entry.get("sizes", {"dist": "pareto", "mean": 50_000}))
-        pair_picker = None
-        if entry.get("tenant_matrix"):
-            if tenant_matrix is None:
-                raise TopologyError(
-                    "traffic entry requests tenant_matrix but the spec "
-                    "declares no tenants"
-                )
-            pair_picker = tenant_matrix.pick
-        rate = float(entry.get(
-            "rate",
-            tenant_matrix.aggregate_rate(
-                float(entry.get("flows_per_user_per_s", 2e-5)))
-            if (entry.get("tenant_matrix") and tenant_matrix is not None)
-            else 10.0,
-        ))
-        common = dict(
-            flow_rate_bps=float(entry.get("flow_rate_bps", 10e6)),
-            packet_size=int(entry.get("packet_size", 1000)),
-            dst_port=dst_port, pair_picker=pair_picker,
-            start=start, duration=duration,
-        )
-        if kind == "diurnal":
-            return DiurnalFlowGenerator(
-                sim, hosts, rate, sizes,
-                period=float(entry.get("period", 86_400.0)),
-                trough=float(entry.get("trough", 0.2)),
-                phase=float(entry.get("phase", 0.0)),
-                **common,
-            )
-        return FlowGenerator(sim, hosts, rate, sizes, **common)
-
-    raise TopologyError(f"unknown traffic kind {entry.get('kind')!r}")
+        return IncastGenerator(sim, hosts[:-1], hosts[-1], **fields)
+    sizes = size_source_from_spec(sim.fork_rng(), fields.pop("sizes"))
+    rate, per_user = fields.pop("rate"), fields.pop("flows_per_user_per_s")
+    if fields.pop("tenant_matrix"):
+        if tenant_matrix is None:
+            raise TopologyError("traffic entry requests tenant_matrix "
+                                "but the spec declares no tenants")
+        fields["pair_picker"] = tenant_matrix.pick
+        if rate is None:
+            rate = tenant_matrix.aggregate_rate(per_user)
+    generator = (DiurnalFlowGenerator if kind == "diurnal"
+                 else FlowGenerator)
+    return generator(sim, hosts, rate, sizes, **fields)

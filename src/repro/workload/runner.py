@@ -31,7 +31,7 @@ from repro.analysis import percentile
 from repro.core import ZenPlatform
 from repro.digest import canonical_digest
 from repro.errors import ZenError
-from repro.faults import FaultSchedule, arm_faults
+from repro.faults import FaultSchedule, arm_faults, check_targets
 from repro.obs import ObsPlane, RunResult, default_slos, slo_from_spec
 from repro.telemetry import Telemetry
 from repro.workload.generators import TenantMatrix, arm_traffic
@@ -117,6 +117,7 @@ def assemble(spec: WorkloadSpec, *,
     violations.
     """
     platform = _build_platform(spec, telemetry, fast_path)
+    check_targets(platform, spec.faults)
     platform.start()
     sim = platform.sim
     hosts = platform.net.seed_static_arp()

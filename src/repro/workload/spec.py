@@ -11,6 +11,9 @@ generates, minimises and replays it, all through
 :func:`~repro.workload.runner.assemble`.  Specs are pure data: the same
 document and seed reproduce the same run bit-for-bit.
 
+A spec is checked when built (traffic by the one reader, ``read_traffic``)
+and again against the topology, before any simulated time.
+
 :func:`library` ships the canned scenario set the E16 benchmark and the
 CI smoke suite run.
 """
@@ -27,6 +30,8 @@ from repro.faults import fault_end
 from repro.netem import Topology
 from repro.netem.topology import FAMILIES, LinkSpec
 from repro.obs.artifact import RunArtifact
+from repro.obs.slo import slo_from_spec
+from repro.workload.generators import TenantMatrix, read_traffic
 
 __all__ = [
     "WorkloadSpec",
@@ -49,18 +54,9 @@ _FIELD_TYPES = {
     "stack": str,
 }
 
-#: Traffic-entry keys the generators read with ``int``/``float``
-#: (``fanin: null`` means every sender).
-_TRAFFIC_NUMBERS = (
-    "start", "duration", "dst_port", "rate", "rate_bps", "flow_rate_bps",
-    "flows_per_user_per_s", "packet_size", "bytes_per_sender", "period",
-    "fanin", "trough", "phase",
-)
 
-
-def _check_buildable(label: str, topology: dict,
-                     traffic: List[dict]) -> None:
-    """Reject a topology or traffic entry the run could not build."""
+def _check_buildable(label: str, topology: dict) -> None:
+    """Reject a topology the run could not build."""
     family = topology.get("family", "fat_tree")
     if family not in FAMILIES:
         raise TopologyError(f"{label}: topology field 'family' names no "
@@ -86,29 +82,6 @@ def _check_buildable(label: str, topology: dict,
     if not isinstance(bandwidth, _NUMBER) or bandwidth < 0:
         raise TopologyError(f"{label}: topology field 'bandwidth' must be "
                             f"a number >= 0, not {bandwidth!r}")
-    for index, entry in enumerate(traffic):
-        where = f"{label}: traffic[{index}] field"
-        for field in _TRAFFIC_NUMBERS:
-            value = entry.get(field, 0)
-            if not isinstance(value, _NUMBER) and not (
-                    field == "fanin" and value is None):
-                raise TopologyError(
-                    f"{where} {field!r} must be a number, not "
-                    f"{type(value).__name__}")
-        # Ranges both engines need; the defaults are the generators'.
-        kind = entry.get("kind", "flows")
-        positive = ["rate", "flows_per_user_per_s"]
-        if kind in ("incast", "diurnal"):
-            positive.append("period")
-        for field in positive:
-            value = entry.get(field, 1)
-            if value <= 0:
-                raise TopologyError(
-                    f"{where} {field!r} must be > 0, not {value}")
-        trough = entry.get("trough", 0.2)
-        if kind == "diurnal" and not 0 <= trough <= 1:
-            raise TopologyError(
-                f"{where} 'trough' must be in [0, 1], not {trough}")
 
 
 class WorkloadSpec:
@@ -125,7 +98,8 @@ class WorkloadSpec:
     traffic:
         A list of entries for
         :func:`~repro.workload.generators.arm_traffic` (kinds ``flows``,
-        ``incast``, ``diurnal``, ``cbr``, ``probe``), each with
+        ``incast``, ``diurnal``, ``cbr``, ``probe``; their fields and
+        defaults are ``generators.TRAFFIC_KINDS``), each with
         ``start`` and ``duration`` relative to spec time zero.  May be
         empty: a fault-only scenario still has invariants to check.
     tenants:
@@ -163,7 +137,7 @@ class WorkloadSpec:
                  settle: float = 2.0, controllers: int = 1,
                  stack: str = "plain") -> None:
         label = f"workload spec {name!r}"
-        _check_buildable(label, topology, traffic)
+        _check_buildable(label, topology)
         if stack not in STACKS:
             raise TopologyError(
                 f"{label}: unknown stack {stack!r}; pick from {STACKS}")
@@ -194,22 +168,30 @@ class WorkloadSpec:
         self.settle = settle
         self.controllers = controllers
         self.stack = stack
-        horizon = self.horizon()  # reads, and so checks, every fault
+        for index, doc in enumerate(self.slos):
+            try:
+                slo_from_spec(doc)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                why = f"missing field {exc}" if isinstance(
+                    exc, KeyError) else exc
+                raise TopologyError(f"{label}: slos[{index}]: {why}") from None
+        horizon = self.horizon()  # reads, and so checks, every entry
         self.duration = duration if duration is not None else horizon
 
     def horizon(self) -> float:
         """Simulated seconds implied by the armed traffic and faults."""
+        label = f"workload spec {self.name!r}"
         last = 1.0
-        for entry in self.traffic:
-            # A probe is one datagram at ``start``; every other kind
-            # runs for its ``duration``.
-            lasts = 0.0 if entry.get("kind") == "probe" else 10.0
-            last = max(last, float(entry.get("start", 0.0))
-                       + float(entry.get("duration", lasts)))
+        for index, entry in enumerate(self.traffic):
+            where = f"{label}: traffic[{index}]"
+            entry = read_traffic(entry, where)
+            if entry.get("tenant_matrix") and not self.tenants:
+                raise TopologyError(f"{where} field 'tenant_matrix' needs "
+                                    f"tenants, and the spec declares none")
+            last = max(last, entry["start"] + entry["duration"])
         for index, fault in enumerate(self.faults):
-            last = max(last, fault_end(
-                fault, f"workload spec {self.name!r}: fault #{index}",
-                self.controllers))
+            last = max(last, fault_end(fault, f"{label}: fault #{index}",
+                                       self.controllers))
         return last + self.settle
 
     def to_dict(self) -> dict:
@@ -320,7 +302,10 @@ def load_spec(path: str) -> WorkloadSpec:
 
 
 def build_spec_topology(spec: WorkloadSpec) -> Topology:
-    """Instantiate the spec's topology.
+    """Instantiate the spec's topology, and check that its hosts can
+    carry the spec's traffic and tenants — so a probe to a host the
+    topology lacks, or too few hosts, fails before any simulated time
+    on either engine.
 
     ``params`` (when given) call the builder classmethod directly;
     otherwise ``family``/``size``/``bandwidth`` go through
@@ -329,9 +314,21 @@ def build_spec_topology(spec: WorkloadSpec) -> Topology:
     family = spec.topology.get("family", "fat_tree")
     params = spec.topology.get("params")
     if params:
-        return getattr(Topology, family)(**params)
-    return Topology.build(family, int(spec.topology.get("size", 4)),
-                          float(spec.topology.get("bandwidth", 1e9)))
+        topology = getattr(Topology, family)(**params)
+    else:
+        topology = Topology.build(
+            family, int(spec.topology.get("size", 4)),
+            float(spec.topology.get("bandwidth", 1e9)))
+    label = f"workload spec {spec.name!r}"
+    hosts = sorted(node.name for node in topology.hosts)
+    for index, entry in enumerate(spec.traffic):
+        read_traffic(entry, f"{label}: traffic[{index}]", hosts)
+    if spec.tenants:
+        try:
+            TenantMatrix(None, hosts, spec.tenants)  # draws nothing yet
+        except (TopologyError, TypeError, ValueError) as exc:
+            raise TopologyError(f"{label}: tenants: {exc}") from None
+    return topology
 
 
 def library() -> Dict[str, WorkloadSpec]:

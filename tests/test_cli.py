@@ -277,6 +277,69 @@ class TestNamedErrors:
                       "restart_after": 0.5}]},
          "fault #0 (controller_crash): needs a controller cluster, but the "
          "run has 1 controller"),
+        # A fault field of the wrong JSON type.
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [],
+          "faults": [{"kind": "switch_crash", "switch": "s1", "at": "1",
+                      "restart_after": 0.5}]},
+         "fault #0 (switch_crash): at must be a number, not str"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [], "controllers": 3,
+          "faults": [{"kind": "controller_partition", "minority": 5,
+                      "at": 0.5, "heal_after": 0.5}]},
+         "fault #0 (controller_partition): minority must be list, not int"),
+        # Every traffic entry is read once, at construction.
+        ({"name": "x", "topology": {"family": "ring", "size": 6},
+          "traffic": [{"kind": "incast", "fanin": -1}]},
+         "traffic[0] field 'fanin' must be null (every sender) or an "
+         "integer >= 1, not -1"),
+        ({"name": "x", "topology": {"family": "ring", "size": 6},
+          "traffic": [{"kind": "incast", "fanin": 2.5}]},
+         "traffic[0] field 'fanin' must be null (every sender) or an "
+         "integer >= 1, not 2.5"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [{"kind": "flows", "duration": -1}]},
+         "traffic[0] field 'duration' must be >= 0, not -1.0"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [{"kind": "cbr", "start": -1}]},
+         "traffic[0] field 'start' must be >= 0, not -1.0"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [{"kind": "flows", "sizes": 5}]},
+         "traffic[0] field 'sizes' must be a size-spec object, not int"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [{"kind": "flows", "sizes": {"dist": "zipf"}}]},
+         "traffic[0] field 'sizes' unknown size distribution 'zipf'"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [{"kind": "telepathy"}]},
+         "traffic[0] field 'kind' names no traffic kind: 'telepathy'"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [{"kind": "flows", "tenant_matrix": True}]},
+         "traffic[0] field 'tenant_matrix' needs tenants, and the spec "
+         "declares none"),
+        # ... and read against the topology once it is built.
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [{"kind": "probe", "src": "h1", "dst": "h99"}]},
+         "traffic[0] field 'dst' names an unknown host 'h99'"),
+        ({"name": "x", "topology": {"family": "single", "size": 1},
+          "traffic": [{"kind": "flows"}]},
+         "traffic[0]: kind 'flows' needs >= 2 hosts, the topology has 1"),
+        ({"name": "x", "topology": {"family": "single", "size": 1},
+          "traffic": [{"kind": "incast"}]},
+         "traffic[0]: kind 'incast' needs >= 2 hosts, the topology has 1"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "tenants": [{"name": "a"}, {"name": "b"}], "traffic": []},
+         "tenants: 2 tenants need >= 4 hosts, got 3"),
+        ({"name": "x", "topology": {"family": "ring", "size": 4},
+          "tenants": [{"name": "a", "users": "many"}], "traffic": []},
+         "tenants: could not convert string to float: 'many'"),
+        # Extra SLOs are built at construction.
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [], "slos": [{"kind": "series", "threshold": 1}]},
+         "slos[0]: missing field 'name'"),
+        ({"name": "x", "topology": {"family": "ring", "size": 3},
+          "traffic": [], "slos": [{"kind": "bogus", "name": "b",
+                                   "threshold": 1}]},
+         "slos[0]: unknown SLO kind 'bogus'"),
     ])
     @pytest.mark.parametrize("argv", [
         ["run", "--spec"],
@@ -297,6 +360,37 @@ class TestNamedErrors:
         (line,) = err.splitlines()
         assert line.startswith("repro: error: ")
         assert "workload spec 'x'" in line and names in line
+
+    @pytest.mark.parametrize("fault, names", [
+        ({"kind": "switch_crash", "switch": "s9", "at": 0.5,
+          "restart_after": 0.5},
+         "fault #0 (switch_crash): switch s9 has no agent"),
+        ({"kind": "link_flap", "a": "s1", "b": "s9", "at": 0.5,
+          "down_for": 0.2, "period": 1.0, "count": 1},
+         "fault #0 (link_flap): no link s1 -- s9"),
+        ({"kind": "channel_flap", "switch": "s9", "at": 0.5,
+          "down_for": 0.2, "period": 1.0, "count": 1},
+         "fault #0 (channel_flap): switch s9 has no channel"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["run", "--spec"],
+        ["check", "replay", "--path"],
+    ])
+    def test_bad_fault_targets_fail_before_the_platform_starts(
+            self, fault, names, argv, tmp_path, capsys, monkeypatch):
+        def run(*_args, **_kwargs):
+            raise AssertionError("simulated time ran")
+
+        monkeypatch.setattr(Simulator, "run", run)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "name": "x", "topology": {"family": "ring", "size": 3},
+            "traffic": [], "faults": [fault]}))
+        code = main(argv + [str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert line == f"repro: error: {names}"
 
     @pytest.mark.parametrize("argv, names", [
         (["run", "--fault", "channel", "--cycles", "0"], "--cycles"),

@@ -82,15 +82,15 @@ class TestMetricsRegistry:
         g.dec(5)
         assert reg.get("depth") == 7
 
-    def test_histogram_buckets_are_cumulative(self):
+    def test_histogram_keeps_count_sum_and_sketch(self):
         reg = MetricsRegistry()
-        h = reg.histogram("lat", buckets=(0.01, 0.1, 1.0))
+        h = reg.histogram("lat")
         for v in (0.005, 0.05, 0.5, 5.0):
             h.observe(v)
         snap = reg.get("lat")
-        assert snap["count"] == 4
+        assert snap["count"] == h.sketch.count == 4
         assert snap["sum"] == pytest.approx(5.555)
-        assert snap["buckets"] == {"0.01": 1, "0.1": 2, "1.0": 3}
+        assert sorted(snap) == ["count", "quantiles", "sum"]
 
     def test_snapshot_sorted_and_json_ready(self):
         reg = MetricsRegistry()

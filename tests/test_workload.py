@@ -12,6 +12,8 @@ from repro.digest import section_digests
 from repro.dataplane import FlowEntry, Match, Output, PORT_FLOOD
 from repro.errors import TopologyError, ZenError
 from repro.netem import FlowSink, Network, Topology
+from repro.netem.traffic import source_ports
+from repro.workload.generators import diurnal_fraction, read_traffic
 from repro.obs import diff_runs, load_artifact
 from repro.workload import (
     DiurnalFlowGenerator,
@@ -67,7 +69,8 @@ def tiny_spec(name="tiny", seed=3, **overrides):
 
 def raising_spec():
     """Well formed as a document; raises inside the suite worker, where
-    the fault is armed: it names a switch the topology does not have."""
+    the fault's targets are bound before the platform starts: it names
+    a switch the topology does not have."""
     return tiny_spec(name="tiny-bad", faults=[{
         "kind": "channel_flap", "switch": "nope", "at": 0.5,
         "down_for": 0.2, "period": 0.6, "count": 1,
@@ -169,15 +172,13 @@ class TestIncast:
 
 class TestDiurnal:
     def test_rate_fraction_curve(self):
-        net, hosts = flooded_network()
-        gen = DiurnalFlowGenerator(
-            net.sim, hosts, 50.0, fixed_sizes(1000),
-            period=2.0, trough=0.25, duration=0.1,
-        )
-        assert gen.rate_fraction(0.0) == pytest.approx(0.25)
-        assert gen.rate_fraction(1.0) == pytest.approx(1.0)
-        assert gen.rate_fraction(2.0) == pytest.approx(0.25)
-        assert gen.rate_fraction(0.5) == pytest.approx((0.25 + 1) / 2)
+        def curve(t):
+            return diurnal_fraction(t, period=2.0, trough=0.25, phase=0.0)
+
+        assert curve(0.0) == pytest.approx(0.25)
+        assert curve(1.0) == pytest.approx(1.0)
+        assert curve(2.0) == pytest.approx(0.25)
+        assert curve(0.5) == pytest.approx((0.25 + 1) / 2)
 
     def test_thinning_follows_the_day_curve(self):
         net, hosts = flooded_network(seed=6)
@@ -237,6 +238,51 @@ class TestTenantMatrix:
         with pytest.raises(TopologyError):
             TenantMatrix(random.Random(0), list(range(12)),
                          [{"name": "x", "users": 0}])
+
+
+class TestReadTraffic:
+    def test_fills_every_default_of_the_kind(self):
+        assert read_traffic({"kind": "incast", "fanin": 3}) == {
+            "kind": "incast", "start": 0.0, "duration": 10.0,
+            "dst_port": 9000, "flow_rate_bps": 10e6, "packet_size": 1000,
+            "bytes_per_sender": 20_000, "period": 1.0, "fanin": 3,
+        }
+        probe = read_traffic({"kind": "probe", "src": "h1", "dst": "h2"})
+        assert probe["duration"] == 0.0  # one datagram lasts no time
+
+    def test_converts_as_the_generators_always_did(self):
+        read = read_traffic({"rate": 5, "dst_port": 9001.7})
+        assert read["kind"] == "flows"
+        assert read["rate"] == 5.0 and isinstance(read["rate"], float)
+        assert read["dst_port"] == 9001
+
+    def test_a_tenant_entry_takes_its_rate_from_the_matrix(self):
+        assert read_traffic({"tenant_matrix": True})["rate"] is None
+        assert read_traffic({"tenant_matrix": True, "rate": 3})["rate"] == 3
+
+    def test_zero_duration_is_legal(self):
+        # The perf set-up probe arms zero-length entries.
+        spec = tiny_spec(traffic=[{"kind": "flows", "duration": 0}])
+        assert spec.horizon() == 1.0 + spec.settle
+
+    def test_spec_document_keeps_each_entry_as_given(self):
+        entry = {"kind": "diurnal", "rate": 4, "period": 2}
+        spec = tiny_spec(traffic=[entry])
+        assert spec.to_dict()["traffic"] == [entry]
+
+    def test_hosts_must_carry_the_entry(self):
+        with pytest.raises(TopologyError,
+                           match="field 'src' names an unknown host 'h9'"):
+            read_traffic({"kind": "probe", "src": "h9", "dst": "h1"},
+                         hosts=["h1", "h2"])
+        with pytest.raises(TopologyError, match="'cbr' needs >= 2 hosts"):
+            read_traffic({"kind": "cbr"}, hosts=["h1"])
+
+    def test_one_source_port_rotation(self):
+        ports = source_ports()
+        first = [next(ports) for _ in range(30_002)]
+        assert first[:2] == [30000, 30001]
+        assert first[30_000:] == [60000, 30000]
 
 
 # ----------------------------------------------------------------------
@@ -478,7 +524,7 @@ class TestRunner:
         failure, = caught.value.failures
         assert sorted(failure) == ["error", "name", "traceback"]
         assert failure["name"] == "tiny-bad"
-        assert "arm_faults" in failure["traceback"]  # where, for a human
+        assert "check_targets" in failure["traceback"]  # where, for a human
         # What was kept is what a clean suite of the two would have been.
         assert [result.digest for result in kept] == \
             [result.digest
