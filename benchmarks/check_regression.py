@@ -19,13 +19,18 @@ per unit of their own work is wall-clock against the budget the
 benchmark wrote beside it (3x headroom), because a share of the run's
 wall time moves whenever the thing being observed gets cheaper:
 
-* **E12 (fast path)** — ``depth_ratio`` (deep one-mask table / shallow
-  table, cache off) has the hard ``DEPTH_FLOOR`` on every machine;
+* **E12 (fast path)** — ``depth_extra_probes`` (row probes per lookup
+  the deep one-mask table makes beyond the shallow one, cache off) is a
+  count of a seeded run and must equal the committed
+  ``baseline_e12.json``; ``depth_ratio`` (the same two tables' packets
+  per wall second) has the hard ``DEPTH_FLOOR`` on every machine;
   ``hit_speedup`` and ``mask_speedup`` (what the microflow cache earns
   over one and 64 masks) may drop at most ``TOLERANCE`` below the
   committed ``baseline_e12.json``.
 * **E14 (obs plane)** — bit-identity with the plane on vs off, and the
-  wall cost of one scrape under its budget.
+  wall cost of one scrape under its budget: the difference of two whole
+  runs per scrape, and the median time of one ``scrape_now`` per
+  library spec, measured around each call.
 * **E15 (controller cluster)** — clean invariants, 100% delivery
   before and after the crash, and 2-/3-controller failover within the
   recovery SLO (sim time) and faster than a single-controller restart.
@@ -81,6 +86,12 @@ def _cache_floor(ratio: str):
     return lambda v, d: v >= E12_BASE[ratio] * (1.0 - TOLERANCE)
 
 
+def _scrapes_in_budget(per_spec: dict, doc: dict):
+    over = [f"{name} {us:.0f} us" for name, us in sorted(per_spec.items())
+            if us >= doc["scrape_budget_us"]]
+    return "; ".join(over) or True
+
+
 def _failover_ok(recovery: dict, doc: dict) -> bool:
     return all(recovery[n] <= doc["recovery_slo_s"]
                and recovery[n] < recovery["1"] for n in ("2", "3"))
@@ -124,6 +135,10 @@ def _library_ok(scenarios: dict, doc: dict):
 
 
 GATES = [
+    ("BENCH_E12.json", "depth_extra_probes",
+     lambda v, d: v == E12_BASE["depth_extra_probes"],
+     "a deep one-mask table makes the row probes per lookup beyond the "
+     "shallow one that baseline_e12.json records (at most one each)"),
     ("BENCH_E12.json", "depth_ratio", lambda v, d: v >= DEPTH_FLOOR,
      f"a deep one-mask table runs at >= {DEPTH_FLOOR}x the shallow one "
      f"(table depth is free)"),
@@ -138,6 +153,9 @@ GATES = [
     ("BENCH_E14.json", "scrape_cost_us",
      lambda v, d: v < d["scrape_budget_us"],
      "one scrape costs less than scrape_budget_us"),
+    ("BENCH_E14.json", "scrape_now_us", _scrapes_in_budget,
+     "the median scrape_now of every library spec takes less than "
+     "scrape_budget_us"),
     ("BENCH_E15.json", "clean", lambda v, d: v is True,
      "cluster invariants hold after recovery"),
     ("BENCH_E15.json", "delivered", lambda v, d: v is True,

@@ -22,6 +22,11 @@ the cost of forwarding packets, which the plane does not control (PR 14
 made the same run 3x cheaper and the share tripled with no change to
 the plane).
 
+The wall-clock delta of two whole runs is noise-dominated (it has read
+negative), so each scrape is also timed directly: ``scrape_now_us`` is
+the median of ``perf_counter`` taken around every ``scrape_now`` of one
+run of each library spec, gated against the same budget.
+
 A second scenario exercises the health/diff story end to end: a clean
 ring run versus one with a 2 s control-channel outage.  The outage must
 fire the stale-switch SLO, and ``diff_runs`` must flag the health
@@ -30,6 +35,7 @@ the property the CI baseline gate leans on.
 """
 
 import os
+import statistics
 import time
 
 import pytest
@@ -38,8 +44,9 @@ from repro.analysis import Table
 from repro.core import ZenPlatform
 from repro.faults import arm_faults
 from repro.netem import Topology
-from repro.obs import ObsPlane, diff_runs, render_dashboard
+from repro.obs import MetricsScraper, ObsPlane, diff_runs, render_dashboard
 from repro.telemetry import Telemetry
+from repro.workload import library, run_workload
 
 from harness import RESULTS_DIR, publish, publish_json
 
@@ -93,6 +100,25 @@ def drive(obs: bool):
     return wall, observables, plane
 
 
+def scrape_now_us(spec) -> float:
+    """Median wall time of one ``scrape_now`` (sampling and the SLO
+    hooks it calls) over one run of ``spec``, in microseconds."""
+    samples = []
+    scrape = MetricsScraper.scrape_now
+
+    def timed(scraper):
+        start = time.perf_counter()
+        scrape(scraper)
+        samples.append((time.perf_counter() - start) * 1e6)
+
+    MetricsScraper.scrape_now = timed
+    try:
+        run_workload(spec)
+    finally:
+        MetricsScraper.scrape_now = scrape
+    return statistics.median(samples)
+
+
 def ring_artifact(churn: bool):
     """A ring run frozen to an artifact; with ``churn``, a 2 s channel
     outage long enough to fire the stale-switch SLO."""
@@ -134,6 +160,9 @@ def run_experiment():
     scrape_cost_us = (on - off) / plane.scraper.scrapes * 1e6
     identical = observables[False] == observables[True]
 
+    per_spec = {name: scrape_now_us(spec)
+                for name, spec in library().items()}
+
     clean = ring_artifact(churn=False)
     churn = ring_artifact(churn=True)
     self_diff = diff_runs(clean, clean)
@@ -148,6 +177,8 @@ def run_experiment():
     table.add_row("wall_s obs on (min of reps)", f"{on:.3f}")
     table.add_row("cost per scrape (us, gated)", f"{scrape_cost_us:.0f}")
     table.add_row("scrape overhead % (reported)", f"{overhead_pct:.2f}")
+    for name, us in per_spec.items():
+        table.add_row(f"scrape_now median, {name} (us, gated)", f"{us:.0f}")
     table.add_row("observables bit-identical", identical)
     table.add_row("series scraped", len(plane.scraper.series))
     table.add_row("scrapes", plane.scraper.scrapes)
@@ -155,7 +186,7 @@ def run_experiment():
     table.add_row("churn-diff regressions", len(churn_diff.regressions))
     table.add_row("churn alerts fired", len(churn.health.alerts))
     return (table, off, on, overhead_pct, scrape_cost_us, identical,
-            plane, clean, churn, self_diff, churn_diff)
+            plane, clean, churn, self_diff, churn_diff, per_spec)
 
 
 @pytest.fixture(scope="module")
@@ -165,7 +196,7 @@ def results():
 
 def test_e14_obs(results, benchmark):
     (table, off, on, overhead_pct, scrape_cost_us, identical, plane,
-     clean, churn, self_diff, churn_diff) = results
+     clean, churn, self_diff, churn_diff, per_spec) = results
     publish("e14_obs", table)
     dashboard = render_dashboard(churn, width=60,
                                  select=["channel_messages",
@@ -178,6 +209,7 @@ def test_e14_obs(results, benchmark):
         "wall_s": {"obs_off": off, "obs_on": on},
         "overhead_pct": overhead_pct,
         "scrape_cost_us": scrape_cost_us,
+        "scrape_now_us": per_spec,
         "scrape_budget_us": SCRAPE_BUDGET_US,
         "identical": identical,
         "scrape_interval_s": SCRAPE_INTERVAL,
@@ -196,10 +228,16 @@ def test_e14_obs(results, benchmark):
         f"{SCRAPE_BUDGET_US:.0f} us budget"
     )
     assert plane.scraper.scrapes >= 20  # 100 ms over >= 2 s measured
+    over = {name: round(us) for name, us in per_spec.items()
+            if us >= SCRAPE_BUDGET_US}
+    assert not over, (
+        f"a scrape_now's median wall time is over the "
+        f"{SCRAPE_BUDGET_US:.0f} us budget on {over}"
+    )
 
 
 def test_e14_health_and_diff(results):
-    (_, _, _, _, _, _, _, clean, churn, self_diff, churn_diff) = results
+    (_, _, _, _, _, _, _, clean, churn, self_diff, churn_diff, _) = results
     # Same artifact diffs empty: the CI baseline-gate property.
     assert self_diff.ok and not self_diff.changed
     # The outage fired the stale-switch objective and the diff saw it.

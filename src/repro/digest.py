@@ -10,19 +10,68 @@ from typing import Any, Callable, Dict, TextIO
 
 from repro.errors import ZenError
 
-__all__ = ["canonical_digest", "document_text", "load_document",
-           "save_document", "section_digests"]
+__all__ = ["Rendered", "Spliced", "canonical_digest", "canonical_text",
+           "document_text", "load_document", "save_document",
+           "section_digests"]
+
+#: ``doc`` as the key-sorted JSON text :func:`canonical_digest` hashes:
+#: ``json.dumps(doc, sort_keys=True)``'s encoder, built once.
+canonical_text = json.JSONEncoder(sort_keys=True).encode
+
+
+class Spliced(dict):
+    """A document dict :func:`canonical_digest` walks key by key rather
+    than encoding it whole, so its values may be :class:`Rendered` text
+    or further :class:`Spliced` dicts.  Its keys are strings."""
+
+
+class Rendered(str):
+    """A value's :func:`canonical_text`, rendered by its owner:
+    :func:`canonical_digest` hashes it as it stands inside a
+    :class:`Spliced` dict."""
+
+
+def _feed(doc, update: Callable[[bytes], None]) -> None:
+    """Feed ``canonical_text(doc)`` to ``update`` in pieces: a
+    :class:`Spliced` dict key by key, each run of its plain values in
+    one encoder call."""
+    if not isinstance(doc, Spliced):
+        update(canonical_text(doc).encode())
+        return
+    sep, plain = "{", {}
+    for key in sorted(doc):
+        value = doc[key]
+        if not isinstance(value, (Rendered, Spliced)):
+            plain[key] = value
+            continue
+        if plain:
+            update((sep + canonical_text(plain)[1:-1]).encode())
+            sep, plain = ", ", {}
+        head = f"{sep}{canonical_text(key)}: "
+        sep = ", "
+        if isinstance(value, Rendered):
+            update((head + value).encode())
+        else:
+            update(head.encode())
+            _feed(value, update)
+    if plain:
+        update((sep + canonical_text(plain)[1:-1]).encode())
+        sep = ", "
+    update(b"{}" if sep == "{" else b"}")
 
 
 def canonical_digest(doc) -> str:
-    """SHA-256 over ``doc`` as key-sorted JSON.
+    """SHA-256 over ``doc`` as key-sorted JSON (:func:`canonical_text`).
 
     This byte form is what the committed goldens (fuzz corpus, E17
     baseline, workload and trace artifacts) were blessed with, so it
-    must not change.
+    must not change.  A :class:`Spliced` document hashes to the digest
+    of the plain document it stands for, piece by piece, without that
+    document or its text ever being built whole.
     """
-    blob = json.dumps(doc, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    digest = hashlib.sha256()
+    _feed(doc, digest.update)
+    return digest.hexdigest()
 
 
 def section_digests(artifact: dict) -> Dict[str, str]:

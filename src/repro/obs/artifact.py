@@ -18,9 +18,14 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.digest import canonical_digest, load_document, save_document
+from repro.digest import (
+    Spliced,
+    canonical_digest,
+    load_document,
+    save_document,
+)
 from repro.obs.scraper import Annotation, FaultWindow, fault_windows
-from repro.obs.series import Series
+from repro.obs.series import PointText, Series
 from repro.obs.slo import HealthReport
 
 __all__ = ["FORMAT", "RunArtifact", "RunResult", "load_artifact"]
@@ -74,22 +79,26 @@ class RunArtifact:
         return fault_windows(self.annotations)
 
     # -- serialisation -------------------------------------------------
-    def to_dict(self) -> dict:
+    def to_dict(self, text: Optional[PointText] = None) -> dict:
+        """The artifact's document; with ``text``, the
+        :class:`~repro.digest.Spliced` form a digest walks, whose
+        series points ``text`` renders from the series' columns."""
+        series = {sid: self.series[sid].to_dict(text)
+                  for sid in sorted(self.series)}
         doc = {
             "format": FORMAT,
             "meta": self.meta,
             "interval": self.interval,
             "horizon": self.horizon,
             "scrapes": self.scrapes,
-            "series": {sid: self.series[sid].to_dict()
-                       for sid in sorted(self.series)},
+            "series": series if text is None else Spliced(series),
             "annotations": [a.to_dict() for a in self.annotations],
             "health": (self.health.to_dict()
                        if self.health is not None else None),
         }
         doc.update((key, getattr(self, key)) for key in _OPTIONAL
                    if getattr(self, key))
-        return doc
+        return doc if text is None else Spliced(doc)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunArtifact":
@@ -173,9 +182,11 @@ class RunResult:
 
     @property
     def full_digest(self) -> str:
-        return canonical_digest(
-            {"summary": self.summary, "artifact": self.artifact.to_dict()}
-        )
+        """The digest of ``{"summary", "artifact": artifact.to_dict()}``,
+        hashed from the series columns without building that document."""
+        return canonical_digest(Spliced(
+            summary=self.summary,
+            artifact=self.artifact.to_dict(PointText())))
 
     @property
     def dataplane_digest(self) -> str:

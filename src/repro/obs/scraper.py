@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.obs import series as series_module
 from repro.obs.series import Series
 
 __all__ = ["Annotation", "FaultWindow", "MetricsScraper",
@@ -115,7 +116,17 @@ def fault_windows(annotations: List[Annotation]) -> List[FaultWindow]:
 
 
 class MetricsScraper:
-    """Periodic sampler over one telemetry plane."""
+    """Periodic sampler over one telemetry plane.
+
+    Every series it makes shares one time column, ``_times``: a scrape
+    appends its time once, then walks a flat *plan* — one ``(append,
+    read)`` pair per counter or gauge child (the series' value column's
+    ``append`` and the child's ``snapshot``), one ``(take_sketch,
+    child)`` pair per histogram child.  The plan is rebuilt only when
+    the registry's ``version`` (its count of family and child changes)
+    moved since the last build, so a steady scrape makes no series-id
+    string, no dict lookup and no per-point tuple.
+    """
 
     def __init__(self, telemetry, interval: float = 0.1) -> None:
         if interval <= 0:
@@ -125,9 +136,15 @@ class MetricsScraper:
         self.series: Dict[str, Series] = {}
         self.annotations: List[Annotation] = []
         self.scrapes = 0
-        #: (family name, label values) -> Series, so the hot scrape
-        #: loop never rebuilds series-id strings.
-        self._bound: Dict[Tuple[str, Tuple[str, ...]], Series] = {}
+        #: Plan builds so far (the obs sentinel's ``R``).
+        self.plans = 0
+        self._times: list = []
+        self._plan: List[Tuple[Callable, Callable]] = []
+        self._sketched: List[Tuple[Callable, object]] = []
+        self._version: Optional[int] = None
+        #: Every this many scrapes each ring folds its overflow and the
+        #: time column drops the times no series holds any more.
+        self._sweep_every = series_module.CAPACITY
         #: Memoised prefix -> matching series; cleared when a series
         #: appears, so SLO evaluation stops re-scanning every tick.
         self._match_cache: Dict[str, List[Series]] = {}
@@ -165,21 +182,36 @@ class MetricsScraper:
     # ------------------------------------------------------------------
     # Scraping
     # ------------------------------------------------------------------
-    def _series(self, sid: str, kind: str) -> Series:
-        series = self.series.get(sid)
-        if series is None:
-            series = Series(sid, kind)
-            self.series[sid] = series
-            self._match_cache.clear()
-        return series
+    def _build_plan(self, registry) -> None:
+        """One plan entry per registry child, in registry order; a
+        child seen for the first time gets its series, whose first
+        value is this scrape's."""
+        plan, sketched = [], []
+        for name, family in registry._families.items():
+            histogram = family.kind == "histogram"
+            for key, child in family.children.items():
+                sid = series_id(name, family.labelnames, key)
+                series = self.series.get(sid)
+                if series is None:
+                    series = Series(sid, family.kind, self._times)
+                    self.series[sid] = series
+                    self._match_cache.clear()
+                if histogram:
+                    sketched.append((series.take_sketch, child))
+                else:
+                    plan.append((series._values.append, child.snapshot))
+        self._plan, self._sketched = plan, sketched
+        self._version = registry.version
+        self.plans += 1
 
-    def _bind(self, name: str, family, key: Tuple[str, ...]) -> Series:
-        bound = self._bound.get((name, key))
-        if bound is None:
-            sid = series_id(name, family.labelnames, key)
-            bound = self._series(sid, family.kind)
-            self._bound[(name, key)] = bound
-        return bound
+    def _sweep(self) -> None:
+        for series in self.series.values():
+            series._settle()
+        held = min((s._start for s in self.series.values()),
+                   default=len(self._times))
+        del self._times[:held]
+        for series in self.series.values():
+            series._start -= held
 
     def scrape_now(self) -> None:
         """Take one sample of every family child.
@@ -189,17 +221,16 @@ class MetricsScraper:
         """
         t = self.sim.now if self.sim is not None else 0.0
         registry = self.telemetry.metrics
-        for name, family in registry._families.items():
-            if family.kind == "histogram":
-                for key, child in family.children.items():
-                    self._bind(name, family, key).sample(
-                        t, float(child.count), cum_sketch=child.sketch
-                    )
-            else:
-                for key, child in family.children.items():
-                    self._bind(name, family, key).sample(
-                        t, float(child.value))
+        if registry.version != self._version:
+            self._build_plan(registry)
+        self._times.append(t)
+        for append, read in self._plan:
+            append(read())
+        for take, child in self._sketched:
+            take(child.count, child.sketch)
         self.scrapes += 1
+        if not self.scrapes % self._sweep_every:
+            self._sweep()
         for hook in self.on_tick:
             hook(t)
 

@@ -148,20 +148,21 @@ class MetricFamily:
     per-flow label costs one warning counter, not unbounded memory.
     """
 
-    __slots__ = ("name", "help", "labelnames", "_ctor", "children",
-                 "max_label_sets", "overflowed", "_on_overflow")
+    __slots__ = ("registry", "name", "help", "labelnames", "_ctor",
+                 "children", "max_label_sets", "overflowed", "_on_overflow")
 
-    def __init__(self, name: str, help_text: str,
-                 labelnames: Sequence[str], ctor,
-                 max_label_sets: int = MAX_LABEL_SETS,
+    def __init__(self, registry: "MetricsRegistry", name: str,
+                 help_text: str, labelnames: Sequence[str], ctor,
                  on_overflow: Optional[Callable[[str], None]] = None
                  ) -> None:
+        #: The registry whose ``version`` a new child bumps.
+        self.registry = registry
         self.name = name
         self.help = help_text
         self.labelnames = tuple(labelnames)
         self._ctor = ctor
         self.children: Dict[Tuple[str, ...], object] = {}
-        self.max_label_sets = max_label_sets
+        self.max_label_sets = registry.max_label_sets
         #: Label sets redirected into the overflow child so far.
         self.overflowed = 0
         self._on_overflow = on_overflow
@@ -195,6 +196,7 @@ class MetricFamily:
                 f"metric {self.name!r} already has a child for {key}"
             )
         self.children[key] = _Bound(read)
+        self.registry.version += 1
 
     def labels(self, *values) -> object:
         key = self._key(values)
@@ -211,6 +213,7 @@ class MetricFamily:
                     return child
             child = self._ctor()
             self.children[key] = child
+            self.registry.version += 1
         return child
 
     def snapshot(self) -> dict:
@@ -226,11 +229,17 @@ class MetricFamily:
 
 
 class MetricsRegistry:
-    """Holds every metric family; components get-or-create by name."""
+    """Holds every metric family; components get-or-create by name.
+
+    ``version`` counts the changes to the set of children — a family
+    created, a child minted or bound — so a reader that walks every
+    child (the obs scraper) rebuilds its walk only when it moved.
+    """
 
     def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
         self.max_label_sets = MAX_LABEL_SETS
+        self.version = 0
         self._m_overflow: Optional[MetricFamily] = None
 
     # -- family constructors -------------------------------------------
@@ -255,10 +264,10 @@ class MetricsRegistry:
         labels = () if bare else labels
         family = self._families.get(name)
         if family is None:
-            family = MetricFamily(name, help_text, labels, ctor,
-                                  max_label_sets=self.max_label_sets,
+            family = MetricFamily(self, name, help_text, labels, ctor,
                                   on_overflow=self._note_overflow)
             self._families[name] = family
+            self.version += 1
         elif family.kind != ctor.kind or family.labelnames != tuple(labels):
             raise ValueError(
                 f"metric {name!r} already registered as {family.kind} "
@@ -274,13 +283,13 @@ class MetricsRegistry:
         """
         if self._m_overflow is None:
             self._m_overflow = MetricFamily(
-                "telemetry_label_overflow_total",
+                self, "telemetry_label_overflow_total",
                 "labels() calls redirected to the overflow bucket "
                 "because the family hit its label-set cap",
                 ("family",), Counter,
-                max_label_sets=self.max_label_sets,
             )
             self._families[self._m_overflow.name] = self._m_overflow
+            self.version += 1
         self._m_overflow.labels(family_name).inc()
 
     # -- introspection --------------------------------------------------

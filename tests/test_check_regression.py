@@ -41,12 +41,16 @@ def _slow_failover(doc):
 
 #: One value per gate row that breaks that row's contract.
 BREAK = {
+    ("BENCH_E12.json", "depth_extra_probes"): lambda d: 2.0,
     ("BENCH_E12.json", "depth_ratio"): lambda d: 0.5,
     ("BENCH_E12.json", "hit_speedup"): lambda d: 0.1,
     ("BENCH_E12.json", "mask_speedup"): lambda d: 0.1,
     ("BENCH_E14.json", "identical"): lambda d: False,
     ("BENCH_E14.json", "scrape_cost_us"):
         lambda d: d["scrape_budget_us"],
+    ("BENCH_E14.json", "scrape_now_us"):
+        lambda d: dict(d["scrape_now_us"], **{
+            "dc-heavy-tail": d["scrape_budget_us"]}),
     ("BENCH_E15.json", "clean"): lambda d: False,
     ("BENCH_E15.json", "delivered"): lambda d: False,
     ("BENCH_E15.json", "recovery_s"): _slow_failover,
