@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.controller.core import App
 from repro.controller.discovery import TopologyDiscovery
 from repro.controller.events import LinkVanished
@@ -29,6 +27,7 @@ from repro.dataplane.actions import Group, Output
 from repro.dataplane.group import Bucket, GroupType
 from repro.dataplane.match import Match
 from repro.errors import ControllerError
+from repro.graphutil import NoPath, shortest_path
 from repro.packet import IPv4Address, MACAddress
 
 __all__ = ["ProtectedPairs", "ProtectedPair"]
@@ -110,14 +109,14 @@ class ProtectedPairs(App):
         if src_dpid not in graph or dst_dpid not in graph:
             return None, None
         try:
-            primary = nx.shortest_path(graph, src_dpid, dst_dpid)
-        except nx.NetworkXNoPath:
+            primary = shortest_path(graph, src_dpid, dst_dpid)
+        except NoPath:
             return None, None
         pruned = graph.copy()
         pruned.remove_edges_from(list(zip(primary, primary[1:])))
         try:
-            backup = nx.shortest_path(pruned, src_dpid, dst_dpid)
-        except nx.NetworkXNoPath:
+            backup = shortest_path(pruned, src_dpid, dst_dpid)
+        except NoPath:
             backup = None
         return primary, backup
 

@@ -11,7 +11,7 @@ because benchmark E5 compares them:
 * :func:`greedy_place` — capacity-aware greedy over k-shortest paths,
   largest demands first (the TE contribution).
 
-The pure functions operate on any :mod:`networkx` graph, so they unit-test
+The pure functions take any :class:`~repro.graphutil.Graph`, so they unit-test
 without a network; :class:`TrafficEngineering` wraps them into an app that
 installs the placement and re-places on topology churn.
 """
@@ -19,8 +19,6 @@ installs the placement and re-places on topology churn.
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Tuple, Union
-
-import networkx as nx
 
 from repro.controller.core import App
 from repro.controller.discovery import TopologyDiscovery
@@ -30,6 +28,9 @@ from repro.controller.pathing import PathService
 from repro.dataplane.actions import Output
 from repro.dataplane.match import Match
 from repro.errors import ControllerError
+from repro.graphutil import (
+    Graph, NoPath, all_shortest_paths, shortest_path, shortest_simple_paths,
+)
 from repro.packet import EtherType, IPv4Address
 
 __all__ = [
@@ -114,29 +115,29 @@ def _book(result: PlacementResult, demand: Demand,
         )
 
 
-def spf_place(graph: nx.Graph, demands: List[Demand],
+def spf_place(graph: Graph, demands: List[Demand],
               locate) -> PlacementResult:
     """Everyone on the single shortest path (hop count)."""
     result = PlacementResult()
     for demand in demands:
         src, dst = locate(demand.src_ip), locate(demand.dst_ip)
         try:
-            path = nx.shortest_path(graph, src, dst)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            path = shortest_path(graph, src, dst)
+        except NoPath:
             path = None
         _book(result, demand, path)
     return result
 
 
-def ecmp_place(graph: nx.Graph, demands: List[Demand],
+def ecmp_place(graph: Graph, demands: List[Demand],
                locate) -> PlacementResult:
     """Hash each demand onto one of its equal-cost shortest paths."""
     result = PlacementResult()
     for demand in demands:
         src, dst = locate(demand.src_ip), locate(demand.dst_ip)
         try:
-            paths = sorted(nx.all_shortest_paths(graph, src, dst))
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            paths = sorted(all_shortest_paths(graph, src, dst))
+        except NoPath:
             _book(result, demand, None)
             continue
         # Integer values, not address objects: an address hashes a
@@ -148,7 +149,7 @@ def ecmp_place(graph: nx.Graph, demands: List[Demand],
 
 
 def greedy_place(
-    graph: nx.Graph,
+    graph: Graph,
     demands: List[Demand],
     locate,
     capacities: Dict[LinkKey, float],
@@ -166,11 +167,11 @@ def greedy_place(
         src, dst = locate(demand.src_ip), locate(demand.dst_ip)
         candidates: List[List[int]] = []
         try:
-            for path in nx.shortest_simple_paths(graph, src, dst):
+            for path in shortest_simple_paths(graph, src, dst):
                 candidates.append(path)
                 if len(candidates) >= k:
                     break
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+        except NoPath:
             pass
         best_path = None
         best_cost = float("inf")
@@ -239,7 +240,7 @@ class TrafficEngineering(App):
     # ------------------------------------------------------------------
     # Placement
     # ------------------------------------------------------------------
-    def _capacity_map(self, graph: nx.Graph) -> Dict[LinkKey, float]:
+    def _capacity_map(self, graph: Graph) -> Dict[LinkKey, float]:
         caps = {}
         for u, v in graph.edges():
             key = frozenset((u, v))

@@ -18,14 +18,15 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Set
 
-import networkx as nx
 
 from repro.dataplane.actions import Output, PORT_CONTROLLER
 from repro.dataplane.flowtable import FlowEntry
 from repro.dataplane.match import Match
 from repro.dataplane.switch import Datapath
 from repro.errors import DecodeError
-from repro.graphutil import canonical_tree_edges
+from repro.graphutil import (
+    Graph, canonical_tree_edges, is_connected, single_source_shortest_path,
+)
 from repro.netem.network import Network
 from repro.packet import Ethernet, Header, MACAddress, Packet
 from repro.packet.ethernet import register_ethertype
@@ -296,9 +297,9 @@ class LinkStateSwitch:
                                   hosts), except_port=None)
         self._recompute()
 
-    def graph(self) -> nx.Graph:
+    def graph(self) -> Graph:
         """Two-way-confirmed adjacency graph from the LSDB."""
-        g = nx.Graph()
+        g = Graph()
         for origin in self.lsdb:
             g.add_node(origin)
         for origin, record in self.lsdb.items():
@@ -319,10 +320,7 @@ class LinkStateSwitch:
         graph = self.graph()
         new_routes: Dict[MACAddress, int] = dict(self.local_hosts)
         if self.dpid in graph:
-            try:
-                paths = nx.single_source_shortest_path(graph, self.dpid)
-            except nx.NodeNotFound:  # pragma: no cover - defensive
-                paths = {self.dpid: [self.dpid]}
+            paths = single_source_shortest_path(graph, self.dpid)
             for origin, record in self.lsdb.items():
                 if origin == self.dpid or origin not in paths:
                     continue
@@ -410,7 +408,7 @@ class LinkStateNetwork:
             graph = agent.graph()
             if set(graph.nodes) != expected:
                 return False
-            if not nx.is_connected(graph) and len(expected) > 1:
+            if len(expected) > 1 and not is_connected(graph):
                 return False
         return True
 

@@ -6,8 +6,8 @@ unidirectional link.  Links age out when probes stop arriving, and port-
 down events remove them immediately (the fast path that failure-recovery
 experiments measure).
 
-Everything apps ask about the discovered topology — the
-:mod:`networkx` graph, which port faces which neighbour, which ports
+Everything apps ask about the discovered topology — the switch
+:class:`~repro.graphutil.Graph`, which port faces which neighbour, which ports
 face a switch at all, the flood tree, next hops toward a switch — is
 answered from one :class:`TopologyView`, derived once per topology
 *version* and shared until a link or the switch set changes.
@@ -19,8 +19,6 @@ from typing import (
     Callable, Dict, FrozenSet, Iterable, Optional, Tuple,
 )
 
-import networkx as nx
-
 from repro.controller.core import App, SwitchHandle
 from repro.controller.events import (
     LinkDiscovered,
@@ -29,7 +27,9 @@ from repro.controller.events import (
 )
 from repro.dataplane.actions import Output, PORT_CONTROLLER
 from repro.dataplane.match import Match
-from repro.graphutil import canonical_tree_edges
+from repro.graphutil import (
+    Graph, canonical_tree_edges, single_source_shortest_path,
+)
 from repro.packet import Ethernet, EtherType, LLDP, LLDP_MULTICAST, Packet
 from repro.southbound.codec import FrameCache
 
@@ -69,11 +69,13 @@ class DiscoveredLink:
 class TopologyView:
     """What apps ask of one topology version, derived once and shared.
 
-    Immutable: ``graph`` is frozen (``graph.copy()`` before pruning)
-    and the port sets are frozensets.  Nodes and edges are inserted in
-    ``controller.switches`` then ``links`` order, because networkx
-    breaks shortest-path ties by adjacency insertion order and the
-    resulting flow-mod sequence is part of every run digest.
+    Immutable: ``graph`` is frozen (a write raises
+    :class:`~repro.graphutil.FrozenGraphError`; ``graph.copy()`` before
+    pruning) and the port sets are frozensets.  Nodes and edges are
+    inserted in ``controller.switches`` then ``links`` order:
+    :mod:`repro.graphutil` breaks path ties by adjacency insertion
+    order, and the resulting flow-mod sequence is part of every run
+    digest.
     """
 
     __slots__ = ("version", "graph", "_toward", "_inter_switch",
@@ -82,18 +84,14 @@ class TopologyView:
     def __init__(self, version: int, switches: Iterable[int],
                  links: Iterable[DiscoveredLink]) -> None:
         self.version = version
-        graph = nx.Graph()
-        graph.add_nodes_from(switches)
+        graph = Graph()
+        graph.add_nodes(switches)
         toward: Dict[Tuple[int, int], int] = {}
         inter_switch: Dict[int, set] = {}
         for link in links:
-            # A parallel link re-adds the edge: ``ports`` keeps the last
-            # one seen, ``toward`` the first.
-            graph.add_edge(
-                link.src_dpid, link.dst_dpid,
-                ports={link.src_dpid: link.src_port,
-                       link.dst_dpid: link.dst_port},
-            )
+            # A parallel link re-adds the edge, which keeps its place;
+            # ``toward`` keeps the first port seen.
+            graph.add_edge(link.src_dpid, link.dst_dpid)
             toward.setdefault((link.src_dpid, link.dst_dpid),
                               link.src_port)
             inter_switch.setdefault(link.src_dpid, set()).add(link.src_port)
@@ -104,9 +102,8 @@ class TopologyView:
                 if ends in toward:  # seen from that side, not just the far one
                     tree_ports.setdefault(ends[0], set()).add(toward[ends])
         #: Undirected switch graph; an edge exists once either direction
-        #: has been observed, and its ``ports`` attribute maps each
-        #: endpoint dpid to its local port.
-        self.graph: nx.Graph = nx.freeze(graph)
+        #: has been observed (:meth:`port_toward` names its ports).
+        self.graph: Graph = graph.freeze()
         self._toward = toward
         self._inter_switch = {
             dpid: frozenset(ports) for dpid, ports in inter_switch.items()}
@@ -136,7 +133,7 @@ class TopologyView:
         """
         hops = self._next_hops.get(dst_dpid)
         if hops is None:
-            paths = nx.single_source_shortest_path(self.graph, dst_dpid)
+            paths = single_source_shortest_path(self.graph, dst_dpid)
             hops = self._next_hops[dst_dpid] = {}
             dist = self._distances[dst_dpid] = {}
             for dpid, path in paths.items():
@@ -358,7 +355,7 @@ class TopologyDiscovery(App):
             self.views_built += 1
         return view
 
-    def graph(self) -> nx.Graph:
+    def graph(self) -> Graph:
         """The current view's switch graph: shared and frozen."""
         return self.view().graph
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import networkx as nx
-
 from repro.controller.discovery import TopologyDiscovery
 from repro.errors import ControllerError
+from repro.graphutil import NoPath, shortest_path
 
 __all__ = ["PathService"]
 
@@ -30,10 +29,9 @@ class PathService:
     def shortest_path(self, src_dpid: int,
                       dst_dpid: int) -> Optional[List[int]]:
         """Hop-count shortest dpid path, or ``None`` if disconnected."""
-        graph = self.discovery.graph()
         try:
-            return nx.shortest_path(graph, src_dpid, dst_dpid)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
+            return shortest_path(self.discovery.graph(), src_dpid, dst_dpid)
+        except NoPath:
             return None
 
     def distance(self, src_dpid: int, dst_dpid: int) -> Optional[int]:

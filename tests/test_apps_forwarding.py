@@ -210,9 +210,8 @@ class TestProactiveRouter:
         (LLDP refreshes do not count) thousands of floods derive no
         view and construct no graph.
         """
-        import networkx as nx
-
         from repro.controller.discovery import TopologyView
+        from repro.graphutil import Graph
 
         versions = []
         view_init = TopologyView.__init__
@@ -231,7 +230,7 @@ class TestProactiveRouter:
         platform.run(0.5)  # src learned, rebuild done, view derived
 
         graphs = []
-        graph_init = nx.Graph.__init__
+        graph_init = Graph.__init__
 
         def counting_init(self, *args, **kwargs):
             graphs.append(1)
@@ -240,7 +239,7 @@ class TestProactiveRouter:
         views, floods = discovery.views_built, router.packets_flooded
         version = discovery.version
         with monkeypatch.context() as patch:
-            patch.setattr(nx.Graph, "__init__", counting_init)
+            patch.setattr(Graph, "__init__", counting_init)
             for i in range(300):
                 platform.sim.schedule(i * 0.01, src.send_udp, silent.ip,
                                       1, 2, b"x")

@@ -16,16 +16,16 @@ import textwrap
 SCRIPT = textwrap.dedent("""
     import json
 
-    import networkx as nx
-
     from repro.apps import Demand, LoadBalancer, ProactiveRouter, ecmp_place
     from repro.core import ZenPlatform
+    from repro.graphutil import Graph
     from repro.netem import Topology
 
     # TE: eight demands hashed over four equal-cost arms.
-    graph = nx.Graph()
+    graph = Graph()
     for arm in (2, 3, 4, 5):
-        graph.add_edges_from([(1, arm), (arm, 6)])
+        graph.add_edge(1, arm)
+        graph.add_edge(arm, 6)
     demands = [Demand(f"10.0.1.{i}", "10.0.0.6", 1e6) for i in range(1, 9)]
     placed = ecmp_place(graph, demands,
                         lambda ip: 6 if str(ip) == "10.0.0.6" else 1)

@@ -1,5 +1,5 @@
-"""Layout guard: every module under ``src/repro`` has a caller outside
-``tests/``.
+"""Layout guards: every module under ``src/repro`` has a caller outside
+``tests/``, and importing the runtime pulls in no graph library.
 
 A module that only its own tests import is code no experiment, example,
 app or benchmark runs.  A *caller* is a file under ``src/``,
@@ -12,10 +12,16 @@ use.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "examples", "benchmarks")
+#: What every workload imports.
+STACK = ("repro.core", "repro.obs", "repro.sim.shard", "repro.workload")
 
 
 def module_name(path: pathlib.Path, src: pathlib.Path) -> str:
@@ -83,3 +89,24 @@ def uncalled_modules(root: pathlib.Path) -> list:
 
 def test_every_module_has_a_caller_outside_tests():
     assert uncalled_modules(ROOT) == []
+
+
+def test_the_stack_imports_no_graph_library():
+    """Import sentinel: a fresh interpreter imports the stack and nothing
+    of networkx, which only the tests load, as their reference."""
+    code = (
+        "import importlib, json, resource, sys\n"
+        f"for name in {STACK!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print(json.dumps([len(sys.modules),\n"
+        "    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,\n"
+        "    sorted(m for m in sys.modules\n"
+        "           if m.split('.')[0] == 'networkx')]))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    modules, rss_mb, graph_modules = json.loads(out.stdout)
+    # CI runs this test with -s and greps the line into the summary.
+    print(f"\nimport sentinel: {modules} modules, {rss_mb:.1f} MB")
+    assert graph_modules == []
