@@ -9,6 +9,7 @@ E5 reads to compare traffic-engineering schemes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Optional, Tuple
 
 from repro.errors import TopologyError
@@ -50,7 +51,13 @@ class _Direction:
     Two transmit disciplines:
 
     * FIFO (``priority_bands == 1``) — a virtual queue: departures are
-      computed from ``busy_until`` and scheduled up front.
+      computed from ``busy_until`` up front.  A departure is not an
+      event: the direction keeps ``(depart, order)`` per frame still
+      serialising, ``order`` reserved from the kernel where a dequeue
+      event would have been scheduled, and counts the backlog at the
+      next send by dropping the entries ordered before the running
+      event — so drop-tail sees exactly the backlog it would have seen,
+      and every event keeps its order key.
     * Strict-priority (``priority_bands > 1``) — real per-band queues;
       the transmitter always serves the lowest-numbered non-empty band
       next.  Band selection comes from the link's ``classifier``.
@@ -65,7 +72,7 @@ class _Direction:
         "dst",
         "rng",
         "busy_until",
-        "queued",
+        "_departing",
         "tx_packets",
         "tx_bytes",
         "dropped_queue",
@@ -99,7 +106,9 @@ class _Direction:
         self.dst: Optional[Attachment] = None
         self.rng = rng
         self.busy_until = 0.0
-        self.queued = 0
+        #: ``(depart, order)`` of the frames still serialising, oldest
+        #: first; ``None`` until the first send.
+        self._departing: Optional[list] = None
         self.tx_packets = 0
         self.tx_bytes = 0
         self.dropped_queue = 0
@@ -158,20 +167,30 @@ class _Direction:
         if self.bands is not None and self.bandwidth_bps:
             self._send_banded(packet, size)
             return
-        now = self.sim.now
+        sim = self.sim
+        now = sim.now
         if self.bandwidth_bps:
-            start = max(now, self.busy_until)
-            # Drop-tail: if the backlog exceeds capacity, the packet dies.
-            if self.queue_capacity and self.queued >= self.queue_capacity:
-                self.dropped_queue += 1
-                self._drop(packet, "queue")
-                return
+            departing = self._departing
+            if departing is not None:
+                # Sorted, since departures leave in order: forget those
+                # ordered before the running event.
+                del departing[:bisect_left(departing, sim.position)]
+                # Drop-tail: if the backlog exceeds capacity, the packet
+                # dies.
+                if (self.queue_capacity
+                        and len(departing) >= self.queue_capacity):
+                    self.dropped_queue += 1
+                    self._drop(packet, "queue")
+                    return
             tx_time = size * 8 / self.bandwidth_bps
-            depart = start + tx_time
+            depart = max(now, self.busy_until) + tx_time
             self.busy_until = depart
             self._window_busy += tx_time
-            self.queued += 1
-            self.sim.schedule_at(depart, self._dequeue)
+            entry = (depart, sim.reserve_order())
+            if departing is None:
+                self._departing = [entry]
+            else:
+                departing.append(entry)
         else:
             depart = now
         if self.loss_rate and self.rng.random() < self.loss_rate:
@@ -196,9 +215,6 @@ class _Direction:
             self._key_seq += 1
             self.sim.schedule_at(arrival, self._arrive, packet, self.epoch,
                                  key=(self.key_base, self._key_seq))
-
-    def _dequeue(self) -> None:
-        self.queued -= 1
 
     def _arrive(self, packet: Packet, epoch: int = 0) -> None:
         if epoch != self.epoch:

@@ -116,6 +116,14 @@ class Simulator:
         #: sequence keys are cheaper and every legacy seeded run depends
         #: on them.
         self._stable_ties = stable_ties
+        #: The order key of the running event.  Between events it is a
+        #: bound instead — ``_ORDER_FIRST`` when events at ``now`` are
+        #: still due, ``_ORDER_LAST`` when they have all run — so
+        #: ``(now, _order)`` always splits the heap into what has run
+        #: and what has not (see :attr:`position`).
+        self._order_first, self._order_last = (
+            ((-1,), (2,)) if stable_ties else (-1, float("inf")))
+        self._order = self._order_first
         self._processed = 0
         #: Cancelled-but-still-queued events, maintained by Event.cancel()
         #: and the run loop so pending_events is O(1).
@@ -154,6 +162,24 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
+
+    @property
+    def position(self) -> tuple:
+        """``(now, order)`` of the running event: an event keyed before
+        it has run, one keyed after it has not."""
+        return (self._now, self._order)
+
+    def reserve_order(self):
+        """Take the order key an event scheduled now would get, and
+        schedule nothing.
+
+        A component that only needs to know when such an event *would*
+        have run keeps ``(time, key)`` and compares it with
+        :attr:`position` later: the event costs nothing, and every other
+        event keeps the order key it had.
+        """
+        seq = next(self._seq)
+        return (0, seq) if self._stable_ties else seq
 
     @property
     def events_processed(self) -> int:
@@ -364,7 +390,7 @@ class Simulator:
         heappop = heapq.heappop
         budget_hit = False
         while heap:
-            time, _seq, event = heap[0]
+            time, order, event = heap[0]
             if event.cancelled:
                 heappop(heap)
                 self._cancelled_count -= 1
@@ -381,9 +407,15 @@ class Simulator:
             if time >= self._obs_next:
                 self._fire_observers(time)
             self._now = time
+            self._order = order
             event.callback(*event.args)
             executed += 1
         self._processed += executed
+        if not budget_hit:
+            # Everything due by ``until`` has run — except, for a
+            # half-open run, what is due exactly at ``until``.
+            self._order = (self._order_first if exclusive
+                           else self._order_last)
         # A run cut short by ``max_events`` stays at its last event: an
         # event due before ``until`` is still queued, and jumping past
         # it would run the clock backwards on the next call.

@@ -173,3 +173,56 @@ class TestUtilisation:
         assert link.other_end("b").node_name == "a"
         with pytest.raises(TopologyError):
             link.other_end("c")
+
+
+class TestDepartureInstant:
+    """A departure is a reserved ``(time, order)``, not an event: a send
+    at the very instant a frame finishes serialising must see the
+    backlog a dequeue event at that order would have left."""
+
+    @pytest.mark.parametrize("stable_ties", [False, True])
+    def test_a_send_at_the_departure_instant_sees_the_exact_backlog(
+            self, stable_ties):
+        sim = Simulator(stable_ties=stable_ties)
+        link, _, b_in = make_link(sim, delay=0.0, bandwidth_bps=1e6,
+                                  queue_capacity=1)
+        depart = 1000 * 8 / 1e6
+        # Ordered before the first frame's departure: the backlog is
+        # still full, so this frame is dropped.
+        sim.schedule_at(depart, link.send_from, "a", frame(1000))
+        link.send_from("a", frame(1000))
+        # Ordered after it: the first frame has left, so this one goes.
+        sim.schedule_at(depart, link.send_from, "a", frame(1000))
+        sim.run_until_idle()
+        ab, _ = link.direction_stats()
+        assert ab["dropped_queue"] == 1
+        assert [t for t, _ in b_in] == pytest.approx([depart, 2 * depart])
+
+    def test_a_keyed_event_sorts_after_every_reserved_departure(self):
+        # Stable-tie mode orders keyed events after unkeyed ones at the
+        # same instant, whenever they were scheduled.
+        sim = Simulator(stable_ties=True)
+        link, _, b_in = make_link(sim, delay=0.0, bandwidth_bps=1e6,
+                                  queue_capacity=1)
+        depart = 1000 * 8 / 1e6
+        sim.schedule_at(depart, link.send_from, "a", frame(1000),
+                        key=(0, 0))
+        link.send_from("a", frame(1000))
+        sim.run_until_idle()
+        assert link.direction_stats()[0]["dropped_queue"] == 0
+        assert len(b_in) == 2
+
+    def test_a_send_between_runs_sees_every_departure_due(self):
+        sim = Simulator()
+        link, _, b_in = make_link(sim, delay=0.001, bandwidth_bps=1e6,
+                                  queue_capacity=1)
+        depart = 1000 * 8 / 1e6
+        link.send_from("a", frame(1000))
+        sim.run(until=depart)  # inclusive: the departure at ``depart`` ran
+        link.send_from("a", frame(1000))
+        sim.run(until=2 * depart, exclusive=True)  # the second one has not
+        link.send_from("a", frame(1000))
+        sim.run_until_idle()
+        assert link.direction_stats()[0]["dropped_queue"] == 1
+        assert len(b_in) == 2
+        assert sim.events_processed == 2  # two arrivals, no departures

@@ -487,6 +487,22 @@ class TestRunner:
               f"{records[0]} Tracer.record")
         assert per_tx <= 0.5
 
+    def test_kernel_sentinel(self):
+        """A link departure is a reserved order key, not an event: the
+        kernel runs at most 1.7 events per link transmission on
+        ``dc-heavy-tail`` (2.63 when every departure was a dequeue
+        event of its own)."""
+        result = run_workload(library()["dc-heavy-tail"])
+        transmissions = sum(
+            series.last[1]
+            for series in result.artifact.match("link_tx_packets_total"))
+        events = result.summary["events"]
+        per_tx = events / transmissions
+        # CI runs this test with -s and greps the line into the summary.
+        print(f"\nkernel sentinel: {per_tx:.3f} events per link "
+              f"transmission ({events} for {transmissions:.0f})")
+        assert per_tx <= 1.7
+
     def test_faults_are_armed(self):
         spec = tiny_spec(name="tiny-fault", faults=[{
             "kind": "channel_flap", "switch": "s1", "at": 0.5,
