@@ -133,11 +133,6 @@ class Graph:
     def __contains__(self, node: Node) -> bool:
         return node in self.adj
 
-    def __repr__(self) -> str:
-        state = " frozen" if self._frozen else ""
-        return (f"<Graph {self.number_of_nodes()} nodes "
-                f"{self.number_of_edges()} edges{state}>")
-
 
 # ----------------------------------------------------------------------
 # Paths.  Every function takes anything with an ``adj`` mapping.

@@ -116,9 +116,9 @@ class Simulator:
         #: sequence keys are cheaper and every legacy seeded run depends
         #: on them.
         self._stable_ties = stable_ties
-        #: The order key of the running event.  Between events it is a
-        #: bound instead — ``_ORDER_FIRST`` when events at ``now`` are
-        #: still due, ``_ORDER_LAST`` when they have all run — so
+        #: The order key of the running event.  Between runs it is a
+        #: bound instead — ``_order_first`` when events at ``now`` are
+        #: still due, ``_order_last`` when they have all run — so
         #: ``(now, _order)`` always splits the heap into what has run
         #: and what has not (see :attr:`position`).
         self._order_first, self._order_last = (
