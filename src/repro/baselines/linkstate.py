@@ -18,7 +18,6 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Optional, Set
 
-
 from repro.dataplane.actions import Output, PORT_CONTROLLER
 from repro.dataplane.flowtable import FlowEntry
 from repro.dataplane.match import Match
@@ -300,8 +299,7 @@ class LinkStateSwitch:
     def graph(self) -> Graph:
         """Two-way-confirmed adjacency graph from the LSDB."""
         g = Graph()
-        for origin in self.lsdb:
-            g.add_node(origin)
+        g.add_nodes(self.lsdb)
         for origin, record in self.lsdb.items():
             for neighbour in record.neighbours:
                 other = self.lsdb.get(neighbour)
