@@ -34,7 +34,8 @@ import time
 import pytest
 
 from repro.analysis import Table
-from repro.core import ZenPlatform, dataplane_digest
+from repro.core import ZenPlatform, dataplane_observables
+from repro.digest import canonical_digest
 from repro.faults import arm_faults
 from repro.netem import Topology
 from repro.sim.shard import run_sharded
@@ -141,7 +142,7 @@ def cluster_identity():
                             "at": 0.5, "restart_after": 0.4}],
                    base=net.sim.now)
         platform.run(3.0)
-        return dataplane_digest(net), tel
+        return canonical_digest(dataplane_observables(net)), tel
 
     off, _ = digest(Telemetry(trace=False))
     on, tel = digest(Telemetry(trace=True))

@@ -30,7 +30,6 @@ from repro.check.fuzzer import (
     generate_cluster_scenario,
     generate_scenario,
     minimize,
-    platform_observables,
     replay,
     run_corpus,
     run_scenario,
@@ -96,7 +95,6 @@ __all__ = [
     "generate_cluster_scenario",
     "generate_scenario",
     "minimize",
-    "platform_observables",
     "replay",
     "run_corpus",
     "run_scenario",

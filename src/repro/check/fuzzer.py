@@ -24,8 +24,8 @@ import random
 from typing import Callable, List, Optional
 
 from repro.digest import load_document
-from repro.obs import RunArtifact, RunResult
-from repro.workload.runner import assemble
+from repro.obs import RunResult
+from repro.workload.runner import assemble, run_assembled
 from repro.workload.spec import WorkloadSpec, build_spec_topology, load_spec
 
 from repro.check.invariants import NetworkChecker
@@ -34,7 +34,6 @@ __all__ = [
     "generate_scenario",
     "generate_cluster_scenario",
     "run_scenario",
-    "platform_observables",
     "fuzz",
     "replay",
     "minimize",
@@ -180,56 +179,16 @@ def generate_cluster_scenario(seed: int) -> WorkloadSpec:
 # Execution
 # ----------------------------------------------------------------------
 
-def platform_observables(platform) -> dict:
-    """Everything externally visible about a finished run, as plain
-    data — the object two runs are compared on for bit-identity."""
-    net = platform.net
-    flows = {}
-    for name in sorted(net.switches):
-        dp = net.switches[name]
-        flows[name] = [
-            [table.table_id,
-             [repr(e.match) for e in table.entries()],
-             [e.priority for e in table.entries()]]
-            for table in dp.tables
-        ]
-    return {
-        "time": net.sim.now,
-        "events": net.sim.events_processed,
-        "dp_stats": {name: net.switches[name].stats()
-                     for name in sorted(net.switches)},
-        "flows": flows,
-        "hosts": {
-            name: {
-                "tx": net.hosts[name].tx_packets,
-                "rx": net.hosts[name].rx_packets,
-            }
-            for name in sorted(net.hosts)
-        },
-        "controller": {
-            "events": platform.controller.events_published,
-            "resyncs": platform.controller.resyncs,
-        },
-    }
-
-
 def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
                  monitor: bool = False,
-                 checker: Optional[NetworkChecker] = None,
-                 obs: bool = False) -> RunResult:
+                 checker: Optional[NetworkChecker] = None) -> RunResult:
     """Assemble, run, and check one spec.  Deterministic end to end.
 
-    The result's artifact holds the final verdicts (``checks``) and the
-    :func:`platform_observables` (``observables``); its summary holds
-    ``ok``, ``faults_fired`` and ``monitor_failures`` (the trigger of
-    each monitor run that saw violations: transient, informational,
-    not the pass criterion).
-
-    The metrics plane is always on; ``obs=True`` attaches a full
-    :class:`~repro.obs.ObsPlane`, whose series and health join the
-    artifact and whose scraper, SLOs, and annotations
-    must leave the observables bit-identical — the invariant
-    ``tests/test_obs.py`` checks over the fuzz corpus.
+    The run is :func:`~repro.workload.run_assembled`'s, so the document
+    is a workload run's with ``meta.kind`` ``"scenario"``, the final
+    verdicts (``checks``), and ``ok`` and ``monitor_failures`` (the
+    trigger of each monitor run that saw violations: transient,
+    informational, not the pass criterion) added to the summary.
 
     A run that reaches :data:`EVENT_BUDGET` with events still due stops
     there and fails, with an ``event_budget_exhausted`` verdict (absent
@@ -237,20 +196,18 @@ def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
     """
     if checker is None:
         checker = NetworkChecker()
-    live = assemble(scenario, obs=obs,
-                    monitor=checker if monitor else False,
+    live = assemble(scenario, monitor=checker if monitor else False,
                     fast_path=fast_path)
     platform, mon = live.platform, live.monitor
     net, sim = platform.net, platform.sim
     end = sim.now + scenario.duration
-    executed = sim.run(until=end, max_events=EVENT_BUDGET)
-    if live.plane is not None:
-        live.plane.finish()
+    result = run_assembled(scenario, live, max_events=EVENT_BUDGET)
 
     final = checker.check(net)
     ok = final.ok
     verdicts = final.to_dict()
-    if executed >= EVENT_BUDGET and sim.next_event_time <= end:
+    # Only a run the budget cut short leaves events due by ``end``.
+    if sim.next_event_time <= end:
         ok = False
         verdicts["event_budget_exhausted"] = {
             "budget": EVENT_BUDGET, "now": sim.now,
@@ -267,17 +224,11 @@ def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
         verdicts["cluster_violations"] = [
             v.to_dict() for v in cluster_violations
         ]
-    summary = {
-        "ok": ok,
-        "faults_fired": len(live.schedule.log),
-        "monitor_failures": [r.trigger for r in mon.failing_records()]
-        if mon is not None else [],
-    }
-    meta = {"kind": "scenario", "workload": scenario.to_dict(),
-            "summary": summary}
-    artifact = (live.plane.artifact(**meta) if live.plane is not None
-                else RunArtifact(meta=meta))
-    artifact.observables = platform_observables(platform)
+    failures = ([r.trigger for r in mon.failing_records()]
+                if mon is not None else [])
+    summary = dict(result.summary, ok=ok, monitor_failures=failures)
+    artifact = result.artifact
+    artifact.meta.update(kind="scenario", summary=summary)
     artifact.checks = verdicts
     return RunResult(scenario, summary, artifact)
 

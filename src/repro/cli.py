@@ -38,7 +38,7 @@ from typing import List, Optional
 
 from repro.analysis import Table
 from repro.core import ZenPlatform
-from repro.digest import load_document
+from repro.digest import canonical_digest, load_document
 from repro.errors import ZenError
 from repro.netem.topology import FAMILIES, Topology
 from repro.telemetry import Telemetry
@@ -214,13 +214,23 @@ def _cmd_check(args) -> int:
         result = replay(args.path, monitor=args.monitor)
         print(f"replayed {result.spec.name}: "
               f"{'clean' if result.ok else 'VIOLATIONS'} "
-              f"(digest {result.digest[:16]})")
+              f"(digest {result.digest[:16]}, dataplane "
+              f"{result.dataplane_digest[:16]})")
         if not result.ok:
             _print_violations(result.artifact.checks)
-        # Only a checked scenario's digest is this replay's to compare.
-        recorded = payload.get("meta", {}).get("kind") == "scenario"
-        if recorded and payload["digest"] != result.digest:
-            print("WARNING: digest drift vs the recorded run")
+        # A platform run's dataplane record is this replay's to compare,
+        # and a checked scenario's whole digest; a sharded run has
+        # neither.
+        kind = payload.get("meta", {}).get("kind")
+        drift = []
+        if (kind in ("workload", "scenario") and result.dataplane_digest
+                != canonical_digest(payload.get("observables", {}))):
+            drift.append("dataplane digest")
+        if kind == "scenario" and payload["digest"] != result.digest:
+            drift.append("digest")
+        if drift:
+            print(f"WARNING: {' and '.join(drift)} drift vs the recorded "
+                  f"run")
             return 1
         return 0 if result.ok else 1
 
@@ -361,15 +371,14 @@ def _run_spec(args):
 
 
 def _run_platform(spec, args):
-    """``run_workload``'s run — ``assemble(spec, obs=True)``, then
+    """``run_workload``'s run — ``assemble(spec)``, then
     ``run_assembled`` — with the observers ``--monitor`` and ``--trace``
     ask for attached to the assembly."""
     from repro.telemetry.artifact import tracer_traces
     from repro.workload import assemble, run_assembled
 
     telemetry = Telemetry(trace=True) if args.trace else None
-    live = assemble(spec, telemetry=telemetry, obs=True,
-                    monitor=args.monitor)
+    live = assemble(spec, telemetry=telemetry, monitor=args.monitor)
     result = run_assembled(spec, live)
     if telemetry is not None:
         result.artifact.traces = tracer_traces(telemetry.tracer)

@@ -1,8 +1,8 @@
 """The platform layer: the assembled stack."""
 
-from repro.core.platform import ZenPlatform, dataplane_digest
+from repro.core.platform import ZenPlatform, dataplane_observables
 
 __all__ = [
     "ZenPlatform",
-    "dataplane_digest",
+    "dataplane_observables",
 ]

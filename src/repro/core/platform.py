@@ -36,32 +36,33 @@ from repro.controller.core import App, Controller
 from repro.controller.discovery import TopologyDiscovery
 from repro.controller.hosttracker import HostTracker
 from repro.controller.intents import IntentService
-from repro.digest import canonical_digest
 from repro.errors import ControllerError
 from repro.netem.network import Network
 from repro.netem.topology import Topology
 from repro.sim import Simulator
 
-__all__ = ["ZenPlatform", "dataplane_digest"]
+__all__ = ["ZenPlatform", "dataplane_observables"]
 
 _PROFILES = ("reactive", "proactive", "bare")
 
 
-def dataplane_digest(net: Network) -> str:
-    """A canonical hash of everything the *dataplane* shows.
+def dataplane_observables(net: Network) -> dict:
+    """Everything the *dataplane* shows, as plain data (lists, so a
+    saved run document reads back equal): a platform run's
+    ``observables``.
 
     Flow tables, datapath counters, and host tx/rx — deliberately
     excluding control-channel and controller-side counters, which
     legitimately differ with cluster size (N instances exchange more
     control messages while programming the very same dataplane).
     """
-    return canonical_digest({
+    return {
         "switches": {
             name: {
                 "stats": dp.stats(),
                 "flows": sorted(
-                    (table.table_id, entry.priority, repr(entry.match),
-                     repr(sorted(map(repr, entry.actions))))
+                    [table.table_id, entry.priority, repr(entry.match),
+                     repr(sorted(map(repr, entry.actions)))]
                     for table in dp.tables
                     for entry in table
                 ),
@@ -73,7 +74,7 @@ def dataplane_digest(net: Network) -> str:
                    "tx_bytes": host.tx_bytes, "rx_bytes": host.rx_bytes}
             for name, host in net.hosts.items()
         },
-    })
+    }
 
 
 class ZenPlatform:

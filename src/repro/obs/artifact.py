@@ -43,8 +43,9 @@ class RunArtifact:
 
     ``traces`` is a list of ``{"id", "label", "spans"}`` dicts (the
     :mod:`repro.telemetry.artifact` form), ``observables`` is the
-    dataplane state two runs are compared on, and ``checks`` the final
-    invariant verdicts.
+    dataplane state two runs are compared on
+    (:func:`repro.core.dataplane_observables` for a platform run), and
+    ``checks`` the final invariant verdicts.
     """
 
     def __init__(self, series: Optional[Dict[str, Series]] = None,

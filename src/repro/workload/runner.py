@@ -2,19 +2,17 @@
 
 :func:`assemble` is the only place a spec becomes a simulation: it
 builds the spec's topology, starts a
-:class:`~repro.core.platform.ZenPlatform` with the planes the caller
-asks for, installs flow sinks that feed a ``workload_fct_seconds``
-histogram, and arms every fault and traffic entry.
+:class:`~repro.core.platform.ZenPlatform` with the obs plane and the
+observers the caller asks for, installs flow sinks that feed a
+``workload_fct_seconds`` histogram, and arms every fault and traffic
+entry.  :func:`run_assembled` is the one run tail: it runs an assembly
+and returns a :class:`~repro.obs.artifact.RunResult` whose document
+``repro report`` renders and ``repro diff`` compares.
 :func:`run_workload` — the engine behind ``repro run``, ``repro
-workload suite`` and benchmark E16 — takes one spec, runs that with
-the obs plane on (stock SLOs plus the spec's own) and returns a
-:class:`~repro.obs.artifact.RunResult` whose document ``repro report``
-renders and ``repro diff`` compares; :func:`run_assembled` is its
-run-and-summarise tail, which ``repro run`` also calls when it attaches
-a monitor or a tracer to the assembly.
-``repro.check.run_scenario`` runs the same assembly and ends with an
-invariant verdict.  The sharded kernel's run of a spec is
-:func:`repro.sim.shard.run_sharded`, not this module.
+workload suite`` and benchmark E16 — is the two in a row, and
+``repro.check.run_scenario`` adds an invariant verdict.  The sharded
+kernel's run of a spec is :func:`repro.sim.shard.run_sharded`, not this
+module.
 
 :func:`run_suite` fans a list of specs across worker processes.
 Workers return run documents (:meth:`RunResult.to_dict`); the parent
@@ -28,7 +26,7 @@ import traceback
 from typing import Dict, List, NamedTuple, Optional
 
 from repro.analysis import percentile
-from repro.core import ZenPlatform
+from repro.core import ZenPlatform, dataplane_observables
 from repro.digest import canonical_digest
 from repro.errors import ZenError
 from repro.faults import FaultSchedule, arm_faults, check_targets
@@ -52,8 +50,8 @@ class AssembledRun(NamedTuple):
 
     platform: ZenPlatform
     schedule: FaultSchedule
-    #: ``None`` unless the caller asked for the plane / the monitor.
-    plane: Optional[ObsPlane]
+    plane: ObsPlane
+    #: ``None`` unless the caller asked for the monitor.
     monitor: Optional[object]
     #: ``(host name, port)`` -> :class:`~repro.netem.FlowSink`.
     sinks: Dict[tuple, object]
@@ -97,15 +95,15 @@ def _build_platform(spec: WorkloadSpec, telemetry,
 
 
 def assemble(spec: WorkloadSpec, *,
-             telemetry: Optional[Telemetry] = None, obs: bool = False,
-             monitor=False, fast_path: bool = True) -> AssembledRun:
+             telemetry: Optional[Telemetry] = None, monitor=False,
+             fast_path: bool = True) -> AssembledRun:
     """Turn ``spec`` into a started platform with everything armed.
 
     The metrics plane is always on; ``telemetry`` is a
     :class:`~repro.telemetry.Telemetry` the caller built (a tracing
-    one), or ``None`` for the kernel's own.  ``obs`` attaches an
-    :class:`~repro.obs.ObsPlane` scraping every ``spec.interval`` and
-    judging the stock SLOs plus ``spec.slos``.  ``monitor=True`` runs
+    one), or ``None`` for the kernel's own.  An
+    :class:`~repro.obs.ObsPlane` scrapes every ``spec.interval`` and
+    judges the stock SLOs plus ``spec.slos``.  ``monitor=True`` runs
     an :class:`~repro.check.monitor.InvariantMonitor` on the default
     invariants, a ``NetworkChecker`` runs that one.  No observer
     perturbs the simulation.
@@ -132,14 +130,13 @@ def assemble(spec: WorkloadSpec, *,
         fct_hist.observe(record.fct)
 
     schedule = platform.fault_schedule()
-    plane = mon = None
-    if obs:
-        plane = ObsPlane(platform, interval=spec.interval, slos=(
-            default_slos(spec.interval)
-            + [slo_from_spec(doc) for doc in spec.slos]))
-        plane.watch_faults(schedule)
-        if platform.cluster is not None:
-            plane.watch_cluster(platform.cluster)
+    plane = ObsPlane(platform, interval=spec.interval, slos=(
+        default_slos(spec.interval)
+        + [slo_from_spec(doc) for doc in spec.slos]))
+    plane.watch_faults(schedule)
+    if platform.cluster is not None:
+        plane.watch_cluster(platform.cluster)
+    mon = None
     if monitor:
         # Imported on use: `repro.check` builds on this module.
         from repro.check.monitor import InvariantMonitor
@@ -148,8 +145,7 @@ def assemble(spec: WorkloadSpec, *,
                                None if monitor is True else monitor)
         mon.attach(platform.controller)
         mon.watch(schedule)
-        if plane is not None:
-            plane.watch_monitor(mon)
+        plane.watch_monitor(mon)
 
     # Flow-table occupancy: scraped every tick, peak kept in-closure so
     # the summary does not depend on the ring-buffer capacity.
@@ -161,12 +157,11 @@ def assemble(spec: WorkloadSpec, *,
         peak["flow_entries"] = max(peak["flow_entries"], total)
         return float(total)
 
-    if plane is not None:
-        registry.gauge(
-            "workload_flow_entries",
-            "Flow entries installed across all switches",
-            (),
-        ).bind((), flow_entries)
+    registry.gauge(
+        "workload_flow_entries",
+        "Flow entries installed across all switches",
+        (),
+    ).bind((), flow_entries)
 
     arm_faults(schedule, spec.faults, base=sim.now)
 
@@ -188,19 +183,21 @@ def assemble(spec: WorkloadSpec, *,
 def run_workload(spec: WorkloadSpec) -> RunResult:
     """Execute one spec end to end; deterministic in (spec, seed).
 
-    The spec is assembled with the obs plane on, run for
-    ``spec.duration`` and summarised.  The sharded kernel's run of a
-    spec is :func:`repro.sim.shard.run_sharded`.
+    The spec is assembled, run for ``spec.duration`` and summarised.
+    The sharded kernel's run of a spec is
+    :func:`repro.sim.shard.run_sharded`.
     """
-    return run_assembled(spec, assemble(spec, obs=True))
+    return run_assembled(spec, assemble(spec))
 
 
-def run_assembled(spec: WorkloadSpec, live: AssembledRun) -> RunResult:
-    """Run ``live`` — ``spec`` assembled with the obs plane on, and
-    whatever other observers the caller attached — for
-    ``spec.duration``, and summarise it into the run document."""
-    plane = live.plane
-    live.platform.run(spec.duration)
+def run_assembled(spec: WorkloadSpec, live: AssembledRun,
+                  max_events: Optional[int] = None) -> RunResult:
+    """Run ``live`` — ``spec`` assembled — for ``spec.duration`` (or
+    ``max_events`` events) and summarise it into the run document, whose
+    ``observables`` are :func:`~repro.core.dataplane_observables`."""
+    platform, plane = live.platform, live.plane
+    sim = platform.sim
+    sim.run(until=sim.now + spec.duration, max_events=max_events)
     plane.finish()
 
     fcts = [flow.fct for sink in live.sinks.values()
@@ -219,10 +216,12 @@ def run_assembled(spec: WorkloadSpec, live: AssembledRun) -> RunResult:
         "faults_fired": len(live.schedule.log),
         "health_ok": plane.report.ok,
         "alerts": len(plane.report.alerts),
-        "events": live.platform.sim.events_processed,
+        "events": sim.events_processed,
     }
-    return RunResult(spec, summary, plane.artifact(
-        kind="workload", workload=spec.to_dict(), summary=summary))
+    artifact = plane.artifact(kind="workload", workload=spec.to_dict(),
+                              summary=summary)
+    artifact.observables = dataplane_observables(platform.net)
+    return RunResult(spec, summary, artifact)
 
 
 def _suite_worker(spec_doc: dict) -> dict:

@@ -20,6 +20,7 @@ from repro.core import ZenPlatform
 from repro.dataplane import Match
 from repro.dataplane.actions import Output
 from repro.dataplane.flowtable import FlowEntry
+from repro.digest import canonical_digest, section_digests
 from repro.netem import Topology
 from repro.packet import MACAddress
 
@@ -254,34 +255,72 @@ class TestPurity:
         assert scenario.faults
         off = run_scenario(scenario, monitor=False)
         on = run_scenario(scenario, monitor=True)
-        assert on.observables == off.observables
-        assert on.artifact.checks == off.artifact.checks
+        assert_monitor_moved_only_its_record(off, on)
         # The monitor did actually run and see the transient failures.
         assert on.summary["monitor_failures"]
+
+
+def assert_monitor_moved_only_its_record(off, on):
+    """``on`` is ``off`` run again with the invariant monitor attached:
+    observables and verdicts are equal, and only what the monitor
+    records moved — its violation annotations, the health they feed,
+    ``monitor_failures`` and the ``check_*`` series."""
+    assert on.observables == off.observables
+    assert on.artifact.checks == off.artifact.checks
+    before = section_digests(off.artifact.to_dict())
+    after = section_digests(on.artifact.to_dict())
+    moved = {key for key in before.keys() | after.keys()
+             if before.get(key) != after.get(key)}
+    assert all(key in ("annotations", "health", "meta")
+               or key.startswith("series/check_") for key in moved), moved
+    assert dict(on.summary, monitor_failures=[]) == off.summary
+    assert dict(on.artifact.meta, summary=off.summary) == off.artifact.meta
 
 
 # ----------------------------------------------------------------------
 # One document, one assembler: the check plane runs the simulation the
 # workload plane runs
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("name, duration", [
-    ("dc-heavy-tail", 1.5),
-    ("incast-storm", 1.0),
-    ("wan-diurnal", 4.0),  # the core0-core1 flap has healed and re-routed
-    ("tenant-millions", 1.0),
-])
+#: The library, shortened for tier 1 (same programs); wan-diurnal runs
+#: until its core0-core1 flap has healed and re-routed.
+_LIBRARY_CUTS = [("dc-heavy-tail", 1.5), ("incast-storm", 1.0),
+                 ("wan-diurnal", 4.0), ("tenant-millions", 1.0)]
+
+
+@pytest.fixture(scope="module")
+def library_runs():
+    """Each cut library spec run checked (monitor on) and measured,
+    once per module: ``{name: (spec, checked, measured)}``."""
+    runs = {}
+    for name, duration in _LIBRARY_CUTS:
+        spec = library()[name]
+        spec.duration = duration
+        runs[name] = (spec, run_scenario(spec, monitor=True),
+                      run_workload(spec))
+    return runs
+
+
+@pytest.mark.parametrize("name, duration", _LIBRARY_CUTS)
 def test_library_spec_is_checked_on_the_run_the_workload_plane_measures(
-        name, duration):
-    spec = library()[name]
-    spec.duration = duration  # shortened for tier 1; same program
-    checked = run_scenario(spec, monitor=True)
-    measured = run_workload(spec)
+        library_runs, name, duration):
+    spec, checked, measured = library_runs[name]
+    assert spec.duration == duration
     assert checked.ok, checked.artifact.checks["violations"]
     topo = build_spec_topology(spec)
-    assert (set(checked.observables["dp_stats"])
+    assert (set(checked.observables["switches"])
             | set(checked.observables["hosts"])) == set(topo.nodes)
-    assert (checked.observables["events"]
-            == measured.summary["events"])
+    assert checked.dataplane_digest == measured.dataplane_digest
+    assert {key: value for key, value in checked.summary.items()
+            if key not in ("ok", "monitor_failures")} == measured.summary
+
+
+def test_every_library_spec_records_its_own_dataplane(library_runs):
+    """A workload run's ``dataplane_digest`` is the digest of the
+    dataplane it ran, not of an empty record shared by every run."""
+    digests = {measured.dataplane_digest
+               for _, _, measured in library_runs.values()}
+    assert len(digests) == len(_LIBRARY_CUTS)
+    assert canonical_digest({}) not in digests
 
 
 def test_cluster_spec_runs_on_both_planes():
@@ -301,5 +340,4 @@ def test_cluster_spec_runs_on_both_planes():
     assert (checked.summary["faults_fired"]
             == measured.summary["faults_fired"] == 2)
     assert measured.summary["flows_completed"] > 0
-    assert (checked.observables["events"]
-            == measured.summary["events"])
+    assert checked.dataplane_digest == measured.dataplane_digest

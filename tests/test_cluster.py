@@ -19,7 +19,7 @@ from repro.cluster import (
     elect_leader,
     rendezvous_score,
 )
-from repro.core import ZenPlatform, dataplane_digest
+from repro.core import ZenPlatform, dataplane_observables
 from repro.errors import TopologyError
 from repro.faults import FaultSchedule, arm_faults
 from repro.netem import Topology
@@ -582,16 +582,16 @@ class TestClusteredPlatform:
             ZenPlatform(Topology.ring(3), controllers=0)
 
     def test_digest_excludes_control_plane(self):
-        """Same workload, different cluster size: the dataplane digest
+        """Same workload, different cluster size: the dataplane record
         must agree even though control-message counts differ."""
-        digests = []
+        dataplanes = []
         overhead = []
         for n in (1, 3):
             platform = ring_cluster(controllers=n, seed=3)
             platform.ping_all(count=1, settle=8.0)
-            digests.append(dataplane_digest(platform.net))
+            dataplanes.append(dataplane_observables(platform.net))
             overhead.append(platform.total_control_messages())
-        assert digests[0] == digests[1]
+        assert dataplanes[0] == dataplanes[1]
         assert overhead[1] > overhead[0]
 
     def test_channel_lookup_falls_back_to_instance_zero(self):

@@ -16,7 +16,8 @@ replication echo installing a duplicate flow) breaks it loudly.
 
 import pytest
 
-from repro.core import ZenPlatform, dataplane_digest
+from repro.core import ZenPlatform, dataplane_observables
+from repro.digest import canonical_digest
 from repro.netem import Topology
 
 
@@ -40,7 +41,8 @@ def drive(topology, controllers, profile, seed, workload_seed=99):
             lambda s=src, d=dst: s.send_udp(d.ip, 7001, 7001, b"diff"),
         )
     platform.run(3.0)
-    return dataplane_digest(platform.net), delivery
+    return (canonical_digest(dataplane_observables(platform.net)),
+            delivery)
 
 
 CASES = [

@@ -458,24 +458,33 @@ class TestRendering:
 # ----------------------------------------------------------------------
 class TestBitIdentity:
     def test_obs_on_vs_off_across_fuzz_corpus(self):
-        """Every corpus seed runs bit-identically with the full obs
-        plane attached (scraper + probes + SLOs + annotations) vs with
-        no telemetry at all: same observables, verdicts and summary.
-        Only the observed run's artifact holds series."""
-        from repro.check import generate_scenario, run_scenario
+        """Every corpus seed runs bit-identically with the obs plane
+        scraping (scraper + probes + SLOs + annotations) vs the same
+        assembly with its scraper detached before the run: same
+        observables, verdicts and summary.  Only the scraped run
+        samples between events."""
+        from repro.check import (NetworkChecker, generate_scenario,
+                                 run_scenario)
+        from repro.check.fuzzer import EVENT_BUDGET
+        from repro.workload import assemble, run_assembled
 
         corpus = json.loads((DATA / "fuzz_corpus.json").read_text())
         for seed in corpus["seeds"]:
             scenario = generate_scenario(seed)
-            plain = run_scenario(scenario)
-            observed = run_scenario(scenario, obs=True)
+            observed = run_scenario(scenario)
+            live = assemble(scenario)
+            live.plane.scraper.detach()
+            plain = run_assembled(scenario, live, max_events=EVENT_BUDGET)
             assert plain.dataplane_digest == observed.dataplane_digest, (
                 f"obs plane perturbed seed {seed}"
             )
-            assert plain.artifact.checks == observed.artifact.checks
-            assert plain.summary == observed.summary
-            assert plain.artifact.scrapes == 0
-            assert observed.artifact.scrapes > 0
+            assert (NetworkChecker().check(live.platform.net).to_dict()
+                    == observed.artifact.checks)
+            assert plain.summary == {
+                key: value for key, value in observed.summary.items()
+                if key not in ("ok", "monitor_failures")}
+            assert plain.artifact.scrapes == 1  # the final sample alone
+            assert observed.artifact.scrapes > 1
 
     def test_observer_fires_between_events_deterministically(self):
         """Two identical runs see identical scrape timelines."""

@@ -289,7 +289,7 @@ def test_obs_sentinel():
     plain document's.
     """
     spec = library()["dc-heavy-tail"]
-    live = assemble(spec, obs=True)
+    live = assemble(spec)
     result = run_assembled(spec, live)
     scraper = live.plane.scraper
     changes = scraper.telemetry.metrics.version

@@ -114,13 +114,14 @@ class TestPlatformAssembly:
                                  "at": 0.2, "down_for": 0.3, "period": 1.0,
                                  "count": 1}])
         bare = assemble(spec)
-        assert (bare.plane, bare.monitor) == (None, None)
-        # Metrics are always on; tracing is not.
+        # Metrics and the obs plane are always on; tracing and the
+        # monitor are not.
+        assert bare.plane is not None and bare.monitor is None
         assert bare.platform.telemetry is bare.platform.sim.telemetry
         assert not bare.platform.telemetry.tracing
-        assert len(bare.schedule.on_fire) == 0
+        assert len(bare.schedule.on_fire) == 1
         telemetry = Telemetry(trace=True)
-        live = assemble(spec, telemetry=telemetry, obs=True, monitor=True)
+        live = assemble(spec, telemetry=telemetry, monitor=True)
         assert live.platform.telemetry is telemetry
         live.platform.run(1.5)
         live.plane.finish()

@@ -230,6 +230,30 @@ def test_run_replays_its_own_document(source, engine, tmp_path, capsys):
     assert f"digest {doc['digest'][:16]}\n" in capsys.readouterr().out
 
 
+def test_check_replay_compares_the_recorded_dataplane(tmp_path, capsys):
+    """``check replay`` re-runs a saved platform run checked: it reports
+    drift when the replayed dataplane record is not the one the document
+    holds, and for a checked scenario when the whole digest moved."""
+    workload, scenario = (str(tmp_path / f"{kind}.json")
+                          for kind in ("workload", "scenario"))
+    assert main(["run", "--fault", "link", "--duration", "2",
+                 "--out", workload]) == 0
+    run_scenario(generate_scenario(2)).save(scenario)
+    for path in (workload, scenario):
+        assert main(["check", "replay", "--path", path]) == 0
+    doc = json.loads(open(workload).read())
+    host = next(iter(doc["observables"]["hosts"].values()))
+    host["rx"] += 1
+    save_document(workload, doc)
+    doc = json.loads(open(scenario).read())
+    save_document(scenario, dict(doc, digest="0" * 64))
+    capsys.readouterr()
+    for path, moved in ((workload, "dataplane digest"), (scenario, "digest")):
+        assert main(["check", "replay", "--path", path]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"WARNING: {moved} drift vs the recorded run")
+
+
 @pytest.mark.parametrize("argv", [["run", "--spec"],
                                   ["check", "replay", "--path"]])
 def test_a_document_that_records_no_spec_is_a_named_error(

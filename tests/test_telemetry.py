@@ -584,7 +584,7 @@ class TestReadThroughChildren:
             traffic=[{"kind": "flows", "rate": 80.0,
                       "sizes": {"dist": "fixed", "size": 3_000},
                       "start": 0.2, "duration": 1.0}],
-        ), obs=True)
+        ))
         live.platform.run(2.0)
         live.plane.finish()  # one last sample, aligned with "now"
 

@@ -302,7 +302,7 @@ class TestControlChannelTrace:
         """A packet-in that lands between reconnect and handshake is
         dropped by the controller, traced or not, and leaves the
         dataplane as it would be untraced."""
-        from repro.core import dataplane_digest
+        from repro.core import dataplane_observables
         from repro.southbound.messages import PacketIn
 
         def run(tel):
@@ -327,7 +327,7 @@ class TestControlChannelTrace:
             h1.send_udp(h3.ip, 7, 7, b"x")  # punted before FeaturesReply
             platform.run(2.0)
             assert len(dropped) == 1
-            return (dataplane_digest(platform.net),
+            return (dataplane_observables(platform.net),
                     platform.sim.events_processed)
 
         assert run(Telemetry(trace=True)) == run(None)
@@ -480,14 +480,14 @@ class TestClusterHandoverTrace:
     def test_cluster_dataplane_bit_identical_with_tracing(self):
         """Acceptance: seeded clustered fault runs are bit-identical
         with the trace plane on or off."""
-        from repro.core import dataplane_digest
+        from repro.core import dataplane_observables
 
-        def digest(tel):
+        def dataplane(tel):
             platform, _ = _run_cluster_crash(tel, seed=11)
-            return dataplane_digest(platform.net)
+            return dataplane_observables(platform.net)
 
-        base = digest(None)
-        assert digest(Telemetry(trace=True)) == base
+        base = dataplane(None)
+        assert dataplane(Telemetry(trace=True)) == base
 
 
 # ----------------------------------------------------------------------
