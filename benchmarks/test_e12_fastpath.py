@@ -39,10 +39,11 @@ band was scanned); a hit costs less than a probe on every table
 (``hit_speedup`` > 1: the cache is probed with the frame's memoised
 wire-image fields and a hit builds no ``FlowKey``; it read 0.97 when
 every hit extracted a key first); masks are what cost (64 probes per
-lookup), and that is where the cache pays most, per mask.  Every
-simulation observable (switch
-counters, flow stats) must be bit-identical cache on vs off in all
-three recipes — the cache is a pure performance construct.
+lookup), and that is where the cache pays most, per mask.  The run's
+dataplane record (``repro.core.dataplane_observables``: switch, port
+and table counters, every flow entry's counters) must be bit-identical
+cache on vs off in all three recipes — the cache is a pure performance
+construct.
 """
 
 import time
@@ -50,7 +51,7 @@ import time
 import pytest
 
 from repro.analysis import Table
-from repro.core import ZenPlatform
+from repro.core import ZenPlatform, dataplane_observables
 from repro.dataplane.flowtable import FlowEntry
 from repro.dataplane.match import Match
 from repro.netem import Topology
@@ -139,15 +140,6 @@ def drive(fast_path, filler=one_mask, count_probes=False):
     forwarded = sum(
         dp.packets_forwarded for dp in switches.values()
     ) - base
-    observables = {
-        name: (dp.stats(),
-               [(t.table_id, t.lookup_count, t.matched_count)
-                for t in dp.tables],
-               sorted((repr(e.match), e.priority, e.packet_count,
-                       e.byte_count)
-                      for t in dp.tables for e in t))
-        for name, dp in switches.items()
-    }
     hits = sum(dp.fast_path_hits for dp in switches.values()) - hits0
     misses = sum(
         dp.fast_path_misses for dp in switches.values()
@@ -158,7 +150,7 @@ def drive(fast_path, filler=one_mask, count_probes=False):
         "forwarded": forwarded,
         "events": sim.events_processed,
         "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-        "observables": observables,
+        "observables": dataplane_observables(platform.net),
         "probes": probes[0],
         "lookups": sum(t.lookup_count for t in tables) - lookups0,
     }

@@ -13,8 +13,8 @@ its minimum wall time, which strips scheduler noise the way
 min-of-reps microbenchmarks do.
 
 Contract: the plane's own cost — the wall-clock delta divided by the
-scrapes it paid for — stays inside ``SCRAPE_BUDGET_US``, and every
-simulation observable (switch counters, table stats, flow entries) is
+scrapes it paid for — stays inside ``SCRAPE_BUDGET_US``, and the
+run's dataplane record (``repro.core.dataplane_observables``) is
 bit-identical between the arms — scrapes ride the kernel's read-only
 observer side-channel, so they must be invisible to the run.  The
 delta as a share of the run is reported but not gated: it divides by
@@ -48,9 +48,8 @@ from repro.obs import MetricsScraper, ObsPlane, diff_runs, render_dashboard
 from repro.telemetry import Telemetry
 from repro.workload import library, run_workload
 
-from harness import RESULTS_DIR, publish, publish_json
+from harness import RESULTS_DIR, fat_tree_drive, publish, publish_json
 
-PACKETS_PER_FLOW = 160     # keeps the obs-off arm above 0.3 s of wall
 SCRAPE_INTERVAL = 0.1      # the acceptance criterion's 100 ms
 #: Wall-clock budget per scrape of the ~620-series fat-tree registry:
 #: 3x the 220 us measured at PR 13 (median of seven min-of-reps runs
@@ -58,46 +57,6 @@ SCRAPE_INTERVAL = 0.1      # the acceptance criterion's 100 ms
 #: runs), the headroom the old 5% gate had over its measured 1.7%.
 SCRAPE_BUDGET_US = 660.0
 REPS = 7                   # absolute deltas of ~10 ms need a tight minimum
-
-
-def drive(obs: bool):
-    """One seeded fat-tree run; returns (wall_s, observables, plane)."""
-    platform = ZenPlatform(
-        Topology.fat_tree(4, bandwidth_bps=1e9, delay=0.00005),
-        profile="proactive",
-        seed=3,
-        telemetry=Telemetry(),
-    ).start()
-    plane = ObsPlane(platform, interval=SCRAPE_INTERVAL) if obs else None
-    platform.net.seed_static_arp()
-    hosts = list(platform.net.hosts.values())
-    pairs = [(hosts[i], hosts[(i + 5) % len(hosts)])
-             for i in range(len(hosts))]
-    for a, b in pairs:
-        a.send_udp(b.ip, 5000, 5000, b"warm")
-        b.send_udp(a.ip, 5000, 5000, b"warm")
-    platform.run(2.0)
-    sim = platform.sim
-    rng = sim.fork_rng()
-    for idx, (a, b) in enumerate(pairs):
-        for _ in range(PACKETS_PER_FLOW):
-            sim.schedule(rng.uniform(0.0, 1.0), a.send_udp,
-                         b.ip, 6000 + idx, 7000, b"x" * 64)
-    start = time.perf_counter()
-    platform.run(2.0)
-    wall = time.perf_counter() - start
-    if plane is not None:
-        plane.finish()
-    observables = {
-        name: (dp.stats(),
-               [(t.table_id, t.lookup_count, t.matched_count)
-                for t in dp.tables],
-               sorted((repr(e.match), e.priority, e.packet_count,
-                       e.byte_count)
-                      for t in dp.tables for e in t))
-        for name, dp in platform.net.switches.items()
-    }
-    return wall, observables, plane
 
 
 def scrape_now_us(spec) -> float:
@@ -149,7 +108,8 @@ def run_experiment():
     plane = None
     for _ in range(REPS):
         for obs in (False, True):
-            wall, obs_state, p = drive(obs)
+            wall, obs_state, p = fat_tree_drive(
+                obs_interval=SCRAPE_INTERVAL if obs else None)
             walls[obs].append(wall)
             observables[obs] = obs_state
             if p is not None:

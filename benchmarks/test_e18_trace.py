@@ -29,7 +29,6 @@ observer side-channel and never touch the event heap.
 """
 
 import os
-import time
 
 import pytest
 
@@ -49,9 +48,8 @@ from repro.telemetry.artifact import (
 )
 from repro.workload import WorkloadSpec
 
-from harness import RESULTS_DIR, publish, publish_json
+from harness import RESULTS_DIR, fat_tree_drive, publish, publish_json
 
-PACKETS_PER_FLOW = 160     # keeps the trace-off arm above 0.3 s of wall
 #: Wall-clock budget per recorded span at 1-in-8 sampling (it carries
 #: the sampling check every untraced packet pays): 3x the 3.5 us
 #: measured at PR 13 (median of seven min-of-reps runs, 0.2-7.0 us).
@@ -63,38 +61,7 @@ REPS = 7                   # absolute deltas of ~10 ms need a tight minimum
 def drive(trace: bool, sample_every: int = SAMPLE_EVERY):
     """One seeded fat-tree run; returns (wall_s, observables, tracer)."""
     telemetry = Telemetry(trace=trace, trace_sample_every=sample_every)
-    platform = ZenPlatform(
-        Topology.fat_tree(4, bandwidth_bps=1e9, delay=0.00005),
-        profile="proactive",
-        seed=3,
-        telemetry=telemetry,
-    ).start()
-    platform.net.seed_static_arp()
-    hosts = list(platform.net.hosts.values())
-    pairs = [(hosts[i], hosts[(i + 5) % len(hosts)])
-             for i in range(len(hosts))]
-    for a, b in pairs:
-        a.send_udp(b.ip, 5000, 5000, b"warm")
-        b.send_udp(a.ip, 5000, 5000, b"warm")
-    platform.run(2.0)
-    sim = platform.sim
-    rng = sim.fork_rng()
-    for idx, (a, b) in enumerate(pairs):
-        for _ in range(PACKETS_PER_FLOW):
-            sim.schedule(rng.uniform(0.0, 1.0), a.send_udp,
-                         b.ip, 6000 + idx, 7000, b"x" * 64)
-    start = time.perf_counter()
-    platform.run(2.0)
-    wall = time.perf_counter() - start
-    observables = {
-        name: (dp.stats(),
-               [(t.table_id, t.lookup_count, t.matched_count)
-                for t in dp.tables],
-               sorted((repr(e.match), e.priority, e.packet_count,
-                       e.byte_count)
-                      for t in dp.tables for e in t))
-        for name, dp in platform.net.switches.items()
-    }
+    wall, observables, _ = fat_tree_drive(telemetry)
     return wall, observables, telemetry.tracer
 
 

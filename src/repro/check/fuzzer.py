@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 
 from repro.digest import load_document
 from repro.obs import RunResult
-from repro.workload.runner import assemble, run_assembled
+from repro.workload.runner import AssembledRun, assemble, run_assembled
 from repro.workload.spec import WorkloadSpec, build_spec_topology, load_spec
 
 from repro.check.invariants import NetworkChecker
@@ -34,6 +34,7 @@ __all__ = [
     "generate_scenario",
     "generate_cluster_scenario",
     "run_scenario",
+    "run_checked",
     "fuzz",
     "replay",
     "minimize",
@@ -180,9 +181,15 @@ def generate_cluster_scenario(seed: int) -> WorkloadSpec:
 # ----------------------------------------------------------------------
 
 def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
-                 monitor: bool = False,
-                 checker: Optional[NetworkChecker] = None) -> RunResult:
-    """Assemble, run, and check one spec.  Deterministic end to end.
+                 monitor: bool = False) -> RunResult:
+    """Assemble, run, and check one spec.  Deterministic end to end:
+    :func:`run_checked` of the assembly."""
+    return run_checked(scenario, assemble(scenario, monitor=monitor,
+                                          fast_path=fast_path))
+
+
+def run_checked(scenario: WorkloadSpec, live: AssembledRun) -> RunResult:
+    """Run ``live`` — ``scenario`` assembled — and check it.
 
     The run is :func:`~repro.workload.run_assembled`'s, so the document
     is a workload run's with ``meta.kind`` ``"scenario"``, the final
@@ -194,16 +201,12 @@ def run_scenario(scenario: WorkloadSpec, fast_path: bool = True,
     there and fails, with an ``event_budget_exhausted`` verdict (absent
     from every other run's verdicts).
     """
-    if checker is None:
-        checker = NetworkChecker()
-    live = assemble(scenario, monitor=checker if monitor else False,
-                    fast_path=fast_path)
     platform, mon = live.platform, live.monitor
     net, sim = platform.net, platform.sim
     end = sim.now + scenario.duration
     result = run_assembled(scenario, live, max_events=EVENT_BUDGET)
 
-    final = checker.check(net)
+    final = NetworkChecker().check(net)
     ok = final.ok
     verdicts = final.to_dict()
     # Only a run the budget cut short leaves events due by ``end``.

@@ -50,19 +50,15 @@ class InvariantMonitor:
     Parameters
     ----------
     net:
-        The network to snapshot on every trigger.
-    checker:
-        The invariant set to evaluate (defaults to loop + blackhole
-        freedom).
+        The network to snapshot on every trigger; the default
+        :class:`NetworkChecker` (loop + blackhole freedom) judges it.
     max_records:
         History depth; older records are discarded FIFO.
     """
 
-    def __init__(self, net: Network,
-                 checker: Optional[NetworkChecker] = None,
-                 max_records: int = 256) -> None:
+    def __init__(self, net: Network, max_records: int = 256) -> None:
         self.net = net
-        self.checker = checker if checker is not None else NetworkChecker()
+        self.checker = NetworkChecker()
         self.max_records = max_records
         self.records: List[CheckRecord] = []
         self.checks_run = 0

@@ -51,18 +51,25 @@ def dataplane_observables(net: Network) -> dict:
     saved run document reads back equal): a platform run's
     ``observables``.
 
-    Flow tables, datapath counters, and host tx/rx — deliberately
-    excluding control-channel and controller-side counters, which
-    legitimately differ with cluster size (N instances exchange more
-    control messages while programming the very same dataplane).
+    Flow tables with each entry's counters and install time, per-table
+    lookup and match counts, datapath and port counters, and host
+    tx/rx — deliberately excluding control-channel and controller-side
+    counters, which legitimately differ with cluster size (N instances
+    exchange more control messages while programming the very same
+    dataplane).
     """
     return {
         "switches": {
             name: {
                 "stats": dp.stats(),
+                "tables": [[table.table_id, table.lookup_count,
+                            table.matched_count] for table in dp.tables],
+                "ports": [dp.ports[n].stats() for n in sorted(dp.ports)],
                 "flows": sorted(
                     [table.table_id, entry.priority, repr(entry.match),
-                     repr(sorted(map(repr, entry.actions)))]
+                     repr(sorted(map(repr, entry.actions))),
+                     entry.packet_count, entry.byte_count,
+                     entry.install_time]
                     for table in dp.tables
                     for entry in table
                 ),

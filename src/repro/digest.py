@@ -12,7 +12,7 @@ from repro.errors import ZenError
 
 __all__ = ["Rendered", "Spliced", "canonical_digest", "canonical_text",
            "document_text", "load_document", "save_document",
-           "section_digests"]
+           "section_digests", "sections"]
 
 #: ``doc`` as the key-sorted JSON text :func:`canonical_digest` hashes:
 #: ``json.dumps(doc, sort_keys=True)``'s encoder, built once.
@@ -74,23 +74,25 @@ def canonical_digest(doc) -> str:
     return digest.hexdigest()
 
 
-def section_digests(artifact: dict) -> Dict[str, str]:
-    """One :func:`canonical_digest` per section of a run artifact
-    document (``RunArtifact.to_dict()``).
+def sections(artifact: dict) -> Dict[str, Any]:
+    """A run artifact document (``RunArtifact.to_dict()``) by section.
 
     Every top-level key is a section, except ``series``, which splits
     into one ``series/<family>`` section per metric family (a series id
-    up to its first ``{``).  Two runs whose digests differ differ in at
-    least one section, so comparing the maps names what moved.
+    up to its first ``{``).
     """
-    sections = {key: canonical_digest(value)
-                for key, value in artifact.items() if key != "series"}
-    families: Dict[str, dict] = {}
+    parts = {key: doc for key, doc in artifact.items() if key != "series"}
     for sid, series in artifact.get("series", {}).items():
-        families.setdefault(sid.split("{", 1)[0], {})[sid] = series
-    sections.update((f"series/{family}", canonical_digest(doc))
-                    for family, doc in families.items())
-    return sections
+        parts.setdefault(f"series/{sid.split('{', 1)[0]}", {})[sid] = series
+    return parts
+
+
+def section_digests(artifact: dict) -> Dict[str, str]:
+    """One :func:`canonical_digest` per :func:`sections` entry.  Two runs
+    whose digests differ differ in at least one section, so comparing
+    the maps names what moved."""
+    return {key: canonical_digest(value)
+            for key, value in sections(artifact).items()}
 
 
 def document_text(doc) -> str:

@@ -108,7 +108,8 @@ def build_program(spec: WorkloadSpec, topology: Topology) -> Program:
     """Compile one spec into its partition-independent op list: each
     entry as :func:`~repro.workload.generators.read_traffic` reads it
     and each fault as :func:`~repro.faults.lower_fault` lowers it, the
-    readings the platform arms from."""
+    readings the platform arms from.  A flap of a link the topology
+    lacks fails here, as the platform fails it before it starts."""
     hosts = sorted(n.name for n in topology.hosts)
     program = Program()
 
@@ -152,6 +153,7 @@ def build_program(spec: WorkloadSpec, topology: Topology) -> Program:
                 entry["flow_rate_bps"], entry["packet_size"]))
             program.flows_started += 1
 
+    links = {frozenset(link.endpoints()) for link in topology.links}
     for index, fault in enumerate(spec.faults):
         kind = fault["kind"]
         if kind != "link_flap":
@@ -160,8 +162,13 @@ def build_program(spec: WorkloadSpec, topology: Topology) -> Program:
                 f"with no control channel; fault kind {kind!r} is not "
                 f"supported under --shards"
             )
-        for at, name, _bind in lower_fault(fault, f"fault #{index}"):
-            program.ops.append((name, at, fault["a"], fault["b"]))
+        label = f"fault #{index}"
+        injections = lower_fault(fault, label)
+        a, b = fault["a"], fault["b"]
+        if frozenset((a, b)) not in links:
+            raise TopologyError(f"{label} ({kind}): no link {a} -- {b}")
+        for at, name, _bind in injections:
+            program.ops.append((name, at, a, b))
 
     # Sinks: unique, stable order.
     program.sinks = sorted(set(program.sinks))

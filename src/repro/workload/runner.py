@@ -95,7 +95,7 @@ def _build_platform(spec: WorkloadSpec, telemetry,
 
 
 def assemble(spec: WorkloadSpec, *,
-             telemetry: Optional[Telemetry] = None, monitor=False,
+             telemetry: Optional[Telemetry] = None, monitor: bool = False,
              fast_path: bool = True) -> AssembledRun:
     """Turn ``spec`` into a started platform with everything armed.
 
@@ -105,8 +105,7 @@ def assemble(spec: WorkloadSpec, *,
     :class:`~repro.obs.ObsPlane` scrapes every ``spec.interval`` and
     judges the stock SLOs plus ``spec.slos``.  ``monitor=True`` runs
     an :class:`~repro.check.monitor.InvariantMonitor` on the default
-    invariants, a ``NetworkChecker`` runs that one.  No observer
-    perturbs the simulation.
+    invariants.  No observer perturbs the simulation.
 
     The order below is fixed: ``fork_rng`` calls and event scheduling
     order feed committed digests, and observers hook in so that
@@ -141,8 +140,7 @@ def assemble(spec: WorkloadSpec, *,
         # Imported on use: `repro.check` builds on this module.
         from repro.check.monitor import InvariantMonitor
 
-        mon = InvariantMonitor(platform.net,
-                               None if monitor is True else monitor)
+        mon = InvariantMonitor(platform.net)
         mon.attach(platform.controller)
         mon.watch(schedule)
         plane.watch_monitor(mon)

@@ -1,9 +1,27 @@
-"""Shared fixtures: assembled platform stacks on standard topologies."""
+"""Shared fixtures: assembled platform stacks on standard topologies,
+and the sentinel ledger."""
 
 import pytest
 
 from repro.core import ZenPlatform
 from repro.netem import Topology
+
+
+_SENTINELS = []
+
+
+@pytest.fixture
+def sentinel():
+    """``sentinel(line)`` records a line for the run's terminal summary:
+    a count a tier-1 test gates, such as decodes per punt."""
+    return _SENTINELS.append
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _SENTINELS:
+        terminalreporter.section("sentinels")
+        for line in _SENTINELS:
+            terminalreporter.write_line(line)
 
 
 def build_platform(topology, profile="proactive", warmup=True, **kw):

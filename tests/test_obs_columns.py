@@ -278,7 +278,7 @@ class TestSeriesSemantics:
         assert len(series._sketches) == 4
 
 
-def test_obs_sentinel():
+def test_obs_sentinel(sentinel):
     """Machine-independent cost of the record on ``dc-heavy-tail``.
 
     ``R``: the scrape plan is built once and rebuilt only when the
@@ -301,8 +301,8 @@ def test_obs_sentinel():
     rebuilds, scrapes = scraper.plans, scraper.scrapes
     reprs_per_point = text.reprs / text.points
     # CI runs this test with -s and greps the line into the job summary.
-    print(f"\nobs sentinel: {rebuilds} plan rebuilds over {scrapes} "
-          f"scrapes; {reprs_per_point:.3f} reprs per rendered point")
+    sentinel(f"obs sentinel: {rebuilds} plan rebuilds over {scrapes} "
+             f"scrapes; {reprs_per_point:.3f} reprs per rendered point")
     assert rebuilds <= 1 + changes
     assert rebuilds < scrapes
     assert reprs_per_point <= 0.25

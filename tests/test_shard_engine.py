@@ -52,7 +52,7 @@ def test_library_is_shard_count_invariant(name, duration):
         assert flows == flows1
 
 
-def test_static_forwarding_serialises_a_frame_once(monkeypatch):
+def test_static_forwarding_serialises_a_frame_once(monkeypatch, sentinel):
     """Call-count sentinel: machine-independent, so it can gate tier 1.
 
     On the static-forwarding oracle no switch rewrites anything, so a
@@ -107,12 +107,12 @@ def test_static_forwarding_serialises_a_frame_once(monkeypatch):
     per_tx = counts["serialise"] / link_tx
     validated = counts["validate"] / link_tx
     # CI runs this test with -s and greps the line into the job summary.
-    print(f"\npacket sentinel: {link_tx} link transmissions, "
-          f"{per_tx:.3f} serialisations, "
-          f"{counts['decode'] / link_tx:.3f} decodes, "
-          f"{validated:.3f} validated reads per transmission, "
-          f"{counts['flowkey']} key extractions / "
-          f"{counts['serialise']} wire images")
+    sentinel(f"packet sentinel: {link_tx} link transmissions, "
+             f"{per_tx:.3f} serialisations, "
+             f"{counts['decode'] / link_tx:.3f} decodes, "
+             f"{validated:.3f} validated reads per transmission, "
+             f"{counts['flowkey']} key extractions / "
+             f"{counts['serialise']} wire images")
     assert per_tx <= 1.0
     assert counts["decode"] == 0
     # One per arrival plus one per host send (3.8 before the hop was
@@ -207,6 +207,23 @@ def test_unsupported_fault_kinds_raise():
     spec = WorkloadSpec.from_dict(doc)
     with pytest.raises(TopologyError, match="static-forwarding"):
         run_sharded(spec, shards=2, processes=False)
+
+
+@pytest.mark.parametrize("a, b", [("s8", "s9"), ("s1", "s9")])
+def test_a_flap_of_a_missing_link_fails_before_any_shard_starts(
+        a, b, monkeypatch):
+    """The platform's message, in the parent, whether or not a shard
+    owns an end of the link."""
+    import repro.sim.shard.engine as engine
+
+    # Partitioning comes before any shard starts: it must not be reached.
+    monkeypatch.setattr(engine, "partition_topology", None)
+    spec = WorkloadSpec("x", {"family": "ring", "size": 3}, [], faults=[{
+        "kind": "link_flap", "a": a, "b": b, "at": 0.5, "down_for": 0.2,
+        "period": 1.0, "count": 1}])
+    with pytest.raises(TopologyError) as err:
+        run_sharded(spec, shards=2)
+    assert str(err.value) == f"fault #0 (link_flap): no link {a} -- {b}"
 
 
 def test_cbr_stream_flow_id_override():

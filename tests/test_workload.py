@@ -432,7 +432,8 @@ class TestRunner:
         assert any(sid.startswith("workload_flow_entries")
                    for sid in result.artifact.series)
 
-    def test_dc_heavy_tail_golden_and_telemetry_sentinel(self, monkeypatch):
+    def test_dc_heavy_tail_golden_and_telemetry_sentinel(self, monkeypatch,
+                                                         sentinel):
         """One library run, two gates a builder's ``pytest`` can see.
 
         The run equals the committed golden ``check_regression.py``
@@ -482,12 +483,12 @@ class TestRunner:
             series.last[1]
             for series in result.artifact.match("link_tx_packets_total"))
         per_tx = incs[0] / transmissions
-        print(f"\ntelemetry sentinel: {per_tx:.2f} Counter.inc per link "
-              f"transmission ({incs[0]} for {transmissions:.0f}), "
-              f"{records[0]} Tracer.record")
+        sentinel(f"telemetry sentinel: {per_tx:.2f} Counter.inc per link "
+                 f"transmission ({incs[0]} for {transmissions:.0f}), "
+                 f"{records[0]} Tracer.record")
         assert per_tx <= 0.5
 
-    def test_kernel_sentinel(self):
+    def test_kernel_sentinel(self, sentinel):
         """A link departure is a reserved order key, not an event: the
         kernel runs at most 1.7 events per link transmission on
         ``dc-heavy-tail`` (2.63 when every departure was a dequeue
@@ -499,8 +500,8 @@ class TestRunner:
         events = result.summary["events"]
         per_tx = events / transmissions
         # CI runs this test with -s and greps the line into the summary.
-        print(f"\nkernel sentinel: {per_tx:.3f} events per link "
-              f"transmission ({events} for {transmissions:.0f})")
+        sentinel(f"kernel sentinel: {per_tx:.3f} events per link "
+                 f"transmission ({events} for {transmissions:.0f})")
         assert per_tx <= 1.7
 
     def test_faults_are_armed(self):
